@@ -1,11 +1,12 @@
 // Microbenchmarks of the substrates: AES rates, fixed-key hash, curve
-// operations (base-OT cost), OT extension, netlist construction, and
-// the width-scheduling pass (batch-width histograms + garble rates,
-// scheduled vs construction order).
+// operations (base-OT cost), OT extension, netlist construction, model
+// compilation, and the width-scheduling pass (batch-width histograms +
+// garble rates, scheduled vs construction order).
 #include <benchmark/benchmark.h>
 
 #include "circuit/bench_circuits.h"
 #include "circuit/schedule.h"
+#include "core/benchmark_zoo.h"
 #include "crypto/aes128.h"
 #include "crypto/hash_backend.h"
 #include "crypto/ed25519.h"
@@ -16,6 +17,7 @@
 #include "net/null_channel.h"
 #include "net/party.h"
 #include "synth/activation.h"
+#include "synth/layer_circuits.h"
 #include "synth/matvec.h"
 #include "synth/mult.h"
 
@@ -234,6 +236,26 @@ void BM_BuildTanhLut(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildTanhLut)->Unit(benchmark::kMillisecond);
+
+// Model set-up cost: every party compiles the served chain before its
+// first session. Arg 0 compiles the first FC layer of b3_pp (the paper's
+// pre-processed Benchmark 3, most of its gates), arg 1 the whole chain.
+void BM_CompileModel(benchmark::State& state) {
+  synth::ModelSpec spec = core::paper_zoo()[2].compact;
+  if (state.range(0) == 0) spec.layers.resize(1);
+  uint64_t gates = 0;
+  for (auto _ : state) {
+    const std::vector<Circuit> chain = synth::compile_model_layers(spec);
+    gates = 0;
+    for (const Circuit& c : chain) gates += c.gates.size();
+    benchmark::DoNotOptimize(chain.data());
+  }
+  state.counters["gates/s"] = benchmark::Counter(
+      static_cast<double>(gates) * state.iterations(),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_CompileModel)->Arg(0)->Arg(1)->ArgNames({"full_chain"})
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
 // Per-backend rows — the headline table of the pluggable-backend work.

@@ -64,6 +64,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -352,6 +353,15 @@ double pct(const std::vector<double>& sorted, size_t p) {
   return sorted[std::min(sorted.size() - 1, (sorted.size() * p) / 100)];
 }
 
+// Tail percentile of a SORTED sample, or nullopt when fewer than ten
+// samples lie beyond it: the p99 of 8 requests is only their maximum.
+std::optional<double> tail_pct(const std::vector<double>& sorted, size_t p) {
+  constexpr size_t kMinBeyond = 10;
+  const size_t rank = (sorted.size() * p) / 100;
+  if (rank + kMinBeyond >= sorted.size()) return std::nullopt;
+  return sorted[rank];
+}
+
 // Snapshot of the process-wide data-plane counters (net/channel.h,
 // support/buffer_pool.h, net/ring_channel.h). Deltas bracket each load
 // run — the runs are sequential, so a delta is that run's traffic.
@@ -397,12 +407,16 @@ struct NetCounters {
 struct LoadResult {
   size_t sessions = 0, requests = 0;
   double wall_s = 0;
-  double p50_ms = 0, p95_ms = 0, p99_ms = 0;
+  size_t samples = 0;
+  double p50_ms = 0;
+  std::optional<double> p95_ms, p99_ms;
   // Accept-to-first-byte queueing delay: how long a session waited from
   // connect() to a served handshake ack. Under the gated listener this
   // is where backlog time shows up — the client-side complement of the
   // server's phase accounting.
-  double connect_p50_ms = 0, connect_p95_ms = 0, connect_p99_ms = 0;
+  size_t connect_samples = 0;
+  double connect_p50_ms = 0;
+  std::optional<double> connect_p95_ms, connect_p99_ms;
   double offline_s = 0;  // pooled mode: prefetch (offline phase) time
   double ttfw_s = 0;     // pooled mode: slowest session's first warm artifact
   size_t serving_threads = 0;  // thread core: N sessions; event: loop+workers
@@ -594,15 +608,15 @@ LoadResult measure_load(const Args& args, bool pooled,
   // the slowest session's, not the sum (same for the first-warm time).
   for (double o : offline) r.offline_s = std::max(r.offline_s, o);
   for (double t : ttfw) r.ttfw_s = std::max(r.ttfw_s, t);
-  if (!all.empty()) {
-    r.p50_ms = all[all.size() / 2];
-    r.p95_ms = pct(all, 95);
-    r.p99_ms = pct(all, 99);
-  }
+  r.samples = all.size();
+  if (!all.empty()) r.p50_ms = all[all.size() / 2];
+  r.p95_ms = tail_pct(all, 95);
+  r.p99_ms = tail_pct(all, 99);
   std::sort(connect_ms.begin(), connect_ms.end());
+  r.connect_samples = connect_ms.size();
   r.connect_p50_ms = pct(connect_ms, 50);
-  r.connect_p95_ms = pct(connect_ms, 95);
-  r.connect_p99_ms = pct(connect_ms, 99);
+  r.connect_p95_ms = tail_pct(connect_ms, 95);
+  r.connect_p99_ms = tail_pct(connect_ms, 99);
   if (r.served != uint64_t(args.sessions * args.requests))
     throw std::runtime_error("loadgen: server served fewer inferences than sent");
   if (pooled && r.pooled != r.served)
@@ -805,6 +819,27 @@ std::string net_json(const Args& args, const LoadResult& l) {
   return buf;
 }
 
+// Latency fragment shared by every load row. A tail percentile with
+// fewer than ten samples beyond it is null; `samples` says why.
+std::string latency_json(const LoadResult& l) {
+  auto num = [](const std::optional<double>& v) {
+    char b[32];
+    if (!v) return std::string("null");
+    std::snprintf(b, sizeof(b), "%.3f", *v);
+    return std::string(b);
+  };
+  char buf[384];
+  std::snprintf(buf, sizeof(buf),
+                "\"samples\": %zu, \"p50_ms\": %.3f, \"p95_ms\": %s, "
+                "\"p99_ms\": %s, \"connect_samples\": %zu, "
+                "\"connect_p50_ms\": %.3f, \"connect_p95_ms\": %s, "
+                "\"connect_p99_ms\": %s",
+                l.samples, l.p50_ms, num(l.p95_ms).c_str(),
+                num(l.p99_ms).c_str(), l.connect_samples, l.connect_p50_ms,
+                num(l.connect_p95_ms).c_str(), num(l.connect_p99_ms).c_str());
+  return buf;
+}
+
 void emit_json(std::FILE* f, const Args& args, const OverlapResult& o,
                const OfflineResult& off, const LoadResult& l,
                const LoadResult& lcopy, const LoadResult* pre,
@@ -885,17 +920,14 @@ void emit_json(std::FILE* f, const Args& args, const OverlapResult& o,
                "  \"load\": {\"sessions\": %zu, \"requests_per_session\": %zu, "
                "\"server_core\": \"%s\", \"serving_threads\": %zu, "
                "\"inferences\": %llu, \"wall_s\": %.6f, \"sessions_per_s\": "
-               "%.3f, \"requests_per_s\": %.3f, \"p50_ms\": %.3f, \"p95_ms\": "
-               "%.3f, \"p99_ms\": %.3f, \"connect_p50_ms\": %.3f, "
-               "\"connect_p95_ms\": %.3f, \"connect_p99_ms\": %.3f, "
-               "%s, \"server_stats\": %s}%s\n",
+               "%.3f, \"requests_per_s\": %.3f, %s, %s, \"server_stats\": "
+               "%s}%s\n",
                l.sessions, l.requests,
                args.server_core == runtime::ServerCore::kEventLoop ? "event"
                                                                    : "thread",
                l.serving_threads,
                static_cast<unsigned long long>(l.served), l.wall_s,
-               l.sessions_per_s(), l.requests_per_s(), l.p50_ms, l.p95_ms,
-               l.p99_ms, l.connect_p50_ms, l.connect_p95_ms, l.connect_p99_ms,
+               l.sessions_per_s(), l.requests_per_s(), latency_json(l).c_str(),
                net_json(args, l).c_str(),
                l.server_stats.empty() ? "{}" : l.server_stats.c_str(),
                more_after_load ? "," : "");
@@ -910,17 +942,14 @@ void emit_json(std::FILE* f, const Args& args, const OverlapResult& o,
         "\"shard_threads\": %zu, \"async_prefetch\": %s, "
         "\"time_to_first_warm_s\": %.6f, "
         "\"offline_prefetch_s\": %.6f, \"wall_s\": %.6f, "
-        "\"requests_per_s\": %.3f, \"p50_ms\": %.3f, \"p95_ms\": %.3f, "
-        "\"p99_ms\": %.3f, \"connect_p50_ms\": %.3f, "
-        "\"connect_p95_ms\": %.3f, \"connect_p99_ms\": %.3f, "
+        "\"requests_per_s\": %.3f, %s, "
         "\"p50_speedup_vs_ondemand\": %.3f, %s, \"server_stats\": %s}\n",
         pre->sessions, pre->requests,
         static_cast<unsigned long long>(pre->served),
         static_cast<unsigned long long>(pre->pooled), pre->pool_hit_rate(),
         args.shard_threads, args.async_prefetch ? "true" : "false",
         pre->ttfw_s, pre->offline_s, pre->wall_s, pre->requests_per_s(),
-        pre->p50_ms, pre->p95_ms, pre->p99_ms, pre->connect_p50_ms,
-        pre->connect_p95_ms, pre->connect_p99_ms,
+        latency_json(*pre).c_str(),
         pre->p50_ms > 0 ? l.p50_ms / pre->p50_ms : 0.0,
         net_json(args, *pre).c_str(),
         pre->server_stats.empty() ? "{}" : pre->server_stats.c_str());
@@ -933,15 +962,12 @@ void emit_json(std::FILE* f, const Args& args, const OverlapResult& o,
       std::fprintf(f,
                    "    {\"server_core\": \"%s\", \"sessions\": %zu, "
                    "\"serving_threads\": %zu, \"wall_s\": %.6f, "
-                   "\"sessions_per_s\": %.3f, \"p50_ms\": %.3f, "
-                   "\"p95_ms\": %.3f, \"p99_ms\": %.3f, "
-                   "\"connect_p50_ms\": %.3f, \"connect_p95_ms\": %.3f, "
-                   "\"connect_p99_ms\": %.3f, %s, \"server_stats\": %s}%s\n",
+                   "\"sessions_per_s\": %.3f, %s, %s, "
+                   "\"server_stats\": %s}%s\n",
                    row.core, row.load.sessions, row.load.serving_threads,
                    row.load.wall_s, row.load.sessions_per_s(),
-                   row.load.p50_ms, row.load.p95_ms, row.load.p99_ms,
-                   row.load.connect_p50_ms, row.load.connect_p95_ms,
-                   row.load.connect_p99_ms, net_json(args, row.load).c_str(),
+                   latency_json(row.load).c_str(),
+                   net_json(args, row.load).c_str(),
                    row.load.server_stats.empty()
                        ? "{}"
                        : row.load.server_stats.c_str(),

@@ -1,5 +1,6 @@
 #include "circuit/builder.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace deepsecure {
@@ -47,6 +48,29 @@ void Builder::set_lane(uint32_t lane) {
   lane_ = lane;
 }
 
+namespace {
+
+// Load factor ceiling of the CSE table: it doubles once one more gate
+// would fill more than 7/10 of its slots.
+constexpr size_t kCseLoadNum = 7;
+constexpr size_t kCseLoadDen = 10;
+constexpr size_t kCseMinSlots = 1024;
+
+inline size_t cse_hash(Wire a, Wire b, GateOp op) {
+  // murmur3 fmix64 over the packed key: every key bit reaches the low
+  // bits the slot mask keeps.
+  uint64_t k = (static_cast<uint64_t>(a) << 32 | b) ^
+               (static_cast<uint64_t>(op) << 63);
+  k ^= k >> 33;
+  k *= 0xff51afd7ed558ccdull;
+  k ^= k >> 33;
+  k *= 0xc4ceb9fe1a85ec53ull;
+  k ^= k >> 33;
+  return static_cast<size_t>(k);
+}
+
+}  // namespace
+
 Wire Builder::emit(GateOp op, Wire a, Wire b) {
   // Canonicalize commutative operand order for CSE.
   if (a > b) std::swap(a, b);
@@ -63,22 +87,22 @@ Wire Builder::emit(GateOp op, Wire a, Wire b) {
     if (a == kConst1) return b;
   }
 
-  if (cse_) {
-    const uint64_t key = (static_cast<uint64_t>(a) << 33) |
-                         (static_cast<uint64_t>(b) << 1) |
-                         static_cast<uint64_t>(op);
-    if (auto it = cse_map_.find(key); it != cse_map_.end()) return it->second;
-    const Wire out = new_wire();
-    c_.gates.push_back(Gate{a, b, out, op});
-    if (lanes_used_) c_.gate_lanes.push_back(lane_);
-    if (op == GateOp::kAnd)
-      ++and_count_;
-    else
-      ++xor_count_;
-    cse_map_.emplace(key, out);
-    return out;
+  if (!cse_) return push_gate(op, a, b);
+  if ((c_.gates.size() + 1) * kCseLoadDen > cse_slots_.size() * kCseLoadNum)
+    cse_grow();
+  const size_t mask = cse_slots_.size() - 1;
+  for (size_t i = cse_hash(a, b, op) & mask;; i = (i + 1) & mask) {
+    const uint32_t s = cse_slots_[i];
+    if (s == 0) {
+      cse_slots_[i] = static_cast<uint32_t>(c_.gates.size() + 1);
+      return push_gate(op, a, b);
+    }
+    const Gate& g = c_.gates[s - 1];
+    if (g.a == a && g.b == b && g.op == op) return g.out;
   }
+}
 
+Wire Builder::push_gate(GateOp op, Wire a, Wire b) {
   const Wire out = new_wire();
   c_.gates.push_back(Gate{a, b, out, op});
   if (lanes_used_) c_.gate_lanes.push_back(lane_);
@@ -87,6 +111,21 @@ Wire Builder::emit(GateOp op, Wire a, Wire b) {
   else
     ++xor_count_;
   return out;
+}
+
+// Doubles the table and re-inserts every gate, its key read back from
+// the gate. Keys are unique, so re-insertion needs no comparisons. Each
+// gate drives its own wire, so gate index + 1 fits a 32-bit slot.
+void Builder::cse_grow() {
+  const size_t slots = std::max(kCseMinSlots, 2 * cse_slots_.size());
+  cse_slots_.assign(slots, 0);
+  const size_t mask = slots - 1;
+  for (size_t g = 0; g < c_.gates.size(); ++g) {
+    const Gate& gate = c_.gates[g];
+    size_t i = cse_hash(gate.a, gate.b, gate.op) & mask;
+    while (cse_slots_[i] != 0) i = (i + 1) & mask;
+    cse_slots_[i] = static_cast<uint32_t>(g + 1);
+  }
 }
 
 Wire Builder::xor_(Wire a, Wire b) { return emit(GateOp::kXor, a, b); }

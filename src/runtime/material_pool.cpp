@@ -113,6 +113,10 @@ void MaterialPool::produce_one() {
       }
       ++produced_;
       c_produced_.add();
+      // An acquire that popped the ring-published artifact before the
+      // decrement above still counted this producer as in flight and
+      // skipped its refill; top the pool back up on its behalf.
+      schedule_refill_locked();
     }
   }
   // notify_all: concurrent acquirers each submitted their own

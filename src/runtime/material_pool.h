@@ -134,7 +134,7 @@ class MaterialPool {
   std::unique_ptr<SpscRing<GarbledMaterial>> ring_;
   std::deque<GarbledMaterial> ready_;
   Prg seed_prg_;
-  size_t in_flight_ = 0;  // producer tasks scheduled but not yet pushed
+  size_t in_flight_ = 0;  // producer tasks scheduled but not yet finished
   size_t waiting_ = 0;    // acquire() calls blocked on production
   std::exception_ptr error_;  // first producer failure, rethrown on acquire
   bool stopping_ = false;

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "circuit/builder.h"
 #include "circuit/netlist_io.h"
 #include "circuit/sequential.h"
+#include "core/benchmark_zoo.h"
+#include "gc/material.h"
+#include "support/rng.h"
+#include "synth/layer_circuits.h"
 
 namespace deepsecure {
 namespace {
@@ -77,6 +83,171 @@ TEST(Builder, StructuralHashingDedupes) {
   const Wire x2 = b.xor_(x, y);
   EXPECT_EQ(x1, x2);
   EXPECT_EQ(b.xor_count(), 1u);
+}
+
+// Reference CSE builder: the structural-hashing rules of Builder, keyed
+// through a node-based std::unordered_map. or_ and mux repeat Builder's
+// lowering expressions verbatim, so both evaluate operands in the same
+// order and must emit the same gate stream.
+class ReferenceBuilder {
+ public:
+  Wire input() { return c_.num_wires++; }
+  void set_lane(uint32_t lane) {
+    if (!lanes_used_) {
+      lanes_used_ = true;
+      c_.gate_lanes.assign(c_.gates.size(), 0);
+    }
+    lane_ = lane;
+  }
+  Wire xor_(Wire a, Wire b) { return emit(GateOp::kXor, a, b); }
+  Wire and_(Wire a, Wire b) { return emit(GateOp::kAnd, a, b); }
+  Wire not_(Wire a) { return xor_(a, kConst1); }
+  Wire or_(Wire a, Wire b) { return xor_(xor_(a, b), and_(a, b)); }
+  Wire mux(Wire sel, Wire t, Wire f) {
+    if (t == f) return t;
+    return xor_(f, and_(sel, xor_(t, f)));
+  }
+  const Circuit& circuit() const { return c_; }
+  uint64_t and_count = 0;
+  uint64_t xor_count = 0;
+
+ private:
+  Wire emit(GateOp op, Wire a, Wire b) {
+    if (a > b) std::swap(a, b);
+    if (op == GateOp::kXor) {
+      if (a == b) return kConst0;
+      if (a == kConst0) return b;
+    } else {
+      if (a == b) return a;
+      if (a == kConst0) return kConst0;
+      if (a == kConst1) return b;
+    }
+    const uint64_t key = (static_cast<uint64_t>(a) << 33) |
+                         (static_cast<uint64_t>(b) << 1) |
+                         static_cast<uint64_t>(op);
+    if (auto it = map_.find(key); it != map_.end()) return it->second;
+    const Wire out = c_.num_wires++;
+    c_.gates.push_back(Gate{a, b, out, op});
+    if (lanes_used_) c_.gate_lanes.push_back(lane_);
+    ++(op == GateOp::kAnd ? and_count : xor_count);
+    map_.emplace(key, out);
+    return out;
+  }
+
+  Circuit c_;
+  uint32_t lane_ = 0;
+  bool lanes_used_ = false;
+  std::unordered_map<uint64_t, Wire> map_;
+};
+
+TEST(Builder, CseTableMatchesReferenceMapGateByGate) {
+  // Randomized emit stream through Builder and ReferenceBuilder in
+  // lockstep: constants, repeated and swapped operands, re-emitted
+  // triples (CSE hits) and lane changes, long enough to cross many
+  // CSE table growths.
+  constexpr size_t kEmits = 320000;
+  Rng rng(20260417);
+  Builder b("diff");
+  ReferenceBuilder ref;
+  std::vector<Wire> pool{kConst0, kConst1};
+  for (int i = 0; i < 24; ++i) {
+    const Wire w = b.input(Party::kGarbler);
+    ASSERT_EQ(w, ref.input());
+    pool.push_back(w);
+  }
+  struct Emitted {
+    int op;
+    Wire x, y, z;
+  };
+  std::vector<Emitted> history;
+  auto pick = [&]() -> Wire {
+    // Mostly recent wires, so operand pairs repeat often.
+    const uint64_t r = rng.next_below(8);
+    if (r == 0) return pool[rng.next_below(2)];  // a constant
+    if (r < 5 && pool.size() > 64)
+      return pool[pool.size() - 1 - rng.next_below(64)];
+    return pool[rng.next_below(pool.size())];
+  };
+  size_t hits_seen = 0;
+  for (size_t i = 0; i < kEmits; ++i) {
+    if (i == 1000 || rng.next_below(5000) == 0) {
+      const uint32_t lane = static_cast<uint32_t>(rng.next_below(64));
+      b.set_lane(lane);
+      ref.set_lane(lane);
+    }
+    Emitted e{};
+    const uint64_t mode = rng.next_below(10);
+    if (mode < 3 && !history.empty()) {
+      // Re-emit an earlier triple, operands swapped half the time.
+      const size_t back = std::min<size_t>(history.size(), 4096);
+      e = history[history.size() - 1 - rng.next_below(back)];
+      if (rng.next_bool()) std::swap(e.x, e.y);
+    } else {
+      e = {static_cast<int>(rng.next_below(5)), pick(), pick(), pick()};
+      if (mode == 3) e.y = e.x;  // repeated operand
+    }
+    const size_t before = ref.circuit().gates.size();
+    Wire got = 0, want = 0;
+    switch (e.op) {
+      case 0: got = b.xor_(e.x, e.y); want = ref.xor_(e.x, e.y); break;
+      case 1: got = b.and_(e.x, e.y); want = ref.and_(e.x, e.y); break;
+      case 2: got = b.or_(e.x, e.y); want = ref.or_(e.x, e.y); break;
+      case 3: got = b.mux(e.x, e.y, e.z); want = ref.mux(e.x, e.y, e.z); break;
+      default: got = b.not_(e.x); want = ref.not_(e.x); break;
+    }
+    ASSERT_EQ(got, want) << "emit " << i;
+    if (ref.circuit().gates.size() == before) ++hits_seen;
+    history.push_back(e);
+    pool.push_back(got);
+  }
+  EXPECT_EQ(b.and_count(), ref.and_count);
+  EXPECT_EQ(b.xor_count(), ref.xor_count);
+  for (size_t o = 0; o < 16; ++o) b.output(pool[pool.size() - 1 - o]);
+  const Circuit c = b.build();
+  const Circuit& r = ref.circuit();
+  ASSERT_GT(hits_seen, kEmits / 10);
+  ASSERT_GT(c.gates.size(), 100000u);
+  EXPECT_EQ(c.num_wires, r.num_wires);
+  ASSERT_EQ(c.gates.size(), r.gates.size());
+  for (size_t g = 0; g < c.gates.size(); ++g) {
+    const Gate& x = c.gates[g];
+    const Gate& y = r.gates[g];
+    ASSERT_TRUE(x.a == y.a && x.b == y.b && x.out == y.out && x.op == y.op)
+        << "gate " << g;
+  }
+  EXPECT_EQ(c.gate_lanes, r.gate_lanes);
+}
+
+// Pinned handshake fingerprints of two compiled chains, in both gate
+// orders. Any change to the builder, the block generators or the
+// scheduling pass that alters a single gate moves them, and with them
+// every table stream and wire byte.
+synth::ModelSpec mlp_8_6_3() {
+  synth::ModelSpec spec;
+  spec.name = "mlp";
+  spec.input = synth::Shape3{1, 1, 8};
+  spec.layers.push_back(synth::FcLayer{6, {}, true});
+  spec.layers.push_back(synth::ActLayer{synth::ActKind::kReLU});
+  spec.layers.push_back(synth::FcLayer{3, {}, true});
+  spec.layers.push_back(synth::ArgmaxLayer{});
+  return spec;
+}
+
+TEST(Builder, PinnedChainFingerprintMlp) {
+  const auto chain = synth::compile_model_layers(mlp_8_6_3());
+  EXPECT_EQ(chain_fingerprint(chain, /*scheduled=*/true),
+            0x6c1ff832caf12f01ull);
+  EXPECT_EQ(chain_fingerprint(chain, /*scheduled=*/false),
+            0xf57f588691c01099ull);
+}
+
+TEST(Builder, PinnedChainFingerprintB3pp) {
+  const auto chain =
+      synth::compile_model_layers(core::paper_zoo()[2].compact);
+  EXPECT_EQ(chain_fingerprint(chain, /*scheduled=*/true),
+            0xcca70b9c78424a02ull);
+  EXPECT_EQ(chain_fingerprint(chain, /*scheduled=*/false),
+            0xfaf2a4c539a2b85eull);
 }
 
 TEST(Circuit, StatsCountGateClasses) {

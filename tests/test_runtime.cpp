@@ -476,6 +476,26 @@ TEST(MaterialPool, TryAcquireReportsDrain) {
   EXPECT_GE(pool.misses() + pool.acquired(), 2u);
 }
 
+TEST(MaterialPool, RefillsToTargetAfterAcquiresRacingThePublish) {
+  // The producer publishes to the ring before it leaves the in-flight
+  // count. An acquire in that gap once saw the finished producer still
+  // counted, skipped the refill, and left the pool one short of target
+  // until the next acquire. Drain the pool each round, take the next
+  // artifact the moment it is published, and require a full refill.
+  std::vector<Circuit> chain{bench_circuits::wide_chain_layer(16)};
+  runtime::MaterialPool pool(chain, GcOptions{}, /*target=*/2,
+                             /*producer_threads=*/1, Block{6, 6});
+  for (int round = 0; round < 200; ++round) {
+    for (int taken = 0; taken < 3; ++taken) {
+      Stopwatch sw;
+      while (!pool.try_acquire()) ASSERT_LT(sw.seconds(), 10.0);
+    }
+    Stopwatch sw;
+    while (pool.ready() < 2 && sw.seconds() < 5.0) std::this_thread::yield();
+    ASSERT_EQ(pool.ready(), 2u) << "round " << round;
+  }
+}
+
 // ---------------------------------------------------------------------
 // Session frames + fingerprint
 
