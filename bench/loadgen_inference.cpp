@@ -7,8 +7,7 @@
 //                       [--out FILE] [--precomputed]
 //                       [--strict-precomputed] [--no-schedule]
 //                       [--shard-threads S] [--async-prefetch]
-//                       [--server-core thread|event] [--scaling]
-//                       [--trace FILE] [--io epoll|uring]
+//                       [--scaling] [--trace FILE] [--io epoll|uring]
 //                       [--chaos SEED:RATE]
 //
 // Measurements:
@@ -45,10 +44,9 @@
 //      effective backend is recorded; unsupported hosts fall back to
 //      sendmsg and the JSON says so).
 //   5. with --scaling, a concurrency sweep (16/64/256/1024 sessions,
-//      one request each) against BOTH server cores — the event-core
-//      headline: sessions/sec and p95 as concurrency grows, with the
-//      serving thread count per point (thread core: one per session;
-//      event core: fixed worker pool).
+//      one request each): sessions/sec and p95 as concurrency grows,
+//      with the serving thread count per point (the reactor's fixed
+//      worker pool plus its loop thread).
 //   6. with --chaos SEED:RATE, a deterministic fault-injection soak:
 //      both endpoints' transports are wrapped in a seeded FaultChannel
 //      (net/fault_channel.h) injecting short I/O, delays, stalls, and
@@ -68,7 +66,6 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "circuit/bench_circuits.h"
@@ -117,10 +114,7 @@ struct Args {
   // Refill server-side stores through the dedicated v4 prefetch lane
   // (a second connection per session) instead of synchronous pushes.
   bool async_prefetch = false;
-  // Which serving core the load runs target (the scaling sweep always
-  // measures both).
-  runtime::ServerCore server_core = runtime::ServerCore::kEventLoop;
-  // Concurrency sweep across both cores (measurement 5 above).
+  // Concurrency sweep (measurement 5 above).
   bool scaling = false;
   // Enable the span tracer for the whole run and write the collected
   // events as chrome://tracing JSON to this file (src/obs/trace.h).
@@ -162,12 +156,6 @@ Args parse_args(int argc, char** argv) {
     else if (k == "--no-schedule") a.schedule = false;
     else if (k == "--shard-threads") a.shard_threads = std::stoul(next());
     else if (k == "--async-prefetch") a.async_prefetch = true;
-    else if (k == "--server-core") {
-      const std::string v = next();
-      if (v == "thread") a.server_core = runtime::ServerCore::kThreadPerSession;
-      else if (v == "event") a.server_core = runtime::ServerCore::kEventLoop;
-      else throw std::runtime_error("--server-core expects thread|event");
-    }
     else if (k == "--scaling") a.scaling = true;
     else if (k == "--trace") a.trace = next();
     else if (k == "--hash-backend") a.hash_backend = next();
@@ -419,7 +407,7 @@ struct LoadResult {
   std::optional<double> connect_p95_ms, connect_p99_ms;
   double offline_s = 0;  // pooled mode: prefetch (offline phase) time
   double ttfw_s = 0;     // pooled mode: slowest session's first warm artifact
-  size_t serving_threads = 0;  // thread core: N sessions; event: loop+workers
+  size_t serving_threads = 0;  // reactor workers + the loop thread
   uint64_t served = 0;
   uint64_t pooled = 0;
   std::string server_stats;  // InferenceServer::stats_json() post-run
@@ -467,7 +455,6 @@ LoadResult measure_load(const Args& args, bool pooled,
   }
 
   runtime::ServerConfig scfg;
-  scfg.core = args.server_core;
   scfg.io = args.io;
   scfg.stream.zero_copy_tables = zero_copy;
   scfg.max_sessions = std::max<size_t>(args.sessions, 1);
@@ -588,14 +575,10 @@ LoadResult measure_load(const Args& args, bool pooled,
     per_infer += 2 * sizeof(Block) + c.stats().table_bytes();
   r.table_bytes = per_infer * server.inferences_served();
 
-  if (args.server_core == runtime::ServerCore::kEventLoop) {
-    const size_t hc = std::thread::hardware_concurrency();
-    const size_t workers =
-        scfg.workers > 0 ? scfg.workers : std::max<size_t>(2, 2 * hc);
-    r.serving_threads = workers + 1;  // + the reactor loop
-  } else {
-    r.serving_threads = args.sessions;  // one handler thread per session
-  }
+  const size_t hc = std::thread::hardware_concurrency();
+  const size_t workers =
+      scfg.workers > 0 ? scfg.workers : std::max<size_t>(2, 2 * hc);
+  r.serving_threads = workers + 1;  // + the reactor loop
 
   std::vector<double> all;
   for (const auto& v : latencies) all.insert(all.end(), v.begin(), v.end());
@@ -624,34 +607,18 @@ LoadResult measure_load(const Args& args, bool pooled,
   return r;
 }
 
-struct ScalingRow {
-  const char* core = "";
-  LoadResult load;
-};
-
-// Concurrency sweep: both cores, one request per session (session churn
-// — handshake + a single on-demand inference — is what stresses the
+// Concurrency sweep: one request per session (session churn —
+// handshake + a single on-demand inference — is what stresses the
 // serving core, not per-request crypto volume). The sweep reuses
 // measure_load, so every row is also correctness-checked end to end.
-std::vector<ScalingRow> measure_scaling(const Args& base) {
-  std::vector<ScalingRow> rows;
-  const std::pair<runtime::ServerCore, const char*> cores[] = {
-      {runtime::ServerCore::kThreadPerSession, "thread"},
-      {runtime::ServerCore::kEventLoop, "event"},
-  };
-  for (const auto& [core, name] : cores) {
-    for (size_t n : {size_t{16}, size_t{64}, size_t{256}, size_t{1024}}) {
-      Args a = base;
-      a.sessions = n;
-      a.requests = 1;
-      a.server_core = core;
-      std::fprintf(stderr, "loadgen: scaling %s core, %zu sessions...\n",
-                   name, n);
-      ScalingRow row;
-      row.core = name;
-      row.load = measure_load(a, /*pooled=*/false);
-      rows.push_back(row);
-    }
+std::vector<LoadResult> measure_scaling(const Args& base) {
+  std::vector<LoadResult> rows;
+  for (size_t n : {size_t{16}, size_t{64}, size_t{256}, size_t{1024}}) {
+    Args a = base;
+    a.sessions = n;
+    a.requests = 1;
+    std::fprintf(stderr, "loadgen: scaling, %zu sessions...\n", n);
+    rows.push_back(measure_load(a, /*pooled=*/false));
   }
   return rows;
 }
@@ -703,7 +670,6 @@ ChaosResult measure_chaos(const Args& args) {
   };
 
   runtime::ServerConfig scfg;
-  scfg.core = args.server_core;
   scfg.io = args.io;
   scfg.max_sessions = std::max<size_t>(args.sessions, 1);
   scfg.max_prefetch = std::max<size_t>(args.requests, 1);
@@ -843,7 +809,7 @@ std::string latency_json(const LoadResult& l) {
 void emit_json(std::FILE* f, const Args& args, const OverlapResult& o,
                const OfflineResult& off, const LoadResult& l,
                const LoadResult& lcopy, const LoadResult* pre,
-               const std::vector<ScalingRow>* scaling,
+               const std::vector<LoadResult>* scaling,
                const ChaosResult* chaos) {
   std::fprintf(f, "{\n  \"bench\": \"loadgen_inference\",\n");
   std::fprintf(f, "  \"scheduled\": %s,\n", args.schedule ? "true" : "false");
@@ -918,14 +884,11 @@ void emit_json(std::FILE* f, const Args& args, const OverlapResult& o,
   const bool more_after_load = pre != nullptr || scaling != nullptr;
   std::fprintf(f,
                "  \"load\": {\"sessions\": %zu, \"requests_per_session\": %zu, "
-               "\"server_core\": \"%s\", \"serving_threads\": %zu, "
+               "\"serving_threads\": %zu, "
                "\"inferences\": %llu, \"wall_s\": %.6f, \"sessions_per_s\": "
                "%.3f, \"requests_per_s\": %.3f, %s, %s, \"server_stats\": "
                "%s}%s\n",
-               l.sessions, l.requests,
-               args.server_core == runtime::ServerCore::kEventLoop ? "event"
-                                                                   : "thread",
-               l.serving_threads,
+               l.sessions, l.requests, l.serving_threads,
                static_cast<unsigned long long>(l.served), l.wall_s,
                l.sessions_per_s(), l.requests_per_s(), latency_json(l).c_str(),
                net_json(args, l).c_str(),
@@ -958,19 +921,15 @@ void emit_json(std::FILE* f, const Args& args, const OverlapResult& o,
   if (scaling != nullptr) {
     std::fprintf(f, "  \"load_scaling\": [\n");
     for (size_t i = 0; i < scaling->size(); ++i) {
-      const ScalingRow& row = (*scaling)[i];
+      const LoadResult& row = (*scaling)[i];
       std::fprintf(f,
-                   "    {\"server_core\": \"%s\", \"sessions\": %zu, "
-                   "\"serving_threads\": %zu, \"wall_s\": %.6f, "
-                   "\"sessions_per_s\": %.3f, %s, %s, "
+                   "    {\"sessions\": %zu, \"serving_threads\": %zu, "
+                   "\"wall_s\": %.6f, \"sessions_per_s\": %.3f, %s, %s, "
                    "\"server_stats\": %s}%s\n",
-                   row.core, row.load.sessions, row.load.serving_threads,
-                   row.load.wall_s, row.load.sessions_per_s(),
-                   latency_json(row.load).c_str(),
-                   net_json(args, row.load).c_str(),
-                   row.load.server_stats.empty()
-                       ? "{}"
-                       : row.load.server_stats.c_str(),
+                   row.sessions, row.serving_threads, row.wall_s,
+                   row.sessions_per_s(), latency_json(row).c_str(),
+                   net_json(args, row).c_str(),
+                   row.server_stats.empty() ? "{}" : row.server_stats.c_str(),
                    i + 1 < scaling->size() ? "," : "");
     }
     std::fprintf(f, "  ]\n");
@@ -1005,9 +964,9 @@ int main(int argc, char** argv) {
     LoadResult pre;
     if (args.precomputed) pre = measure_load(args, /*pooled=*/true);
     const LoadResult* pre_p = args.precomputed ? &pre : nullptr;
-    std::vector<ScalingRow> scaling;
+    std::vector<LoadResult> scaling;
     if (args.scaling) scaling = measure_scaling(args);
-    const std::vector<ScalingRow>* scl_p = args.scaling ? &scaling : nullptr;
+    const std::vector<LoadResult>* scl_p = args.scaling ? &scaling : nullptr;
     ChaosResult chaos;
     if (args.chaos_rate > 0) chaos = measure_chaos(args);
     const ChaosResult* chaos_p = args.chaos_rate > 0 ? &chaos : nullptr;

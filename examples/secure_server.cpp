@@ -1,17 +1,14 @@
 // Secure inference server: loads the demo model once and serves
 // concurrent private-inference sessions over TCP until interrupted.
 //
-//   ./example_secure_server [port] [max_sessions] [idle_timeout_ms] [core]
-//
-// core is "event" (epoll reactor + worker pool, the default) or
-// "thread" (one handler thread per session).
+//   ./example_secure_server [port] [max_sessions] [idle_timeout_ms]
 //
 // Pair with example_secure_client, which owns the data samples.
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 #include <thread>
 
 #include "demo_model.h"
@@ -29,27 +26,13 @@ int main(int argc, char** argv) {
   cfg.port = argc > 1 ? static_cast<uint16_t>(std::atoi(argv[1])) : 31337;
   cfg.max_sessions = argc > 2 ? static_cast<size_t>(std::atoi(argv[2])) : 8;
   if (argc > 3) cfg.idle_timeout_ms = static_cast<uint64_t>(std::atoll(argv[3]));
-  if (argc > 4) {
-    const std::string core = argv[4];
-    if (core == "thread") {
-      cfg.core = runtime::ServerCore::kThreadPerSession;
-    } else if (core == "event") {
-      cfg.core = runtime::ServerCore::kEventLoop;
-    } else {
-      std::fprintf(stderr, "secure_server: unknown core '%s' (want event|thread)\n",
-                   core.c_str());
-      return 1;
-    }
-  }
 
   runtime::InferenceServer server(demo::demo_spec(), demo::demo_weight_bits(),
                                   cfg);
   server.start();
   std::printf("secure_server: model '%s' loaded, listening on 127.0.0.1:%u "
-              "(max %zu concurrent sessions, %s core)\n",
-              demo::demo_spec().name.c_str(), server.port(), cfg.max_sessions,
-              cfg.core == runtime::ServerCore::kEventLoop ? "event"
-                                                          : "thread");
+              "(max %zu concurrent sessions)\n",
+              demo::demo_spec().name.c_str(), server.port(), cfg.max_sessions);
   std::fflush(stdout);
 
   std::signal(SIGINT, on_signal);

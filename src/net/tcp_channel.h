@@ -70,15 +70,16 @@ class TcpChannel final : public Channel {
   bool io_uring_enabled() const { return uring_ != nullptr; }
 
   /// Shut both directions down without closing the fd. A thread blocked
-  /// in recv on this channel wakes with a "peer closed" error — the
-  /// server's forced-shutdown path for idle sessions.
+  /// in recv on this channel wakes with a "peer closed" error — how the
+  /// reactor evicts idle or deadline-expired connections and drains
+  /// live ones at stop().
   void shutdown();
 
   /// Bound every receive: a recv that sees no bytes for `ms`
   /// milliseconds throws instead of blocking forever (SO_RCVTIMEO in
   /// blocking mode, the poll deadline in nonblocking mode). 0 restores
-  /// the unbounded default. Backs the thread-per-session server's idle
-  /// timeout and the reactor's mid-exchange stall bound.
+  /// the unbounded default. Backs the reactor's mid-exchange stall
+  /// bound and client-side receive timeouts.
   void set_recv_timeout_ms(uint64_t ms);
 
   /// Switch the fd between blocking and O_NONBLOCK. In nonblocking

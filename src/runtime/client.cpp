@@ -106,8 +106,7 @@ void InferenceClient::connect_and_handshake() {
     // scheduled netlist by default) — the server computes the same and a
     // compile or scheduling divergence fails the handshake, not an OT.
     hello.fingerprint = chain_fingerprint(chain_, cfg_.stream.schedule);
-    hello.flags =
-        SessionFlags{cfg_.stream.framed_tables, cfg_.stream.schedule};
+    hello.flags = SessionFlags{cfg_.stream.framed_tables};
     Channel& ch = garbler_->channel();
     send_hello(ch, hello);
     garbler_->channel().flush();

@@ -36,8 +36,9 @@ inline constexpr uint64_t kProtocolMagic = 0x44535255'4e313031ull;  // "DSRUN101
 // u-column wire encodings.
 // v3: width-scheduled gate order (circuit/schedule.h) — the garbled
 // tables and tweaks of every inference follow the scheduled netlist by
-// default, negotiated via SessionFlags::schedule; the hello fingerprint
-// is computed over the scheduled netlist.
+// default. The hello fingerprint is computed over the walked gate
+// order, so endpoints that disagree on scheduling are rejected as a
+// fingerprint mismatch (hello flag bit 1 is reserved and ignored).
 // v4: async prefetch lane — the hello ack grows a per-session lane
 // token and the server's dedicated lane-listener port; a client opens a
 // SECOND connection to that port, claims its session with kAttachLane,
@@ -111,18 +112,12 @@ struct Frame {
 };
 
 /// Wire-format flags carried in the hello (must match on both ends).
+/// Bit 0 is framed_tables; bit 1 is reserved (written 0, ignored).
 struct SessionFlags {
   bool framed_tables = true;
-  /// Both parties walk the width-scheduled gate order. Strictly the
-  /// fingerprint already covers the walked order; the explicit flag
-  /// turns a mismatch into a named rejection instead of a bare
-  /// fingerprint error.
-  bool schedule = gc_schedule_default();
-  uint8_t encode() const {
-    return (framed_tables ? 1u : 0u) | (schedule ? 2u : 0u);
-  }
+  uint8_t encode() const { return framed_tables ? 1u : 0u; }
   static SessionFlags decode(uint8_t v) {
-    return SessionFlags{(v & 1u) != 0, (v & 2u) != 0};
+    return SessionFlags{(v & 1u) != 0};
   }
 };
 

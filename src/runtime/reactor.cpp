@@ -177,9 +177,8 @@ void EventCore::accept_drain(bool lane) {
         continue;
       }
       // Full: gate the listener instead of accepting past the cap.
-      // Excess clients wait in the listen backlog (the thread core's
-      // slot-wait semantics); a session teardown wakes the loop to
-      // re-arm below.
+      // Excess clients wait in the listen backlog; a session teardown
+      // wakes the loop to re-arm below.
       arm_listener(/*lane=*/false, /*on=*/false);
       if (listener_gated_since_ == 0) {
         listener_gated_since_ = obs::now_ns();
@@ -357,8 +356,16 @@ void EventCore::worker_loop() {
 }
 
 bool EventCore::park(Conn* c) {
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
+  ev.data.u64 = reinterpret_cast<uint64_t>(c);
   bool first_timer = false;
   {
+    // The re-arm itself stays under mu_: once epoll_ctl succeeds, the
+    // next readiness event hands the conn to another worker, and the
+    // loop's mu_ acquisition at dispatch must order every write this
+    // worker made to it (an EPOLL_CTL_MOD is no synchronization edge of
+    // its own, for the language memory model or for TSan).
     std::lock_guard<std::mutex> lk(mu_);
     c->parked = true;
     const uint64_t gen = ++c->park_gen;  // also cancels the phase timer
@@ -367,15 +374,12 @@ bool EventCore::park(Conn* c) {
           WheelEntry{c->id, gen});
       first_timer = (timers_live_++ == 0);
     }
+    c->parked_at_ns = obs::now_ns();
+    const int op = c->registered ? EPOLL_CTL_MOD : EPOLL_CTL_ADD;
+    if (c->registered) c_rearms_.add();
+    c->registered = true;
+    if (::epoll_ctl(ep_, op, c->transport->fd(), &ev) != 0) return false;
   }
-  c->parked_at_ns = obs::now_ns();
-  epoll_event ev{};
-  ev.events = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
-  ev.data.u64 = reinterpret_cast<uint64_t>(c);
-  const int op = c->registered ? EPOLL_CTL_MOD : EPOLL_CTL_ADD;
-  if (c->registered) c_rearms_.add();
-  c->registered = true;
-  if (::epoll_ctl(ep_, op, c->transport->fd(), &ev) != 0) return false;
   // The loop may be sleeping with an infinite epoll timeout; the first
   // live timer needs it to start ticking.
   if (first_timer) wake();
@@ -383,14 +387,19 @@ bool EventCore::park(Conn* c) {
 }
 
 void EventCore::teardown(Conn* c) {
-  // Protocol settlement first (identical to the thread core's): token
-  // out of the map so no new lane resolves this session, then the whole
-  // remaining budget reservation returned in one settlement.
+  // Protocol settlement first: token out of the map so no new lane
+  // resolves this session, then the whole remaining budget reservation
+  // (stored artifacts + pushes still in flight on a lane) returned in
+  // one settlement. A lane mid-push observes `closed` afterwards and
+  // knows not to settle again.
   if (!c->is_lane) {
     if (c->token_registered) srv_.unregister_lane_token(c->lane_token);
     if (c->state != nullptr) srv_.settle_session_state(*c->state);
   } else if (c->state != nullptr) {
-    // Lane teardown: allow a reconnect (see thread core).
+    // Lane teardown: allow a reconnect — a dropped lane (idle timeout,
+    // transient network failure) should not permanently demote the
+    // session to synchronous prefetching. The session's artifacts and
+    // reservations live in the shared state, settled by the session.
     std::lock_guard<std::mutex> lk(c->state->mu);
     c->state->lane_attached = false;
   }
@@ -476,9 +485,9 @@ void EventCore::process(Conn* c) {
 }
 
 bool EventCore::do_handshake(Conn& c) {
-  // Unlike the thread core, the wait for the hello is NOT in here — the
-  // conn was parked until the hello's bytes arrived (phase.parked), so
-  // this phase is pure handshake work.
+  // The wait for the hello is NOT in here — the conn was parked until
+  // the hello's bytes arrived (phase.parked), so this phase is pure
+  // handshake work.
   const uint64_t t0 = obs::now_ns();
   obs::Span span("server.handshake");
   const Hello hello = parse_hello(recv_frame(*c.ch));
@@ -502,6 +511,8 @@ bool EventCore::do_handshake(Conn& c) {
   ack.lane_port = srv_.lane_listener_.port();
   send_hello_ack(*c.ch, ack);
   c.ch->flush();
+  // One EvaluatorSession (one OT setup) serves every inference of the
+  // session — the streaming amortization the paper's Figure 6 assumes.
   if (srv_.cfg_.stream.eval_threads > 0)
     c.eval_pool = std::make_unique<ThreadPool>(srv_.cfg_.stream.eval_threads);
   c.session = std::make_unique<EvaluatorSession>(
@@ -542,7 +553,7 @@ bool EventCore::do_lane_attach(Conn& c) {
 
 bool EventCore::serve_session_frame(Conn& c) {
   // Usually satisfied from read-ahead; a partially-arrived frame waits
-  // here (same phase name as the thread core's idle wait).
+  // here.
   const uint64_t t_wait = obs::now_ns();
   obs::Span wait_span("server.recv_wait");
   const Frame f = recv_frame(*c.ch);

@@ -1,7 +1,7 @@
-// Event-driven server core (ServerCore::kEventLoop): an epoll reactor
-// plus a small worker pool, replacing thread-per-session scaling with
-// readiness-driven scheduling. Total thread count is workers + 1 (the
-// loop), independent of how many sessions are connected.
+// Event-driven server core: an epoll reactor plus a small worker pool,
+// the InferenceServer's serving engine. Scheduling is readiness-driven:
+// total thread count is workers + 1 (the loop), independent of how many
+// sessions are connected.
 //
 // Structure:
 //
@@ -26,22 +26,21 @@
 // out of the kernel, so pipelined back-to-back frames would otherwise
 // stall until the next wire byte.
 //
-// Idle timeout: a hashed timer wheel in the loop, replacing
-// SO_RCVTIMEO (which nonblocking sockets ignore). Eviction shuts the
-// transport down and lets the resulting readiness event run the normal
-// worker teardown path — the timer never destroys state cross-thread.
-// Mid-exchange stalls are bounded separately by TcpChannel's poll
-// deadline.
+// Deadlines: a hashed timer wheel in the loop (SO_RCVTIMEO would be
+// ignored by nonblocking sockets). Idle entries are armed at park,
+// per-phase entries at dispatch. Firing shuts the transport down and
+// lets the resulting readiness event (or the owning worker's failed
+// I/O) run the normal worker teardown path — the timer never destroys
+// state cross-thread. Mid-exchange stalls are bounded separately by
+// TcpChannel's poll deadline.
 //
 // Session gating: when sessions_active reaches max_sessions, the
 // primary listener is removed from the epoll set — excess clients wait
-// in the listen backlog (same semantics as the thread core's slot
-// wait) — and re-added when a session ends.
+// in the listen backlog — and re-added when a session ends.
 //
 // All protocol logic (handshake validation, infer/prefetch handling,
-// budget settlement, lane tokens) is shared with the thread core via
-// InferenceServer's private helpers: both cores serve byte-identical
-// v4 wire exchanges.
+// budget settlement, lane tokens) lives in InferenceServer's private
+// helpers; this file only schedules connections through them.
 #pragma once
 
 #include <chrono>
@@ -80,7 +79,8 @@ class EventCore {
   // One connection's state machine. Ownership alternates between the
   // epoll set (parked) and exactly one worker (resumed) — never both,
   // enforced by EPOLLONESHOT. `parked`/`park_gen` are guarded by mu_;
-  // everything else is touched only by the current owner.
+  // everything else is touched only by the current owner, and each
+  // handoff (park's re-arm → the loop's dispatch) passes through mu_.
   struct Conn {
     uint64_t id = 0;
     bool is_lane = false;

@@ -1,9 +1,7 @@
 #include "runtime/server.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 
 #include "crypto/hash_backend.h"
@@ -27,29 +25,6 @@ double trace_ot_seconds(const SessionTrace& t) {
 uint64_t seconds_to_ns(double s) {
   return s <= 0 ? 0 : static_cast<uint64_t>(s * 1e9);
 }
-
-// Thread-core phase deadline: swap SO_RCVTIMEO to the per-phase bound
-// while one frame is being served, restore the idle timeout for the
-// next inter-frame wait. The event core arms a wheel entry instead.
-class PhaseDeadlineGuard {
- public:
-  PhaseDeadlineGuard(TcpChannel& t, uint64_t phase_ms, uint64_t idle_ms)
-      : t_(t), idle_ms_(idle_ms), active_(phase_ms > 0) {
-    if (active_) t_.set_recv_timeout_ms(phase_ms);
-  }
-  ~PhaseDeadlineGuard() {
-    if (!active_) return;
-    try {
-      t_.set_recv_timeout_ms(idle_ms_);  // 0 restores "unbounded"
-    } catch (...) {
-    }
-  }
-
- private:
-  TcpChannel& t_;
-  uint64_t idle_ms_;
-  bool active_;
-};
 
 }  // namespace
 
@@ -82,14 +57,8 @@ void InferenceServer::start() {
   std::lock_guard<std::mutex> lock(mu_);
   if (running_) return;
   running_ = true;
-  stopping_ = false;
-  if (cfg_.core == ServerCore::kEventLoop) {
-    event_core_ = std::make_unique<EventCore>(*this);
-    event_core_->start();
-    return;
-  }
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  lane_accept_thread_ = std::thread([this] { lane_accept_loop(); });
+  event_core_ = std::make_unique<EventCore>(*this);
+  event_core_->start();
 }
 
 void InferenceServer::stop() {
@@ -97,43 +66,20 @@ void InferenceServer::stop() {
     std::lock_guard<std::mutex> lock(mu_);
     if (!running_) return;
     running_ = false;  // claim the shutdown; start() is one-shot
-    stopping_ = true;
   }
-  if (event_core_ != nullptr) {
-    // The reactor owns its connections and listeners end to end; every
-    // live session runs the normal teardown path (budget settlement
-    // included) before stop() returns.
-    event_core_->stop();
-    event_core_.reset();
-    return;
-  }
-  listener_.close();       // unblocks a pending accept()
-  lane_listener_.close();  // same for the prefetch lane
-  slot_cv_.notify_all();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (lane_accept_thread_.joinable()) lane_accept_thread_.join();
-  std::vector<SessionHandle> handlers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Wake handlers blocked in recv on idle sessions/lanes so join()
-    // below cannot hang on a client that never says goodbye.
-    // Registration happens under mu_ *before* the handler thread
-    // spawns, so every live connection is visible here.
-    for (TcpChannel* t : active_transports_) t->shutdown();
-    handlers.swap(handlers_);
-  }
-  for (auto& h : handlers)
-    if (h.thread.joinable()) h.thread.join();
+  // The reactor owns its connections and listeners end to end; every
+  // live session runs the normal teardown path (budget settlement
+  // included) before stop() returns.
+  event_core_->stop();
+  event_core_.reset();
 }
 
 // ---------------------------------------------------------------------
-// Protocol steps shared by both cores.
+// Protocol steps, driven per connection by the reactor (reactor.cpp).
 
 const char* InferenceServer::validate_hello(const Hello& hello) const {
   if (hello.magic != kProtocolMagic || hello.version != kProtocolVersion)
     return "protocol magic/version mismatch";
-  if (hello.flags.schedule != cfg_.stream.schedule)
-    return "netlist scheduling mismatch";
   if (hello.fingerprint != fingerprint_)
     return "model chain fingerprint mismatch";
   if (hello.flags.framed_tables != cfg_.stream.framed_tables)
@@ -365,10 +311,9 @@ bool InferenceServer::handle_prefetch_push(const Frame& f, BufferedChannel& ch,
 
 std::string InferenceServer::stats_json() const {
   const obs::Snapshot s = metrics_.snapshot();
-  // The phases that partition a session's lifetime. Thread core: a
-  // handler is always in exactly one of handshake / recv_wait / serving
-  // a frame. Event core: parked + dispatch replace most of recv_wait
-  // (the connection sits in epoll between frames). Sub-phases
+  // The phases that partition a session's lifetime: parked (in epoll
+  // between frames), dispatch (readiness → worker pickup), then
+  // handshake / recv_wait / serving a frame on the worker. Sub-phases
   // (subphase.*) nest inside these and are deliberately not summed.
   static constexpr const char* kAccountedPhases[] = {
       "phase.handshake",     "phase.recv_wait", "phase.infer_ondemand",
@@ -426,14 +371,12 @@ std::string InferenceServer::stats_json() const {
       ull(c_phase_timeouts_.value()));
   char head[384];
   std::snprintf(head, sizeof(head),
-                "{\"core\":\"%s\",\"io\":\"%s\",\"sessions_active\":%llu,"
+                "{\"io\":\"%s\",\"sessions_active\":%llu,"
                 "\"prefetch_bytes\":%llu,"
                 "\"hash_backend\":\"%s\",\"cpu_features\":\"%s\","
                 "\"accounting\":{\"phase_total_s\":%.6f,"
                 "\"session_wall_s\":%.6f,\"accounted_fraction\":%.4f},",
-                cfg_.core == ServerCore::kEventLoop ? "event" : "thread", io,
-                static_cast<unsigned long long>(sessions_active_.load()),
-                static_cast<unsigned long long>(prefetch_bytes_.load()),
+                io, ull(sessions_active_.load()), ull(prefetch_bytes_.load()),
                 hash_backend().name, hash_backend_cpu_features().c_str(),
                 phase_total_s, wall_s, accounted);
   std::string out = head;
@@ -442,383 +385,6 @@ std::string InferenceServer::stats_json() const {
   out += s.to_json();
   out += "}";
   return out;
-}
-
-// ---------------------------------------------------------------------
-// Thread-per-session core.
-
-// Join handler threads whose sessions already finished. Caller holds
-// mu_; joins are near-instant because `done` is set in the handler's
-// final critical section.
-void InferenceServer::reap_finished_locked() {
-  for (auto it = handlers_.begin(); it != handlers_.end();) {
-    if (it->done->load() && it->thread.joinable()) {
-      it->thread.join();
-      it = handlers_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void InferenceServer::accept_loop() {
-  for (;;) {
-    {
-      // Hold accepting until a session slot frees; pending clients wait
-      // in the listen backlog rather than being turned away. Under
-      // shed_on_overload we accept regardless and answer kBusy below —
-      // an overloaded server should say so, not go silent.
-      std::unique_lock<std::mutex> lock(mu_);
-      slot_cv_.wait(lock, [this] {
-        return stopping_ || cfg_.shed_on_overload ||
-               sessions_active_.load() < cfg_.max_sessions;
-      });
-      if (stopping_) return;
-      reap_finished_locked();
-    }
-    std::unique_ptr<TcpChannel> transport;
-    try {
-      transport = std::make_unique<TcpChannel>(listener_.accept());
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (stopping_) return;
-      }
-      // Transient accept failure (fd-limit spike): back off briefly —
-      // outside mu_, so session completions and stop() are not stalled —
-      // and keep serving instead of silently killing the accept loop.
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      continue;
-    }
-    if (cfg_.shed_on_overload &&
-        sessions_active_.load() >= cfg_.max_sessions) {
-      // Graceful shed (v6): tell the client when to come back, close.
-      // No session slot was ever claimed, so nothing to settle.
-      c_sessions_shed_.add();
-      try {
-        send_busy(*transport, cfg_.busy_retry_after_ms);
-      } catch (...) {
-      }
-      continue;
-    }
-    c_sessions_accepted_.add();
-    sessions_active_.fetch_add(1);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) {  // raced with stop(): drop the connection
-        sessions_active_.fetch_sub(1);
-        return;
-      }
-      // Register the transport before the thread exists so stop()'s
-      // forced-shutdown pass can never miss a live session.
-      active_transports_.push_back(transport.get());
-      auto done = std::make_shared<std::atomic<bool>>(false);
-      SessionHandle h;
-      h.done = done;
-      h.thread = std::thread([this, t = std::move(transport), done]() mutable {
-        handle_session(std::move(t), done);
-      });
-      handlers_.push_back(std::move(h));
-    }
-  }
-}
-
-// Accept loop for the dedicated prefetch-lane listener. Lanes do not
-// consume max_sessions slots — a full server would otherwise deadlock
-// every client opening its lane — and need no slot gate of their own:
-// a lane is only useful with a valid single-use token, so the connection
-// count is bounded by live sessions (token-less connections are
-// rejected after one control frame).
-void InferenceServer::lane_accept_loop() {
-  for (;;) {
-    std::unique_ptr<TcpChannel> transport;
-    try {
-      transport = std::make_unique<TcpChannel>(lane_listener_.accept());
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (stopping_) return;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return;
-    reap_finished_locked();
-    active_transports_.push_back(transport.get());
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    SessionHandle h;
-    h.done = done;
-    h.thread = std::thread([this, t = std::move(transport), done]() mutable {
-      handle_lane(std::move(t), done);
-    });
-    handlers_.push_back(std::move(h));
-  }
-}
-
-void InferenceServer::handle_session(std::unique_ptr<TcpChannel> transport,
-                                     std::shared_ptr<std::atomic<bool>> done) {
-  // Shared with this session's prefetch lane (if one attaches); all
-  // budget accounting lives inside, settled exactly once per artifact.
-  auto state = std::make_shared<SessionState>();
-  uint64_t lane_token = 0;
-  bool token_registered = false;
-  const uint64_t t_accept = obs::now_ns();
-  bool mid_phase = false;  // a frame was being served when we failed
-  try {
-    // Idle sessions may not pin a slot: every recv on this session is
-    // bounded, and a timeout tears the session down like any peer error.
-    if (cfg_.idle_timeout_ms > 0)
-      transport->set_recv_timeout_ms(cfg_.idle_timeout_ms);
-    if (cfg_.io == IoBackend::kUring) transport->enable_io_uring();
-    // Chaos plane: wrap the transport so every protocol byte crosses
-    // the fault plan; an injected reset also shuts the socket down so
-    // the peer observes the failure.
-    std::unique_ptr<FaultChannel> fault;
-    Channel* wire = transport.get();
-    if (cfg_.chaos.enabled()) {
-      fault = std::make_unique<FaultChannel>(
-          *transport, cfg_.chaos, chaos_index_.fetch_add(1),
-          [t = transport.get()] { t->shutdown(); });
-      wire = fault.get();
-    }
-    BufferedChannel ch(*wire, cfg_.stream.channel_buffer);
-    try {
-
-    // --- handshake (includes the wait for the client's hello) --------
-    obs::Span hs_span("server.handshake");
-    const Hello hello = parse_hello(recv_frame(ch));
-    const char* reject = validate_hello(hello);
-    if (reject != nullptr) {
-      c_sessions_rejected_.add();
-      send_error(ch, ErrorCode::kHandshake, reject);
-      ch.flush();
-      hs_span.end();
-      h_handshake_.observe(obs::now_ns() - t_accept);
-    } else {
-      // Issue the lane token before the ack ships so a racing
-      // kAttachLane can never observe an unregistered token.
-      lane_token = register_lane_token(state);
-      token_registered = true;
-      HelloAck ack;
-      ack.fingerprint = fingerprint_;
-      ack.prefetch_quota = cfg_.max_prefetch;
-      ack.lane_token = lane_token;
-      ack.lane_port = lane_listener_.port();
-      send_hello_ack(ch, ack);
-      ch.flush();
-      hs_span.end();
-      h_handshake_.observe(obs::now_ns() - t_accept);
-
-      // --- session loop: one EvaluatorSession (one OT setup), many
-      // inferences — the streaming amortization the paper's Figure 6
-      // assumes. kPrefetch parks offline artifacts (tables + resolved
-      // evaluator labels) in the shared SessionState — pushed here or
-      // through the async lane; a pooled kInfer then runs only the
-      // online phase against one of them.
-      std::unique_ptr<ThreadPool> eval_pool;
-      if (cfg_.stream.eval_threads > 0)
-        eval_pool = std::make_unique<ThreadPool>(cfg_.stream.eval_threads);
-      EvaluatorSession session(ch, cfg_.stream.gc_options(eval_pool.get()));
-      for (bool open = true; open;) {
-        // The wait for the next frame is the thread core's idle phase:
-        // everything between serving bursts lands here, which is what
-        // lets stats_json() account a session's whole wall time.
-        const uint64_t t_wait = obs::now_ns();
-        obs::Span wait_span("server.recv_wait");
-        const Frame f = recv_frame(ch);
-        wait_span.end();
-        h_recv_wait_.observe(obs::now_ns() - t_wait);
-        // Protocol work is bounded by the phase deadline (a stalled
-        // peer cannot pin this slot mid-exchange); the inter-frame
-        // wait above stays on the idle timeout.
-        PhaseDeadlineGuard phase(*transport, cfg_.phase_timeout_ms,
-                                 cfg_.idle_timeout_ms);
-        mid_phase = cfg_.phase_timeout_ms > 0;
-        switch (f.type) {
-          case FrameType::kInfer:
-            open = handle_infer_frame(f, ch, session, *state);
-            break;
-          case FrameType::kPrefetch:
-            open = handle_prefetch_push(f, ch, session, *state);
-            break;
-          case FrameType::kStats: {
-            // v5 introspection: the reply payload is the same
-            // self-describing JSON stats_json() serves locally.
-            const std::string stats = stats_json();
-            send_frame(ch, FrameType::kStatsReply, stats.data(),
-                       stats.size());
-            ch.flush();
-            break;
-          }
-          case FrameType::kBye:
-            open = false;
-            break;
-          default:
-            send_error(ch, ErrorCode::kMalformed,
-                       "unexpected frame in session loop");
-            ch.flush();
-            open = false;
-            break;
-        }
-        mid_phase = false;
-      }
-    }
-    } catch (const std::exception& e) {
-      if (mid_phase && std::strstr(e.what(), "timed out") != nullptr)
-        c_phase_timeouts_.add();
-      // v6: malformed input or a local failure earns a coded kError
-      // before teardown instead of a raw disconnect. Best-effort — the
-      // transport may already be dead.
-      try {
-        send_error(ch, ErrorCode::kMalformed, e.what());
-        ch.flush();
-      } catch (...) {
-      }
-      throw;
-    }
-  } catch (...) {
-    // Peer vanished or sent garbage: drop the session, keep serving.
-  }
-  // Teardown, in dependency order: unregister the token (no new lane
-  // can resolve this session), then close the shared state — artifacts
-  // die with their session, and the WHOLE remaining reservation
-  // (stored artifacts + pushes still in flight on a lane) is returned
-  // in one settlement. A lane mid-push observes `closed` afterwards and
-  // knows not to settle again.
-  if (token_registered) unregister_lane_token(lane_token);
-  settle_session_state(*state);
-  h_session_wall_.observe(obs::now_ns() - t_accept);
-  h_session_bytes_in_.observe(transport->bytes_received());
-  h_session_bytes_out_.observe(transport->bytes_sent());
-  c_bytes_in_.add(transport->bytes_received());
-  c_bytes_out_.add(transport->bytes_sent());
-  {
-    // Final critical section: unregister, free the slot, flag
-    // completion, and notify — all under mu_ so the accept loop's
-    // condition-variable wait cannot miss the wakeup.
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = active_transports_.begin(); it != active_transports_.end();
-         ++it) {
-      if (*it == transport.get()) {
-        active_transports_.erase(it);
-        break;
-      }
-    }
-    sessions_active_.fetch_sub(1);
-    done->store(true);
-    slot_cv_.notify_all();
-  }
-}
-
-// Handler for one async-prefetch-lane connection: resolve the session
-// by token, then serve kPrefetch pushes into its shared store until the
-// client says kBye or either side fails. The lane runs its own
-// EvaluatorSession (OT-extension state is per-connection), so its
-// precomputed-OT exchanges proceed concurrently with evaluation on the
-// primary connection.
-void InferenceServer::handle_lane(std::unique_ptr<TcpChannel> transport,
-                                  std::shared_ptr<std::atomic<bool>> done) {
-  std::shared_ptr<SessionState> state;
-  const uint64_t t_accept = obs::now_ns();
-  bool mid_phase = false;
-  try {
-    if (cfg_.idle_timeout_ms > 0)
-      transport->set_recv_timeout_ms(cfg_.idle_timeout_ms);
-    if (cfg_.io == IoBackend::kUring) transport->enable_io_uring();
-    std::unique_ptr<FaultChannel> fault;
-    Channel* wire = transport.get();
-    if (cfg_.chaos.enabled()) {
-      fault = std::make_unique<FaultChannel>(
-          *transport, cfg_.chaos, chaos_index_.fetch_add(1),
-          [t = transport.get()] { t->shutdown(); });
-      wire = fault.get();
-    }
-    BufferedChannel ch(*wire, cfg_.stream.channel_buffer);
-    try {
-
-    const uint64_t t_attach = obs::now_ns();
-    obs::Span wait_span("server.recv_wait");
-    const Frame attach = recv_frame(ch);
-    wait_span.end();
-    h_recv_wait_.observe(obs::now_ns() - t_attach);
-    uint64_t token = 0;
-    const char* reject = nullptr;
-    if (attach.type != FrameType::kAttachLane) {
-      reject = "expected lane attach";
-    } else {
-      token = parse_id(attach);
-      state = attach_lane(token, &reject);
-    }
-    if (reject != nullptr) {
-      c_lanes_rejected_.add();
-      state = nullptr;  // nothing to detach below
-      send_error(ch, ErrorCode::kLane, reject);
-      ch.flush();
-    } else {
-      c_lanes_attached_.add();
-      send_id_frame(ch, FrameType::kAttachLaneAck, token);
-      ch.flush();
-      // The lane never evaluates, so no eval shard pool here.
-      EvaluatorSession session(ch, cfg_.stream.gc_options(nullptr));
-      for (bool open = true; open;) {
-        const uint64_t t_wait = obs::now_ns();
-        obs::Span lane_wait("server.recv_wait");
-        const Frame f = recv_frame(ch);
-        lane_wait.end();
-        h_recv_wait_.observe(obs::now_ns() - t_wait);
-        PhaseDeadlineGuard phase(*transport, cfg_.phase_timeout_ms,
-                                 cfg_.idle_timeout_ms);
-        mid_phase = cfg_.phase_timeout_ms > 0;
-        if (f.type == FrameType::kBye) {
-          open = false;
-        } else if (f.type == FrameType::kPrefetch) {
-          open = handle_prefetch_push(f, ch, session, *state);
-        } else {
-          send_error(ch, ErrorCode::kMalformed,
-                     "unexpected frame on prefetch lane");
-          ch.flush();
-          open = false;
-        }
-        mid_phase = false;
-      }
-    }
-    } catch (const std::exception& e) {
-      if (mid_phase && std::strstr(e.what(), "timed out") != nullptr)
-        c_phase_timeouts_.add();
-      try {
-        send_error(ch, ErrorCode::kMalformed, e.what());
-        ch.flush();
-      } catch (...) {
-      }
-      throw;
-    }
-  } catch (...) {
-    // Lane died; the primary session is unaffected (its artifacts and
-    // reservations live in the shared state, settled by the session).
-  }
-  if (state != nullptr) {
-    // Allow a reconnect: a dropped lane (idle timeout, transient
-    // network failure) should not permanently demote the session to
-    // synchronous prefetching.
-    std::lock_guard<std::mutex> lk(state->mu);
-    state->lane_attached = false;
-  }
-  h_lane_wall_.observe(obs::now_ns() - t_accept);
-  c_bytes_in_.add(transport->bytes_received());
-  c_bytes_out_.add(transport->bytes_sent());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = active_transports_.begin(); it != active_transports_.end();
-         ++it) {
-      if (*it == transport.get()) {
-        active_transports_.erase(it);
-        break;
-      }
-    }
-    done->store(true);
-    slot_cv_.notify_all();
-  }
 }
 
 }  // namespace deepsecure::runtime

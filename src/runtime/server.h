@@ -4,23 +4,15 @@
 // concurrent client sessions over TCP, each with its own channel,
 // OT setup, and per-session label seeds on the client side.
 //
-// Two server cores behind ServerConfig::core, serving the identical v4
-// wire protocol:
+// The serving engine is an epoll reactor + small worker pool
+// (runtime/reactor.h). Connections are nonblocking and parked in the
+// epoll set between frames; a readiness event hands the connection to a
+// worker, which resumes its per-session state machine (handshake → lane
+// attach → prefetch/infer frames) and re-parks it. Thread count is
+// workers + 1 (the loop), independent of session count; idle and
+// per-phase deadlines run on a timer wheel in the loop.
 //
-//   * kEventLoop (default): an epoll reactor + small worker pool
-//     (runtime/reactor.h). Connections are nonblocking and parked in
-//     the epoll set between frames; a readiness event hands the
-//     connection to a worker, which resumes its per-session state
-//     machine (handshake → lane attach → prefetch/infer frames) and
-//     re-parks it. Thread count is workers + 1 (the loop), independent
-//     of session count; idle timeouts run on a timer wheel in the loop
-//     instead of SO_RCVTIMEO.
-//
-//   * kThreadPerSession: one accept loop + one handler thread per
-//     connected session — the original core, kept for one release so
-//     the loadgen bench can compare both under load.
-//
-// Both cores cap concurrent sessions at `max_sessions` (excess clients
+// Concurrent sessions are capped at `max_sessions` (excess clients
 // queue in the listen backlog instead of being dropped) and share the
 // compiled chain read-only; the per-circuit flush-point cache is
 // thread-safe (see Circuit::gc_flush_points).
@@ -40,11 +32,9 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -59,14 +49,6 @@
 namespace deepsecure::runtime {
 
 class EventCore;
-
-/// Which concurrency engine drives the session protocol (see file
-/// header). The wire protocol and every observable metric are the same
-/// for both; only the threading model differs.
-enum class ServerCore {
-  kThreadPerSession,
-  kEventLoop,
-};
 
 struct ServerConfig {
   uint16_t port = 0;        // 0 = ephemeral (read back via port())
@@ -88,9 +70,9 @@ struct ServerConfig {
   /// client cannot pin one of the max_sessions slots forever. The
   /// timeout bounds *every* receive and cannot tell "stalled" from
   /// "thinking" — set it above the worst-case client-side gap,
-  /// including offline garbling before a cold-pool prefetch.
-  /// Thread core: SO_RCVTIMEO. Event core: timer wheel for parked
-  /// connections + poll deadline for mid-exchange stalls.
+  /// including offline garbling before a cold-pool prefetch. Enforced
+  /// by the reactor's timer wheel for parked connections and by the
+  /// transport's poll deadline for mid-exchange stalls.
   uint64_t idle_timeout_ms = 0;
   /// Per-phase protocol deadline in milliseconds; 0 disables. Where
   /// idle_timeout_ms bounds the wait BETWEEN frames, this bounds the
@@ -98,9 +80,9 @@ struct ServerConfig {
   /// mid-push, mid-eval) — a peer that stalls halfway through a
   /// protocol exchange cannot pin a worker slot past this deadline.
   /// Must exceed the worst-case legitimate exchange (an on-demand
-  /// garble + transfer takes hundreds of ms on big chains). Thread
-  /// core: SO_RCVTIMEO swap while a frame is served. Event core: a
-  /// phase entry on the timer wheel, armed at dispatch.
+  /// garble + transfer takes hundreds of ms on big chains). Armed on
+  /// the reactor's timer wheel when a connection is dispatched to a
+  /// worker; firing shuts the transport down mid-exchange.
   uint64_t phase_timeout_ms = 0;
   /// Graceful shed (protocol v6): when true, a connection arriving with
   /// all max_sessions slots busy is accepted, told kBusy (with
@@ -115,18 +97,15 @@ struct ServerConfig {
   /// FaultChannel. Used by robustness tests; rate 0 (default) leaves
   /// the healthy path untouched.
   FaultConfig chaos;
-  /// Concurrency engine (see ServerCore). Event loop is the default.
-  ServerCore core = ServerCore::kEventLoop;
-  /// Event-core worker threads; 0 = auto (2 × hardware_concurrency,
+  /// Reactor worker threads; 0 = auto (2 × hardware_concurrency,
   /// minimum 2 so a session and its prefetch lane can always progress
-  /// concurrently). Ignored by the thread-per-session core.
+  /// concurrently).
   size_t workers = 0;
-  /// Listen backlog for both listeners. Under the event core a full
-  /// server parks excess clients here, so size it for the expected
-  /// connection burst.
+  /// Listen backlog for both listeners. A full server parks excess
+  /// clients here, so size it for the expected connection burst.
   int backlog = 64;
-  /// TCP send submission path for accepted connections (both cores and
-  /// the lane listener). kUring is runtime-probed per connection and
+  /// TCP send submission path for accepted connections (sessions and
+  /// prefetch lanes alike). kUring is runtime-probed per connection and
   /// silently falls back to the sendmsg path when the kernel refuses
   /// io_uring; stats_json()'s "io" field reports the effective mode.
   IoBackend io = IoBackend::kEpoll;
@@ -151,11 +130,11 @@ class InferenceServer {
   /// hello ack advertises it, so clients never need to configure it).
   uint16_t lane_port() const { return lane_listener_.port(); }
 
-  /// Spawn the serving core. Returns immediately.
+  /// Spawn the reactor and its workers. Returns immediately.
   void start();
 
-  /// Close the listener, wait for in-flight sessions to finish, join all
-  /// threads. Idempotent.
+  /// Close the listeners, drain every live connection through its normal
+  /// teardown, join all threads. Idempotent.
   void stop();
 
   // Serving counters live in this server's private metrics registry
@@ -188,7 +167,7 @@ class InferenceServer {
   uint64_t phase_timeouts() const { return c_phase_timeouts_.value(); }
 
   /// This server's full observability surface as one JSON object:
-  /// {"core","sessions_active","prefetch_bytes","accounting":{...},
+  /// {"io","sessions_active","prefetch_bytes","accounting":{...},
   ///  "metrics":{counters,gauges,hists}}. The accounting block sums the
   /// non-overlapping per-phase histograms (handshake, recv_wait,
   /// infer_*, prefetch_push, parked, dispatch) against session_wall, so
@@ -205,16 +184,7 @@ class InferenceServer {
  private:
   friend class EventCore;  // the reactor drives the same protocol state
 
-  // One per session: the thread plus a completion flag so finished
-  // handlers can be reaped (joined) while the server keeps running,
-  // bounding handlers_ at ~max_sessions instead of total-sessions.
-  // (Thread-per-session core only.)
-  struct SessionHandle {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-
-  // Per-session state shared between the primary session handler and
+  // Per-session state shared between the primary session connection and
   // its (optional) async prefetch lane — the seam both connections
   // synchronize on. `reserved_bytes` mirrors this session's share of
   // the global prefetch_bytes_ reservation so teardown can settle it
@@ -229,7 +199,7 @@ class InferenceServer {
     bool lane_attached = false;  // at most one lane per session
   };
 
-  // --- protocol steps shared by both cores ---------------------------
+  // --- protocol steps the reactor drives -----------------------------
   /// Handshake validation; nullptr = accept, else the kError reason.
   const char* validate_hello(const Hello& hello) const;
   /// One kInfer frame (on-demand or pooled). Returns false when the
@@ -257,15 +227,6 @@ class InferenceServer {
   /// and knows not to settle again.
   void settle_session_state(SessionState& state);
 
-  // --- thread-per-session core ---------------------------------------
-  void accept_loop();
-  void lane_accept_loop();
-  void handle_session(std::unique_ptr<TcpChannel> transport,
-                      std::shared_ptr<std::atomic<bool>> done);
-  void handle_lane(std::unique_ptr<TcpChannel> transport,
-                   std::shared_ptr<std::atomic<bool>> done);
-  void reap_finished_locked();
-
   std::vector<Circuit> chain_;
   BitVec weights_;
   ServerConfig cfg_;
@@ -277,19 +238,13 @@ class InferenceServer {
 
   TcpListener listener_;
   TcpListener lane_listener_;
-  std::unique_ptr<EventCore> event_core_;  // kEventLoop engine
-  std::thread accept_thread_;
-  std::thread lane_accept_thread_;
-  std::mutex mu_;
-  std::condition_variable slot_cv_;  // signaled when a session ends
-  std::vector<SessionHandle> handlers_;
-  std::vector<TcpChannel*> active_transports_;  // for forced shutdown
+  std::unique_ptr<EventCore> event_core_;
+  std::mutex mu_;  // guards running_, lane_tokens_ and token_prg_
   // Live sessions by lane token; a lane attach resolves its session
   // here. Entries die with their session (session teardown erases).
   std::unordered_map<uint64_t, std::shared_ptr<SessionState>> lane_tokens_;
   Prg token_prg_ = Prg::from_os_entropy();  // under mu_
   bool running_ = false;
-  bool stopping_ = false;
 
   // --- observability -------------------------------------------------
   // Per-instance registry (exact per-server counts for tests and serial

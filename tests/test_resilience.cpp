@@ -2,9 +2,7 @@
 // deterministic chaos plans (net/fault_channel.h), client reconnect
 // with backoff and material poisoning (runtime/client.h), server load
 // shedding (kBusy) and frame-parser hardening, and the io_uring
-// partial-send resubmit path. Every server-facing test runs on both
-// cores via the ServerCoreTest parameterization — resilience behavior,
-// like the wire protocol, must be core-independent.
+// partial-send resubmit path.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -193,38 +191,19 @@ TEST(FaultPlan, ShortWriteSplitsPreserveByteStream) {
 }
 
 // ---------------------------------------------------------------------
-// Server-facing resilience, on both cores.
+// Server-facing resilience.
 // ---------------------------------------------------------------------
-
-class ServerCoreTest : public ::testing::TestWithParam<runtime::ServerCore> {
- protected:
-  runtime::ServerConfig base_cfg() const {
-    runtime::ServerConfig cfg;
-    cfg.core = GetParam();
-    return cfg;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Cores, ServerCoreTest,
-    ::testing::Values(runtime::ServerCore::kThreadPerSession,
-                      runtime::ServerCore::kEventLoop),
-    [](const ::testing::TestParamInfo<runtime::ServerCore>& info) {
-      return info.param == runtime::ServerCore::kThreadPerSession
-                 ? "ThreadPerSession"
-                 : "EventLoop";
-    });
 
 // Chaos soak in miniature: both endpoints wrapped in seeded fault
 // channels, a generous retry budget, and every answer checked against
 // the plaintext reference. Whatever the dice injected, completion must
 // be 100% byte-correct and the prefetch budget must settle to zero.
-TEST_P(ServerCoreTest, ChaosRunCompletesByteCorrectWithZeroBudgetLeak) {
+TEST(ServerResilience, ChaosRunCompletesByteCorrectWithZeroBudgetLeak) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(61);
   const BitVec weights = random_weights(spec, rng);
 
-  runtime::ServerConfig cfg = base_cfg();
+  runtime::ServerConfig cfg;
   cfg.chaos.seed = 0xc4a05eed;
   cfg.chaos.rate = 0.01;
   runtime::InferenceServer server(spec, weights, cfg);
@@ -279,12 +258,12 @@ TEST_P(ServerCoreTest, ChaosRunCompletesByteCorrectWithZeroBudgetLeak) {
 // Saturated server + shed_on_overload: the second client is told kBusy
 // with a retry hint instead of waiting in the backlog, backs off, and
 // completes once the slot frees.
-TEST_P(ServerCoreTest, ShedsWithBusyAndClientBacksOffUntilSlotFrees) {
+TEST(ServerResilience, ShedsWithBusyAndClientBacksOffUntilSlotFrees) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(67);
   const BitVec weights = random_weights(spec, rng);
 
-  runtime::ServerConfig cfg = base_cfg();
+  runtime::ServerConfig cfg;
   cfg.max_sessions = 1;
   cfg.shed_on_overload = true;
   cfg.busy_retry_after_ms = 5;
@@ -374,13 +353,12 @@ std::vector<uint8_t> frame_header(uint8_t type, uint32_t len) {
 // Frame-parser hardening: truncated headers, oversized lengths,
 // unknown types, mid-payload EOF and raw garbage must each unwind one
 // connection without wedging the server or leaking prefetch budget.
-TEST_P(ServerCoreTest, FrameParserSurvivesGarbageTruncationAndOversize) {
+TEST(ServerResilience, FrameParserSurvivesGarbageTruncationAndOversize) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(71);
   const BitVec weights = random_weights(spec, rng);
 
-  runtime::ServerConfig cfg = base_cfg();
-  runtime::InferenceServer server(spec, weights, cfg);
+  runtime::InferenceServer server(spec, weights);
   server.start();
 
   // Unknown frame type, well-formed length.
@@ -424,13 +402,12 @@ TEST_P(ServerCoreTest, FrameParserSurvivesGarbageTruncationAndOversize) {
 // restart it on the same port, and let the client self-heal: reconnect
 // with backoff, poison every one-shot artifact tied to the dead
 // session, and answer byte-correct with fresh material.
-TEST_P(ServerCoreTest, ClientRecoversAcrossServerRestartWithFreshMaterial) {
+TEST(ServerResilience, ClientRecoversAcrossServerRestartWithFreshMaterial) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(73);
   const BitVec weights = random_weights(spec, rng);
 
-  auto server1 = std::make_unique<runtime::InferenceServer>(
-      spec, weights, base_cfg());
+  auto server1 = std::make_unique<runtime::InferenceServer>(spec, weights);
   server1->start();
   const uint16_t port = server1->port();
 
@@ -464,7 +441,7 @@ TEST_P(ServerCoreTest, ClientRecoversAcrossServerRestartWithFreshMaterial) {
   // Rebind the same port (SO_REUSEADDR); give the kernel a beat if the
   // old listener is still draining.
   std::unique_ptr<runtime::InferenceServer> server2;
-  runtime::ServerConfig cfg2 = base_cfg();
+  runtime::ServerConfig cfg2;
   cfg2.port = port;
   for (int attempt = 0; server2 == nullptr; ++attempt) {
     try {

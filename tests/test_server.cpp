@@ -66,35 +66,12 @@ size_t plaintext_label(const synth::ModelSpec& spec, const BitVec& weights,
   return from_bits(mono.eval(data, weights));
 }
 
-// The whole suite runs once per server core: the thread-per-session
-// original and the epoll reactor must serve byte-identical v4 wire
-// exchanges, so every behavior asserted below is core-independent.
-class ServerCoreTest : public ::testing::TestWithParam<runtime::ServerCore> {
- protected:
-  runtime::ServerConfig base_cfg() const {
-    runtime::ServerConfig cfg;
-    cfg.core = GetParam();
-    return cfg;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Cores, ServerCoreTest,
-    ::testing::Values(runtime::ServerCore::kThreadPerSession,
-                      runtime::ServerCore::kEventLoop),
-    [](const ::testing::TestParamInfo<runtime::ServerCore>& info) {
-      return info.param == runtime::ServerCore::kThreadPerSession
-                 ? "ThreadPerSession"
-                 : "EventLoop";
-    });
-
-TEST_P(ServerCoreTest, EndToEndSecureInferOverTcpLoopback) {
+TEST(InferenceServerTest, EndToEndSecureInferOverTcpLoopback) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(17);
   const BitVec weights = random_weights(spec, rng);
 
-  runtime::ServerConfig cfg = base_cfg();
-  runtime::InferenceServer server(spec, weights, cfg);
+  runtime::InferenceServer server(spec, weights);
   server.start();
 
   std::vector<Fixed> x;
@@ -114,13 +91,12 @@ TEST_P(ServerCoreTest, EndToEndSecureInferOverTcpLoopback) {
   EXPECT_EQ(server.sessions_rejected(), 0u);
 }
 
-TEST_P(ServerCoreTest, StatsJsonExplainsServedSession) {
+TEST(InferenceServerTest, StatsJsonExplainsServedSession) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(19);
   const BitVec weights = random_weights(spec, rng);
 
-  runtime::ServerConfig cfg = base_cfg();
-  runtime::InferenceServer server(spec, weights, cfg);
+  runtime::InferenceServer server(spec, weights);
   server.start();
 
   std::vector<Fixed> x;
@@ -145,8 +121,8 @@ TEST_P(ServerCoreTest, StatsJsonExplainsServedSession) {
 
   const std::string js = server.stats_json();
   for (const char* key :
-       {"\"core\"", "\"accounting\"", "\"accounted_fraction\"",
-        "\"phase_total_s\"", "\"session_wall_s\"", "\"metrics\"",
+       {"\"accounting\"", "\"accounted_fraction\"", "\"phase_total_s\"",
+        "\"session_wall_s\"", "\"metrics\"",
         "\"server.sessions_accepted\"", "\"phase.handshake\"",
         "\"phase.session_wall\"", "\"subphase.eval\""})
     EXPECT_NE(js.find(key), std::string::npos) << key << " missing:\n" << js;
@@ -160,12 +136,12 @@ TEST_P(ServerCoreTest, StatsJsonExplainsServedSession) {
   EXPECT_GT(wall->sum, 0u);
 }
 
-TEST_P(ServerCoreTest, SustainsFourConcurrentTcpSessions) {
+TEST(InferenceServerTest, SustainsFourConcurrentTcpSessions) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(23);
   const BitVec weights = random_weights(spec, rng);
 
-  runtime::ServerConfig cfg = base_cfg();
+  runtime::ServerConfig cfg;
   cfg.max_sessions = 4;
   runtime::InferenceServer server(spec, weights, cfg);
   server.start();
@@ -207,10 +183,10 @@ TEST_P(ServerCoreTest, SustainsFourConcurrentTcpSessions) {
   EXPECT_EQ(server.inferences_served(), kSessions * kRequests);
 }
 
-TEST_P(ServerCoreTest, RejectsFingerprintMismatch) {
+TEST(InferenceServerTest, RejectsFingerprintMismatch) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(31);
-  runtime::InferenceServer server(spec, random_weights(spec, rng), base_cfg());
+  runtime::InferenceServer server(spec, random_weights(spec, rng));
   server.start();
 
   synth::ModelSpec other = spec;  // different architecture, same inputs
@@ -225,10 +201,10 @@ TEST_P(ServerCoreTest, RejectsFingerprintMismatch) {
   EXPECT_EQ(server.sessions_rejected(), 1u);
 }
 
-TEST_P(ServerCoreTest, RejectsSchedulingMismatch) {
+TEST(InferenceServerTest, RejectsSchedulingMismatch) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(61);
-  runtime::ServerConfig scfg = base_cfg();
+  runtime::ServerConfig scfg;
   scfg.stream.schedule = true;
   runtime::InferenceServer server(spec, random_weights(spec, rng), scfg);
   server.start();
@@ -248,7 +224,7 @@ TEST_P(ServerCoreTest, RejectsSchedulingMismatch) {
 // exactly one artifact, a second session's push is rejected even though
 // its per-session quota is untouched; consuming/closing releases the
 // reservation and new pushes succeed.
-TEST_P(ServerCoreTest, GlobalPrefetchByteBudgetSharedAcrossSessions) {
+TEST(InferenceServerTest, GlobalPrefetchByteBudgetSharedAcrossSessions) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(67);
   const BitVec weights = random_weights(spec, rng);
@@ -260,7 +236,7 @@ TEST_P(ServerCoreTest, GlobalPrefetchByteBudgetSharedAcrossSessions) {
   for (const Circuit& c : chain)
     artifact_bytes += 2 * sizeof(Block) + c.stats().table_bytes();
 
-  runtime::ServerConfig scfg = base_cfg();
+  runtime::ServerConfig scfg;
   scfg.max_prefetch = 4;  // per-session quota is NOT the limiter here
   scfg.max_prefetch_bytes = artifact_bytes;
   runtime::InferenceServer server(spec, weights, scfg);
@@ -309,12 +285,12 @@ TEST_P(ServerCoreTest, GlobalPrefetchByteBudgetSharedAcrossSessions) {
 
 // Evaluator-side window sharding in the server: sessions evaluate with
 // a shard pool and still agree with plaintext.
-TEST_P(ServerCoreTest, EvaluatorThreadsServeCorrectInferences) {
+TEST(InferenceServerTest, EvaluatorThreadsServeCorrectInferences) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(71);
   const BitVec weights = random_weights(spec, rng);
 
-  runtime::ServerConfig scfg = base_cfg();
+  runtime::ServerConfig scfg;
   scfg.stream.eval_threads = 2;
   runtime::InferenceServer server(spec, weights, scfg);
   server.start();
@@ -333,10 +309,10 @@ TEST_P(ServerCoreTest, EvaluatorThreadsServeCorrectInferences) {
   server.stop();
 }
 
-TEST_P(ServerCoreTest, RejectsFramingMismatch) {
+TEST(InferenceServerTest, RejectsFramingMismatch) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(37);
-  runtime::ServerConfig scfg = base_cfg();
+  runtime::ServerConfig scfg;
   scfg.stream.framed_tables = true;
   runtime::InferenceServer server(spec, random_weights(spec, rng), scfg);
   server.start();
@@ -354,12 +330,12 @@ TEST_P(ServerCoreTest, RejectsFramingMismatch) {
 // Offline/online split over a real TCP loopback: the same session runs
 // one inference from prefetched material (online phase only) and one
 // on-demand, on the same sample — identical outputs, both correct.
-TEST_P(ServerCoreTest, PooledAndOnDemandProduceIdenticalOutputs) {
+TEST(InferenceServerTest, PooledAndOnDemandProduceIdenticalOutputs) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(41);
   const BitVec weights = random_weights(spec, rng);
 
-  runtime::InferenceServer server(spec, weights, base_cfg());
+  runtime::InferenceServer server(spec, weights);
   server.start();
 
   std::vector<Fixed> x;
@@ -390,12 +366,12 @@ TEST_P(ServerCoreTest, PooledAndOnDemandProduceIdenticalOutputs) {
 
 // Cross-request pipelining: several kInfer frames queued back-to-back
 // against prefetched material, results collected afterwards in order.
-TEST_P(ServerCoreTest, PipelinesBackToBackPooledInfers) {
+TEST(InferenceServerTest, PipelinesBackToBackPooledInfers) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(43);
   const BitVec weights = random_weights(spec, rng);
 
-  runtime::InferenceServer server(spec, weights, base_cfg());
+  runtime::InferenceServer server(spec, weights);
   server.start();
 
   constexpr size_t kDepth = 3;
@@ -431,10 +407,10 @@ TEST_P(ServerCoreTest, PipelinesBackToBackPooledInfers) {
   EXPECT_EQ(server.inferences_pooled(), kDepth);
 }
 
-TEST_P(ServerCoreTest, EnforcesPrefetchQuota) {
+TEST(InferenceServerTest, EnforcesPrefetchQuota) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(47);
-  runtime::ServerConfig scfg = base_cfg();
+  runtime::ServerConfig scfg;
   scfg.max_prefetch = 1;
   runtime::InferenceServer server(spec, random_weights(spec, rng), scfg);
   server.start();
@@ -460,7 +436,7 @@ TEST_P(ServerCoreTest, EnforcesPrefetchQuota) {
 // frame-level client (the real InferenceClient mirrors the quota and
 // always sends well-formed material, so these paths need a misbehaving
 // peer).
-TEST_P(ServerCoreTest, RejectsBadPrefetchFrames) {
+TEST(InferenceServerTest, RejectsBadPrefetchFrames) {
   const synth::ModelSpec spec = small_spec();
   const auto chain = synth::compile_model_layers(spec);
   Rng rng(53);
@@ -478,7 +454,7 @@ TEST_P(ServerCoreTest, RejectsBadPrefetchFrames) {
   {
     // Quota exceeded: a server with max_prefetch = 0 rejects the first
     // push outright.
-    runtime::ServerConfig scfg = base_cfg();
+    runtime::ServerConfig scfg;
     scfg.max_prefetch = 0;
     runtime::InferenceServer server(spec, random_weights(spec, rng), scfg);
     server.start();
@@ -496,7 +472,7 @@ TEST_P(ServerCoreTest, RejectsBadPrefetchFrames) {
   {
     // Material that cannot belong to the chain (empty decode bits +
     // empty tables): rejected at push time, not at kInfer time.
-    runtime::InferenceServer server(spec, random_weights(spec, rng), base_cfg());
+    runtime::InferenceServer server(spec, random_weights(spec, rng));
     server.start();
     TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
     handshake(raw);
@@ -516,10 +492,10 @@ TEST_P(ServerCoreTest, RejectsBadPrefetchFrames) {
 
 // Idle-timeout satellite: a connected-but-silent client is dropped so
 // it cannot pin one of the max_sessions slots forever.
-TEST_P(ServerCoreTest, IdleTimeoutFreesSessionSlot) {
+TEST(InferenceServerTest, IdleTimeoutFreesSessionSlot) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(59);
-  runtime::ServerConfig scfg = base_cfg();
+  runtime::ServerConfig scfg;
   scfg.idle_timeout_ms = kIdleTimeoutMs;
   runtime::InferenceServer server(spec, random_weights(spec, rng), scfg);
   server.start();
@@ -544,12 +520,12 @@ TEST_P(ServerCoreTest, IdleTimeoutFreesSessionSlot) {
 // mid-burst refills through the second connection concurrently with
 // inference traffic — once a refilled artifact is visible, no request
 // ever falls back to on-demand garbling.
-TEST_P(ServerCoreTest, AsyncPrefetchLaneRefillsUnderBurst) {
+TEST(InferenceServerTest, AsyncPrefetchLaneRefillsUnderBurst) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(73);
   const BitVec weights = random_weights(spec, rng);
 
-  runtime::ServerConfig scfg = base_cfg();
+  runtime::ServerConfig scfg;
   scfg.max_prefetch = 4;
   runtime::InferenceServer server(spec, weights, scfg);
   server.start();
@@ -593,10 +569,10 @@ TEST_P(ServerCoreTest, AsyncPrefetchLaneRefillsUnderBurst) {
   EXPECT_EQ(server.prefetch_bytes(), 0u);
 }
 
-TEST_P(ServerCoreTest, AttachLaneRejectsUnknownToken) {
+TEST(InferenceServerTest, AttachLaneRejectsUnknownToken) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(79);
-  runtime::InferenceServer server(spec, random_weights(spec, rng), base_cfg());
+  runtime::InferenceServer server(spec, random_weights(spec, rng));
   server.start();
 
   TcpChannel lane = TcpChannel::connect("127.0.0.1", server.lane_port());
@@ -618,11 +594,11 @@ TEST_P(ServerCoreTest, AttachLaneRejectsUnknownToken) {
 // session's prefetching for this session's remaining lifetime. The
 // push rides the lane, whose failure leaves the session alive, so the
 // assertion below cannot be satisfied by teardown accounting.
-TEST_P(ServerCoreTest, FailedLanePushReleasesBudgetWhileSessionLives) {
+TEST(InferenceServerTest, FailedLanePushReleasesBudgetWhileSessionLives) {
   const synth::ModelSpec spec = small_spec();
   const auto chain = synth::compile_model_layers(spec);
   Rng rng(83);
-  runtime::InferenceServer server(spec, random_weights(spec, rng), base_cfg());
+  runtime::InferenceServer server(spec, random_weights(spec, rng));
   server.start();
 
   // Real handshake to obtain the lane token + port.
@@ -669,11 +645,11 @@ TEST_P(ServerCoreTest, FailedLanePushReleasesBudgetWhileSessionLives) {
 
 // Teardown path: a client that vanishes mid-push (reservation made,
 // material half-sent) must not strand its bytes in the global budget.
-TEST_P(ServerCoreTest, SessionDeathMidPushReleasesBudget) {
+TEST(InferenceServerTest, SessionDeathMidPushReleasesBudget) {
   const synth::ModelSpec spec = small_spec();
   const auto chain = synth::compile_model_layers(spec);
   Rng rng(89);
-  runtime::InferenceServer server(spec, random_weights(spec, rng), base_cfg());
+  runtime::InferenceServer server(spec, random_weights(spec, rng));
   server.start();
   {
     TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
@@ -699,7 +675,7 @@ TEST_P(ServerCoreTest, SessionDeathMidPushReleasesBudget) {
 
 // The full core-API path — a trained-network-shaped model, sample
 // encoding via sample_bits / weight_bits — over a real TCP loopback.
-TEST_P(ServerCoreTest, NetworkModelSecureInferOverTcp) {
+TEST(InferenceServerTest, NetworkModelSecureInferOverTcp) {
   Rng rng(53);
   nn::Network net(nn::Shape{1, 1, 6});
   net.dense(4, rng).act(nn::Act::kReLU).dense(2, rng);
@@ -708,7 +684,7 @@ TEST_P(ServerCoreTest, NetworkModelSecureInferOverTcp) {
   const synth::ModelSpec spec = model_spec_from_network(net, opt, "tcp_mlp");
   const BitVec weights = weight_bits(net, opt.fmt);
 
-  runtime::InferenceServer server(spec, weights, base_cfg());
+  runtime::InferenceServer server(spec, weights);
   server.start();
 
   const nn::VecF sample{0.1f, -0.2f, 0.05f, 0.3f, -0.15f, 0.2f};
@@ -731,12 +707,12 @@ TEST_P(ServerCoreTest, NetworkModelSecureInferOverTcp) {
 // rejected, session killed by kError) and half with a clean kBye —
 // both teardown paths must settle: zero dropped handshakes, zero
 // sessions left active, and a fully returned prefetch byte budget.
-TEST_P(ServerCoreTest, Soaks256LoopbackSessions) {
+TEST(InferenceServerTest, Soaks256LoopbackSessions) {
   const synth::ModelSpec spec = small_spec();
   const auto chain = synth::compile_model_layers(spec);
   Rng rng(97);
 
-  runtime::ServerConfig scfg = base_cfg();
+  runtime::ServerConfig scfg;
   scfg.max_sessions = 16;  // < concurrency: the gate stays hot
   runtime::InferenceServer server(spec, random_weights(spec, rng), scfg);
   server.start();
@@ -775,7 +751,7 @@ TEST_P(ServerCoreTest, Soaks256LoopbackSessions) {
       << "dropped sessions under soak";
   EXPECT_EQ(server.sessions_accepted(), kThreads * kSessionsPerThread);
 
-  // Teardown is asynchronous on both cores: poll until settled.
+  // Teardown is asynchronous: poll until settled.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
   while ((server.sessions_active() > 0 || server.prefetch_bytes() > 0) &&
