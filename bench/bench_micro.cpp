@@ -169,6 +169,29 @@ void BM_ScheduleMatvec(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleMatvec)->Unit(benchmark::kMillisecond);
 
+// Set-up cost of the walked view every party builds before its first
+// garbling: levelized order plus label-slot renumbering of b3_pp's
+// first FC layer. Counters: the layer's wires and the view's slots.
+void BM_WalkViewModel(benchmark::State& state) {
+  static const Circuit c = [] {
+    synth::ModelSpec spec = core::paper_zoo()[2].compact;
+    spec.layers.resize(1);
+    return synth::compile_model_layers(spec).front();
+  }();
+  Wire slots = 0;
+  for (auto _ : state) {
+    const Circuit view = walk_view(c);
+    slots = view.num_wires;
+    benchmark::DoNotOptimize(view.gates.data());
+  }
+  state.counters["gates/s"] = benchmark::Counter(
+      static_cast<double>(c.gates.size()) * state.iterations(),
+      benchmark::Counter::kIsRate);
+  state.counters["wires"] = static_cast<double>(c.num_wires);
+  state.counters["label_slots"] = static_cast<double>(slots);
+}
+BENCHMARK(BM_WalkViewModel)->Unit(benchmark::kMillisecond);
+
 void BM_Sha256_1KiB(benchmark::State& state) {
   std::vector<uint8_t> data(1024, 0xAB);
   for (auto _ : state) {

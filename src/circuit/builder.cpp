@@ -59,14 +59,8 @@ constexpr size_t kCseMinSlots = 1024;
 inline size_t cse_hash(Wire a, Wire b, GateOp op) {
   // murmur3 fmix64 over the packed key: every key bit reaches the low
   // bits the slot mask keeps.
-  uint64_t k = (static_cast<uint64_t>(a) << 32 | b) ^
-               (static_cast<uint64_t>(op) << 63);
-  k ^= k >> 33;
-  k *= 0xff51afd7ed558ccdull;
-  k ^= k >> 33;
-  k *= 0xc4ceb9fe1a85ec53ull;
-  k ^= k >> 33;
-  return static_cast<size_t>(k);
+  return static_cast<size_t>(fmix64((static_cast<uint64_t>(a) << 32 | b) ^
+                                    (static_cast<uint64_t>(op) << 63)));
 }
 
 }  // namespace

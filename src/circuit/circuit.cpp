@@ -1,6 +1,5 @@
 #include "circuit/circuit.h"
 
-#include <mutex>
 #include <stdexcept>
 
 namespace deepsecure {
@@ -34,21 +33,10 @@ std::vector<uint32_t> compute_flush_points(const Circuit& c) {
 }  // namespace
 
 std::shared_ptr<const std::vector<uint32_t>> Circuit::gc_flush_points() const {
-  // The mutex is process-wide (Circuit must stay copyable) but is never
-  // held across the O(gates) scan, so unrelated circuits initializing
-  // concurrently only contend for pointer reads/writes. Concurrent first
-  // calls may both compute; one result wins, both are correct.
-  static std::mutex mu;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    if (gc_flush_cache_ && gc_flush_cache_gates_ == gates.size())
-      return gc_flush_cache_;
-  }
-  auto computed =
-      std::make_shared<const std::vector<uint32_t>>(compute_flush_points(*this));
-  std::lock_guard<std::mutex> lock(mu);
+  std::lock_guard<std::mutex> lock(cache_lock_.mu);
   if (!gc_flush_cache_ || gc_flush_cache_gates_ != gates.size()) {
-    gc_flush_cache_ = std::move(computed);
+    gc_flush_cache_ = std::make_shared<const std::vector<uint32_t>>(
+        compute_flush_points(*this));
     gc_flush_cache_gates_ = gates.size();
   }
   return gc_flush_cache_;

@@ -15,7 +15,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "support/bits.h"
@@ -48,14 +50,28 @@ struct CircuitStats {
   uint64_t table_bytes() const { return num_and * 2 * 16; }
 };
 
+namespace detail {
+/// The lock guarding one Circuit's derived-view caches. Copies and
+/// moves construct a fresh, unlocked mutex, so Circuit stays copyable
+/// and movable and no two circuits ever share a lock. noexcept keeps
+/// Circuit nothrow-movable: std::vector<Circuit> would otherwise copy
+/// every netlist when it grows.
+struct CacheLock {
+  CacheLock() = default;
+  CacheLock(const CacheLock&) noexcept {}
+  CacheLock& operator=(const CacheLock&) noexcept { return *this; }
+  std::mutex mu;
+};
+}  // namespace detail
+
 class Circuit {
  public:
   Circuit() = default;
-  // Copies do NOT inherit the flush-schedule cache: reading another
-  // circuit's mutable cache members outside gc_flush_points()'s lock
-  // would race with a concurrent garbler warming that cache. The copy
-  // recomputes lazily on first batched garbling. Moves transfer it
-  // (moving an object in concurrent use is already a caller bug).
+  // Copies do NOT inherit the derived-view caches: reading another
+  // circuit's cache members outside its lock would race with a
+  // concurrent garbler warming them. The copy recomputes lazily on
+  // first garbling. Moves transfer them (moving an object in concurrent
+  // use is already a caller bug); the lock itself is never shared.
   Circuit(const Circuit& o) { *this = o; }
   Circuit& operator=(const Circuit& o);
   Circuit(Circuit&&) = default;
@@ -100,20 +116,26 @@ class Circuit {
   /// count are undetected — treat `gates` as frozen once garbling starts.
   std::shared_ptr<const std::vector<uint32_t>> gc_flush_points() const;
 
-  /// Width-scheduled view of this circuit (circuit/schedule.h): same
-  /// wires/inputs/outputs, gates permuted into the levelized
-  /// batch-window-maximizing order. Computed lazily and cached with the
+  /// The walked view of this circuit (walk_view in circuit/schedule.h):
+  /// gates in the levelized batch-window-maximizing order, wires
+  /// renumbered into reusable label slots, so `num_wires` is the slot
+  /// count a garbling allocates. Computed lazily and cached with the
   /// same thread-safety and invalidation rules as gc_flush_points();
-  /// the returned circuit carries its own (lazily cached) flush
-  /// schedule, so repeated garblings reuse both.
+  /// the view carries its own (lazily cached) flush schedule, so
+  /// repeated garblings reuse both.
   std::shared_ptr<const Circuit> gc_scheduled() const;
 
  private:
+  // Held across each cache's compute, so the garbler and evaluator
+  // threads of one in-process run never both pay it.
+  mutable detail::CacheLock cache_lock_;
   mutable std::shared_ptr<const std::vector<uint32_t>> gc_flush_cache_;
   mutable size_t gc_flush_cache_gates_ = 0;
   mutable std::shared_ptr<const Circuit> gc_sched_cache_;
   mutable size_t gc_sched_cache_gates_ = 0;
 };
+
+static_assert(std::is_nothrow_move_constructible_v<Circuit>);
 
 /// Multi-cycle (sequential) execution of a folded circuit. The state is
 /// initialized to all zeros at cycle 0. Per-cycle inputs are concatenated

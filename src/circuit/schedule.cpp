@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 
 namespace deepsecure {
@@ -32,17 +31,28 @@ void interleave_by_lane(uint32_t* begin, uint32_t* end,
       if (round < g.size()) *out++ = g[round];
 }
 
-}  // namespace
+// The levelized gate order shared by schedule_circuit and walk_view.
+// The scratch arrays the passes leave behind are handed back for reuse
+// by the caller's gather: `wires` (num_wires entries) and `gates`
+// (one entry per gate).
+struct LevelOrder {
+  std::vector<uint32_t> gate_map;  // scheduled position -> original gate
+  std::vector<uint32_t> wires;
+  std::vector<uint32_t> gates;
+};
 
-ScheduleResult schedule_circuit(const Circuit& c) {
+LevelOrder levelize(const Circuit& c) {
   const size_t n = c.gates.size();
+  LevelOrder lo;
 
   // Pass 1: AND-depth levels. Inputs and constants sit at level 0; an
   // AND's output is one level past its deepest input, a free XOR's
   // output stays at its deepest input's level. Each gate's sort key
   // puts the level's XORs before its ANDs.
-  std::vector<uint32_t> wire_level(c.num_wires, 0);
-  std::vector<uint32_t> key(n);
+  std::vector<uint32_t>& wire_level = lo.wires;
+  std::vector<uint32_t>& key = lo.gates;
+  wire_level.assign(c.num_wires, 0);
+  key.resize(n);
   uint32_t max_level = 0;
   for (size_t i = 0; i < n; ++i) {
     const Gate& g = c.gates[i];
@@ -64,20 +74,28 @@ ScheduleResult schedule_circuit(const Circuit& c) {
   for (size_t i = 0; i < n; ++i) ++offset[key[i] + 1];
   for (size_t k = 1; k < offset.size(); ++k) offset[k] += offset[k - 1];
 
-  ScheduleResult r;
-  r.gate_map.resize(n);
+  lo.gate_map.resize(n);
   {
     std::vector<uint32_t> pos(offset.begin(), offset.end() - 1);
     for (size_t i = 0; i < n; ++i)
-      r.gate_map[pos[key[i]]++] = static_cast<uint32_t>(i);
+      lo.gate_map[pos[key[i]]++] = static_cast<uint32_t>(i);
   }
 
   // Pass 3: lane interleave within each level's AND run.
   if (!c.gate_lanes.empty())
     for (uint32_t lvl = 0; lvl <= max_level; ++lvl)
-      interleave_by_lane(r.gate_map.data() + offset[2 * lvl + 1],
-                         r.gate_map.data() + offset[2 * lvl + 2],
+      interleave_by_lane(lo.gate_map.data() + offset[2 * lvl + 1],
+                         lo.gate_map.data() + offset[2 * lvl + 2],
                          c.gate_lanes);
+  return lo;
+}
+
+}  // namespace
+
+ScheduleResult schedule_circuit(const Circuit& c) {
+  const size_t n = c.gates.size();
+  ScheduleResult r;
+  r.gate_map = levelize(c).gate_map;
 
   // Wires, inputs, outputs, and state bindings are unchanged; only the
   // gate list (and its lane tags) is gathered through the permutation.
@@ -98,20 +116,98 @@ ScheduleResult schedule_circuit(const Circuit& c) {
   return r;
 }
 
+Circuit walk_view(const Circuit& c) {
+  const size_t n = c.gates.size();
+  LevelOrder lo = levelize(c);
+
+  // Backward gather: walking the order from its end, the first time a
+  // wire is seen as an operand is its last read. `seen` is a bitmap
+  // (1 bit per wire, cache-resident); the constants, inputs, outputs
+  // and state_next wires start seen, so they are never freed.
+  constexpr uint32_t kLastA = 1, kLastB = 2, kDead = 4;
+  std::vector<uint64_t> seen((c.num_wires + 63) / 64, 0);
+  auto first_sight = [&seen](Wire w) {
+    uint64_t& word = seen[w >> 6];
+    const uint64_t bit = uint64_t{1} << (w & 63);
+    const bool first = (word & bit) == 0;
+    word |= bit;
+    return first;
+  };
+  for (Wire w : {kConst0, kConst1}) first_sight(w);
+  for (const auto* v : {&c.garbler_inputs, &c.evaluator_inputs,
+                        &c.state_inputs, &c.outputs, &c.state_next})
+    for (Wire w : *v) first_sight(w);
+
+  Circuit s;
+  s.name = c.name;
+  s.gates.resize(n);
+  std::vector<uint32_t>& flags = lo.gates;  // per scheduled position
+  // Both passes prefetch a few dozen gates ahead: the gather reads
+  // `c.gates` through the permutation, the renaming reads `slot` by
+  // wire id, and either misses cache on nearly every access otherwise.
+  constexpr size_t kAhead = 32;
+  for (size_t i = n; i-- > 0;) {
+    if (i >= kAhead) __builtin_prefetch(&c.gates[lo.gate_map[i - kAhead]]);
+    const Gate& g = c.gates[lo.gate_map[i]];
+    s.gates[i] = g;
+    // Walking backward, an output not seen yet has no reader at all.
+    uint32_t f = (seen[g.out >> 6] >> (g.out & 63)) & 1 ? 0 : kDead;
+    if (first_sight(g.a)) f |= kLastA;
+    if (first_sight(g.b)) f |= kLastB;  // a == b: marked once, as a
+    flags[i] = f;
+  }
+
+  // Forward renaming: the level array becomes the wire -> slot map.
+  std::vector<uint32_t>& slot = lo.wires;
+  Wire next = 2;
+  slot[kConst0] = kConst0;
+  slot[kConst1] = kConst1;
+  auto bind = [&](const std::vector<Wire>& from, std::vector<Wire>& to) {
+    to.resize(from.size());
+    for (size_t i = 0; i < from.size(); ++i) to[i] = slot[from[i]] = next++;
+  };
+  bind(c.garbler_inputs, s.garbler_inputs);
+  bind(c.evaluator_inputs, s.evaluator_inputs);
+  bind(c.state_inputs, s.state_inputs);
+
+  std::vector<Wire> free_slots;
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kAhead < n) {
+      __builtin_prefetch(&slot[s.gates[i + kAhead].a]);
+      __builtin_prefetch(&slot[s.gates[i + kAhead].b]);
+    }
+    Gate& g = s.gates[i];
+    const uint32_t f = flags[i];
+    g.a = slot[g.a];
+    g.b = slot[g.b];
+    if (f & kLastA) free_slots.push_back(g.a);
+    if (f & kLastB) free_slots.push_back(g.b);
+    Wire out;
+    if (free_slots.empty()) {
+      out = next++;
+    } else {
+      out = free_slots.back();
+      free_slots.pop_back();
+    }
+    if ((f & kDead) && g.op == GateOp::kXor) free_slots.push_back(out);
+    slot[g.out] = out;
+    g.out = out;
+  }
+
+  auto rename = [&](const std::vector<Wire>& from, std::vector<Wire>& to) {
+    to.resize(from.size());
+    for (size_t i = 0; i < from.size(); ++i) to[i] = slot[from[i]];
+  };
+  rename(c.outputs, s.outputs);
+  rename(c.state_next, s.state_next);
+  s.num_wires = next;
+  return s;
+}
+
 std::shared_ptr<const Circuit> Circuit::gc_scheduled() const {
-  // Unlike gc_flush_points() (cheap scan, lock never held across it),
-  // the scheduling pass is expensive enough that two concurrent first
-  // callers on the SAME circuit — garbler and evaluator threads of an
-  // in-process two-party run — should not both pay it. The mutex is
-  // held across the compute but sharded by object identity, so
-  // unrelated circuits scheduling concurrently almost never contend.
-  static std::mutex mu[16];
-  std::mutex& m =
-      mu[(reinterpret_cast<std::uintptr_t>(this) >> 6) & 15];
-  std::lock_guard<std::mutex> lock(m);
+  std::lock_guard<std::mutex> lock(cache_lock_.mu);
   if (!gc_sched_cache_ || gc_sched_cache_gates_ != gates.size()) {
-    gc_sched_cache_ =
-        std::make_shared<const Circuit>(schedule_circuit(*this).circuit);
+    gc_sched_cache_ = std::make_shared<const Circuit>(walk_view(*this));
     gc_sched_cache_gates_ = gates.size();
   }
   return gc_sched_cache_;

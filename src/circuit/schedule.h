@@ -22,17 +22,41 @@
 // The result is one dependency flush per AND level (the netlist's
 // multiplicative depth) instead of one per construction-order hazard.
 //
+// Two products share the levelized order:
+//
+//   * schedule_circuit() returns it in SSA form (every wire written
+//     exactly once): wire ids are untouched — only the gate list and
+//     its lane tags are permuted — so inputs, outputs, state bindings
+//     and the plaintext oracle (Circuit::eval) are unchanged, and
+//     validate() holds. The reference the tests compare against.
+//   * walk_view() (cached as Circuit::gc_scheduled, what both GC
+//     endpoints walk) renumbers the same order's wires into label
+//     slots: a slot goes to a new gate output as soon as its previous
+//     occupant's last reader has run. Garbling allocates one label per
+//     slot instead of one per wire. The view carries no lane tags.
+//
+// Slot rule. Reads happen at a gate's position in the walk; an AND's
+// output lands later, at its window's flush.
+//   * a slot is freed right after its occupant's last reader;
+//   * an XOR output nobody reads goes straight back to the free list;
+//   * an AND output nobody reads keeps a slot of its own (its late
+//     write must not land on a slot someone else holds by then, and
+//     sharded flushes would race on a shared one);
+//   * constants, inputs, outputs and state_next wires are never freed.
+// A pending AND's output is only read after a dependency flush, so no
+// two pending ANDs share an output slot and the view's flush points
+// equal the SSA order's.
+//
 // Invariants:
-//   * wire ids are untouched — only the gate list is permuted — so
-//     inputs, outputs, state bindings, and the plaintext oracle
-//     (Circuit::eval) are unchanged, and label vectors indexed by wire
-//     id work on either order.
 //   * the schedule is a pure, deterministic function of the gate list
 //     (plus optional lane tags), so two endpoints that compiled the
-//     same netlist compute the same order. The protocol's table stream
-//     and tweak sequence follow gate order, so both parties MUST walk
-//     the same schedule — the chain fingerprint is computed over the
-//     scheduled netlist and cross-checked in the runtime handshake.
+//     same netlist compute the same order and slots. The protocol's
+//     table stream and tweak sequence follow gate order, so both
+//     parties MUST walk the same view — the chain fingerprint is
+//     computed over it and cross-checked in the runtime handshake.
+//   * the table stream, tweaks, flush points and decoded outputs of
+//     the walked view are byte-identical to walking schedule_circuit's
+//     SSA order; slots change only which label memory holds a value.
 //   * scheduling happens behind GcOptions::schedule (default on); the
 //     unscheduled construction order is retained as the correctness
 //     oracle (DEEPSECURE_NO_SCHEDULE=1 forces it process-wide).
@@ -54,6 +78,13 @@ struct ScheduleResult {
 
 /// Reschedule `c` (see file header). O(gates + wires) time and memory.
 ScheduleResult schedule_circuit(const Circuit& c);
+
+/// The walked view of `c`: schedule_circuit's gate order with wires
+/// renumbered into label slots under the slot rule (see file header);
+/// `num_wires` is the slot count. No lane tags. validate() does not
+/// hold (slots are rewritten), but eval() and garbling do. O(gates +
+/// wires) time and memory.
+Circuit walk_view(const Circuit& c);
 
 /// Batch-window shape of a gate order: simulates the batched walk
 /// (dependency flush points + a `capacity` cap, kGcMaxBatchWindow in

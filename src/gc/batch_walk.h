@@ -3,12 +3,12 @@
 // and capacity policy must stay in lock-step between them — this template
 // is the single place that logic lives.
 //
-// Under GcOptions::schedule both endpoints pass the circuit's
-// width-scheduled view (Circuit::gc_scheduled) here instead of the
-// construction order; the walked circuit defines the table/tweak
-// order, so the caller must hand both parties the identical view — the
-// runtime handshake's fingerprint over the scheduled netlist enforces
-// that across machines.
+// Under GcOptions::schedule both endpoints pass the circuit's walked
+// view (Circuit::gc_scheduled: width-scheduled order, wires renumbered
+// into reusable label slots) here instead of the construction order;
+// the walked circuit defines the table/tweak order, so the caller must
+// hand both parties the identical view — the runtime handshake's
+// fingerprint over the walked view enforces that across machines.
 #pragma once
 
 #include <cstdlib>

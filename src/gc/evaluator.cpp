@@ -18,21 +18,22 @@ Labels Evaluator::evaluate(const Circuit& c, const Labels& garbler_labels,
       state_labels.size() != c.state_inputs.size())
     throw std::invalid_argument("evaluate: input label count mismatch");
 
-  Labels w(c.num_wires);
+  // Walk the same view the garbler walked (see garbler.cpp); tables
+  // and tweaks are consumed in that shared order, and labels live in
+  // its slots.
+  std::shared_ptr<const Circuit> sched;
+  const Circuit& walk = opt_.schedule ? *(sched = c.gc_scheduled()) : c;
+
+  Labels w(walk.num_wires);
   w[kConst0] = ch_.recv_block();
   w[kConst1] = ch_.recv_block();
 
   for (size_t i = 0; i < garbler_labels.size(); ++i)
-    w[c.garbler_inputs[i]] = garbler_labels[i];
+    w[walk.garbler_inputs[i]] = garbler_labels[i];
   for (size_t i = 0; i < evaluator_labels.size(); ++i)
-    w[c.evaluator_inputs[i]] = evaluator_labels[i];
+    w[walk.evaluator_inputs[i]] = evaluator_labels[i];
   for (size_t i = 0; i < state_labels.size(); ++i)
-    w[c.state_inputs[i]] = state_labels[i];
-
-  // Walk the same scheduled order the garbler walked (see garbler.cpp);
-  // tables and tweaks are consumed in that shared order.
-  std::shared_ptr<const Circuit> sched;
-  const Circuit& walk = opt_.schedule ? *(sched = c.gc_scheduled()) : c;
+    w[walk.state_inputs[i]] = state_labels[i];
 
   // Framed mode self-describes (length-prefixed window frames), so the
   // reader needs no total; monolithic mode must know the stream length.
@@ -44,12 +45,13 @@ Labels Evaluator::evaluate(const Circuit& c, const Labels& garbler_labels,
     evaluate_gates_batched(walk, w, tables);
 
   if (state_next != nullptr) {
-    state_next->resize(c.state_next.size());
-    for (size_t i = 0; i < c.state_next.size(); ++i)
-      (*state_next)[i] = w[c.state_next[i]];
+    state_next->resize(walk.state_next.size());
+    for (size_t i = 0; i < walk.state_next.size(); ++i)
+      (*state_next)[i] = w[walk.state_next[i]];
   }
-  Labels out(c.outputs.size());
-  for (size_t i = 0; i < c.outputs.size(); ++i) out[i] = w[c.outputs[i]];
+  Labels out(walk.outputs.size());
+  for (size_t i = 0; i < walk.outputs.size(); ++i)
+    out[i] = w[walk.outputs[i]];
   return out;
 }
 

@@ -48,11 +48,13 @@ bool gc_schedule_default();
 struct GcOptions {
   GcPipeline pipeline = GcPipeline::kBatched;
   /// Walk the width-scheduled gate order (circuit/schedule.h, cached on
-  /// the Circuit) instead of construction order. Reorders the garbled
-  /// tables and tweak sequence identically on both sides, so the peer
-  /// must agree; the runtime handshake's chain fingerprint covers the
-  /// scheduled netlist, catching any mismatch at session setup. Off =
-  /// the retained construction-order correctness oracle.
+  /// the Circuit, wires renumbered into label slots so a garbling
+  /// allocates slots x 16 B of labels) instead of construction order.
+  /// Reorders the garbled tables and tweak sequence identically on both
+  /// sides, so the peer must agree; the runtime handshake's chain
+  /// fingerprint covers the walked view, catching any mismatch at
+  /// session setup. Off = the retained construction-order correctness
+  /// oracle.
   bool schedule = gc_schedule_default();
   /// Length-prefixed table frames aligned to batch windows (see
   /// block_io.h) — the streaming runtime's wire format. The framed

@@ -43,7 +43,14 @@ Labels Garbler::garble(const Circuit& c, const Labels& garbler_zeros,
       state_zeros.size() != c.state_inputs.size())
     throw std::invalid_argument("garble: input label count mismatch");
 
-  Labels w(c.num_wires);
+  // The walked view (scheduled order, wires renumbered into label
+  // slots) or the construction order; inputs, outputs and state bind
+  // through whichever is walked. Both pipelines honor it so scalar
+  // stays byte-identical to batched under the same options.
+  std::shared_ptr<const Circuit> sched;
+  const Circuit& walk = opt_.schedule ? *(sched = c.gc_scheduled()) : c;
+
+  Labels w(walk.num_wires);
   // Constants: fresh labels each garbling; the evaluator receives the
   // *active* labels (value 0 for kConst0, value 1 for kConst1). Delta
   // never leaves this side.
@@ -53,18 +60,11 @@ Labels Garbler::garble(const Circuit& c, const Labels& garbler_zeros,
   ch_.send_block(w[kConst1] ^ delta_);
 
   for (size_t i = 0; i < garbler_zeros.size(); ++i)
-    w[c.garbler_inputs[i]] = garbler_zeros[i];
+    w[walk.garbler_inputs[i]] = garbler_zeros[i];
   for (size_t i = 0; i < evaluator_zeros.size(); ++i)
-    w[c.evaluator_inputs[i]] = evaluator_zeros[i];
+    w[walk.evaluator_inputs[i]] = evaluator_zeros[i];
   for (size_t i = 0; i < state_zeros.size(); ++i)
-    w[c.state_inputs[i]] = state_zeros[i];
-
-  // The scheduled view permutes only the gate list — wire ids, inputs
-  // and outputs are untouched — so `w` and the epilogue below work on
-  // either order. Both pipelines honor it so scalar stays byte-identical
-  // to batched under the same options.
-  std::shared_ptr<const Circuit> sched;
-  const Circuit& walk = opt_.schedule ? *(sched = c.gc_scheduled()) : c;
+    w[walk.state_inputs[i]] = state_zeros[i];
 
   BlockWriter tables(ch_, 1 << 15, opt_.framed_tables);
   if (opt_.pipeline == GcPipeline::kScalar)
@@ -74,12 +74,13 @@ Labels Garbler::garble(const Circuit& c, const Labels& garbler_zeros,
   tables.flush();
 
   if (state_next != nullptr) {
-    state_next->resize(c.state_next.size());
-    for (size_t i = 0; i < c.state_next.size(); ++i)
-      (*state_next)[i] = w[c.state_next[i]];
+    state_next->resize(walk.state_next.size());
+    for (size_t i = 0; i < walk.state_next.size(); ++i)
+      (*state_next)[i] = w[walk.state_next[i]];
   }
-  Labels out(c.outputs.size());
-  for (size_t i = 0; i < c.outputs.size(); ++i) out[i] = w[c.outputs[i]];
+  Labels out(walk.outputs.size());
+  for (size_t i = 0; i < walk.outputs.size(); ++i)
+    out[i] = w[walk.outputs[i]];
   return out;
 }
 

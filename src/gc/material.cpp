@@ -57,16 +57,11 @@ class ByteSource final : public Channel {
 uint64_t chain_fingerprint(const std::vector<Circuit>& chain,
                            bool scheduled) {
   uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](uint64_t v) {
-    // FNV-1a, one byte at a time over the u64.
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001b3ull;
-    }
-  };
+  // One murmur3 finalizer step per word (a gate packs into one word).
+  auto mix = [&h](uint64_t v) { h = fmix64(h ^ v); };
   mix(chain.size());
   for (const Circuit& link : chain) {
-    // Hash the gate order the endpoints will walk: the scheduled view
+    // Hash the view the endpoints will walk: the slotted scheduled view
     // when the scheduling pass is on (its cache is shared with the
     // garbler/evaluator, so this triggers no extra scheduling work).
     std::shared_ptr<const Circuit> sched;
@@ -89,6 +84,13 @@ uint64_t chain_fingerprint(const std::vector<Circuit>& chain) {
   return chain_fingerprint(chain, /*scheduled=*/false);
 }
 
+uint64_t material_stream_bytes(const std::vector<Circuit>& chain) {
+  uint64_t bytes = 0;
+  for (const Circuit& c : chain)
+    bytes += 2 * sizeof(Block) + c.stats().table_bytes();
+  return bytes;
+}
+
 GarbledMaterial garble_offline(const std::vector<Circuit>& chain, Block seed,
                                const GcOptions& opt) {
   if (chain.empty())
@@ -100,6 +102,9 @@ GarbledMaterial garble_offline(const std::vector<Circuit>& chain, Block seed,
   local.table_pool = nullptr;
 
   ByteSink sink;
+  // Exact size up front: doubling growth would copy ~1.2x the artifact
+  // and briefly hold 1.5x it.
+  sink.bytes.reserve(material_stream_bytes(chain));
   Garbler garbler(sink, seed, local);
 
   GarbledMaterial mat;

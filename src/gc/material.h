@@ -26,8 +26,8 @@
 
 namespace deepsecure {
 
-/// FNV-1a over the full gate list and interface of every circuit in the
-/// chain: two endpoints that compiled different netlists (or different
+/// A hash (one murmur3 fmix64 step per word) over the full gate list
+/// and interface of every circuit in the chain: two endpoints that compiled different netlists (or different
 /// layer orders) disagree with overwhelming probability. Stamped into
 /// every offline artifact and cross-checked by the runtime handshake
 /// (runtime::chain_fingerprint is an alias of this).
@@ -40,6 +40,12 @@ namespace deepsecure {
 /// this chain) agree either way.
 uint64_t chain_fingerprint(const std::vector<Circuit>& chain, bool scheduled);
 uint64_t chain_fingerprint(const std::vector<Circuit>& chain);
+
+/// Bytes of the recorded constant-label + garbled-table stream of one
+/// inference over `chain`: per circuit, the 2 constant labels plus 2
+/// table rows (32 B) per AND gate. The exact size of
+/// GarbledMaterial::tables.
+uint64_t material_stream_bytes(const std::vector<Circuit>& chain);
 
 /// Garbler-side offline artifact for one inference over a circuit
 /// chain. `tables` is the monolithic constant-label + garbled-table

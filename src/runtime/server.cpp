@@ -42,11 +42,9 @@ InferenceServer::InferenceServer(const synth::ModelSpec& spec, BitVec weights,
       // hello ack, so clients never configure it and it cannot collide
       // with a pinned primary port.
       lane_listener_(0, cfg.backlog) {
+  expected_table_bytes_ = material_stream_bytes(chain_);
   size_t want = 0;
-  for (const Circuit& c : chain_) {
-    want += c.evaluator_inputs.size();
-    expected_table_bytes_ += 2 * sizeof(Block) + c.stats().table_bytes();
-  }
+  for (const Circuit& c : chain_) want += c.evaluator_inputs.size();
   if (weights_.size() != want)
     throw std::invalid_argument("InferenceServer: weight bit count mismatch");
 }

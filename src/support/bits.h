@@ -44,6 +44,17 @@ inline uint64_t mask_bits(uint64_t v, size_t n) {
 
 inline size_t ceil_div(size_t a, size_t b) { return (a + b - 1) / b; }
 
+/// murmur3's 64-bit finalizer: a bijection on 64-bit words in which
+/// every input bit reaches every output bit.
+inline uint64_t fmix64(uint64_t k) {
+  k ^= k >> 33;
+  k *= 0xff51afd7ed558ccdull;
+  k ^= k >> 33;
+  k *= 0xc4ceb9fe1a85ec53ull;
+  k ^= k >> 33;
+  return k;
+}
+
 /// ceil(log2(n)) for n >= 1.
 inline size_t clog2(size_t n) {
   size_t bits = 0;

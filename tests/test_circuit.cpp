@@ -219,9 +219,9 @@ TEST(Builder, CseTableMatchesReferenceMapGateByGate) {
 }
 
 // Pinned handshake fingerprints of two compiled chains, in both gate
-// orders. Any change to the builder, the block generators or the
-// scheduling pass that alters a single gate moves them, and with them
-// every table stream and wire byte.
+// orders. Any change to the builder, the block generators, the
+// scheduling pass or its slot numbering that alters a single gate
+// moves them, and with them every table stream and wire byte.
 synth::ModelSpec mlp_8_6_3() {
   synth::ModelSpec spec;
   spec.name = "mlp";
@@ -233,21 +233,37 @@ synth::ModelSpec mlp_8_6_3() {
   return spec;
 }
 
+// The paper's pre-processed Benchmark 3, compiled once for the tests
+// below (a few seconds).
+const std::vector<Circuit>& b3pp_chain() {
+  static const std::vector<Circuit> chain =
+      synth::compile_model_layers(core::paper_zoo()[2].compact);
+  return chain;
+}
+
 TEST(Builder, PinnedChainFingerprintMlp) {
   const auto chain = synth::compile_model_layers(mlp_8_6_3());
   EXPECT_EQ(chain_fingerprint(chain, /*scheduled=*/true),
-            0x6c1ff832caf12f01ull);
+            0x710f82ed251e2a9dull);
   EXPECT_EQ(chain_fingerprint(chain, /*scheduled=*/false),
-            0xf57f588691c01099ull);
+            0x8d42ccd46a58fd20ull);
 }
 
 TEST(Builder, PinnedChainFingerprintB3pp) {
-  const auto chain =
-      synth::compile_model_layers(core::paper_zoo()[2].compact);
-  EXPECT_EQ(chain_fingerprint(chain, /*scheduled=*/true),
-            0xcca70b9c78424a02ull);
-  EXPECT_EQ(chain_fingerprint(chain, /*scheduled=*/false),
-            0xfaf2a4c539a2b85eull);
+  EXPECT_EQ(chain_fingerprint(b3pp_chain(), /*scheduled=*/true),
+            0x0bdca78827a99d99ull);
+  EXPECT_EQ(chain_fingerprint(b3pp_chain(), /*scheduled=*/false),
+            0xb5f4f6175f28c296ull);
+}
+
+// Label slots: the walked view of b3_pp's first FC layer (9.35 M
+// wires) needs at most 1.5 M label slots.
+TEST(Circuit, WalkedViewOfB3ppLayer0UsesFewSlots) {
+  const Circuit& l0 = b3pp_chain().front();
+  const auto walked = l0.gc_scheduled();
+  EXPECT_GT(l0.num_wires, 9000000u);
+  EXPECT_LE(walked->num_wires, 1500000u);
+  EXPECT_EQ(walked->gates.size(), l0.gates.size());
 }
 
 TEST(Circuit, StatsCountGateClasses) {

@@ -385,6 +385,17 @@ TEST(Material, TablesByteIdenticalToOnDemandStream) {
   EXPECT_EQ(mat.fingerprint, chain_fingerprint({c}, GcOptions{}.schedule));
 }
 
+// The artifact is exactly material_stream_bytes long, and garble_offline
+// reserved exactly that (no doubling slack left behind).
+TEST(Material, TablesSizeIsMaterialStreamBytes) {
+  std::vector<Circuit> chain;
+  for (int l = 0; l < 3; ++l)
+    chain.push_back(bench_circuits::wide_chain_layer(384 + 128 * l));
+  const GarbledMaterial mat = garble_offline(chain, Block{3, 4});
+  EXPECT_EQ(mat.tables.size(), material_stream_bytes(chain));
+  EXPECT_EQ(mat.tables.capacity(), mat.tables.size());
+}
+
 TEST(Material, EvaluateMaterialMatchesPlaintextChain) {
   // Local offline/online round trip with hand-resolved labels (no OT):
   // pick active labels from the artifact's zero labels + delta exactly

@@ -5,7 +5,9 @@
 // matvec/layer circuits — the PR's acceptance bar), and the GC protocol
 // over scheduled circuits must agree with plaintext and with the
 // unscheduled oracle path, with both parties fingerprinting the same
-// scheduled netlist.
+// scheduled netlist. The walked view's label slots (walk_view) must
+// leave every stream byte, flush point and decoded output as walking
+// the SSA order would, and never overwrite a value a reader still needs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -373,6 +375,279 @@ TEST(Schedule, ScheduledViewIsCachedAndInvalidated) {
   EXPECT_EQ(copied->gates.size(), first->gates.size());
   for (size_t i = 0; i < first->gates.size(); ++i) {
     EXPECT_EQ(copied->gates[i].out, first->gates[i].out);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Label slots (walk_view): the slotted walk against the SSA order.
+
+// Raw netlist built gate by gate, without the Builder's folding and
+// CSE, so it holds what the slot rule must handle: operands that
+// coincide (a == b), gate outputs nobody reads (dead ANDs and XORs),
+// outputs that are inputs or constants, lane tags, and a state
+// register fed back through state_next.
+Circuit raw_dag(Rng& rng, int n_gates) {
+  Circuit c;
+  c.name = "raw_dag";
+  std::vector<Wire> pool = {kConst0, kConst1};
+  auto inputs = [&](std::vector<Wire>& v, int n) {
+    for (int i = 0; i < n; ++i) {
+      v.push_back(c.num_wires++);
+      pool.push_back(v.back());
+    }
+  };
+  inputs(c.garbler_inputs, 6);
+  inputs(c.evaluator_inputs, 6);
+  inputs(c.state_inputs, 4);
+  // Mostly recent wires (deep, hazard-heavy chains), sometimes any.
+  auto pick = [&]() {
+    const size_t back = std::min<size_t>(pool.size(), 12);
+    return rng.next_below(4) == 0
+               ? pool[rng.next_below(pool.size())]
+               : pool[pool.size() - 1 - rng.next_below(back)];
+  };
+  std::vector<Wire> outs;
+  for (int g = 0; g < n_gates; ++g) {
+    Gate gate;
+    gate.a = pick();
+    gate.b = rng.next_below(8) == 0 ? gate.a : pick();
+    gate.op = rng.next_bool() ? GateOp::kAnd : GateOp::kXor;
+    gate.out = c.num_wires++;
+    c.gates.push_back(gate);
+    c.gate_lanes.push_back(static_cast<uint32_t>(rng.next_below(4)));
+    outs.push_back(gate.out);
+    // One gate in five is never read by a later gate.
+    if (rng.next_below(5) != 0) pool.push_back(gate.out);
+  }
+  c.outputs = {outs.back(), outs[outs.size() / 2], c.garbler_inputs[2],
+               kConst1, kConst0, outs.back()};
+  c.state_next = {outs[outs.size() - 2], c.state_inputs[1],
+                  outs[outs.size() / 3], c.evaluator_inputs[0]};
+  c.validate();
+  return c;
+}
+
+BitVec random_bits(Rng& rng, size_t n) {
+  BitVec v(n);
+  for (auto& b : v) b = rng.next_bool();
+  return v;
+}
+
+struct GarbleRecord {
+  std::vector<uint8_t> stream;
+  Labels outputs;
+  Labels state_next;
+};
+
+GarbleRecord garble_with_state(const Circuit& c, const GcOptions& opt) {
+  RecordChannel ch;
+  Garbler g(ch, Block{11, 13}, opt);
+  const Labels gz = g.fresh_zeros(c.garbler_inputs.size());
+  const Labels ez = g.fresh_zeros(c.evaluator_inputs.size());
+  const Labels sz = g.fresh_zeros(c.state_inputs.size());
+  GarbleRecord r;
+  r.outputs = g.garble(c, gz, ez, sz, &r.state_next);
+  r.stream = std::move(ch.bytes);
+  return r;
+}
+
+std::vector<Circuit> slot_circuits() {
+  Rng rng(1414);
+  std::vector<Circuit> cs;
+  for (int t = 0; t < 12; ++t)
+    cs.push_back(raw_dag(rng, 200 + static_cast<int>(rng.next_below(400))));
+  cs.push_back(random_dag(rng, 500, /*with_lanes=*/true));
+  cs.push_back(synth::make_matvec_circuit(6, 4, kDefaultFormat));
+  return cs;
+}
+
+// The raw DAGs really exercise the rule's special cases.
+TEST(WalkView, RawDagsCoverDeadOutputsAndAliasedOperands) {
+  size_t dead_and = 0, dead_xor = 0, same_operands = 0;
+  for (const Circuit& c : slot_circuits()) {
+    std::vector<uint8_t> read(c.num_wires, 0);
+    for (const Gate& g : c.gates) read[g.a] = read[g.b] = 1;
+    for (Wire w : c.outputs) read[w] = 1;
+    for (Wire w : c.state_next) read[w] = 1;
+    for (const Gate& g : c.gates) {
+      if (!read[g.out]) ++(g.op == GateOp::kAnd ? dead_and : dead_xor);
+      if (g.a == g.b) ++same_operands;
+    }
+  }
+  EXPECT_GT(dead_and, 50u);
+  EXPECT_GT(dead_xor, 50u);
+  EXPECT_GT(same_operands, 50u);
+}
+
+// Garbling the slotted view gives the stream bytes, output labels and
+// state labels of garbling the SSA order: scalar, batched, and batched
+// with a sharding pool.
+TEST(WalkView, GarbleByteIdenticalToSsaOrder) {
+  ThreadPool pool(3);
+  for (const Circuit& c : slot_circuits()) {
+    const Circuit ssa = schedule_circuit(c).circuit;
+    for (int mode = 0; mode < 3; ++mode) {
+      GcOptions walked, oracle;
+      walked.pipeline = oracle.pipeline =
+          mode == 0 ? GcPipeline::kScalar : GcPipeline::kBatched;
+      if (mode == 2) {
+        walked.pool = oracle.pool = &pool;
+        walked.min_shard_gates = oracle.min_shard_gates = 2;
+      }
+      walked.schedule = true;
+      oracle.schedule = false;
+      const GarbleRecord a = garble_with_state(c, walked);
+      const GarbleRecord b = garble_with_state(ssa, oracle);
+      EXPECT_EQ(a.stream, b.stream) << c.name << " mode " << mode;
+      EXPECT_EQ(a.outputs, b.outputs) << c.name << " mode " << mode;
+      EXPECT_EQ(a.state_next, b.state_next) << c.name << " mode " << mode;
+    }
+  }
+}
+
+// Two-party evaluation over the slotted view decodes outputs and the
+// next state to Circuit::eval, single-threaded and with a sharding
+// pool on both sides.
+TEST(WalkView, TwoPartyDecodesToPlaintext) {
+  ThreadPool gpool(3), epool(3);
+  Rng rng(2718);
+  for (const Circuit& c : slot_circuits()) {
+    const BitVec g_bits = random_bits(rng, c.garbler_inputs.size());
+    const BitVec e_bits = random_bits(rng, c.evaluator_inputs.size());
+    BitVec state = random_bits(rng, c.state_inputs.size());
+    const BitVec s_bits = state;
+    const BitVec expect = c.eval(g_bits, e_bits, &state);
+
+    for (const bool pooled : {false, true}) {
+      GcOptions gopt, eopt;
+      if (pooled) {
+        gopt.pool = &gpool;
+        eopt.pool = &epool;
+        gopt.min_shard_gates = eopt.min_shard_gates = 2;
+      }
+      BitVec decoded, decoded_state;
+      run_two_party(
+          [&](Channel& ch) {
+            Garbler g(ch, Block{8, 9}, gopt);
+            const Labels gz = g.fresh_zeros(g_bits.size());
+            const Labels ez = g.fresh_zeros(e_bits.size());
+            const Labels sz = g.fresh_zeros(s_bits.size());
+            g.send_active(g_bits, gz);
+            g.send_active(e_bits, ez);  // stands in for OT here
+            g.send_active(s_bits, sz);
+            Labels next_zeros;
+            const Labels out = g.garble(c, gz, ez, sz, &next_zeros);
+            decoded = g.decode_outputs(out);
+            decoded_state = g.decode_outputs(next_zeros);
+          },
+          [&](Channel& ch) {
+            Evaluator e(ch, eopt);
+            const Labels gl = e.recv_active(g_bits.size());
+            const Labels el = e.recv_active(e_bits.size());
+            const Labels sl = e.recv_active(s_bits.size());
+            Labels next;
+            e.send_outputs(e.evaluate(c, gl, el, sl, &next));
+            e.send_outputs(next);
+          });
+      EXPECT_EQ(decoded, expect) << c.name << " pooled=" << pooled;
+      EXPECT_EQ(decoded_state, state) << c.name << " pooled=" << pooled;
+    }
+  }
+}
+
+// The view's flush points equal the SSA order's, its plaintext eval
+// matches, and it never needs more slots than wires.
+TEST(WalkView, FlushPointsAndPlaintextMatchSsaOrder) {
+  Rng rng(31337);
+  for (const Circuit& c : slot_circuits()) {
+    const auto walked = c.gc_scheduled();
+    const Circuit ssa = schedule_circuit(c).circuit;
+    EXPECT_EQ(*walked->gc_flush_points(), *ssa.gc_flush_points()) << c.name;
+    EXPECT_TRUE(walked->gate_lanes.empty());
+    EXPECT_LE(walked->num_wires, c.num_wires);
+    for (int round = 0; round < 4; ++round) {
+      const BitVec g_bits = random_bits(rng, c.garbler_inputs.size());
+      const BitVec e_bits = random_bits(rng, c.evaluator_inputs.size());
+      BitVec s1 = random_bits(rng, c.state_inputs.size());
+      BitVec s2 = s1;
+      ASSERT_EQ(walked->eval(g_bits, e_bits, &s1), c.eval(g_bits, e_bits, &s2))
+          << c.name;
+      EXPECT_EQ(s1, s2) << c.name;
+    }
+  }
+}
+
+// Liveness simulator over the batched walk of the view. Each slot
+// tracks which SSA wire it holds; a read must find the wire it expects,
+// a write (an XOR at its position, an AND at its window's flush) must
+// not displace a wire that still has a reader to come, and no window
+// holds two ANDs with the same output slot.
+TEST(WalkView, SlotsNeverClobberLiveWires) {
+  constexpr Wire kNone = ~Wire{0};
+  for (const Circuit& c : slot_circuits()) {
+    const Circuit ssa = schedule_circuit(c).circuit;
+    const auto view = c.gc_scheduled();
+    ASSERT_EQ(view->gates.size(), ssa.gates.size());
+
+    // Reads to come per SSA wire; pinned wires are never done.
+    std::vector<uint64_t> remaining(ssa.num_wires, 0);
+    for (const Gate& g : ssa.gates) {
+      ++remaining[g.a];
+      ++remaining[g.b];
+    }
+    for (const auto* v : {&ssa.outputs, &ssa.state_next})
+      for (Wire w : *v) remaining[w] += 1u << 30;
+
+    std::vector<Wire> holds(view->num_wires, kNone);
+    holds[kConst0] = kConst0;
+    holds[kConst1] = kConst1;
+    auto bind = [&](const std::vector<Wire>& slots,
+                    const std::vector<Wire>& wires) {
+      ASSERT_EQ(slots.size(), wires.size());
+      for (size_t i = 0; i < slots.size(); ++i) holds[slots[i]] = wires[i];
+    };
+    bind(view->garbler_inputs, ssa.garbler_inputs);
+    bind(view->evaluator_inputs, ssa.evaluator_inputs);
+    bind(view->state_inputs, ssa.state_inputs);
+
+    size_t clobbers = 0, bad_reads = 0, shared_outs = 0;
+    auto read = [&](size_t i) {
+      const Gate& v = view->gates[i];
+      const Gate& g = ssa.gates[i];
+      if (holds[v.a] != g.a || holds[v.b] != g.b) ++bad_reads;
+      --remaining[g.a];
+      --remaining[g.b];
+    };
+    auto write = [&](Wire slot, Wire wire) {
+      if (holds[slot] != kNone && remaining[holds[slot]] > 0) ++clobbers;
+      holds[slot] = wire;
+    };
+    std::vector<size_t> pending;
+    gc_batched_walk(
+        *view,
+        [&](const Gate& v) {
+          const size_t i = static_cast<size_t>(&v - view->gates.data());
+          read(i);
+          write(v.out, ssa.gates[i].out);
+        },
+        [&](const Gate& v) {
+          const size_t i = static_cast<size_t>(&v - view->gates.data());
+          read(i);
+          for (size_t j : pending)
+            if (view->gates[j].out == v.out) ++shared_outs;
+          pending.push_back(i);
+        },
+        [&](bool) {
+          for (size_t j : pending) write(view->gates[j].out, ssa.gates[j].out);
+          pending.clear();
+        });
+    EXPECT_EQ(bad_reads, 0u) << c.name;
+    EXPECT_EQ(clobbers, 0u) << c.name;
+    EXPECT_EQ(shared_outs, 0u) << c.name;
+    for (size_t i = 0; i < ssa.outputs.size(); ++i)
+      EXPECT_EQ(holds[view->outputs[i]], ssa.outputs[i]) << c.name;
+    for (size_t i = 0; i < ssa.state_next.size(); ++i)
+      EXPECT_EQ(holds[view->state_next[i]], ssa.state_next[i]) << c.name;
   }
 }
 
