@@ -5,7 +5,7 @@
 //   ./loadgen_inference [--sessions N] [--requests M] [--threads T]
 //                       [--eval-threads E] [--layers L] [--gates G]
 //                       [--out FILE] [--precomputed]
-//                       [--strict-precomputed] [--no-schedule]
+//                       [--strict-precomputed]
 //                       [--shard-threads S] [--async-prefetch]
 //                       [--scaling] [--trace FILE] [--io epoll|uring]
 //                       [--chaos SEED:RATE]
@@ -35,14 +35,11 @@
 //      the run when warm-pool p50 is not below the on-demand p50
 //      (local acceptance gate — CI runs non-strict because shared
 //      runners make timing flaky).
-//   4b. data_plane: the on-demand load again with the zero-copy table
-//      path disabled (copy fallback), so every BENCH file records
-//      bytes_copied_per_table_byte for both data planes side by side —
-//      the pooled-slab path must copy at least 2x less per shipped
-//      table byte. --io uring additionally routes sends through the
-//      io_uring submission path where the kernel supports it (the
-//      effective backend is recorded; unsupported hosts fall back to
-//      sendmsg and the JSON says so).
+//   4b. data_plane: the on-demand load's send path and copy counters
+//      (bytes_copied_per_table_byte is 0 on the zero-copy table plane).
+//      --io uring routes sends through the io_uring submission path
+//      where the kernel supports it (the effective backend is recorded;
+//      unsupported hosts fall back to sendmsg and the JSON says so).
 //   5. with --scaling, a concurrency sweep (16/64/256/1024 sessions,
 //      one request each): sessions/sec and p95 as concurrency grows,
 //      with the serving thread count per point (the reactor's fixed
@@ -104,9 +101,6 @@ struct Args {
   bool precomputed = false;
   // Fail (exit 1) when warm-pool p50 >= on-demand p50.
   bool strict_precomputed = false;
-  // Width-scheduled gate order on both endpoints (--no-schedule turns
-  // it off so BENCH JSON can capture scheduled vs unscheduled runs).
-  bool schedule = gc_schedule_default();
   // Window-shard threads inside each offline garbling (MaterialPool
   // producers and the offline probe). 0 = single-threaded artifacts
   // (the probe still reports a 4-way sharded reference).
@@ -153,7 +147,6 @@ Args parse_args(int argc, char** argv) {
       a.precomputed = true;
       a.strict_precomputed = true;
     }
-    else if (k == "--no-schedule") a.schedule = false;
     else if (k == "--shard-threads") a.shard_threads = std::stoul(next());
     else if (k == "--async-prefetch") a.async_prefetch = true;
     else if (k == "--scaling") a.scaling = true;
@@ -215,7 +208,6 @@ OverlapResult measure_overlap(const Args& args) {
   runtime::StreamConfig cfg;
   cfg.garble_threads = args.threads;
   cfg.eval_threads = args.eval_threads;
-  cfg.schedule = args.schedule;
 
   TcpListener listener(0);
   SessionTrace g_trace, e_trace;
@@ -298,8 +290,7 @@ OfflineResult measure_offline(const Args& args) {
   for (size_t l = 0; l < args.layers; ++l)
     chain.push_back(bench_circuits::wide_chain_layer(args.gates));
 
-  GcOptions opt;
-  opt.schedule = args.schedule;
+  const GcOptions opt;
   // Warm the schedule/flush-point caches and code paths outside the
   // timed region (a cold MaterialPool shares them the same way: the
   // server warms the schedule cache computing its fingerprint).
@@ -413,7 +404,6 @@ struct LoadResult {
   std::string server_stats;  // InferenceServer::stats_json() post-run
   // Data-plane accounting for this run (process-wide counter deltas).
   NetCounters net;
-  bool zero_copy = true;      // pooled-slab table path vs copy fallback
   uint64_t table_bytes = 0;   // garbled-table payload shipped (expected)
   double bytes_copied_per_table_byte() const {
     return table_bytes > 0 ? double(net.bytes_copied) / double(table_bytes)
@@ -443,8 +433,7 @@ synth::ModelSpec load_spec() {
 // split: each session garbles its artifacts in the background, pushes
 // them to the server *before* the timed window (offline phase, recorded
 // separately), and the timed requests run the online phase only.
-LoadResult measure_load(const Args& args, bool pooled,
-                        bool zero_copy = true) {
+LoadResult measure_load(const Args& args, bool pooled) {
   const synth::ModelSpec spec = load_spec();
   Rng rng(99);
   BitVec weights;
@@ -456,11 +445,9 @@ LoadResult measure_load(const Args& args, bool pooled,
 
   runtime::ServerConfig scfg;
   scfg.io = args.io;
-  scfg.stream.zero_copy_tables = zero_copy;
   scfg.max_sessions = std::max<size_t>(args.sessions, 1);
   scfg.max_prefetch = std::max<size_t>(args.requests, 1);
   scfg.stream.eval_threads = args.eval_threads;
-  scfg.stream.schedule = args.schedule;
   // A 1024-client thundering connect overruns the default backlog; the
   // kernel clamps to somaxconn.
   scfg.backlog = static_cast<int>(
@@ -486,8 +473,6 @@ LoadResult measure_load(const Args& args, bool pooled,
       try {
       runtime::ClientConfig ccfg;
       ccfg.seed = Block{1000 + s, 2000 + s};  // per-session PRG seed
-      ccfg.stream.schedule = args.schedule;
-      ccfg.stream.zero_copy_tables = zero_copy;
       ccfg.io = args.io;
       if (pooled) {
         ccfg.pool_target = args.requests;
@@ -567,7 +552,6 @@ LoadResult measure_load(const Args& args, bool pooled,
   server.stop();
   r.server_stats = server.stats_json();
   r.net = NetCounters::snap() - net_before;
-  r.zero_copy = zero_copy;
   // Garbled-table payload per inference, mirroring the server's
   // expected_table_bytes_ accounting (decode-bits frame + tables).
   uint64_t per_infer = 0;
@@ -674,7 +658,6 @@ ChaosResult measure_chaos(const Args& args) {
   scfg.max_sessions = std::max<size_t>(args.sessions, 1);
   scfg.max_prefetch = std::max<size_t>(args.requests, 1);
   scfg.stream.eval_threads = args.eval_threads;
-  scfg.stream.schedule = args.schedule;
   scfg.chaos.seed = args.chaos_seed;
   scfg.chaos.rate = args.chaos_rate;
   runtime::InferenceServer server(spec, weights, scfg);
@@ -690,7 +673,6 @@ ChaosResult measure_chaos(const Args& args) {
       try {
         runtime::ClientConfig ccfg;
         ccfg.seed = Block{7000 + s, 9000 + s};
-        ccfg.stream.schedule = args.schedule;
         ccfg.io = args.io;
         ccfg.pool_target = 2;  // exercise the poisoning path on recovery
         ccfg.async_prefetch = args.async_prefetch;
@@ -754,13 +736,13 @@ const char* effective_io(const Args& args) {
              : "epoll";
 }
 
-// Data-plane counter fragment shared by every load row: which send
-// path ran, what it copied, and how the pool slabs circulated.
-std::string net_json(const Args& args, const LoadResult& l) {
+// Data-plane counter fragment shared by every load row: what the run
+// copied and how the pool slabs circulated.
+std::string net_counters_json(const LoadResult& l) {
   char buf[768];
   std::snprintf(
       buf, sizeof(buf),
-      "\"io\": \"%s\", \"zero_copy\": %s, \"bytes_copied\": %llu, "
+      "\"bytes_copied\": %llu, "
       "\"table_bytes\": %llu, \"bytes_copied_per_table_byte\": %.6f, "
       "\"sends_vectored\": %llu, \"syscalls_send\": %llu, "
       "\"slab_acquire\": %llu, \"slab_recycle\": %llu, "
@@ -768,7 +750,6 @@ std::string net_json(const Args& args, const LoadResult& l) {
       "\"fault_injected\": %llu, \"fault_reset\": %llu, "
       "\"client_retries\": %llu, \"sessions_recovered\": %llu, "
       "\"material_poisoned\": %llu",
-      effective_io(args), l.zero_copy ? "true" : "false",
       static_cast<unsigned long long>(l.net.bytes_copied),
       static_cast<unsigned long long>(l.table_bytes),
       l.bytes_copied_per_table_byte(),
@@ -783,6 +764,12 @@ std::string net_json(const Args& args, const LoadResult& l) {
       static_cast<unsigned long long>(l.net.recovered),
       static_cast<unsigned long long>(l.net.poisoned));
   return buf;
+}
+
+// The same, led by which send path ran.
+std::string net_json(const Args& args, const LoadResult& l) {
+  return std::string("\"io\": \"") + effective_io(args) + "\", " +
+         net_counters_json(l);
 }
 
 // Latency fragment shared by every load row. A tail percentile with
@@ -808,11 +795,10 @@ std::string latency_json(const LoadResult& l) {
 
 void emit_json(std::FILE* f, const Args& args, const OverlapResult& o,
                const OfflineResult& off, const LoadResult& l,
-               const LoadResult& lcopy, const LoadResult* pre,
+               const LoadResult* pre,
                const std::vector<LoadResult>* scaling,
                const ChaosResult* chaos) {
   std::fprintf(f, "{\n  \"bench\": \"loadgen_inference\",\n");
-  std::fprintf(f, "  \"scheduled\": %s,\n", args.schedule ? "true" : "false");
   // Which AES kernel produced every rate below — without this a vaes16
   // row and a bitsliced8 row are indistinguishable in dashboards.
   std::fprintf(f, "  \"hash_backend\": \"%s\",\n  \"cpu_features\": \"%s\",\n",
@@ -839,24 +825,15 @@ void emit_json(std::FILE* f, const Args& args, const OverlapResult& o,
                o.layers, o.gates, o.threads, o.wall_s, o.garble_s,
                o.transfer_s, o.eval_s, o.phase_sum(), o.setup_s,
                o.phase_sum() > 0 ? o.wall_s / o.phase_sum() : 0.0);
-  // The zero-copy vs copy-fallback headline: same on-demand load twice,
-  // identical wire bytes, different data plane. The pooled-slab path
-  // must memcpy at least 2x less per shipped table byte.
+  // The on-demand load's data plane: requested vs effective send path
+  // and what the zero-copy table plane copied.
   std::fprintf(
       f,
       "  \"data_plane\": {\"io_requested\": \"%s\", \"io\": \"%s\", "
-      "\"uring_supported\": %s, "
-      "\"zero_copy\": {%s, \"p50_ms\": %.3f}, "
-      "\"copy_fallback\": {%s, \"p50_ms\": %.3f}, "
-      "\"copy_reduction\": %.2f},\n",
+      "\"uring_supported\": %s, \"p50_ms\": %.3f, %s},\n",
       args.io == runtime::IoBackend::kUring ? "uring" : "epoll",
       effective_io(args), net::uring_supported() ? "true" : "false",
-      net_json(args, l).c_str(), l.p50_ms,
-      net_json(args, lcopy).c_str(), lcopy.p50_ms,
-      // 1-byte floor: the zero-copy path routinely copies NOTHING, and
-      // a 0-denominator ratio would report the win as 0.
-      double(lcopy.net.bytes_copied) /
-          double(std::max<uint64_t>(l.net.bytes_copied, 1)));
+      l.p50_ms, net_counters_json(l).c_str());
   if (chaos != nullptr) {
     // Self-healing soak: measure_chaos already hard-failed unless every
     // inference completed byte-correct, so this section existing at all
@@ -957,10 +934,6 @@ int main(int argc, char** argv) {
     const OverlapResult overlap = measure_overlap(args);
     const OfflineResult offline = measure_offline(args);
     const LoadResult load = measure_load(args, /*pooled=*/false);
-    // Same load with the zero-copy table path disabled: the copy
-    // fallback reference for the data_plane comparison.
-    const LoadResult load_copy =
-        measure_load(args, /*pooled=*/false, /*zero_copy=*/false);
     LoadResult pre;
     if (args.precomputed) pre = measure_load(args, /*pooled=*/true);
     const LoadResult* pre_p = args.precomputed ? &pre : nullptr;
@@ -977,11 +950,11 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(obs::trace_dropped()),
                    args.trace.c_str());
     }
-    emit_json(stdout, args, overlap, offline, load, load_copy, pre_p, scl_p, chaos_p);
+    emit_json(stdout, args, overlap, offline, load, pre_p, scl_p, chaos_p);
     if (!args.out.empty()) {
       std::FILE* f = std::fopen(args.out.c_str(), "w");
       if (f == nullptr) throw std::runtime_error("cannot open " + args.out);
-      emit_json(f, args, overlap, offline, load, load_copy, pre_p, scl_p, chaos_p);
+      emit_json(f, args, overlap, offline, load, pre_p, scl_p, chaos_p);
       std::fclose(f);
     }
     if (overlap.wall_s >= overlap.phase_sum()) {

@@ -57,9 +57,10 @@
 //   * the table stream, tweaks, flush points and decoded outputs of
 //     the walked view are byte-identical to walking schedule_circuit's
 //     SSA order; slots change only which label memory holds a value.
-//   * scheduling happens behind GcOptions::schedule (default on); the
-//     unscheduled construction order is retained as the correctness
-//     oracle (DEEPSECURE_NO_SCHEDULE=1 forces it process-wide).
+//   * every runtime endpoint walks this view. GcOptions::schedule =
+//     false walks construction order instead; it is a test seam only,
+//     the correctness oracle test_schedule and test_runtime compare
+//     the walked view against.
 #pragma once
 
 #include <vector>

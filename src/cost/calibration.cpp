@@ -37,30 +37,42 @@ Circuit make_xor_chain(size_t gates) {
   return b.build();
 }
 
+// Gates/s of garble -> evaluate -> decode and (optionally) garbler ns
+// per gate, each the fastest of >= 3 runs spanning >= 50 ms, so one
+// scheduler stall cannot cover them all. Thread start-up, the input
+// label exchange and the walked view are one-off set-up: untimed.
 double run_circuit_rate(const Circuit& c, uint64_t gate_count,
                         double* garbler_ns_per_gate) {
-  Stopwatch wall;
-  double garble_s = 0.0;
-  run_two_party(
-      [&](Channel& ch) {
-        Garbler g(ch, Block{123, 321});
-        const Labels zeros = g.fresh_zeros(c.garbler_inputs.size());
-        g.send_active(BitVec(c.garbler_inputs.size(), 0), zeros);
-        Stopwatch sw;
-        const Labels out = g.garble(c, zeros, {}, {});
-        garble_s = sw.seconds();
-        g.decode_outputs(out);
-      },
-      [&](Channel& ch) {
-        Evaluator e(ch);
-        const Labels labels = e.recv_active(c.garbler_inputs.size());
-        const Labels out = e.evaluate(c, labels, {}, {});
-        e.send_outputs(out);
-      });
-  const double total = wall.seconds();
+  constexpr int kMinRuns = 3;
+  constexpr double kMinSpanS = 0.05;
+  (void)c.gc_scheduled();
+  double best_pipeline = 0.0, best_garble = 0.0;
+  const Stopwatch span;
+  for (int run = 0; run < kMinRuns || span.seconds() < kMinSpanS; ++run) {
+    double pipeline_s = 0.0, garble_s = 0.0;
+    run_two_party(
+        [&](Channel& ch) {
+          Garbler g(ch, Block{123, 321});
+          const Labels zeros = g.fresh_zeros(c.garbler_inputs.size());
+          g.send_active(BitVec(c.garbler_inputs.size(), 0), zeros);
+          Stopwatch sw;
+          const Labels out = g.garble(c, zeros, {}, {});
+          garble_s = sw.seconds();
+          g.decode_outputs(out);
+          pipeline_s = sw.seconds();
+        },
+        [&](Channel& ch) {
+          Evaluator e(ch);
+          const Labels labels = e.recv_active(c.garbler_inputs.size());
+          const Labels out = e.evaluate(c, labels, {}, {});
+          e.send_outputs(out);
+        });
+    if (run == 0 || pipeline_s < best_pipeline) best_pipeline = pipeline_s;
+    if (run == 0 || garble_s < best_garble) best_garble = garble_s;
+  }
   if (garbler_ns_per_gate != nullptr)
-    *garbler_ns_per_gate = garble_s * 1e9 / static_cast<double>(gate_count);
-  return static_cast<double>(gate_count) / total;
+    *garbler_ns_per_gate = best_garble * 1e9 / static_cast<double>(gate_count);
+  return static_cast<double>(gate_count) / best_pipeline;
 }
 
 }  // namespace

@@ -35,27 +35,20 @@ enum class GcPipeline : uint8_t { kBatched, kScalar };
 /// hashes 4 blocks per gate) while amortizing the AES pipeline fill.
 inline constexpr size_t kGcMaxBatchWindow = 1024;
 
-/// Default for GcOptions::schedule / StreamConfig::schedule: true
-/// unless the DEEPSECURE_NO_SCHEDULE environment variable is set to a
-/// non-empty value other than "0" — the escape hatch CI uses to run the
-/// whole suite on the unscheduled oracle path. Read once per process.
-bool gc_schedule_default();
-
 /// Execution options for one GC endpoint. Both parties must agree on
 /// `framed_tables` and `schedule` (they change the wire format/stream
-/// order); `pipeline` and `pool` are local choices that never affect
-/// the byte stream.
+/// order); the rest never affect the byte stream. kScalar and
+/// `schedule = false` are test oracles, not serving options.
 struct GcOptions {
   GcPipeline pipeline = GcPipeline::kBatched;
   /// Walk the width-scheduled gate order (circuit/schedule.h, cached on
   /// the Circuit, wires renumbered into label slots so a garbling
   /// allocates slots x 16 B of labels) instead of construction order.
   /// Reorders the garbled tables and tweak sequence identically on both
-  /// sides, so the peer must agree; the runtime handshake's chain
-  /// fingerprint covers the walked view, catching any mismatch at
-  /// session setup. Off = the retained construction-order correctness
-  /// oracle.
-  bool schedule = gc_schedule_default();
+  /// sides; the runtime handshake's chain fingerprint covers the walked
+  /// view. false walks construction order: the reference that
+  /// test_schedule and test_runtime check the walked view against.
+  bool schedule = true;
   /// Length-prefixed table frames aligned to batch windows (see
   /// block_io.h) — the streaming runtime's wire format. The framed
   /// payload is byte-identical to the monolithic stream.
@@ -74,16 +67,17 @@ struct GcOptions {
   /// each batch window in a slab from this pool (slab size >=
   /// GarbleWindowLine::bytes_for(kGcMaxBatchWindow)) and hand the table
   /// rows to the channel as borrowed refcounted slices instead of
-  /// copying them into the frame buffer. A local throughput knob like
-  /// `pipeline` — the wire stream is byte-identical either way
-  /// (asserted in tests/test_runtime.cpp). Not owned; must outlive the
-  /// last in-flight send. nullptr = copy path.
+  /// copying them into the frame buffer; the runtime garbler always
+  /// sets it. The wire stream is byte-identical either way (asserted in
+  /// tests/test_runtime.cpp). Not owned; must outlive the last
+  /// in-flight send. nullptr = copy path (offline artifacts, library
+  /// callers).
   BufferPool* table_pool = nullptr;
   /// Batch AES kernel for this endpoint's window sweeps. nullptr = the
   /// process-wide selection (crypto/hash_backend.h: env override, then
   /// CPUID auto-dispatch). Every backend produces byte-identical
-  /// tables, so this is a local throughput knob like `pipeline`. Not
-  /// owned; must outlive the endpoint (registry entries are static).
+  /// tables, so this is a local throughput knob. Not owned; must
+  /// outlive the endpoint (registry entries are static).
   const HashBackend* hash_backend = nullptr;
 };
 

@@ -1,6 +1,5 @@
 #include "gc/garble.h"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "crypto/aes128.h"
@@ -10,15 +9,6 @@
 #include "support/thread_pool.h"
 
 namespace deepsecure {
-
-bool gc_schedule_default() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("DEEPSECURE_NO_SCHEDULE");
-    return v == nullptr || v[0] == '\0' ||
-           (v[0] == '0' && v[1] == '\0');
-  }();
-  return enabled;
-}
 
 Garbler::Garbler(Channel& ch, Block seed, GcPipeline pipeline)
     : Garbler(ch, seed, GcOptions{.pipeline = pipeline}) {}

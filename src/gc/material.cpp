@@ -80,10 +80,6 @@ uint64_t chain_fingerprint(const std::vector<Circuit>& chain,
   return h;
 }
 
-uint64_t chain_fingerprint(const std::vector<Circuit>& chain) {
-  return chain_fingerprint(chain, /*scheduled=*/false);
-}
-
 uint64_t material_stream_bytes(const std::vector<Circuit>& chain) {
   uint64_t bytes = 0;
   for (const Circuit& c : chain)
@@ -178,13 +174,6 @@ BitVec evaluate_material(const std::vector<Circuit>& chain,
   return out;
 }
 
-void send_material(Channel& ch, const GarbledMaterial& mat) {
-  ch.send_bits(mat.decode_bits);
-  ch.send_u64(mat.tables.size());
-  if (!mat.tables.empty())
-    ch.send_bytes(mat.tables.data(), mat.tables.size());
-}
-
 void send_material(Channel& ch, GarbledMaterial&& mat) {
   ch.send_bits(mat.decode_bits);
   ch.send_u64(mat.tables.size());
@@ -193,7 +182,7 @@ void send_material(Channel& ch, GarbledMaterial&& mat) {
   // and ship as ONE borrowed slice — over an asynchronous channel
   // (RingChannel) the push returns without copying the multi-MB
   // payload, and the holder frees when the kernel send completes. Wire
-  // bytes are identical to the copying overload.
+  // bytes are those of a plain send_bytes.
   IoSlice slice;
   slice.ref = BufferRef::adopt(std::move(mat.tables));
   slice.data = slice.ref.data();

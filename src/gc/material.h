@@ -27,19 +27,19 @@
 namespace deepsecure {
 
 /// A hash (one murmur3 fmix64 step per word) over the full gate list
-/// and interface of every circuit in the chain: two endpoints that compiled different netlists (or different
-/// layer orders) disagree with overwhelming probability. Stamped into
-/// every offline artifact and cross-checked by the runtime handshake
+/// and interface of every circuit in the chain: two endpoints that
+/// compiled different netlists (or different layer orders) disagree
+/// with overwhelming probability. Stamped into every offline artifact
+/// and cross-checked by the runtime handshake
 /// (runtime::chain_fingerprint is an alias of this).
 ///
-/// `scheduled` selects which gate order is hashed: the protocol's table
-/// stream and tweak sequence follow the *walked* order, so the
-/// fingerprint must cover the order the endpoints actually execute —
-/// pass GcOptions::schedule / StreamConfig::schedule. Two endpoints
-/// whose walked orders coincide (e.g. scheduling is the identity on
-/// this chain) agree either way.
-uint64_t chain_fingerprint(const std::vector<Circuit>& chain, bool scheduled);
-uint64_t chain_fingerprint(const std::vector<Circuit>& chain);
+/// The table stream and tweak sequence follow the *walked* gate order,
+/// so the hash covers the view the endpoints execute: by default the
+/// scheduled, slot-numbered view every server and client walks.
+/// `scheduled` = false hashes construction order, matching an artifact
+/// garbled with the GcOptions::schedule = false oracle.
+uint64_t chain_fingerprint(const std::vector<Circuit>& chain,
+                           bool scheduled = true);
 
 /// Bytes of the recorded constant-label + garbled-table stream of one
 /// inference over `chain`: per circuit, the 2 constant labels plus 2
@@ -66,9 +66,10 @@ struct GarbledMaterial {
 };
 
 /// Offline stage: garble `chain` into a self-contained artifact. Pure
-/// local computation — no channel, no peer. `opt.pipeline` and
-/// `opt.pool` apply as in streaming garbling; `opt.framed_tables` is
-/// ignored (see GarbledMaterial::tables).
+/// local computation — no channel, no peer. `opt.pipeline`,
+/// `opt.schedule` and `opt.pool` apply as in streaming garbling;
+/// `opt.framed_tables` and `opt.table_pool` are ignored (see
+/// GarbledMaterial::tables).
 ///
 /// Intra-artifact sharding: with `opt.pool` set, ONE artifact's batch
 /// windows fan out across the pool's workers exactly like streaming
@@ -101,14 +102,11 @@ BitVec evaluate_material(const std::vector<Circuit>& chain,
 
 /// Ship the input-independent bytes of an artifact (decode bits +
 /// tables) to the peer. The evaluator-input labels travel separately
-/// through the precomputed-OT derandomization.
-void send_material(Channel& ch, const GarbledMaterial& mat);
-
-/// Donating overload: consumes `mat.tables` and ships it as one
-/// borrowed refcounted slice (support/buffer_pool.h), so an
-/// asynchronous channel forwards the multi-MB table stream without
-/// copying it — the client prefetch lane's push path. Byte-identical
-/// wire stream to the const overload.
+/// through the precomputed-OT derandomization. Consumes `mat.tables`
+/// only, shipping it as one borrowed refcounted slice
+/// (support/buffer_pool.h), so an asynchronous channel forwards the
+/// multi-MB table stream without copying it; the rest of `mat` stays
+/// valid for the OT exchange.
 void send_material(Channel& ch, GarbledMaterial&& mat);
 
 /// Counterpart of send_material: returns an EvalMaterial with

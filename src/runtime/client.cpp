@@ -102,11 +102,10 @@ void InferenceClient::connect_and_handshake() {
         std::make_unique<StreamingGarbler>(*wire, seed, cfg_.stream);
 
     Hello hello;
-    // Fingerprint over the gate order this session will walk (the
-    // scheduled netlist by default) — the server computes the same and a
-    // compile or scheduling divergence fails the handshake, not an OT.
-    hello.fingerprint = chain_fingerprint(chain_, cfg_.stream.schedule);
-    hello.flags = SessionFlags{cfg_.stream.framed_tables};
+    // Fingerprint over the walked view this session garbles — the
+    // server computes the same and a compile or scheduling divergence
+    // fails the handshake, not an OT. Hello flags default to framed.
+    hello.fingerprint = chain_fingerprint(chain_);
     Channel& ch = garbler_->channel();
     send_hello(ch, hello);
     garbler_->channel().flush();
@@ -283,15 +282,10 @@ InferenceClient::PrefetchedMaterial InferenceClient::push_material_over(
     StreamingGarbler& g, GarbledMaterial&& mat, uint64_t id) {
   Channel& ch = g.channel();
   send_id_frame(ch, FrameType::kPrefetch, id);
-  // Donating overload: only mat.tables moves out (borrowed by the
-  // transport until the kernel send completes); delta / data_zeros /
-  // eval_zeros stay valid for the OT exchange and the return below.
-  // The copy fallback keeps the lvalue path so the two data planes can
-  // be compared on identical traffic (bench/loadgen_inference.cpp).
-  if (cfg_.stream.zero_copy_tables)
-    send_material(ch, std::move(mat));
-  else
-    send_material(ch, mat);
+  // Only mat.tables moves out (borrowed by the transport until the
+  // kernel send completes); delta / data_zeros / eval_zeros stay valid
+  // for the OT exchange and the return below.
+  send_material(ch, std::move(mat));
   GarblerSession& session = g.session();
   {
     obs::Span ot_span("client.ot_offline");

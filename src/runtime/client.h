@@ -1,6 +1,6 @@
 // Client driver for the streaming inference server: the data owner
 // (Alice, garbler). Connects over TCP, performs the session handshake
-// (chain fingerprint + wire-format negotiation), and then runs any
+// (chain fingerprint + framing flag check), and then runs any
 // number of secure inferences over one session — the base-OT setup and
 // the OT-extension state amortize across requests.
 //

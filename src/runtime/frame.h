@@ -111,8 +111,10 @@ struct Frame {
   std::vector<uint8_t> payload;
 };
 
-/// Wire-format flags carried in the hello (must match on both ends).
-/// Bit 0 is framed_tables; bit 1 is reserved (written 0, ignored).
+/// Wire-format flags carried in the hello. Bit 0 is framed_tables:
+/// the runtime always frames, so a client writes 1 and the server
+/// rejects a hello with it clear. Bit 1 is reserved (written 0,
+/// ignored).
 struct SessionFlags {
   bool framed_tables = true;
   uint8_t encode() const { return framed_tables ? 1u : 0u; }

@@ -24,21 +24,9 @@ MaterialPool::MaterialPool(const std::vector<Circuit>& chain,
   // without it, each artifact garbles single-threaded so producers
   // alone carry the cross-artifact parallelism.
   opt_.pool = shard_workers_.get();
-  // The lock-free handoff needs a unique producer (see config docs);
-  // capacity covers the standing inventory plus a waiting acquirer's
-  // ad-hoc production so the overflow deque is cold in steady state.
-  if (cfg.ring_handoff && cfg.producer_threads <= 1)
-    ring_ = std::make_unique<SpscRing<GarbledMaterial>>(target_ + 2);
   std::lock_guard<std::mutex> lock(mu_);
   schedule_refill_locked();
 }
-
-MaterialPool::MaterialPool(const std::vector<Circuit>& chain,
-                           const GcOptions& opt, size_t target,
-                           size_t producer_threads, Block seed)
-    : MaterialPool(chain, opt,
-                   MaterialPoolConfig{target, producer_threads,
-                                      /*shard_threads=*/0, seed}) {}
 
 MaterialPool::~MaterialPool() {
   {
@@ -48,8 +36,7 @@ MaterialPool::~MaterialPool() {
   workers_.reset();  // drains the task queue, joins the workers
   // Unconsumed inventory dies with the pool: settle the process-wide
   // occupancy gauge so short-lived pools don't leave it elevated.
-  g_ready_.sub(
-      static_cast<int64_t>(ready_.size() + (ring_ ? ring_->size() : 0)));
+  g_ready_.sub(static_cast<int64_t>(ready_.size()));
 }
 
 // Caller holds mu_. Keeps enough production scheduled for the standing
@@ -58,8 +45,7 @@ MaterialPool::~MaterialPool() {
 // from under a waiter whose ad-hoc production it consumed.
 void MaterialPool::schedule_refill_locked() {
   const size_t want = std::max(target_, waiting_);
-  const size_t have = ready_.size() + (ring_ ? ring_->size() : 0);
-  while (!stopping_ && have + in_flight_ < want) {
+  while (!stopping_ && ready_.size() + in_flight_ < want) {
     ++in_flight_;
     workers_->submit([this] { produce_one(); });
   }
@@ -94,29 +80,17 @@ void MaterialPool::produce_one() {
     }
   }
   if (!err) h_refill_ns_.observe(obs::now_ns() - t0);
-  // Publish through the ring OUTSIDE the lock (single producer): the
-  // consumer can pick the artifact up while this thread is still doing
-  // its bookkeeping below. Full ring (transient, around a waiting
-  // acquirer's ad-hoc production) falls back to the deque.
-  const bool pushed = !err && ring_ != nullptr && ring_->try_push(std::move(mat));
-  if (pushed) g_ready_.add(1);
   {
     std::lock_guard<std::mutex> lock(mu_);
     --in_flight_;
-    if (stopping_) return;  // a ring-published artifact dies with the pool
+    if (stopping_) return;
     if (err) {
       if (!error_) error_ = err;
     } else {
-      if (!pushed) {
-        ready_.push_back(std::move(mat));
-        g_ready_.add(1);
-      }
+      ready_.push_back(std::move(mat));
+      g_ready_.add(1);
       ++produced_;
       c_produced_.add();
-      // An acquire that popped the ring-published artifact before the
-      // decrement above still counted this producer as in flight and
-      // skipped its refill; top the pool back up on its behalf.
-      schedule_refill_locked();
     }
   }
   // notify_all: concurrent acquirers each submitted their own
@@ -131,21 +105,13 @@ void MaterialPool::rethrow_error_locked() {
   if (error_) std::rethrow_exception(error_);
 }
 
-// Caller holds mu_ (serializing concurrent acquirers against each
-// other; the producer's ring push needs no lock). Ring first — it is
-// the hot path; the deque only holds multi-producer or overflow spill.
+// Caller holds mu_.
 bool MaterialPool::take_ready_locked(GarbledMaterial& out) {
-  if (ring_ != nullptr && ring_->try_pop(out)) {
-    g_ready_.sub(1);
-    return true;
-  }
-  if (!ready_.empty()) {
-    out = std::move(ready_.front());
-    ready_.pop_front();
-    g_ready_.sub(1);
-    return true;
-  }
-  return false;
+  if (ready_.empty()) return false;
+  out = std::move(ready_.front());
+  ready_.pop_front();
+  g_ready_.sub(1);
+  return true;
 }
 
 std::optional<GarbledMaterial> MaterialPool::try_acquire() {
@@ -190,7 +156,7 @@ GarbledMaterial MaterialPool::acquire() {
 
 size_t MaterialPool::ready() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return ready_.size() + (ring_ ? ring_->size() : 0);
+  return ready_.size();
 }
 
 }  // namespace deepsecure::runtime

@@ -11,6 +11,8 @@
 // law — target ≈ arrival_rate × garble_time — and a drained pool is not
 // an error, just the signal for the caller to fall back to on-demand
 // streaming garbling (try_acquire returns nullopt instead of blocking).
+// Finished artifacts wait in one mutex-guarded deque: each takes a
+// whole garbling to make, so the handoff lock is never the bottleneck.
 //
 // Two orthogonal parallelism axes:
 //   * producer_threads — artifacts in flight concurrently (throughput:
@@ -36,7 +38,6 @@
 #include "crypto/prg.h"
 #include "gc/material.h"
 #include "obs/metrics.h"
-#include "support/spsc_ring.h"
 #include "support/thread_pool.h"
 
 namespace deepsecure::runtime {
@@ -63,15 +64,6 @@ struct MaterialPoolConfig {
   /// Drives the per-artifact label seeds (zero = OS entropy); pass a
   /// constant only in tests.
   Block seed{};
-  /// Publish finished artifacts through a lock-free SPSC ring
-  /// (support/spsc_ring.h) instead of the mutex-guarded deque: the
-  /// producer hands a ~MB artifact to the consumer without holding the
-  /// pool mutex during delivery, so a consumer draining the pool (the
-  /// async prefetch lane) never contends the garbling bookkeeping.
-  /// Requires a single producer thread — auto-disabled when
-  /// producer_threads > 1 (consumer pops stay serialized under the pool
-  /// mutex either way, so any number of acquirers is fine).
-  bool ring_handoff = true;
 };
 
 class MaterialPool {
@@ -80,9 +72,6 @@ class MaterialPool {
   /// captured by reference and must outlive the pool.
   MaterialPool(const std::vector<Circuit>& chain, const GcOptions& opt,
                MaterialPoolConfig cfg);
-  /// Legacy positional form (no window sharding).
-  MaterialPool(const std::vector<Circuit>& chain, const GcOptions& opt,
-               size_t target, size_t producer_threads = 1, Block seed = {});
   ~MaterialPool();
 
   MaterialPool(const MaterialPool&) = delete;
@@ -128,11 +117,7 @@ class MaterialPool {
 
   mutable std::mutex mu_;
   std::condition_variable ready_cv_;
-  // Ready artifacts: the SPSC ring is the hot handoff (single producer
-  // pushes lock-free; pops serialize under mu_), the deque is the
-  // multi-producer / ring-overflow path. Either may hold artifacts.
-  std::unique_ptr<SpscRing<GarbledMaterial>> ring_;
-  std::deque<GarbledMaterial> ready_;
+  std::deque<GarbledMaterial> ready_;  // oldest first
   Prg seed_prg_;
   size_t in_flight_ = 0;  // producer tasks scheduled but not yet finished
   size_t waiting_ = 0;    // acquire() calls blocked on production

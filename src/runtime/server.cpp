@@ -36,7 +36,7 @@ InferenceServer::InferenceServer(const synth::ModelSpec& spec, BitVec weights,
       // Fingerprint over the gate order sessions will walk — computing
       // it here also warms the per-circuit schedule cache once, before
       // the first session arrives.
-      fingerprint_(chain_fingerprint(chain_, cfg.stream.schedule)),
+      fingerprint_(chain_fingerprint(chain_)),
       listener_(cfg.port, cfg.backlog),
       // The lane listener is always ephemeral: its port travels in the
       // hello ack, so clients never configure it and it cannot collide
@@ -80,8 +80,7 @@ const char* InferenceServer::validate_hello(const Hello& hello) const {
     return "protocol magic/version mismatch";
   if (hello.fingerprint != fingerprint_)
     return "model chain fingerprint mismatch";
-  if (hello.flags.framed_tables != cfg_.stream.framed_tables)
-    return "table framing mismatch";
+  if (!hello.flags.framed_tables) return "table framing mismatch";
   return nullptr;
 }
 

@@ -1,28 +1,16 @@
 #include "runtime/streaming.h"
 
-#include <cstdlib>
-
 #include "gc/batch_walk.h"
 
 namespace deepsecure::runtime {
-
-bool zero_copy_tables_default() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("DEEPSECURE_NO_ZERO_COPY");
-    return v == nullptr || v[0] == '\0' || (v[0] == '0' && v[1] == '\0');
-  }();
-  return enabled;
-}
 
 StreamingGarbler::StreamingGarbler(Channel& transport, Block seed,
                                    const StreamConfig& cfg)
     : pool_(cfg.garble_threads > 0
                 ? std::make_unique<ThreadPool>(cfg.garble_threads)
                 : nullptr),
-      table_pool_(cfg.zero_copy_tables
-                      ? std::make_unique<BufferPool>(
-                            GarbleWindowLine::bytes_for(kGcMaxBatchWindow))
-                      : nullptr),
+      table_pool_(std::make_unique<BufferPool>(
+          GarbleWindowLine::bytes_for(kGcMaxBatchWindow))),
       ch_(transport, cfg.channel_buffer),
       session_(std::make_unique<GarblerSession>(
           ch_, seed, cfg.gc_options(pool_.get(), table_pool_.get()))) {}

@@ -5,15 +5,14 @@
 //
 //   transport Channel (TcpChannel / MemChannel)
 //     └─ BufferedChannel        small control messages coalesce
-//          └─ GarblerSession / EvaluatorSession
-//               with GcOptions{framed_tables, pool}
-//                 ├─ framed table stream: the garbler ships each
-//                 │  completed batch window as a length-prefixed frame
-//                 │  the moment it drains, and the evaluator consumes
-//                 │  frame by frame — garbling, transfer, and
-//                 │  evaluation of one circuit overlap in time
-//                 └─ ThreadPool: batch windows are sharded across
-//                    cores on the garbler side (byte-identical)
+//          └─ GarblerSession / EvaluatorSession (walked view)
+//               ├─ framed table stream: the garbler ships each
+//               │  completed batch window as a length-prefixed frame
+//               │  from pooled slabs (zero-copy), and the evaluator
+//               │  consumes frame by frame — garbling, transfer, and
+//               │  evaluation of one circuit overlap in time
+//               └─ ThreadPool: batch windows are sharded across
+//                  cores on either side (byte-identical)
 //
 // This header is the composition layer the multi-session server, the
 // client driver, and the load-generator all build on.
@@ -41,21 +40,10 @@ inline const char* io_backend_name(IoBackend io) {
   return io == IoBackend::kUring ? "uring" : "epoll";
 }
 
-/// Default for StreamConfig::zero_copy_tables: on unless the
-/// DEEPSECURE_NO_ZERO_COPY environment variable is set to a non-empty
-/// value other than "0" — CI's escape hatch to exercise the copy
-/// fallback across the whole suite. Read once per process.
-bool zero_copy_tables_default();
-
+/// Local settings of a runtime endpoint; none changes a wire byte, so
+/// none is negotiated. The served configuration itself is fixed: see
+/// gc_options. The byte-identical oracles are GcOptions test seams.
 struct StreamConfig {
-  GcPipeline pipeline = GcPipeline::kBatched;
-  /// Frame the garbled-table stream at batch-window granularity. Must
-  /// match the peer (negotiated in the session hello).
-  bool framed_tables = true;
-  /// Width-scheduled gate order (circuit/schedule.h). Changes the table
-  /// stream order, so it must match the peer — negotiated in the hello
-  /// flags, and the chain fingerprint covers the scheduled netlist.
-  bool schedule = gc_schedule_default();
   /// Worker threads for garbler-side window sharding; 0 = garble on the
   /// session thread only.
   size_t garble_threads = 0;
@@ -66,25 +54,19 @@ struct StreamConfig {
   /// BufferedChannel staging size for small protocol messages.
   size_t channel_buffer = 1 << 16;
   /// Batch AES kernel by name ("vaes16", "aesni8", "bitsliced8",
-  /// "scalar"). Purely local — every backend produces byte-identical
-  /// tables, so this is never negotiated with the peer. Empty, unknown,
-  /// or unavailable on this host = the process-wide selection
+  /// "scalar"). Every backend produces byte-identical tables. Empty,
+  /// unknown, or unavailable on this host = the process-wide selection
   /// (DEEPSECURE_HASH_BACKEND env, then CPUID auto-dispatch).
   std::string hash_backend;
-  /// Garbler-side zero-copy table plane: stage batch windows in pooled
-  /// refcounted slabs and ship the table rows as borrowed iovec slices
-  /// (GcOptions::table_pool). Purely local — the wire stream is
-  /// byte-identical to the copy path — so never negotiated.
-  bool zero_copy_tables = zero_copy_tables_default();
 
+  /// Framed tables over the walked view; `table_pool` (garbler only)
+  /// backs the zero-copy table plane.
   GcOptions gc_options(ThreadPool* pool,
                        BufferPool* table_pool = nullptr) const {
     GcOptions o;
-    o.pipeline = pipeline;
-    o.framed_tables = framed_tables;
-    o.schedule = schedule;
+    o.framed_tables = true;
     o.pool = pool;
-    if (zero_copy_tables) o.table_pool = table_pool;
+    o.table_pool = table_pool;
     if (!hash_backend.empty()) {
       const HashBackend* be = find_hash_backend(hash_backend);
       if (be != nullptr && be->available()) o.hash_backend = be;
@@ -112,11 +94,10 @@ class StreamingGarbler {
 
  private:
   std::unique_ptr<ThreadPool> pool_;  // may be null (0 threads)
-  // Slab pool backing the zero-copy table plane (null when
-  // zero_copy_tables is off). May die with sends still in flight — the
-  // refcounted core outlives it (support/buffer_pool.h teardown
-  // contract), so destruction order vs. an async transport is a
-  // non-issue.
+  // Slab pool backing the zero-copy table plane. May die with sends
+  // still in flight — the refcounted core outlives it
+  // (support/buffer_pool.h teardown contract), so destruction order
+  // vs. an async transport is a non-issue.
   std::unique_ptr<BufferPool> table_pool_;
   BufferedChannel ch_;
   std::unique_ptr<GarblerSession> session_;

@@ -152,13 +152,12 @@ TEST(Protocol, OfflineOnlineSplitMatchesOnDemand) {
       [&](Channel& ch) {
         GarblerSession session(ch, Block{2026, 7});
         // Offline: one artifact, its OTs, and its label resolution.
-        const GarbledMaterial mat =
-            garble_offline(chain, Block{4242, 99});
-        // The artifact stamps the walked (scheduled-by-default) order.
-        EXPECT_EQ(mat.fingerprint,
-                  chain_fingerprint(chain, GcOptions{}.schedule));
+        GarbledMaterial mat = garble_offline(chain, Block{4242, 99});
+        // The artifact stamps the walked view.
+        EXPECT_EQ(mat.fingerprint, chain_fingerprint(chain));
         EXPECT_EQ(mat.decode_bits.size(), chain.back().outputs.size());
-        send_material(ch, mat);
+        // Only the tables move out; the labels stay for the OTs below.
+        send_material(ch, std::move(mat));
         const OtPrecompSender pre = session.precompute_ot(mat.ot_count());
         session.send_labels_derandomized(pre, mat.eval_zeros, mat.delta);
         // Online: active data labels out, result bits back.

@@ -382,7 +382,7 @@ TEST(Material, TablesByteIdenticalToOnDemandStream) {
   EXPECT_EQ(mat.data_zeros.size(), c.garbler_inputs.size());
   EXPECT_EQ(mat.eval_zeros.size(), c.evaluator_inputs.size());
   EXPECT_EQ(mat.decode_bits.size(), c.outputs.size());
-  EXPECT_EQ(mat.fingerprint, chain_fingerprint({c}, GcOptions{}.schedule));
+  EXPECT_EQ(mat.fingerprint, chain_fingerprint({c}));
 }
 
 // The artifact is exactly material_stream_bytes long, and garble_offline
@@ -439,12 +439,13 @@ TEST(Material, EvaluateMaterialMatchesPlaintextChain) {
 
 TEST(MaterialPool, KeepsTargetInstancesReadyAndRefills) {
   std::vector<Circuit> chain{bench_circuits::wide_chain_layer(256)};
-  runtime::MaterialPool pool(chain, GcOptions{}, /*target=*/2,
-                             /*producer_threads=*/2, Block{7, 7});
+  runtime::MaterialPool pool(chain, GcOptions{},
+                             {.target = 2, .producer_threads = 2,
+                              .seed = Block{7, 7}});
 
   const GarbledMaterial a = pool.acquire();
   const GarbledMaterial b = pool.acquire();
-  EXPECT_EQ(a.fingerprint, chain_fingerprint(chain, GcOptions{}.schedule));
+  EXPECT_EQ(a.fingerprint, chain_fingerprint(chain));
   // Distinct artifacts: labels must never repeat across instances.
   EXPECT_FALSE(a.delta == b.delta);
   EXPECT_EQ(pool.acquired(), 2u);
@@ -461,8 +462,9 @@ TEST(MaterialPool, ConcurrentAcquiresAtZeroTarget) {
   // target 0 plans no inventory; every blocked acquire must still get
   // its own ad-hoc production (two waiters once deadlocked on one).
   std::vector<Circuit> chain{bench_circuits::wide_chain_layer(128)};
-  runtime::MaterialPool pool(chain, GcOptions{}, /*target=*/0,
-                             /*producer_threads=*/2, Block{9, 9});
+  runtime::MaterialPool pool(chain, GcOptions{},
+                             {.target = 0, .producer_threads = 2,
+                              .seed = Block{9, 9}});
   GarbledMaterial a, b;
   std::thread t1([&] { a = pool.acquire(); });
   std::thread t2([&] { b = pool.acquire(); });
@@ -474,8 +476,8 @@ TEST(MaterialPool, ConcurrentAcquiresAtZeroTarget) {
 
 TEST(MaterialPool, TryAcquireReportsDrain) {
   std::vector<Circuit> chain{bench_circuits::wide_chain_layer(4096)};
-  runtime::MaterialPool pool(chain, GcOptions{}, /*target=*/1,
-                             /*producer_threads=*/1, Block{8, 8});
+  runtime::MaterialPool pool(chain, GcOptions{},
+                             {.target = 1, .seed = Block{8, 8}});
   // Drain it, then keep asking: misses are counted, production catches
   // up eventually.
   (void)pool.acquire();
@@ -488,14 +490,15 @@ TEST(MaterialPool, TryAcquireReportsDrain) {
 }
 
 TEST(MaterialPool, RefillsToTargetAfterAcquiresRacingThePublish) {
-  // The producer publishes to the ring before it leaves the in-flight
-  // count. An acquire in that gap once saw the finished producer still
-  // counted, skipped the refill, and left the pool one short of target
-  // until the next acquire. Drain the pool each round, take the next
-  // artifact the moment it is published, and require a full refill.
+  // A producer must publish its artifact and leave the in-flight count
+  // in one step: an acquire in between would see the finished producer
+  // still counted, skip the refill, and leave the pool one short of
+  // target until the next acquire. Drain the pool each round, take the
+  // next artifact the moment it is published, and require a full
+  // refill.
   std::vector<Circuit> chain{bench_circuits::wide_chain_layer(16)};
-  runtime::MaterialPool pool(chain, GcOptions{}, /*target=*/2,
-                             /*producer_threads=*/1, Block{6, 6});
+  runtime::MaterialPool pool(chain, GcOptions{},
+                             {.target = 2, .seed = Block{6, 6}});
   for (int round = 0; round < 200; ++round) {
     for (int taken = 0; taken < 3; ++taken) {
       Stopwatch sw;
@@ -505,6 +508,19 @@ TEST(MaterialPool, RefillsToTargetAfterAcquiresRacingThePublish) {
     while (pool.ready() < 2 && sw.seconds() < 5.0) std::this_thread::yield();
     ASSERT_EQ(pool.ready(), 2u) << "round " << round;
   }
+}
+
+// ready() counts the standing inventory, and try_acquire hands it out
+// instead of reporting a drain.
+TEST(MaterialPool, ReadyCountsInventory) {
+  std::vector<Circuit> chain{bench_circuits::wide_chain_layer(128)};
+  runtime::MaterialPool pool(chain, GcOptions{},
+                             {.target = 2, .seed = Block{1, 2}});
+  (void)pool.acquire();
+  Stopwatch sw;
+  while (pool.ready() < 2 && sw.seconds() < 10.0) std::this_thread::yield();
+  EXPECT_EQ(pool.ready(), 2u);
+  EXPECT_TRUE(pool.try_acquire().has_value());
 }
 
 // ---------------------------------------------------------------------

@@ -201,25 +201,6 @@ TEST(InferenceServerTest, RejectsFingerprintMismatch) {
   EXPECT_EQ(server.sessions_rejected(), 1u);
 }
 
-TEST(InferenceServerTest, RejectsSchedulingMismatch) {
-  const synth::ModelSpec spec = small_spec();
-  Rng rng(61);
-  runtime::ServerConfig scfg;
-  scfg.stream.schedule = true;
-  runtime::InferenceServer server(spec, random_weights(spec, rng), scfg);
-  server.start();
-
-  runtime::ClientConfig ccfg;
-  ccfg.stream.schedule = false;  // walks construction order: incompatible
-  EXPECT_THROW(
-      {
-        runtime::InferenceClient client("127.0.0.1", server.port(), spec, ccfg);
-      },
-      std::runtime_error);
-  server.stop();
-  EXPECT_EQ(server.sessions_rejected(), 1u);
-}
-
 // Global prefetch byte budget (shared across sessions): with room for
 // exactly one artifact, a second session's push is rejected even though
 // its per-session quota is untouched; consuming/closing releases the
@@ -309,22 +290,54 @@ TEST(InferenceServerTest, EvaluatorThreadsServeCorrectInferences) {
   server.stop();
 }
 
+// A peer that would stream unframed tables (hello flag bit 0 clear) is
+// rejected at the handshake even with the right fingerprint.
 TEST(InferenceServerTest, RejectsFramingMismatch) {
   const synth::ModelSpec spec = small_spec();
+  const auto chain = synth::compile_model_layers(spec);
   Rng rng(37);
-  runtime::ServerConfig scfg;
-  scfg.stream.framed_tables = true;
-  runtime::InferenceServer server(spec, random_weights(spec, rng), scfg);
+  runtime::InferenceServer server(spec, random_weights(spec, rng));
   server.start();
 
-  runtime::ClientConfig ccfg;
-  ccfg.stream.framed_tables = false;  // wire-format disagreement
+  TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
+  runtime::Hello hello;
+  hello.fingerprint = runtime::chain_fingerprint(chain);
+  hello.flags.framed_tables = false;
+  runtime::send_hello(raw, hello);
   EXPECT_THROW(
-      {
-        runtime::InferenceClient client("127.0.0.1", server.port(), spec, ccfg);
+      try { runtime::recv_frame(raw); } catch (const std::exception& e) {
+        EXPECT_NE(std::string(e.what()).find("framing"), std::string::npos);
+        throw;
       },
       std::runtime_error);
   server.stop();
+  EXPECT_EQ(server.sessions_rejected(), 1u);
+}
+
+// The served on-demand path ships every table byte as a borrowed slice:
+// the garbler's windows go out of pooled slabs, so nothing in the send
+// path copies a table byte (net.bytes_copied stays put).
+TEST(InferenceServerTest, OnDemandInferenceCopiesNoTableBytes) {
+  const synth::ModelSpec spec = small_spec();
+  Rng rng(43);
+  const BitVec weights = random_weights(spec, rng);
+  runtime::InferenceServer server(spec, weights);
+  server.start();
+
+  std::vector<Fixed> x;
+  for (size_t i = 0; i < 5; ++i)
+    x.push_back(random_fixed(rng, kDefaultFormat, 0.2));
+  const BitVec data = pack_fixed(x);
+
+  const uint64_t copied0 = netstat::bytes_copied().value();
+  {
+    runtime::InferenceClient client("127.0.0.1", server.port(), spec);
+    EXPECT_EQ(from_bits(client.infer_bits(data)),
+              plaintext_label(spec, weights, data));
+    client.close();
+  }
+  server.stop();
+  EXPECT_EQ(netstat::bytes_copied().value() - copied0, 0u);
 }
 
 // Offline/online split over a real TCP loopback: the same session runs
@@ -443,9 +456,8 @@ TEST(InferenceServerTest, RejectsBadPrefetchFrames) {
 
   auto handshake = [&](TcpChannel& raw) {
     runtime::Hello hello;
-    // Match the server: fingerprint over the walked (default) order.
-    hello.fingerprint =
-        runtime::chain_fingerprint(chain, gc_schedule_default());
+    // Match the server: fingerprint over the walked view.
+    hello.fingerprint = runtime::chain_fingerprint(chain);
     runtime::send_hello(raw, hello);
     const runtime::Frame ack = runtime::recv_frame(raw);
     ASSERT_EQ(ack.type, runtime::FrameType::kHelloAck);
@@ -604,7 +616,7 @@ TEST(InferenceServerTest, FailedLanePushReleasesBudgetWhileSessionLives) {
   // Real handshake to obtain the lane token + port.
   TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
   runtime::Hello hello;
-  hello.fingerprint = runtime::chain_fingerprint(chain, gc_schedule_default());
+  hello.fingerprint = runtime::chain_fingerprint(chain);
   runtime::send_hello(raw, hello);
   const runtime::HelloAck ack =
       runtime::parse_hello_ack(runtime::recv_frame(raw));
@@ -654,8 +666,7 @@ TEST(InferenceServerTest, SessionDeathMidPushReleasesBudget) {
   {
     TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
     runtime::Hello hello;
-    hello.fingerprint =
-        runtime::chain_fingerprint(chain, gc_schedule_default());
+    hello.fingerprint = runtime::chain_fingerprint(chain);
     runtime::send_hello(raw, hello);
     (void)runtime::recv_frame(raw);  // ack
     runtime::send_id_frame(raw, runtime::FrameType::kPrefetch, 1);
@@ -726,8 +737,7 @@ TEST(InferenceServerTest, Soaks256LoopbackSessions) {
       for (size_t s = 0; s < kSessionsPerThread; ++s) {
         TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
         runtime::Hello hello;
-        hello.fingerprint =
-            runtime::chain_fingerprint(chain, gc_schedule_default());
+        hello.fingerprint = runtime::chain_fingerprint(chain);
         runtime::send_hello(raw, hello);
         const runtime::Frame ack = runtime::recv_frame(raw);
         if (ack.type != runtime::FrameType::kHelloAck) return;  // dropped

@@ -2,21 +2,16 @@
 // behavior (full/empty, wraparound across many laps), the per-slot
 // sequence protocol (overrun detection via sequence_of), threaded
 // producer/consumer stress (run under TSan in CI — the handoff must be
-// data-race-free), and equivalence of the MaterialPool's ring handoff
-// against the mutex+CV deque path.
+// data-race-free). The ring carries the client's prefetch lane, its
+// credits and the tracer's per-thread buffers.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <numeric>
-#include <optional>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "circuit/bench_circuits.h"
-#include "gc/material.h"
-#include "runtime/material_pool.h"
 #include "support/spsc_ring.h"
 
 namespace deepsecure {
@@ -145,59 +140,6 @@ TEST(SpscRing, ThreadedProducerConsumerStress) {
   EXPECT_EQ(sum, kItems * (kItems - 1) / 2);
   EXPECT_EQ(ring.head().load(), kItems);
   EXPECT_EQ(ring.tail().load(), kItems);
-}
-
-// The MaterialPool's ring handoff must be behaviorally equivalent to
-// the mutex+CV deque path: same artifact stream (deterministic seed →
-// byte-identical material in either mode), same drain/refill dynamics.
-TEST(SpscRing, MaterialPoolRingHandoffMatchesDequePath) {
-  using namespace deepsecure::runtime;
-  const std::vector<Circuit> chain{bench_circuits::wide_chain_layer(128)};
-
-  auto collect = [&](bool ring_handoff) {
-    MaterialPoolConfig cfg;
-    cfg.target = 3;
-    cfg.producer_threads = 1;
-    cfg.seed = Block{7, 42};
-    cfg.ring_handoff = ring_handoff;
-    MaterialPool pool(chain, GcOptions{}, cfg);
-    std::vector<GarbledMaterial> out;
-    for (int i = 0; i < 6; ++i) out.push_back(pool.acquire());
-    EXPECT_EQ(pool.acquired(), 6u);
-    return out;
-  };
-
-  const std::vector<GarbledMaterial> via_ring = collect(true);
-  const std::vector<GarbledMaterial> via_deque = collect(false);
-  ASSERT_EQ(via_ring.size(), via_deque.size());
-  for (size_t i = 0; i < via_ring.size(); ++i) {
-    // Same seed + single producer → the i-th artifact is byte-identical
-    // regardless of which structure carried it.
-    EXPECT_EQ(via_ring[i].delta, via_deque[i].delta) << "artifact " << i;
-    ASSERT_EQ(via_ring[i].tables.size(), via_deque[i].tables.size());
-    EXPECT_EQ(via_ring[i].tables, via_deque[i].tables) << "artifact " << i;
-  }
-}
-
-// try_acquire must see ring-held artifacts (a drain reported while the
-// ring holds inventory would push callers to on-demand garbling for no
-// reason), and the ready() accessor must count both structures.
-TEST(SpscRing, MaterialPoolReadyCountsRingInventory) {
-  using namespace deepsecure::runtime;
-  const std::vector<Circuit> chain{bench_circuits::wide_chain_layer(128)};
-
-  MaterialPoolConfig cfg;
-  cfg.target = 2;
-  cfg.producer_threads = 1;
-  cfg.seed = Block{1, 2};
-  MaterialPool pool(chain, GcOptions{}, cfg);
-  // Warm to target (acquire forces production; push one back is not
-  // possible, so just wait until the standing inventory converges).
-  (void)pool.acquire();
-  while (pool.ready() < 2) std::this_thread::yield();
-  EXPECT_GE(pool.ready(), 2u);
-  std::optional<GarbledMaterial> got = pool.try_acquire();
-  EXPECT_TRUE(got.has_value());
 }
 
 }  // namespace
