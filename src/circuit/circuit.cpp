@@ -53,6 +53,7 @@ Circuit& Circuit::operator=(const Circuit& o) {
   state_next = o.state_next;
   outputs = o.outputs;
   num_wires = o.num_wires;
+  walked_ = o.walked_;
   gc_flush_cache_.reset();  // recomputed lazily; see header
   gc_flush_cache_gates_ = 0;
   gc_sched_cache_.reset();

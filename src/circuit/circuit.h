@@ -119,13 +119,25 @@ class Circuit {
   /// The walked view of this circuit (walk_view in circuit/schedule.h):
   /// gates in the levelized batch-window-maximizing order, wires
   /// renumbered into reusable label slots, so `num_wires` is the slot
-  /// count a garbling allocates. Computed lazily and cached with the
-  /// same thread-safety and invalidation rules as gc_flush_points();
-  /// the view carries its own (lazily cached) flush schedule, so
-  /// repeated garblings reuse both.
+  /// count a garbling allocates. On a construction-order circuit it is
+  /// computed lazily and cached with the same thread-safety and
+  /// invalidation rules as gc_flush_points(); the view carries its own
+  /// (lazily cached) flush schedule, so repeated garblings reuse both.
+  /// On a walked circuit (walk_chain's links, what every runtime
+  /// endpoint holds) it is the circuit itself: a non-owning alias, no
+  /// lock, no cache — walking a view again would not be a no-op.
   std::shared_ptr<const Circuit> gc_scheduled() const;
 
+  /// True on a walked view (set only by walk_view / walk_chain; copies
+  /// and moves keep it). Its gates are already in walk order and its
+  /// wires are label slots, so it is never walked again.
+  bool walked() const { return walked_; }
+
  private:
+  friend Circuit walk_view(const Circuit& c);
+  friend std::vector<Circuit> walk_chain(std::vector<Circuit> chain);
+
+  bool walked_ = false;
   // Held across each cache's compute, so the garbler and evaluator
   // threads of one in-process run never both pay it.
   mutable detail::CacheLock cache_lock_;

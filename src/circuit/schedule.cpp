@@ -31,28 +31,17 @@ void interleave_by_lane(uint32_t* begin, uint32_t* end,
       if (round < g.size()) *out++ = g[round];
 }
 
-// The levelized gate order shared by schedule_circuit and walk_view.
-// The scratch arrays the passes leave behind are handed back for reuse
-// by the caller's gather: `wires` (num_wires entries) and `gates`
-// (one entry per gate).
-struct LevelOrder {
-  std::vector<uint32_t> gate_map;  // scheduled position -> original gate
-  std::vector<uint32_t> wires;
-  std::vector<uint32_t> gates;
-};
-
-LevelOrder levelize(const Circuit& c) {
+// The levelized gate order shared by schedule_circuit and walk_view:
+// gate_map[i] = original index of the gate at scheduled position i.
+std::vector<uint32_t> levelize(const Circuit& c) {
   const size_t n = c.gates.size();
-  LevelOrder lo;
 
   // Pass 1: AND-depth levels. Inputs and constants sit at level 0; an
   // AND's output is one level past its deepest input, a free XOR's
   // output stays at its deepest input's level. Each gate's sort key
   // puts the level's XORs before its ANDs.
-  std::vector<uint32_t>& wire_level = lo.wires;
-  std::vector<uint32_t>& key = lo.gates;
-  wire_level.assign(c.num_wires, 0);
-  key.resize(n);
+  std::vector<uint32_t> wire_level(c.num_wires, 0);
+  std::vector<uint32_t> key(n);
   uint32_t max_level = 0;
   for (size_t i = 0; i < n; ++i) {
     const Gate& g = c.gates[i];
@@ -74,20 +63,20 @@ LevelOrder levelize(const Circuit& c) {
   for (size_t i = 0; i < n; ++i) ++offset[key[i] + 1];
   for (size_t k = 1; k < offset.size(); ++k) offset[k] += offset[k - 1];
 
-  lo.gate_map.resize(n);
+  std::vector<uint32_t> gate_map(n);
   {
     std::vector<uint32_t> pos(offset.begin(), offset.end() - 1);
     for (size_t i = 0; i < n; ++i)
-      lo.gate_map[pos[key[i]]++] = static_cast<uint32_t>(i);
+      gate_map[pos[key[i]]++] = static_cast<uint32_t>(i);
   }
 
   // Pass 3: lane interleave within each level's AND run.
   if (!c.gate_lanes.empty())
     for (uint32_t lvl = 0; lvl <= max_level; ++lvl)
-      interleave_by_lane(lo.gate_map.data() + offset[2 * lvl + 1],
-                         lo.gate_map.data() + offset[2 * lvl + 2],
+      interleave_by_lane(gate_map.data() + offset[2 * lvl + 1],
+                         gate_map.data() + offset[2 * lvl + 2],
                          c.gate_lanes);
-  return lo;
+  return gate_map;
 }
 
 }  // namespace
@@ -95,7 +84,7 @@ LevelOrder levelize(const Circuit& c) {
 ScheduleResult schedule_circuit(const Circuit& c) {
   const size_t n = c.gates.size();
   ScheduleResult r;
-  r.gate_map = levelize(c).gate_map;
+  r.gate_map = levelize(c);
 
   // Wires, inputs, outputs, and state bindings are unchanged; only the
   // gate list (and its lane tags) is gathered through the permutation.
@@ -116,15 +105,25 @@ ScheduleResult schedule_circuit(const Circuit& c) {
   return r;
 }
 
-Circuit walk_view(const Circuit& c) {
-  const size_t n = c.gates.size();
-  LevelOrder lo = levelize(c);
+namespace {
 
-  // Backward gather: walking the order from its end, the first time a
-  // wire is seen as an operand is its last read. `seen` is a bitmap
-  // (1 bit per wire, cache-resident); the constants, inputs, outputs
-  // and state_next wires start seen, so they are never freed.
-  constexpr uint32_t kLastA = 1, kLastB = 2, kDead = 4;
+// walk_view's two passes over a levelized order, split so walk_chain
+// can free the construction-order netlist between them. Both prefetch
+// a few dozen gates ahead: the gather reads `c.gates` through the
+// permutation, the renaming reads `slot` by wire id, and either misses
+// cache on nearly every access otherwise.
+constexpr uint8_t kLastA = 1, kLastB = 2, kDead = 4;
+constexpr size_t kAhead = 32;
+
+// Backward gather: returns `c`'s gates in walk order (wire ids not yet
+// renamed) and each position's last-read flags in `flags`.
+// Walking the order from its end, the first time a wire is seen as an
+// operand is its last read. `seen` is a bitmap (1 bit per wire,
+// cache-resident); the constants, inputs, outputs and state_next wires
+// start seen, so they are never freed.
+Circuit gather(const Circuit& c, const std::vector<uint32_t>& gate_map,
+               std::vector<uint8_t>& flags) {
+  const size_t n = c.gates.size();
   std::vector<uint64_t> seen((c.num_wires + 63) / 64, 0);
   auto first_sight = [&seen](Wire w) {
     uint64_t& word = seen[w >> 6];
@@ -141,24 +140,27 @@ Circuit walk_view(const Circuit& c) {
   Circuit s;
   s.name = c.name;
   s.gates.resize(n);
-  std::vector<uint32_t>& flags = lo.gates;  // per scheduled position
-  // Both passes prefetch a few dozen gates ahead: the gather reads
-  // `c.gates` through the permutation, the renaming reads `slot` by
-  // wire id, and either misses cache on nearly every access otherwise.
-  constexpr size_t kAhead = 32;
+  flags.resize(n);
   for (size_t i = n; i-- > 0;) {
-    if (i >= kAhead) __builtin_prefetch(&c.gates[lo.gate_map[i - kAhead]]);
-    const Gate& g = c.gates[lo.gate_map[i]];
+    if (i >= kAhead) __builtin_prefetch(&c.gates[gate_map[i - kAhead]]);
+    const Gate& g = c.gates[gate_map[i]];
     s.gates[i] = g;
     // Walking backward, an output not seen yet has no reader at all.
-    uint32_t f = (seen[g.out >> 6] >> (g.out & 63)) & 1 ? 0 : kDead;
+    uint8_t f = (seen[g.out >> 6] >> (g.out & 63)) & 1 ? 0 : kDead;
     if (first_sight(g.a)) f |= kLastA;
     if (first_sight(g.b)) f |= kLastB;  // a == b: marked once, as a
     flags[i] = f;
   }
+  return s;
+}
 
-  // Forward renaming: the level array becomes the wire -> slot map.
-  std::vector<uint32_t>& slot = lo.wires;
+// Forward renaming of the gathered view `s` into label slots under the
+// slot rule; `c` supplies only the interface (inputs, outputs, state)
+// and its wire count.
+void assign_slots(const Circuit& c, const std::vector<uint8_t>& flags,
+                  Circuit& s) {
+  const size_t n = s.gates.size();
+  std::vector<Wire> slot(c.num_wires);  // wire -> slot
   Wire next = 2;
   slot[kConst0] = kConst0;
   slot[kConst1] = kConst1;
@@ -177,7 +179,7 @@ Circuit walk_view(const Circuit& c) {
       __builtin_prefetch(&slot[s.gates[i + kAhead].b]);
     }
     Gate& g = s.gates[i];
-    const uint32_t f = flags[i];
+    const uint8_t f = flags[i];
     g.a = slot[g.a];
     g.b = slot[g.b];
     if (f & kLastA) free_slots.push_back(g.a);
@@ -201,10 +203,46 @@ Circuit walk_view(const Circuit& c) {
   rename(c.outputs, s.outputs);
   rename(c.state_next, s.state_next);
   s.num_wires = next;
+}
+
+template <class T>
+void release(std::vector<T>& v) {
+  std::vector<T>().swap(v);
+}
+
+}  // namespace
+
+Circuit walk_view(const Circuit& c) {
+  if (c.walked()) return c;
+  std::vector<uint8_t> flags;
+  Circuit s = gather(c, levelize(c), flags);
+  assign_slots(c, flags, s);
+  s.walked_ = true;
   return s;
 }
 
+std::vector<Circuit> walk_chain(std::vector<Circuit> chain) {
+  for (Circuit& c : chain) {
+    if (c.walked()) continue;
+    std::vector<uint32_t> gate_map = levelize(c);
+    release(c.gate_lanes);
+    std::vector<uint8_t> flags;
+    Circuit s = gather(c, gate_map, flags);
+    release(c.gates);
+    release(gate_map);
+    assign_slots(c, flags, s);
+    s.walked_ = true;
+    c = std::move(s);
+  }
+  return chain;
+}
+
 std::shared_ptr<const Circuit> Circuit::gc_scheduled() const {
+  // Aliasing constructor over an empty owner: shares no ownership, so
+  // the pointer is valid exactly as long as this circuit.
+  if (walked_)
+    return std::shared_ptr<const Circuit>(std::shared_ptr<const Circuit>(),
+                                          this);
   std::lock_guard<std::mutex> lock(cache_lock_.mu);
   if (!gc_sched_cache_ || gc_sched_cache_gates_ != gates.size()) {
     gc_sched_cache_ = std::make_shared<const Circuit>(walk_view(*this));

@@ -29,11 +29,19 @@
 //     its lane tags are permuted — so inputs, outputs, state bindings
 //     and the plaintext oracle (Circuit::eval) are unchanged, and
 //     validate() holds. The reference the tests compare against.
-//   * walk_view() (cached as Circuit::gc_scheduled, what both GC
-//     endpoints walk) renumbers the same order's wires into label
-//     slots: a slot goes to a new gate output as soon as its previous
-//     occupant's last reader has run. Garbling allocates one label per
-//     slot instead of one per wire. The view carries no lane tags.
+//   * walk_view() renumbers the same order's wires into label slots: a
+//     slot goes to a new gate output as soon as its previous occupant's
+//     last reader has run. Garbling allocates one label per slot
+//     instead of one per wire. The view carries no lane tags and is
+//     marked walked (Circuit::walked), so it is its own gc_scheduled()
+//     and is never walked again.
+//
+// One netlist per party. walk_chain() turns a compiled chain into its
+// walked views, freeing each construction-order layer as it goes; it
+// is how every runtime endpoint (and secure_infer) builds the chain it
+// keeps, so a party holds the walked view only. Circuit::gc_scheduled
+// remains the lazily cached walk for library and test callers that
+// hold a construction-order circuit.
 //
 // Slot rule. Reads happen at a gate's position in the walk; an AND's
 // output lands later, at its window's flush.
@@ -58,9 +66,10 @@
 //     the walked view are byte-identical to walking schedule_circuit's
 //     SSA order; slots change only which label memory holds a value.
 //   * every runtime endpoint walks this view. GcOptions::schedule =
-//     false walks construction order instead; it is a test seam only,
-//     the correctness oracle test_schedule and test_runtime compare
-//     the walked view against.
+//     false walks a circuit as given: construction order on a compiled
+//     circuit — a test seam only, the correctness oracle test_schedule
+//     and test_runtime compare the walked view against — and the same
+//     bytes as schedule = true on a walked one.
 #pragma once
 
 #include <vector>
@@ -83,9 +92,19 @@ ScheduleResult schedule_circuit(const Circuit& c);
 /// The walked view of `c`: schedule_circuit's gate order with wires
 /// renumbered into label slots under the slot rule (see file header);
 /// `num_wires` is the slot count. No lane tags. validate() does not
-/// hold (slots are rewritten), but eval() and garbling do. O(gates +
+/// hold (slots are rewritten), but eval() and garbling do. The result
+/// is walked(); on an already-walked `c` it is a copy of `c`. O(gates +
 /// wires) time and memory.
 Circuit walk_view(const Circuit& c);
+
+/// `chain` with every link replaced by its walked view, consuming the
+/// links as it goes: a link's lane tags are freed right after
+/// levelizing, its construction gate list (and the permutation) right
+/// after the backward gather, so a layer's construction order and its
+/// view coexist only during that gather. Each result equals
+/// walk_view(link) gate for gate and is walked(); already-walked links
+/// pass through unchanged.
+std::vector<Circuit> walk_chain(std::vector<Circuit> chain);
 
 /// Batch-window shape of a gate order: simulates the batched walk
 /// (dependency flush points + a `capacity` cap, kGcMaxBatchWindow in

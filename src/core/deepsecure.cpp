@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "circuit/schedule.h"
 #include "net/party.h"
 
 namespace deepsecure {
@@ -134,9 +135,11 @@ SecureInferenceResult secure_infer(const nn::Network& model,
                                    const nn::VecF& sample,
                                    const SecureInferenceOptions& opt) {
   const synth::ModelSpec spec = model_spec_from_network(model, opt);
-  const std::vector<Circuit> chain =
+  // Both in-process parties garble the walked views; the compiled
+  // netlist is freed layer by layer as it is walked.
+  const std::vector<Circuit> chain = walk_chain(
       opt.per_layer ? synth::compile_model_layers(spec)
-                    : std::vector<Circuit>{synth::compile_model(spec)};
+                    : std::vector<Circuit>{synth::compile_model(spec)});
   return run_protocol(chain, sample_bits(sample, opt.fmt),
                       weight_bits(model, opt.fmt), effective_seed(opt));
 }

@@ -62,8 +62,9 @@ uint64_t chain_fingerprint(const std::vector<Circuit>& chain,
   mix(chain.size());
   for (const Circuit& link : chain) {
     // Hash the view the endpoints will walk: the slotted scheduled view
-    // when the scheduling pass is on (its cache is shared with the
-    // garbler/evaluator, so this triggers no extra scheduling work).
+    // when the scheduling pass is on (a walked link is its own view; a
+    // compiled one's cache is shared with the garbler/evaluator, so
+    // this triggers no extra scheduling work).
     std::shared_ptr<const Circuit> sched;
     const Circuit& c = scheduled ? *(sched = link.gc_scheduled()) : link;
     mix(c.num_wires);

@@ -35,9 +35,12 @@ namespace deepsecure {
 ///
 /// The table stream and tweak sequence follow the *walked* gate order,
 /// so the hash covers the view the endpoints execute: by default the
-/// scheduled, slot-numbered view every server and client walks.
-/// `scheduled` = false hashes construction order, matching an artifact
-/// garbled with the GcOptions::schedule = false oracle.
+/// scheduled, slot-numbered view every server and client walks (and,
+/// since they hold walk_chain's views, the chain itself there).
+/// `scheduled` = false hashes the links as given: construction order on
+/// a compiled chain, matching an artifact garbled with the
+/// GcOptions::schedule = false oracle, and the same value as `true` on
+/// a walked chain.
 uint64_t chain_fingerprint(const std::vector<Circuit>& chain,
                            bool scheduled = true);
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "circuit/schedule.h"
 #include "crypto/prg.h"
 #include "obs/trace.h"
 #include "support/bits.h"
@@ -40,7 +41,7 @@ uint64_t splitmix64(uint64_t& state) {
 InferenceClient::InferenceClient(const std::string& host, uint16_t port,
                                  const synth::ModelSpec& spec,
                                  ClientConfig cfg)
-    : chain_(synth::compile_model_layers(spec)),
+    : chain_(walk_chain(synth::compile_model_layers(spec))),
       fmt_(spec.fmt),
       cfg_(cfg),
       host_(host),

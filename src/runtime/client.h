@@ -118,8 +118,9 @@ struct ClientConfig {
 class InferenceClient {
  public:
   /// `spec` is the public model architecture — the client compiles the
-  /// same chain the server compiled and the handshake cross-checks the
-  /// fingerprints.
+  /// same chain the server compiled, keeps only its walked views
+  /// (walk_chain, circuit/schedule.h; the material pool borrows them),
+  /// and the handshake cross-checks the fingerprints over them.
   InferenceClient(const std::string& host, uint16_t port,
                   const synth::ModelSpec& spec, ClientConfig cfg = {});
   ~InferenceClient();

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "circuit/schedule.h"
 #include "crypto/hash_backend.h"
 #include "obs/trace.h"
 #include "runtime/frame.h"
@@ -26,17 +27,44 @@ uint64_t seconds_to_ns(double s) {
   return s <= 0 ? 0 : static_cast<uint64_t>(s * 1e9);
 }
 
+// stats_json's "chain" block: the size of the one netlist the server
+// holds. label_slots sums the views' slot counts (a garbling allocates
+// one layer's at a time); netlist_bytes counts gate lists and
+// interface vectors.
+std::string chain_json(const std::vector<Circuit>& chain) {
+  uint64_t gates = 0, and_gates = 0, slots = 0, bytes = 0;
+  for (const Circuit& c : chain) {
+    gates += c.gates.size();
+    and_gates += c.stats().num_and;
+    slots += c.num_wires;
+    bytes += c.gates.size() * sizeof(Gate);
+    for (const auto* v : {&c.garbler_inputs, &c.evaluator_inputs,
+                          &c.state_inputs, &c.state_next, &c.outputs})
+      bytes += v->size() * sizeof(Wire);
+  }
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "\"chain\":{\"circuits\":%zu,\"gates\":%llu,"
+                "\"and_gates\":%llu,\"label_slots\":%llu,"
+                "\"netlist_bytes\":%llu},",
+                chain.size(), static_cast<unsigned long long>(gates),
+                static_cast<unsigned long long>(and_gates),
+                static_cast<unsigned long long>(slots),
+                static_cast<unsigned long long>(bytes));
+  return buf;
+}
+
 }  // namespace
 
 InferenceServer::InferenceServer(const synth::ModelSpec& spec, BitVec weights,
                                  ServerConfig cfg)
-    : chain_(synth::compile_model_layers(spec)),
+    // The walked views are the only netlist the server keeps: sessions
+    // garble and evaluate them, and the fingerprint hashes them.
+    : chain_(walk_chain(synth::compile_model_layers(spec))),
       weights_(std::move(weights)),
       cfg_(cfg),
-      // Fingerprint over the gate order sessions will walk — computing
-      // it here also warms the per-circuit schedule cache once, before
-      // the first session arrives.
       fingerprint_(chain_fingerprint(chain_)),
+      chain_json_(chain_json(chain_)),
       listener_(cfg.port, cfg.backlog),
       // The lane listener is always ephemeral: its port travels in the
       // hello ack, so clients never configure it and it cannot collide
@@ -377,6 +405,7 @@ std::string InferenceServer::stats_json() const {
                 hash_backend().name, hash_backend_cpu_features().c_str(),
                 phase_total_s, wall_s, accounted);
   std::string out = head;
+  out += chain_json_;
   out += resil;
   out += "\"metrics\":";
   out += s.to_json();

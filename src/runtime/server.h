@@ -1,8 +1,9 @@
 // Multi-session secure-inference server — the deployment shape the
 // paper's scalability story implies: the model owner (Bob, evaluator)
-// loads one model, compiles its GC chain once, and serves many
-// concurrent client sessions over TCP, each with its own channel,
-// OT setup, and per-session label seeds on the client side.
+// loads one model, compiles its GC chain once into the walked views it
+// keeps (walk_chain, circuit/schedule.h), and serves many concurrent
+// client sessions over TCP, each with its own channel, OT setup, and
+// per-session label seeds on the client side.
 //
 // The serving engine is an epoll reactor + small worker pool
 // (runtime/reactor.h). Connections are nonblocking and parked in the
@@ -14,8 +15,9 @@
 //
 // Concurrent sessions are capped at `max_sessions` (excess clients
 // queue in the listen backlog instead of being dropped) and share the
-// compiled chain read-only; the per-circuit flush-point cache is
-// thread-safe (see Circuit::gc_flush_points).
+// walked chain read-only: each view is its own schedule, and the
+// per-circuit flush-point cache is thread-safe (see
+// Circuit::gc_flush_points).
 //
 // Async prefetch lane (protocol v4): a SECOND listener accepts
 // dedicated prefetch connections. The hello ack hands each session an
@@ -35,6 +37,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -167,8 +170,13 @@ class InferenceServer {
   uint64_t phase_timeouts() const { return c_phase_timeouts_.value(); }
 
   /// This server's full observability surface as one JSON object:
-  /// {"io","sessions_active","prefetch_bytes","accounting":{...},
-  ///  "metrics":{counters,gauges,hists}}. The accounting block sums the
+  /// {"io","sessions_active","prefetch_bytes","hash_backend",
+  ///  "cpu_features","accounting":{...},"chain":{...},"resilience":{...},
+  ///  "metrics":{counters,gauges,hists}}. The chain block, fixed at
+  /// construction, sizes the one netlist the server holds — its largest
+  /// allocation: {"circuits","gates","and_gates","label_slots" (sum of
+  /// the walked views' num_wires),"netlist_bytes" (gate lists plus
+  /// interface vectors)}. The accounting block sums the
   /// non-overlapping per-phase histograms (handshake, recv_wait,
   /// infer_*, prefetch_push, parked, dispatch) against session_wall, so
   /// a scaling sweep can say WHERE each session-second went — the
@@ -231,6 +239,7 @@ class InferenceServer {
   BitVec weights_;
   ServerConfig cfg_;
   uint64_t fingerprint_ = 0;
+  std::string chain_json_;  // stats_json's "chain" block, fixed at set-up
   // Exact size of a well-formed artifact's table stream for chain_
   // (consts + half-gate tables per circuit): prefetches that disagree
   // are rejected at push time, not at kInfer time.

@@ -4,6 +4,7 @@
 
 #include "circuit/builder.h"
 #include "circuit/netlist_io.h"
+#include "circuit/schedule.h"
 #include "circuit/sequential.h"
 #include "core/benchmark_zoo.h"
 #include "gc/material.h"
@@ -221,7 +222,9 @@ TEST(Builder, CseTableMatchesReferenceMapGateByGate) {
 // Pinned handshake fingerprints of two compiled chains, in both gate
 // orders. Any change to the builder, the block generators, the
 // scheduling pass or its slot numbering that alters a single gate
-// moves them, and with them every table stream and wire byte.
+// moves them, and with them every table stream and wire byte. The
+// walked chain a runtime party keeps (walk_chain) hashes to the
+// scheduled pin, in either mode.
 synth::ModelSpec mlp_8_6_3() {
   synth::ModelSpec spec;
   spec.name = "mlp";
@@ -247,6 +250,11 @@ TEST(Builder, PinnedChainFingerprintMlp) {
             0x710f82ed251e2a9dull);
   EXPECT_EQ(chain_fingerprint(chain, /*scheduled=*/false),
             0x8d42ccd46a58fd20ull);
+  const auto walked = walk_chain(chain);
+  EXPECT_EQ(chain_fingerprint(walked, /*scheduled=*/true),
+            0x710f82ed251e2a9dull);
+  EXPECT_EQ(chain_fingerprint(walked, /*scheduled=*/false),
+            0x710f82ed251e2a9dull);
 }
 
 TEST(Builder, PinnedChainFingerprintB3pp) {
@@ -254,6 +262,8 @@ TEST(Builder, PinnedChainFingerprintB3pp) {
             0x0bdca78827a99d99ull);
   EXPECT_EQ(chain_fingerprint(b3pp_chain(), /*scheduled=*/false),
             0xb5f4f6175f28c296ull);
+  EXPECT_EQ(chain_fingerprint(walk_chain(b3pp_chain())),
+            0x0bdca78827a99d99ull);
 }
 
 // Label slots: the walked view of b3_pp's first FC layer (9.35 M

@@ -8,6 +8,8 @@
 // scheduled netlist. The walked view's label slots (walk_view) must
 // leave every stream byte, flush point and decoded output as walking
 // the SSA order would, and never overwrite a value a reader still needs.
+// A walked chain (walk_chain) is its own schedule and garbles to the
+// bytes of the construction-order chain it was walked from.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +22,7 @@
 #include "gc/batch_walk.h"
 #include "gc/garble.h"
 #include "gc/material.h"
+#include "gc/protocol.h"
 #include "net/party.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
@@ -649,6 +652,177 @@ TEST(WalkView, SlotsNeverClobberLiveWires) {
     for (size_t i = 0; i < ssa.state_next.size(); ++i)
       EXPECT_EQ(holds[view->state_next[i]], ssa.state_next[i]) << c.name;
   }
+}
+
+// ---------------------------------------------------------------------
+// The walked chain (walk_chain): the one netlist a runtime party keeps.
+
+// Same gates, slot count and interface.
+::testing::AssertionResult same_netlist(const Circuit& x, const Circuit& y) {
+  if (x.num_wires != y.num_wires)
+    return ::testing::AssertionFailure()
+           << "num_wires " << x.num_wires << " vs " << y.num_wires;
+  if (x.gates.size() != y.gates.size())
+    return ::testing::AssertionFailure()
+           << "gates " << x.gates.size() << " vs " << y.gates.size();
+  for (size_t i = 0; i < x.gates.size(); ++i) {
+    const Gate& a = x.gates[i];
+    const Gate& b = y.gates[i];
+    if (a.a != b.a || a.b != b.b || a.out != b.out || a.op != b.op)
+      return ::testing::AssertionFailure() << "gate " << i;
+  }
+  if (x.garbler_inputs != y.garbler_inputs ||
+      x.evaluator_inputs != y.evaluator_inputs ||
+      x.state_inputs != y.state_inputs || x.state_next != y.state_next ||
+      x.outputs != y.outputs)
+    return ::testing::AssertionFailure() << "interface differs";
+  return ::testing::AssertionSuccess();
+}
+
+synth::ModelSpec mlp_spec() {
+  synth::ModelSpec spec;
+  spec.name = "walk_mlp";
+  spec.input = synth::Shape3{1, 1, 8};
+  spec.layers.push_back(synth::FcLayer{6, {}, true});
+  spec.layers.push_back(synth::ActLayer{synth::ActKind::kReLU});
+  spec.layers.push_back(synth::FcLayer{3, {}, true});
+  spec.layers.push_back(synth::ArgmaxLayer{});
+  return spec;
+}
+
+// A walked view is never walked again: gc_scheduled() is the view
+// itself, walk_view() a copy, and copies and moves stay walked.
+TEST(Circuit, WalkedViewIsItsOwnSchedule) {
+  Rng rng(4711);
+  const Circuit c = raw_dag(rng, 600);  // lane tags and a state register
+  ASSERT_FALSE(c.gate_lanes.empty());
+  ASSERT_FALSE(c.walked());
+  const Circuit v = walk_view(c);
+  ASSERT_TRUE(v.walked());
+  EXPECT_TRUE(same_netlist(v, *c.gc_scheduled()));
+  EXPECT_EQ(v.gc_scheduled().get(), &v);
+  EXPECT_EQ(v.gc_scheduled().use_count(), 0);  // non-owning alias
+  EXPECT_TRUE(same_netlist(walk_view(v), v));
+  EXPECT_TRUE(walk_view(v).walked());
+
+  const Circuit copy = v;
+  EXPECT_TRUE(copy.walked());
+  EXPECT_EQ(copy.gc_scheduled().get(), &copy);
+  Circuit assigned;
+  assigned = copy;
+  EXPECT_TRUE(assigned.walked());
+  const Circuit moved = std::move(assigned);
+  EXPECT_TRUE(moved.walked());
+  EXPECT_TRUE(same_netlist(moved, v));
+}
+
+// walk_chain's links are the cached views gate for gate, carry no lane
+// tags and no spare gate capacity; walking a walked chain is a no-op.
+TEST(WalkChain, MatchesCachedViews) {
+  Rng rng(5150);
+  const std::vector<std::vector<Circuit>> chains = {
+      synth::compile_model_layers(mlp_spec()),
+      {random_dag(rng, 800, /*with_lanes=*/true), raw_dag(rng, 500)}};
+  ASSERT_FALSE(chains[1][0].gate_lanes.empty());
+  for (const auto& chain : chains) {
+    const std::vector<Circuit> walked = walk_chain(chain);
+    ASSERT_EQ(walked.size(), chain.size());
+    for (size_t i = 0; i < chain.size(); ++i) {
+      EXPECT_TRUE(walked[i].walked()) << i;
+      EXPECT_TRUE(same_netlist(walked[i], *chain[i].gc_scheduled())) << i;
+      EXPECT_TRUE(walked[i].gate_lanes.empty()) << i;
+      EXPECT_EQ(walked[i].gates.capacity(), walked[i].gates.size()) << i;
+    }
+    const std::vector<Circuit> again = walk_chain(walked);
+    for (size_t i = 0; i < chain.size(); ++i)
+      EXPECT_TRUE(same_netlist(again[i], walked[i])) << i;
+  }
+}
+
+// One inference over `chain` from one seed: the garbler's stream bytes,
+// the outputs a two-party run decodes, and the offline artifact.
+struct ChainRecord {
+  std::vector<uint8_t> stream;
+  BitVec decoded;
+  GarbledMaterial mat;
+};
+
+ChainRecord record_chain(const std::vector<Circuit>& chain,
+                         const BitVec& data, const BitVec& weights,
+                         const GcOptions& gopt, const GcOptions& eopt) {
+  const Block seed{31, 41};
+  ChainRecord r;
+  RecordChannel rec;
+  Garbler g(rec, seed, gopt);
+  Labels carried = g.fresh_zeros(chain.front().garbler_inputs.size());
+  for (const Circuit& c : chain)
+    carried =
+        g.garble(c, carried, g.fresh_zeros(c.evaluator_inputs.size()), {});
+  r.stream = std::move(rec.bytes);
+  run_two_party(
+      [&](Channel& ch) {
+        GarblerSession session(ch, seed, gopt);
+        r.decoded = session.run_chain(chain, data);
+      },
+      [&](Channel& ch) {
+        EvaluatorSession session(ch, eopt);
+        (void)session.run_chain(chain, weights);
+      });
+  r.mat = garble_offline(chain, seed, gopt);
+  return r;
+}
+
+// What the runtime serves (the walked chain, default options) puts the
+// bytes of the construction-order chain on the wire: scalar, and
+// batched with sharding pools.
+TEST(WalkChain, GarbleByteIdenticalToConstructionChain) {
+  const std::vector<Circuit> chain = synth::compile_model_layers(mlp_spec());
+  const std::vector<Circuit> walked = walk_chain(chain);
+  Rng rng(8086);
+  const BitVec data = random_bits(rng, chain.front().garbler_inputs.size());
+  size_t n_weights = 0;
+  for (const Circuit& c : chain) n_weights += c.evaluator_inputs.size();
+  const BitVec weights = random_bits(rng, n_weights);
+  BitVec expect = data;
+  size_t used = 0;
+  for (const Circuit& c : chain) {
+    const size_t n = c.evaluator_inputs.size();
+    expect = c.eval(expect, BitVec(weights.begin() + used,
+                                   weights.begin() + used + n));
+    used += n;
+  }
+
+  ThreadPool gpool(3), epool(3);
+  for (const bool pooled : {false, true}) {
+    GcOptions gopt, eopt;
+    if (pooled) {
+      gopt.pool = &gpool;
+      eopt.pool = &epool;
+    } else {
+      gopt.pipeline = eopt.pipeline = GcPipeline::kScalar;
+    }
+    const ChainRecord a = record_chain(chain, data, weights, gopt, eopt);
+    const ChainRecord b = record_chain(walked, data, weights, gopt, eopt);
+    EXPECT_EQ(a.stream, b.stream) << "pooled=" << pooled;
+    EXPECT_EQ(a.decoded, expect) << "pooled=" << pooled;
+    EXPECT_EQ(b.decoded, expect) << "pooled=" << pooled;
+    EXPECT_EQ(a.mat.fingerprint, b.mat.fingerprint) << "pooled=" << pooled;
+    EXPECT_EQ(b.mat.fingerprint, chain_fingerprint(chain));
+    EXPECT_EQ(a.mat.delta, b.mat.delta) << "pooled=" << pooled;
+    EXPECT_EQ(a.mat.data_zeros, b.mat.data_zeros) << "pooled=" << pooled;
+    EXPECT_EQ(a.mat.eval_zeros, b.mat.eval_zeros) << "pooled=" << pooled;
+    EXPECT_EQ(a.mat.decode_bits, b.mat.decode_bits) << "pooled=" << pooled;
+    EXPECT_EQ(a.mat.tables, b.mat.tables) << "pooled=" << pooled;
+  }
+
+  // The schedule = false seam walks a walked chain as given: the same
+  // bytes as the default.
+  GcOptions off;
+  off.schedule = false;
+  EXPECT_EQ(record_chain(walked, data, weights, off, off).stream,
+            record_chain(walked, data, weights, {}, {}).stream);
+  EXPECT_EQ(chain_fingerprint(walked, /*scheduled=*/false),
+            chain_fingerprint(chain));
 }
 
 TEST(Schedule, LaneTagsSurviveSchedulingAndValidate) {

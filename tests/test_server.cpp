@@ -6,11 +6,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "circuit/schedule.h"
 #include "core/deepsecure.h"
 #include "net/tcp_channel.h"
 #include "nn/network.h"
@@ -134,6 +136,46 @@ TEST(InferenceServerTest, StatsJsonExplainsServedSession) {
   ASSERT_NE(wall, nullptr);
   EXPECT_EQ(wall->count, 1u);
   EXPECT_GT(wall->sum, 0u);
+}
+
+// The integer after `"key":` in `js`, or -1 when absent.
+long long json_int(const std::string& js, const std::string& key) {
+  const size_t at = js.find("\"" + key + "\":");
+  if (at == std::string::npos) return -1;
+  const char* begin = js.c_str() + at + key.size() + 3;
+  char* end = nullptr;
+  const long long v = std::strtoll(begin, &end, 10);
+  return end == begin ? -1 : v;
+}
+
+// The "chain" block sizes the walked chain the server holds.
+TEST(InferenceServerTest, StatsJsonSizesTheWalkedChain) {
+  const synth::ModelSpec spec = small_spec();
+  Rng rng(23);
+  runtime::InferenceServer server(spec, random_weights(spec, rng));
+  const std::string js = server.stats_json();
+  const size_t at = js.find("\"chain\":{");
+  ASSERT_NE(at, std::string::npos) << js;
+  const size_t close = js.find('}', at);
+  ASSERT_NE(close, std::string::npos) << js;
+  const std::string block = js.substr(at, close - at + 1);
+
+  const std::vector<Circuit> walked =
+      walk_chain(synth::compile_model_layers(spec));
+  long long gates = 0, and_gates = 0, slots = 0;
+  for (const Circuit& c : walked) {
+    gates += static_cast<long long>(c.gates.size());
+    and_gates += static_cast<long long>(c.stats().num_and);
+    slots += c.num_wires;
+  }
+  EXPECT_EQ(json_int(block, "circuits"),
+            static_cast<long long>(walked.size()));
+  EXPECT_EQ(json_int(block, "gates"), gates);
+  EXPECT_EQ(json_int(block, "and_gates"), and_gates);
+  EXPECT_EQ(json_int(block, "label_slots"), slots);
+  EXPECT_GE(json_int(block, "netlist_bytes"),
+            gates * static_cast<long long>(sizeof(Gate)));
+  EXPECT_GT(gates, 0);
 }
 
 TEST(InferenceServerTest, SustainsFourConcurrentTcpSessions) {
