@@ -7,8 +7,7 @@
 //                       [--out FILE] [--precomputed]
 //                       [--strict-precomputed]
 //                       [--shard-threads S] [--async-prefetch]
-//                       [--scaling] [--trace FILE] [--io epoll|uring]
-//                       [--chaos SEED:RATE]
+//                       [--scaling] [--trace FILE] [--chaos SEED:RATE]
 //
 // Measurements:
 //   1. overlap: one streaming session over TCP loopback garbling a
@@ -35,11 +34,8 @@
 //      the run when warm-pool p50 is not below the on-demand p50
 //      (local acceptance gate — CI runs non-strict because shared
 //      runners make timing flaky).
-//   4b. data_plane: the on-demand load's send path and copy counters
+//   4b. data_plane: the on-demand load's send and copy counters
 //      (bytes_copied_per_table_byte is 0 on the zero-copy table plane).
-//      --io uring routes sends through the io_uring submission path
-//      where the kernel supports it (the effective backend is recorded;
-//      unsupported hosts fall back to sendmsg and the JSON says so).
 //   5. with --scaling, a concurrency sweep (16/64/256/1024 sessions,
 //      one request each): sessions/sec and p95 as concurrency grows,
 //      with the serving thread count per point (the reactor's fixed
@@ -70,7 +66,6 @@
 #include "fixed/fixed_point.h"
 #include "gc/material.h"
 #include "net/tcp_channel.h"
-#include "net/uring.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/client.h"
@@ -113,13 +108,6 @@ struct Args {
   // Enable the span tracer for the whole run and write the collected
   // events as chrome://tracing JSON to this file (src/obs/trace.h).
   std::string trace;
-  // Force the process-wide batch AES kernel by name (vaes16 / aesni8 /
-  // bitsliced8 / scalar). Empty = env + CPUID auto-dispatch. The
-  // selected backend is recorded in the JSON either way.
-  std::string hash_backend;
-  // Send-submission path on both endpoints; kUring is runtime-probed
-  // and falls back to sendmsg (the JSON records the effective mode).
-  runtime::IoBackend io = runtime::IoBackend::kEpoll;
   // Deterministic chaos soak (measurement 6): fault-plan seed and
   // per-I/O injection probability. rate 0 = off.
   uint64_t chaos_seed = 0;
@@ -151,13 +139,6 @@ Args parse_args(int argc, char** argv) {
     else if (k == "--async-prefetch") a.async_prefetch = true;
     else if (k == "--scaling") a.scaling = true;
     else if (k == "--trace") a.trace = next();
-    else if (k == "--hash-backend") a.hash_backend = next();
-    else if (k == "--io") {
-      const std::string v = next();
-      if (v == "epoll") a.io = runtime::IoBackend::kEpoll;
-      else if (v == "uring") a.io = runtime::IoBackend::kUring;
-      else throw std::runtime_error("--io expects epoll|uring");
-    }
     else if (k == "--chaos") {
       const std::string v = next();
       const size_t colon = v.find(':');
@@ -444,7 +425,6 @@ LoadResult measure_load(const Args& args, bool pooled) {
   }
 
   runtime::ServerConfig scfg;
-  scfg.io = args.io;
   scfg.max_sessions = std::max<size_t>(args.sessions, 1);
   scfg.max_prefetch = std::max<size_t>(args.requests, 1);
   scfg.stream.eval_threads = args.eval_threads;
@@ -473,7 +453,6 @@ LoadResult measure_load(const Args& args, bool pooled) {
       try {
       runtime::ClientConfig ccfg;
       ccfg.seed = Block{1000 + s, 2000 + s};  // per-session PRG seed
-      ccfg.io = args.io;
       if (pooled) {
         ccfg.pool_target = args.requests;
         ccfg.pool_producers = 2;
@@ -654,7 +633,6 @@ ChaosResult measure_chaos(const Args& args) {
   };
 
   runtime::ServerConfig scfg;
-  scfg.io = args.io;
   scfg.max_sessions = std::max<size_t>(args.sessions, 1);
   scfg.max_prefetch = std::max<size_t>(args.requests, 1);
   scfg.stream.eval_threads = args.eval_threads;
@@ -673,7 +651,6 @@ ChaosResult measure_chaos(const Args& args) {
       try {
         runtime::ClientConfig ccfg;
         ccfg.seed = Block{7000 + s, 9000 + s};
-        ccfg.io = args.io;
         ccfg.pool_target = 2;  // exercise the poisoning path on recovery
         ccfg.async_prefetch = args.async_prefetch;
         // Distinct plan seeds per endpoint: the server's and client's
@@ -727,15 +704,6 @@ ChaosResult measure_chaos(const Args& args) {
   return r;
 }
 
-// The effective send path: --io uring only takes hold where the kernel
-// probe passes (net/uring.h); everywhere else sends fall back to
-// sendmsg, and the JSON must say which one actually ran.
-const char* effective_io(const Args& args) {
-  return args.io == runtime::IoBackend::kUring && net::uring_supported()
-             ? "uring"
-             : "epoll";
-}
-
 // Data-plane counter fragment shared by every load row: what the run
 // copied and how the pool slabs circulated.
 std::string net_counters_json(const LoadResult& l) {
@@ -764,12 +732,6 @@ std::string net_counters_json(const LoadResult& l) {
       static_cast<unsigned long long>(l.net.recovered),
       static_cast<unsigned long long>(l.net.poisoned));
   return buf;
-}
-
-// The same, led by which send path ran.
-std::string net_json(const Args& args, const LoadResult& l) {
-  return std::string("\"io\": \"") + effective_io(args) + "\", " +
-         net_counters_json(l);
 }
 
 // Latency fragment shared by every load row. A tail percentile with
@@ -825,15 +787,10 @@ void emit_json(std::FILE* f, const Args& args, const OverlapResult& o,
                o.layers, o.gates, o.threads, o.wall_s, o.garble_s,
                o.transfer_s, o.eval_s, o.phase_sum(), o.setup_s,
                o.phase_sum() > 0 ? o.wall_s / o.phase_sum() : 0.0);
-  // The on-demand load's data plane: requested vs effective send path
-  // and what the zero-copy table plane copied.
-  std::fprintf(
-      f,
-      "  \"data_plane\": {\"io_requested\": \"%s\", \"io\": \"%s\", "
-      "\"uring_supported\": %s, \"p50_ms\": %.3f, %s},\n",
-      args.io == runtime::IoBackend::kUring ? "uring" : "epoll",
-      effective_io(args), net::uring_supported() ? "true" : "false",
-      l.p50_ms, net_counters_json(l).c_str());
+  // The on-demand load's data plane: what the send path and the
+  // zero-copy table plane did.
+  std::fprintf(f, "  \"data_plane\": {\"p50_ms\": %.3f, %s},\n", l.p50_ms,
+               net_counters_json(l).c_str());
   if (chaos != nullptr) {
     // Self-healing soak: measure_chaos already hard-failed unless every
     // inference completed byte-correct, so this section existing at all
@@ -868,7 +825,7 @@ void emit_json(std::FILE* f, const Args& args, const OverlapResult& o,
                l.sessions, l.requests, l.serving_threads,
                static_cast<unsigned long long>(l.served), l.wall_s,
                l.sessions_per_s(), l.requests_per_s(), latency_json(l).c_str(),
-               net_json(args, l).c_str(),
+               net_counters_json(l).c_str(),
                l.server_stats.empty() ? "{}" : l.server_stats.c_str(),
                more_after_load ? "," : "");
   if (pre != nullptr) {
@@ -891,7 +848,7 @@ void emit_json(std::FILE* f, const Args& args, const OverlapResult& o,
         pre->ttfw_s, pre->offline_s, pre->wall_s, pre->requests_per_s(),
         latency_json(*pre).c_str(),
         pre->p50_ms > 0 ? l.p50_ms / pre->p50_ms : 0.0,
-        net_json(args, *pre).c_str(),
+        net_counters_json(*pre).c_str(),
         pre->server_stats.empty() ? "{}" : pre->server_stats.c_str());
     if (scaling != nullptr) std::fprintf(f, ",");
   }
@@ -905,7 +862,7 @@ void emit_json(std::FILE* f, const Args& args, const OverlapResult& o,
                    "\"server_stats\": %s}%s\n",
                    row.sessions, row.serving_threads, row.wall_s,
                    row.sessions_per_s(), latency_json(row).c_str(),
-                   net_json(args, row).c_str(),
+                   net_counters_json(row).c_str(),
                    row.server_stats.empty() ? "{}" : row.server_stats.c_str(),
                    i + 1 < scaling->size() ? "," : "");
     }
@@ -927,9 +884,6 @@ int main(int argc, char** argv) {
   }
   try {
     const Args args = parse_args(argc, argv);
-    if (!args.hash_backend.empty() && !set_hash_backend(args.hash_backend))
-      throw std::runtime_error("--hash-backend " + args.hash_backend +
-                               ": unknown or unavailable on this host");
     if (!args.trace.empty()) obs::set_trace_enabled(true);
     const OverlapResult overlap = measure_overlap(args);
     const OfflineResult offline = measure_offline(args);

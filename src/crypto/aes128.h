@@ -2,7 +2,7 @@
 // engine needs. Batch encryption is a runtime-dispatched backend
 // (crypto/hash_backend.h): scalar S-box reference, bitsliced constant-
 // time software, 8-wide AES-NI, 16-wide VAES/AVX-512 — all compiled
-// when the toolchain allows, selected via CPUID (+ env/option
+// when the toolchain allows, selected via CPUID (+ test/bench
 // overrides), all producing identical bytes.
 // The fixed-key garbling hash (Bellare et al., S&P'13) lives here too:
 //   H(X, T) = pi(K) ^ K  with  K = 2X ^ T, pi = AES-128 under a fixed key.

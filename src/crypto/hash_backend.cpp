@@ -2,12 +2,10 @@
 // Selection is lazy and cached in a single atomic pointer: the common
 // path (hash_backend() inside a window sweep) is one relaxed load. A
 // re-selection race is benign — every thread resolves to the same
-// value for a given (env, force-software) state.
+// value for a given force-software state.
 #include "crypto/hash_backend.h"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -118,29 +116,11 @@ std::vector<const HashBackend*> build_registry() {
 // Selection.
 // ---------------------------------------------------------------------
 
+// CPUID auto-dispatch: the widest compiled backend this host can run.
 const HashBackend* auto_select() {
   for (const HashBackend* be : compiled_hash_backends())
     if (be->available()) return be;
   return &kScalar;  // unreachable: scalar is always available
-}
-
-const HashBackend* resolve() {
-  if (const char* env = std::getenv("DEEPSECURE_HASH_BACKEND")) {
-    if (*env != '\0') {
-      const HashBackend* be = find_hash_backend(env);
-      if (be != nullptr && be->available()) return be;
-      static std::atomic<bool> warned{false};
-      if (!warned.exchange(true)) {
-        std::fprintf(stderr,
-                     "deepsecure: DEEPSECURE_HASH_BACKEND=%s %s; using auto "
-                     "dispatch\n",
-                     env,
-                     be == nullptr ? "is not a compiled backend"
-                                   : "is unavailable on this host");
-      }
-    }
-  }
-  return auto_select();
 }
 
 // nullptr = unresolved; resolved lazily on first hash_backend() call.
@@ -162,7 +142,7 @@ const HashBackend* find_hash_backend(std::string_view name) {
 const HashBackend& hash_backend() {
   const HashBackend* be = g_active.load(std::memory_order_acquire);
   if (be == nullptr) {
-    be = resolve();
+    be = auto_select();
     g_active.store(be, std::memory_order_release);
   }
   return *be;

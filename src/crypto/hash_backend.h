@@ -20,15 +20,13 @@
 //              from batching too
 //   scalar     the retained one-block-at-a-time S-box reference
 //
-// Selection, in precedence order:
-//   1. GcOptions::hash_backend / StreamConfig::hash_backend (per
-//      endpoint; resolved by name, silently ignored if unavailable)
-//   2. set_hash_backend(name) — process-wide force, for tests/bench
-//   3. DEEPSECURE_HASH_BACKEND environment variable
-//   4. CPUID auto-dispatch: first compiled backend whose available()
-//      check passes
-// An env/force naming an unavailable backend falls back to auto
-// dispatch (never crashes on a host without the ISA).
+// Selection: CPUID auto-dispatch — the first compiled backend whose
+// available() check passes, i.e. the widest kernel the host runs — is
+// the only production choice. Tests and benchmarks may override it:
+//   1. GcOptions::hash_backend (per endpoint)
+//   2. set_hash_backend(name) — process-wide force; refuses (selection
+//      unchanged) a backend unavailable on this host, so it never
+//      crashes on a host without the ISA
 #pragma once
 
 #include <string>
@@ -60,15 +58,15 @@ const std::vector<const HashBackend*>& compiled_hash_backends();
 /// Compiled backend by name; nullptr when unknown or not compiled in.
 const HashBackend* find_hash_backend(std::string_view name);
 
-/// The active process-wide backend. Resolved once on first use (env,
-/// then CPUID auto-dispatch); stable until set_hash_backend or
+/// The active process-wide backend. Resolved once on first use (CPUID
+/// auto-dispatch); stable until set_hash_backend or
 /// aes128_force_software changes the selection.
 const HashBackend& hash_backend();
 
 /// Force the process-wide backend by name. Returns false (selection
 /// unchanged) when the name is unknown or the backend is unavailable on
-/// this host. An empty name re-runs the full resolution (env + auto) —
-/// how tests restore the default. Not safe concurrently with in-flight
+/// this host. An empty name re-runs CPUID auto-dispatch — how tests
+/// restore the default. Not safe concurrently with in-flight
 /// garbling; call between operations.
 bool set_hash_backend(std::string_view name);
 

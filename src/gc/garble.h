@@ -74,10 +74,10 @@ struct GcOptions {
   /// callers).
   BufferPool* table_pool = nullptr;
   /// Batch AES kernel for this endpoint's window sweeps. nullptr = the
-  /// process-wide selection (crypto/hash_backend.h: env override, then
-  /// CPUID auto-dispatch). Every backend produces byte-identical
-  /// tables, so this is a local throughput knob. Not owned; must
-  /// outlive the endpoint (registry entries are static).
+  /// process-wide selection (crypto/hash_backend.h: CPUID
+  /// auto-dispatch). Every backend produces byte-identical tables, so
+  /// this is a test and bench seam, never set in production. Not owned;
+  /// must outlive the endpoint (registry entries are static).
   const HashBackend* hash_backend = nullptr;
 };
 

@@ -21,10 +21,9 @@ namespace netstat {
 //                        path instead of shipped as a borrowed slice
 //                        (the copy-elimination headline metric).
 //   net.sends_vectored — send_iov calls that reached a true
-//                        scatter-gather transport (writev/sendmsg/
-//                        io_uring) instead of the copy fallback.
-//   net.syscalls_send  — kernel send submissions (send/sendmsg calls,
-//                        io_uring_enter calls).
+//                        scatter-gather transport (sendmsg) instead of
+//                        the copy fallback.
+//   net.syscalls_send  — kernel send syscalls (one per sendmsg call).
 inline obs::Counter& bytes_copied() {
   static obs::Counter& c =
       obs::Registry::global().counter("net.bytes_copied");

@@ -226,7 +226,7 @@ class FaultChannel final : public Channel {
       case Kind::kShort: {
         // Split the vectored send at a byte offset: two inner send_iov
         // calls, so a transport's partial-completion handling (the
-        // io_uring SENDMSG resubmit path) runs against genuinely
+        // TcpChannel sendmsg resume loop) runs against genuinely
         // fragmented submissions. The straddled slice's ref is COPIED
         // into the head half — the pin holds until both halves ship.
         faultstat::short_writes().add();

@@ -22,9 +22,7 @@
 //
 // Writer batching: the writer drains every queued chunk (up to a batch
 // cap) into ONE inner send_iov call, so a burst of table frames becomes
-// one sendmsg — or one io_uring_enter submitting linked SQEs when the
-// inner TcpChannel has the uring path enabled — instead of a syscall
-// per frame.
+// one sendmsg instead of a syscall per frame.
 //
 // Ordering: the wire sees chunks in push order (one ring, one writer).
 // Receives drain first — recv_bytes/recv_some wait until every queued
@@ -244,11 +242,10 @@ class RingChannel final : public Channel {
         for (size_t i = 0; i < count; ++i) total += batch[i].len;
         if (!failed_.load(std::memory_order_relaxed)) {
           try {
-            // One vectored send for the whole batch: one sendmsg — or
-            // one io_uring_enter of linked SQEs — instead of one
-            // syscall per frame. Refs stay on the chunks until this
-            // returns (the send_iov callee may move them, which is the
-            // same release point).
+            // One vectored send for the whole batch: one sendmsg
+            // instead of one syscall per frame. Refs stay on the chunks
+            // until this returns (the send_iov callee may move them,
+            // which is the same release point).
             for (size_t i = 0; i < count; ++i) {
               slices[i].data = batch[i].data;
               slices[i].len = batch[i].len;

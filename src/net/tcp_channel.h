@@ -12,7 +12,8 @@
 //     send/recv keep their BLOCKING semantics at this API by resuming
 //     short reads/writes after a poll() wait — EAGAIN never escapes.
 //     The recv timeout is enforced as the poll deadline instead of
-//     SO_RCVTIMEO (which nonblocking sockets ignore).
+//     SO_RCVTIMEO (which nonblocking sockets ignore), and bounds a send
+//     waiting on a peer that stopped reading the same way.
 // Every syscall retries EINTR; a peer reset (EPIPE/ECONNRESET, or a
 // clean FIN) surfaces as the same "peer closed connection" error the
 // session handlers already treat as orderly teardown, never as an
@@ -25,14 +26,14 @@
 // its fd, a nonblocking mode, and try_accept() (drain-until-EAGAIN).
 #pragma once
 
+#include <sys/uio.h>
+
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 
 #include "net/channel.h"
-#include "net/uring.h"
 
 namespace deepsecure {
 
@@ -55,19 +56,11 @@ class TcpChannel final : public Channel {
   void recv_bytes(void* data, size_t n) override;
   size_t recv_some(void* data, size_t min_n, size_t max_n) override;
 
-  /// True scatter-gather send: one sendmsg (or one linked-SQE io_uring
-  /// submission — see enable_io_uring) per <= IOV_MAX slices instead of
-  /// one syscall per slice, resuming short writes mid-iovec. Slices are
-  /// fully shipped before return, so borrowed refs release here.
+  /// True scatter-gather send: one sendmsg per <= IOV_MAX slices
+  /// instead of one syscall per slice, resuming short writes mid-iovec.
+  /// Slices are fully shipped before return, so borrowed refs release
+  /// here.
   void send_iov(IoSlice* slices, size_t n) override;
-
-  /// Route sends through a per-channel io_uring submission queue
-  /// (net/uring.h): a vectored send becomes a chain of linked SQEs and
-  /// ONE io_uring_enter. Runtime-probed — returns the effective state
-  /// (false = kernel refused io_uring; sends stay on the sendmsg path,
-  /// which is the documented clean fallback).
-  bool enable_io_uring();
-  bool io_uring_enabled() const { return uring_ != nullptr; }
 
   /// Shut both directions down without closing the fd. A thread blocked
   /// in recv on this channel wakes with a "peer closed" error — how the
@@ -102,16 +95,23 @@ class TcpChannel final : public Channel {
   friend class TcpListener;
   explicit TcpChannel(int fd) : fd_(fd) {}
 
-  /// poll() for `events` (POLLIN/POLLOUT); throws on timeout (recv
-  /// deadline) or poll failure. Used to resume nonblocking I/O.
+  /// poll() for `events` (POLLIN/POLLOUT); throws on timeout (the
+  /// recv deadline bounds both directions) or poll failure. Used to
+  /// resume nonblocking I/O.
   void wait_ready(short events);
+
+  /// The one send loop behind send_bytes and send_iov: sendmsg over
+  /// <= IOV_MAX non-empty iovecs per call, resuming short writes
+  /// mid-iovec (advancing `iov` in place) until all `n` are shipped.
+  /// Retries EINTR, waits out EAGAIN in nonblocking mode, and maps a
+  /// gone peer to "peer closed connection".
+  void sendmsg_all(iovec* iov, size_t n);
 
   int fd_ = -1;
   bool nonblocking_ = false;
   uint64_t timeout_ms_ = 0;  // 0 = unbounded
   uint64_t sent_ = 0;
   uint64_t received_ = 0;
-  std::unique_ptr<net::UringQueue> uring_;  // non-null = uring send path
 };
 
 /// Reusable listening socket bound to loopback. accept() yields one

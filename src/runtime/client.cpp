@@ -81,7 +81,6 @@ void InferenceClient::connect_and_handshake() {
     try {
     transport_ =
         std::make_unique<TcpChannel>(TcpChannel::connect(host_, port_));
-    if (cfg_.io == IoBackend::kUring) transport_->enable_io_uring();
     fault_.reset();
     Channel* wire = transport_.get();
     if (cfg_.chaos.enabled()) {
@@ -311,7 +310,6 @@ size_t InferenceClient::lane_target() const {
 void InferenceClient::start_lane(uint16_t lane_port, uint64_t lane_token) {
   lane_transport_ = std::make_unique<TcpChannel>(
       TcpChannel::connect(host_, lane_port));
-  if (cfg_.io == IoBackend::kUring) lane_transport_->enable_io_uring();
   lane_fault_.reset();
   Channel* lane_wire = lane_transport_.get();
   if (cfg_.chaos.enabled()) {

@@ -201,7 +201,6 @@ void EventCore::accept_drain(bool lane) {
     c->stage = lane ? Stage::kLaneAttach : Stage::kHandshake;
     c->transport = std::move(transport);
     c->transport->set_nonblocking(true);
-    if (srv_.cfg_.io == IoBackend::kUring) c->transport->enable_io_uring();
     // Bound mid-exchange stalls with the same deadline the timer wheel
     // applies to parked conns (poll deadline in nonblocking mode).
     if (srv_.cfg_.idle_timeout_ms > 0)

@@ -360,11 +360,6 @@ std::string InferenceServer::stats_json() const {
   }
   const double accounted =
       wall_s > 0 ? std::min(phase_total_s / wall_s, 1.0) : 0.0;
-  // Effective submission path, not the configured one: a kUring config
-  // on a kernel that refuses io_uring serves on the sendmsg path.
-  const char* io = cfg_.io == IoBackend::kUring && net::uring_supported()
-                       ? "uring"
-                       : "epoll";
   // Resilience block: the chaos/self-healing counters live in the
   // PROCESS-WIDE registry (fault injection and client recovery are
   // infrastructure, like net.*), so this per-instance snapshot cannot
@@ -396,12 +391,12 @@ std::string InferenceServer::stats_json() const {
       ull(c_phase_timeouts_.value()));
   char head[384];
   std::snprintf(head, sizeof(head),
-                "{\"io\":\"%s\",\"sessions_active\":%llu,"
+                "{\"sessions_active\":%llu,"
                 "\"prefetch_bytes\":%llu,"
                 "\"hash_backend\":\"%s\",\"cpu_features\":\"%s\","
                 "\"accounting\":{\"phase_total_s\":%.6f,"
                 "\"session_wall_s\":%.6f,\"accounted_fraction\":%.4f},",
-                io, ull(sessions_active_.load()), ull(prefetch_bytes_.load()),
+                ull(sessions_active_.load()), ull(prefetch_bytes_.load()),
                 hash_backend().name, hash_backend_cpu_features().c_str(),
                 phase_total_s, wall_s, accounted);
   std::string out = head;

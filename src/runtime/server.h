@@ -107,11 +107,6 @@ struct ServerConfig {
   /// Listen backlog for both listeners. A full server parks excess
   /// clients here, so size it for the expected connection burst.
   int backlog = 64;
-  /// TCP send submission path for accepted connections (sessions and
-  /// prefetch lanes alike). kUring is runtime-probed per connection and
-  /// silently falls back to the sendmsg path when the kernel refuses
-  /// io_uring; stats_json()'s "io" field reports the effective mode.
-  IoBackend io = IoBackend::kEpoll;
   StreamConfig stream;
 };
 
@@ -170,7 +165,7 @@ class InferenceServer {
   uint64_t phase_timeouts() const { return c_phase_timeouts_.value(); }
 
   /// This server's full observability surface as one JSON object:
-  /// {"io","sessions_active","prefetch_bytes","hash_backend",
+  /// {"sessions_active","prefetch_bytes","hash_backend",
   ///  "cpu_features","accounting":{...},"chain":{...},"resilience":{...},
   ///  "metrics":{counters,gauges,hists}}. The chain block, fixed at
   /// construction, sizes the one netlist the server holds — its largest

@@ -19,26 +19,13 @@
 #pragma once
 
 #include <memory>
-#include <string>
 
-#include "crypto/hash_backend.h"
 #include "gc/protocol.h"
 #include "net/buffered_channel.h"
 #include "support/buffer_pool.h"
 #include "support/thread_pool.h"
 
 namespace deepsecure::runtime {
-
-/// TCP submission path for a runtime endpoint's sends. kUring routes
-/// vectored sends through a per-connection io_uring queue (net/uring.h:
-/// linked SQEs, one io_uring_enter per batch); it is runtime-probed and
-/// falls back to the plain sendmsg/epoll path cleanly when the kernel
-/// refuses io_uring — effective mode is reported in stats_json().
-enum class IoBackend : uint8_t { kEpoll, kUring };
-
-inline const char* io_backend_name(IoBackend io) {
-  return io == IoBackend::kUring ? "uring" : "epoll";
-}
 
 /// Local settings of a runtime endpoint; none changes a wire byte, so
 /// none is negotiated. The served configuration itself is fixed: see
@@ -53,11 +40,6 @@ struct StreamConfig {
   size_t eval_threads = 0;
   /// BufferedChannel staging size for small protocol messages.
   size_t channel_buffer = 1 << 16;
-  /// Batch AES kernel by name ("vaes16", "aesni8", "bitsliced8",
-  /// "scalar"). Every backend produces byte-identical tables. Empty,
-  /// unknown, or unavailable on this host = the process-wide selection
-  /// (DEEPSECURE_HASH_BACKEND env, then CPUID auto-dispatch).
-  std::string hash_backend;
 
   /// Framed tables over the walked view; `table_pool` (garbler only)
   /// backs the zero-copy table plane.
@@ -67,10 +49,6 @@ struct StreamConfig {
     o.framed_tables = true;
     o.pool = pool;
     o.table_pool = table_pool;
-    if (!hash_backend.empty()) {
-      const HashBackend* be = find_hash_backend(hash_backend);
-      if (be != nullptr && be->available()) o.hash_backend = be;
-    }
     return o;
   }
 };

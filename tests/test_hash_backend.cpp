@@ -1,12 +1,11 @@
 // Backend cross-product tests: every compiled hash backend must compute
 // the identical AES function — and therefore identical garbled tables,
 // material artifacts, and PRG keystreams — as the scalar software
-// oracle. Also covers the selection machinery: env override, forced
-// names, and graceful fallback when a named backend's ISA is
+// oracle. Also covers the selection machinery: CPUID auto-dispatch,
+// forced names, and graceful fallback when a named backend's ISA is
 // unavailable.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string_view>
@@ -23,7 +22,7 @@
 namespace deepsecure {
 namespace {
 
-// Restores the process-wide selection (env + auto dispatch) on exit so
+// Restores the process-wide selection (auto dispatch) on exit so
 // a failing test cannot leak a forced backend into the rest of the run.
 class BackendGuard {
  public:
@@ -255,20 +254,6 @@ TEST(HashBackend, SetByNameAndReset) {
   ASSERT_TRUE(set_hash_backend(""));
   // Back to auto dispatch: the widest available backend wins.
   EXPECT_TRUE(hash_backend().available());
-}
-
-TEST(HashBackend, EnvOverrideSelectsNamedBackend) {
-  BackendGuard guard;
-  ASSERT_EQ(0, setenv("DEEPSECURE_HASH_BACKEND", "bitsliced8", 1));
-  ASSERT_TRUE(set_hash_backend(""));  // re-run env + auto resolution
-  EXPECT_STREQ(hash_backend().name, "bitsliced8");
-  ASSERT_EQ(0, setenv("DEEPSECURE_HASH_BACKEND", "bogus-kernel", 1));
-  ASSERT_TRUE(set_hash_backend(""));
-  // Unknown name falls back to auto dispatch instead of failing.
-  EXPECT_TRUE(hash_backend().available());
-  EXPECT_STRNE(hash_backend().name, "bogus-kernel");
-  ASSERT_EQ(0, unsetenv("DEEPSECURE_HASH_BACKEND"));
-  ASSERT_TRUE(set_hash_backend(""));
 }
 
 TEST(HashBackend, UnsupportedIsaFallsBackCleanly) {

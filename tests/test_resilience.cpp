@@ -1,18 +1,13 @@
 // Fault-injection harness + self-healing session layer, end to end:
 // deterministic chaos plans (net/fault_channel.h), client reconnect
 // with backoff and material poisoning (runtime/client.h), server load
-// shedding (kBusy) and frame-parser hardening, and the io_uring
-// partial-send resubmit path.
+// shedding (kBusy) and frame-parser hardening.
 #include <gtest/gtest.h>
-
-#include <netinet/in.h>
-#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,7 +15,6 @@
 #include "core/deepsecure.h"
 #include "net/fault_channel.h"
 #include "net/tcp_channel.h"
-#include "net/uring.h"
 #include "nn/network.h"
 #include "runtime/client.h"
 #include "runtime/frame.h"
@@ -467,68 +461,6 @@ TEST(ServerResilience, ClientRecoversAcrossServerRestartWithFreshMaterial) {
   server2->stop();
   EXPECT_EQ(server2->prefetch_bytes(), 0u);
   EXPECT_GE(server2->inferences_served(), 1u);
-}
-
-// ---------------------------------------------------------------------
-// io_uring partial-send regression: a tiny SO_SNDBUF against a slow
-// reader forces short SENDMSG completions, so the linked-chain resubmit
-// path (net/uring.cpp) must splice remainders gap-free.
-// ---------------------------------------------------------------------
-
-TEST(UringPartialSend, ResubmitDeliversExactByteStreamThroughTinySndbuf) {
-  if (!net::uring_supported()) GTEST_SKIP() << "io_uring unavailable here";
-
-  TcpListener listener(0);
-  std::optional<TcpChannel> reader_side;
-  std::thread acceptor([&] { reader_side.emplace(listener.accept()); });
-  TcpChannel sender = TcpChannel::connect("127.0.0.1", listener.port());
-  acceptor.join();
-  ASSERT_TRUE(reader_side.has_value());
-
-  int sndbuf = 4096;  // kernel doubles this; still far below the payload
-  ASSERT_EQ(setsockopt(sender.fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf,
-                       sizeof(sndbuf)),
-            0);
-  sender.set_nonblocking(true);
-  if (!sender.enable_io_uring()) GTEST_SKIP() << "kernel refused io_uring";
-
-  // ~1 MiB in deliberately ragged slice sizes so short completions land
-  // mid-slice, mid-chain, and on slice boundaries.
-  std::vector<std::vector<uint8_t>> bufs;
-  std::vector<uint8_t> expected;
-  Rng rng(90210);
-  size_t total = 0;
-  while (total < (1u << 20)) {
-    std::vector<uint8_t> b(1 + rng.next_u64() % 65536);
-    for (auto& byte : b) byte = static_cast<uint8_t>(rng.next_u64());
-    total += b.size();
-    expected.insert(expected.end(), b.begin(), b.end());
-    bufs.push_back(std::move(b));
-  }
-
-  std::vector<uint8_t> received(total);
-  std::thread reader([&] {
-    size_t off = 0;
-    while (off < total) {
-      const size_t n = std::min<size_t>(8192, total - off);
-      reader_side->recv_bytes(received.data() + off, n);
-      off += n;
-      // Stay slower than the sender so the socket buffer backs up.
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  });
-
-  for (size_t i = 0; i < bufs.size();) {
-    std::vector<IoSlice> batch;
-    for (size_t k = 0; k < 24 && i < bufs.size(); ++k, ++i)
-      batch.push_back(IoSlice{bufs[i].data(), bufs[i].size(), {}});
-    sender.send_iov(batch.data(), batch.size());
-  }
-  reader.join();
-
-  EXPECT_EQ(received, expected)
-      << "short SENDMSG completions must resume at the exact byte offset";
-  EXPECT_EQ(sender.bytes_sent(), total);
 }
 
 }  // namespace

@@ -1,11 +1,21 @@
 // The TCP transport carries the identical protocol bytes as the
 // in-memory channel: run real secure inference over a loopback socket.
+// Also drives the nonblocking send loop through short writes and its
+// POLLOUT deadline.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
+#include <chrono>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "gc/protocol.h"
 #include "net/tcp_channel.h"
+#include "obs/metrics.h"
 #include "synth/layer_circuits.h"
 #include "test_util.h"
 
@@ -14,6 +24,46 @@ namespace {
 
 using test::pack_fixed;
 using test::random_fixed;
+
+// A loopback pair whose first channel is nonblocking with a tiny
+// SO_SNDBUF, so a large send backs up and must resume short writes.
+struct TinySndbufPair {
+  TcpChannel sender;
+  TcpChannel receiver;
+};
+
+TinySndbufPair tiny_sndbuf_pair() {
+  TcpListener listener(0);
+  std::optional<TcpChannel> receiver;
+  std::thread acceptor([&] { receiver.emplace(listener.accept()); });
+  TcpChannel sender = TcpChannel::connect("127.0.0.1", listener.port());
+  acceptor.join();
+  int sndbuf = 4096;  // kernel doubles this; still far below the payload
+  EXPECT_EQ(setsockopt(sender.fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                       sizeof(sndbuf)),
+            0);
+  sender.set_nonblocking(true);
+  return {std::move(sender), std::move(*receiver)};
+}
+
+std::vector<uint8_t> random_bytes(Rng& rng, size_t n) {
+  std::vector<uint8_t> b(n);
+  for (auto& byte : b) byte = static_cast<uint8_t>(rng.next_u64());
+  return b;
+}
+
+// Reads `total` bytes in 8 KiB steps, staying slower than the sender so
+// its socket buffer backs up.
+std::vector<uint8_t> read_slowly(TcpChannel& ch, size_t total) {
+  std::vector<uint8_t> received(total);
+  for (size_t off = 0; off < total;) {
+    const size_t n = std::min<size_t>(8192, total - off);
+    ch.recv_bytes(received.data() + off, n);
+    off += n;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return received;
+}
 
 TEST(TcpChannel, ByteRoundTrip) {
   uint16_t port = 0;
@@ -128,6 +178,63 @@ TEST(TcpChannel, StreamingSamplesReuseOtSetup) {
     EXPECT_EQ(client_outs[s], mono.eval(datas[s], weights)) << "sample " << s;
   EXPECT_GT(setup_first, 0.0);
   EXPECT_EQ(setup_first, setup_later);  // setup ran exactly once
+}
+
+TEST(TcpChannel, NonblockingSendsResumeShortWritesThroughTinySndbuf) {
+  TinySndbufPair p = tiny_sndbuf_pair();
+  const obs::Counter& resumes =
+      obs::Registry::global().counter("net.tcp.poll_resumes");
+  Rng rng(90210);
+
+  // send_iov: ~1 MiB in deliberately ragged slice sizes so short writes
+  // land mid-slice, mid-batch, and on slice boundaries.
+  std::vector<std::vector<uint8_t>> bufs;
+  std::vector<uint8_t> expected;
+  while (expected.size() < (1u << 20)) {
+    bufs.push_back(random_bytes(rng, 1 + rng.next_u64() % 65536));
+    expected.insert(expected.end(), bufs.back().begin(), bufs.back().end());
+  }
+  std::vector<uint8_t> received;
+  std::thread reader(
+      [&] { received = read_slowly(p.receiver, expected.size()); });
+  for (size_t i = 0; i < bufs.size();) {
+    std::vector<IoSlice> batch;
+    for (size_t k = 0; k < 24 && i < bufs.size(); ++k, ++i)
+      batch.push_back(IoSlice{bufs[i].data(), bufs[i].size(), {}});
+    p.sender.send_iov(batch.data(), batch.size());
+  }
+  reader.join();
+  EXPECT_EQ(received, expected)
+      << "short vectored writes must resume at the exact byte offset";
+  EXPECT_EQ(p.sender.bytes_sent(), expected.size());
+
+  // send_bytes: one ~1 MiB buffer through the same socket and the same
+  // resume loop.
+  const std::vector<uint8_t> big = random_bytes(rng, (1u << 20) + 4093);
+  const uint64_t resumes_before = resumes.value();
+  reader = std::thread([&] { received = read_slowly(p.receiver, big.size()); });
+  p.sender.send_bytes(big.data(), big.size());
+  reader.join();
+  EXPECT_EQ(received, big)
+      << "short writes must resume at the exact byte offset";
+  EXPECT_EQ(p.sender.bytes_sent(), expected.size() + big.size());
+  EXPECT_GT(resumes.value(), resumes_before)
+      << "the send never backed up, so no short write was resumed";
+}
+
+TEST(TcpChannel, NonblockingSendToStalledPeerTimesOutAsSend) {
+  // The peer never reads: once both socket buffers fill, the sender
+  // waits for POLLOUT until the deadline, and the error names the send.
+  TinySndbufPair p = tiny_sndbuf_pair();
+  p.sender.set_recv_timeout_ms(100);
+  const std::vector<uint8_t> payload(16u << 20, 0x5a);
+  try {
+    p.sender.send_bytes(payload.data(), payload.size());
+    FAIL() << "a 16 MB send to a peer that never reads must time out";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("send timed out"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
