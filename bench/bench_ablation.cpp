@@ -150,10 +150,15 @@ int main() {
     const double classic = static_cast<double>(g.num_non_xor) * 4 * 16;
     const double row_red = static_cast<double>(g.num_non_xor) * 3 * 16;
     const double half = static_cast<double>(g.num_non_xor) * 2 * 16;
+    const double one_row = static_cast<double>(g.comm_bytes());
     std::printf("  classic 4-row   : %.1f MB\n", classic / 1e6);
     std::printf("  row-reduction   : %.1f MB (-25%%)\n", row_red / 1e6);
-    std::printf("  half-gates      : %.1f MB (-25%% more; what we ship)\n",
-                half / 1e6);
+    std::printf("  half-gates      : %.1f MB (-25%% more)\n", half / 1e6);
+    std::printf("  + 1-row on known: %.1f MB (-%.0f%%; what we ship: %llu of"
+                " %llu ANDs read a weight bit)\n",
+                one_row / 1e6, 100.0 * (1.0 - one_row / half),
+                static_cast<unsigned long long>(g.num_one_row),
+                static_cast<unsigned long long>(g.num_non_xor));
   }
   return 0;
 }

@@ -78,7 +78,7 @@ void garble_throughput(benchmark::State& state, const Circuit& c,
   NullChannel ch;
   Garbler warm(ch, Block{1, 1}, opt);
   const Labels gz = warm.fresh_zeros(c.garbler_inputs.size());
-  const Labels ez = warm.fresh_zeros(c.evaluator_inputs.size());
+  const Labels ez = warm.fresh_known_zeros(c.evaluator_inputs.size());
   // Compiler stages precomputed, as in the online phase: scheduled view
   // (when enabled) and the walked order's flush points.
   std::shared_ptr<const Circuit> sched;
@@ -127,6 +127,33 @@ void BM_GarbleMatvec(benchmark::State& state) {
 }
 BENCHMARK(BM_GarbleMatvec)->Arg(0)->Arg(1)->ArgNames({"scheduled"})
     ->Unit(benchmark::kMillisecond);
+
+// One-row ANDs in a MULT-shaped layer: 64 lanes of x (garbler) * w
+// (evaluator), the partial products of an FC layer before its adder
+// tree. 262 of each multiplier's 584 ANDs read a weight bit and garble
+// as one row, so windows mix one- and two-row gates. Counters: the
+// one-row share and the table bytes each AND costs on the wire.
+void BM_GarbleWeightAnds(benchmark::State& state) {
+  static const Circuit c = [] {
+    Builder b("weight_ands");
+    for (uint32_t lane = 0; lane < 64; ++lane) {
+      b.set_lane(lane);
+      const synth::Bus x =
+          synth::input_fixed(b, Party::kGarbler, kDefaultFormat);
+      const synth::Bus w =
+          synth::input_fixed(b, Party::kEvaluator, kDefaultFormat);
+      b.outputs(synth::mult_fixed(b, x, w, kDefaultFormat.frac_bits));
+    }
+    return b.build();
+  }();
+  garble_throughput(state, c, GcOptions{});
+  const CircuitStats st = c.stats();
+  state.counters["one_row_share"] = static_cast<double>(st.num_and_known) /
+                                    static_cast<double>(st.num_and);
+  state.counters["table_B_per_and"] = static_cast<double>(st.table_bytes()) /
+                                      static_cast<double>(st.num_and);
+}
+BENCHMARK(BM_GarbleWeightAnds)->Unit(benchmark::kMillisecond);
 
 // Batch-width histogram per netlist: mean/p50/p95/max AND gates per
 // drained window, construction order vs scheduled. The timed body is

@@ -11,9 +11,21 @@ Builder::Builder(std::string name, bool enable_cse) : cse_(enable_cse) {
 
 Wire Builder::new_wire() { return c_.num_wires++; }
 
+void Builder::set_known(Wire w) {
+  const size_t i = w >> 6;
+  if (i >= known_.size()) known_.resize(i + 1, 0);
+  known_[i] |= uint64_t{1} << (w & 63);
+  known_end_ = std::max(known_end_, w + 1);
+}
+
 Wire Builder::input(Party p) {
   const Wire w = new_wire();
-  (p == Party::kGarbler ? c_.garbler_inputs : c_.evaluator_inputs).push_back(w);
+  if (p == Party::kGarbler) {
+    c_.garbler_inputs.push_back(w);
+  } else {
+    c_.evaluator_inputs.push_back(w);
+    set_known(w);
+  }
   return w;
 }
 
@@ -60,7 +72,7 @@ inline size_t cse_hash(Wire a, Wire b, GateOp op) {
   // murmur3 fmix64 over the packed key: every key bit reaches the low
   // bits the slot mask keeps.
   return static_cast<size_t>(fmix64((static_cast<uint64_t>(a) << 32 | b) ^
-                                    (static_cast<uint64_t>(op) << 63)));
+                                    (static_cast<uint64_t>(op) << 62)));
 }
 
 }  // namespace
@@ -79,6 +91,12 @@ Wire Builder::emit(GateOp op, Wire a, Wire b) {
     if (a == b) return a;
     if (a == kConst0) return kConst0;
     if (a == kConst1) return b;
+    // Exactly one operand known: the one-row AND, known operand in b.
+    // a < b here, so a past known_end_ rules both out.
+    if (a < known_end_ && known(a) != known(b)) {
+      op = GateOp::kAndKnown;
+      if (known(a)) std::swap(a, b);
+    }
   }
 
   if (!cse_) return push_gate(op, a, b);
@@ -100,10 +118,13 @@ Wire Builder::push_gate(GateOp op, Wire a, Wire b) {
   const Wire out = new_wire();
   c_.gates.push_back(Gate{a, b, out, op});
   if (lanes_used_) c_.gate_lanes.push_back(lane_);
-  if (op == GateOp::kAnd)
-    ++and_count_;
-  else
+  if (op == GateOp::kXor) {
     ++xor_count_;
+    // a < b (emit's canonical order), so b decides the common case.
+    if (b < known_end_ && known(a) && known(b)) set_known(out);
+  } else {
+    ++and_count_;
+  }
   return out;
 }
 

@@ -72,6 +72,20 @@ class Builder {
   bool lanes_used_ = false;
   uint64_t and_count_ = 0;
   uint64_t xor_count_ = 0;
+  // One bit per wire, set if the evaluator knows the wire in plaintext
+  // (an evaluator input, or an XOR of two known wires); emit() turns an
+  // AND with exactly one known operand into kAndKnown. The bitmap only
+  // grows as far as the highest known wire: layers declare their
+  // weights before any gate, so on b3_pp's first layer it covers 87 k
+  // of 9.35 M wires, and most emits test known-ness with one compare
+  // against known_end_, not a load. Set-up compiles every layer on each
+  // party.
+  bool known(Wire w) const {
+    return w < known_end_ && ((known_[w >> 6] >> (w & 63)) & 1);
+  }
+  void set_known(Wire w);
+  std::vector<uint64_t> known_;
+  Wire known_end_ = 0;  // one past the highest known wire
   // CSE table: open addressing with linear probing over a power-of-two
   // number of slots. Slot value s != 0 names c_.gates[s - 1]; 0 is empty.
   // Every emitted gate has a slot, so the key (a, b, op) is read back

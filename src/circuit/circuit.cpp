@@ -22,7 +22,7 @@ std::vector<uint32_t> compute_flush_points(const Circuit& c) {
       for (Wire w : marked) pending[w] = 0;
       marked.clear();
     }
-    if (g.op == GateOp::kAnd) {
+    if (g.op != GateOp::kXor) {
       pending[g.out] = 1;
       marked.push_back(g.out);
     }
@@ -63,12 +63,20 @@ Circuit& Circuit::operator=(const Circuit& o) {
 
 CircuitStats Circuit::stats() const {
   CircuitStats s;
+  // Counted arithmetically, not by a three-way branch: in a walked
+  // view the two AND ops interleave within a level.
+  static_assert(static_cast<int>(GateOp::kXor) == 0 &&
+                static_cast<int>(GateOp::kAnd) == 1 &&
+                static_cast<int>(GateOp::kAndKnown) == 2);
+  uint64_t op_sum = 0, and_plain = 0;
   for (const Gate& g : gates) {
-    if (g.op == GateOp::kXor)
-      ++s.num_xor;
-    else
-      ++s.num_and;
+    const auto op = static_cast<uint8_t>(g.op);
+    op_sum += op;
+    and_plain += op & 1;
   }
+  s.num_and_known = (op_sum - and_plain) / 2;
+  s.num_and = and_plain + s.num_and_known;
+  s.num_xor = gates.size() - s.num_and;
   s.num_wires = num_wires;
   s.num_inputs = garbler_inputs.size() + evaluator_inputs.size() +
                  state_inputs.size();
@@ -118,25 +126,45 @@ void Circuit::validate() const {
     throw std::logic_error("state_inputs/state_next size mismatch");
   if (!gate_lanes.empty() && gate_lanes.size() != gates.size())
     throw std::logic_error("gate_lanes/gates size mismatch");
+  // Per wire: 0 = undefined, kDefined, or kDefined | kKnown for a wire
+  // the evaluator knows in plaintext (evaluator inputs, XORs of known
+  // wires).
+  constexpr uint8_t kDefined = 1, kKnown = 2;
   std::vector<uint8_t> defined(num_wires, 0);
-  defined[kConst0] = defined[kConst1] = 1;
-  auto mark_input = [&](Wire wid) {
+  defined[kConst0] = defined[kConst1] = kDefined;
+  auto mark_input = [&](Wire wid, uint8_t state) {
     if (wid >= num_wires) throw std::logic_error("input wire out of range");
     if (defined[wid]) throw std::logic_error("input wire aliased");
-    defined[wid] = 1;
+    defined[wid] = state;
   };
-  for (Wire wid : garbler_inputs) mark_input(wid);
-  for (Wire wid : evaluator_inputs) mark_input(wid);
-  for (Wire wid : state_inputs) mark_input(wid);
+  for (Wire wid : garbler_inputs) mark_input(wid, kDefined);
+  for (Wire wid : evaluator_inputs) mark_input(wid, kDefined | kKnown);
+  for (Wire wid : state_inputs) mark_input(wid, kDefined);
 
+  // Every Builder::build() runs this pass at set-up. The stored byte is
+  // a constant except for a known XOR (rare), so a gate's store never
+  // waits on its own loads: a chain of gates would otherwise serialize
+  // through memory. The kAndKnown test is folded branch-free, since the
+  // ops interleave: op & kKnown is set only for kAndKnown, and survives
+  // & ~db only when b is not known.
+  static_assert(static_cast<uint8_t>(GateOp::kAndKnown) == kKnown &&
+                (static_cast<uint8_t>(GateOp::kAnd) & kKnown) == 0 &&
+                (static_cast<uint8_t>(GateOp::kXor) & kKnown) == 0);
+  uint8_t unknown_b = 0;  // kKnown bit: some kAndKnown reads an unknown b
   for (const Gate& g : gates) {
     if (g.a >= num_wires || g.b >= num_wires || g.out >= num_wires)
       throw std::logic_error("gate wire out of range");
-    if (!defined[g.a] || !defined[g.b])
+    const uint8_t da = defined[g.a], db = defined[g.b];
+    if (!da || !db)
       throw std::logic_error("gate input not yet defined (not topological)");
     if (defined[g.out]) throw std::logic_error("gate output redefined");
-    defined[g.out] = 1;
+    unknown_b |= static_cast<uint8_t>(static_cast<uint8_t>(g.op) & ~db);
+    defined[g.out] = kDefined;
+    if ((da & db & kKnown) && g.op == GateOp::kXor)
+      defined[g.out] = kDefined | kKnown;
   }
+  if (unknown_b & kKnown)
+    throw std::logic_error("kAndKnown operand b is not evaluator-known");
   for (Wire wid : outputs)
     if (wid >= num_wires || !defined[wid])
       throw std::logic_error("undefined output wire");

@@ -2,9 +2,10 @@
 //
 // The GC protocol requires the function to be a topologically-sorted list
 // of 2-input gates. With the free-XOR optimization the only gate classes
-// that matter are XOR (free) and AND (2 ciphertexts via half-gates); the
-// builder lowers NOT/OR/XNOR/... onto this basis. Wires 0 and 1 are the
-// public constants 0 and 1.
+// that matter are XOR (free) and AND (2 ciphertexts via half-gates, or 1
+// when the evaluator knows an operand in plaintext); the builder lowers
+// NOT/OR/XNOR/... onto this basis. Wires 0 and 1 are the public
+// constants 0 and 1.
 //
 // Inputs are partitioned by owner, matching the paper's roles:
 //   * garbler inputs   — the client's private data sample (Alice)
@@ -29,7 +30,14 @@ using Wire = uint32_t;
 inline constexpr Wire kConst0 = 0;
 inline constexpr Wire kConst1 = 1;
 
-enum class GateOp : uint8_t { kXor = 0, kAnd = 1 };
+/// kAndKnown is an AND whose `b` operand the evaluator knows in
+/// plaintext: an evaluator input, or an XOR of two such wires (never a
+/// constant or an AND output). It garbles as half-gates' evaluator half
+/// alone — one 16-byte row, one tweak — and is otherwise an AND
+/// everywhere (levels, windows, flush points). The Builder picks it for
+/// an AND with exactly one known operand; validate() rejects one whose
+/// `b` is not known.
+enum class GateOp : uint8_t { kXor = 0, kAnd = 1, kAndKnown = 2 };
 
 struct Gate {
   Wire a = 0;
@@ -39,15 +47,19 @@ struct Gate {
 };
 
 struct CircuitStats {
-  uint64_t num_xor = 0;      // free under free-XOR
-  uint64_t num_and = 0;      // non-XOR: 2 x 128-bit ciphertexts each
+  uint64_t num_xor = 0;        // free under free-XOR
+  uint64_t num_and = 0;        // non-XOR, both AND ops
+  uint64_t num_and_known = 0;  // the kAndKnown subset of num_and
   uint64_t num_wires = 0;
   uint64_t num_inputs = 0;
   uint64_t num_outputs = 0;
 
   uint64_t non_xor() const { return num_and; }
-  /// Bytes of garbled tables transferred (half-gates: 2 rows x 16 B).
-  uint64_t table_bytes() const { return num_and * 2 * 16; }
+  /// Bytes of garbled tables transferred: two 16-byte half-gates rows
+  /// per kAnd, one per kAndKnown.
+  uint64_t table_bytes() const {
+    return 32 * (num_and - num_and_known) + 16 * num_and_known;
+  }
 };
 
 namespace detail {
@@ -103,7 +115,8 @@ class Circuit {
               BitVec* state = nullptr) const;
 
   /// Throws std::logic_error when gates are not topologically ordered,
-  /// reference out-of-range wires, or inputs alias each other.
+  /// reference out-of-range wires, inputs alias each other, or a
+  /// kAndKnown's `b` is not evaluator-known.
   void validate() const;
 
   /// Flush schedule for the batched garbling pipeline: the sorted gate

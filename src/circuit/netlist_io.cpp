@@ -14,6 +14,15 @@ void write_wire_list(std::ostream& os, const char* tag,
   os << '\n';
 }
 
+const char* op_token(GateOp op) {
+  switch (op) {
+    case GateOp::kXor: return "XOR";
+    case GateOp::kAnd: return "AND";
+    case GateOp::kAndKnown: return "ANDK";
+  }
+  throw std::logic_error("netlist: unknown gate op");
+}
+
 }  // namespace
 
 void write_netlist(std::ostream& os, const Circuit& c) {
@@ -23,7 +32,7 @@ void write_netlist(std::ostream& os, const Circuit& c) {
   write_wire_list(os, "in E", c.evaluator_inputs);
   write_wire_list(os, "in S", c.state_inputs);
   for (const Gate& g : c.gates) {
-    os << "gate " << (g.op == GateOp::kXor ? "XOR" : "AND") << ' ' << g.a
+    os << "gate " << op_token(g.op) << ' ' << g.a
        << ' ' << g.b << ' ' << g.out << '\n';
   }
   write_wire_list(os, "next", c.state_next);
@@ -73,6 +82,8 @@ Circuit read_netlist(std::istream& is) {
         g.op = GateOp::kXor;
       else if (op == "AND")
         g.op = GateOp::kAnd;
+      else if (op == "ANDK")
+        g.op = GateOp::kAndKnown;
       else
         throw std::runtime_error("netlist: unknown gate op " + op);
       c.gates.push_back(g);

@@ -12,6 +12,7 @@
 //   in S <wire...>        # state inputs
 //   gate XOR <a> <b> <out>
 //   gate AND <a> <b> <out>
+//   gate ANDK <a> <b> <out>   # one-row AND: <b> is evaluator-known
 //   next <wire...>        # state_next
 //   out <wire...>
 #pragma once
@@ -26,7 +27,9 @@ namespace deepsecure {
 void write_netlist(std::ostream& os, const Circuit& c);
 std::string netlist_to_string(const Circuit& c);
 
-/// Parses the format above; throws std::runtime_error on malformed input.
+/// Parses the format above; throws std::runtime_error on malformed input
+/// and std::logic_error (Circuit::validate) on a structurally invalid
+/// netlist, e.g. an ANDK whose <b> is not evaluator-known.
 Circuit read_netlist(std::istream& is);
 Circuit netlist_from_string(const std::string& text);
 

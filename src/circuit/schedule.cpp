@@ -46,7 +46,7 @@ std::vector<uint32_t> levelize(const Circuit& c) {
   for (size_t i = 0; i < n; ++i) {
     const Gate& g = c.gates[i];
     const uint32_t lvl = std::max(wire_level[g.a], wire_level[g.b]);
-    const bool is_and = g.op == GateOp::kAnd;
+    const bool is_and = g.op != GateOp::kXor;
     key[i] = 2 * lvl + (is_and ? 1 : 0);
     wire_level[g.out] = lvl + (is_and ? 1 : 0);
     max_level = std::max(max_level, lvl);
@@ -270,7 +270,7 @@ WindowStats window_stats(const Circuit& c, size_t capacity) {
       drain();
       ++fp;
     }
-    if (c.gates[i].op != GateOp::kAnd) continue;
+    if (c.gates[i].op == GateOp::kXor) continue;
     ++s.and_gates;
     if (++window == capacity) drain();
   }

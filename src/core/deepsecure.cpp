@@ -99,10 +99,7 @@ SecureInferenceResult run_protocol(const std::vector<Circuit>& chain,
                                    const BitVec& data,
                                    const BitVec& weights, Block seed) {
   SecureInferenceResult res;
-  for (const Circuit& c : chain) {
-    const auto s = c.stats();
-    res.gates += synth::GateCount{s.num_xor, s.num_and};
-  }
+  for (const Circuit& c : chain) res.gates += synth::count_circuit(c);
 
   BitVec client_out, server_out;
   SessionTrace g_trace, e_trace;

@@ -201,27 +201,22 @@ void gc_hash_batch(const HashBackend& be, const Block* inputs,
   }
 }
 
-void gc_hash_and_quads(const HashBackend& be, const Block* a0, const Block* b0,
-                       Block delta, const uint64_t* tweaks, Block* out,
-                       size_t n) {
+void gc_hash_pairs(const HashBackend& be, const Block* x0, Block delta,
+                   const uint64_t* tweaks, Block* out, size_t n) {
   const Aes128Key& key = fixed_garbling_key();
   const Block d2 = delta.gf_double();
-  constexpr size_t kGateChunk = kHashChunk / 4;
+  constexpr size_t kPairChunk = kHashChunk / 2;
   Block k[kHashChunk];
-  for (size_t base = 0; base < n; base += kGateChunk) {
-    const size_t m = std::min(kGateChunk, n - base);
+  for (size_t base = 0; base < n; base += kPairChunk) {
+    const size_t m = std::min(kPairChunk, n - base);
     for (size_t i = 0; i < m; ++i) {
-      const size_t g = base + i;
-      const Block ka = a0[g].gf_double() ^ Block{tweaks[2 * g], 0};
-      const Block kb = b0[g].gf_double() ^ Block{tweaks[2 * g + 1], 0};
-      k[4 * i + 0] = ka;
-      k[4 * i + 1] = ka ^ d2;
-      k[4 * i + 2] = kb;
-      k[4 * i + 3] = kb ^ d2;
+      const Block kx = x0[base + i].gf_double() ^ Block{tweaks[base + i], 0};
+      k[2 * i + 0] = kx;
+      k[2 * i + 1] = kx ^ d2;
     }
-    std::memcpy(out + 4 * base, k, 4 * m * sizeof(Block));
-    be.encrypt_batch(key, out + 4 * base, 4 * m);
-    for (size_t i = 0; i < 4 * m; ++i) out[4 * base + i] ^= k[i];
+    std::memcpy(out + 2 * base, k, 2 * m * sizeof(Block));
+    be.encrypt_batch(key, out + 2 * base, 2 * m);
+    for (size_t i = 0; i < 2 * m; ++i) out[2 * base + i] ^= k[i];
   }
 }
 
@@ -230,9 +225,9 @@ void gc_hash_batch(const Block* inputs, const uint64_t* tweaks, Block* out,
   gc_hash_batch(hash_backend(), inputs, tweaks, out, n);
 }
 
-void gc_hash_and_quads(const Block* a0, const Block* b0, Block delta,
-                       const uint64_t* tweaks, Block* out, size_t n) {
-  gc_hash_and_quads(hash_backend(), a0, b0, delta, tweaks, out, n);
+void gc_hash_pairs(const Block* x0, Block delta, const uint64_t* tweaks,
+                   Block* out, size_t n) {
+  gc_hash_pairs(hash_backend(), x0, delta, tweaks, out, n);
 }
 
 }  // namespace deepsecure

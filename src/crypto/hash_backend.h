@@ -1,5 +1,5 @@
 // Pluggable fixed-key hash / AES batch backend — the runtime-dispatched
-// kernel behind gc_hash_batch, gc_hash_and_quads and Prg's counter-mode
+// kernel behind gc_hash_batch, gc_hash_pairs and Prg's counter-mode
 // expansion. The garbling pipeline stages whole batch windows (~1024
 // ANDs) into dense staging lines (gc/batch_walk.h); a backend is the
 // kernel that sweeps those lines. Every backend computes the identical
@@ -81,9 +81,8 @@ std::string hash_backend_cpu_features();
 /// hash_backend(); these let an endpoint honor GcOptions::hash_backend.
 void gc_hash_batch(const HashBackend& be, const Block* inputs,
                    const uint64_t* tweaks, Block* out, size_t n);
-void gc_hash_and_quads(const HashBackend& be, const Block* a0,
-                       const Block* b0, Block delta, const uint64_t* tweaks,
-                       Block* out, size_t n);
+void gc_hash_pairs(const HashBackend& be, const Block* x0, Block delta,
+                   const uint64_t* tweaks, Block* out, size_t n);
 
 namespace detail {
 /// Invalidate the cached selection (called when force-software flips).

@@ -47,16 +47,22 @@ inline WindowLineMem window_line_alloc(size_t bytes) {
 }
 }  // namespace detail
 
-/// Garbler-side staging line: per gate, the two input zero-labels, two
-/// tweaks, four hashes (gc_hash_and_quads output), two table rows, and
-/// the output wire. Segment order puts the 16-byte Block segments
-/// first, so every segment is cache-line aligned for any power-of-two
-/// capacity >= 4.
+/// Garbler-side staging line. Staging is per table row: a half-gates
+/// AND stages two rows (generator half over a0, evaluator half over b0),
+/// a one-row AND (kAndKnown) one row over b0. Per row: the zero-label the
+/// row hashes, its tweak, its two hashes (gc_hash_pairs output) and the
+/// row itself; per gate: its first row `rows[i]` (`rows[size]` = rows
+/// staged so far, so a shard's rows are a prefix-sum lookup) and its
+/// output wire. Segment order puts the 16-byte Block segments first, so
+/// every segment is cache-line aligned for any power-of-two capacity
+/// >= 4.
 struct GarbleWindowLine {
   /// Bytes one line of `cap` gates occupies — the slab size a zero-copy
   /// BufferPool must be built with.
   static constexpr size_t bytes_for(size_t cap) {
-    return cap * (9 * sizeof(Block) + 2 * sizeof(uint64_t) + sizeof(Wire));
+    return cap * (8 * sizeof(Block) + 2 * sizeof(uint64_t) + sizeof(Wire) +
+                  sizeof(uint32_t)) +
+           sizeof(uint32_t);
   }
 
   explicit GarbleWindowLine(size_t cap) : capacity(cap) {
@@ -82,36 +88,40 @@ struct GarbleWindowLine {
   /// asynchronous send.
   const BufferRef& slab() const { return slab_; }
 
-  Block* a0;
-  Block* b0;
-  Block* hashes;
-  Block* tabs;
-  uint64_t* tweaks;
-  Wire* outs;
+  Block* x0;        // per row: the zero-label it hashes
+  Block* hashes;    // per row: H(x0, t), H(x0 ^ delta, t)
+  Block* tabs;      // per row: the garbled row
+  uint64_t* tweaks; // per row
+  Wire* outs;       // per gate
+  uint32_t* rows;   // per gate: first row; rows[size] = rows staged
   size_t size = 0;
   size_t capacity;  // non-const so drained lines can be move-replaced
 
  private:
   void segment(uint8_t* base, size_t cap) {
-    a0 = reinterpret_cast<Block*>(base);
-    b0 = a0 + cap;
-    hashes = b0 + cap;        // 4 per gate
-    tabs = hashes + 4 * cap;  // 2 per gate
+    x0 = reinterpret_cast<Block*>(base);  // 2 per gate
+    hashes = x0 + 2 * cap;                // 4 per gate
+    tabs = hashes + 4 * cap;              // 2 per gate
     tweaks = reinterpret_cast<uint64_t*>(tabs + 2 * cap);  // 2 per gate
     outs = reinterpret_cast<Wire*>(tweaks + 2 * cap);
+    rows = reinterpret_cast<uint32_t*>(outs + cap);  // cap + 1
+    rows[0] = 0;
   }
 
   detail::WindowLineMem mem_;
   BufferRef slab_;
 };
 
-/// Evaluator-side staging line: two active input labels, two tweaks,
-/// two table rows, two hashes, one output wire per gate.
+/// Evaluator-side staging line, per row like the garbler's: the active
+/// label the row hashes, its tweak, its table row and hash; per gate its
+/// first row and output wire. A one-row AND's row is pre-combined at
+/// enqueue (see Evaluator::evaluate_gates_batched).
 struct EvalWindowLine {
   explicit EvalWindowLine(size_t cap) : capacity(cap) {
     static_assert(sizeof(Block) == 16);
     const size_t bytes = cap * (6 * sizeof(Block) + 2 * sizeof(uint64_t) +
-                                sizeof(Wire));
+                                sizeof(Wire) + sizeof(uint32_t)) +
+                         sizeof(uint32_t);
     mem_ = detail::window_line_alloc(bytes);
     auto* base = static_cast<uint8_t*>(mem_.get());
     ins = reinterpret_cast<Block*>(base);  // 2 per gate
@@ -119,6 +129,8 @@ struct EvalWindowLine {
     hashes = tabs + 2 * cap;               // 2 per gate
     tweaks = reinterpret_cast<uint64_t*>(hashes + 2 * cap);  // 2 per gate
     outs = reinterpret_cast<Wire*>(tweaks + 2 * cap);
+    rows = reinterpret_cast<uint32_t*>(outs + cap);  // cap + 1
+    rows[0] = 0;
   }
 
   Block* ins;
@@ -126,6 +138,7 @@ struct EvalWindowLine {
   Block* hashes;
   uint64_t* tweaks;
   Wire* outs;
+  uint32_t* rows;
   size_t size = 0;
   const size_t capacity;
 
@@ -134,8 +147,8 @@ struct EvalWindowLine {
 };
 
 /// Walk `c.gates` in order. XOR gates invoke `on_xor(g)` immediately
-/// (free-XOR). AND gates invoke `on_and(g)` to enqueue into the pending
-/// window; `flush(bool level_boundary)` drains it — called at the
+/// (free-XOR). AND gates of either op invoke `on_and(g)` to enqueue into
+/// the pending window; `flush(bool level_boundary)` drains it — called at the
 /// circuit's precomputed dependency flush points and after the last
 /// gate (level_boundary = true: a real barrier in the gate order, under
 /// the width scheduler an AND-level boundary), and at

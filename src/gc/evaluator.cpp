@@ -38,7 +38,8 @@ Labels Evaluator::evaluate(const Circuit& c, const Labels& garbler_labels,
   // Framed mode self-describes (length-prefixed window frames), so the
   // reader needs no total; monolithic mode must know the stream length.
   BlockReader tables(ch_, 1 << 15, opt_.framed_tables);
-  if (!opt_.framed_tables) tables.expect(2 * c.stats().num_and);
+  if (!opt_.framed_tables)
+    tables.expect(c.stats().table_bytes() / sizeof(Block));
   if (opt_.pipeline == GcPipeline::kScalar)
     evaluate_gates_scalar(walk, w, tables);
   else
@@ -65,6 +66,14 @@ void Evaluator::evaluate_gates_scalar(const Circuit& c, Labels& w,
     }
     const Block wa = w[g.a];
     const Block wb = w[g.b];
+    if (g.op == GateOp::kAndKnown) {
+      // lsb(wb) is b itself, a bit this party owns.
+      const Block t = tables.get();
+      Block out = gc_hash(wb, tweak_++);
+      if (wb.lsb()) out ^= t ^ wa;
+      w[g.out] = out;
+      continue;
+    }
     const uint64_t j0 = tweak_++;
     const uint64_t j1 = tweak_++;
     const Block tg = tables.get();
@@ -80,13 +89,16 @@ void Evaluator::evaluate_gates_scalar(const Circuit& c, Labels& w,
 
 // Batched pipeline, mirroring Garbler::garble_gates_batched: the same
 // flush schedule applies because both sides defer exactly the AND gates.
-// Two hashes per gate; table rows are consumed at enqueue time, which
-// keeps the read stream in gate order regardless of flush timing.
+// One hash per table row (two per half-gates AND, one per one-row AND);
+// table rows are consumed at enqueue time, which keeps the read stream
+// in gate order regardless of flush timing. A one-row AND's row is
+// folded at enqueue into what its hash is XORed with: T ^ A when
+// lsb(B) = 1, zero otherwise.
 //
 // With a ThreadPool, a draining window splits into contiguous per-shard
 // slices exactly like the garbler's: tweaks were assigned and table
 // rows consumed at enqueue time on this thread, so shards only hash
-// their slice and combine into disjoint output wires — no channel
+// their rows and combine into disjoint output wires — no channel
 // access, and the evaluation result is identical to single-threaded.
 void Evaluator::evaluate_gates_batched(const Circuit& c, Labels& w,
                                        BlockReader& tables) {
@@ -100,14 +112,20 @@ void Evaluator::evaluate_gates_batched(const Circuit& c, Labels& w,
     const size_t n = line.size;
     if (n == 0) return;
     auto shard = [&](size_t lo, size_t hi) {
-      gc_hash_batch(be, line.ins + 2 * lo, line.tweaks + 2 * lo,
-                    line.hashes + 2 * lo, 2 * (hi - lo));
+      const uint32_t r_lo = line.rows[lo];
+      gc_hash_batch(be, line.ins + r_lo, line.tweaks + r_lo,
+                    line.hashes + r_lo, line.rows[hi] - r_lo);
       for (size_t i = lo; i < hi; ++i) {
-        const Block wa = line.ins[2 * i];
-        Block wgc = line.hashes[2 * i];
-        if (wa.lsb()) wgc ^= line.tabs[2 * i];
-        Block wec = line.hashes[2 * i + 1];
-        if (line.ins[2 * i + 1].lsb()) wec ^= line.tabs[2 * i + 1] ^ wa;
+        const uint32_t r = line.rows[i];
+        if (line.rows[i + 1] - r == 1) {
+          w[line.outs[i]] = line.hashes[r] ^ line.tabs[r];
+          continue;
+        }
+        const Block wa = line.ins[r];
+        Block wgc = line.hashes[r];
+        if (wa.lsb()) wgc ^= line.tabs[r];
+        Block wec = line.hashes[r + 1];
+        if (line.ins[r + 1].lsb()) wec ^= line.tabs[r + 1] ^ wa;
         w[line.outs[i]] = wgc ^ wec;  // disjoint wires across shards
       }
     };
@@ -123,12 +141,22 @@ void Evaluator::evaluate_gates_batched(const Circuit& c, Labels& w,
       [&](const Gate& g) { w[g.out] = w[g.a] ^ w[g.b]; },  // free-XOR
       [&](const Gate& g) {
         const size_t i = line.size++;
-        line.ins[2 * i] = w[g.a];
-        line.ins[2 * i + 1] = w[g.b];
-        line.tweaks[2 * i] = tweak_++;
-        line.tweaks[2 * i + 1] = tweak_++;
-        line.tabs[2 * i] = tables.get();
-        line.tabs[2 * i + 1] = tables.get();
+        uint32_t r = line.rows[i];
+        if (g.op == GateOp::kAndKnown) {
+          const Block wb = w[g.b];
+          const Block t = tables.get();
+          line.ins[r] = wb;
+          line.tabs[r] = wb.lsb() ? t ^ w[g.a] : Block{0, 0};
+          line.tweaks[r++] = tweak_++;
+        } else {
+          line.ins[r] = w[g.a];
+          line.ins[r + 1] = w[g.b];
+          line.tabs[r] = tables.get();
+          line.tabs[r + 1] = tables.get();
+          line.tweaks[r++] = tweak_++;
+          line.tweaks[r++] = tweak_++;
+        }
+        line.rows[i + 1] = r;
         line.outs[i] = g.out;
       },
       flush);

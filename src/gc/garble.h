@@ -1,10 +1,15 @@
 // Garbling engine: free-XOR (Kolesnikov-Schneider), half-gates
 // (Zahur-Rosulek-Evans, 2 ciphertexts per AND), point-and-permute, and
 // fixed-key AES hashing (Bellare et al.) — the optimization stack from
-// Section 2.3 of the paper. Row-reduction is subsumed by half-gates.
+// Section 2.3 of the paper. Row-reduction is subsumed by half-gates. An
+// AND whose `b` the evaluator knows in plaintext (GateOp::kAndKnown)
+// garbles as half-gates' evaluator half alone: 1 ciphertext.
 //
 // Labels are 128-bit blocks; the wire's "zero" label W0 encodes FALSE,
-// W1 = W0 ^ delta encodes TRUE, lsb(delta) = 1 (permute bit).
+// W1 = W0 ^ delta encodes TRUE, lsb(delta) = 1 (permute bit). Evaluator
+// inputs get zero-labels with lsb 0 (fresh_known_zeros), so on every
+// evaluator-known wire lsb(label) is the plaintext bit the evaluator
+// already owns — the select bit of a one-row AND.
 #pragma once
 
 #include <vector>
@@ -32,7 +37,8 @@ using Labels = std::vector<Block>;
 enum class GcPipeline : uint8_t { kBatched, kScalar };
 
 /// Max AND gates per batch window. Bounds scratch memory (the garbler
-/// hashes 4 blocks per gate) while amortizing the AES pipeline fill.
+/// hashes up to 4 blocks per gate) while amortizing the AES pipeline
+/// fill.
 inline constexpr size_t kGcMaxBatchWindow = 1024;
 
 /// Execution options for one GC endpoint. Both parties must agree on
@@ -93,9 +99,16 @@ class Garbler {
   /// Fresh zero-labels for `n` wires.
   Labels fresh_zeros(size_t n);
 
+  /// Fresh zero-labels with lsb 0, for evaluator inputs: XOR keeps lsb 0
+  /// on every evaluator-known wire, so a one-row AND's evaluator reads
+  /// its known bit as lsb(label).
+  Labels fresh_known_zeros(size_t n);
+
   /// Garble `c`, streaming constant labels and garbled tables to the
   /// channel. Zero-labels for every input class must be supplied
-  /// (fresh_zeros for new inputs, carried values for chained layers).
+  /// (fresh_known_zeros for evaluator inputs, fresh_zeros for other new
+  /// inputs, carried values for chained layers); throws
+  /// std::invalid_argument if an evaluator-input zero-label has lsb 1.
   /// Returns output zero-labels; `state_next` (if non-null) receives the
   /// zero-labels of the state_next wires for the next cycle.
   Labels garble(const Circuit& c, const Labels& garbler_zeros,
@@ -112,8 +125,6 @@ class Garbler {
   /// Alternative decode direction: send lsb decode bits so the evaluator
   /// can open the outputs itself.
   void send_decode_info(const Labels& output_zeros);
-
-  uint64_t gates_garbled() const { return tweak_ / 2; }
 
  private:
   void garble_gates_scalar(const Circuit& c, Labels& w, BlockWriter& tables);

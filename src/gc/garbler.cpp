@@ -25,6 +25,12 @@ Labels Garbler::fresh_zeros(size_t n) {
   return zeros;
 }
 
+Labels Garbler::fresh_known_zeros(size_t n) {
+  Labels zeros = fresh_zeros(n);
+  for (Block& z : zeros) z.lo &= ~uint64_t{1};
+  return zeros;
+}
+
 Labels Garbler::garble(const Circuit& c, const Labels& garbler_zeros,
                        const Labels& evaluator_zeros, const Labels& state_zeros,
                        Labels* state_next) {
@@ -32,6 +38,13 @@ Labels Garbler::garble(const Circuit& c, const Labels& garbler_zeros,
       evaluator_zeros.size() != c.evaluator_inputs.size() ||
       state_zeros.size() != c.state_inputs.size())
     throw std::invalid_argument("garble: input label count mismatch");
+  // One-row ANDs read an evaluator-known bit as its label's lsb; that
+  // holds only if every evaluator-input zero-label has lsb 0.
+  for (const Block& z : evaluator_zeros)
+    if (z.lsb())
+      throw std::invalid_argument(
+          "garble: evaluator-input zero-label has lsb 1 "
+          "(use fresh_known_zeros)");
 
   // The walked view (scheduled order, wires renumbered into label
   // slots) or the construction order; inputs, outputs and state bind
@@ -84,9 +97,17 @@ void Garbler::garble_gates_scalar(const Circuit& c, Labels& w,
       w[g.out] = w[g.a] ^ w[g.b];  // free-XOR
       continue;
     }
-    // Half-gates AND.
     const Block a0 = w[g.a];
     const Block b0 = w[g.b];
+    if (g.op == GateOp::kAndKnown) {
+      // Evaluator half gate alone: the evaluator knows b = lsb(B_b).
+      const uint64_t j = tweak_++;
+      const Block hb0 = gc_hash(b0, j);
+      tables.put(hb0 ^ gc_hash(b0 ^ delta_, j) ^ a0);
+      w[g.out] = hb0;
+      continue;
+    }
+    // Half-gates AND.
     const bool pa = a0.lsb();
     const bool pb = b0.lsb();
     const uint64_t j0 = tweak_++;
@@ -113,20 +134,23 @@ void Garbler::garble_gates_scalar(const Circuit& c, Labels& w,
 }
 
 // Batched pipeline: AND gates are enqueued into a window whose hash
-// inputs {a0, a0^delta, b0, b0^delta} are expanded and hashed by
-// gc_hash_and_quads in one pipelined AES sweep. The window drains at the
-// circuit's precomputed flush points (a gate reading a still-pending AND
-// output), at capacity, and at the end of the gate list. Tweaks are
-// assigned at enqueue time and tables are emitted in enqueue (= gate)
-// order, so the byte stream is identical to the scalar schedule.
+// pairs {x0, x0^delta} — two per half-gates AND (x0 = a0, b0), one per
+// one-row AND (x0 = b0) — are expanded and hashed by gc_hash_pairs in
+// one pipelined AES sweep, so a mixed window computes no hash it then
+// discards. The window drains at the circuit's precomputed flush points
+// (a gate reading a still-pending AND output), at capacity, and at the
+// end of the gate list. Tweaks are assigned at enqueue time and tables
+// are emitted in enqueue (= gate) order, so the byte stream is
+// identical to the scalar schedule.
 //
 // With a ThreadPool, a draining window is split into contiguous
 // per-thread shards — independent sub-windows of the same flush
 // schedule, since every gate in the window reads only non-pending wires.
-// Each shard runs its own gc_hash_and_quads sweep over its slice of the
-// enqueue-ordered arrays into disjoint slices of the scratch buffers;
-// table rows still stream out serially in enqueue order afterwards, so
-// the transcript stays byte-identical to single-threaded garbling.
+// A shard finds its rows through the line's per-gate prefix sum and
+// runs its own gc_hash_pairs sweep over them into disjoint slices of the
+// scratch buffers; table rows still stream out serially in enqueue
+// order afterwards, so the transcript stays byte-identical to
+// single-threaded garbling.
 void Garbler::garble_gates_batched(const Circuit& c, Labels& w,
                                    BlockWriter& tables) {
   const HashBackend& be =
@@ -153,26 +177,32 @@ void Garbler::garble_gates_batched(const Circuit& c, Labels& w,
       return;
     }
     auto shard = [&](size_t lo, size_t hi) {
-      gc_hash_and_quads(be, line.a0 + lo, line.b0 + lo, delta_,
-                        line.tweaks + 2 * lo, line.hashes + 4 * lo, hi - lo);
+      const uint32_t r_lo = line.rows[lo];
+      gc_hash_pairs(be, line.x0 + r_lo, delta_, line.tweaks + r_lo,
+                    line.hashes + 2 * r_lo, line.rows[hi] - r_lo);
       for (size_t i = lo; i < hi; ++i) {
-        const Block a0 = line.a0[i];
-        const Block ha0 = line.hashes[4 * i + 0];
-        const Block ha1 = line.hashes[4 * i + 1];
-        const Block hb0 = line.hashes[4 * i + 2];
-        const Block hb1 = line.hashes[4 * i + 3];
+        const uint32_t r = line.rows[i];
+        const Block* h = line.hashes + 2 * r;
+        if (line.rows[i + 1] - r == 1) {
+          // One-row AND: the row was staged holding a0.
+          line.tabs[r] ^= h[0] ^ h[1];
+          w[line.outs[i]] = h[0];  // disjoint wires across shards
+          continue;
+        }
+        const Block a0 = line.x0[r];
+        const bool pb = line.x0[r + 1].lsb();
 
-        Block tg = ha0 ^ ha1;
-        if (line.b0[i].lsb()) tg ^= delta_;
-        Block wg = ha0;
+        Block tg = h[0] ^ h[1];
+        if (pb) tg ^= delta_;
+        Block wg = h[0];
         if (a0.lsb()) wg ^= tg;
 
-        const Block te = hb0 ^ hb1 ^ a0;
-        Block we = hb0;
-        if (line.b0[i].lsb()) we ^= te ^ a0;
+        const Block te = h[2] ^ h[3] ^ a0;
+        Block we = h[2];
+        if (pb) we ^= te ^ a0;
 
-        line.tabs[2 * i] = tg;
-        line.tabs[2 * i + 1] = te;
+        line.tabs[r] = tg;
+        line.tabs[r + 1] = te;
         w[line.outs[i]] = wg ^ we;  // disjoint wires across shards
       }
     };
@@ -180,11 +210,12 @@ void Garbler::garble_gates_batched(const Circuit& c, Labels& w,
       opt_.pool->parallel_shards(n, opt_.min_shard_gates, shard);
     else
       shard(0, n);
+    const size_t rows = line.rows[n];
     if (zero_copy) {
-      tables.put_borrowed(line.tabs, 2 * n, line.slab());
+      tables.put_borrowed(line.tabs, rows, line.slab());
       line = GarbleWindowLine(kGcMaxBatchWindow, *opt_.table_pool);
     } else {
-      for (size_t i = 0; i < 2 * n; ++i) tables.put(line.tabs[i]);
+      for (size_t i = 0; i < rows; ++i) tables.put(line.tabs[i]);
     }
     // Frames cut only at level boundaries: a capacity drain mid-level
     // keeps buffering so wide scheduled levels ship as one frame.
@@ -197,10 +228,18 @@ void Garbler::garble_gates_batched(const Circuit& c, Labels& w,
       [&](const Gate& g) { w[g.out] = w[g.a] ^ w[g.b]; },  // free-XOR
       [&](const Gate& g) {
         const size_t i = line.size++;
-        line.a0[i] = w[g.a];
-        line.b0[i] = w[g.b];
-        line.tweaks[2 * i] = tweak_++;
-        line.tweaks[2 * i + 1] = tweak_++;
+        uint32_t r = line.rows[i];
+        if (g.op == GateOp::kAndKnown) {
+          line.x0[r] = w[g.b];
+          line.tabs[r] = w[g.a];
+          line.tweaks[r++] = tweak_++;
+        } else {
+          line.x0[r] = w[g.a];
+          line.x0[r + 1] = w[g.b];
+          line.tweaks[r++] = tweak_++;
+          line.tweaks[r++] = tweak_++;
+        }
+        line.rows[i + 1] = r;
         line.outs[i] = g.out;
       },
       flush);

@@ -120,7 +120,8 @@ GarbledMaterial garble_offline(const std::vector<Circuit>& chain, Block seed,
         throw std::invalid_argument("garble_offline: layer width mismatch");
       g_zeros = carried;
     }
-    const Labels e_zeros = garbler.fresh_zeros(c.evaluator_inputs.size());
+    const Labels e_zeros =
+        garbler.fresh_known_zeros(c.evaluator_inputs.size());
     mat.eval_zeros.insert(mat.eval_zeros.end(), e_zeros.begin(),
                           e_zeros.end());
     carried = garbler.garble(c, g_zeros, e_zeros, {});

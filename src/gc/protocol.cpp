@@ -62,7 +62,8 @@ BitVec GarblerSession::run_chain(const std::vector<Circuit>& chain,
 
     // Evaluator inputs: fresh zero-labels delivered via correlated OT.
     Stopwatch sw;
-    const Labels e_zeros = garbler_.fresh_zeros(c.evaluator_inputs.size());
+    const Labels e_zeros =
+        garbler_.fresh_known_zeros(c.evaluator_inputs.size());
     if (!e_zeros.empty()) ot_.send_correlated(e_zeros, garbler_.delta());
     if (k == 0) garbler_.send_active(data_bits, g_zeros);
     ph.ot_s = sw.seconds();
@@ -139,7 +140,7 @@ BitVec GarblerSession::run_sequential(const Circuit& step, size_t cycles,
     Stopwatch sw;
     const Labels g_zeros = garbler_.fresh_zeros(g_per);
     garbler_.send_active(slice(data_bits, t * g_per, g_per), g_zeros);
-    const Labels e_zeros = garbler_.fresh_zeros(e_per);
+    const Labels e_zeros = garbler_.fresh_known_zeros(e_per);
     if (!e_zeros.empty()) ot_.send_correlated(e_zeros, garbler_.delta());
     ph.ot_s = sw.seconds();
 

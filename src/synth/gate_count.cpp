@@ -10,7 +10,7 @@ namespace deepsecure::synth {
 namespace {
 
 GateCount from_stats(const CircuitStats& s) {
-  return GateCount{s.num_xor, s.num_and};
+  return GateCount{s.num_xor, s.num_and, s.num_and_known};
 }
 
 GateCount count_built(Builder&& b) {
@@ -23,7 +23,7 @@ BlockCosts measure_blocks(FixedFormat fmt) {
   {
     Builder b;
     const Bus x = input_fixed(b, Party::kGarbler, fmt);
-    const Bus y = input_fixed(b, Party::kEvaluator, fmt);
+    const Bus y = input_fixed(b, Party::kGarbler, fmt);
     b.outputs(add(b, x, y));
     costs.add = count_built(std::move(b));
   }
@@ -50,7 +50,7 @@ BlockCosts measure_blocks(FixedFormat fmt) {
   {
     Builder b;
     const Bus x = input_fixed(b, Party::kGarbler, fmt);
-    const Bus y = input_fixed(b, Party::kEvaluator, fmt);
+    const Bus y = input_fixed(b, Party::kGarbler, fmt);
     b.outputs(max_signed(b, x, y));
     costs.max = count_built(std::move(b));
   }

@@ -14,27 +14,37 @@ namespace deepsecure::synth {
 struct GateCount {
   uint64_t num_xor = 0;
   uint64_t num_non_xor = 0;
+  /// One-row ANDs (an operand the evaluator knows in plaintext, e.g. a
+  /// weight bit): the subset of num_non_xor that ships one row, not two.
+  uint64_t num_one_row = 0;
 
   GateCount& operator+=(const GateCount& o) {
     num_xor += o.num_xor;
     num_non_xor += o.num_non_xor;
+    num_one_row += o.num_one_row;
     return *this;
   }
   friend GateCount operator*(GateCount c, uint64_t k) {
-    return GateCount{c.num_xor * k, c.num_non_xor * k};
+    return GateCount{c.num_xor * k, c.num_non_xor * k, c.num_one_row * k};
   }
   friend GateCount operator+(GateCount a, const GateCount& b) {
     a += b;
     return a;
   }
-  /// Garbled-table bytes (half-gates: 2 x 16 B per non-XOR gate).
-  uint64_t comm_bytes() const { return num_non_xor * 32; }
+  /// Garbled-table bytes: 2 x 16 B per half-gates AND, 16 B per one-row
+  /// AND.
+  uint64_t comm_bytes() const {
+    return 32 * (num_non_xor - num_one_row) + 16 * num_one_row;
+  }
 };
 
 GateCount count_circuit(const Circuit& c);
 
 /// Measured costs of the fundamental blocks at format `fmt` (built once
-/// and memoized per format).
+/// and memoized per format). Each block's operands are owned as in a
+/// network layer: MULT and DIV take an evaluator operand (a weight), so
+/// their ANDs on it count as one-row; ADD and MAX combine two garbled
+/// values (products, activations), so all their ANDs are two-row.
 struct BlockCosts {
   GateCount add;
   GateCount mult;

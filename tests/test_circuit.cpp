@@ -247,23 +247,23 @@ const std::vector<Circuit>& b3pp_chain() {
 TEST(Builder, PinnedChainFingerprintMlp) {
   const auto chain = synth::compile_model_layers(mlp_8_6_3());
   EXPECT_EQ(chain_fingerprint(chain, /*scheduled=*/true),
-            0x710f82ed251e2a9dull);
+            0xaa1d90212e2e7fe7ull);
   EXPECT_EQ(chain_fingerprint(chain, /*scheduled=*/false),
-            0x8d42ccd46a58fd20ull);
+            0xf6e1c7716404c6beull);
   const auto walked = walk_chain(chain);
   EXPECT_EQ(chain_fingerprint(walked, /*scheduled=*/true),
-            0x710f82ed251e2a9dull);
+            0xaa1d90212e2e7fe7ull);
   EXPECT_EQ(chain_fingerprint(walked, /*scheduled=*/false),
-            0x710f82ed251e2a9dull);
+            0xaa1d90212e2e7fe7ull);
 }
 
 TEST(Builder, PinnedChainFingerprintB3pp) {
   EXPECT_EQ(chain_fingerprint(b3pp_chain(), /*scheduled=*/true),
-            0x0bdca78827a99d99ull);
+            0x26283ed8c016a642ull);
   EXPECT_EQ(chain_fingerprint(b3pp_chain(), /*scheduled=*/false),
-            0xb5f4f6175f28c296ull);
+            0xb1b5c515426e6d05ull);
   EXPECT_EQ(chain_fingerprint(walk_chain(b3pp_chain())),
-            0x0bdca78827a99d99ull);
+            0x26283ed8c016a642ull);
 }
 
 // Label slots: the walked view of b3_pp's first FC layer (9.35 M
@@ -280,12 +280,15 @@ TEST(Circuit, StatsCountGateClasses) {
   Builder b;
   const Wire x = b.input(Party::kGarbler);
   const Wire y = b.input(Party::kEvaluator);
-  b.output(b.or_(x, y));  // 1 AND + 2 XOR
+  const Wire z = b.input(Party::kGarbler);
+  b.output(b.or_(x, y));  // 1 one-row AND (y is evaluator-known) + 2 XOR
+  b.output(b.and_(x, z));  // 1 two-row AND
   const Circuit c = b.build();
   const auto s = c.stats();
-  EXPECT_EQ(s.num_and, 1u);
+  EXPECT_EQ(s.num_and, 2u);
+  EXPECT_EQ(s.num_and_known, 1u);
   EXPECT_EQ(s.num_xor, 2u);
-  EXPECT_EQ(s.table_bytes(), 32u);
+  EXPECT_EQ(s.table_bytes(), 32u + 16u);
 }
 
 TEST(Circuit, ValidateRejectsUnordered) {
@@ -339,9 +342,57 @@ TEST(NetlistIo, RoundTrip) {
   EXPECT_EQ(st1, st2);
 }
 
+// One-row ANDs serialize as ANDK and re-validate on load: the reader
+// refuses an ANDK whose b operand is not evaluator-known.
+TEST(NetlistIo, OneRowAndRoundTripsAndIsValidated) {
+  Builder b("known");
+  const Wire x = b.input(Party::kGarbler);
+  const Wire y0 = b.input(Party::kEvaluator);
+  const Wire y1 = b.input(Party::kEvaluator);
+  const Wire z = b.and_(b.xor_(y0, y1), x);  // known XOR as operand
+  const Wire v = b.and_(y0, x);
+  b.output(z);
+  b.output(v);
+  b.output(b.and_(z, v));  // two-row
+  const Circuit c = b.build();
+  ASSERT_EQ(c.stats().num_and_known, 2u);
+  ASSERT_EQ(c.stats().num_and, 3u);
+
+  const std::string text = netlist_to_string(c);
+  EXPECT_NE(text.find("gate ANDK "), std::string::npos);
+  const Circuit c2 = netlist_from_string(text);
+  ASSERT_EQ(c2.gates.size(), c.gates.size());
+  for (size_t i = 0; i < c.gates.size(); ++i) {
+    EXPECT_EQ(c2.gates[i].op, c.gates[i].op) << i;
+    EXPECT_EQ(c2.gates[i].b, c.gates[i].b) << i;
+  }
+  for (uint8_t bits = 0; bits < 8; ++bits) {
+    const BitVec g{uint8_t(bits & 1)};
+    const BitVec e{uint8_t(bits >> 1 & 1), uint8_t(bits >> 2 & 1)};
+    EXPECT_EQ(c.eval(g, e), c2.eval(g, e));
+  }
+
+  // Hand edit: y1 becomes a garbler input, so the XOR feeding the first
+  // ANDK is no longer evaluator-known.
+  const std::string in_g = "in G " + std::to_string(x) + "\n";
+  const std::string in_e =
+      "in E " + std::to_string(y0) + ' ' + std::to_string(y1) + "\n";
+  std::string edited = text;
+  ASSERT_NE(edited.find(in_g), std::string::npos);
+  ASSERT_NE(edited.find(in_e), std::string::npos);
+  edited.replace(edited.find(in_e), in_e.size(),
+                 "in E " + std::to_string(y0) + "\n");
+  edited.replace(edited.find(in_g), in_g.size(),
+                 "in G " + std::to_string(x) + ' ' + std::to_string(y1) +
+                     "\n");
+  EXPECT_THROW(netlist_from_string(edited), std::logic_error);
+}
+
 TEST(NetlistIo, RejectsMalformed) {
   EXPECT_THROW(netlist_from_string("gate AND 1 2 3\n"), std::runtime_error);
   EXPECT_THROW(netlist_from_string("netlist x\nwires 4\ngate FOO 0 1 2\n"),
+               std::runtime_error);
+  EXPECT_THROW(netlist_from_string("netlist x\nwires 4\ngate ANDX 0 1 2\n"),
                std::runtime_error);
 }
 

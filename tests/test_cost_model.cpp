@@ -19,6 +19,20 @@ TEST(CostModel, Table2FormulasAtPaperConstants) {
   EXPECT_NEAR(c.exec_seconds, 9.66, 0.1);
 }
 
+// One-row ANDs ship one 16-byte row and cost half a non-XOR in Tcomp
+// (2 of a half-gates AND's 4 garbler hashes).
+TEST(CostModel, OneRowAndsShipOneRowAtHalfTheCompute) {
+  const synth::GateCount two_row{1000, 800, 0};
+  const synth::GateCount mixed{1000, 800, 300};
+  const NetworkCost a = cost_from_gates(two_row);
+  const NetworkCost b = cost_from_gates(mixed);
+  EXPECT_DOUBLE_EQ(a.comm_bytes, 800.0 * 32);
+  EXPECT_DOUBLE_EQ(b.comm_bytes, 500.0 * 32 + 300.0 * 16);
+  const GcCostParams p;
+  EXPECT_NEAR(a.comp_seconds - b.comp_seconds,
+              150.0 * p.clk_per_non_xor / p.f_cpu_hz, 1e-15);
+}
+
 TEST(CostModel, ExecutionIsCommBoundAtPaperBandwidth) {
   for (const auto& z : core::paper_zoo()) {
     const NetworkCost c = cost_of_model(z.base);

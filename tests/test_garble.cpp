@@ -2,6 +2,7 @@
 
 #include "circuit/builder.h"
 #include "gc/garble.h"
+#include "net/null_channel.h"
 #include "net/party.h"
 #include "support/rng.h"
 
@@ -17,7 +18,7 @@ BitVec gc_run(const Circuit& c, const BitVec& g_bits, const BitVec& e_bits,
       [&](Channel& ch) {
         Garbler g(ch, seed);
         const Labels g_zeros = g.fresh_zeros(g_bits.size());
-        const Labels e_zeros = g.fresh_zeros(e_bits.size());
+        const Labels e_zeros = g.fresh_known_zeros(e_bits.size());
         g.send_active(g_bits, g_zeros);
         // Test-only shortcut: send the evaluator's active labels directly
         // (the OT path is exercised in test_ot / test_protocol).
@@ -173,7 +174,7 @@ TEST(Garble, DecodeInfoPathAgrees) {
       [&](Channel& ch) {
         Garbler g(ch, Block{3, 1});
         const Labels gz = g.fresh_zeros(1);
-        const Labels ez = g.fresh_zeros(1);
+        const Labels ez = g.fresh_known_zeros(1);
         g.send_active({1}, gz);
         std::vector<Block> active{ez[0] ^ g.delta()};  // evaluator bit = 1
         ch.send_bytes(active.data(), sizeof(Block));
@@ -190,36 +191,71 @@ TEST(Garble, DecodeInfoPathAgrees) {
   EXPECT_EQ(evaluator_view, (BitVec{1, 0}));
 }
 
-TEST(Garble, CommunicationIsTwoBlocksPerAnd) {
+TEST(Garble, CommunicationMatchesRowCount) {
+  // Two-row ANDs (both operands garbled) interleaved with one-row ANDs
+  // (the evaluator's input y as operand b).
   Builder b;
   const Wire x = b.input(Party::kGarbler);
   const Wire y = b.input(Party::kEvaluator);
   Wire acc = b.and_(x, y);
-  for (int i = 0; i < 9; ++i) acc = b.and_(acc, b.xor_(x, acc));
+  for (int i = 0; i < 9; ++i) {
+    acc = b.and_(acc, b.xor_(x, acc));
+    if (i % 3 == 0) acc = b.and_(acc, b.xor_(y, acc));
+    if (i % 2 == 0) acc = b.and_(y, acc);
+  }
   b.output(acc);
   const Circuit c = b.build();
-  const uint64_t n_and = c.stats().num_and;
+  const CircuitStats st = c.stats();
+  const uint64_t one_row = st.num_and_known;
+  const uint64_t two_row = st.num_and - st.num_and_known;
+  ASSERT_EQ(one_row, 6u);
+  ASSERT_EQ(two_row, 12u);
+  EXPECT_EQ(st.table_bytes(), (2 * two_row + one_row) * 16);
 
-  const auto stats = run_two_party(
-      [&](Channel& ch) {
-        Garbler g(ch, Block{5, 5});
-        const Labels gz = g.fresh_zeros(1);
-        const Labels ez = g.fresh_zeros(1);
-        g.send_active({1}, gz);
-        std::vector<Block> active{ez[0]};
-        ch.send_bytes(active.data(), sizeof(Block));
-        const Labels out = g.garble(c, gz, ez, {});
-        g.decode_outputs(out);
-      },
-      [&](Channel& ch) {
-        Evaluator e(ch);
-        const Labels gl = e.recv_active(1);
-        const Labels el = e.recv_active(1);
-        const Labels out = e.evaluate(c, gl, el, {});
-        e.send_outputs(out);
-      });
-  // garbler -> evaluator: 2 consts + 2 input labels + 2 blocks per AND.
-  EXPECT_EQ(stats.a_to_b_bytes, (4 + 2 * n_and) * 16);
+  for (const GcPipeline pipeline : {GcPipeline::kScalar, GcPipeline::kBatched}) {
+    const auto stats = run_two_party(
+        [&](Channel& ch) {
+          Garbler g(ch, Block{5, 5}, pipeline);
+          const Labels gz = g.fresh_zeros(1);
+          const Labels ez = g.fresh_known_zeros(1);
+          g.send_active({1}, gz);
+          std::vector<Block> active{ez[0]};
+          ch.send_bytes(active.data(), sizeof(Block));
+          const Labels out = g.garble(c, gz, ez, {});
+          g.decode_outputs(out);
+        },
+        [&](Channel& ch) {
+          Evaluator e(ch, pipeline);
+          const Labels gl = e.recv_active(1);
+          const Labels el = e.recv_active(1);
+          const Labels out = e.evaluate(c, gl, el, {});
+          e.send_outputs(out);
+        });
+    // garbler -> evaluator: 2 consts + 2 input labels + 2 rows per
+    // two-row AND + 1 row per one-row AND.
+    EXPECT_EQ(stats.a_to_b_bytes, (4 + 2 * two_row + one_row) * 16)
+        << "pipeline " << int(pipeline);
+  }
+}
+
+// A one-row AND's evaluator reads its known bit as the label's lsb, so
+// an evaluator-input zero-label with lsb 1 would decode wrong: garble
+// refuses it rather than garbling silently wrong tables.
+TEST(Garble, RejectsEvaluatorLabelWithLsbOne) {
+  Builder b;
+  const Wire x = b.input(Party::kGarbler);
+  const Wire y = b.input(Party::kEvaluator);
+  b.output(b.and_(x, y));
+  const Circuit c = b.build();
+
+  NullChannel ch;
+  Garbler g(ch, Block{9, 9});
+  const Labels gz = g.fresh_zeros(1);
+  Labels ez = g.fresh_known_zeros(1);
+  EXPECT_FALSE(ez[0].lsb());
+  EXPECT_NO_THROW(g.garble(c, gz, ez, {}));
+  ez[0].lo |= 1;
+  EXPECT_THROW(g.garble(c, gz, ez, {}), std::invalid_argument);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "gc/garble.h"
 #include "net/party.h"
 #include "support/rng.h"
+#include "support/thread_pool.h"
 
 namespace deepsecure {
 namespace {
@@ -40,12 +41,12 @@ struct GarbleTrace {
   Labels state_next;
 };
 
-GarbleTrace garble_trace(const Circuit& c, Block seed, GcPipeline pipeline) {
+GarbleTrace garble_trace(const Circuit& c, Block seed, const GcOptions& opt) {
   RecordChannel ch;
-  Garbler g(ch, seed, pipeline);
+  Garbler g(ch, seed, opt);
   GarbleTrace t;
   const Labels gz = g.fresh_zeros(c.garbler_inputs.size());
-  const Labels ez = g.fresh_zeros(c.evaluator_inputs.size());
+  const Labels ez = g.fresh_known_zeros(c.evaluator_inputs.size());
   const Labels sz = g.fresh_zeros(c.state_inputs.size());
   t.outputs = g.garble(c, gz, ez, sz, &t.state_next);
   t.stream = std::move(ch.bytes);
@@ -53,8 +54,10 @@ GarbleTrace garble_trace(const Circuit& c, Block seed, GcPipeline pipeline) {
 }
 
 void expect_pipelines_identical(const Circuit& c, Block seed) {
-  const GarbleTrace scalar = garble_trace(c, seed, GcPipeline::kScalar);
-  const GarbleTrace batched = garble_trace(c, seed, GcPipeline::kBatched);
+  const GarbleTrace scalar =
+      garble_trace(c, seed, {.pipeline = GcPipeline::kScalar});
+  const GarbleTrace batched =
+      garble_trace(c, seed, {.pipeline = GcPipeline::kBatched});
   EXPECT_EQ(scalar.stream, batched.stream) << "table byte stream diverged";
   EXPECT_EQ(scalar.outputs, batched.outputs) << "output labels diverged";
   EXPECT_EQ(scalar.state_next, batched.state_next);
@@ -140,7 +143,7 @@ TEST(GarbleBatch, CrossPipelineTwoPartyAgreesWithPlaintext) {
           [&](Channel& ch) {
             Garbler g(ch, Block{42, 42}, gp);
             const Labels gz = g.fresh_zeros(g_bits.size());
-            const Labels ez = g.fresh_zeros(e_bits.size());
+            const Labels ez = g.fresh_known_zeros(e_bits.size());
             g.send_active(g_bits, gz);
             std::vector<Block> active(e_bits.size());
             for (size_t i = 0; i < e_bits.size(); ++i)
@@ -159,6 +162,109 @@ TEST(GarbleBatch, CrossPipelineTwoPartyAgreesWithPlaintext) {
       EXPECT_EQ(decoded, expect)
           << "garbler=" << int(gp) << " evaluator=" << int(ep);
     }
+  }
+}
+
+// Random DAG over garbler, evaluator and state inputs with lane tags,
+// so windows mix one-row ANDs (an evaluator-known operand) with
+// two-row ones, followed by one wide level that alternates the two
+// kinds gate by gate: wherever a shard cut falls in it, it falls
+// between a one-row and a two-row gate.
+Circuit mixed_row_circuit(Rng& rng, int n_gates) {
+  Builder b;
+  const std::vector<Wire> garbled = b.inputs(Party::kGarbler, 8);
+  const std::vector<Wire> known = b.inputs(Party::kEvaluator, 8);
+  const std::vector<Wire> state = b.state_inputs(4);
+  std::vector<Wire> pool = garbled;
+  pool.insert(pool.end(), known.begin(), known.end());
+  pool.insert(pool.end(), state.begin(), state.end());
+  for (int g = 0; g < n_gates; ++g) {
+    if (g % 5 == 0) b.set_lane(static_cast<uint32_t>(rng.next_below(4)));
+    const Wire a = pool[rng.next_below(pool.size())];
+    const Wire y = pool[rng.next_below(pool.size())];
+    switch (rng.next_below(4)) {
+      case 0: pool.push_back(b.xor_(a, y)); break;
+      case 1: pool.push_back(b.and_(a, y)); break;
+      case 2: pool.push_back(b.or_(a, y)); break;
+      default: pool.push_back(b.not_(a)); break;
+    }
+  }
+  const size_t base = pool.size();
+  for (size_t i = 0; i < 2 * kGcMaxBatchWindow; ++i) {
+    b.set_lane(static_cast<uint32_t>(i % 3));
+    const Wire a = pool[base - 1 - i % 257];
+    const Wire k = i % 2 == 0 ? known[i % known.size()]
+                              : garbled[(i / 2) % garbled.size()];
+    pool.push_back(b.and_(a, k));
+  }
+  b.set_state_next({pool[pool.size() - 1], pool[pool.size() - 2],
+                    pool[pool.size() - 3], state[0]});
+  for (int o = 0; o < 12; ++o)
+    b.output(pool[pool.size() - 1 - static_cast<size_t>(o) * 7]);
+  return b.build();
+}
+
+// Shards write a variable number of rows per gate into one staging
+// line: 1- and 3-thread garbling must emit the same bytes as the scalar
+// reference, and a sharded pair of endpoints must decode to plaintext.
+TEST(GarbleBatch, ShardedMixedWindowsByteIdenticalAndCorrect) {
+  Rng rng(1919);
+  ThreadPool gpool(3), epool(3);
+  for (int trial = 0; trial < 4; ++trial) {
+    const Circuit c = mixed_row_circuit(rng, 300);
+    const CircuitStats st = c.stats();
+    ASSERT_GT(st.num_and_known, kGcMaxBatchWindow / 2) << trial;
+    ASSERT_GT(st.num_and - st.num_and_known, kGcMaxBatchWindow / 2) << trial;
+
+    const Block seed{rng.next_u64(), rng.next_u64()};
+    GcOptions sharded;
+    sharded.pool = &gpool;
+    sharded.min_shard_gates = 2;
+    const GarbleTrace scalar =
+        garble_trace(c, seed, {.pipeline = GcPipeline::kScalar});
+    const GarbleTrace single = garble_trace(c, seed, {});
+    const GarbleTrace multi = garble_trace(c, seed, sharded);
+    EXPECT_EQ(scalar.stream, single.stream) << trial;
+    EXPECT_EQ(single.stream, multi.stream) << trial;
+    EXPECT_EQ(single.outputs, multi.outputs) << trial;
+    EXPECT_EQ(single.state_next, multi.state_next) << trial;
+    EXPECT_EQ(single.stream.size(), 2 * sizeof(Block) + st.table_bytes());
+
+    BitVec g_bits(c.garbler_inputs.size()), e_bits(c.evaluator_inputs.size()),
+        s_bits(c.state_inputs.size());
+    for (BitVec* v : {&g_bits, &e_bits, &s_bits})
+      for (auto& bit : *v) bit = rng.next_bool();
+    BitVec state = s_bits;
+    const BitVec expect = c.eval(g_bits, e_bits, &state);
+    GcOptions eopt;
+    eopt.pool = &epool;
+    eopt.min_shard_gates = 2;
+    BitVec decoded, decoded_state;
+    run_two_party(
+        [&](Channel& ch) {
+          Garbler g(ch, seed, sharded);
+          const Labels gz = g.fresh_zeros(g_bits.size());
+          const Labels ez = g.fresh_known_zeros(e_bits.size());
+          const Labels sz = g.fresh_zeros(s_bits.size());
+          g.send_active(g_bits, gz);
+          g.send_active(e_bits, ez);  // stands in for OT here
+          g.send_active(s_bits, sz);
+          Labels next;
+          const Labels out = g.garble(c, gz, ez, sz, &next);
+          decoded = g.decode_outputs(out);
+          decoded_state = g.decode_outputs(next);
+        },
+        [&](Channel& ch) {
+          Evaluator e(ch, eopt);
+          const Labels gl = e.recv_active(g_bits.size());
+          const Labels el = e.recv_active(e_bits.size());
+          const Labels sl = e.recv_active(s_bits.size());
+          Labels next;
+          e.send_outputs(e.evaluate(c, gl, el, sl, &next));
+          e.send_outputs(next);
+        });
+    EXPECT_EQ(decoded, expect) << trial;
+    EXPECT_EQ(decoded_state, state) << trial;
   }
 }
 

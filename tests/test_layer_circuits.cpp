@@ -246,6 +246,13 @@ TEST(GateCount, BlockCostsSanity) {
   EXPECT_EQ(c.add.num_non_xor, 15u);
   EXPECT_EQ(c.relu.num_non_xor, 15u);
   EXPECT_GT(c.mult.num_non_xor, 100u);
+  // The multiplier's partial products AND a weight bit the evaluator
+  // owns: one row each. ADD and MAX combine garbled values only.
+  EXPECT_EQ(c.mult.num_non_xor, 584u);
+  EXPECT_EQ(c.mult.num_one_row, 262u);
+  EXPECT_EQ(c.add.num_one_row, 0u);
+  EXPECT_EQ(c.max.num_one_row, 0u);
+  EXPECT_EQ(c.mult.comm_bytes(), (584u - 262u) * 32 + 262u * 16);
   EXPECT_GT(c.div.num_non_xor, c.add.num_non_xor);
   EXPECT_GT(c.act[static_cast<int>(ActKind::kTanhLUT)].num_non_xor,
             c.act[static_cast<int>(ActKind::kTanhPL)].num_non_xor);

@@ -25,6 +25,7 @@
 #include "support/rng.h"
 #include "support/stopwatch.h"
 #include "support/thread_pool.h"
+#include "synth/layer_circuits.h"
 
 namespace deepsecure {
 namespace {
@@ -51,7 +52,7 @@ std::vector<uint8_t> garble_stream(const Circuit& c, Block seed,
   RecordChannel ch;
   Garbler g(ch, seed, opt);
   const Labels gz = g.fresh_zeros(c.garbler_inputs.size());
-  const Labels ez = g.fresh_zeros(c.evaluator_inputs.size());
+  const Labels ez = g.fresh_known_zeros(c.evaluator_inputs.size());
   g.garble(c, gz, ez, {});
   return ch.bytes;
 }
@@ -435,6 +436,64 @@ TEST(Material, EvaluateMaterialMatchesPlaintextChain) {
     g_labels[i] = data[i] ? (mat.data_zeros[i] ^ mat.delta) : mat.data_zeros[i];
 
   EXPECT_EQ(evaluate_material(chain, em, g_labels), expect);
+}
+
+// A compiled MLP chain garbles its weight-bit ANDs as one-row gates:
+// the offline artifact is still exactly material_stream_bytes long (one
+// row per such gate) and evaluates, single-threaded and sharded, to the
+// plaintext chain.
+TEST(Material, OneRowArtifactIsStreamSizedAndDecodes) {
+  synth::ModelSpec spec;
+  spec.input = synth::Shape3{1, 1, 6};
+  spec.layers.push_back(synth::FcLayer{4, {}, true});
+  spec.layers.push_back(synth::ActLayer{synth::ActKind::kReLU});
+  spec.layers.push_back(synth::FcLayer{3, {}, true});
+  const std::vector<Circuit> chain = synth::compile_model_layers(spec);
+  uint64_t one_row = 0, two_row = 0;
+  for (const Circuit& c : chain) {
+    one_row += c.stats().num_and_known;
+    two_row += c.stats().num_and - c.stats().num_and_known;
+  }
+  ASSERT_GT(one_row, 0u);
+  ASSERT_GT(two_row, 0u);
+
+  Rng rng(4242);
+  BitVec data(chain.front().garbler_inputs.size());
+  for (auto& b : data) b = rng.next_bool();
+  BitVec weights;
+  for (const Circuit& c : chain)
+    for (size_t i = 0; i < c.evaluator_inputs.size(); ++i)
+      weights.push_back(rng.next_bool() ? 1 : 0);
+  BitVec expect = data;
+  size_t consumed = 0;
+  for (const Circuit& c : chain) {
+    const size_t n = c.evaluator_inputs.size();
+    const BitVec w(weights.begin() + static_cast<ptrdiff_t>(consumed),
+                   weights.begin() + static_cast<ptrdiff_t>(consumed + n));
+    expect = c.eval(expect, w);
+    consumed += n;
+  }
+
+  const GarbledMaterial mat = garble_offline(chain, Block{71, 72});
+  EXPECT_EQ(mat.tables.size(), material_stream_bytes(chain));
+  EXPECT_EQ(mat.tables.size(),
+            chain.size() * 2 * sizeof(Block) + (2 * two_row + one_row) * 16);
+  EvalMaterial em;
+  em.decode_bits = mat.decode_bits;
+  em.tables = mat.tables;
+  em.eval_labels.resize(mat.eval_zeros.size());
+  for (size_t i = 0; i < mat.eval_zeros.size(); ++i)
+    em.eval_labels[i] =
+        weights[i] ? (mat.eval_zeros[i] ^ mat.delta) : mat.eval_zeros[i];
+  Labels g_labels(mat.data_zeros.size());
+  for (size_t i = 0; i < mat.data_zeros.size(); ++i)
+    g_labels[i] = data[i] ? (mat.data_zeros[i] ^ mat.delta) : mat.data_zeros[i];
+  EXPECT_EQ(evaluate_material(chain, em, g_labels), expect);
+  ThreadPool pool(3);
+  GcOptions sharded;
+  sharded.pool = &pool;
+  sharded.min_shard_gates = 2;
+  EXPECT_EQ(evaluate_material(chain, em, g_labels, sharded), expect);
 }
 
 TEST(MaterialPool, KeepsTargetInstancesReadyAndRefills) {

@@ -154,7 +154,7 @@ TEST(Schedule, XorConsumersNoLongerForceFlushes) {
   uint32_t depth = 0;
   for (const Gate& g : c.gates) {
     const uint32_t lvl = std::max(wire_level[g.a], wire_level[g.b]);
-    wire_level[g.out] = lvl + (g.op == GateOp::kAnd ? 1 : 0);
+    wire_level[g.out] = lvl + (g.op != GateOp::kXor ? 1 : 0);
     depth = std::max(depth, wire_level[g.out]);
   }
   EXPECT_LE(sched->gc_flush_points()->size(), depth);
@@ -182,7 +182,7 @@ std::vector<uint8_t> garble_stream(const Circuit& c, Block seed,
   RecordChannel ch;
   Garbler g(ch, seed, opt);
   const Labels gz = g.fresh_zeros(c.garbler_inputs.size());
-  const Labels ez = g.fresh_zeros(c.evaluator_inputs.size());
+  const Labels ez = g.fresh_known_zeros(c.evaluator_inputs.size());
   g.garble(c, gz, ez, {});
   return ch.bytes;
 }
@@ -235,7 +235,7 @@ TEST(Schedule, TwoPartyScheduledMatchesPlaintextAndOracle) {
           [&](Channel& ch) {
             Garbler g(ch, Block{42, 42}, opt);
             const Labels gz = g.fresh_zeros(g_bits.size());
-            const Labels ez = g.fresh_zeros(e_bits.size());
+            const Labels ez = g.fresh_known_zeros(e_bits.size());
             g.send_active(g_bits, gz);
             std::vector<Block> active(e_bits.size());
             for (size_t i = 0; i < e_bits.size(); ++i)
@@ -276,7 +276,7 @@ TEST(Schedule, EvaluatorShardPoolMatchesSingleThreaded) {
         [&](Channel& ch) {
           Garbler g(ch, Block{7, 9});
           const Labels gz = g.fresh_zeros(g_bits.size());
-          const Labels ez = g.fresh_zeros(e_bits.size());
+          const Labels ez = g.fresh_known_zeros(e_bits.size());
           g.send_active(g_bits, gz);
           std::vector<Block> active(e_bits.size());
           for (size_t i = 0; i < e_bits.size(); ++i)
@@ -387,8 +387,9 @@ TEST(Schedule, ScheduledViewIsCachedAndInvalidated) {
 // Raw netlist built gate by gate, without the Builder's folding and
 // CSE, so it holds what the slot rule must handle: operands that
 // coincide (a == b), gate outputs nobody reads (dead ANDs and XORs),
-// outputs that are inputs or constants, lane tags, and a state
-// register fed back through state_next.
+// outputs that are inputs or constants, lane tags, a state register
+// fed back through state_next, and one-row ANDs over evaluator-known
+// wires mixed with two-row ones.
 Circuit raw_dag(Rng& rng, int n_gates) {
   Circuit c;
   c.name = "raw_dag";
@@ -402,6 +403,8 @@ Circuit raw_dag(Rng& rng, int n_gates) {
   inputs(c.garbler_inputs, 6);
   inputs(c.evaluator_inputs, 6);
   inputs(c.state_inputs, 4);
+  std::vector<uint8_t> known(c.num_wires, 0);  // evaluator-known wires
+  for (Wire w : c.evaluator_inputs) known[w] = 1;
   // Mostly recent wires (deep, hazard-heavy chains), sometimes any.
   auto pick = [&]() {
     const size_t back = std::min<size_t>(pool.size(), 12);
@@ -415,7 +418,15 @@ Circuit raw_dag(Rng& rng, int n_gates) {
     gate.a = pick();
     gate.b = rng.next_below(8) == 0 ? gate.a : pick();
     gate.op = rng.next_bool() ? GateOp::kAnd : GateOp::kXor;
+    // An AND over an evaluator-known wire is the one-row op, known
+    // operand in b, as the Builder emits it.
+    if (gate.op == GateOp::kAnd && (known[gate.a] || known[gate.b])) {
+      if (!known[gate.b]) std::swap(gate.a, gate.b);
+      gate.op = GateOp::kAndKnown;
+    }
     gate.out = c.num_wires++;
+    known.push_back(gate.op == GateOp::kXor && known[gate.a] &&
+                    known[gate.b]);
     c.gates.push_back(gate);
     c.gate_lanes.push_back(static_cast<uint32_t>(rng.next_below(4)));
     outs.push_back(gate.out);
@@ -446,7 +457,7 @@ GarbleRecord garble_with_state(const Circuit& c, const GcOptions& opt) {
   RecordChannel ch;
   Garbler g(ch, Block{11, 13}, opt);
   const Labels gz = g.fresh_zeros(c.garbler_inputs.size());
-  const Labels ez = g.fresh_zeros(c.evaluator_inputs.size());
+  const Labels ez = g.fresh_known_zeros(c.evaluator_inputs.size());
   const Labels sz = g.fresh_zeros(c.state_inputs.size());
   GarbleRecord r;
   r.outputs = g.garble(c, gz, ez, sz, &r.state_next);
@@ -473,7 +484,7 @@ TEST(WalkView, RawDagsCoverDeadOutputsAndAliasedOperands) {
     for (Wire w : c.outputs) read[w] = 1;
     for (Wire w : c.state_next) read[w] = 1;
     for (const Gate& g : c.gates) {
-      if (!read[g.out]) ++(g.op == GateOp::kAnd ? dead_and : dead_xor);
+      if (!read[g.out]) ++(g.op != GateOp::kXor ? dead_and : dead_xor);
       if (g.a == g.b) ++same_operands;
     }
   }
@@ -533,7 +544,7 @@ TEST(WalkView, TwoPartyDecodesToPlaintext) {
           [&](Channel& ch) {
             Garbler g(ch, Block{8, 9}, gopt);
             const Labels gz = g.fresh_zeros(g_bits.size());
-            const Labels ez = g.fresh_zeros(e_bits.size());
+            const Labels ez = g.fresh_known_zeros(e_bits.size());
             const Labels sz = g.fresh_zeros(s_bits.size());
             g.send_active(g_bits, gz);
             g.send_active(e_bits, ez);  // stands in for OT here
@@ -756,8 +767,8 @@ ChainRecord record_chain(const std::vector<Circuit>& chain,
   Garbler g(rec, seed, gopt);
   Labels carried = g.fresh_zeros(chain.front().garbler_inputs.size());
   for (const Circuit& c : chain)
-    carried =
-        g.garble(c, carried, g.fresh_zeros(c.evaluator_inputs.size()), {});
+    carried = g.garble(c, carried,
+                       g.fresh_known_zeros(c.evaluator_inputs.size()), {});
   r.stream = std::move(rec.bytes);
   run_two_party(
       [&](Channel& ch) {
