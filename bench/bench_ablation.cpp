@@ -155,7 +155,7 @@ int main() {
     std::printf("  row-reduction   : %.1f MB (-25%%)\n", row_red / 1e6);
     std::printf("  half-gates      : %.1f MB (-25%% more)\n", half / 1e6);
     std::printf("  + 1-row on known: %.1f MB (-%.0f%%; what we ship: %llu of"
-                " %llu ANDs read a weight bit)\n",
+                " %llu ANDs read a known weight digit)\n",
                 one_row / 1e6, 100.0 * (1.0 - one_row / half),
                 static_cast<unsigned long long>(g.num_one_row),
                 static_cast<unsigned long long>(g.num_non_xor));

@@ -130,9 +130,12 @@ BENCHMARK(BM_GarbleMatvec)->Arg(0)->Arg(1)->ArgNames({"scheduled"})
 
 // One-row ANDs in a MULT-shaped layer: 64 lanes of x (garbler) * w
 // (evaluator), the partial products of an FC layer before its adder
-// tree. 262 of each multiplier's 584 ANDs read a weight bit and garble
-// as one row, so windows mix one- and two-row gates. Counters: the
-// one-row share and the table bytes each AND costs on the wire.
+// tree. Each weight takes the Booth multiplier: 275 of its 423 ANDs
+// read a digit flag of the weight and garble as one row, so windows
+// mix one- and two-row gates. Counters: the one-row share, the table
+// bytes each AND costs on the wire, and the table bytes per multiplier
+// (9,136 with Booth; CI fails above that, so a synthesis change cannot
+// quietly bring back the 14,496-byte array multiplier).
 void BM_GarbleWeightAnds(benchmark::State& state) {
   static const Circuit c = [] {
     Builder b("weight_ands");
@@ -152,6 +155,8 @@ void BM_GarbleWeightAnds(benchmark::State& state) {
                                     static_cast<double>(st.num_and);
   state.counters["table_B_per_and"] = static_cast<double>(st.table_bytes()) /
                                       static_cast<double>(st.num_and);
+  state.counters["table_B_per_mult"] =
+      static_cast<double>(st.table_bytes()) / 64.0;
 }
 BENCHMARK(BM_GarbleWeightAnds)->Unit(benchmark::kMillisecond);
 

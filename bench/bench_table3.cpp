@@ -59,7 +59,8 @@ int main() {
   std::printf("the netlist generator + constant-folding/CSE synthesis.\n\n");
 
   // "#1-row": the non-XOR gates with an operand the evaluator knows in
-  // plaintext (a weight bit), garbled as one 16-byte row instead of two.
+  // plaintext (a weight bit, or a Booth digit flag XORed from weight
+  // bits), garbled as one 16-byte row instead of two.
   TablePrinter t({"Name", "#XOR", "#non-XOR", "#1-row", "mean err",
                   "max err", "paper XOR", "paper nXOR", "paper err"});
 
@@ -161,8 +162,9 @@ int main() {
       "  the smooth table. Our MULT covers the signed fixed-point window\n"
       "  [frac, frac+16), which costs more non-XOR than the paper's\n"
       "  integer multiplier; the per-MAC ratio carries into Table 4.\n"
-      "  Of its non-XOR gates, the #1-row ones AND a weight bit the\n"
-      "  evaluator owns and ship 16 B instead of 32 B (half-gates'\n"
-      "  evaluator half gate).\n");
+      "  On a weight it is a radix-4 Booth multiplier (a garbled y\n"
+      "  takes the 584-gate array). Its #1-row gates AND a Booth digit\n"
+      "  flag, an XOR of weight bits the evaluator owns, and ship 16 B\n"
+      "  instead of 32 B (half-gates' evaluator half gate).\n");
   return 0;
 }

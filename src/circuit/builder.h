@@ -60,6 +60,14 @@ class Builder {
   uint64_t and_count() const { return and_count_; }
   uint64_t xor_count() const { return xor_count_; }
 
+  /// True if the evaluator knows `w` in plaintext: an evaluator input, or
+  /// an XOR of two known wires (never a constant or an AND output). An
+  /// AND with exactly one known operand is emitted as kAndKnown, and
+  /// synthesis picks a block's structure by it (synth/mult.h).
+  bool known(Wire w) const {
+    return w < known_end_ && ((known_[w >> 6] >> (w & 63)) & 1);
+  }
+
  private:
   Wire new_wire();
   Wire emit(GateOp op, Wire a, Wire b);
@@ -75,14 +83,10 @@ class Builder {
   // One bit per wire, set if the evaluator knows the wire in plaintext
   // (an evaluator input, or an XOR of two known wires); emit() turns an
   // AND with exactly one known operand into kAndKnown. The bitmap only
-  // grows as far as the highest known wire: layers declare their
-  // weights before any gate, so on b3_pp's first layer it covers 87 k
-  // of 9.35 M wires, and most emits test known-ness with one compare
-  // against known_end_, not a load. Set-up compiles every layer on each
-  // party.
-  bool known(Wire w) const {
-    return w < known_end_ && ((known_[w >> 6] >> (w & 63)) & 1);
-  }
+  // grows as far as the highest known wire (the Booth digit XORs of the
+  // last weight multiplied): one bit per wire, 0.9 MB on b3_pp's first
+  // layer, and an emit past the last known wire tests known-ness with
+  // one compare against known_end_, not a load.
   void set_known(Wire w);
   std::vector<uint64_t> known_;
   Wire known_end_ = 0;  // one past the highest known wire

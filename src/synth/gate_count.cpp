@@ -1,5 +1,6 @@
 #include "synth/gate_count.h"
 
+#include <algorithm>
 #include <map>
 #include <mutex>
 
@@ -18,6 +19,17 @@ GateCount count_built(Builder&& b) {
   return from_stats(c.stats());
 }
 
+GateCount minus(const GateCount& a, const GateCount& b) {
+  return GateCount{a.num_xor - b.num_xor, a.num_non_xor - b.num_non_xor,
+                   a.num_one_row - b.num_one_row};
+}
+
+// Positions that `out` windows of k, `stride` apart, cover: the input
+// rows (or columns) a conv layer reads.
+uint64_t covered(size_t k, size_t stride, size_t out) {
+  return stride <= k ? (out - 1) * stride + k : out * k;
+}
+
 BlockCosts measure_blocks(FixedFormat fmt) {
   BlockCosts costs;
   {
@@ -28,11 +40,23 @@ BlockCosts measure_blocks(FixedFormat fmt) {
     costs.add = count_built(std::move(b));
   }
   {
-    Builder b;
-    const Bus x = input_fixed(b, Party::kGarbler, fmt);
-    const Bus y = input_fixed(b, Party::kEvaluator, fmt);
-    b.outputs(mult_fixed(b, x, y, fmt.frac_bits));
-    costs.mult = count_built(std::move(b));
+    // One MULT, and two that share x or y: the second MULT adds all but
+    // the shared operand's part, which splits the three parts apart.
+    const auto macs = [&](size_t xs, size_t ys) {
+      Builder b;
+      std::vector<Bus> x(xs), y(ys);
+      for (Bus& v : x) v = input_fixed(b, Party::kGarbler, fmt);
+      for (Bus& v : y) v = input_fixed(b, Party::kEvaluator, fmt);
+      for (size_t i = 0; i < std::max(xs, ys); ++i)
+        b.outputs(mult_fixed(b, x[i % xs], y[i % ys], fmt.frac_bits));
+      return count_built(std::move(b));
+    };
+    const GateCount one = macs(1, 1);
+    const GateCount new_y = minus(macs(1, 2), one);  // mult + mult_weight
+    const GateCount new_x = minus(macs(2, 1), one);  // mult + mult_prologue
+    costs.mult = minus(new_x, minus(one, new_y));
+    costs.mult_prologue = minus(one, new_y);
+    costs.mult_weight = minus(one, new_x);
   }
   {
     Builder b;
@@ -97,24 +121,35 @@ std::vector<GateCount> count_model_layers(const ModelSpec& spec) {
     if (const auto* fc = std::get_if<FcLayer>(&layer)) {
       const size_t in = shape.flat();
       uint64_t macs = 0, adds = 0;
+      // Input features with a kept weight: each pays the MULT prologue.
+      std::vector<uint8_t> read(in, fc->mask.empty() && fc->out > 0);
       for (size_t o = 0; o < fc->out; ++o) {
         uint64_t nnz = 0;
         if (fc->mask.empty()) {
           nnz = in;
         } else {
-          for (size_t i = 0; i < in; ++i) nnz += fc->mask[o * in + i] ? 1 : 0;
+          for (size_t i = 0; i < in; ++i) {
+            const bool kept = fc->mask[o * in + i] != 0;
+            nnz += kept ? 1 : 0;
+            read[i] |= kept;
+          }
         }
         macs += nnz;
         adds += nnz > 0 ? nnz - 1 : 0;
         if (fc->has_bias) adds += 1;
       }
-      g += c.mult * macs;
+      g += (c.mult + c.mult_weight) * macs;
+      g += c.mult_prologue *
+           static_cast<uint64_t>(std::count(read.begin(), read.end(), 1));
       g += c.add * adds;
     } else if (const auto* conv = std::get_if<ConvLayer>(&layer)) {
       const Shape3 os = layer_output_shape(shape, layer);
       const uint64_t per_out = shape.c * conv->k * conv->k;
       const uint64_t outs = os.flat();
       g += c.mult * (outs * per_out);
+      g += c.mult_weight * (os.c * per_out);
+      g += c.mult_prologue * (shape.c * covered(conv->k, conv->stride, os.h) *
+                              covered(conv->k, conv->stride, os.w));
       g += c.add * (outs * (per_out - 1 + (conv->has_bias ? 1 : 0)));
     } else if (const auto* pool = std::get_if<PoolLayer>(&layer)) {
       const Shape3 os = layer_output_shape(shape, layer);

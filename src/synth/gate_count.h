@@ -15,7 +15,8 @@ struct GateCount {
   uint64_t num_xor = 0;
   uint64_t num_non_xor = 0;
   /// One-row ANDs (an operand the evaluator knows in plaintext, e.g. a
-  /// weight bit): the subset of num_non_xor that ships one row, not two.
+  /// Booth digit flag of a weight): the subset of num_non_xor that ships
+  /// one row, not two.
   uint64_t num_one_row = 0;
 
   GateCount& operator+=(const GateCount& o) {
@@ -47,7 +48,15 @@ GateCount count_circuit(const Circuit& c);
 /// values (products, activations), so all their ANDs are two-row.
 struct BlockCosts {
   GateCount add;
+  /// One MAC's multiplier, without the parts that read one operand only.
   GateCount mult;
+  /// The multiplier's x-only part (-x), which CSE emits once per x
+  /// however many weights multiply it.
+  GateCount mult_prologue;
+  /// The weight-only part (the Booth digit XORs), emitted once per
+  /// weight however many inputs it multiplies (conv). A lone MULT costs
+  /// mult + mult_prologue + mult_weight.
+  GateCount mult_weight;
   GateCount div;
   GateCount relu;
   GateCount max;          // CMP + MUX (pooling / argmax step)

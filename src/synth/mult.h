@@ -1,10 +1,23 @@
 // Signed multiplier blocks with the fixed-point truncation window.
 //
 // The paper's enhanced matrix-vector multiplication supports signed
-// operands (vs. TinyGarble's unsigned realization). Our multiplier is a
-// two's-complement array multiplier computed modulo 2^(n+frac): partial
-// products are accumulated at width n+frac and the result window
-// [frac, frac+n) is returned, which matches `Fixed::operator*` exactly.
+// operands (vs. TinyGarble's unsigned realization). Products are
+// accumulated modulo 2^(n+frac) and the result window [frac, frac+n) is
+// returned, which matches `Fixed::operator*` exactly. The structure is
+// chosen once, from what the evaluator knows (`Builder::known`):
+//
+//   * y known (every bit an evaluator input or an XOR of them: a
+//     weight): radix-4 Booth. The digits of y are recoded in-circuit
+//     with free XORs of known wires, so they stay known and every AND
+//     that reads them ships one row (GateOp::kAndKnown). Half as many
+//     partial-product rows need under half the adder ANDs: 423 ANDs,
+//     275 of them one-row, at 16 bits (12 fractional) instead of the
+//     array's 584 (262). The evaluator's inputs are the 16 weight bits
+//     as before; no digit is sent or OT'd. The x-only -a it needs is
+//     shared by CSE across every weight multiplying the same x.
+//   * y garbled or constant: the two's-complement array multiplier. A
+//     constant y folds its zero partial products away, so sparse
+//     constants (power-of-two slopes etc.) stay cheap.
 #pragma once
 
 #include "synth/int_blocks.h"

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <unordered_map>
 
 #include "circuit/builder.h"
@@ -9,6 +10,7 @@
 #include "core/benchmark_zoo.h"
 #include "gc/material.h"
 #include "support/rng.h"
+#include "synth/gate_count.h"
 #include "synth/layer_circuits.h"
 
 namespace deepsecure {
@@ -247,33 +249,50 @@ const std::vector<Circuit>& b3pp_chain() {
 TEST(Builder, PinnedChainFingerprintMlp) {
   const auto chain = synth::compile_model_layers(mlp_8_6_3());
   EXPECT_EQ(chain_fingerprint(chain, /*scheduled=*/true),
-            0xaa1d90212e2e7fe7ull);
+            0xd1284b8ceb3aaf4eull);
   EXPECT_EQ(chain_fingerprint(chain, /*scheduled=*/false),
-            0xf6e1c7716404c6beull);
+            0xa98661850db75a39ull);
   const auto walked = walk_chain(chain);
   EXPECT_EQ(chain_fingerprint(walked, /*scheduled=*/true),
-            0xaa1d90212e2e7fe7ull);
+            0xd1284b8ceb3aaf4eull);
   EXPECT_EQ(chain_fingerprint(walked, /*scheduled=*/false),
-            0xaa1d90212e2e7fe7ull);
+            0xd1284b8ceb3aaf4eull);
 }
 
 TEST(Builder, PinnedChainFingerprintB3pp) {
   EXPECT_EQ(chain_fingerprint(b3pp_chain(), /*scheduled=*/true),
-            0x26283ed8c016a642ull);
+            0x162da70c1a64eaf0ull);
   EXPECT_EQ(chain_fingerprint(b3pp_chain(), /*scheduled=*/false),
-            0xb1b5c515426e6d05ull);
+            0x9ec6f56c213b48f4ull);
   EXPECT_EQ(chain_fingerprint(walk_chain(b3pp_chain())),
-            0x26283ed8c016a642ull);
+            0x162da70c1a64eaf0ull);
 }
 
-// Label slots: the walked view of b3_pp's first FC layer (9.35 M
+// Label slots: the walked view of b3_pp's first FC layer (7.39 M
 // wires) needs at most 1.5 M label slots.
 TEST(Circuit, WalkedViewOfB3ppLayer0UsesFewSlots) {
   const Circuit& l0 = b3pp_chain().front();
   const auto walked = l0.gc_scheduled();
-  EXPECT_GT(l0.num_wires, 9000000u);
+  EXPECT_GT(l0.num_wires, 7000000u);
   EXPECT_LE(walked->num_wires, 1500000u);
   EXPECT_EQ(walked->gates.size(), l0.gates.size());
+}
+
+// The Table 2 roll-up charges each MULT's x-only prologue once per
+// input feature, as CSE emits it, so it tracks the compiled chain.
+TEST(GateCount, RollUpMatchesCompiledB3pp) {
+  synth::GateCount compiled;
+  for (const Circuit& c : b3pp_chain()) compiled += synth::count_circuit(c);
+  const synth::GateCount rolled =
+      synth::count_model(core::paper_zoo()[2].compact);
+  const auto near = [](uint64_t got, uint64_t want) {
+    return std::abs(static_cast<double>(got) - static_cast<double>(want)) <=
+           0.005 * static_cast<double>(want);
+  };
+  EXPECT_TRUE(near(rolled.num_non_xor, compiled.num_non_xor))
+      << rolled.num_non_xor << " vs " << compiled.num_non_xor;
+  EXPECT_TRUE(near(rolled.num_one_row, compiled.num_one_row))
+      << rolled.num_one_row << " vs " << compiled.num_one_row;
 }
 
 TEST(Circuit, StatsCountGateClasses) {

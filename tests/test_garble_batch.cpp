@@ -5,6 +5,7 @@
 // enough to overflow the batch window.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <stdexcept>
 
 #include "circuit/bench_circuits.h"
@@ -13,6 +14,7 @@
 #include "net/party.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
+#include "synth/mult.h"
 
 namespace deepsecure {
 namespace {
@@ -265,6 +267,85 @@ TEST(GarbleBatch, ShardedMixedWindowsByteIdenticalAndCorrect) {
         });
     EXPECT_EQ(decoded, expect) << trial;
     EXPECT_EQ(decoded_state, state) << trial;
+  }
+}
+
+// A 64-lane layer of garbled x times weight: Booth multipliers whose
+// digit flags are XORs of the evaluator's weight bits, so windows mix
+// one-row ANDs (on a flag) with two-row adder ANDs. Scalar, batched and
+// 3-thread sharded garbling ship identical bytes, and the two-party run
+// decodes to the plaintext fixed-point products.
+TEST(GarbleBatch, BoothWeightLayerByteIdenticalAndDecodes) {
+  constexpr size_t kLanes = 64;
+  const FixedFormat fmt = kDefaultFormat;
+  Builder b("booth_layer");
+  for (uint32_t lane = 0; lane < kLanes; ++lane) {
+    b.set_lane(lane);
+    const synth::Bus x = synth::input_fixed(b, Party::kGarbler, fmt);
+    const synth::Bus w = synth::input_fixed(b, Party::kEvaluator, fmt);
+    b.outputs(synth::mult_fixed(b, x, w, fmt.frac_bits));
+  }
+  const Circuit c = b.build();
+  const CircuitStats st = c.stats();
+  ASSERT_EQ(st.num_and, kLanes * 423);
+  ASSERT_EQ(st.num_and_known, kLanes * 275);
+
+  const Block seed{0xb007b007u, 0x5eed};
+  ThreadPool gpool(3), epool(3);
+  GcOptions sharded;
+  sharded.pool = &gpool;
+  sharded.min_shard_gates = 2;
+  const GarbleTrace scalar =
+      garble_trace(c, seed, {.pipeline = GcPipeline::kScalar});
+  const GarbleTrace single = garble_trace(c, seed, {});
+  const GarbleTrace multi = garble_trace(c, seed, sharded);
+  EXPECT_EQ(scalar.stream, single.stream);
+  EXPECT_EQ(single.stream, multi.stream);
+  EXPECT_EQ(scalar.outputs, single.outputs);
+  EXPECT_EQ(single.outputs, multi.outputs);
+  EXPECT_EQ(single.stream.size(), 2 * sizeof(Block) + st.table_bytes());
+
+  Rng rng(2020);
+  const int64_t edges[] = {0, 1, -1, INT16_MIN, INT16_MAX};
+  std::vector<Fixed> xs, ws;
+  BitVec g_bits, e_bits;
+  for (size_t i = 0; i < kLanes; ++i) {
+    const auto pick = [&](size_t k) {
+      return k < 5 ? Fixed::from_raw(edges[k], fmt)
+                   : Fixed::from_raw(
+                         deepsecure::sign_extend(rng.next_u64(), 16), fmt);
+    };
+    xs.push_back(pick(i % 8));
+    ws.push_back(pick((i / 8) % 8));
+    const BitVec xb = xs.back().to_bits(), wb = ws.back().to_bits();
+    g_bits.insert(g_bits.end(), xb.begin(), xb.end());
+    e_bits.insert(e_bits.end(), wb.begin(), wb.end());
+  }
+  GcOptions eopt;
+  eopt.pool = &epool;
+  eopt.min_shard_gates = 2;
+  BitVec decoded;
+  run_two_party(
+      [&](Channel& ch) {
+        Garbler g(ch, seed, sharded);
+        const Labels gz = g.fresh_zeros(g_bits.size());
+        const Labels ez = g.fresh_known_zeros(e_bits.size());
+        g.send_active(g_bits, gz);
+        g.send_active(e_bits, ez);  // stands in for OT here
+        decoded = g.decode_outputs(g.garble(c, gz, ez, {}));
+      },
+      [&](Channel& ch) {
+        Evaluator e(ch, eopt);
+        const Labels gl = e.recv_active(g_bits.size());
+        const Labels el = e.recv_active(e_bits.size());
+        e.send_outputs(e.evaluate(c, gl, el, {}));
+      });
+  ASSERT_EQ(decoded.size(), kLanes * fmt.total_bits);
+  for (size_t i = 0; i < kLanes; ++i) {
+    const BitVec out(decoded.begin() + i * fmt.total_bits,
+                     decoded.begin() + (i + 1) * fmt.total_bits);
+    EXPECT_EQ(Fixed::from_bits(out, fmt).raw(), (xs[i] * ws[i]).raw())
+        << "lane " << i << ": " << xs[i].raw() << " * " << ws[i].raw();
   }
 }
 

@@ -226,6 +226,26 @@ TEST(GateCount, RollUpTracksCompiledCircuit) {
   EXPECT_LT(ratio, 1.1);
 }
 
+// Conv layers reuse each input element and each weight across windows;
+// the roll-up charges the MULT's x-only and weight-only parts once per
+// element read and once per weight, as CSE emits them. The strides
+// cover overlapping, touching and gapped windows.
+TEST(GateCount, RollUpMatchesCompiledConv) {
+  for (const size_t stride : {1u, 2u, 3u}) {
+    ModelSpec spec;
+    spec.input = Shape3{7, 8, 2};
+    spec.layers.push_back(ConvLayer{2, stride, 3, true});
+    spec.layers.push_back(ActLayer{ActKind::kReLU});
+    spec.layers.push_back(FcLayer{4, {}, true});
+    GateCount compiled;
+    for (const Circuit& c : compile_model_layers(spec))
+      compiled += count_circuit(c);
+    const GateCount analytic = count_model(spec);
+    EXPECT_EQ(analytic.num_non_xor, compiled.num_non_xor) << stride;
+    EXPECT_EQ(analytic.num_xor, compiled.num_xor) << stride;
+  }
+}
+
 TEST(GateCount, SparsityReducesCounts) {
   ModelSpec dense;
   dense.input = Shape3{1, 1, 100};
@@ -246,13 +266,20 @@ TEST(GateCount, BlockCostsSanity) {
   EXPECT_EQ(c.add.num_non_xor, 15u);
   EXPECT_EQ(c.relu.num_non_xor, 15u);
   EXPECT_GT(c.mult.num_non_xor, 100u);
-  // The multiplier's partial products AND a weight bit the evaluator
-  // owns: one row each. ADD and MAX combine garbled values only.
-  EXPECT_EQ(c.mult.num_non_xor, 584u);
-  EXPECT_EQ(c.mult.num_one_row, 262u);
+  // The multiplier's partial products AND a weight's Booth digit flags,
+  // which the evaluator knows: one row each. Its x-only prologue (-x,
+  // two-row) is split off; the weight-only part is free XORs. ADD and
+  // MAX combine garbled values only.
+  EXPECT_EQ(c.mult.num_non_xor, 408u);
+  EXPECT_EQ(c.mult.num_one_row, 275u);
+  EXPECT_EQ(c.mult_prologue.num_non_xor, 15u);
+  EXPECT_EQ(c.mult_prologue.num_one_row, 0u);
+  EXPECT_EQ(c.mult_weight.num_non_xor, 0u);
+  const GateCount lone = c.mult + c.mult_prologue + c.mult_weight;
+  EXPECT_EQ(lone.num_non_xor, 423u);
+  EXPECT_EQ(lone.comm_bytes(), (423u - 275u) * 32 + 275u * 16);
   EXPECT_EQ(c.add.num_one_row, 0u);
   EXPECT_EQ(c.max.num_one_row, 0u);
-  EXPECT_EQ(c.mult.comm_bytes(), (584u - 262u) * 32 + 262u * 16);
   EXPECT_GT(c.div.num_non_xor, c.add.num_non_xor);
   EXPECT_GT(c.act[static_cast<int>(ActKind::kTanhLUT)].num_non_xor,
             c.act[static_cast<int>(ActKind::kTanhPL)].num_non_xor);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <tuple>
+
 #include "synth/divider.h"
 #include "synth/mult.h"
 #include "test_util.h"
@@ -9,32 +12,104 @@ namespace {
 
 using test::random_fixed;
 
-int64_t run_mult(int64_t a, int64_t b, FixedFormat fmt) {
+// Builds a single MULT with y owned by `y_owner`: an evaluator-owned y
+// (a weight) takes the Booth path, a garbler-owned y the array path.
+Circuit mult_circuit(FixedFormat fmt, Party y_owner) {
   Builder bld;
   const Bus x = input_fixed(bld, Party::kGarbler, fmt);
-  const Bus y = input_fixed(bld, Party::kEvaluator, fmt);
+  const Bus y = input_fixed(bld, y_owner, fmt);
   bld.outputs(mult_fixed(bld, x, y, fmt.frac_bits));
-  const Circuit c = bld.build();
-  const BitVec out = c.eval(Fixed::from_raw(a, fmt).to_bits(),
-                            Fixed::from_raw(b, fmt).to_bits());
-  return Fixed::from_bits(out, fmt).raw();
+  return bld.build();
 }
 
-class MultSweep : public ::testing::TestWithParam<size_t> {};
+int64_t eval_mult(const Circuit& c, int64_t a, int64_t b, FixedFormat fmt) {
+  BitVec g = Fixed::from_raw(a, fmt).to_bits();
+  BitVec e = Fixed::from_raw(b, fmt).to_bits();
+  if (c.evaluator_inputs.empty()) {
+    g.insert(g.end(), e.begin(), e.end());
+    e.clear();
+  }
+  return Fixed::from_bits(c.eval(g, e), fmt).raw();
+}
+
+int64_t run_mult(int64_t a, int64_t b, FixedFormat fmt) {
+  return eval_mult(mult_circuit(fmt, Party::kEvaluator), a, b, fmt);
+}
+
+// (width, frac = 0?, owner of y).
+using MultCase = std::tuple<size_t, bool, Party>;
+class MultSweep : public ::testing::TestWithParam<MultCase> {};
 
 TEST_P(MultSweep, MatchesFixedReference) {
-  const size_t width = GetParam();
-  const FixedFormat fmt{width, width - 4};
-  Rng rng(width * 31);
-  for (int i = 0; i < 60; ++i) {
-    const Fixed a = random_fixed(rng, fmt);
-    const Fixed b = random_fixed(rng, fmt);
-    EXPECT_EQ(run_mult(a.raw(), b.raw(), fmt), (a * b).raw())
-        << "w=" << width << " a=" << a.raw() << " b=" << b.raw();
+  const auto [width, integer, owner] = GetParam();
+  const FixedFormat fmt{width, integer ? 0 : width - 4};
+  const Circuit c = mult_circuit(fmt, owner);
+  const int64_t lo = -(int64_t{1} << (width - 1)), hi = -lo - 1;
+  std::vector<int64_t> vals = {0, 1, -1, lo, hi, lo + 1, hi - 1};
+  Rng rng(width * 31 + (integer ? 7 : 0));
+  for (int i = 0; i < 40; ++i) vals.push_back(random_fixed(rng, fmt).raw());
+  for (const int64_t a : vals)
+    for (const int64_t b : {vals[rng.next_u64() % vals.size()], vals[0],
+                            vals[3], vals[4]}) {
+      const Fixed want = Fixed::from_raw(a, fmt) * Fixed::from_raw(b, fmt);
+      EXPECT_EQ(eval_mult(c, a, b, fmt), want.raw())
+          << "w=" << width << " frac=" << fmt.frac_bits << " a=" << a
+          << " b=" << b;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, MultSweep,
+    ::testing::Combine(::testing::Values(5, 8, 9, 12, 15, 16, 20),
+                       ::testing::Bool(),
+                       ::testing::Values(Party::kEvaluator, Party::kGarbler)));
+
+// Every weight y against the edge values of x, at the served format and
+// at frac = 0 (mult_low).
+TEST(Mult, BoothExhaustiveWeightsOnEdgeInputs) {
+  for (const FixedFormat fmt : {kDefaultFormat, FixedFormat{16, 0}}) {
+    const Circuit c = mult_circuit(fmt, Party::kEvaluator);
+    for (const int64_t a : {0, 1, -1, INT16_MIN, INT16_MAX}) {
+      size_t mismatches = 0;
+      for (int64_t b = INT16_MIN; b <= INT16_MAX; ++b) {
+        const Fixed want = Fixed::from_raw(a, fmt) * Fixed::from_raw(b, fmt);
+        mismatches += eval_mult(c, a, b, fmt) != want.raw();
+      }
+      EXPECT_EQ(mismatches, 0u) << "frac=" << fmt.frac_bits << " a=" << a;
+    }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Widths, MultSweep, ::testing::Values(8, 12, 16, 20));
+// The structure follows the owner of y: a weight gets Booth (every AND
+// on a digit ships one row), a garbled y the array.
+TEST(Mult, BoothOnWeightsArrayOnGarbledOperands) {
+  const CircuitStats booth =
+      mult_circuit(kDefaultFormat, Party::kEvaluator).stats();
+  EXPECT_EQ(booth.num_and, 423u);
+  EXPECT_EQ(booth.num_and_known, 275u);
+  EXPECT_EQ(booth.table_bytes(), 9136u);
+  // The array path's counts are those of the array multiplier before
+  // Booth, for a garbled and for a constant y.
+  const CircuitStats array =
+      mult_circuit(kDefaultFormat, Party::kGarbler).stats();
+  EXPECT_EQ(array.num_and, 584u);
+  EXPECT_EQ(array.num_and_known, 0u);
+  EXPECT_EQ(array.num_xor, 1255u);
+  for (const auto& [c, ands, xors] :
+       {std::tuple{0.25, 26u, 71u}, std::tuple{0.3125, 41u, 136u},
+        std::tuple{-1.7, 173u, 688u}}) {
+    Builder b;
+    const Bus x = input_fixed(b, Party::kGarbler, kDefaultFormat);
+    b.outputs(mult_const_fixed(b, x, c, kDefaultFormat));
+    const CircuitStats st = b.build().stats();
+    EXPECT_EQ(st.num_and, ands) << c;
+    EXPECT_EQ(st.num_xor, xors) << c;
+  }
+  // No evaluator input is added: the weight's 16 bits are all it reads.
+  EXPECT_EQ(mult_circuit(kDefaultFormat, Party::kEvaluator)
+                .evaluator_inputs.size(),
+            16u);
+}
 
 TEST(Mult, ExhaustiveSmallSigned) {
   const FixedFormat fmt{5, 2};
