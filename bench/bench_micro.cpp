@@ -4,6 +4,8 @@
 // garble rates, scheduled vs construction order).
 #include <benchmark/benchmark.h>
 
+#include <thread>
+
 #include "circuit/bench_circuits.h"
 #include "circuit/schedule.h"
 #include "core/benchmark_zoo.h"
@@ -251,16 +253,14 @@ void BM_OtExtension(benchmark::State& state) {
           Prg prg(Block{5, 6});
           OtExtSender s(ch);
           s.setup(prg);
-          std::vector<Block> zeros(m);
-          prg.next_blocks(zeros.data(), m);
-          s.send_correlated(zeros, Block{1, 1});
+          s.send_correlated(m, Block{1, 1});
         },
         [&](Channel& ch) {
           Prg prg(Block{7, 8});
           OtExtReceiver r(ch);
           r.setup(prg);
           BitVec choices(m, 1);
-          r.recv(choices);
+          r.recv_correlated(choices);
         });
   }
   state.counters["OT/s"] = benchmark::Counter(
@@ -268,6 +268,43 @@ void BM_OtExtension(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_OtExtension)->Arg(1 << 14)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// One correlated-OT batch per iteration on a session whose base OTs ran
+// before the timed loop — the request-path cost of the evaluator's
+// input labels. The receiver runs on its own thread over an in-memory
+// channel; m = 89,392 is the weight-bit count of one b3_pp inference.
+// B_per_ot counts both directions: 8 + 128*ceil(m/8) + 16*m bytes.
+void BM_OtExtensionOnline(benchmark::State& state) {
+  const size_t m = static_cast<size_t>(state.range(0));
+  ChannelPair pair = make_channel_pair();
+  std::thread receiver_thread([&] {
+    Prg prg(Block{7, 8});
+    OtExtReceiver receiver(*pair.b);
+    receiver.setup(prg);
+    BitVec choices(m);
+    for (auto& b : choices) b = static_cast<uint8_t>(prg.next_u64() & 1u);
+    try {
+      for (;;) receiver.recv_correlated(choices);
+    } catch (const ChannelClosed&) {
+      // The sender closed the channel after the timed loop.
+    }
+  });
+  Prg prg(Block{5, 6});
+  OtExtSender sender(*pair.a);
+  sender.setup(prg);
+  const Block delta{0x9e3779b97f4a7c15ull, 0x6a09e667f3bcc909ull};
+  const uint64_t b0 = pair.a->bytes_sent() + pair.a->bytes_received();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(sender.send_correlated(m, delta));
+  const uint64_t bytes =
+      pair.a->bytes_sent() + pair.a->bytes_received() - b0;
+  pair.a->close();
+  receiver_thread.join();
+  const double ots = static_cast<double>(m) * state.iterations();
+  state.counters["OT/s"] = benchmark::Counter(ots, benchmark::Counter::kIsRate);
+  state.counters["B_per_ot"] = static_cast<double>(bytes) / ots;
+}
+BENCHMARK(BM_OtExtensionOnline)->Arg(89392)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_BuildMult16(benchmark::State& state) {
   using namespace synth;

@@ -53,25 +53,6 @@ void Prg::fill_bytes(void* dst, size_t n) {
   }
 }
 
-std::vector<uint8_t> Prg::expand_bits(size_t n) {
-  std::vector<uint8_t> bits(n);
-  constexpr size_t kChunk = 128;  // blocks per batch = 16 Kibit
-  Block buf[kChunk];
-  size_t i = 0;
-  while (i < n) {
-    const size_t m = std::min((n - i + 127) / 128, kChunk);
-    next_blocks(buf, m);
-    for (size_t blk = 0; blk < m; ++blk) {
-      for (int half = 0; half < 2 && i < n; ++half) {
-        const uint64_t word = half == 0 ? buf[blk].lo : buf[blk].hi;
-        for (int j = 0; j < 64 && i < n; ++j, ++i)
-          bits[i] = static_cast<uint8_t>((word >> j) & 1u);
-      }
-    }
-  }
-  return bits;
-}
-
 Prg& thread_prg() {
   thread_local Prg prg = Prg::from_os_entropy();
   return prg;

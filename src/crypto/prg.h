@@ -1,9 +1,9 @@
 // Cryptographic pseudo-random generator: AES-128 in counter mode.
-// Used for wire-label sampling and OT-extension column expansion.
+// Used for wire-label sampling and OT-extension column expansion
+// (fill_bytes: one packed bit per OT).
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "crypto/aes128.h"
 #include "crypto/block.h"
@@ -22,9 +22,6 @@ class Prg {
   void next_blocks(Block* out, size_t n);
   void fill_bytes(void* dst, size_t n);
   uint64_t next_u64() { return next_block().lo; }
-
-  /// Expand a seed into `n` pseudo-random bits (for IKNP columns).
-  std::vector<uint8_t> expand_bits(size_t n);
 
  private:
   Aes128Key key_;

@@ -7,7 +7,8 @@
 //
 // Labels are 128-bit blocks; the wire's "zero" label W0 encodes FALSE,
 // W1 = W0 ^ delta encodes TRUE, lsb(delta) = 1 (permute bit). Evaluator
-// inputs get zero-labels with lsb 0 (fresh_known_zeros), so on every
+// inputs get zero-labels with lsb 0 (from the correlated OT on demand,
+// gc/ot.h; fresh_known_zeros for offline artifacts), so on every
 // evaluator-known wire lsb(label) is the plaintext bit the evaluator
 // already owns — the select bit of a one-row AND.
 #pragma once
@@ -99,14 +100,15 @@ class Garbler {
   /// Fresh zero-labels for `n` wires.
   Labels fresh_zeros(size_t n);
 
-  /// Fresh zero-labels with lsb 0, for evaluator inputs: XOR keeps lsb 0
+  /// Fresh zero-labels with lsb 0, for evaluator inputs whose labels are
+  /// fixed before their OT runs (offline artifacts): XOR keeps lsb 0
   /// on every evaluator-known wire, so a one-row AND's evaluator reads
   /// its known bit as lsb(label).
   Labels fresh_known_zeros(size_t n);
 
   /// Garble `c`, streaming constant labels and garbled tables to the
   /// channel. Zero-labels for every input class must be supplied
-  /// (fresh_known_zeros for evaluator inputs, fresh_zeros for other new
+  /// (lsb-0 labels for evaluator inputs, fresh_zeros for other new
   /// inputs, carried values for chained layers); throws
   /// std::invalid_argument if an evaluator-input zero-label has lsb 1.
   /// Returns output zero-labels; `state_next` (if non-null) receives the

@@ -7,9 +7,9 @@
 //
 //   offline (garbler, local):   garble the chain -> tables, input-label
 //                               pairs, output-decode bits, fingerprint
-//   offline (both, interactive):random-OT precompute + derandomized
-//                               label transfer for the evaluator's
-//                               static inputs; ship tables/decode bits
+//   offline (both, interactive):correlated OT + relabel blocks for the
+//                               evaluator's static inputs; ship
+//                               tables/decode bits
 //   online  (garbler):          send active data labels  (n0 blocks)
 //   online  (evaluator):        evaluate from local material, decode,
 //                               return the result
@@ -88,7 +88,7 @@ GarbledMaterial garble_offline(const std::vector<Circuit>& chain, Block seed,
 
 /// Evaluator-side half of one pooled inference: everything that arrived
 /// ahead of the request. `eval_labels` are the *active* evaluator-input
-/// labels (the precomputed OTs already resolved them).
+/// labels (the offline label OTs already resolved them).
 struct EvalMaterial {
   Labels eval_labels;
   BitVec decode_bits;
@@ -105,8 +105,8 @@ BitVec evaluate_material(const std::vector<Circuit>& chain,
 
 /// Ship the input-independent bytes of an artifact (decode bits +
 /// tables) to the peer. The evaluator-input labels travel separately
-/// through the precomputed-OT derandomization. Consumes `mat.tables`
-/// only, shipping it as one borrowed refcounted slice
+/// (GarblerSession::send_fixed_labels). Consumes `mat.tables` only,
+/// shipping it as one borrowed refcounted slice
 /// (support/buffer_pool.h), so an asynchronous channel forwards the
 /// multi-MB table stream without copying it; the rest of `mat` stays
 /// valid for the OT exchange.

@@ -22,7 +22,7 @@ EvaluatorSession::EvaluatorSession(Channel& ch, const GcOptions& opt)
       prg_(Prg::from_os_entropy().next_block()), opt_(opt) {}
 
 // One base-OT + extension setup per session, shared by the on-demand
-// and the precomputed OT paths (whichever runs first pays it).
+// and the pooled label transfers (whichever runs first pays it).
 void GarblerSession::ensure_ot() {
   if (ot_ready_) return;
   Stopwatch sw;
@@ -60,11 +60,10 @@ BitVec GarblerSession::run_chain(const std::vector<Circuit>& chain,
       g_zeros = carried;
     }
 
-    // Evaluator inputs: fresh zero-labels delivered via correlated OT.
+    // Evaluator inputs: the correlated OT draws their zero-labels (lsb 0).
     Stopwatch sw;
     const Labels e_zeros =
-        garbler_.fresh_known_zeros(c.evaluator_inputs.size());
-    if (!e_zeros.empty()) ot_.send_correlated(e_zeros, garbler_.delta());
+        ot_.send_correlated(c.evaluator_inputs.size(), garbler_.delta());
     if (k == 0) garbler_.send_active(data_bits, g_zeros);
     ph.ot_s = sw.seconds();
 
@@ -97,7 +96,7 @@ BitVec EvaluatorSession::run_chain(const std::vector<Circuit>& chain,
     const size_t n_w = c.evaluator_inputs.size();
     const BitVec w_bits = slice(weight_bits, consumed, n_w);
     consumed += n_w;
-    const Labels e_labels = n_w > 0 ? ot_.recv(w_bits) : Labels{};
+    const Labels e_labels = ot_.recv_correlated(w_bits);
     Labels g_labels;
     if (k == 0) {
       g_labels = evaluator_.recv_active(c.garbler_inputs.size());
@@ -140,8 +139,7 @@ BitVec GarblerSession::run_sequential(const Circuit& step, size_t cycles,
     Stopwatch sw;
     const Labels g_zeros = garbler_.fresh_zeros(g_per);
     garbler_.send_active(slice(data_bits, t * g_per, g_per), g_zeros);
-    const Labels e_zeros = garbler_.fresh_known_zeros(e_per);
-    if (!e_zeros.empty()) ot_.send_correlated(e_zeros, garbler_.delta());
+    const Labels e_zeros = ot_.send_correlated(e_per, garbler_.delta());
     ph.ot_s = sw.seconds();
 
     sw.restart();
@@ -175,7 +173,7 @@ BitVec EvaluatorSession::run_sequential(const Circuit& step, size_t cycles,
     Stopwatch sw;
     const Labels g_labels = evaluator_.recv_active(step.garbler_inputs.size());
     const BitVec w_bits = slice(weight_bits, t * e_per, e_per);
-    const Labels e_labels = e_per > 0 ? ot_.recv(w_bits) : Labels{};
+    const Labels e_labels = ot_.recv_correlated(w_bits);
     ph.ot_s = sw.seconds();
 
     sw.restart();
@@ -194,16 +192,12 @@ BitVec EvaluatorSession::run_sequential(const Circuit& step, size_t cycles,
 
 // --- offline/online split ----------------------------------------------
 
-OtPrecompSender GarblerSession::precompute_ot(size_t m) {
+void GarblerSession::send_fixed_labels(const Labels& zeros, Block delta) {
   ensure_ot();
-  return ot_.precompute(m);
-}
-
-void GarblerSession::send_labels_derandomized(const OtPrecompSender& pre,
-                                              const Labels& zeros,
-                                              Block delta) {
-  ensure_ot();
-  ot_.send_correlated_derandomized(pre, zeros, delta);
+  Labels relabel = ot_.send_correlated(zeros.size(), delta);
+  if (relabel.empty()) return;
+  for (size_t j = 0; j < zeros.size(); ++j) relabel[j] ^= zeros[j];
+  ch_.send_bytes(relabel.data(), relabel.size() * sizeof(Block));
 }
 
 void GarblerSession::begin_online(Block delta, const Labels& data_zeros,
@@ -244,15 +238,15 @@ BitVec GarblerSession::run_online(const GarbledMaterial& mat,
   return out;
 }
 
-OtPrecompReceiver EvaluatorSession::precompute_ot(size_t m) {
+Labels EvaluatorSession::recv_fixed_labels(const BitVec& choices) {
   ensure_ot();
-  return ot_.precompute(m, prg_);
-}
-
-Labels EvaluatorSession::recv_labels_derandomized(const OtPrecompReceiver& pre,
-                                                  const BitVec& choices) {
-  ensure_ot();
-  return ot_.recv_derandomized(pre, choices);
+  Labels labels = ot_.recv_correlated(choices);  // L0 ^ b*delta
+  if (labels.empty()) return labels;
+  Labels relabel(labels.size());                 // zeros ^ L0
+  ch_.recv_bytes(relabel.data(), relabel.size() * sizeof(Block));
+  for (size_t j = 0; j < labels.size(); ++j) labels[j] ^= relabel[j];
+  otstat::bytes().add(relabel.size() * sizeof(Block));
+  return labels;
 }
 
 BitVec EvaluatorSession::run_online(const std::vector<Circuit>& chain,

@@ -19,8 +19,8 @@
 //     and evaluation all happen on the request path — the PR 2
 //     streaming pipeline.
 //   * offline/online split: garble_offline (gc/material.h) produces a
-//     GarbledMaterial ahead of time; precompute_ot + the derandomized
-//     label transfer move the OTs offline as well; the *_online methods
+//     GarbledMaterial ahead of time; send/recv_fixed_labels move its
+//     evaluator-label OTs offline as well; the *_online methods
 //     then run the request-path remainder, which is just active-label
 //     transfer plus evaluation. begin_online/finish_online expose the
 //     send and receive halves separately so a client can queue several
@@ -72,7 +72,8 @@ class GarblerSession {
 
   /// Run a chain of circuits. `data_bits` feed circuit 0's garbler
   /// inputs; circuit k>0 garbler inputs are bound to circuit k-1 outputs.
-  /// Every circuit's evaluator inputs are transferred via OT extension.
+  /// Every circuit's evaluator inputs are transferred via correlated OT,
+  /// which also draws their zero labels.
   /// Returns the decoded output bits of the final circuit.
   BitVec run_chain(const std::vector<Circuit>& chain, const BitVec& data_bits);
 
@@ -82,16 +83,11 @@ class GarblerSession {
                         const BitVec& data_bits);
 
   // --- offline/online split -------------------------------------------
-  /// Offline: precompute `m` random OTs (interactive but
-  /// input-independent; runs the base-OT setup first if needed).
-  OtPrecompSender precompute_ot(size_t m);
-
-  /// Offline: derandomized label transfer for the peer's static choice
-  /// bits — receives one correction message, answers with the masked
-  /// label pairs. `zeros`/`delta` come from the GarbledMaterial whose
-  /// evaluator inputs are being resolved.
-  void send_labels_derandomized(const OtPrecompSender& pre,
-                                const Labels& zeros, Block delta);
+  /// Offline: transfer labels fixed before the OT ran — a
+  /// GarbledMaterial's `eval_zeros` under its `delta` — for the peer's
+  /// static choice bits. One correlated OT batch under `delta` (zero
+  /// labels L0), then one relabel block `zeros[j] ^ L0[j]` per bit.
+  void send_fixed_labels(const Labels& zeros, Block delta);
 
   /// Online, send half: ship the active labels for `data_bits` against
   /// a material's circuit-0 garbler-input zero labels. Returns
@@ -141,14 +137,9 @@ class EvaluatorSession {
                         const BitVec& weight_bits);
 
   // --- offline/online split -------------------------------------------
-  /// Offline: precompute `m` random OTs with random choice bits.
-  OtPrecompReceiver precompute_ot(size_t m);
-
-  /// Offline: resolve the active labels for `choices` (the evaluator's
-  /// static input bits) from a precomputed batch — sends one correction
-  /// message, receives the masked pairs.
-  Labels recv_labels_derandomized(const OtPrecompReceiver& pre,
-                                  const BitVec& choices);
+  /// Offline: counterpart of send_fixed_labels — the active labels for
+  /// `choices` (the evaluator's static input bits).
+  Labels recv_fixed_labels(const BitVec& choices);
 
   /// Online: one inference against locally-stored material — receive
   /// the active circuit-0 garbler labels, evaluate the chain from the

@@ -269,8 +269,8 @@ void InferenceClient::push_material(GarbledMaterial&& mat) {
 
 // Offline push of one artifact over `g`'s connection (primary session
 // or prefetch lane): id frame, decode bits + tables, then the
-// precomputed-OT + derandomization exchange that resolves the server's
-// evaluator labels. Everything here is input-independent. Returns the
+// correlated OT + relabel exchange that resolves the server's evaluator
+// labels. Everything here is input-independent. Returns the
 // client-side remainder the online phase needs.
 //
 // The caller-side quota guard must mirror the server's exactly: once
@@ -289,8 +289,7 @@ InferenceClient::PrefetchedMaterial InferenceClient::push_material_over(
   GarblerSession& session = g.session();
   {
     obs::Span ot_span("client.ot_offline");
-    const OtPrecompSender pre = session.precompute_ot(mat.ot_count());
-    session.send_labels_derandomized(pre, mat.eval_zeros, mat.delta);
+    session.send_fixed_labels(mat.eval_zeros, mat.delta);
   }
   g.channel().flush();
   const Frame ack = recv_frame(ch);
@@ -325,8 +324,8 @@ void InferenceClient::start_lane(uint16_t lane_port, uint64_t lane_token) {
   // correctly ordered.
   lane_ring_ = std::make_unique<RingChannel>(*lane_wire);
   // The lane garbles nothing (artifacts come from the pool); its
-  // StreamingGarbler exists for the session state the precomputed-OT
-  // exchange needs, seeded independently of the primary session.
+  // StreamingGarbler exists for the session state the OT exchange
+  // needs, seeded independently of the primary session.
   const Block lane_seed = cfg_.seed == Block{}
                               ? Prg::from_os_entropy().next_block()
                               : (cfg_.seed ^ Block{0x1a4e, 0x517d});

@@ -9,8 +9,8 @@
 //     server evaluates while the client is still garbling (PR 2).
 //   * pooled (offline/online split): a MaterialPool garbles whole
 //     instances in the background; prefetch() pushes them to the server
-//     ahead of requests (tables, decode bits, and the precomputed-OT
-//     label resolution all travel offline), and an infer against
+//     ahead of requests (tables, decode bits, and the evaluator-label
+//     OTs all travel offline), and an infer against
 //     prefetched material sends only the active data labels and waits
 //     for the result — no garbling, no OT on the request path. A
 //     drained pool falls back to on-demand transparently.
@@ -86,7 +86,7 @@ struct ClientConfig {
   /// Re-prefetch opportunistically after each inference completes, so a
   /// steady request stream keeps hitting warm material. Without the
   /// async lane the push is synchronous on this session, so its cost
-  /// (table upload + OT precompute) lands inside the tail of the
+  /// (table upload + label OTs) lands inside the tail of the
   /// request that triggered it — latency-sensitive callers should
   /// enable async_prefetch, or disable this and call top_up() at their
   /// own boundaries. Also disable for deterministic drain behavior
@@ -215,7 +215,7 @@ class InferenceClient {
 
   void push_material(GarbledMaterial&& mat);
   /// The push protocol over one connection (primary or lane): id frame,
-  /// artifact bytes, precomputed-OT + derandomization, ack.
+  /// artifact bytes, correlated OT + relabel blocks, ack.
   PrefetchedMaterial push_material_over(StreamingGarbler& g,
                                         GarbledMaterial&& mat, uint64_t id);
   void start_lane(uint16_t lane_port, uint64_t lane_token);

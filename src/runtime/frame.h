@@ -43,7 +43,7 @@ inline constexpr uint64_t kProtocolMagic = 0x44535255'4e313031ull;  // "DSRUN101
 // token and the server's dedicated lane-listener port; a client opens a
 // SECOND connection to that port, claims its session with kAttachLane,
 // and streams kPrefetch pushes there while kInfer traffic continues
-// uninterrupted on the primary connection (the precomputed-OT exchange
+// uninterrupted on the primary connection (the prefetch OT exchange
 // is bidirectional, so it cannot be multiplexed with in-flight infer
 // results on one socket). Also schedule-aware table frame sizing: the
 // garbler cuts table frames at AND-level boundaries instead of every
@@ -60,7 +60,12 @@ inline constexpr uint64_t kProtocolMagic = 0x44535255'4e313031ull;  // "DSRUN101
 // self-healing client can tell "overloaded, retry" from "you are
 // speaking the wrong protocol, give up". Malformed input now earns a
 // coded kError before teardown rather than a raw disconnect.
-inline constexpr uint32_t kProtocolVersion = 6;
+// v7: one-block correlated OT (gc/ot.h) — the sender ships one block
+// per evaluator-input bit instead of two, and the OT itself draws the
+// on-demand evaluator-input zero labels. A kPrefetch push resolves the
+// artifact's labels with the same OT plus one relabel block per bit;
+// the random-OT correction vector is gone.
+inline constexpr uint32_t kProtocolVersion = 7;
 
 enum class FrameType : uint8_t {
   kHello = 1,     // client -> server: magic, version, fingerprint, flags
@@ -74,7 +79,7 @@ enum class FrameType : uint8_t {
   kError = 5,     // either way: utf-8 reason, then close
   kPrefetch = 6,  // client -> server: 8-byte material id, then the
                   // offline artifact (decode bits + tables) and the
-                  // precomputed-OT + derandomization exchange. Valid on
+                  // label OT + relabel exchange (v7). Valid on
                   // the primary connection and on an attached lane.
   kPrefetchAck = 7,  // server -> client: material id echo, stored
   kAttachLane = 8,   // client -> server, first frame on a lane

@@ -289,12 +289,11 @@ bool InferenceServer::handle_prefetch_push(const Frame& f, BufferedChannel& ch,
         mat.decode_bits.size() != chain_.back().outputs.size()) {
       reject = "prefetched material does not match model chain";
     } else {
-      // Offline OT: precompute + derandomize against the static weight
-      // bits — after this the request path has no OT left.
+      // Offline OT against the static weight bits, relabelled onto the
+      // artifact's labels — after this the request path has no OT left.
       obs::Span ot_span("server.ot_offline");
       const uint64_t ot0 = obs::now_ns();
-      const OtPrecompReceiver pre = session.precompute_ot(weights_.size());
-      mat.eval_labels = session.recv_labels_derandomized(pre, weights_);
+      mat.eval_labels = session.recv_fixed_labels(weights_);
       h_ot_offline_.observe(obs::now_ns() - ot0);
     }
   } catch (...) {
@@ -389,6 +388,13 @@ std::string InferenceServer::stats_json() const {
       ull(g.counter_value("client.sessions_recovered")),
       ull(g.counter_value("pool.poisoned")), ull(c_sessions_shed_.value()),
       ull(c_phase_timeouts_.value()));
+  // OT block: the receiver side counts every label OT batch, so with
+  // table and label bytes it accounts for the comm of an inference.
+  char ot[128];
+  std::snprintf(ot, sizeof(ot),
+                "\"ot\":{\"gc.ot.transfers\":%llu,\"gc.ot.bytes\":%llu},",
+                ull(g.counter_value("gc.ot.transfers")),
+                ull(g.counter_value("gc.ot.bytes")));
   char head[384];
   std::snprintf(head, sizeof(head),
                 "{\"sessions_active\":%llu,"
@@ -402,6 +408,7 @@ std::string InferenceServer::stats_json() const {
   std::string out = head;
   out += chain_json_;
   out += resil;
+  out += ot;
   out += "\"metrics\":";
   out += s.to_json();
   out += "}";

@@ -211,7 +211,7 @@ class InferenceServer {
                           EvaluatorSession& session, SessionState& state);
   /// One kPrefetch push into `state` (primary connection or lane):
   /// quota + global-budget reservation, artifact receive + size checks,
-  /// precomputed-OT label resolution, store. Returns false when the
+  /// evaluator-label OT + relabel, store. Returns false when the
   /// carrying connection must close (every rejection sent a kError);
   /// on failure the reservation is released immediately — never parked
   /// until teardown.

@@ -66,7 +66,7 @@ class StreamingGarbler {
 
   const SessionTrace& trace() const { return session_->trace(); }
   BufferedChannel& channel() { return ch_; }
-  /// Direct session access for the offline/online split (precomputed
+  /// Direct session access for the offline/online split (pooled label
   /// OTs, material push, begin/finish_online) — see gc/protocol.h.
   GarblerSession& session() { return *session_; }
 

@@ -185,11 +185,12 @@ TEST(Prg, DeterministicAndSeedSeparated) {
   EXPECT_NE(x, c.next_block());
 }
 
-TEST(Prg, ExpandBitsBalanced) {
+TEST(Prg, FillBytesBalanced) {
   Prg prg(Block{77, 0});
-  const auto bits = prg.expand_bits(10000);
+  std::vector<uint8_t> bytes(1250);  // 10,000 bits, as an OT column
+  prg.fill_bytes(bytes.data(), bytes.size());
   size_t ones = 0;
-  for (uint8_t b : bits) ones += b;
+  for (uint8_t b : bytes) ones += static_cast<size_t>(__builtin_popcount(b));
   EXPECT_NEAR(static_cast<double>(ones), 5000.0, 300.0);
 }
 
@@ -210,25 +211,7 @@ TEST(Prg, FillBytesMatchesBlockStream) {
       off += m;
     }
     EXPECT_EQ(got, expect) << "n=" << n;
-  }
-}
-
-TEST(Prg, ExpandBitsMatchesBlockStream) {
-  for (const size_t n : {size_t{1}, size_t{128}, size_t{16384 + 13}}) {
-    Prg a(Block{6, 6}), b(Block{6, 6});
-    const auto got = a.expand_bits(n);
-    std::vector<uint8_t> expect(n);
-    size_t i = 0;
-    while (i < n) {
-      const Block blk = b.next_block();
-      for (int half = 0; half < 2 && i < n; ++half) {
-        const uint64_t word = half == 0 ? blk.lo : blk.hi;
-        for (int j = 0; j < 64 && i < n; ++j, ++i)
-          expect[i] = static_cast<uint8_t>((word >> j) & 1u);
-      }
-    }
-    EXPECT_EQ(got, expect) << "n=" << n;
-    // Both consumed the same number of counter blocks.
+    // A partial tail consumes one whole counter block.
     EXPECT_EQ(a.next_block(), b.next_block());
   }
 }

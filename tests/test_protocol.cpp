@@ -127,7 +127,7 @@ TEST(Protocol, SequentialMacMatchesPlaintext) {
 }
 
 // Offline/online split at the session level: garble_offline + material
-// push + precomputed OTs, then an online run that only moves active
+// push + its label OTs, then an online run that only moves active
 // data labels — must agree with plaintext and with the on-demand path.
 TEST(Protocol, OfflineOnlineSplitMatchesOnDemand) {
   ModelSpec spec;
@@ -158,8 +158,7 @@ TEST(Protocol, OfflineOnlineSplitMatchesOnDemand) {
         EXPECT_EQ(mat.decode_bits.size(), chain.back().outputs.size());
         // Only the tables move out; the labels stay for the OTs below.
         send_material(ch, std::move(mat));
-        const OtPrecompSender pre = session.precompute_ot(mat.ot_count());
-        session.send_labels_derandomized(pre, mat.eval_zeros, mat.delta);
+        session.send_fixed_labels(mat.eval_zeros, mat.delta);
         // Online: active data labels out, result bits back.
         online_g = session.run_online(mat, data);
         // The same session still supports on-demand runs afterwards.
@@ -168,9 +167,7 @@ TEST(Protocol, OfflineOnlineSplitMatchesOnDemand) {
       [&](Channel& ch) {
         EvaluatorSession session(ch);
         EvalMaterial mat = recv_material(ch);
-        const OtPrecompReceiver pre =
-            session.precompute_ot(weights.size());
-        mat.eval_labels = session.recv_labels_derandomized(pre, weights);
+        mat.eval_labels = session.recv_fixed_labels(weights);
         online_e = session.run_online(chain, mat);
         session.run_chain(chain, weights);
       });
@@ -178,6 +175,66 @@ TEST(Protocol, OfflineOnlineSplitMatchesOnDemand) {
   EXPECT_EQ(online_g, expect);
   EXPECT_EQ(online_e, expect);
   EXPECT_EQ(ondemand_g, expect);
+}
+
+// The on-demand wire cost of one inference, pinned exactly: tables
+// (constant labels included), 32 B per weight bit of one-block
+// correlated OT (16 B of u columns, rounded up per batch to whole bytes
+// per column, plus the 8-byte batch size; 16 B of c_j back), the
+// client's active data labels, the returned output labels and the
+// shared result bits. The base-OT setup is paid by the first run only.
+TEST(Protocol, OnDemandBytesPerInferencePinned) {
+  ModelSpec spec;
+  spec.name = "bytes_chain";
+  spec.input = Shape3{1, 1, 6};
+  spec.layers.push_back(FcLayer{5, {}, true});
+  spec.layers.push_back(ActLayer{ActKind::kReLU});
+  spec.layers.push_back(FcLayer{3, {}, true});
+  const auto chain = synth::compile_model_layers(spec);
+
+  Rng rng(12);
+  std::vector<Fixed> x, w;
+  for (size_t i = 0; i < 6; ++i) x.push_back(random_fixed(rng, kFmt, 0.2));
+  for (size_t i = 0; i < synth::model_weight_count(spec); ++i)
+    w.push_back(random_fixed(rng, kFmt, 0.2));
+  const BitVec data = pack_fixed(x), weights = pack_fixed(w);
+
+  uint64_t g_sent = 0, e_sent = 0;
+  run_two_party(
+      [&](Channel& ch) {
+        GarblerSession session(ch, Block{2027, 8});
+        session.run_chain(chain, data);  // pays the base-OT setup
+        const uint64_t b0 = ch.bytes_sent();
+        session.run_chain(chain, data);
+        g_sent = ch.bytes_sent() - b0;
+      },
+      [&](Channel& ch) {
+        EvaluatorSession session(ch);
+        session.run_chain(chain, weights);
+        const uint64_t b0 = ch.bytes_sent();
+        session.run_chain(chain, weights);
+        e_sent = ch.bytes_sent() - b0;
+      });
+
+  uint64_t ot_u = 0, ot_c = 0, weight_bits = 0;
+  for (const Circuit& c : chain) {
+    const uint64_t n = c.evaluator_inputs.size();
+    if (n == 0) continue;
+    weight_bits += n;
+    ot_u += 8 + kOtExtKappa * ((n + 7) / 8);
+    ot_c += 16 * n;
+  }
+  ASSERT_EQ(weight_bits, weights.size());
+  const uint64_t outs = chain.back().outputs.size();
+  const uint64_t data_labels = 16 * chain.front().garbler_inputs.size();
+  EXPECT_EQ(g_sent, material_stream_bytes(chain) + ot_c + data_labels +
+                        8 + (outs + 7) / 8);
+  EXPECT_EQ(e_sent, ot_u + 16 * outs);
+  // One-block COT: 32 B per weight bit, give or take the per-batch
+  // rounding and headers (a two-block OT would ship 48).
+  const double per_ot = static_cast<double>(ot_u + ot_c) /
+                        static_cast<double>(weight_bits);
+  EXPECT_LT(per_ot, 32.5);
 }
 
 // A consumed artifact self-checks: evaluate_material validates label

@@ -400,7 +400,7 @@ TEST(Material, TablesSizeIsMaterialStreamBytes) {
 TEST(Material, EvaluateMaterialMatchesPlaintextChain) {
   // Local offline/online round trip with hand-resolved labels (no OT):
   // pick active labels from the artifact's zero labels + delta exactly
-  // as the derandomized OT would, evaluate, compare with plaintext.
+  // as the pooled label OTs would, evaluate, compare with plaintext.
   std::vector<Circuit> chain;
   for (int l = 0; l < 3; ++l)
     chain.push_back(bench_circuits::wide_chain_layer(384));
@@ -592,6 +592,7 @@ TEST(RuntimeFrame, RoundTripAndErrorPropagation) {
   runtime::send_hello(*pair.a, h);
   const runtime::Hello back = runtime::parse_hello(runtime::recv_frame(*pair.b));
   EXPECT_EQ(back.magic, runtime::kProtocolMagic);
+  EXPECT_EQ(back.version, 7u);  // v7: one-block correlated OT
   EXPECT_EQ(back.fingerprint, h.fingerprint);
   EXPECT_TRUE(back.flags.framed_tables);
 

@@ -332,6 +332,38 @@ TEST(InferenceServerTest, EvaluatorThreadsServeCorrectInferences) {
   server.stop();
 }
 
+// The "ot" block accounts for the label OTs of an on-demand inference:
+// one transfer per weight bit, and exactly the batches' wire bytes.
+TEST(InferenceServerTest, StatsJsonCountsLabelOts) {
+  const synth::ModelSpec spec = small_spec();
+  Rng rng(29);
+  const BitVec weights = random_weights(spec, rng);
+  runtime::InferenceServer server(spec, weights);
+  server.start();
+  std::vector<Fixed> x;
+  for (size_t i = 0; i < 5; ++i)
+    x.push_back(random_fixed(rng, kDefaultFormat, 0.2));
+
+  const std::string before = server.stats_json();
+  runtime::InferenceClient client("127.0.0.1", server.port(), spec);
+  EXPECT_EQ(from_bits(client.infer_bits(pack_fixed(x))),
+            plaintext_label(spec, weights, pack_fixed(x)));
+  client.close();
+  server.stop();
+  const std::string after = server.stats_json();
+
+  long long bytes = 0;
+  for (const Circuit& c : synth::compile_model_layers(spec)) {
+    const auto n = static_cast<long long>(c.evaluator_inputs.size());
+    if (n > 0) bytes += 8 + 128 * ((n + 7) / 8) + 16 * n;
+  }
+  EXPECT_EQ(json_int(after, "gc.ot.transfers") -
+                json_int(before, "gc.ot.transfers"),
+            static_cast<long long>(weights.size()));
+  EXPECT_EQ(json_int(after, "gc.ot.bytes") - json_int(before, "gc.ot.bytes"),
+            bytes);
+}
+
 // A peer that would stream unframed tables (hello flag bit 0 clear) is
 // rejected at the handshake even with the right fingerprint.
 TEST(InferenceServerTest, RejectsFramingMismatch) {
@@ -352,6 +384,35 @@ TEST(InferenceServerTest, RejectsFramingMismatch) {
         throw;
       },
       std::runtime_error);
+  server.stop();
+  EXPECT_EQ(server.sessions_rejected(), 1u);
+}
+
+// A v6 peer (two-block OT payloads) is refused at the handshake with a
+// coded kHandshake error naming the version, before any OT byte moves.
+TEST(InferenceServerTest, RejectsProtocolV6Peer) {
+  const synth::ModelSpec spec = small_spec();
+  const auto chain = synth::compile_model_layers(spec);
+  Rng rng(38);
+  runtime::InferenceServer server(spec, random_weights(spec, rng));
+  server.start();
+
+  TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
+  runtime::Hello hello;
+  hello.version = 6;
+  hello.fingerprint = runtime::chain_fingerprint(chain);
+  runtime::send_hello(raw, hello);
+  uint8_t type = 0;
+  uint32_t len = 0;
+  raw.recv_bytes(&type, 1);
+  raw.recv_bytes(&len, 4);
+  ASSERT_EQ(type, static_cast<uint8_t>(runtime::FrameType::kError));
+  ASSERT_GT(len, 1u);
+  std::vector<uint8_t> payload(len);
+  raw.recv_bytes(payload.data(), len);
+  EXPECT_EQ(payload[0], static_cast<uint8_t>(runtime::ErrorCode::kHandshake));
+  EXPECT_NE(std::string(payload.begin() + 1, payload.end()).find("version"),
+            std::string::npos);
   server.stop();
   EXPECT_EQ(server.sessions_rejected(), 1u);
 }
