@@ -16,12 +16,15 @@
 #include "crypto/sha256.h"
 #include "gc/garble.h"
 #include "gc/ot.h"
+#include "gc/protocol.h"
 #include "net/null_channel.h"
 #include "net/party.h"
+#include "runtime/front.h"
 #include "synth/activation.h"
 #include "synth/layer_circuits.h"
 #include "synth/matvec.h"
 #include "synth/mult.h"
+#include "synth/served.h"
 
 using namespace deepsecure;
 
@@ -306,6 +309,44 @@ void BM_OtExtensionOnline(benchmark::State& state) {
 }
 BENCHMARK(BM_OtExtensionOnline)->Arg(89392)->Unit(benchmark::kMillisecond)->UseRealTime();
 
+// The layer-0 front of one b3_pp inference (runtime/front.h): 5,082
+// products, 81,312 arithmetic OTs on sessions whose base OTs ran before
+// the timed loop, plus both parties' share derivation. The server runs
+// on its own thread over an in-memory channel. B_per_arith_ot counts
+// both directions: 8 + 128*ceil(m/8) + 4*m bytes.
+void BM_LinearFront(benchmark::State& state) {
+  const synth::ModelSpec spec = core::paper_zoo()[2].compact;
+  const synth::FrontPlan plan =
+      synth::front_plan(spec.input, spec.layers.front(), spec.fmt);
+  Prg prg(Block{9, 10});
+  std::vector<int64_t> w(plan.weights);
+  for (int64_t& v : w) v = static_cast<int16_t>(prg.next_u64());
+  BitVec data(plan.inputs * spec.fmt.total_bits);
+  for (auto& b : data) b = static_cast<uint8_t>(prg.next_u64() & 1u);
+  ChannelPair pair = make_channel_pair();
+  std::thread server_thread([&] {
+    EvaluatorSession session(*pair.b);
+    try {
+      for (;;) benchmark::DoNotOptimize(runtime::front_recv(session, plan, w));
+    } catch (const ChannelClosed&) {
+      // The client closed the channel after the timed loop.
+    }
+  });
+  GarblerSession session(*pair.a, Block{11, 12});
+  (void)runtime::front_send(session, plan, data);  // base OTs
+  const uint64_t b0 = pair.a->bytes_sent() + pair.a->bytes_received();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(runtime::front_send(session, plan, data));
+  const uint64_t bytes =
+      pair.a->bytes_sent() + pair.a->bytes_received() - b0;
+  pair.a->close();
+  server_thread.join();
+  const double ots = static_cast<double>(plan.ots()) * state.iterations();
+  state.counters["OT/s"] = benchmark::Counter(ots, benchmark::Counter::kIsRate);
+  state.counters["B_per_arith_ot"] = static_cast<double>(bytes) / ots;
+}
+BENCHMARK(BM_LinearFront)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 void BM_BuildMult16(benchmark::State& state) {
   using namespace synth;
   for (auto _ : state) {
@@ -329,9 +370,11 @@ void BM_BuildTanhLut(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildTanhLut)->Unit(benchmark::kMillisecond);
 
-// Model set-up cost: every party compiles the served chain before its
-// first session. Arg 0 compiles the first FC layer of b3_pp (the paper's
+// Compile cost of b3_pp's plaintext reference chain
+// (compile_model_layers): arg 0 its first FC layer (the paper's
 // pre-processed Benchmark 3, most of its gates), arg 1 the whole chain.
+// The runtime serves layer 0 by OT multiplication and compiles the
+// served chain instead (BM_CompileServed).
 void BM_CompileModel(benchmark::State& state) {
   synth::ModelSpec spec = core::paper_zoo()[2].compact;
   if (state.range(0) == 0) spec.layers.resize(1);
@@ -348,6 +391,16 @@ void BM_CompileModel(benchmark::State& state) {
 }
 BENCHMARK(BM_CompileModel)->Arg(0)->Arg(1)->ArgNames({"full_chain"})
     ->Unit(benchmark::kMillisecond);
+
+// Model set-up cost: every runtime party compiles b3_pp's served chain
+// (synth/served.h: the share circuit, then layers 1..n) before its
+// first session.
+void BM_CompileServed(benchmark::State& state) {
+  const synth::ModelSpec spec = core::paper_zoo()[2].compact;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(synth::compile_served(spec).chain.data());
+}
+BENCHMARK(BM_CompileServed)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
 // Per-backend rows — the headline table of the pluggable-backend work.

@@ -15,8 +15,17 @@
 //    lsb(delta) = 1, lsb(label) = b: the lsb convention the one-row ANDs
 //    rely on (garble.h) holds without any plaintext side channel.
 //
+//  * Arithmetic OT (Gilboa, CRYPTO 1999): the same rows under their own
+//    hash domain carry 32-bit additive correlations. The sender's pad is
+//    p_j = lo32(H(q_j)); it ships u_j = lo32(H(q_j ^ s)) - p_j - d_j and
+//    the receiver takes lo32(H(t_j)) for b = 0 and lo32(H(t_j)) - u_j
+//    for b = 1, i.e. p_j + b*d_j (mod 2^32). Linear layer 0's products
+//    x*w are shared this way (runtime/front.h).
+//
 // Wire per batch of m OTs: receiver -> sender 8 + 128*ceil(m/8) bytes
-// (batch size, then the packed u columns), sender -> receiver 16*m.
+// (batch size, then the packed u columns), sender -> receiver 16*m
+// (correlated) or 4*m (arithmetic). Both kinds share one setup and one
+// tweak counter, so they interleave freely on a session.
 // Labels that were fixed before the OT ran (a pooled GarbledMaterial's
 // evaluator zeros) go through the same batch plus one relabel block per
 // bit; see GarblerSession::send_fixed_labels.
@@ -51,6 +60,7 @@ namespace otstat {
 //   gc.ot.transfers — OTs completed
 //   gc.ot.bytes     — wire bytes of those batches in both directions,
 //                     plus the relabel blocks of pooled label transfers
+// Label and arithmetic OTs both count.
 inline obs::Counter& transfers() {
   static obs::Counter& c = obs::Registry::global().counter("gc.ot.transfers");
   return c;
@@ -80,7 +90,14 @@ class OtExtSender {
   /// Throws std::runtime_error if the receiver's batch size is not m.
   std::vector<Block> send_correlated(size_t m, Block delta);
 
+  /// One batch of delta.size() arithmetic OTs: returns the pads p (the
+  /// receiver learns p[j] + b_j*delta[j] mod 2^32).
+  std::vector<uint32_t> send_arith(const std::vector<uint32_t>& delta);
+
  private:
+  /// Receives the batch's u columns; returns the m rows q_j.
+  std::vector<Block> extend(size_t m);
+
   Channel& ch_;
   Block s_{};                                  // kappa secret choice bits
   std::vector<std::unique_ptr<Prg>> col_prg_;  // PRG(k_i^{s_i})
@@ -99,7 +116,14 @@ class OtExtReceiver {
   /// for every choice bit.
   std::vector<Block> recv_correlated(const BitVec& choices);
 
+  /// Counterpart of send_arith: p[j] + choices[j]*delta[j] mod 2^32.
+  std::vector<uint32_t> recv_arith(const BitVec& choices);
+
  private:
+  /// Sends the batch size and u columns for `choices`; returns the rows
+  /// t_j.
+  std::vector<Block> extend(const BitVec& choices);
+
   Channel& ch_;
   std::vector<std::unique_ptr<Prg>> col_prg0_;  // PRG(k_i^0)
   std::vector<std::unique_ptr<Prg>> col_prg1_;  // PRG(k_i^1)

@@ -9,6 +9,11 @@
 //   rows:     q_j = t_j ^ r_j * s
 //   sender:   L0_j = clr(H(q_j, j)), c_j = L0_j ^ H(q_j ^ s, j) ^ delta
 //   receiver: r_j ? H(t_j, j) ^ c_j : clr(H(t_j, j))
+// The arithmetic OT (Gilboa's OT multiplication) reuses the same rows
+// under its own hash domain, with 32-bit messages mod 2^32:
+//   sender:   p_j = lo32(H(q_j, j)), u_j = lo32(H(q_j ^ s, j)) - p_j - d_j
+//   receiver: r_j ? lo32(H(t_j, j)) - u_j : lo32(H(t_j, j))
+// so the receiver learns p_j + r_j * d_j.
 // Columns are ceil(m/8) packed bytes filled by the stateful AES-CTR
 // column PRGs, so repeated batches (per-layer label transfers) reuse the
 // single setup. Both sides transpose their 128 columns into m row blocks
@@ -26,8 +31,10 @@
 namespace deepsecure {
 namespace {
 
-// Domain-separated hash for OT messages (distinct from garbling tweaks).
+// Domain-separated hashes for OT messages (distinct from garbling
+// tweaks): labels of the correlated OT, pads of the arithmetic OT.
 constexpr Block kOtDomain{0x6f742d657874656eull, 0x646565707365632dull};
+constexpr Block kArithDomain{0x6f742d6172697468ull, 0x646565707365632dull};
 
 constexpr size_t kTileOts = 128;      // one tile: 16 bytes of every column
 constexpr size_t kHashChunk = 1024;   // rows hashed per sweep
@@ -129,9 +136,7 @@ void OtExtReceiver::setup(Prg& prg) {
   ready_ = true;
 }
 
-std::vector<Block> OtExtSender::send_correlated(size_t m, Block delta) {
-  if (!ready_) throw std::logic_error("OtExtSender: setup() not run");
-  if (m == 0) return {};
+std::vector<Block> OtExtSender::extend(size_t m) {
   // The leading batch size guards against a sender/receiver m
   // disagreement — the raw packed read would otherwise desynchronize
   // the stream silently.
@@ -151,9 +156,33 @@ std::vector<Block> OtExtSender::send_correlated(size_t m, Block delta) {
     col_prg_[i]->fill_bytes(g.data(), stride);
     for (size_t k = 0; k < stride; ++k) col[k] ^= g[k];
   }
+  return transpose_columns(q.data(), stride, m);
+}
 
+std::vector<Block> OtExtReceiver::extend(const BitVec& choices) {
+  const size_t m = choices.size();
+  const size_t stride = column_stride(m);
+  std::vector<uint8_t> r(stride, 0);
+  for (size_t j = 0; j < m; ++j)
+    r[j / 8] |= static_cast<uint8_t>((choices[j] & 1u) << (j % 8));
+  std::vector<uint8_t> t(kOtExtKappa * stride), u(kOtExtKappa * stride);
+  for (size_t i = 0; i < kOtExtKappa; ++i) {
+    uint8_t* ti = t.data() + i * stride;
+    uint8_t* ui = u.data() + i * stride;
+    col_prg0_[i]->fill_bytes(ti, stride);
+    col_prg1_[i]->fill_bytes(ui, stride);
+    for (size_t k = 0; k < stride; ++k) ui[k] ^= ti[k] ^ r[k];
+  }
+  ch_.send_u64(m);
+  ch_.send_bytes(u.data(), u.size());
+  return transpose_columns(t.data(), stride, m);
+}
+
+std::vector<Block> OtExtSender::send_correlated(size_t m, Block delta) {
+  if (!ready_) throw std::logic_error("OtExtSender: setup() not run");
+  if (m == 0) return {};
   // rows[j] = q_j; each hashed window is overwritten with its c_j.
-  std::vector<Block> rows = transpose_columns(q.data(), stride, m);
+  std::vector<Block> rows = extend(m);
   std::vector<Block> zeros(m);
   uint64_t tweaks[kHashChunk];
   std::vector<Block> h(2 * kHashChunk);
@@ -180,23 +209,8 @@ std::vector<Block> OtExtReceiver::recv_correlated(const BitVec& choices) {
   if (!ready_) throw std::logic_error("OtExtReceiver: setup() not run");
   const size_t m = choices.size();
   if (m == 0) return {};
-  const size_t stride = column_stride(m);
-  std::vector<uint8_t> r(stride, 0);
-  for (size_t j = 0; j < m; ++j)
-    r[j / 8] |= static_cast<uint8_t>((choices[j] & 1u) << (j % 8));
-  std::vector<uint8_t> t(kOtExtKappa * stride), u(kOtExtKappa * stride);
-  for (size_t i = 0; i < kOtExtKappa; ++i) {
-    uint8_t* ti = t.data() + i * stride;
-    uint8_t* ui = u.data() + i * stride;
-    col_prg0_[i]->fill_bytes(ti, stride);
-    col_prg1_[i]->fill_bytes(ui, stride);
-    for (size_t k = 0; k < stride; ++k) ui[k] ^= ti[k] ^ r[k];
-  }
-  ch_.send_u64(m);
-  ch_.send_bytes(u.data(), u.size());
-
   // labels[j] = H(t_j) until the sender's c_j arrive.
-  std::vector<Block> labels = transpose_columns(t.data(), stride, m);
+  std::vector<Block> labels = extend(choices);
   uint64_t tweaks[kHashChunk];
   for (size_t j0 = 0; j0 < m; j0 += kHashChunk) {
     const size_t n = std::min(kHashChunk, m - j0);
@@ -216,8 +230,62 @@ std::vector<Block> OtExtReceiver::recv_correlated(const BitVec& choices) {
       labels[j].lo &= ~uint64_t{1};
   }
   otstat::transfers().add(m);
-  otstat::bytes().add(8 + u.size() + m * sizeof(Block));
+  otstat::bytes().add(8 + kOtExtKappa * column_stride(m) + m * sizeof(Block));
   return labels;
+}
+
+std::vector<uint32_t> OtExtSender::send_arith(
+    const std::vector<uint32_t>& delta) {
+  if (!ready_) throw std::logic_error("OtExtSender: setup() not run");
+  const size_t m = delta.size();
+  if (m == 0) return {};
+  std::vector<Block> rows = extend(m);
+  std::vector<uint32_t> pads(m), u(m);
+  uint64_t tweaks[kHashChunk];
+  std::vector<Block> h(2 * kHashChunk);
+  for (size_t j0 = 0; j0 < m; j0 += kHashChunk) {
+    const size_t n = std::min(kHashChunk, m - j0);
+    Block* x = rows.data() + j0;
+    for (size_t j = 0; j < n; ++j) {
+      x[j] ^= kArithDomain;
+      tweaks[j] = hash_index_++;
+    }
+    gc_hash_pairs(x, s_, tweaks, h.data(), n);
+    for (size_t j = 0; j < n; ++j) {
+      const auto r = static_cast<uint32_t>(h[2 * j].lo);
+      pads[j0 + j] = r;
+      u[j0 + j] = static_cast<uint32_t>(h[2 * j + 1].lo) - r - delta[j0 + j];
+    }
+  }
+  ch_.send_bytes(u.data(), m * sizeof(uint32_t));
+  return pads;
+}
+
+std::vector<uint32_t> OtExtReceiver::recv_arith(const BitVec& choices) {
+  if (!ready_) throw std::logic_error("OtExtReceiver: setup() not run");
+  const size_t m = choices.size();
+  if (m == 0) return {};
+  std::vector<Block> rows = extend(choices);
+  uint64_t tweaks[kHashChunk];
+  for (size_t j0 = 0; j0 < m; j0 += kHashChunk) {
+    const size_t n = std::min(kHashChunk, m - j0);
+    Block* x = rows.data() + j0;
+    for (size_t j = 0; j < n; ++j) {
+      x[j] ^= kArithDomain;
+      tweaks[j] = hash_index_++;
+    }
+    gc_hash_batch(x, tweaks, x, n);
+  }
+  std::vector<uint32_t> out(m);
+  ch_.recv_bytes(out.data(), m * sizeof(uint32_t));
+  for (size_t j = 0; j < m; ++j) {
+    const auto h = static_cast<uint32_t>(rows[j].lo);
+    out[j] = (choices[j] & 1u) ? h - out[j] : h;
+  }
+  otstat::transfers().add(m);
+  otstat::bytes().add(8 + kOtExtKappa * column_stride(m) +
+                      m * sizeof(uint32_t));
+  return out;
 }
 
 }  // namespace deepsecure

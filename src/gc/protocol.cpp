@@ -216,16 +216,46 @@ void GarblerSession::begin_online(Block delta, const Labels& data_zeros,
   ++online_in_flight_;
 }
 
+// Result vectors are circuit outputs — generously bounded so a
+// corrupted peer length header cannot force a huge allocation.
+constexpr uint64_t kMaxResultBits = uint64_t{1} << 24;
+
+void GarblerSession::stash_online_results() {
+  while (stashed_.size() < online_in_flight_)
+    stashed_.push_back(ch_.recv_bits_bounded(kMaxResultBits));
+}
+
 BitVec GarblerSession::finish_online() {
   if (online_in_flight_ == 0)
     throw std::logic_error("finish_online: no online inference in flight");
-  // Result vectors are circuit outputs — generously bounded so a
-  // corrupted peer length header cannot force a huge allocation.
   // Decrement only after a successful receive: a transport failure must
   // keep reporting itself on retry/drain, not decay into a bogus
   // "nothing in flight" logic error.
-  BitVec out = ch_.recv_bits_bounded(uint64_t{1} << 24);
+  BitVec out;
+  if (stashed_.empty()) {
+    out = ch_.recv_bits_bounded(kMaxResultBits);
+  } else {
+    out = std::move(stashed_.front());
+    stashed_.pop_front();
+  }
   --online_in_flight_;
+  return out;
+}
+
+std::vector<uint32_t> GarblerSession::send_arith(
+    const std::vector<uint32_t>& delta) {
+  ensure_ot();
+  Stopwatch sw;
+  std::vector<uint32_t> pads = ot_.send_arith(delta);
+  trace_.front_s += sw.seconds();
+  return pads;
+}
+
+std::vector<uint32_t> EvaluatorSession::recv_arith(const BitVec& choices) {
+  ensure_ot();
+  Stopwatch sw;
+  std::vector<uint32_t> out = ot_.recv_arith(choices);
+  trace_.front_s += sw.seconds();
   return out;
 }
 

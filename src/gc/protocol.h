@@ -26,9 +26,14 @@
 //     send and receive halves separately so a client can queue several
 //     online inferences back-to-back (cross-request pipelining).
 //
+// send_arith/recv_arith run arithmetic OTs (gc/ot.h) on the session's
+// OT setup: the runtime's layer-0 front (runtime/front.h) shares the
+// first linear layer's products with them before the chain runs.
+//
 // Phase timings are recorded per step for the Figure 5 reproduction.
 #pragma once
 
+#include <deque>
 #include <vector>
 
 #include "gc/garble.h"
@@ -49,6 +54,7 @@ struct SessionTrace {
   std::vector<PhaseSample> phases;
   double total_s = 0.0;
   double setup_s = 0.0;  // base-OT + extension setup (once per session)
+  double front_s = 0.0;  // arithmetic OTs (layer-0 front), either side
 
   double sum_garble() const {
     double t = 0;
@@ -106,6 +112,16 @@ class GarblerSession {
   /// One full online inference against `mat`: begin + finish.
   BitVec run_online(const GarbledMaterial& mat, const BitVec& data_bits);
 
+  /// Read the results of every in-flight online inference off the wire
+  /// into a FIFO stash, which finish_online drains first. An exchange
+  /// that must read the peer's next reply (an arithmetic OT) calls this
+  /// first: earlier results arrive ahead of it.
+  void stash_online_results();
+
+  /// One batch of arithmetic OTs as sender (see OtExtSender::send_arith):
+  /// returns the pads. Timed into trace().front_s.
+  std::vector<uint32_t> send_arith(const std::vector<uint32_t>& delta);
+
   const SessionTrace& trace() const { return trace_; }
 
  private:
@@ -117,6 +133,7 @@ class GarblerSession {
   Prg prg_;
   bool ot_ready_ = false;
   size_t online_in_flight_ = 0;  // begin_online calls awaiting finish
+  std::deque<BitVec> stashed_;   // results read ahead, oldest first
   SessionTrace trace_;
 };
 
@@ -147,6 +164,9 @@ class EvaluatorSession {
   /// plaintext result back. Returns the decoded output bits.
   BitVec run_online(const std::vector<Circuit>& chain,
                     const EvalMaterial& mat);
+
+  /// Counterpart of send_arith: pad + choice*delta per OT.
+  std::vector<uint32_t> recv_arith(const BitVec& choices);
 
   const SessionTrace& trace() const { return trace_; }
 

@@ -9,6 +9,7 @@
 #include "circuit/schedule.h"
 #include "crypto/prg.h"
 #include "obs/trace.h"
+#include "runtime/front.h"
 #include "support/bits.h"
 
 namespace deepsecure::runtime {
@@ -41,11 +42,12 @@ uint64_t splitmix64(uint64_t& state) {
 InferenceClient::InferenceClient(const std::string& host, uint16_t port,
                                  const synth::ModelSpec& spec,
                                  ClientConfig cfg)
-    : chain_(walk_chain(synth::compile_model_layers(spec))),
-      fmt_(spec.fmt),
-      cfg_(cfg),
-      host_(host),
-      port_(port) {
+    : fmt_(spec.fmt), cfg_(cfg), host_(host), port_(port) {
+  synth::ServedModel served = synth::compile_served(spec);
+  served.chain = walk_chain(std::move(served.chain));
+  fingerprint_ = served_fingerprint(served);
+  front_ = std::move(served.front);
+  chain_ = std::move(served.chain);
   backoff_rng_ ^= cfg_.chaos.seed;  // deterministic jitter under chaos
   connect_and_handshake();
   open_ = true;
@@ -102,10 +104,11 @@ void InferenceClient::connect_and_handshake() {
         std::make_unique<StreamingGarbler>(*wire, seed, cfg_.stream);
 
     Hello hello;
-    // Fingerprint over the walked view this session garbles — the
-    // server computes the same and a compile or scheduling divergence
-    // fails the handshake, not an OT. Hello flags default to framed.
-    hello.fingerprint = chain_fingerprint(chain_);
+    // Fingerprint over the walked view this session garbles and the
+    // front plan — the server computes the same and a compile,
+    // scheduling or plan divergence fails the handshake, not an OT.
+    // Hello flags default to framed.
+    hello.fingerprint = fingerprint_;
     Channel& ch = garbler_->channel();
     send_hello(ch, hello);
     garbler_->channel().flush();
@@ -230,7 +233,7 @@ InferenceClient::~InferenceClient() {
 }
 
 size_t InferenceClient::input_bits() const {
-  return chain_.empty() ? 0 : chain_.front().garbler_inputs.size();
+  return front_.inputs * fmt_.total_bits;
 }
 
 size_t InferenceClient::infer(const std::vector<float>& sample) {
@@ -269,9 +272,11 @@ void InferenceClient::push_material(GarbledMaterial&& mat) {
 
 // Offline push of one artifact over `g`'s connection (primary session
 // or prefetch lane): id frame, decode bits + tables, then the
-// correlated OT + relabel exchange that resolves the server's evaluator
-// labels. Everything here is input-independent. Returns the
-// client-side remainder the online phase needs.
+// correlated OT + relabel exchange that resolves the server's static
+// evaluator labels (circuits 1..n). Everything here is
+// input-independent. Returns the client-side remainder the online
+// phase needs, circuit 0's evaluator zero labels included: its inputs
+// are the share bits of a front that has not run yet.
 //
 // The caller-side quota guard must mirror the server's exactly: once
 // the kPrefetch frame is sent this side commits to the OT exchange, so
@@ -287,6 +292,10 @@ InferenceClient::PrefetchedMaterial InferenceClient::push_material_over(
   // for the OT exchange and the return below.
   send_material(ch, std::move(mat));
   GarblerSession& session = g.session();
+  const auto n0 =
+      static_cast<ptrdiff_t>(chain_.front().evaluator_inputs.size());
+  Labels front_zeros(mat.eval_zeros.begin(), mat.eval_zeros.begin() + n0);
+  mat.eval_zeros.erase(mat.eval_zeros.begin(), mat.eval_zeros.begin() + n0);
   {
     obs::Span ot_span("client.ot_offline");
     session.send_fixed_labels(mat.eval_zeros, mat.delta);
@@ -295,7 +304,8 @@ InferenceClient::PrefetchedMaterial InferenceClient::push_material_over(
   const Frame ack = recv_frame(ch);
   if (ack.type != FrameType::kPrefetchAck || parse_id(ack) != id)
     throw std::runtime_error("client: bad prefetch ack");
-  return PrefetchedMaterial{id, mat.delta, std::move(mat.data_zeros)};
+  return PrefetchedMaterial{id, mat.delta, std::move(mat.data_zeros),
+                            std::move(front_zeros)};
 }
 
 // Refill ceiling for the background lane (and the clamp for prefetch):
@@ -472,11 +482,11 @@ void InferenceClient::begin_infer_bits(const BitVec& data_bits) {
   PrefetchedMaterial* next = prefetched_ ? prefetched_->front() : nullptr;
   if (next == nullptr)
     throw std::logic_error("client: no prefetched material to pipeline on");
-  // Validate on the borrowed slot before consuming anything: after the
-  // id frame is on the wire the artifact is burned and the server is
-  // committed to reading labels, so a size error must fire while the
-  // call is still a no-op (a ring pop is destructive).
-  if (data_bits.size() != next->data_zeros.size())
+  // Validate before consuming anything: after the id frame is on the
+  // wire the artifact is burned and the server is committed to the
+  // front, so a size error must fire while the call is still a no-op
+  // (a ring pop is destructive).
+  if (data_bits.size() != input_bits())
     throw std::invalid_argument("client: data bit count mismatch");
   PrefetchedMaterial mat;
   prefetched_->try_pop(mat);
@@ -484,7 +494,15 @@ void InferenceClient::begin_infer_bits(const BitVec& data_bits) {
   lane_cv_.notify_all();  // room freed: the lane may refill
   Channel& ch = garbler_->channel();
   send_id_frame(ch, FrameType::kInfer, mat.id);
-  garbler_->session().begin_online(mat.delta, mat.data_zeros, data_bits);
+  GarblerSession& session = garbler_->session();
+  // The server answers this kInfer with the front's first message, after
+  // the results of earlier in-flight inferences: read those ahead.
+  session.stash_online_results();
+  const BitVec share = front_send(session, front_, data_bits);
+  // The share bits' labels under the artifact's delta, then the active
+  // labels of the client's own share bits: the client's last send.
+  session.send_fixed_labels(mat.front_zeros, mat.delta);
+  session.begin_online(mat.delta, mat.data_zeros, share);
   garbler_->channel().flush();
   ++in_flight_;
 }
@@ -511,6 +529,8 @@ BitVec InferenceClient::infer_bits(const BitVec& data_bits) {
   if (in_flight_ > 0)
     throw std::logic_error(
         "client: finish in-flight inferences before a synchronous infer");
+  if (data_bits.size() != input_bits())
+    throw std::invalid_argument("client: data bit count mismatch");
   for (size_t attempt = 0;; ++attempt) {
     try {
       return infer_bits_once(data_bits);
@@ -537,10 +557,12 @@ BitVec InferenceClient::infer_bits_once(const BitVec& data_bits) {
     begin_infer_bits(data_bits);
     return finish_infer();
   }
-  // Pool drained (or pooling off): garble on the request path.
+  // Pool drained (or pooling off): the front, then garble on the
+  // request path with the share bits as circuit 0's inputs.
   Channel& ch = garbler_->channel();
   send_frame(ch, FrameType::kInfer);
-  const BitVec out = garbler_->run_chain(chain_, data_bits);
+  const BitVec share = front_send(garbler_->session(), front_, data_bits);
+  const BitVec out = garbler_->run_chain(chain_, share);
   ++ondemand_inferences_;
   if (cfg_.auto_top_up) top_up();
   return out;

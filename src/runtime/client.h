@@ -9,16 +9,23 @@
 //     server evaluates while the client is still garbling (PR 2).
 //   * pooled (offline/online split): a MaterialPool garbles whole
 //     instances in the background; prefetch() pushes them to the server
-//     ahead of requests (tables, decode bits, and the evaluator-label
-//     OTs all travel offline), and an infer against
-//     prefetched material sends only the active data labels and waits
-//     for the result — no garbling, no OT on the request path. A
+//     ahead of requests (tables, decode bits, and the label OTs of the
+//     static weight bits all travel offline), and an infer against
+//     prefetched material runs only the layer-0 front, the label OT of
+//     the server's share bits and the active labels of the client's,
+//     then waits for the result — no garbling on the request path. A
 //     drained pool falls back to on-demand transparently.
 //
+// Every inference opens with the layer-0 front (runtime/front.h): the
+// first linear layer's products are shared by arithmetic OT, and the
+// chain garbles the share circuit (synth/served.h) in layer 0's place.
+//
 // Cross-request pipelining: begin_infer_bits/finish_infer expose the
-// send and receive halves of a pooled inference, so a client can queue
-// several kInfer frames back-to-back and the server works through them
-// while later requests are already in flight.
+// send and receive halves of a pooled inference. begin runs the request
+// through the client's last send (front and label exchanges included);
+// the server evaluates while the caller goes on, and a later begin
+// reads earlier results ahead into a FIFO stash that finish_infer
+// drains.
 //
 // Async prefetch lane (protocol v4): with ClientConfig::async_prefetch
 // the client opens a SECOND connection to the server's lane listener
@@ -59,7 +66,7 @@
 #include "runtime/material_pool.h"
 #include "runtime/streaming.h"
 #include "support/spsc_ring.h"
-#include "synth/layer_circuits.h"
+#include "synth/served.h"
 
 namespace deepsecure::runtime {
 
@@ -114,9 +121,10 @@ struct ClientConfig {
 class InferenceClient {
  public:
   /// `spec` is the public model architecture — the client compiles the
-  /// same chain the server compiled, keeps only its walked views
-  /// (walk_chain, circuit/schedule.h; the material pool borrows them),
-  /// and the handshake cross-checks the fingerprints over them.
+  /// same served chain and front plan the server compiled
+  /// (synth/served.h), keeps only the chain's walked views (walk_chain,
+  /// circuit/schedule.h; the material pool borrows them), and the
+  /// handshake cross-checks the fingerprints over both.
   InferenceClient(const std::string& host, uint16_t port,
                   const synth::ModelSpec& spec, ClientConfig cfg = {});
   ~InferenceClient();
@@ -210,7 +218,8 @@ class InferenceClient {
   struct PrefetchedMaterial {
     uint64_t id = 0;
     Block delta{};
-    Labels data_zeros;
+    Labels data_zeros;   // circuit 0's garbler inputs: the client's shares
+    Labels front_zeros;  // circuit 0's evaluator inputs: the server's
   };
 
   void push_material(GarbledMaterial&& mat);
@@ -235,7 +244,9 @@ class InferenceClient {
   /// `floor_ms` (a server-provided retry-after hint).
   void backoff_sleep(size_t attempt, uint64_t floor_ms = 0);
 
-  std::vector<Circuit> chain_;
+  synth::FrontPlan front_;
+  std::vector<Circuit> chain_;  // served chain, walked
+  uint64_t fingerprint_ = 0;    // served_fingerprint, sent in every hello
   FixedFormat fmt_;
   ClientConfig cfg_;
   std::string host_;

@@ -140,4 +140,19 @@ uint32_t parse_busy(const Frame& f) {
   return get_u32(f.payload, 0);
 }
 
+uint64_t served_fingerprint(const synth::ServedModel& model) {
+  uint64_t h = chain_fingerprint(model.chain);
+  auto mix = [&h](uint64_t v) { h = fmix64(h ^ v); };
+  const synth::FrontPlan& plan = model.front;
+  mix(plan.fmt.total_bits);
+  mix(plan.fmt.frac_bits);
+  mix(plan.inputs);
+  mix(plan.weights);
+  for (const synth::FrontProduct& p : plan.products)
+    mix((uint64_t{p.input} << 32) | p.weight);
+  for (uint32_t v : plan.first) mix(v);
+  for (uint32_t v : plan.bias) mix(v);
+  return h;
+}
+
 }  // namespace deepsecure::runtime

@@ -14,9 +14,10 @@
 //
 // The handshake pins down everything both endpoints must agree on
 // before protocol bytes flow: a protocol magic/version, a fingerprint
-// of the compiled circuit chain (architecture is public knowledge in
-// the paper's model — both sides compile it independently), and the
-// wire-format flags (framed tables). A mismatch yields a kError frame
+// of the served model — its compiled circuit chain and layer-0 front
+// plan (architecture is public knowledge in the paper's model — both
+// sides compile it independently), and the wire-format flags (framed
+// tables). A mismatch yields a kError frame
 // and connection close instead of a byte-level desync mid-OT.
 #pragma once
 
@@ -27,6 +28,7 @@
 #include "circuit/circuit.h"
 #include "gc/material.h"
 #include "net/channel.h"
+#include "synth/served.h"
 
 namespace deepsecure::runtime {
 
@@ -65,16 +67,25 @@ inline constexpr uint64_t kProtocolMagic = 0x44535255'4e313031ull;  // "DSRUN101
 // on-demand evaluator-input zero labels. A kPrefetch push resolves the
 // artifact's labels with the same OT plus one relabel block per bit;
 // the random-OT correction vector is gone.
-inline constexpr uint32_t kProtocolVersion = 7;
+// v8: layer 0 by OT multiplication (runtime/front.h) — every kInfer
+// opens with the arithmetic-OT front (server u columns, client 4 B per
+// OT), and the chain garbles the share circuit (synth/served.h) in
+// place of layer 0. A kPrefetch push resolves only layers 1..n's
+// evaluator labels; the pooled kInfer resolves the share bits' labels
+// online (correlated OT + relabel). The hello fingerprint also hashes
+// the front plan.
+inline constexpr uint32_t kProtocolVersion = 8;
 
 enum class FrameType : uint8_t {
   kHello = 1,     // client -> server: magic, version, fingerprint, flags
   kHelloAck = 2,  // server -> client: fingerprint echo, prefetch quota,
                   // lane token, lane port (see HelloAck)
-  kInfer = 3,     // client -> server: one inference. Empty payload: the
-                  // on-demand GC byte stream follows (garble on the
-                  // request path). 8-byte payload: a material id — the
-                  // online phase against prefetched material follows.
+  kInfer = 3,     // client -> server: one inference. The layer-0 front
+                  // (v8) runs first. Empty payload: the on-demand GC
+                  // byte stream follows (garble on the request path).
+                  // 8-byte payload: a material id — the share-bit
+                  // label OT and the online phase against prefetched
+                  // material follow.
   kBye = 4,       // client -> server: orderly session/lane end
   kError = 5,     // either way: utf-8 reason, then close
   kPrefetch = 6,  // client -> server: 8-byte material id, then the
@@ -181,5 +192,11 @@ uint32_t parse_busy(const Frame& f);
 /// implementation lives with the offline artifacts (gc/material.h),
 /// which stamp the same fingerprint the handshake checks.
 using deepsecure::chain_fingerprint;
+
+/// The hello fingerprint of a served model (v8): chain_fingerprint of
+/// its chain mixed with its front plan's hash, so endpoints that share
+/// different products fail the handshake even when their share
+/// circuits coincide.
+uint64_t served_fingerprint(const synth::ServedModel& model);
 
 }  // namespace deepsecure::runtime

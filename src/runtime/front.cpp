@@ -1,0 +1,130 @@
+#include "runtime/front.h"
+
+#include <stdexcept>
+
+namespace deepsecure::runtime {
+namespace {
+
+uint32_t product_mask(const FixedFormat& fmt) {
+  const size_t bits = fmt.total_bits + fmt.frac_bits;
+  return bits >= 32 ? ~uint32_t{0} : (uint32_t{1} << bits) - 1;
+}
+
+// Share bits in the share circuit's input order: the low f bits of each
+// product's share, then n bits of each neuron's sum of high parts plus
+// `bias[j]`.
+BitVec share_bits(const synth::FrontPlan& plan,
+                  const std::vector<uint32_t>& shares,
+                  const std::vector<uint32_t>& bias) {
+  const size_t n = plan.fmt.total_bits;
+  const size_t f = plan.fmt.frac_bits;
+  BitVec bits(plan.share_bits());
+  size_t at = 0;
+  for (uint32_t s : shares)
+    for (size_t i = 0; i < f; ++i) bits[at++] = (s >> i) & 1u;
+  for (size_t j = 0; j < plan.neurons(); ++j) {
+    uint32_t sum = bias[j];
+    for (size_t p = plan.first[j]; p < plan.first[j + 1]; ++p)
+      sum += shares[p] >> f;
+    for (size_t i = 0; i < n; ++i) bits[at++] = (sum >> i) & 1u;
+  }
+  return bits;
+}
+
+// One share per product: the sum of its n OT values, negated for the
+// client, mod 2^(n+f).
+std::vector<uint32_t> product_shares(const synth::FrontPlan& plan,
+                                     const std::vector<uint32_t>& values,
+                                     bool negate) {
+  const size_t n = plan.fmt.total_bits;
+  if (values.size() != plan.ots())
+    throw std::invalid_argument("front: OT value count mismatch");
+  std::vector<uint32_t> shares(plan.products.size());
+  const uint32_t mask = product_mask(plan.fmt);
+  for (size_t p = 0; p < shares.size(); ++p) {
+    uint32_t sum = 0;
+    for (size_t k = 0; k < n; ++k) sum += values[p * n + k];
+    shares[p] = (negate ? 0u - sum : sum) & mask;
+  }
+  return shares;
+}
+
+}  // namespace
+
+std::vector<int64_t> decode_fixed(const BitVec& bits, size_t count,
+                                  FixedFormat fmt) {
+  const size_t n = fmt.total_bits;
+  if (bits.size() < count * n)
+    throw std::invalid_argument("front: too few input bits");
+  std::vector<int64_t> out(count);
+  for (size_t i = 0; i < count; ++i) {
+    uint64_t v = 0;
+    for (size_t k = 0; k < n; ++k) v |= uint64_t{bits[i * n + k] & 1u} << k;
+    if (n < 64 && ((v >> (n - 1)) & 1u)) v |= ~uint64_t{0} << n;
+    out[i] = static_cast<int64_t>(v);
+  }
+  return out;
+}
+
+std::vector<uint32_t> front_correlations(const synth::FrontPlan& plan,
+                                         const std::vector<int64_t>& x) {
+  const size_t n = plan.fmt.total_bits;
+  if (x.size() != plan.inputs)
+    throw std::invalid_argument("front: data size mismatch");
+  std::vector<uint32_t> d(plan.ots());
+  for (size_t p = 0; p < plan.products.size(); ++p) {
+    const auto xv = static_cast<uint32_t>(x[plan.products[p].input]);
+    uint32_t* dp = d.data() + p * n;
+    for (size_t k = 0; k + 1 < n; ++k) dp[k] = xv << k;
+    dp[n - 1] = (0u - xv) << (n - 1);
+  }
+  return d;
+}
+
+BitVec front_choices(const synth::FrontPlan& plan,
+                     const std::vector<int64_t>& w) {
+  const size_t n = plan.fmt.total_bits;
+  if (w.size() != plan.weights)
+    throw std::invalid_argument("front: weight count mismatch");
+  BitVec bits(plan.ots());
+  for (size_t p = 0; p < plan.products.size(); ++p) {
+    const auto wv = static_cast<uint64_t>(w[plan.products[p].weight]);
+    for (size_t k = 0; k < n; ++k) bits[p * n + k] = (wv >> k) & 1u;
+  }
+  return bits;
+}
+
+BitVec client_share_bits(const synth::FrontPlan& plan,
+                         const std::vector<uint32_t>& pads) {
+  return share_bits(plan, product_shares(plan, pads, /*negate=*/true),
+                    std::vector<uint32_t>(plan.neurons(), 0));
+}
+
+BitVec server_share_bits(const synth::FrontPlan& plan,
+                         const std::vector<uint32_t>& received,
+                         const std::vector<int64_t>& w) {
+  std::vector<uint32_t> bias(plan.neurons(), 0);
+  for (size_t j = 0; j < bias.size(); ++j)
+    if (plan.bias[j] != synth::FrontPlan::kNoBias)
+      bias[j] = static_cast<uint32_t>(w[plan.bias[j]]);
+  return share_bits(plan, product_shares(plan, received, /*negate=*/false),
+                    bias);
+}
+
+BitVec front_send(GarblerSession& session, const synth::FrontPlan& plan,
+                  const BitVec& data_bits) {
+  if (data_bits.size() != plan.inputs * plan.fmt.total_bits)
+    throw std::invalid_argument("front: data bit count mismatch");
+  const std::vector<int64_t> x =
+      decode_fixed(data_bits, plan.inputs, plan.fmt);
+  return client_share_bits(
+      plan, session.send_arith(front_correlations(plan, x)));
+}
+
+BitVec front_recv(EvaluatorSession& session, const synth::FrontPlan& plan,
+                  const std::vector<int64_t>& w) {
+  return server_share_bits(plan, session.recv_arith(front_choices(plan, w)),
+                           w);
+}
+
+}  // namespace deepsecure::runtime

@@ -8,6 +8,7 @@
 #include "crypto/hash_backend.h"
 #include "obs/trace.h"
 #include "runtime/frame.h"
+#include "runtime/front.h"
 #include "runtime/reactor.h"
 
 namespace deepsecure::runtime {
@@ -58,23 +59,31 @@ std::string chain_json(const std::vector<Circuit>& chain) {
 
 InferenceServer::InferenceServer(const synth::ModelSpec& spec, BitVec weights,
                                  ServerConfig cfg)
-    // The walked views are the only netlist the server keeps: sessions
-    // garble and evaluate them, and the fingerprint hashes them.
-    : chain_(walk_chain(synth::compile_model_layers(spec))),
-      weights_(std::move(weights)),
-      cfg_(cfg),
-      fingerprint_(chain_fingerprint(chain_)),
-      chain_json_(chain_json(chain_)),
+    : cfg_(cfg),
       listener_(cfg.port, cfg.backlog),
       // The lane listener is always ephemeral: its port travels in the
       // hello ack, so clients never configure it and it cannot collide
       // with a pinned primary port.
       lane_listener_(0, cfg.backlog) {
-  expected_table_bytes_ = material_stream_bytes(chain_);
-  size_t want = 0;
-  for (const Circuit& c : chain_) want += c.evaluator_inputs.size();
-  if (weights_.size() != want)
+  const size_t n = spec.fmt.total_bits;
+  if (weights.size() != synth::model_weight_count(spec) * n)
     throw std::invalid_argument("InferenceServer: weight bit count mismatch");
+  // The walked views of the served chain are the only netlist the
+  // server keeps: sessions garble and evaluate them, and the
+  // fingerprint hashes them with the front plan.
+  synth::ServedModel served = synth::compile_served(spec);
+  served.chain = walk_chain(std::move(served.chain));
+  fingerprint_ = served_fingerprint(served);
+  front_ = std::move(served.front);
+  chain_ = std::move(served.chain);
+  chain_json_ = chain_json(chain_);
+  expected_table_bytes_ = material_stream_bytes(chain_);
+  // Layer 0's weights feed the front; the rest are the static
+  // evaluator inputs of circuits 1..n.
+  front_weights_ = decode_fixed(weights, front_.weights, spec.fmt);
+  chain_weights_.assign(
+      weights.begin() + static_cast<ptrdiff_t>(front_.weights * n),
+      weights.end());
 }
 
 InferenceServer::~InferenceServer() { stop(); }
@@ -112,6 +121,14 @@ const char* InferenceServer::validate_hello(const Hello& hello) const {
   return nullptr;
 }
 
+BitVec InferenceServer::run_front(EvaluatorSession& session) {
+  obs::Span span("server.front");
+  const uint64_t t0 = obs::now_ns();
+  BitVec bits = front_recv(session, front_, front_weights_);
+  h_front_.observe(obs::now_ns() - t0);
+  return bits;
+}
+
 // One kInfer (on-demand byte stream, or the online phase against a
 // prefetched artifact). The pooled path consumes its artifact and
 // returns the budget reservation BEFORE evaluating — one artifact, one
@@ -122,10 +139,15 @@ bool InferenceServer::handle_infer_frame(const Frame& f, BufferedChannel& ch,
   const uint64_t t0 = obs::now_ns();
   const double eval0 = session.trace().sum_eval();
   const double ot0 = trace_ot_seconds(session.trace());
+  uint64_t label_ot_ns = 0;  // pooled share-bit labels (not in the trace)
   if (f.payload.empty()) {
-    // On-demand: the client garbles on the request path.
+    // On-demand: the front, then the client garbles on the request
+    // path; circuit 0's evaluator inputs are this inference's share
+    // bits.
     obs::Span span("server.infer_ondemand");
-    session.run_chain(chain_, weights_);
+    BitVec bits = run_front(session);
+    bits.insert(bits.end(), chain_weights_.begin(), chain_weights_.end());
+    session.run_chain(chain_, bits);
     h_infer_ondemand_.observe(obs::now_ns() - t0);
   } else {
     const uint64_t id = parse_id(f);
@@ -148,12 +170,21 @@ bool InferenceServer::handle_infer_frame(const Frame& f, BufferedChannel& ch,
       return false;
     }
     obs::Span span("server.infer_online");
+    // The front, then the share bits' labels under the artifact's
+    // delta (the prefetch resolved only circuits 1..n's).
+    const BitVec share = run_front(session);
+    const uint64_t l0 = obs::now_ns();
+    const Labels labels = session.recv_fixed_labels(share);
+    label_ot_ns = obs::now_ns() - l0;
+    mat.eval_labels.insert(mat.eval_labels.begin(), labels.begin(),
+                           labels.end());
     session.run_online(chain_, mat);
     h_infer_online_.observe(obs::now_ns() - t0);
     c_inferences_pooled_.add();
   }
   h_eval_.observe(seconds_to_ns(session.trace().sum_eval() - eval0));
-  h_ot_online_.observe(seconds_to_ns(trace_ot_seconds(session.trace()) - ot0));
+  h_ot_online_.observe(
+      seconds_to_ns(trace_ot_seconds(session.trace()) - ot0) + label_ot_ns);
   ch.flush();
   c_inferences_served_.add();
   return true;
@@ -289,11 +320,12 @@ bool InferenceServer::handle_prefetch_push(const Frame& f, BufferedChannel& ch,
         mat.decode_bits.size() != chain_.back().outputs.size()) {
       reject = "prefetched material does not match model chain";
     } else {
-      // Offline OT against the static weight bits, relabelled onto the
-      // artifact's labels — after this the request path has no OT left.
+      // Offline OT against the static weight bits of circuits 1..n,
+      // relabelled onto the artifact's labels; the share circuit's
+      // labels wait for the request's front.
       obs::Span ot_span("server.ot_offline");
       const uint64_t ot0 = obs::now_ns();
-      mat.eval_labels = session.recv_fixed_labels(weights_);
+      mat.eval_labels = session.recv_fixed_labels(chain_weights_);
       h_ot_offline_.observe(obs::now_ns() - ot0);
     }
   } catch (...) {
@@ -395,6 +427,16 @@ std::string InferenceServer::stats_json() const {
                 "\"ot\":{\"gc.ot.transfers\":%llu,\"gc.ot.bytes\":%llu},",
                 ull(g.counter_value("gc.ot.transfers")),
                 ull(g.counter_value("gc.ot.bytes")));
+  // Front block: layer 0's products and the arithmetic OTs and wire
+  // bytes of one inference's front (server u columns + client 4 B/OT).
+  const uint64_t ots = front_.ots();
+  char front[192];
+  std::snprintf(front, sizeof(front),
+                "\"front\":{\"products\":%llu,\"ots\":%llu,"
+                "\"bytes\":%llu,\"share_bits\":%llu},",
+                ull(front_.products.size()), ull(ots),
+                ull(ots > 0 ? 8 + 128 * ((ots + 7) / 8) + 4 * ots : 0),
+                ull(front_.share_bits()));
   char head[384];
   std::snprintf(head, sizeof(head),
                 "{\"sessions_active\":%llu,"
@@ -409,6 +451,7 @@ std::string InferenceServer::stats_json() const {
   out += chain_json_;
   out += resil;
   out += ot;
+  out += front;
   out += "\"metrics\":";
   out += s.to_json();
   out += "}";

@@ -47,7 +47,7 @@
 #include "obs/metrics.h"
 #include "runtime/frame.h"
 #include "runtime/streaming.h"
-#include "synth/layer_circuits.h"
+#include "synth/served.h"
 
 namespace deepsecure::runtime {
 
@@ -112,9 +112,11 @@ struct ServerConfig {
 
 class InferenceServer {
  public:
-  /// Compiles `spec` into the per-layer chain once; `weights` are the
-  /// server's private parameter bits in evaluator-input order (see
-  /// weight_bits() in core/deepsecure.h).
+  /// Compiles `spec`'s served chain (synth/served.h) once; `weights`
+  /// are the server's private parameter bits in the reference weight
+  /// order, model_weight_count(spec) words (see weight_bits() in
+  /// core/deepsecure.h). Layer 0's feed the front (runtime/front.h),
+  /// the rest circuits 1..n.
   InferenceServer(const synth::ModelSpec& spec, BitVec weights,
                   ServerConfig cfg = {});
   ~InferenceServer();
@@ -167,11 +169,15 @@ class InferenceServer {
   /// This server's full observability surface as one JSON object:
   /// {"sessions_active","prefetch_bytes","hash_backend",
   ///  "cpu_features","accounting":{...},"chain":{...},"resilience":{...},
-  ///  "metrics":{counters,gauges,hists}}. The chain block, fixed at
+  ///  "ot":{...},"front":{...},"metrics":{counters,gauges,hists}}. The chain block, fixed at
   /// construction, sizes the one netlist the server holds — its largest
   /// allocation: {"circuits","gates","and_gates","label_slots" (sum of
   /// the walked views' num_wires),"netlist_bytes" (gate lists plus
-  /// interface vectors)}. The accounting block sums the
+  /// interface vectors)}. The front block sizes one inference's
+  /// layer-0 front: {"products","ots","bytes" (both directions),
+  /// "share_bits" (each party's share-circuit inputs)}, so comm per
+  /// inference reads as tables + label OT + arithmetic OT + labels.
+  /// The accounting block sums the
   /// non-overlapping per-phase histograms (handshake, recv_wait,
   /// infer_*, prefetch_push, parked, dispatch) against session_wall, so
   /// a scaling sweep can say WHERE each session-second went — the
@@ -205,6 +211,9 @@ class InferenceServer {
   // --- protocol steps the reactor drives -----------------------------
   /// Handshake validation; nullptr = accept, else the kError reason.
   const char* validate_hello(const Hello& hello) const;
+  /// The layer-0 front of one inference: the share circuit's
+  /// evaluator-input bits.
+  BitVec run_front(EvaluatorSession& session);
   /// One kInfer frame (on-demand or pooled). Returns false when the
   /// connection must close (kError already sent).
   bool handle_infer_frame(const Frame& f, BufferedChannel& ch,
@@ -230,8 +239,10 @@ class InferenceServer {
   /// and knows not to settle again.
   void settle_session_state(SessionState& state);
 
-  std::vector<Circuit> chain_;
-  BitVec weights_;
+  synth::FrontPlan front_;
+  std::vector<Circuit> chain_;          // served chain, walked
+  std::vector<int64_t> front_weights_;  // layer-0 weights (the front's)
+  BitVec chain_weights_;                // circuits 1..n's evaluator inputs
   ServerConfig cfg_;
   uint64_t fingerprint_ = 0;
   std::string chain_json_;  // stats_json's "chain" block, fixed at set-up
@@ -290,6 +301,7 @@ class InferenceServer {
   // Sub-phases nested inside the above (informational, not summed).
   obs::Histogram& h_ot_offline_ = metrics_.histogram("subphase.ot_offline");
   obs::Histogram& h_ot_online_ = metrics_.histogram("subphase.ot_online");
+  obs::Histogram& h_front_ = metrics_.histogram("subphase.front");
   obs::Histogram& h_eval_ = metrics_.histogram("subphase.eval");
   // Per-session transport byte totals (bytes observations).
   obs::Histogram& h_session_bytes_in_ =

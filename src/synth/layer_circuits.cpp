@@ -223,11 +223,17 @@ Circuit compile_model(const ModelSpec& spec) {
   return b.build();
 }
 
-std::vector<Circuit> compile_model_layers(const ModelSpec& spec) {
+std::vector<Circuit> compile_model_layers(const ModelSpec& spec,
+                                          size_t first) {
   std::vector<Circuit> out;
   Shape3 shape = spec.input;
   size_t idx = 0;
   for (const auto& layer : spec.layers) {
+    if (idx < first) {
+      shape = layer_output_shape(shape, layer);
+      ++idx;
+      continue;
+    }
     Builder b(spec.name + ".layer" + std::to_string(idx++));
     Compiler c{b, spec.fmt};
     // Activations arrive as garbler-class inputs; the protocol driver

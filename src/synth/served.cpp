@@ -1,0 +1,132 @@
+#include "synth/served.h"
+
+#include <stdexcept>
+
+#include "synth/int_blocks.h"
+
+namespace deepsecure::synth {
+namespace {
+
+// Carry out of a + y (equal widths): the adder's carry chain alone,
+// c' = c ^ ((a ^ c) & (y ^ c)), one AND per bit. The first AND reads
+// two inputs; with y the evaluator's, it ships one row.
+Wire carry_out(Builder& b, const Bus& a, const Bus& y) {
+  Wire c = kConst0;
+  for (size_t i = 0; i < a.size(); ++i)
+    c = b.xor_(c, b.and_(b.xor_(a[i], c), b.xor_(y[i], c)));
+  return c;
+}
+
+// Number of set wires, little-endian. Per weight, full adders (one AND
+// each) take the column three wires at a time, oldest first, until at
+// most two are left; a pair takes a half adder. Carries form the next
+// weight's column.
+Bus popcount(Builder& b, Bus col) {
+  Bus out;
+  while (!col.empty()) {
+    Bus next;
+    size_t i = 0;
+    for (; col.size() - i >= 3; i += 3) {
+      const Wire x = col[i], y = col[i + 1], z = col[i + 2];
+      const Wire xz = b.xor_(x, z);
+      col.push_back(b.xor_(xz, y));
+      next.push_back(b.xor_(z, b.and_(xz, b.xor_(y, z))));
+    }
+    if (col.size() - i == 2) {
+      next.push_back(b.and_(col[i], col[i + 1]));
+      out.push_back(b.xor_(col[i], col[i + 1]));
+    } else {
+      out.push_back(col[i]);
+    }
+    col = std::move(next);
+  }
+  return out;
+}
+
+}  // namespace
+
+FrontPlan front_plan(const Shape3& in, const LayerSpec& layer,
+                     FixedFormat fmt) {
+  FrontPlan plan;
+  plan.fmt = fmt;
+  plan.inputs = in.flat();
+  plan.weights = layer_weight_count(in, layer);
+  plan.first.push_back(0);
+  auto add = [&](size_t input, size_t weight) {
+    plan.products.push_back({static_cast<uint32_t>(input),
+                             static_cast<uint32_t>(weight)});
+  };
+  if (const auto* fc = std::get_if<FcLayer>(&layer)) {
+    if (!fc->mask.empty() && fc->mask.size() != plan.inputs * fc->out)
+      throw std::invalid_argument("FC mask size mismatch");
+    size_t w = 0;
+    for (size_t o = 0; o < fc->out; ++o) {
+      for (size_t i = 0; i < plan.inputs; ++i)
+        if (fc->mask.empty() || fc->mask[o * plan.inputs + i]) add(i, w++);
+      plan.first.push_back(static_cast<uint32_t>(plan.products.size()));
+    }
+    for (size_t o = 0; o < fc->out; ++o)
+      plan.bias.push_back(fc->has_bias ? static_cast<uint32_t>(w + o)
+                                       : FrontPlan::kNoBias);
+  } else if (const auto* conv = std::get_if<ConvLayer>(&layer)) {
+    const Shape3 out = layer_output_shape(in, layer);
+    const size_t k = conv->k;
+    const size_t kernel = conv->out_ch * in.c * k * k;
+    for (size_t oc = 0; oc < conv->out_ch; ++oc)
+      for (size_t oy = 0; oy < out.h; ++oy)
+        for (size_t ox = 0; ox < out.w; ++ox) {
+          for (size_t ic = 0; ic < in.c; ++ic)
+            for (size_t ky = 0; ky < k; ++ky)
+              for (size_t kx = 0; kx < k; ++kx)
+                add((ic * in.h + oy * conv->stride + ky) * in.w +
+                        ox * conv->stride + kx,
+                    ((oc * in.c + ic) * k + ky) * k + kx);
+          plan.first.push_back(static_cast<uint32_t>(plan.products.size()));
+          plan.bias.push_back(conv->has_bias
+                                  ? static_cast<uint32_t>(kernel + oc)
+                                  : FrontPlan::kNoBias);
+        }
+  } else {
+    throw std::invalid_argument("front_plan: layer 0 must be FC or conv");
+  }
+  return plan;
+}
+
+Circuit share_circuit(const FrontPlan& plan, const std::string& name) {
+  const size_t n = plan.fmt.total_bits;
+  const size_t f = plan.fmt.frac_bits;
+  if (n + f > 32)
+    throw std::invalid_argument("share_circuit: products exceed 32 bits");
+  Builder b(name);
+  const size_t m = plan.products.size();
+  std::vector<Bus> c_lo(m), c_sum(plan.neurons());
+  std::vector<Bus> s_lo(m), s_sum(plan.neurons());
+  for (Bus& bus : c_lo) bus = input_bus(b, Party::kGarbler, f);
+  for (Bus& bus : c_sum) bus = input_bus(b, Party::kGarbler, n);
+  for (Bus& bus : s_lo) bus = input_bus(b, Party::kEvaluator, f);
+  for (Bus& bus : s_sum) bus = input_bus(b, Party::kEvaluator, n);
+  for (size_t j = 0; j < plan.neurons(); ++j) {
+    // One lane per neuron, as in the reference layer.
+    b.set_lane(static_cast<uint32_t>(j));
+    Bus carries;
+    for (size_t p = plan.first[j]; p < plan.first[j + 1]; ++p)
+      carries.push_back(carry_out(b, c_lo[p], s_lo[p]));
+    Bus count = popcount(b, carries);
+    count = count.size() >= n ? truncate(count, n) : zero_extend(b, count, n);
+    b.outputs(add(b, add(b, c_sum[j], s_sum[j]), count));
+  }
+  return b.build();
+}
+
+ServedModel compile_served(const ModelSpec& spec) {
+  if (spec.layers.empty())
+    throw std::invalid_argument("compile_served: empty model");
+  ServedModel m;
+  m.front = front_plan(spec.input, spec.layers.front(), spec.fmt);
+  m.chain.push_back(share_circuit(m.front, spec.name + ".front"));
+  for (Circuit& c : compile_model_layers(spec, 1))
+    m.chain.push_back(std::move(c));
+  return m;
+}
+
+}  // namespace deepsecure::synth

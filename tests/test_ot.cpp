@@ -151,8 +151,108 @@ TEST(OtExtension, UnreadyThrows) {
   auto pair = make_channel_pair();
   OtExtSender sender(*pair.a);
   EXPECT_THROW(sender.send_correlated(1, Block{0, 1}), std::logic_error);
+  EXPECT_THROW(sender.send_arith({1}), std::logic_error);
   OtExtReceiver receiver(*pair.b);
   EXPECT_THROW(receiver.recv_correlated({1}), std::logic_error);
+  EXPECT_THROW(receiver.recv_arith({1}), std::logic_error);
+}
+
+// ---------------------------------------------------------------------
+// Arithmetic OT (Gilboa's OT multiplication): the receiver learns
+// pad + b*delta mod 2^32. Several batches on one setup, interleaved with
+// label batches, so both kinds share the column PRGs and tweak counter.
+
+TEST(OtArith, PadPlusChoiceTimesDeltaInterleavedWithLabels) {
+  Rng rng(7);
+  Block label_delta{rng.next_u64(), rng.next_u64()};
+  label_delta.lo |= 1;
+  const std::vector<size_t> sizes = {1, 16, 1000, 129, 4096};
+  std::vector<std::vector<uint32_t>> deltas;
+  std::vector<BitVec> choices;
+  for (const size_t m : sizes) {
+    deltas.emplace_back(m);
+    choices.emplace_back(m);
+    for (size_t j = 0; j < m; ++j) {
+      deltas.back()[j] = static_cast<uint32_t>(rng.next_u64());
+      choices.back()[j] = rng.next_bool() ? 1 : 0;
+    }
+  }
+  // Edge correlations: 0, 1, and the top of the ring.
+  deltas[1][0] = 0;
+  deltas[1][1] = 1;
+  deltas[1][2] = ~uint32_t{0};
+
+  std::vector<std::vector<uint32_t>> pads, got;
+  std::vector<Block> zeros, labels;
+  const BitVec label_choices = {1, 0, 1, 1, 0};
+  run_two_party(
+      [&](Channel& ch) {
+        Prg prg(Block{77, 0});
+        OtExtSender sender(ch);
+        sender.setup(prg);
+        for (size_t b = 0; b < sizes.size(); ++b) {
+          pads.push_back(sender.send_arith(deltas[b]));
+          if (b == 2) zeros = sender.send_correlated(5, label_delta);
+        }
+      },
+      [&](Channel& ch) {
+        Prg prg(Block{88, 0});
+        OtExtReceiver receiver(ch);
+        receiver.setup(prg);
+        for (size_t b = 0; b < sizes.size(); ++b) {
+          got.push_back(receiver.recv_arith(choices[b]));
+          if (b == 2) labels = receiver.recv_correlated(label_choices);
+        }
+      });
+
+  ASSERT_EQ(got.size(), sizes.size());
+  for (size_t b = 0; b < sizes.size(); ++b) {
+    ASSERT_EQ(pads[b].size(), sizes[b]);
+    ASSERT_EQ(got[b].size(), sizes[b]);
+    for (size_t j = 0; j < sizes[b]; ++j)
+      EXPECT_EQ(got[b][j],
+                pads[b][j] + (choices[b][j] ? deltas[b][j] : 0u))
+          << "batch " << b << " j=" << j;
+  }
+  for (size_t j = 0; j < label_choices.size(); ++j)
+    EXPECT_EQ(labels[j], label_choices[j] ? zeros[j] ^ label_delta : zeros[j]);
+  // Fresh pads per OT and per batch.
+  EXPECT_NE(pads[2][0], pads[2][1]);
+  EXPECT_NE(pads[2][0], pads[3][0]);
+}
+
+// Exact wire cost of one arithmetic batch: the receiver's batch size and
+// packed columns as for labels, then 4 B per OT from the sender. The
+// receiver counts the batch in gc.ot.transfers / gc.ot.bytes.
+TEST(OtArith, ExactWireBytesPerBatch) {
+  for (const size_t m : {size_t{1}, size_t{16}, size_t{129}, size_t{81312}}) {
+    uint64_t sender_bytes = 0, receiver_bytes = 0, transfers = 0, bytes = 0;
+    run_two_party(
+        [&](Channel& ch) {
+          Prg prg(Block{55, m});
+          OtExtSender sender(ch);
+          sender.setup(prg);
+          const uint64_t b0 = ch.bytes_sent();
+          sender.send_arith(std::vector<uint32_t>(m, 3));
+          sender_bytes = ch.bytes_sent() - b0;
+        },
+        [&](Channel& ch) {
+          Prg prg(Block{66, m});
+          OtExtReceiver receiver(ch);
+          receiver.setup(prg);
+          const uint64_t b0 = ch.bytes_sent();
+          const uint64_t t0 = otstat::transfers().value();
+          const uint64_t c0 = otstat::bytes().value();
+          receiver.recv_arith(BitVec(m, 1));
+          receiver_bytes = ch.bytes_sent() - b0;
+          transfers = otstat::transfers().value() - t0;
+          bytes = otstat::bytes().value() - c0;
+        });
+    EXPECT_EQ(receiver_bytes, 8 + kOtExtKappa * ((m + 7) / 8)) << "m=" << m;
+    EXPECT_EQ(sender_bytes, 4 * m) << "m=" << m;
+    EXPECT_EQ(transfers, m);
+    EXPECT_EQ(bytes, receiver_bytes + sender_bytes);
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -2,7 +2,10 @@
 // deterministic chaos plans (net/fault_channel.h), client reconnect
 // with backoff and material poisoning (runtime/client.h), server load
 // shedding (kBusy) and frame-parser hardening.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -461,6 +464,176 @@ TEST(ServerResilience, ClientRecoversAcrossServerRestartWithFreshMaterial) {
   server2->stop();
   EXPECT_EQ(server2->prefetch_bytes(), 0u);
   EXPECT_GE(server2->inferences_served(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// Faults inside the layer-0 front (runtime/front.h): the arithmetic-OT
+// round trip every kInfer opens with.
+// ---------------------------------------------------------------------
+
+// A peer that stops halfway through its front reply and hangs up its
+// sending side gets a coded kError naming the failure, not a silent
+// drop; the server keeps serving.
+TEST(ServerResilience, TruncatedFrontReplyEndsInCodedError) {
+  const synth::ModelSpec spec = small_spec();
+  Rng rng(79);
+  const BitVec weights = random_weights(spec, rng);
+  runtime::InferenceServer server(spec, weights);
+  server.start();
+  const synth::ServedModel served = synth::compile_served(spec);
+  const size_t m = served.front.ots();
+
+  {
+    TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
+    raw.set_recv_timeout_ms(5000);
+    runtime::Hello hello;
+    hello.fingerprint = runtime::served_fingerprint(served);
+    runtime::send_hello(raw, hello);
+    ASSERT_EQ(runtime::recv_frame(raw).type, runtime::FrameType::kHelloAck);
+    runtime::send_frame(raw, runtime::FrameType::kInfer);
+    // The session's base OTs (an empty label batch runs only the
+    // setup), then the server's front: batch size and u columns.
+    GarblerSession session(raw, Block{79, 1});
+    session.send_fixed_labels({}, Block{0, 1});
+    ASSERT_EQ(raw.recv_u64(), m);
+    std::vector<uint8_t> columns(kOtExtKappa * ((m + 7) / 8));
+    raw.recv_bytes(columns.data(), columns.size());
+    // Half of the 4 B-per-OT reply, then EOF on the server's read.
+    const std::vector<uint8_t> half(2 * m, 0x5a);
+    raw.send_bytes(half.data(), half.size());
+    ASSERT_EQ(::shutdown(raw.fd(), SHUT_WR), 0);
+    uint8_t type = 0;
+    uint32_t len = 0;
+    raw.recv_bytes(&type, 1);
+    raw.recv_bytes(&len, 4);
+    ASSERT_EQ(type, static_cast<uint8_t>(runtime::FrameType::kError));
+    ASSERT_GT(len, 1u);
+    std::vector<uint8_t> payload(len);
+    raw.recv_bytes(payload.data(), len);
+    EXPECT_EQ(payload[0], static_cast<uint8_t>(runtime::ErrorCode::kMalformed));
+  }
+
+  const BitVec data = random_sample(rng);
+  runtime::InferenceClient client("127.0.0.1", server.port(), spec);
+  EXPECT_EQ(from_bits(client.infer_bits(data)),
+            plaintext_label(spec, weights, data));
+  client.close();
+  server.stop();
+  EXPECT_EQ(server.inferences_served(), 1u);
+}
+
+// Loopback relay between a client and the server. Connection 0 is cut
+// in the middle of the client's front reply — the bytes right after its
+// on-demand kInfer frame — by closing both sides; later connections
+// relay untouched.
+class FrontCutRelay {
+ public:
+  FrontCutRelay(uint16_t server_port, size_t cut_after)
+      : server_port_(server_port), cut_after_(cut_after) {
+    accept_ = std::thread([this] {
+      for (size_t conn = 0;; ++conn) {
+        int client_fd = -1, server_fd = -1;
+        try {
+          TcpChannel c = listener_.accept();
+          TcpChannel s = TcpChannel::connect("127.0.0.1", server_port_);
+          client_fd = blocking_dup(c.fd());
+          server_fd = blocking_dup(s.fd());
+        } catch (const std::exception&) {
+          return;  // listener closed
+        }
+        fds_.push_back(client_fd);
+        fds_.push_back(server_fd);
+        const bool cut = conn == 0;
+        pumps_.emplace_back([=, this] { pump(client_fd, server_fd, cut); });
+        pumps_.emplace_back([=, this] { pump(server_fd, client_fd, false); });
+      }
+    });
+  }
+  ~FrontCutRelay() {
+    listener_.close();
+    accept_.join();
+    for (int fd : fds_) ::shutdown(fd, SHUT_RDWR);
+    for (auto& t : pumps_) t.join();
+    for (int fd : fds_) ::close(fd);
+  }
+  uint16_t port() const { return listener_.port(); }
+  bool cut() const { return cut_done_.load(); }
+
+ private:
+  static int blocking_dup(int fd) {
+    const int d = ::dup(fd);
+    ::fcntl(d, F_SETFL, ::fcntl(d, F_GETFL) & ~O_NONBLOCK);
+    return d;
+  }
+
+  // Copies `from` -> `to` until either side closes. With `cut`, watches
+  // for the on-demand kInfer frame [3][0 0 0 0] and closes both sockets
+  // `cut_after_` bytes past it.
+  void pump(int from, int to, bool cut) {
+    static constexpr uint8_t kInfer[5] = {3, 0, 0, 0, 0};
+    size_t matched = 0, after = 0;
+    uint8_t buf[4096];
+    for (;;) {
+      const ssize_t n = ::recv(from, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      size_t fwd = static_cast<size_t>(n);
+      bool stop = false;
+      for (size_t i = 0; cut && i < static_cast<size_t>(n); ++i) {
+        if (matched < sizeof(kInfer)) {
+          matched = buf[i] == kInfer[matched] ? matched + 1
+                                              : (buf[i] == kInfer[0] ? 1 : 0);
+        } else if (++after == cut_after_) {
+          fwd = i + 1;
+          stop = true;
+          break;
+        }
+      }
+      if (::send(to, buf, fwd, MSG_NOSIGNAL) < 0) break;
+      if (stop) {
+        cut_done_ = true;
+        ::shutdown(from, SHUT_RDWR);
+        ::shutdown(to, SHUT_RDWR);
+        return;
+      }
+    }
+    ::shutdown(to, SHUT_WR);
+  }
+
+  uint16_t server_port_;
+  size_t cut_after_;
+  TcpListener listener_{0};
+  std::atomic<bool> cut_done_{false};
+  std::vector<int> fds_;  // the accept thread's until it is joined
+  std::vector<std::thread> pumps_;
+  std::thread accept_;
+};
+
+// The connection dies in the middle of the front: both parties see it,
+// the client rebuilds its session (reconnect, handshake, fresh OT
+// setup) and the retried inference answers correctly.
+TEST(ServerResilience, ClientRecoversFromConnectionLossMidFront) {
+  const synth::ModelSpec spec = small_spec();
+  Rng rng(83);
+  const BitVec weights = random_weights(spec, rng);
+  runtime::InferenceServer server(spec, weights);
+  server.start();
+  const size_t m = synth::compile_served(spec).front.ots();
+  FrontCutRelay relay(server.port(), /*cut_after=*/2 * m);  // half of 4m B
+
+  runtime::ClientConfig ccfg;
+  ccfg.seed = Block{8383, 5};
+  ccfg.max_retries = 5;
+  ccfg.backoff_base_ms = 1;
+  runtime::InferenceClient client("127.0.0.1", relay.port(), spec, ccfg);
+  const BitVec data = random_sample(rng);
+  EXPECT_EQ(from_bits(client.infer_bits(data)),
+            plaintext_label(spec, weights, data));
+  EXPECT_TRUE(relay.cut());
+  EXPECT_EQ(client.sessions_recovered(), 1u);
+  EXPECT_GE(client.retries(), 1u);
+  client.close();
+  server.stop();
+  EXPECT_EQ(server.inferences_served(), 1u);
 }
 
 }  // namespace

@@ -592,7 +592,7 @@ TEST(RuntimeFrame, RoundTripAndErrorPropagation) {
   runtime::send_hello(*pair.a, h);
   const runtime::Hello back = runtime::parse_hello(runtime::recv_frame(*pair.b));
   EXPECT_EQ(back.magic, runtime::kProtocolMagic);
-  EXPECT_EQ(back.version, 7u);  // v7: one-block correlated OT
+  EXPECT_EQ(back.version, 8u);  // v8: layer 0 by OT multiplication
   EXPECT_EQ(back.fingerprint, h.fingerprint);
   EXPECT_TRUE(back.flags.framed_tables);
 

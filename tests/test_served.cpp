@@ -1,0 +1,156 @@
+// Served differential: answers of the runtime (front + served chain,
+// on demand and pooled) against the plaintext reference chain
+// (Circuit::eval over compile_model_layers), on a small MLP and on the
+// paper's pre-processed Benchmark 3; and the exact wire bytes of one
+// b3_pp on-demand inference.
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+#include "core/benchmark_zoo.h"
+#include "obs/metrics.h"
+#include "runtime/client.h"
+#include "runtime/server.h"
+#include "support/rng.h"
+#include "test_util.h"
+
+namespace deepsecure {
+namespace {
+
+using test::pack_fixed;
+using test::random_fixed;
+
+synth::ModelSpec mlp_spec() {
+  synth::ModelSpec spec;
+  spec.name = "mlp";
+  spec.input = synth::Shape3{1, 1, 8};
+  spec.layers.push_back(synth::FcLayer{6, {}, true});
+  spec.layers.push_back(synth::ActLayer{synth::ActKind::kReLU});
+  spec.layers.push_back(synth::FcLayer{3, {}, true});
+  spec.layers.push_back(synth::ArgmaxLayer{});
+  return spec;
+}
+
+const synth::ModelSpec& b3pp_spec() {
+  static const synth::ModelSpec spec = core::paper_zoo()[2].compact;
+  return spec;
+}
+
+struct Model {
+  synth::ModelSpec spec;
+  BitVec weights;
+  std::vector<BitVec> samples;
+  std::vector<Circuit> reference;
+
+  // The reference chain's answer: layer by layer, each layer's weights
+  // in order.
+  BitVec plain(const BitVec& data) const {
+    BitVec bits = data;
+    size_t used = 0;
+    for (const Circuit& c : reference) {
+      const auto first = weights.begin() + static_cast<ptrdiff_t>(used);
+      used += c.evaluator_inputs.size();
+      bits = c.eval(bits, BitVec(first, weights.begin() +
+                                            static_cast<ptrdiff_t>(used)));
+    }
+    return bits;
+  }
+};
+
+Model make_model(const synth::ModelSpec& spec, size_t samples, uint64_t seed) {
+  Model m;
+  m.spec = spec;
+  Rng rng(seed);
+  std::vector<Fixed> w;
+  for (size_t i = 0; i < synth::model_weight_count(spec); ++i)
+    w.push_back(random_fixed(rng, spec.fmt, 0.2));
+  // The ring's corners ride along in the first products.
+  w[0] = Fixed(-32768, spec.fmt);
+  w[1] = Fixed(32767, spec.fmt);
+  m.weights = pack_fixed(w);
+  for (size_t s = 0; s < samples; ++s) {
+    std::vector<Fixed> x;
+    for (size_t i = 0; i < spec.input.flat(); ++i)
+      x.push_back(random_fixed(rng, spec.fmt, 0.4));
+    if (s == 0) x[0] = Fixed(32767, spec.fmt);
+    m.samples.push_back(pack_fixed(x));
+  }
+  m.reference = synth::compile_model_layers(spec);
+  return m;
+}
+
+const Model& b3pp_model() {
+  static const Model m = make_model(b3pp_spec(), 3, 301);
+  return m;
+}
+
+// On demand, one by one on a pooled session, and pipelined three deep:
+// every answer equals the reference chain's.
+void expect_served_answers_match(const Model& m) {
+  runtime::InferenceServer server(m.spec, m.weights);
+  server.start();
+  {
+    runtime::InferenceClient ondemand("127.0.0.1", server.port(), m.spec);
+    for (const BitVec& x : m.samples)
+      EXPECT_EQ(ondemand.infer_bits(x), m.plain(x)) << m.spec.name;
+    ondemand.close();
+  }
+  {
+    runtime::ClientConfig cfg;
+    cfg.pool_target = 3;
+    cfg.auto_top_up = false;
+    runtime::InferenceClient pooled("127.0.0.1", server.port(), m.spec, cfg);
+    pooled.prefetch(3);
+    for (size_t s = 0; s < 3; ++s)
+      pooled.begin_infer_bits(m.samples[s % m.samples.size()]);
+    for (size_t s = 0; s < 3; ++s)
+      EXPECT_EQ(pooled.finish_infer(), m.plain(m.samples[s % m.samples.size()]))
+          << m.spec.name << " pipelined " << s;
+    pooled.prefetch(1);
+    EXPECT_EQ(pooled.infer_bits(m.samples[0]), m.plain(m.samples[0]))
+        << m.spec.name;
+    EXPECT_EQ(pooled.pooled_inferences(), 4u);
+    pooled.close();
+  }
+  server.stop();
+  EXPECT_EQ(server.inferences_pooled(), 4u);
+}
+
+TEST(ServedDifferential, MlpOnDemandAndPooledMatchReferenceChain) {
+  expect_served_answers_match(make_model(mlp_spec(), 6, 17));
+}
+
+TEST(ServedDifferential, B3ppOnDemandAndPooledMatchReferenceChain) {
+  expect_served_answers_match(b3pp_model());
+}
+
+// Wire bytes of one b3_pp on-demand inference, both directions: the
+// front's arithmetic OTs (81,312 x 20 B + 8 B), the label OTs of 61,784
+// share bits and 1,326 static weights' bits (32 B each + headers), the
+// client's 61,784 share-bit labels, the share circuit's and layers 1-2's
+// tables, and the frames. A return to the garbled Booth layer 0 (58 MB)
+// fails here.
+TEST(ServedBytes, B3ppOnDemandInferencePinned) {
+  const Model& m = b3pp_model();
+  obs::Counter& out = obs::Registry::global().counter("net.tcp.bytes_out");
+  // Whole sessions (handshake, OT setup, n inferences, goodbye) on a
+  // server stopped before the count is read, so every send is counted;
+  // one inference is the difference of two such sessions.
+  const auto session_bytes = [&](size_t inferences) {
+    const uint64_t before = out.value();
+    runtime::InferenceServer server(m.spec, m.weights);
+    server.start();
+    runtime::InferenceClient client("127.0.0.1", server.port(), m.spec);
+    for (size_t i = 0; i < inferences; ++i)
+      EXPECT_EQ(client.infer_bits(m.samples[i]), m.plain(m.samples[i]));
+    client.close();
+    server.stop();
+    return out.value() - before;
+  };
+  const uint64_t one = session_bytes(1);
+  EXPECT_EQ(session_bytes(2) - one, 15446990u);
+}
+
+}  // namespace
+}  // namespace deepsecure

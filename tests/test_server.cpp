@@ -148,7 +148,7 @@ long long json_int(const std::string& js, const std::string& key) {
   return end == begin ? -1 : v;
 }
 
-// The "chain" block sizes the walked chain the server holds.
+// The "chain" block sizes the walked served chain the server holds.
 TEST(InferenceServerTest, StatsJsonSizesTheWalkedChain) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(23);
@@ -161,7 +161,7 @@ TEST(InferenceServerTest, StatsJsonSizesTheWalkedChain) {
   const std::string block = js.substr(at, close - at + 1);
 
   const std::vector<Circuit> walked =
-      walk_chain(synth::compile_model_layers(spec));
+      walk_chain(synth::compile_served(spec).chain);
   long long gates = 0, and_gates = 0, slots = 0;
   for (const Circuit& c : walked) {
     gates += static_cast<long long>(c.gates.size());
@@ -243,6 +243,36 @@ TEST(InferenceServerTest, RejectsFingerprintMismatch) {
   EXPECT_EQ(server.sessions_rejected(), 1u);
 }
 
+// Two FC masks with the same number of terms per neuron compile to the
+// same served chain (the share circuit sees only the counts) but share
+// different products: the front plan in the fingerprint tells them
+// apart, so the handshake fails instead of the answers.
+TEST(InferenceServerTest, RejectsFrontPlanMismatch) {
+  auto masked = [](size_t shift) {
+    synth::ModelSpec spec = small_spec();
+    synth::FcLayer fc{4, std::vector<uint8_t>(20, 0), true};
+    for (size_t o = 0; o < 4; ++o)
+      for (size_t i = 0; i < 3; ++i) fc.mask[o * 5 + (i + shift) % 5] = 1;
+    spec.layers[0] = fc;
+    return spec;
+  };
+  const synth::ModelSpec a = masked(0), b = masked(1);
+  const synth::ServedModel sa = synth::compile_served(a);
+  const synth::ServedModel sb = synth::compile_served(b);
+  ASSERT_EQ(runtime::chain_fingerprint(sa.chain),
+            runtime::chain_fingerprint(sb.chain));
+  ASSERT_NE(runtime::served_fingerprint(sa), runtime::served_fingerprint(sb));
+
+  Rng rng(33);
+  runtime::InferenceServer server(a, random_weights(a, rng));
+  server.start();
+  EXPECT_THROW(
+      { runtime::InferenceClient client("127.0.0.1", server.port(), b); },
+      std::runtime_error);
+  server.stop();
+  EXPECT_EQ(server.sessions_rejected(), 1u);
+}
+
 // Global prefetch byte budget (shared across sessions): with room for
 // exactly one artifact, a second session's push is rejected even though
 // its per-session quota is untouched; consuming/closing releases the
@@ -252,9 +282,10 @@ TEST(InferenceServerTest, GlobalPrefetchByteBudgetSharedAcrossSessions) {
   Rng rng(67);
   const BitVec weights = random_weights(spec, rng);
 
-  // One artifact's table stream: constants + half-gate tables per layer
-  // (same arithmetic as the server's push-time size check).
-  const auto chain = synth::compile_model_layers(spec);
+  // One artifact's table stream: constants + half-gate tables per
+  // circuit of the served chain (same arithmetic as the server's
+  // push-time size check).
+  const auto chain = synth::compile_served(spec).chain;
   uint64_t artifact_bytes = 0;
   for (const Circuit& c : chain)
     artifact_bytes += 2 * sizeof(Block) + c.stats().table_bytes();
@@ -332,9 +363,12 @@ TEST(InferenceServerTest, EvaluatorThreadsServeCorrectInferences) {
   server.stop();
 }
 
-// The "ot" block accounts for the label OTs of an on-demand inference:
-// one transfer per weight bit, and exactly the batches' wire bytes.
-TEST(InferenceServerTest, StatsJsonCountsLabelOts) {
+// The "ot" block accounts for the OTs of an on-demand inference: one
+// label OT per evaluator input of the served chain (share bits and
+// static weight bits) and one arithmetic OT per weight bit of every
+// layer-0 product, and exactly the batches' wire bytes. The "front"
+// block sizes the arithmetic part.
+TEST(InferenceServerTest, StatsJsonCountsLabelAndFrontOts) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(29);
   const BitVec weights = random_weights(spec, rng);
@@ -352,30 +386,41 @@ TEST(InferenceServerTest, StatsJsonCountsLabelOts) {
   server.stop();
   const std::string after = server.stats_json();
 
-  long long bytes = 0;
-  for (const Circuit& c : synth::compile_model_layers(spec)) {
+  const synth::ServedModel served = synth::compile_served(spec);
+  long long transfers = 0, bytes = 0;
+  for (const Circuit& c : served.chain) {
     const auto n = static_cast<long long>(c.evaluator_inputs.size());
     if (n > 0) bytes += 8 + 128 * ((n + 7) / 8) + 16 * n;
+    transfers += n;
   }
+  const auto m = static_cast<long long>(served.front.ots());
+  ASSERT_EQ(m, 4 * 5 * 16);  // 20 products, 16 weight bits each
+  const long long front_bytes = 8 + 128 * ((m + 7) / 8) + 4 * m;
   EXPECT_EQ(json_int(after, "gc.ot.transfers") -
                 json_int(before, "gc.ot.transfers"),
-            static_cast<long long>(weights.size()));
+            transfers + m);
   EXPECT_EQ(json_int(after, "gc.ot.bytes") - json_int(before, "gc.ot.bytes"),
-            bytes);
+            bytes + front_bytes);
+  EXPECT_EQ(json_int(after, "products"), 20);
+  EXPECT_EQ(json_int(after, "ots"), m);
+  EXPECT_EQ(json_int(after, "bytes"), front_bytes);
+  EXPECT_EQ(json_int(after, "share_bits"),
+            static_cast<long long>(served.front.share_bits()));
 }
 
 // A peer that would stream unframed tables (hello flag bit 0 clear) is
 // rejected at the handshake even with the right fingerprint.
 TEST(InferenceServerTest, RejectsFramingMismatch) {
   const synth::ModelSpec spec = small_spec();
-  const auto chain = synth::compile_model_layers(spec);
+  const uint64_t fingerprint =
+      runtime::served_fingerprint(synth::compile_served(spec));
   Rng rng(37);
   runtime::InferenceServer server(spec, random_weights(spec, rng));
   server.start();
 
   TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
   runtime::Hello hello;
-  hello.fingerprint = runtime::chain_fingerprint(chain);
+  hello.fingerprint = fingerprint;
   hello.flags.framed_tables = false;
   runtime::send_hello(raw, hello);
   EXPECT_THROW(
@@ -388,19 +433,18 @@ TEST(InferenceServerTest, RejectsFramingMismatch) {
   EXPECT_EQ(server.sessions_rejected(), 1u);
 }
 
-// A v6 peer (two-block OT payloads) is refused at the handshake with a
-// coded kHandshake error naming the version, before any OT byte moves.
-TEST(InferenceServerTest, RejectsProtocolV6Peer) {
+// A v7 peer (garbled layer 0, no front) is refused at the handshake with
+// a coded kHandshake error naming the version, before any OT byte moves.
+TEST(InferenceServerTest, RejectsProtocolV7Peer) {
   const synth::ModelSpec spec = small_spec();
-  const auto chain = synth::compile_model_layers(spec);
   Rng rng(38);
   runtime::InferenceServer server(spec, random_weights(spec, rng));
   server.start();
 
   TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
   runtime::Hello hello;
-  hello.version = 6;
-  hello.fingerprint = runtime::chain_fingerprint(chain);
+  hello.version = 7;
+  hello.fingerprint = runtime::served_fingerprint(synth::compile_served(spec));
   runtime::send_hello(raw, hello);
   uint8_t type = 0;
   uint32_t len = 0;
@@ -556,13 +600,14 @@ TEST(InferenceServerTest, EnforcesPrefetchQuota) {
 // peer).
 TEST(InferenceServerTest, RejectsBadPrefetchFrames) {
   const synth::ModelSpec spec = small_spec();
-  const auto chain = synth::compile_model_layers(spec);
+  const uint64_t fingerprint =
+      runtime::served_fingerprint(synth::compile_served(spec));
   Rng rng(53);
 
   auto handshake = [&](TcpChannel& raw) {
     runtime::Hello hello;
-    // Match the server: fingerprint over the walked view.
-    hello.fingerprint = runtime::chain_fingerprint(chain);
+    // Match the server: the served model's fingerprint.
+    hello.fingerprint = fingerprint;
     runtime::send_hello(raw, hello);
     const runtime::Frame ack = runtime::recv_frame(raw);
     ASSERT_EQ(ack.type, runtime::FrameType::kHelloAck);
@@ -713,7 +758,8 @@ TEST(InferenceServerTest, AttachLaneRejectsUnknownToken) {
 // assertion below cannot be satisfied by teardown accounting.
 TEST(InferenceServerTest, FailedLanePushReleasesBudgetWhileSessionLives) {
   const synth::ModelSpec spec = small_spec();
-  const auto chain = synth::compile_model_layers(spec);
+  const uint64_t fingerprint =
+      runtime::served_fingerprint(synth::compile_served(spec));
   Rng rng(83);
   runtime::InferenceServer server(spec, random_weights(spec, rng));
   server.start();
@@ -721,7 +767,7 @@ TEST(InferenceServerTest, FailedLanePushReleasesBudgetWhileSessionLives) {
   // Real handshake to obtain the lane token + port.
   TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
   runtime::Hello hello;
-  hello.fingerprint = runtime::chain_fingerprint(chain);
+  hello.fingerprint = fingerprint;
   runtime::send_hello(raw, hello);
   const runtime::HelloAck ack =
       runtime::parse_hello_ack(runtime::recv_frame(raw));
@@ -764,18 +810,18 @@ TEST(InferenceServerTest, FailedLanePushReleasesBudgetWhileSessionLives) {
 // material half-sent) must not strand its bytes in the global budget.
 TEST(InferenceServerTest, SessionDeathMidPushReleasesBudget) {
   const synth::ModelSpec spec = small_spec();
-  const auto chain = synth::compile_model_layers(spec);
+  const synth::ServedModel served = synth::compile_served(spec);
   Rng rng(89);
   runtime::InferenceServer server(spec, random_weights(spec, rng));
   server.start();
   {
     TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
     runtime::Hello hello;
-    hello.fingerprint = runtime::chain_fingerprint(chain);
+    hello.fingerprint = runtime::served_fingerprint(served);
     runtime::send_hello(raw, hello);
     (void)runtime::recv_frame(raw);  // ack
     runtime::send_id_frame(raw, runtime::FrameType::kPrefetch, 1);
-    raw.send_bits(BitVec(chain.back().outputs.size(), 0));
+    raw.send_bits(BitVec(served.chain.back().outputs.size(), 0));
     // Declare the right table size but hang up before sending it: the
     // server is now mid recv_material with the reservation held.
   }  // socket closes here
@@ -825,7 +871,8 @@ TEST(InferenceServerTest, NetworkModelSecureInferOverTcp) {
 // sessions left active, and a fully returned prefetch byte budget.
 TEST(InferenceServerTest, Soaks256LoopbackSessions) {
   const synth::ModelSpec spec = small_spec();
-  const auto chain = synth::compile_model_layers(spec);
+  const uint64_t fingerprint =
+      runtime::served_fingerprint(synth::compile_served(spec));
   Rng rng(97);
 
   runtime::ServerConfig scfg;
@@ -842,7 +889,7 @@ TEST(InferenceServerTest, Soaks256LoopbackSessions) {
       for (size_t s = 0; s < kSessionsPerThread; ++s) {
         TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
         runtime::Hello hello;
-        hello.fingerprint = runtime::chain_fingerprint(chain);
+        hello.fingerprint = fingerprint;
         runtime::send_hello(raw, hello);
         const runtime::Frame ack = runtime::recv_frame(raw);
         if (ack.type != runtime::FrameType::kHelloAck) return;  // dropped
