@@ -326,17 +326,21 @@ void BM_LinearFront(benchmark::State& state) {
   ChannelPair pair = make_channel_pair();
   std::thread server_thread([&] {
     EvaluatorSession session(*pair.b);
+    const std::vector<uint32_t> zeros(plan.inputs, 0);
     try {
-      for (;;) benchmark::DoNotOptimize(runtime::front_recv(session, plan, w));
+      for (;;)
+        benchmark::DoNotOptimize(runtime::front_recv(session, plan, w, zeros));
     } catch (const ChannelClosed&) {
       // The client closed the channel after the timed loop.
     }
   });
   GarblerSession session(*pair.a, Block{11, 12});
-  (void)runtime::front_send(session, plan, data);  // base OTs
+  const auto front = [&] {
+    return runtime::front_send(session, plan, runtime::data_shares(plan, data));
+  };
+  (void)front();  // base OTs
   const uint64_t b0 = pair.a->bytes_sent() + pair.a->bytes_received();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(runtime::front_send(session, plan, data));
+  for (auto _ : state) benchmark::DoNotOptimize(front());
   const uint64_t bytes =
       pair.a->bytes_sent() + pair.a->bytes_received() - b0;
   pair.a->close();
@@ -373,8 +377,8 @@ BENCHMARK(BM_BuildTanhLut)->Unit(benchmark::kMillisecond);
 // Compile cost of b3_pp's plaintext reference chain
 // (compile_model_layers): arg 0 its first FC layer (the paper's
 // pre-processed Benchmark 3, most of its gates), arg 1 the whole chain.
-// The runtime serves layer 0 by OT multiplication and compiles the
-// served chain instead (BM_CompileServed).
+// The runtime serves every linear layer by OT multiplication and
+// compiles the served stages instead (BM_CompileServed).
 void BM_CompileModel(benchmark::State& state) {
   synth::ModelSpec spec = core::paper_zoo()[2].compact;
   if (state.range(0) == 0) spec.layers.resize(1);
@@ -392,15 +396,19 @@ void BM_CompileModel(benchmark::State& state) {
 BENCHMARK(BM_CompileModel)->Arg(0)->Arg(1)->ArgNames({"full_chain"})
     ->Unit(benchmark::kMillisecond);
 
-// Model set-up cost: every runtime party compiles b3_pp's served chain
-// (synth/served.h: the share circuit, then layers 1..n) before its
-// first session.
+// Model set-up cost: every runtime party compiles the served stages
+// (synth/served.h: per linear layer the share circuit, then the
+// non-linear layers after it) before its first session. One arg per
+// pre-processed zoo model, 0..3 = b1_pp..b4_pp.
 void BM_CompileServed(benchmark::State& state) {
-  const synth::ModelSpec spec = core::paper_zoo()[2].compact;
+  const synth::ModelSpec spec =
+      core::paper_zoo()[static_cast<size_t>(state.range(0))].compact;
+  state.SetLabel(spec.name);
   for (auto _ : state)
-    benchmark::DoNotOptimize(synth::compile_served(spec).chain.data());
+    benchmark::DoNotOptimize(synth::compile_served(spec).stages.data());
 }
-BENCHMARK(BM_CompileServed)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CompileServed)->DenseRange(0, 3)->ArgNames({"zoo"})
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
 // Per-backend rows — the headline table of the pluggable-backend work.

@@ -532,11 +532,11 @@ LoadResult measure_load(const Args& args, bool pooled) {
   r.server_stats = server.stats_json();
   r.net = NetCounters::snap() - net_before;
   // Garbled-table payload per inference, mirroring the server's
-  // expected_table_bytes_ accounting (decode-bits frame + tables) over
-  // the served chain (synth/served.h).
+  // expected_table_bytes_ accounting over every served stage's chain
+  // (synth/served.h).
   uint64_t per_infer = 0;
-  for (const Circuit& c : synth::compile_served(spec).chain)
-    per_infer += 2 * sizeof(Block) + c.stats().table_bytes();
+  for (const synth::ServedStage& stage : synth::compile_served(spec).stages)
+    per_infer += material_stream_bytes(stage.chain);
   r.table_bytes = per_infer * server.inferences_served();
 
   const size_t hc = std::thread::hardware_concurrency();

@@ -134,7 +134,7 @@ GarbledMaterial garble_offline(const std::vector<Circuit>& chain, Block seed,
   return mat;
 }
 
-BitVec evaluate_material(const std::vector<Circuit>& chain,
+Labels evaluate_material(const std::vector<Circuit>& chain,
                          const EvalMaterial& mat,
                          const Labels& garbler_labels, const GcOptions& opt) {
   if (chain.empty())
@@ -144,8 +144,6 @@ BitVec evaluate_material(const std::vector<Circuit>& chain,
   if (mat.eval_labels.size() != want)
     throw std::invalid_argument(
         "evaluate_material: evaluator label count mismatch");
-  if (mat.decode_bits.size() != chain.back().outputs.size())
-    throw std::invalid_argument("evaluate_material: decode bit count mismatch");
 
   GcOptions local = opt;
   local.framed_tables = false;
@@ -169,10 +167,15 @@ BitVec evaluate_material(const std::vector<Circuit>& chain,
   }
   if (source.consumed() != mat.tables.size())
     throw std::runtime_error("evaluate_material: trailing table bytes");
+  return carried;
+}
 
-  BitVec out(carried.size());
-  for (size_t i = 0; i < carried.size(); ++i)
-    out[i] = (carried[i].lsb() ? 1u : 0u) ^ mat.decode_bits[i];
+BitVec decode_labels(const Labels& active, const BitVec& decode_bits) {
+  if (decode_bits.size() != active.size())
+    throw std::invalid_argument("decode_labels: decode bit count mismatch");
+  BitVec out(active.size());
+  for (size_t i = 0; i < active.size(); ++i)
+    out[i] = (active[i].lsb() ? 1u : 0u) ^ decode_bits[i];
   return out;
 }
 

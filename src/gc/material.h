@@ -7,9 +7,9 @@
 //
 //   offline (garbler, local):   garble the chain -> tables, input-label
 //                               pairs, output-decode bits, fingerprint
-//   offline (both, interactive):correlated OT + relabel blocks for the
-//                               evaluator's static inputs; ship
-//                               tables/decode bits
+//   offline (both):             ship tables/decode bits
+//   online  (both, interactive):correlated OT + relabel blocks for the
+//                               evaluator's inputs (fixed labels)
 //   online  (garbler):          send active data labels  (n0 blocks)
 //   online  (evaluator):        evaluate from local material, decode,
 //                               return the result
@@ -60,7 +60,10 @@ struct GarbledMaterial {
   Block delta{};
   Labels data_zeros;   // circuit-0 garbler-input zero labels
   Labels eval_zeros;   // evaluator-input zero labels, chain order
-  BitVec decode_bits;  // lsb permute bits of the final outputs
+  /// lsb permute bits of the final outputs. For a stage that is not
+  /// opened they are the garbler's XOR shares of its outputs, and stay
+  /// with the garbler (send_material ships whatever is left here).
+  BitVec decode_bits;
   std::vector<uint8_t> tables;
 
   /// Number of oblivious transfers the online phase needs — one per
@@ -86,9 +89,10 @@ struct GarbledMaterial {
 GarbledMaterial garble_offline(const std::vector<Circuit>& chain, Block seed,
                                const GcOptions& opt = {});
 
-/// Evaluator-side half of one pooled inference: everything that arrived
-/// ahead of the request. `eval_labels` are the *active* evaluator-input
-/// labels (the offline label OTs already resolved them).
+/// Evaluator-side half of one pooled stage: everything that arrived
+/// ahead of the request, then `eval_labels`, the *active*
+/// evaluator-input labels, once their OT resolved them. `decode_bits`
+/// are empty for a stage that is not opened.
 struct EvalMaterial {
   Labels eval_labels;
   BitVec decode_bits;
@@ -97,11 +101,14 @@ struct EvalMaterial {
 
 /// Online stage, evaluator side: evaluate `chain` against local
 /// material. `garbler_labels` are the active circuit-0 garbler-input
-/// labels — the only per-request transfer. Returns the decoded output
-/// bits (decode happens locally via the artifact's decode bits).
-BitVec evaluate_material(const std::vector<Circuit>& chain,
+/// labels. Returns the active output labels (decode_labels opens them).
+Labels evaluate_material(const std::vector<Circuit>& chain,
                          const EvalMaterial& mat, const Labels& garbler_labels,
                          const GcOptions& opt = {});
+
+/// Output bits of active labels under their decode bits: lsb ^ decode.
+/// Throws std::invalid_argument on a count mismatch.
+BitVec decode_labels(const Labels& active, const BitVec& decode_bits);
 
 /// Ship the input-independent bytes of an artifact (decode bits +
 /// tables) to the peer. The evaluator-input labels travel separately

@@ -19,8 +19,9 @@
 //    hash domain carry 32-bit additive correlations. The sender's pad is
 //    p_j = lo32(H(q_j)); it ships u_j = lo32(H(q_j ^ s)) - p_j - d_j and
 //    the receiver takes lo32(H(t_j)) for b = 0 and lo32(H(t_j)) - u_j
-//    for b = 1, i.e. p_j + b*d_j (mod 2^32). Linear layer 0's products
-//    x*w are shared this way (runtime/front.h).
+//    for b = 1, i.e. p_j + b*d_j (mod 2^32). The served linear layers'
+//    products x*w, and the B2A conversions that feed the hidden ones,
+//    are shared this way (runtime/front.h).
 //
 // Wire per batch of m OTs: receiver -> sender 8 + 128*ceil(m/8) bytes
 // (batch size, then the packed u columns), sender -> receiver 16*m

@@ -14,6 +14,12 @@ BitVec slice(const BitVec& bits, size_t offset, size_t n) {
 
 }  // namespace
 
+BitVec output_shares(const Labels& labels) {
+  BitVec bits(labels.size());
+  for (size_t i = 0; i < labels.size(); ++i) bits[i] = labels[i].lsb() ? 1 : 0;
+  return bits;
+}
+
 GarblerSession::GarblerSession(Channel& ch, Block seed, const GcOptions& opt)
     : ch_(ch), garbler_(ch, seed, opt), ot_(ch), prg_(seed ^ Block{1, 0}) {}
 
@@ -39,9 +45,8 @@ void EvaluatorSession::ensure_ot() {
   trace_.setup_s = sw.seconds();
 }
 
-BitVec GarblerSession::run_chain(const std::vector<Circuit>& chain,
+Labels GarblerSession::run_stage(const std::vector<Circuit>& chain,
                                  const BitVec& data_bits) {
-  Stopwatch total;
   ensure_ot();
 
   Labels carried;  // zero-labels of previous circuit's outputs
@@ -72,17 +77,26 @@ BitVec GarblerSession::run_chain(const std::vector<Circuit>& chain,
     ph.garble_s = sw.seconds();
     trace_.phases.push_back(ph);
   }
+  return carried;
+}
 
-  const BitVec out = garbler_.decode_outputs(carried);
+BitVec GarblerSession::open(const Labels& zeros) {
+  const BitVec out = garbler_.decode_outputs(zeros);
   // Share the plaintext result back (paper: Alice may share with Bob).
   ch_.send_bits(out);
+  return out;
+}
+
+BitVec GarblerSession::run_chain(const std::vector<Circuit>& chain,
+                                 const BitVec& data_bits) {
+  Stopwatch total;
+  const BitVec out = open(run_stage(chain, data_bits));
   trace_.total_s = total.seconds();
   return out;
 }
 
-BitVec EvaluatorSession::run_chain(const std::vector<Circuit>& chain,
+Labels EvaluatorSession::run_stage(const std::vector<Circuit>& chain,
                                    const BitVec& weight_bits) {
-  Stopwatch total;
   ensure_ot();
 
   size_t consumed = 0;
@@ -112,9 +126,18 @@ BitVec EvaluatorSession::run_chain(const std::vector<Circuit>& chain,
     ph.eval_s = sw.seconds();
     trace_.phases.push_back(ph);
   }
+  return carried;
+}
 
-  evaluator_.send_outputs(carried);
-  const BitVec out = ch_.recv_bits();
+BitVec EvaluatorSession::open(const Labels& active) {
+  evaluator_.send_outputs(active);
+  return ch_.recv_bits();
+}
+
+BitVec EvaluatorSession::run_chain(const std::vector<Circuit>& chain,
+                                   const BitVec& weight_bits) {
+  Stopwatch total;
+  const BitVec out = open(run_stage(chain, weight_bits));
   trace_.total_s = total.seconds();
   return out;
 }
@@ -200,10 +223,10 @@ void GarblerSession::send_fixed_labels(const Labels& zeros, Block delta) {
   ch_.send_bytes(relabel.data(), relabel.size() * sizeof(Block));
 }
 
-void GarblerSession::begin_online(Block delta, const Labels& data_zeros,
-                                  const BitVec& data_bits) {
+void GarblerSession::send_online_labels(Block delta, const Labels& data_zeros,
+                                        const BitVec& data_bits) {
   if (data_bits.size() != data_zeros.size())
-    throw std::invalid_argument("begin_online: data bit count mismatch");
+    throw std::invalid_argument("send_online_labels: bit count mismatch");
   PhaseSample ph;
   ph.step = trace_.phases.size();
   Stopwatch sw;
@@ -213,33 +236,12 @@ void GarblerSession::begin_online(Block delta, const Labels& data_zeros,
   ch_.send_blocks(active.data(), active.size());
   ph.ot_s = sw.seconds();  // online label transfer: the whole send cost
   trace_.phases.push_back(ph);
-  ++online_in_flight_;
 }
 
-// Result vectors are circuit outputs — generously bounded so a
-// corrupted peer length header cannot force a huge allocation.
-constexpr uint64_t kMaxResultBits = uint64_t{1} << 24;
-
-void GarblerSession::stash_online_results() {
-  while (stashed_.size() < online_in_flight_)
-    stashed_.push_back(ch_.recv_bits_bounded(kMaxResultBits));
-}
-
-BitVec GarblerSession::finish_online() {
-  if (online_in_flight_ == 0)
-    throw std::logic_error("finish_online: no online inference in flight");
-  // Decrement only after a successful receive: a transport failure must
-  // keep reporting itself on retry/drain, not decay into a bogus
-  // "nothing in flight" logic error.
-  BitVec out;
-  if (stashed_.empty()) {
-    out = ch_.recv_bits_bounded(kMaxResultBits);
-  } else {
-    out = std::move(stashed_.front());
-    stashed_.pop_front();
-  }
-  --online_in_flight_;
-  return out;
+BitVec GarblerSession::recv_result() {
+  // Result vectors are circuit outputs — generously bounded so a
+  // corrupted peer length header cannot force a huge allocation.
+  return ch_.recv_bits_bounded(uint64_t{1} << 24);
 }
 
 std::vector<uint32_t> GarblerSession::send_arith(
@@ -262,8 +264,8 @@ std::vector<uint32_t> EvaluatorSession::recv_arith(const BitVec& choices) {
 BitVec GarblerSession::run_online(const GarbledMaterial& mat,
                                   const BitVec& data_bits) {
   Stopwatch total;
-  begin_online(mat.delta, mat.data_zeros, data_bits);
-  const BitVec out = finish_online();
+  send_online_labels(mat.delta, mat.data_zeros, data_bits);
+  const BitVec out = recv_result();
   trace_.total_s += total.seconds();
   return out;
 }
@@ -279,10 +281,10 @@ Labels EvaluatorSession::recv_fixed_labels(const BitVec& choices) {
   return labels;
 }
 
-BitVec EvaluatorSession::run_online(const std::vector<Circuit>& chain,
-                                    const EvalMaterial& mat) {
+Labels EvaluatorSession::evaluate_online(const std::vector<Circuit>& chain,
+                                         const EvalMaterial& mat) {
   if (chain.empty())
-    throw std::invalid_argument("run_online: empty circuit chain");
+    throw std::invalid_argument("evaluate_online: empty circuit chain");
   Stopwatch total;
   PhaseSample ph;
   ph.step = trace_.phases.size();
@@ -293,13 +295,23 @@ BitVec EvaluatorSession::run_online(const std::vector<Circuit>& chain,
   ph.ot_s = sw.seconds();
 
   sw.restart();
-  const BitVec out = evaluate_material(chain, mat, g_labels, opt_);
+  Labels out = evaluate_material(chain, mat, g_labels, opt_);
   ph.eval_s = sw.seconds();
   trace_.phases.push_back(ph);
-
-  ch_.send_bits(out);
   trace_.total_s += total.seconds();
   return out;
+}
+
+BitVec EvaluatorSession::open_online(const Labels& active,
+                                     const BitVec& decode_bits) {
+  const BitVec out = decode_labels(active, decode_bits);
+  ch_.send_bits(out);
+  return out;
+}
+
+BitVec EvaluatorSession::run_online(const std::vector<Circuit>& chain,
+                                    const EvalMaterial& mat) {
+  return open_online(evaluate_online(chain, mat), mat.decode_bits);
 }
 
 }  // namespace deepsecure

@@ -15,25 +15,27 @@
 //     Section 3.5; state carried as labels between cycles)
 //
 // Two execution modes per shape-compatible chain:
-//   * on-demand (run_chain / run_sequential): garbling, label transfer
+//   * on-demand (run_stage / run_sequential): garbling, label transfer
 //     and evaluation all happen on the request path — the PR 2
 //     streaming pipeline.
 //   * offline/online split: garble_offline (gc/material.h) produces a
-//     GarbledMaterial ahead of time; send/recv_fixed_labels move its
-//     evaluator-label OTs offline as well; the *_online methods
-//     then run the request-path remainder, which is just active-label
-//     transfer plus evaluation. begin_online/finish_online expose the
-//     send and receive halves separately so a client can queue several
-//     online inferences back-to-back (cross-request pipelining).
+//     GarbledMaterial ahead of time; the *_online methods run the
+//     request-path remainder, which is label transfer plus evaluation.
+//     send/recv_fixed_labels resolve the evaluator's labels of an
+//     artifact garbled before its inputs were known.
 //
-// send_arith/recv_arith run arithmetic OTs (gc/ot.h) on the session's
-// OT setup: the runtime's layer-0 front (runtime/front.h) shares the
-// first linear layer's products with them before the chain runs.
+// A chain run is a stage: it ends in XOR shares of its outputs, the
+// permute bits of the garbler's zero labels and of the evaluator's
+// active labels. Without the decoding information those bits tell the
+// evaluator nothing (garbled-circuit obliviousness). open / open_online
+// reveal a stage's outputs; run_chain / run_online are a stage and its
+// opening. The runtime (runtime/front.h) feeds a stage's shares to the
+// next one through arithmetic OTs (send_arith/recv_arith, gc/ot.h) on
+// the session's OT setup, and opens only the last.
 //
 // Phase timings are recorded per step for the Figure 5 reproduction.
 #pragma once
 
-#include <deque>
 #include <vector>
 
 #include "gc/garble.h"
@@ -54,7 +56,7 @@ struct SessionTrace {
   std::vector<PhaseSample> phases;
   double total_s = 0.0;
   double setup_s = 0.0;  // base-OT + extension setup (once per session)
-  double front_s = 0.0;  // arithmetic OTs (layer-0 front), either side
+  double front_s = 0.0;  // arithmetic OTs (fronts and B2A), either side
 
   double sum_garble() const {
     double t = 0;
@@ -68,6 +70,11 @@ struct SessionTrace {
   }
 };
 
+/// This side's XOR shares of a stage's outputs: the permute bits (lsbs)
+/// of its output labels, zero labels on the garbler's side and active
+/// labels on the evaluator's.
+BitVec output_shares(const Labels& labels);
+
 /// Client-side session (garbler).
 class GarblerSession {
  public:
@@ -76,11 +83,20 @@ class GarblerSession {
   /// garbling shard pool (see GcOptions); framing must match the peer.
   GarblerSession(Channel& ch, Block seed, const GcOptions& opt = {});
 
-  /// Run a chain of circuits. `data_bits` feed circuit 0's garbler
-  /// inputs; circuit k>0 garbler inputs are bound to circuit k-1 outputs.
-  /// Every circuit's evaluator inputs are transferred via correlated OT,
-  /// which also draws their zero labels.
-  /// Returns the decoded output bits of the final circuit.
+  /// Run a chain of circuits as one stage. `data_bits` feed circuit 0's
+  /// garbler inputs; circuit k>0 garbler inputs are bound to circuit
+  /// k-1 outputs. Every circuit's evaluator inputs are transferred via
+  /// correlated OT, which also draws their zero labels. Returns the
+  /// final circuit's output zero labels: their lsbs are this side's XOR
+  /// shares of the outputs.
+  Labels run_stage(const std::vector<Circuit>& chain, const BitVec& data_bits);
+
+  /// Open a stage: receive the evaluator's output labels, decode them
+  /// against `zeros` (a label not in its wire's range throws) and share
+  /// the plaintext back. Returns the output bits.
+  BitVec open(const Labels& zeros);
+
+  /// run_stage, then open: the decoded output bits of the final circuit.
   BitVec run_chain(const std::vector<Circuit>& chain, const BitVec& data_bits);
 
   /// Run a folded circuit for `cycles` cycles. Garbler inputs are fed
@@ -89,34 +105,26 @@ class GarblerSession {
                         const BitVec& data_bits);
 
   // --- offline/online split -------------------------------------------
-  /// Offline: transfer labels fixed before the OT ran — a
-  /// GarbledMaterial's `eval_zeros` under its `delta` — for the peer's
-  /// static choice bits. One correlated OT batch under `delta` (zero
-  /// labels L0), then one relabel block `zeros[j] ^ L0[j]` per bit.
+  /// Transfer labels fixed before the OT ran — a GarbledMaterial's
+  /// `eval_zeros` under its `delta` — for the peer's choice bits. One
+  /// correlated OT batch under `delta` (zero labels L0), then one
+  /// relabel block `zeros[j] ^ L0[j]` per bit.
   void send_fixed_labels(const Labels& zeros, Block delta);
 
-  /// Online, send half: ship the active labels for `data_bits` against
-  /// a material's circuit-0 garbler-input zero labels. Returns
-  /// immediately after the send — pair with finish_online. Several
-  /// begin_online calls may be in flight before the first
-  /// finish_online (cross-request pipelining), as long as the calls
-  /// are matched FIFO.
-  void begin_online(Block delta, const Labels& data_zeros,
-                    const BitVec& data_bits);
+  /// Online: ship the active labels for `data_bits` against a
+  /// material's circuit-0 garbler-input zero labels. Returns right
+  /// after the send.
+  void send_online_labels(Block delta, const Labels& data_zeros,
+                          const BitVec& data_bits);
 
-  /// Online, receive half: the decoded output bits of the oldest
-  /// in-flight online inference (the evaluator decodes locally with the
-  /// material's decode bits and shares the plaintext back).
-  BitVec finish_online();
+  /// Online: the decoded output bits of an opened online stage (the
+  /// evaluator decodes locally with the material's decode bits and
+  /// shares the plaintext back).
+  BitVec recv_result();
 
-  /// One full online inference against `mat`: begin + finish.
+  /// One full online inference against a single-stage `mat`: its
+  /// labels out, then the result.
   BitVec run_online(const GarbledMaterial& mat, const BitVec& data_bits);
-
-  /// Read the results of every in-flight online inference off the wire
-  /// into a FIFO stash, which finish_online drains first. An exchange
-  /// that must read the peer's next reply (an arithmetic OT) calls this
-  /// first: earlier results arrive ahead of it.
-  void stash_online_results();
 
   /// One batch of arithmetic OTs as sender (see OtExtSender::send_arith):
   /// returns the pads. Timed into trace().front_s.
@@ -132,8 +140,6 @@ class GarblerSession {
   OtExtSender ot_;
   Prg prg_;
   bool ot_ready_ = false;
-  size_t online_in_flight_ = 0;  // begin_online calls awaiting finish
-  std::deque<BitVec> stashed_;   // results read ahead, oldest first
   SessionTrace trace_;
 };
 
@@ -142,11 +148,20 @@ class EvaluatorSession {
  public:
   explicit EvaluatorSession(Channel& ch, const GcOptions& opt = {});
 
-  /// Counterpart of run_chain: `weight_bits` are consumed circuit by
+  /// Counterpart of run_stage: `weight_bits` are consumed circuit by
   /// circuit in declaration order of each circuit's evaluator inputs.
-  /// Returns the output bits as decoded by the garbler (sent back so
+  /// Returns the final circuit's active output labels: their lsbs are
+  /// this side's XOR shares of the outputs.
+  Labels run_stage(const std::vector<Circuit>& chain,
+                   const BitVec& weight_bits);
+
+  /// Counterpart of GarblerSession::open: ship the output labels and
+  /// return the output bits as decoded by the garbler (sent back so
   /// both parties can report the inference result, as in the paper's
   /// optional final share step).
+  BitVec open(const Labels& active);
+
+  /// run_stage, then open.
   BitVec run_chain(const std::vector<Circuit>& chain,
                    const BitVec& weight_bits);
 
@@ -154,14 +169,22 @@ class EvaluatorSession {
                         const BitVec& weight_bits);
 
   // --- offline/online split -------------------------------------------
-  /// Offline: counterpart of send_fixed_labels — the active labels for
-  /// `choices` (the evaluator's static input bits).
+  /// Counterpart of send_fixed_labels — the active labels for
+  /// `choices` (the evaluator's input bits).
   Labels recv_fixed_labels(const BitVec& choices);
 
-  /// Online: one inference against locally-stored material — receive
-  /// the active circuit-0 garbler labels, evaluate the chain from the
-  /// artifact's tables, decode with its decode bits, and share the
-  /// plaintext result back. Returns the decoded output bits.
+  /// Online: one stage against locally-stored material — receive the
+  /// active circuit-0 garbler labels and evaluate the chain from the
+  /// artifact's tables. Returns the active output labels (this side's
+  /// XOR shares, as in run_stage).
+  Labels evaluate_online(const std::vector<Circuit>& chain,
+                         const EvalMaterial& mat);
+
+  /// Online: open a stage with the material's decode bits and share
+  /// the plaintext result back. Returns the decoded output bits.
+  BitVec open_online(const Labels& active, const BitVec& decode_bits);
+
+  /// evaluate_online, then open_online with `mat.decode_bits`.
   BitVec run_online(const std::vector<Circuit>& chain,
                     const EvalMaterial& mat);
 

@@ -44,10 +44,10 @@ InferenceClient::InferenceClient(const std::string& host, uint16_t port,
                                  ClientConfig cfg)
     : fmt_(spec.fmt), cfg_(cfg), host_(host), port_(port) {
   synth::ServedModel served = synth::compile_served(spec);
-  served.chain = walk_chain(std::move(served.chain));
+  for (synth::ServedStage& stage : served.stages)
+    stage.chain = walk_chain(std::move(stage.chain));
   fingerprint_ = served_fingerprint(served);
-  front_ = std::move(served.front);
-  chain_ = std::move(served.chain);
+  stages_ = std::move(served.stages);
   backoff_rng_ ^= cfg_.chaos.seed;  // deterministic jitter under chaos
   connect_and_handshake();
   open_ = true;
@@ -69,8 +69,11 @@ InferenceClient::InferenceClient(const std::string& host, uint16_t port,
     pcfg.shard_threads = cfg_.pool_shard_threads;
     pcfg.seed =
         cfg_.seed == Block{} ? Block{} : (cfg_.seed ^ Block{0, 0x9e3779b9});
+    StageChains chains;
+    for (const synth::ServedStage& stage : stages_)
+      chains.push_back(std::cref(stage.chain));
     pool_ = std::make_unique<MaterialPool>(
-        chain_, cfg_.stream.gc_options(nullptr), pcfg);
+        std::move(chains), cfg_.stream.gc_options(nullptr), pcfg);
     if (cfg_.async_prefetch) start_lane(lane_port_, lane_token_);
   }
 }
@@ -195,15 +198,16 @@ void InferenceClient::recover_session() {
     lane_up_ = false;
     lane_error_ = nullptr;
   }
-  lane_garbler_.reset();
+  lane_ch_.reset();
   lane_ring_.reset();
   lane_fault_.reset();
   lane_transport_.reset();
   // One-shot invariant: drop every artifact whose transfer or OT
   // touched the dead session. The local pool survives untouched — its
   // artifacts never hit the wire.
-  uint64_t dropped = in_flight_;
-  in_flight_ = 0;
+  uint64_t dropped = in_flight();
+  begun_.clear();
+  results_.clear();
   if (prefetched_ != nullptr) {
     PrefetchedMaterial pm;
     while (prefetched_->try_pop(pm)) ++dropped;
@@ -233,7 +237,7 @@ InferenceClient::~InferenceClient() {
 }
 
 size_t InferenceClient::input_bits() const {
-  return front_.inputs * fmt_.total_bits;
+  return stages_.front().front.inputs * fmt_.total_bits;
 }
 
 size_t InferenceClient::infer(const std::vector<float>& sample) {
@@ -246,13 +250,13 @@ size_t InferenceClient::infer(const std::vector<float>& sample) {
   return from_bits(infer_bits(bits));
 }
 
-void InferenceClient::push_material(GarbledMaterial&& mat) {
-  if (in_flight_ > 0)
+void InferenceClient::push_material(Artifact&& art) {
+  if (in_flight() > 0)
     throw std::logic_error(
         "client: cannot prefetch with inferences in flight");
   // Sync mode: this thread is both ring roles. A credit is popped
   // before anything hits the wire — mirroring the server's quota check
-  // exactly, since a server-side rejection would land mid-OT (see
+  // exactly, since a server-side rejection kills the connection (see
   // push_material_over). Callers guard on prefetched() < quota, so a
   // missing token is a bookkeeping bug, not a race.
   uint64_t credit;
@@ -265,47 +269,43 @@ void InferenceClient::push_material(GarbledMaterial&& mat) {
   }
   // A throw below burns the credit with the artifact: the connection is
   // unrecoverable at that point anyway.
-  PrefetchedMaterial pm = push_material_over(*garbler_, std::move(mat), id);
+  PrefetchedMaterial pm =
+      push_material_over(garbler_->channel(), std::move(art), id);
   if (!prefetched_->try_push(std::move(pm)))
     throw std::logic_error("client: prefetched ring overflow");
 }
 
-// Offline push of one artifact over `g`'s connection (primary session
-// or prefetch lane): id frame, decode bits + tables, then the
-// correlated OT + relabel exchange that resolves the server's static
-// evaluator labels (circuits 1..n). Everything here is
-// input-independent. Returns the client-side remainder the online
-// phase needs, circuit 0's evaluator zero labels included: its inputs
-// are the share bits of a front that has not run yet.
+// Offline push of one artifact over `ch` (the primary session's
+// connection or the prefetch lane): id frame, then per stage its decode
+// bits and tables. A stage that is not opened ships no decode bits:
+// they are the client's XOR shares of its outputs. Everything here is
+// input-independent, and no OT runs: every evaluator input of a served
+// chain is a share bit of a front that has not run yet. Returns the
+// client-side remainder the online phase needs.
 //
-// The caller-side quota guard must mirror the server's exactly: once
-// the kPrefetch frame is sent this side commits to the OT exchange, so
-// a server-side rejection lands its kError bytes mid-extension where
-// they cannot be parsed — the connection is unrecoverable and the
-// reason is lost.
+// The caller-side quota guard must mirror the server's exactly: a
+// server-side rejection kills the connection, and with it every
+// artifact parked on it.
 InferenceClient::PrefetchedMaterial InferenceClient::push_material_over(
-    StreamingGarbler& g, GarbledMaterial&& mat, uint64_t id) {
-  Channel& ch = g.channel();
+    BufferedChannel& ch, Artifact&& art, uint64_t id) {
   send_id_frame(ch, FrameType::kPrefetch, id);
-  // Only mat.tables moves out (borrowed by the transport until the
-  // kernel send completes); delta / data_zeros / eval_zeros stay valid
-  // for the OT exchange and the return below.
-  send_material(ch, std::move(mat));
-  GarblerSession& session = g.session();
-  const auto n0 =
-      static_cast<ptrdiff_t>(chain_.front().evaluator_inputs.size());
-  Labels front_zeros(mat.eval_zeros.begin(), mat.eval_zeros.begin() + n0);
-  mat.eval_zeros.erase(mat.eval_zeros.begin(), mat.eval_zeros.begin() + n0);
-  {
-    obs::Span ot_span("client.ot_offline");
-    session.send_fixed_labels(mat.eval_zeros, mat.delta);
+  PrefetchedMaterial pm;
+  pm.id = id;
+  for (size_t s = 0; s < art.size(); ++s) {
+    GarbledMaterial& mat = art[s];
+    PrefetchedStage stage{mat.delta, std::move(mat.data_zeros),
+                          std::move(mat.eval_zeros), {}};
+    if (s + 1 < art.size()) stage.shares.swap(mat.decode_bits);
+    // Only the tables and what is left of the decode bits ship (the
+    // tables borrowed by the transport until the kernel send completes).
+    send_material(ch, std::move(mat));
+    pm.stages.push_back(std::move(stage));
   }
-  g.channel().flush();
+  ch.flush();
   const Frame ack = recv_frame(ch);
   if (ack.type != FrameType::kPrefetchAck || parse_id(ack) != id)
     throw std::runtime_error("client: bad prefetch ack");
-  return PrefetchedMaterial{id, mat.delta, std::move(mat.data_zeros),
-                            std::move(front_zeros)};
+  return pm;
 }
 
 // Refill ceiling for the background lane (and the clamp for prefetch):
@@ -329,18 +329,13 @@ void InferenceClient::start_lane(uint16_t lane_port, uint64_t lane_token) {
   }
   // Async frame writer: artifact bytes land in the RingChannel's SPSC
   // ring and ship from its writer thread, so the lane overlaps the
-  // next artifact's serialization + OT compute with the previous one's
-  // kernel sends. Receives drain the ring first, so the OT rounds stay
-  // correctly ordered.
+  // next artifact's serialization with the previous one's kernel
+  // sends. Receives drain the ring first, so the acks stay correctly
+  // ordered. The lane garbles nothing (artifacts come from the pool)
+  // and runs no OT, so it needs no session.
   lane_ring_ = std::make_unique<RingChannel>(*lane_wire);
-  // The lane garbles nothing (artifacts come from the pool); its
-  // StreamingGarbler exists for the session state the OT exchange
-  // needs, seeded independently of the primary session.
-  const Block lane_seed = cfg_.seed == Block{}
-                              ? Prg::from_os_entropy().next_block()
-                              : (cfg_.seed ^ Block{0x1a4e, 0x517d});
-  lane_garbler_ = std::make_unique<StreamingGarbler>(*lane_ring_,
-                                                     lane_seed, cfg_.stream);
+  lane_ch_ = std::make_unique<BufferedChannel>(*lane_ring_,
+                                               cfg_.stream.channel_buffer);
   lane_thread_ = std::thread([this, lane_token] { lane_loop(lane_token); });
 }
 
@@ -350,9 +345,9 @@ void InferenceClient::start_lane(uint16_t lane_port, uint64_t lane_token) {
 // drains fall back to on-demand again).
 void InferenceClient::lane_loop(uint64_t lane_token) {
   try {
-    Channel& ch = lane_garbler_->channel();
+    BufferedChannel& ch = *lane_ch_;
     send_id_frame(ch, FrameType::kAttachLane, lane_token);
-    lane_garbler_->channel().flush();
+    ch.flush();
     const Frame ack = recv_frame(ch);
     if (ack.type != FrameType::kAttachLaneAck || parse_id(ack) != lane_token)
       throw std::runtime_error("client: bad lane attach ack");
@@ -368,7 +363,7 @@ void InferenceClient::lane_loop(uint64_t lane_token) {
         // Refill wanted AND a slot credit available (see credits_ in
         // the header): without the credit check a push racing an
         // unprocessed kInfer on the primary connection would trip the
-        // server's quota mid-OT. The lane is the only credit consumer,
+        // server's quota. The lane is the only credit consumer,
         // so a token seen here cannot vanish before the pop below.
         lane_cv_.wait(lock, [this] {
           return lane_stop_ ||
@@ -377,7 +372,7 @@ void InferenceClient::lane_loop(uint64_t lane_token) {
         });
         if (lane_stop_) break;
       }
-      std::optional<GarbledMaterial> mat = pool_->try_acquire();
+      std::optional<Artifact> mat = pool_->try_acquire();
       if (!mat) {
         // Refill wanted but the producers are still garbling: poll
         // gently (a tight spin would steal cycles from the very
@@ -403,7 +398,7 @@ void InferenceClient::lane_loop(uint64_t lane_token) {
       {
         obs::Span push_span("client.lane_push");
         PrefetchedMaterial pm =
-            push_material_over(*lane_garbler_, std::move(*mat), id);
+            push_material_over(*lane_ch_, std::move(*mat), id);
         if (!prefetched_->try_push(std::move(pm)))
           throw std::logic_error("client: prefetched ring overflow");
       }
@@ -414,7 +409,7 @@ void InferenceClient::lane_loop(uint64_t lane_token) {
     }
     // Orderly goodbye so the server's lane handler exits cleanly.
     send_frame(ch, FrameType::kBye);
-    lane_garbler_->channel().flush();
+    ch.flush();
   } catch (...) {
     std::lock_guard<std::mutex> lock(mu_);
     lane_error_ = std::current_exception();
@@ -436,7 +431,7 @@ size_t InferenceClient::prefetch(size_t n) {
   // acquired artifact; async mode would deadlock — in-flight artifacts
   // hold their slot credits until finish_infer, which only THIS thread
   // can call, so the lane could never push this wait to completion.
-  if (in_flight_ > 0)
+  if (in_flight() > 0)
     throw std::logic_error(
         "client: cannot prefetch with inferences in flight");
   if (lane_thread_.joinable()) {
@@ -467,7 +462,7 @@ void InferenceClient::top_up() {
     lane_cv_.notify_all();
     return;
   }
-  if (in_flight_ > 0) return;
+  if (in_flight() > 0) return;
   while (prefetched() < lane_target()) {
     auto mat = pool_->try_acquire();
     if (!mat) break;  // producer still garbling: don't block the caller
@@ -475,12 +470,42 @@ void InferenceClient::top_up() {
   }
 }
 
+BitVec InferenceClient::stage_front(size_t s, const BitVec& bits) {
+  GarblerSession& session = garbler_->session();
+  const synth::FrontPlan& plan = stages_[s].front;
+  return front_send(session, plan,
+                    s == 0 ? data_shares(plan, bits)
+                           : b2a_send(session, bits, plan.fmt));
+}
+
+void InferenceClient::send_pooled_stage(const PrefetchedMaterial& mat,
+                                        size_t s, const BitVec& bits) {
+  GarblerSession& session = garbler_->session();
+  const PrefetchedStage& stage = mat.stages[s];
+  const BitVec share = stage_front(s, bits);
+  // The server's share bits' labels under the stage's delta, then the
+  // active labels of the client's own share bits.
+  session.send_fixed_labels(stage.front_zeros, stage.delta);
+  session.send_online_labels(stage.delta, stage.data_zeros, share);
+  garbler_->channel().flush();
+}
+
+BitVec InferenceClient::complete_oldest() {
+  // Popped only once the result is in: a transport failure leaves the
+  // inference counted in flight, so recovery poisons it.
+  const PrefetchedMaterial& mat = begun_.front();
+  for (size_t s = 1; s < mat.stages.size(); ++s)
+    send_pooled_stage(mat, s, mat.stages[s - 1].shares);
+  BitVec out = garbler_->session().recv_result();
+  begun_.pop_front();
+  return out;
+}
+
 void InferenceClient::begin_infer_bits(const BitVec& data_bits) {
   if (!open_) throw std::logic_error("client: session closed");
   // This thread is the ring's only consumer, so the peek/pop pair is
   // race-free without a lock.
-  PrefetchedMaterial* next = prefetched_ ? prefetched_->front() : nullptr;
-  if (next == nullptr)
+  if (prefetched_ == nullptr || prefetched_->front() == nullptr)
     throw std::logic_error("client: no prefetched material to pipeline on");
   // Validate before consuming anything: after the id frame is on the
   // wire the artifact is burned and the server is committed to the
@@ -488,30 +513,29 @@ void InferenceClient::begin_infer_bits(const BitVec& data_bits) {
   // (a ring pop is destructive).
   if (data_bits.size() != input_bits())
     throw std::invalid_argument("client: data bit count mismatch");
+  // The server serves kInfer frames in order: the inferences in flight
+  // run their later stages, and their results are read, before this
+  // request's front.
+  while (!begun_.empty()) results_.push_back(complete_oldest());
   PrefetchedMaterial mat;
   prefetched_->try_pop(mat);
   { std::lock_guard<std::mutex> lock(mu_); }  // order pop before notify
   lane_cv_.notify_all();  // room freed: the lane may refill
-  Channel& ch = garbler_->channel();
-  send_id_frame(ch, FrameType::kInfer, mat.id);
-  GarblerSession& session = garbler_->session();
-  // The server answers this kInfer with the front's first message, after
-  // the results of earlier in-flight inferences: read those ahead.
-  session.stash_online_results();
-  const BitVec share = front_send(session, front_, data_bits);
-  // The share bits' labels under the artifact's delta, then the active
-  // labels of the client's own share bits: the client's last send.
-  session.send_fixed_labels(mat.front_zeros, mat.delta);
-  session.begin_online(mat.delta, mat.data_zeros, share);
-  garbler_->channel().flush();
-  ++in_flight_;
+  send_id_frame(garbler_->channel(), FrameType::kInfer, mat.id);
+  send_pooled_stage(mat, 0, data_bits);
+  begun_.push_back(std::move(mat));
 }
 
 BitVec InferenceClient::finish_infer() {
-  if (in_flight_ == 0)
+  if (in_flight() == 0)
     throw std::logic_error("client: no inference in flight");
-  BitVec out = garbler_->session().finish_online();
-  --in_flight_;
+  BitVec out;
+  if (results_.empty()) {
+    out = complete_oldest();
+  } else {
+    out = std::move(results_.front());
+    results_.pop_front();
+  }
   ++pooled_inferences_;
   // Credit return: the server consumed this inference's artifact before
   // evaluating, so its store slot is provably free now. Every finished
@@ -520,13 +544,13 @@ BitVec InferenceClient::finish_infer() {
   if (credits_) credits_->try_push(uint64_t{1});
   { std::lock_guard<std::mutex> lock(mu_); }  // order push before notify
   lane_cv_.notify_all();
-  if (in_flight_ == 0 && cfg_.auto_top_up) top_up();
+  if (in_flight() == 0 && cfg_.auto_top_up) top_up();
   return out;
 }
 
 BitVec InferenceClient::infer_bits(const BitVec& data_bits) {
   if (!open_) throw std::logic_error("client: session closed");
-  if (in_flight_ > 0)
+  if (in_flight() > 0)
     throw std::logic_error(
         "client: finish in-flight inferences before a synchronous infer");
   if (data_bits.size() != input_bits())
@@ -557,22 +581,29 @@ BitVec InferenceClient::infer_bits_once(const BitVec& data_bits) {
     begin_infer_bits(data_bits);
     return finish_infer();
   }
-  // Pool drained (or pooling off): the front, then garble on the
-  // request path with the share bits as circuit 0's inputs.
-  Channel& ch = garbler_->channel();
-  send_frame(ch, FrameType::kInfer);
-  const BitVec share = front_send(garbler_->session(), front_, data_bits);
-  const BitVec out = garbler_->run_chain(chain_, share);
+  // Pool drained (or pooling off): per stage the front, then garble on
+  // the request path with the share bits as chain[0]'s inputs; only the
+  // last stage is opened.
+  send_frame(garbler_->channel(), FrameType::kInfer);
+  GarblerSession& session = garbler_->session();
+  const size_t last = stages_.size() - 1;
+  BitVec bits = data_bits;  // the data, then the client's XOR shares
+  for (size_t s = 0; s <= last; ++s) {
+    const Labels out =
+        session.run_stage(stages_[s].chain, stage_front(s, bits));
+    bits = s == last ? session.open(out) : output_shares(out);
+  }
+  garbler_->channel().flush();
   ++ondemand_inferences_;
   if (cfg_.auto_top_up) top_up();
-  return out;
+  return bits;
 }
 
 std::string InferenceClient::server_stats() {
   if (!open_) throw std::logic_error("client: session closed");
   // A kStatsReply arriving between a kInfer and its result frames would
   // desynchronize finish_infer; the primary connection must be quiet.
-  if (in_flight_ > 0)
+  if (in_flight() > 0)
     throw std::logic_error(
         "client: finish in-flight inferences before requesting stats");
   Channel& ch = garbler_->channel();
@@ -605,7 +636,7 @@ void InferenceClient::close() {
   }
   std::exception_ptr drain_err;
   try {
-    while (in_flight_ > 0) (void)finish_infer();
+    while (in_flight() > 0) (void)finish_infer();
     Channel& ch = garbler_->channel();
     send_frame(ch, FrameType::kBye);
     garbler_->channel().flush();

@@ -9,23 +9,27 @@
 //     server evaluates while the client is still garbling (PR 2).
 //   * pooled (offline/online split): a MaterialPool garbles whole
 //     instances in the background; prefetch() pushes them to the server
-//     ahead of requests (tables, decode bits, and the label OTs of the
-//     static weight bits all travel offline), and an infer against
-//     prefetched material runs only the layer-0 front, the label OT of
-//     the server's share bits and the active labels of the client's,
-//     then waits for the result — no garbling on the request path. A
-//     drained pool falls back to on-demand transparently.
+//     ahead of requests (every stage's tables, and the last stage's
+//     decode bits, with no OT), and an infer against prefetched
+//     material runs, per stage, only the front, the label OT of the
+//     server's share bits and the active labels of the client's, then
+//     waits for the result — no garbling on the request path. A drained
+//     pool falls back to on-demand transparently.
 //
-// Every inference opens with the layer-0 front (runtime/front.h): the
-// first linear layer's products are shared by arithmetic OT, and the
-// chain garbles the share circuit (synth/served.h) in layer 0's place.
+// The served model is a list of stages (synth/served.h), one per linear
+// layer: each opens with its front (runtime/front.h), which shares the
+// layer's products by arithmetic OT, and then runs its garbled chain
+// (the share circuit and the non-linear layers after it). A stage's
+// outputs stay XOR-shared; the next front converts them by B2A. Only
+// the last stage is opened.
 //
 // Cross-request pipelining: begin_infer_bits/finish_infer expose the
-// send and receive halves of a pooled inference. begin runs the request
-// through the client's last send (front and label exchanges included);
-// the server evaluates while the caller goes on, and a later begin
-// reads earlier results ahead into a FIFO stash that finish_infer
-// drains.
+// send and receive halves of a pooled inference. begin runs stage 0
+// through the client's last send; the server evaluates it while the
+// caller goes on. The later stages run, in FIFO order, in finish_infer
+// or in a later begin, which completes every earlier in-flight
+// inference (its results wait in a FIFO for finish_infer) before its
+// own front.
 //
 // Async prefetch lane (protocol v4): with ClientConfig::async_prefetch
 // the client opens a SECOND connection to the server's lane listener
@@ -44,15 +48,16 @@
 //     never sends credit frames — the pooled-inference RESULT is the
 //     credit return — so an empty ring is exactly "store + pending
 //     occupancy at quota" and the lane parks instead of tripping a
-//     session-killing kError mid-OT.
+//     session-killing kError.
 //   * prefetched_ — client-side remainders of pushed artifacts, lane
 //     thread → caller.
 //   * the lane's wire bytes go through a RingChannel (net/
-//     ring_channel.h), so artifact serialization and the OT rounds
-//     overlap the kernel sends instead of serializing with them.
+//     ring_channel.h), so artifact serialization overlaps the kernel
+//     sends instead of serializing with them.
 #pragma once
 
 #include <condition_variable>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -93,7 +98,7 @@ struct ClientConfig {
   /// Re-prefetch opportunistically after each inference completes, so a
   /// steady request stream keeps hitting warm material. Without the
   /// async lane the push is synchronous on this session, so its cost
-  /// (table upload + label OTs) lands inside the tail of the
+  /// (the table upload) lands inside the tail of the
   /// request that triggered it — latency-sensitive callers should
   /// enable async_prefetch, or disable this and call top_up() at their
   /// own boundaries. Also disable for deterministic drain behavior
@@ -121,10 +126,10 @@ struct ClientConfig {
 class InferenceClient {
  public:
   /// `spec` is the public model architecture — the client compiles the
-  /// same served chain and front plan the server compiled
-  /// (synth/served.h), keeps only the chain's walked views (walk_chain,
-  /// circuit/schedule.h; the material pool borrows them), and the
-  /// handshake cross-checks the fingerprints over both.
+  /// same served stages the server compiled (synth/served.h), keeps
+  /// only their chains' walked views (walk_chain, circuit/schedule.h;
+  /// the material pool borrows them), and the handshake cross-checks
+  /// the fingerprints over chains and front plans.
   InferenceClient(const std::string& host, uint16_t port,
                   const synth::ModelSpec& spec, ClientConfig cfg = {});
   ~InferenceClient();
@@ -151,14 +156,15 @@ class InferenceClient {
   /// would deadlock).
   size_t prefetch(size_t n);
 
-  /// Pipelined pooled inference, send half: consumes one prefetched
-  /// artifact and ships the request without waiting for the result.
-  /// Throws if nothing is prefetched — callers race ahead only against
-  /// warm material. Pair FIFO with finish_infer.
+  /// Pipelined pooled inference, send half: completes the inferences
+  /// already in flight, then consumes one prefetched artifact and runs
+  /// the request's stage 0 without waiting for its result. Throws if
+  /// nothing is prefetched — callers race ahead only against warm
+  /// material. Pair FIFO with finish_infer.
   void begin_infer_bits(const BitVec& data_bits);
 
   /// Pipelined pooled inference, receive half: result of the oldest
-  /// in-flight request.
+  /// in-flight request (its later stages run here if still pending).
   BitVec finish_infer();
 
   /// Push ready pool artifacts until prefetched() reaches
@@ -179,7 +185,7 @@ class InferenceClient {
   /// garbling to quiesce before a measured window.
   size_t pool_ready() const { return pool_ ? pool_->ready() : 0; }
   /// begin_infer_bits calls not yet finished.
-  size_t in_flight() const { return in_flight_; }
+  size_t in_flight() const { return begun_.size() + results_.size(); }
   uint64_t pooled_inferences() const { return pooled_inferences_; }
   uint64_t ondemand_inferences() const { return ondemand_inferences_; }
   /// Self-healing audit trail (this client; the process-wide aggregates
@@ -213,20 +219,34 @@ class InferenceClient {
   size_t input_bits() const;
 
  private:
-  // Client-side remainder of a pushed artifact: just enough to encode
-  // active data labels online (the rest lives on the server now).
+  // Client-side remainder of one stage of a pushed artifact: just
+  // enough to encode its labels online (the rest lives on the server).
+  struct PrefetchedStage {
+    Block delta{};
+    Labels data_zeros;   // chain[0]'s garbler inputs: the client's shares
+    Labels front_zeros;  // chain[0]'s evaluator inputs: the server's
+    BitVec shares;       // the client's XOR shares of the stage's outputs
+                         // (its decode bits; empty for the last stage)
+  };
   struct PrefetchedMaterial {
     uint64_t id = 0;
-    Block delta{};
-    Labels data_zeros;   // circuit 0's garbler inputs: the client's shares
-    Labels front_zeros;  // circuit 0's evaluator inputs: the server's
+    std::vector<PrefetchedStage> stages;
   };
 
-  void push_material(GarbledMaterial&& mat);
+  void push_material(Artifact&& art);
   /// The push protocol over one connection (primary or lane): id frame,
-  /// artifact bytes, correlated OT + relabel blocks, ack.
-  PrefetchedMaterial push_material_over(StreamingGarbler& g,
-                                        GarbledMaterial&& mat, uint64_t id);
+  /// each stage's decode bits and tables, ack.
+  PrefetchedMaterial push_material_over(BufferedChannel& ch, Artifact&& art,
+                                        uint64_t id);
+  /// Client half of stage `s`'s front: `bits` are the data for stage 0
+  /// and the client's XOR shares of the previous stage's outputs after.
+  BitVec stage_front(size_t s, const BitVec& bits);
+  /// Stage `s` of a pooled inference, through the client's last send:
+  /// front, the server's share-bit labels, the client's active labels.
+  void send_pooled_stage(const PrefetchedMaterial& mat, size_t s,
+                         const BitVec& bits);
+  /// The later stages of the oldest begun inference, then its result.
+  BitVec complete_oldest();
   void start_lane(uint16_t lane_port, uint64_t lane_token);
   void lane_loop(uint64_t lane_token);
   size_t lane_target() const;  // min(pool_target, server quota)
@@ -244,8 +264,7 @@ class InferenceClient {
   /// `floor_ms` (a server-provided retry-after hint).
   void backoff_sleep(size_t attempt, uint64_t floor_ms = 0);
 
-  synth::FrontPlan front_;
-  std::vector<Circuit> chain_;  // served chain, walked
+  std::vector<synth::ServedStage> stages_;  // served stages, chains walked
   uint64_t fingerprint_ = 0;    // served_fingerprint, sent in every hello
   FixedFormat fmt_;
   ClientConfig cfg_;
@@ -284,19 +303,22 @@ class InferenceClient {
 
   // Lane connection: owned here, written only by lane_thread_. The
   // RingChannel decouples the lane's frame production from the kernel
-  // sends; declaration order = teardown order (garbler flushes through
-  // the ring, the ring drains into the transport, then the socket
-  // closes).
+  // sends; declaration order = teardown order (the buffered channel
+  // flushes through the ring, the ring drains into the transport, then
+  // the socket closes).
   std::unique_ptr<TcpChannel> lane_transport_;
   std::unique_ptr<FaultChannel> lane_fault_;
   std::unique_ptr<RingChannel> lane_ring_;
-  std::unique_ptr<StreamingGarbler> lane_garbler_;
+  std::unique_ptr<BufferedChannel> lane_ch_;
   std::thread lane_thread_;
 
   uint64_t server_prefetch_quota_ = 0;  // advertised in the hello ack
   uint16_t lane_port_ = 0;    // lane attach info from the latest ack
   uint64_t lane_token_ = 0;   // (single-use: refreshed per handshake)
-  size_t in_flight_ = 0;
+  // Pooled inferences in flight: begun ones whose later stages and
+  // result are pending, and results read ahead (both oldest first).
+  std::deque<PrefetchedMaterial> begun_;
+  std::deque<BitVec> results_;
   uint64_t pooled_inferences_ = 0;
   uint64_t ondemand_inferences_ = 0;
   // Self-healing state: the epoch salts the garbler seed so a rebuilt

@@ -141,17 +141,21 @@ uint32_t parse_busy(const Frame& f) {
 }
 
 uint64_t served_fingerprint(const synth::ServedModel& model) {
-  uint64_t h = chain_fingerprint(model.chain);
+  uint64_t h = 0xcbf29ce484222325ull;
   auto mix = [&h](uint64_t v) { h = fmix64(h ^ v); };
-  const synth::FrontPlan& plan = model.front;
-  mix(plan.fmt.total_bits);
-  mix(plan.fmt.frac_bits);
-  mix(plan.inputs);
-  mix(plan.weights);
-  for (const synth::FrontProduct& p : plan.products)
-    mix((uint64_t{p.input} << 32) | p.weight);
-  for (uint32_t v : plan.first) mix(v);
-  for (uint32_t v : plan.bias) mix(v);
+  mix(model.stages.size());
+  for (const synth::ServedStage& stage : model.stages) {
+    mix(chain_fingerprint(stage.chain));
+    const synth::FrontPlan& plan = stage.front;
+    mix(plan.fmt.total_bits);
+    mix(plan.fmt.frac_bits);
+    mix(plan.inputs);
+    mix(plan.weights);
+    for (const synth::FrontProduct& p : plan.products)
+      mix((uint64_t{p.input} << 32) | p.weight);
+    for (uint32_t v : plan.first) mix(v);
+    for (uint32_t v : plan.bias) mix(v);
+  }
   return h;
 }
 

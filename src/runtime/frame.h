@@ -14,8 +14,8 @@
 //
 // The handshake pins down everything both endpoints must agree on
 // before protocol bytes flow: a protocol magic/version, a fingerprint
-// of the served model — its compiled circuit chain and layer-0 front
-// plan (architecture is public knowledge in the paper's model — both
+// of the served model — its compiled stage chains and front plans
+// (architecture is public knowledge in the paper's model — both
 // sides compile it independently), and the wire-format flags (framed
 // tables). A mismatch yields a kError frame
 // and connection close instead of a byte-level desync mid-OT.
@@ -74,18 +74,25 @@ inline constexpr uint64_t kProtocolMagic = 0x44535255'4e313031ull;  // "DSRUN101
 // evaluator labels; the pooled kInfer resolves the share bits' labels
 // online (correlated OT + relabel). The hello fingerprint also hashes
 // the front plan.
-inline constexpr uint32_t kProtocolVersion = 8;
+// v9: every linear layer by OT multiplication — the served model is a
+// list of stages (synth/served.h), each a front and a garbled segment
+// that ends in XOR shares; a hidden stage's front opens with B2A (one
+// arithmetic OT per share bit), and only the last stage is opened. A
+// kPrefetch push is per-stage tables and decode bits (non-final stages
+// ship none) with no OT; the pooled kInfer resolves each stage's share
+// bits' labels online. The hello fingerprint hashes every stage.
+inline constexpr uint32_t kProtocolVersion = 9;
 
 enum class FrameType : uint8_t {
   kHello = 1,     // client -> server: magic, version, fingerprint, flags
   kHelloAck = 2,  // server -> client: fingerprint echo, prefetch quota,
                   // lane token, lane port (see HelloAck)
-  kInfer = 3,     // client -> server: one inference. The layer-0 front
-                  // (v8) runs first. Empty payload: the on-demand GC
-                  // byte stream follows (garble on the request path).
-                  // 8-byte payload: a material id — the share-bit
-                  // label OT and the online phase against prefetched
-                  // material follow.
+  kInfer = 3,     // client -> server: one inference, stage by stage,
+                  // each opening with its front (v9). Empty payload:
+                  // each stage's GC byte stream follows (garble on the
+                  // request path). 8-byte payload: a material id — each
+                  // stage's share-bit label OT and online phase against
+                  // prefetched material follow.
   kBye = 4,       // client -> server: orderly session/lane end
   kError = 5,     // either way: utf-8 reason, then close
   kPrefetch = 6,  // client -> server: 8-byte material id, then the
@@ -193,10 +200,10 @@ uint32_t parse_busy(const Frame& f);
 /// which stamp the same fingerprint the handshake checks.
 using deepsecure::chain_fingerprint;
 
-/// The hello fingerprint of a served model (v8): chain_fingerprint of
-/// its chain mixed with its front plan's hash, so endpoints that share
-/// different products fail the handshake even when their share
-/// circuits coincide.
+/// The hello fingerprint of a served model (v9): chain_fingerprint of
+/// every stage's chain mixed with its front plan's hash, so endpoints
+/// that share different products fail the handshake even when their
+/// share circuits coincide.
 uint64_t served_fingerprint(const synth::ServedModel& model);
 
 }  // namespace deepsecure::runtime

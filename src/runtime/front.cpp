@@ -49,6 +49,25 @@ std::vector<uint32_t> product_shares(const synth::FrontPlan& plan,
   return shares;
 }
 
+// B2A coefficient of bit k of an n-bit two's-complement word, mod 2^32.
+uint32_t coef(size_t k, size_t n) {
+  return k + 1 < n ? uint32_t{1} << k : 0u - (uint32_t{1} << k);
+}
+
+// Per n-bit word of share bits `bits`: sum_k coef_k*bits_k + sum_k
+// ot(i) over the word's bit indices i.
+template <typename OtValue>
+std::vector<uint32_t> b2a_words(const BitVec& bits, FixedFormat fmt,
+                                OtValue ot) {
+  const size_t n = fmt.total_bits;
+  if (bits.size() % n != 0)
+    throw std::invalid_argument("b2a: share bits are not whole words");
+  std::vector<uint32_t> x(bits.size() / n, 0);
+  for (size_t i = 0; i < bits.size(); ++i)
+    x[i / n] += (bits[i] ? coef(i % n, n) : 0u) + ot(i);
+  return x;
+}
+
 }  // namespace
 
 std::vector<int64_t> decode_fixed(const BitVec& bits, size_t count,
@@ -66,14 +85,23 @@ std::vector<int64_t> decode_fixed(const BitVec& bits, size_t count,
   return out;
 }
 
+std::vector<uint32_t> data_shares(const synth::FrontPlan& plan,
+                                  const BitVec& data_bits) {
+  if (data_bits.size() != plan.inputs * plan.fmt.total_bits)
+    throw std::invalid_argument("front: data bit count mismatch");
+  const std::vector<int64_t> x =
+      decode_fixed(data_bits, plan.inputs, plan.fmt);
+  return std::vector<uint32_t>(x.begin(), x.end());
+}
+
 std::vector<uint32_t> front_correlations(const synth::FrontPlan& plan,
-                                         const std::vector<int64_t>& x) {
+                                         const std::vector<uint32_t>& x) {
   const size_t n = plan.fmt.total_bits;
   if (x.size() != plan.inputs)
-    throw std::invalid_argument("front: data size mismatch");
+    throw std::invalid_argument("front: input share count mismatch");
   std::vector<uint32_t> d(plan.ots());
   for (size_t p = 0; p < plan.products.size(); ++p) {
-    const auto xv = static_cast<uint32_t>(x[plan.products[p].input]);
+    const uint32_t xv = x[plan.products[p].input];
     uint32_t* dp = d.data() + p * n;
     for (size_t k = 0; k + 1 < n; ++k) dp[k] = xv << k;
     dp[n - 1] = (0u - xv) << (n - 1);
@@ -102,29 +130,72 @@ BitVec client_share_bits(const synth::FrontPlan& plan,
 
 BitVec server_share_bits(const synth::FrontPlan& plan,
                          const std::vector<uint32_t>& received,
-                         const std::vector<int64_t>& w) {
+                         const std::vector<int64_t>& w,
+                         const std::vector<uint32_t>& x) {
+  if (x.size() != plan.inputs)
+    throw std::invalid_argument("front: input share count mismatch");
+  std::vector<uint32_t> shares =
+      product_shares(plan, received, /*negate=*/false);
+  const uint32_t mask = product_mask(plan.fmt);
+  for (size_t p = 0; p < shares.size(); ++p) {
+    const synth::FrontProduct& pr = plan.products[p];
+    const auto wv = static_cast<uint32_t>(w[pr.weight]);
+    shares[p] = (shares[p] + x[pr.input] * wv) & mask;
+  }
   std::vector<uint32_t> bias(plan.neurons(), 0);
   for (size_t j = 0; j < bias.size(); ++j)
     if (plan.bias[j] != synth::FrontPlan::kNoBias)
       bias[j] = static_cast<uint32_t>(w[plan.bias[j]]);
-  return share_bits(plan, product_shares(plan, received, /*negate=*/false),
-                    bias);
+  return share_bits(plan, shares, bias);
+}
+
+std::vector<uint32_t> b2a_correlations(const BitVec& g, FixedFormat fmt) {
+  const size_t n = fmt.total_bits;
+  if (g.size() % n != 0)
+    throw std::invalid_argument("b2a: share bits are not whole words");
+  std::vector<uint32_t> d(g.size());
+  for (size_t i = 0; i < g.size(); ++i)
+    d[i] = g[i] ? 0u - 2u * coef(i % n, n) : 0u;
+  return d;
+}
+
+std::vector<uint32_t> b2a_client(const BitVec& g,
+                                 const std::vector<uint32_t>& pads,
+                                 FixedFormat fmt) {
+  if (pads.size() != g.size())
+    throw std::invalid_argument("b2a: OT value count mismatch");
+  return b2a_words(g, fmt, [&](size_t i) { return 0u - pads[i]; });
+}
+
+std::vector<uint32_t> b2a_server(const BitVec& e,
+                                 const std::vector<uint32_t>& received,
+                                 FixedFormat fmt) {
+  if (received.size() != e.size())
+    throw std::invalid_argument("b2a: OT value count mismatch");
+  return b2a_words(e, fmt, [&](size_t i) { return received[i]; });
+}
+
+std::vector<uint32_t> b2a_send(GarblerSession& session, const BitVec& g,
+                               FixedFormat fmt) {
+  return b2a_client(g, session.send_arith(b2a_correlations(g, fmt)), fmt);
+}
+
+std::vector<uint32_t> b2a_recv(EvaluatorSession& session, const BitVec& e,
+                               FixedFormat fmt) {
+  return b2a_server(e, session.recv_arith(e), fmt);
 }
 
 BitVec front_send(GarblerSession& session, const synth::FrontPlan& plan,
-                  const BitVec& data_bits) {
-  if (data_bits.size() != plan.inputs * plan.fmt.total_bits)
-    throw std::invalid_argument("front: data bit count mismatch");
-  const std::vector<int64_t> x =
-      decode_fixed(data_bits, plan.inputs, plan.fmt);
+                  const std::vector<uint32_t>& x) {
   return client_share_bits(
       plan, session.send_arith(front_correlations(plan, x)));
 }
 
 BitVec front_recv(EvaluatorSession& session, const synth::FrontPlan& plan,
-                  const std::vector<int64_t>& w) {
+                  const std::vector<int64_t>& w,
+                  const std::vector<uint32_t>& x) {
   return server_share_bits(plan, session.recv_arith(front_choices(plan, w)),
-                           w);
+                           w, x);
 }
 
 }  // namespace deepsecure::runtime

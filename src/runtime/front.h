@@ -1,22 +1,37 @@
-// Layer 0 by OT multiplication (Gilboa, CRYPTO 1999): the front of a
-// served inference, before the garbled chain runs.
+// Linear layers by OT multiplication (Gilboa, CRYPTO 1999): the front
+// of every served stage (synth/served.h), before its garbled chain runs.
 //
-// For every product x*w of the model's linear layer 0 (synth/served.h),
-// n = fmt.total_bits arithmetic OTs (gc/ot.h) on the session's existing
-// IKNP setup give the parties additive shares mod 2^(n+f):
+// For every product x*w of a stage's linear layer, n = fmt.total_bits
+// arithmetic OTs (gc/ot.h) on the session's existing IKNP setup give
+// the parties additive shares mod 2^(n+f). The input x is itself
+// additively shared, x = x_c + x_s (mod 2^32):
 //
 //   server = OT receiver, choice bits = the n bits of w
-//   client = OT sender, correlation x*2^k for bit k < n-1 and
-//            -x*2^(n-1) for the sign bit (x sign-extended)
+//   client = OT sender, correlation x_c*2^k for bit k < n-1 and
+//            -x_c*2^(n-1) for the sign bit
 //
 // The receiver learns p_k + w_k*d_k, the sender keeps p_k, so
-// s = sum_k (p_k + w_k*d_k) and c = -sum_k p_k add up to x*w. One
-// round trip: the server's packed u columns (16 B per OT), the client's
-// 4 B per OT. Each party then derives the share circuit's inputs from
-// its shares in plaintext: the low f bits of each product's share, and
-// per neuron the sum of the high parts (the server's with the bias).
-// Neither share alone says anything about x or w: each is uniform given
-// the other party's view (semi-honest IKNP + random pads).
+// s = sum_k (p_k + w_k*d_k) + x_s*w and c = -sum_k p_k add up to x*w;
+// the server adds x_s*w locally. One round trip: the server's packed u
+// columns (16 B per OT), the client's 4 B per OT. Each party then
+// derives the share circuit's inputs from its shares in plaintext: the
+// low f bits of each product's share, and per neuron the sum of the
+// high parts (the server's with the bias).
+//
+// Layer 0 is the special case x_c = x (the client's data), x_s = 0. A
+// hidden layer's x leaves the previous stage's chain XOR-shared, bit k
+// = g_k ^ e_k with g_k the client's and e_k the server's share bit, and
+// B2A makes it additive first, one arithmetic OT per bit. With
+// coef_k = 2^k (coef_{n-1} = -2^(n-1)) and g ^ e = g + e - 2ge:
+//
+//   server = OT receiver, choice bits e_k
+//   client = OT sender, correlation d_k = -2*coef_k*g_k
+//   x_c = sum_k coef_k*g_k - sum_k p_k
+//   x_s = sum_k coef_k*e_k + sum_k (p_k + e_k*d_k)
+//
+// so x_c + x_s = sum_k coef_k*(g_k ^ e_k) = x (mod 2^32). Neither share
+// alone says anything about x or w: each is uniform given the other
+// party's view (semi-honest IKNP + random pads).
 #pragma once
 
 #include <cstdint>
@@ -32,13 +47,17 @@ namespace deepsecure::runtime {
 std::vector<int64_t> decode_fixed(const BitVec& bits, size_t count,
                                   FixedFormat fmt);
 
-/// The client's OT correlations for data `x`, n per product in plan
-/// order, mod 2^32.
-std::vector<uint32_t> front_correlations(const synth::FrontPlan& plan,
-                                         const std::vector<int64_t>& x);
+/// The client's shares of layer 0's inputs: the data itself, mod 2^32.
+std::vector<uint32_t> data_shares(const synth::FrontPlan& plan,
+                                  const BitVec& data_bits);
 
-/// The server's OT choice bits for layer-0 weights `w`: the n bits of
-/// each product's weight, in plan order.
+/// The client's OT correlations for its input shares `x`, n per product
+/// in plan order, mod 2^32.
+std::vector<uint32_t> front_correlations(const synth::FrontPlan& plan,
+                                         const std::vector<uint32_t>& x);
+
+/// The server's OT choice bits for the layer's weights `w`: the n bits
+/// of each product's weight, in plan order.
 BitVec front_choices(const synth::FrontPlan& plan,
                      const std::vector<int64_t>& w);
 
@@ -46,19 +65,46 @@ BitVec front_choices(const synth::FrontPlan& plan,
 BitVec client_share_bits(const synth::FrontPlan& plan,
                          const std::vector<uint32_t>& pads);
 
-/// The server's share-circuit inputs from its OT outputs and weights
-/// (the biases join its per-neuron sums).
+/// The server's share-circuit inputs from its OT outputs, weights and
+/// input shares `x` (x*w joins each product's share, the biases its
+/// per-neuron sums).
 BitVec server_share_bits(const synth::FrontPlan& plan,
                          const std::vector<uint32_t>& received,
-                         const std::vector<int64_t>& w);
+                         const std::vector<int64_t>& w,
+                         const std::vector<uint32_t>& x);
 
-/// Client half of the exchange: `data_bits` are the layer-0 inputs;
-/// returns the share circuit's garbler-input bits.
+/// B2A, client side: the correlations -2*coef_k*g_k of XOR share bits
+/// `g` (n per word).
+std::vector<uint32_t> b2a_correlations(const BitVec& g, FixedFormat fmt);
+
+/// B2A, client side: x_c per word from its share bits and OT pads.
+std::vector<uint32_t> b2a_client(const BitVec& g,
+                                 const std::vector<uint32_t>& pads,
+                                 FixedFormat fmt);
+
+/// B2A, server side: x_s per word from its share bits (the OT choices)
+/// and OT outputs.
+std::vector<uint32_t> b2a_server(const BitVec& e,
+                                 const std::vector<uint32_t>& received,
+                                 FixedFormat fmt);
+
+/// Client half of a B2A exchange over XOR share bits `g`.
+std::vector<uint32_t> b2a_send(GarblerSession& session, const BitVec& g,
+                               FixedFormat fmt);
+
+/// Server half of a B2A exchange over XOR share bits `e`.
+std::vector<uint32_t> b2a_recv(EvaluatorSession& session, const BitVec& e,
+                               FixedFormat fmt);
+
+/// Client half of the front: `x` are its input shares; returns the
+/// share circuit's garbler-input bits.
 BitVec front_send(GarblerSession& session, const synth::FrontPlan& plan,
-                  const BitVec& data_bits);
+                  const std::vector<uint32_t>& x);
 
-/// Server half: returns the share circuit's evaluator-input bits.
+/// Server half: `x` are its input shares (all zero for layer 0);
+/// returns the share circuit's evaluator-input bits.
 BitVec front_recv(EvaluatorSession& session, const synth::FrontPlan& plan,
-                  const std::vector<int64_t>& w);
+                  const std::vector<int64_t>& w,
+                  const std::vector<uint32_t>& x);
 
 }  // namespace deepsecure::runtime

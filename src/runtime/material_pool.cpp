@@ -6,9 +6,9 @@
 
 namespace deepsecure::runtime {
 
-MaterialPool::MaterialPool(const std::vector<Circuit>& chain,
-                           const GcOptions& opt, MaterialPoolConfig cfg)
-    : chain_(chain),
+MaterialPool::MaterialPool(StageChains stages, const GcOptions& opt,
+                           MaterialPoolConfig cfg)
+    : stages_(std::move(stages)),
       opt_(opt),
       target_(cfg.target),
       seed_prg_(cfg.seed == Block{} ? Prg::from_os_entropy().next_block()
@@ -52,20 +52,21 @@ void MaterialPool::schedule_refill_locked() {
 }
 
 void MaterialPool::produce_one() {
-  Block seed;
+  std::vector<Block> seeds;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
       --in_flight_;
       return;
     }
-    seed = seed_prg_.next_block();
+    for (size_t s = 0; s < stages_.size(); ++s)
+      seeds.push_back(seed_prg_.next_block());
   }
   // Garble outside the lock — this is the expensive part the pool
   // exists to keep off the request path. Exceptions must not escape
   // (they would terminate the worker thread); they are parked for the
   // next acquire to rethrow instead.
-  GarbledMaterial mat;
+  Artifact mat;
   std::exception_ptr err;
   const uint64_t t0 = obs::now_ns();
   {
@@ -74,7 +75,8 @@ void MaterialPool::produce_one() {
     // runs it.
     obs::Span span("client.garble_offline");
     try {
-      mat = garble_offline(chain_, seed, opt_);
+      for (size_t s = 0; s < stages_.size(); ++s)
+        mat.push_back(garble_offline(stages_[s].get(), seeds[s], opt_));
     } catch (...) {
       err = std::current_exception();
     }
@@ -106,7 +108,7 @@ void MaterialPool::rethrow_error_locked() {
 }
 
 // Caller holds mu_.
-bool MaterialPool::take_ready_locked(GarbledMaterial& out) {
+bool MaterialPool::take_ready_locked(Artifact& out) {
   if (ready_.empty()) return false;
   out = std::move(ready_.front());
   ready_.pop_front();
@@ -114,9 +116,9 @@ bool MaterialPool::take_ready_locked(GarbledMaterial& out) {
   return true;
 }
 
-std::optional<GarbledMaterial> MaterialPool::try_acquire() {
+std::optional<Artifact> MaterialPool::try_acquire() {
   std::lock_guard<std::mutex> lock(mu_);
-  GarbledMaterial mat;
+  Artifact mat;
   if (!take_ready_locked(mat)) {
     rethrow_error_locked();
     ++misses_;
@@ -137,12 +139,12 @@ std::optional<GarbledMaterial> MaterialPool::try_acquire() {
   return mat;
 }
 
-GarbledMaterial MaterialPool::acquire() {
+Artifact MaterialPool::acquire() {
   std::unique_lock<std::mutex> lock(mu_);
   rethrow_error_locked();
   ++waiting_;
   schedule_refill_locked();
-  GarbledMaterial mat;
+  Artifact mat;
   bool got = false;
   ready_cv_.wait(lock,
                  [&] { return (got = take_ready_locked(mat)) || error_; });

@@ -1,10 +1,12 @@
 // Background producer of offline garbling artifacts — the client-side
 // half of the offline/online split. A MaterialPool keeps up to `target`
-// GarbledMaterial instances for one compiled chain ready at all times:
-// producer tasks run on a support/thread_pool, each garbling one
-// instance from a fresh PRG seed, and every acquire() triggers a refill
-// so the pool converges back to `target` while the session is busy with
-// the online phase.
+// artifacts for one staged chain (synth/served.h) ready at all times:
+// producer tasks run on a support/thread_pool, each garbling every
+// stage of one instance from fresh PRG seeds (one GarbledMaterial per
+// stage: stages meet in arithmetic shares, not labels, so each has its
+// own delta), and every acquire() triggers a refill so the pool
+// converges back to `target` while the session is busy with the online
+// phase.
 //
 // One artifact = one inference (labels must never be reused), so this
 // is an inventory of consumables, not a cache: sizing follows Little's
@@ -31,6 +33,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -53,6 +56,13 @@ inline obs::Counter& poisoned_counter() {
   return c;
 }
 
+/// One pooled artifact: a GarbledMaterial per stage, in stage order.
+using Artifact = std::vector<GarbledMaterial>;
+
+/// The stage chains an artifact garbles, borrowed from their owner.
+using StageChains =
+    std::vector<std::reference_wrapper<const std::vector<Circuit>>>;
+
 struct MaterialPoolConfig {
   /// Artifacts to keep ready at all times.
   size_t target = 1;
@@ -68,9 +78,9 @@ struct MaterialPoolConfig {
 
 class MaterialPool {
  public:
-  /// Keeps up to `cfg.target` artifacts for `chain` ready. `chain` is
-  /// captured by reference and must outlive the pool.
-  MaterialPool(const std::vector<Circuit>& chain, const GcOptions& opt,
+  /// Keeps up to `cfg.target` artifacts for `stages` ready. The chains
+  /// are captured by reference and must outlive the pool.
+  MaterialPool(StageChains stages, const GcOptions& opt,
                MaterialPoolConfig cfg);
   ~MaterialPool();
 
@@ -81,11 +91,11 @@ class MaterialPool {
   /// caller's cue to garble on demand). Triggers a background refill
   /// either way. Rethrows a producer failure (bad chain/options) on
   /// the caller instead of reporting an eternal drain.
-  std::optional<GarbledMaterial> try_acquire();
+  std::optional<Artifact> try_acquire();
 
   /// Blocking: waits for production when drained. Used to warm the pool
   /// before a latency-sensitive phase. Rethrows producer failures.
-  GarbledMaterial acquire();
+  Artifact acquire();
 
   /// Artifacts currently ready.
   size_t ready() const;
@@ -108,16 +118,16 @@ class MaterialPool {
  private:
   void schedule_refill_locked();
   void rethrow_error_locked();
-  bool take_ready_locked(GarbledMaterial& out);
+  bool take_ready_locked(Artifact& out);
   void produce_one();
 
-  const std::vector<Circuit>& chain_;
+  StageChains stages_;
   GcOptions opt_;
   size_t target_;
 
   mutable std::mutex mu_;
   std::condition_variable ready_cv_;
-  std::deque<GarbledMaterial> ready_;  // oldest first
+  std::deque<Artifact> ready_;  // oldest first
   Prg seed_prg_;
   size_t in_flight_ = 0;  // producer tasks scheduled but not yet finished
   size_t waiting_ = 0;    // acquire() calls blocked on production

@@ -543,9 +543,7 @@ bool EventCore::do_lane_attach(Conn& c) {
   srv_.c_lanes_attached_.add();
   send_id_frame(*c.ch, FrameType::kAttachLaneAck, token);
   c.ch->flush();
-  // The lane never evaluates, so no eval shard pool here.
-  c.session = std::make_unique<EvaluatorSession>(
-      *c.ch, srv_.cfg_.stream.gc_options(nullptr));
+  // A push runs no OT, so the lane needs no session.
   c.stage = Stage::kLaneOpen;
   return true;
 }
@@ -562,7 +560,7 @@ bool EventCore::serve_session_frame(Conn& c) {
     case FrameType::kInfer:
       return srv_.handle_infer_frame(f, *c.ch, *c.session, *c.state);
     case FrameType::kPrefetch:
-      return srv_.handle_prefetch_push(f, *c.ch, *c.session, *c.state);
+      return srv_.handle_prefetch_push(f, *c.ch, *c.state);
     case FrameType::kStats: {
       const std::string stats = srv_.stats_json();
       send_frame(*c.ch, FrameType::kStatsReply, stats.data(), stats.size());
@@ -586,7 +584,7 @@ bool EventCore::serve_lane_frame(Conn& c) {
   srv_.h_recv_wait_.observe(obs::now_ns() - t_wait);
   if (f.type == FrameType::kBye) return false;
   if (f.type == FrameType::kPrefetch)
-    return srv_.handle_prefetch_push(f, *c.ch, *c.session, *c.state);
+    return srv_.handle_prefetch_push(f, *c.ch, *c.state);
   send_error(*c.ch, ErrorCode::kMalformed, "unexpected frame on prefetch lane");
   c.ch->flush();
   return false;

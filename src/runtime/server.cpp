@@ -32,26 +32,62 @@ uint64_t seconds_to_ns(double s) {
 // holds. label_slots sums the views' slot counts (a garbling allocates
 // one layer's at a time); netlist_bytes counts gate lists and
 // interface vectors.
-std::string chain_json(const std::vector<Circuit>& chain) {
-  uint64_t gates = 0, and_gates = 0, slots = 0, bytes = 0;
-  for (const Circuit& c : chain) {
-    gates += c.gates.size();
-    and_gates += c.stats().num_and;
-    slots += c.num_wires;
-    bytes += c.gates.size() * sizeof(Gate);
-    for (const auto* v : {&c.garbler_inputs, &c.evaluator_inputs,
-                          &c.state_inputs, &c.state_next, &c.outputs})
-      bytes += v->size() * sizeof(Wire);
+std::string chain_json(const synth::ServedModel& served) {
+  uint64_t circuits = 0, gates = 0, and_gates = 0, slots = 0, bytes = 0;
+  for (const synth::ServedStage& stage : served.stages) {
+    for (const Circuit& c : stage.chain) {
+      ++circuits;
+      gates += c.gates.size();
+      and_gates += c.stats().num_and;
+      slots += c.num_wires;
+      bytes += c.gates.size() * sizeof(Gate);
+      for (const auto* v : {&c.garbler_inputs, &c.evaluator_inputs,
+                            &c.state_inputs, &c.state_next, &c.outputs})
+        bytes += v->size() * sizeof(Wire);
+    }
   }
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "\"chain\":{\"circuits\":%zu,\"gates\":%llu,"
+                "\"chain\":{\"circuits\":%llu,\"gates\":%llu,"
                 "\"and_gates\":%llu,\"label_slots\":%llu,"
                 "\"netlist_bytes\":%llu},",
-                chain.size(), static_cast<unsigned long long>(gates),
+                static_cast<unsigned long long>(circuits),
+                static_cast<unsigned long long>(gates),
                 static_cast<unsigned long long>(and_gates),
                 static_cast<unsigned long long>(slots),
                 static_cast<unsigned long long>(bytes));
+  return buf;
+}
+
+// Wire bytes of one batch of m arithmetic OTs, both directions: the
+// batch size and packed u columns, then 4 B per OT back.
+uint64_t arith_batch_bytes(uint64_t m) {
+  return m > 0 ? 8 + kOtExtKappa * ((m + 7) / 8) + 4 * m : 0;
+}
+
+// stats_json's "front" block: one inference's fronts, summed.
+std::string front_json(const synth::ServedModel& served) {
+  uint64_t products = 0, ots = 0, b2a = 0, bytes = 0, share_bits = 0;
+  for (size_t s = 0; s < served.stages.size(); ++s) {
+    const synth::FrontPlan& plan = served.stages[s].front;
+    products += plan.products.size();
+    ots += plan.ots();
+    bytes += arith_batch_bytes(plan.ots());
+    if (s > 0) {
+      b2a += plan.b2a_ots();
+      bytes += arith_batch_bytes(plan.b2a_ots());
+    }
+    share_bits += plan.share_bits();
+  }
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "\"front\":{\"stages\":%zu,\"products\":%llu,\"ots\":%llu,"
+                "\"b2a_ots\":%llu,\"bytes\":%llu,\"share_bits\":%llu},",
+                served.stages.size(), static_cast<unsigned long long>(products),
+                static_cast<unsigned long long>(ots),
+                static_cast<unsigned long long>(b2a),
+                static_cast<unsigned long long>(bytes),
+                static_cast<unsigned long long>(share_bits));
   return buf;
 }
 
@@ -68,22 +104,31 @@ InferenceServer::InferenceServer(const synth::ModelSpec& spec, BitVec weights,
   const size_t n = spec.fmt.total_bits;
   if (weights.size() != synth::model_weight_count(spec) * n)
     throw std::invalid_argument("InferenceServer: weight bit count mismatch");
-  // The walked views of the served chain are the only netlist the
+  // The walked views of the served stages are the only netlist the
   // server keeps: sessions garble and evaluate them, and the
-  // fingerprint hashes them with the front plan.
+  // fingerprint hashes them with the front plans.
   synth::ServedModel served = synth::compile_served(spec);
-  served.chain = walk_chain(std::move(served.chain));
+  for (synth::ServedStage& stage : served.stages)
+    stage.chain = walk_chain(std::move(stage.chain));
   fingerprint_ = served_fingerprint(served);
-  front_ = std::move(served.front);
-  chain_ = std::move(served.chain);
-  chain_json_ = chain_json(chain_);
-  expected_table_bytes_ = material_stream_bytes(chain_);
-  // Layer 0's weights feed the front; the rest are the static
-  // evaluator inputs of circuits 1..n.
-  front_weights_ = decode_fixed(weights, front_.weights, spec.fmt);
-  chain_weights_.assign(
-      weights.begin() + static_cast<ptrdiff_t>(front_.weights * n),
-      weights.end());
+  chain_json_ = chain_json(served);
+  front_json_ = front_json(served);
+  // The weights split per front, in layer order (non-linear layers
+  // have none).
+  const std::vector<int64_t> w =
+      decode_fixed(weights, synth::model_weight_count(spec), spec.fmt);
+  auto next = w.begin();
+  for (synth::ServedStage& served_stage : served.stages) {
+    Stage stage;
+    stage.front = std::move(served_stage.front);
+    stage.chain = std::move(served_stage.chain);
+    const auto end = next + static_cast<ptrdiff_t>(stage.front.weights);
+    stage.weights.assign(next, end);
+    next = end;
+    stage.table_bytes = material_stream_bytes(stage.chain);
+    expected_table_bytes_ += stage.table_bytes;
+    stages_.push_back(std::move(stage));
+  }
 }
 
 InferenceServer::~InferenceServer() { stop(); }
@@ -121,12 +166,14 @@ const char* InferenceServer::validate_hello(const Hello& hello) const {
   return nullptr;
 }
 
-BitVec InferenceServer::run_front(EvaluatorSession& session) {
+BitVec InferenceServer::run_front(EvaluatorSession& session, size_t s,
+                                  const BitVec& e) {
   obs::Span span("server.front");
-  const uint64_t t0 = obs::now_ns();
-  BitVec bits = front_recv(session, front_, front_weights_);
-  h_front_.observe(obs::now_ns() - t0);
-  return bits;
+  const Stage& stage = stages_[s];
+  const std::vector<uint32_t> x =
+      s == 0 ? std::vector<uint32_t>(stage.front.inputs, 0)
+             : b2a_recv(session, e, stage.front.fmt);
+  return front_recv(session, stage.front, stage.weights, x);
 }
 
 // One kInfer (on-demand byte stream, or the online phase against a
@@ -140,18 +187,29 @@ bool InferenceServer::handle_infer_frame(const Frame& f, BufferedChannel& ch,
   const double eval0 = session.trace().sum_eval();
   const double ot0 = trace_ot_seconds(session.trace());
   uint64_t label_ot_ns = 0;  // pooled share-bit labels (not in the trace)
+  uint64_t front_ns = 0;
+  // Stage s's front, timed: B2A of `e` (hidden stages) and the products.
+  const auto front = [&](size_t s, const BitVec& e) {
+    const uint64_t f0 = obs::now_ns();
+    BitVec bits = run_front(session, s, e);
+    front_ns += obs::now_ns() - f0;
+    return bits;
+  };
+  const size_t last = stages_.size() - 1;
   if (f.payload.empty()) {
-    // On-demand: the front, then the client garbles on the request
-    // path; circuit 0's evaluator inputs are this inference's share
-    // bits.
+    // On-demand: per stage the front, then the client garbles on the
+    // request path; chain[0]'s evaluator inputs are the stage's share
+    // bits. Stages end in XOR shares; only the last is opened.
     obs::Span span("server.infer_ondemand");
-    BitVec bits = run_front(session);
-    bits.insert(bits.end(), chain_weights_.begin(), chain_weights_.end());
-    session.run_chain(chain_, bits);
+    BitVec e;  // the server's XOR shares of the previous stage's outputs
+    for (size_t s = 0; s <= last; ++s) {
+      const Labels out = session.run_stage(stages_[s].chain, front(s, e));
+      e = s == last ? session.open(out) : output_shares(out);
+    }
     h_infer_ondemand_.observe(obs::now_ns() - t0);
   } else {
     const uint64_t id = parse_id(f);
-    EvalMaterial mat;
+    std::vector<EvalMaterial> mat;
     bool found = false;
     {
       std::lock_guard<std::mutex> lk(state.mu);
@@ -170,18 +228,22 @@ bool InferenceServer::handle_infer_frame(const Frame& f, BufferedChannel& ch,
       return false;
     }
     obs::Span span("server.infer_online");
-    // The front, then the share bits' labels under the artifact's
-    // delta (the prefetch resolved only circuits 1..n's).
-    const BitVec share = run_front(session);
-    const uint64_t l0 = obs::now_ns();
-    const Labels labels = session.recv_fixed_labels(share);
-    label_ot_ns = obs::now_ns() - l0;
-    mat.eval_labels.insert(mat.eval_labels.begin(), labels.begin(),
-                           labels.end());
-    session.run_online(chain_, mat);
+    // Per stage the front, then the share bits' labels under the
+    // stage's delta, then its evaluation from the artifact.
+    BitVec e;
+    for (size_t s = 0; s <= last; ++s) {
+      const BitVec share = front(s, e);
+      const uint64_t l0 = obs::now_ns();
+      mat[s].eval_labels = session.recv_fixed_labels(share);
+      label_ot_ns += obs::now_ns() - l0;
+      const Labels out = session.evaluate_online(stages_[s].chain, mat[s]);
+      e = s == last ? session.open_online(out, mat[s].decode_bits)
+                    : output_shares(out);
+    }
     h_infer_online_.observe(obs::now_ns() - t0);
     c_inferences_pooled_.add();
   }
+  h_front_.observe(front_ns);
   h_eval_.observe(seconds_to_ns(session.trace().sum_eval() - eval0));
   h_ot_online_.observe(
       seconds_to_ns(trace_ot_seconds(session.trace()) - ot0) + label_ot_ns);
@@ -243,7 +305,6 @@ void InferenceServer::settle_session_state(SessionState& state) {
 
 // One prefetch push (primary connection or lane). See server.h.
 bool InferenceServer::handle_prefetch_push(const Frame& f, BufferedChannel& ch,
-                                           EvaluatorSession& session,
                                            SessionState& state) {
   const uint64_t t0 = obs::now_ns();
   obs::Span span("server.prefetch_push");
@@ -307,26 +368,24 @@ bool InferenceServer::handle_prefetch_push(const Frame& f, BufferedChannel& ch,
     return true;
   };
 
-  EvalMaterial mat;
+  // Per stage, decode bits and tables; only the last stage is opened,
+  // so only it carries decode bits. Every evaluator input is a share
+  // bit, so no OT runs here: the labels resolve per stage online.
+  std::vector<EvalMaterial> mat;
   const char* reject = nullptr;
   try {
-    mat = recv_material(ch, expected_table_bytes_,
-                        chain_.back().outputs.size());
-    // Both sizes are exactly determined by the chain this server
-    // compiled; a disagreeing artifact could never evaluate, so reject
-    // it now instead of storing garbage and failing the kInfer that
-    // draws it.
-    if (mat.tables.size() != expected_table_bytes_ ||
-        mat.decode_bits.size() != chain_.back().outputs.size()) {
-      reject = "prefetched material does not match model chain";
-    } else {
-      // Offline OT against the static weight bits of circuits 1..n,
-      // relabelled onto the artifact's labels; the share circuit's
-      // labels wait for the request's front.
-      obs::Span ot_span("server.ot_offline");
-      const uint64_t ot0 = obs::now_ns();
-      mat.eval_labels = session.recv_fixed_labels(chain_weights_);
-      h_ot_offline_.observe(obs::now_ns() - ot0);
+    for (size_t s = 0; s < stages_.size() && reject == nullptr; ++s) {
+      const Stage& stage = stages_[s];
+      const size_t decode =
+          s + 1 == stages_.size() ? stage.chain.back().outputs.size() : 0;
+      mat.push_back(recv_material(ch, stage.table_bytes, decode));
+      // Both sizes are exactly determined by the chain this server
+      // compiled; a disagreeing artifact could never evaluate, so
+      // reject it now instead of storing garbage and failing the kInfer
+      // that draws it.
+      if (mat.back().tables.size() != stage.table_bytes ||
+          mat.back().decode_bits.size() != decode)
+        reject = "prefetched material does not match model chain";
     }
   } catch (...) {
     settle(/*keep_reservation=*/false);
@@ -427,16 +486,6 @@ std::string InferenceServer::stats_json() const {
                 "\"ot\":{\"gc.ot.transfers\":%llu,\"gc.ot.bytes\":%llu},",
                 ull(g.counter_value("gc.ot.transfers")),
                 ull(g.counter_value("gc.ot.bytes")));
-  // Front block: layer 0's products and the arithmetic OTs and wire
-  // bytes of one inference's front (server u columns + client 4 B/OT).
-  const uint64_t ots = front_.ots();
-  char front[192];
-  std::snprintf(front, sizeof(front),
-                "\"front\":{\"products\":%llu,\"ots\":%llu,"
-                "\"bytes\":%llu,\"share_bits\":%llu},",
-                ull(front_.products.size()), ull(ots),
-                ull(ots > 0 ? 8 + 128 * ((ots + 7) / 8) + 4 * ots : 0),
-                ull(front_.share_bits()));
   char head[384];
   std::snprintf(head, sizeof(head),
                 "{\"sessions_active\":%llu,"
@@ -451,7 +500,7 @@ std::string InferenceServer::stats_json() const {
   out += chain_json_;
   out += resil;
   out += ot;
-  out += front;
+  out += front_json_;
   out += "\"metrics\":";
   out += s.to_json();
   out += "}";

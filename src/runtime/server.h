@@ -112,11 +112,11 @@ struct ServerConfig {
 
 class InferenceServer {
  public:
-  /// Compiles `spec`'s served chain (synth/served.h) once; `weights`
+  /// Compiles `spec`'s served stages (synth/served.h) once; `weights`
   /// are the server's private parameter bits in the reference weight
   /// order, model_weight_count(spec) words (see weight_bits() in
-  /// core/deepsecure.h). Layer 0's feed the front (runtime/front.h),
-  /// the rest circuits 1..n.
+  /// core/deepsecure.h). Each linear layer's feed its stage's front
+  /// (runtime/front.h); no weight enters a garbled chain.
   InferenceServer(const synth::ModelSpec& spec, BitVec weights,
                   ServerConfig cfg = {});
   ~InferenceServer();
@@ -169,14 +169,17 @@ class InferenceServer {
   /// This server's full observability surface as one JSON object:
   /// {"sessions_active","prefetch_bytes","hash_backend",
   ///  "cpu_features","accounting":{...},"chain":{...},"resilience":{...},
-  ///  "ot":{...},"front":{...},"metrics":{counters,gauges,hists}}. The chain block, fixed at
-  /// construction, sizes the one netlist the server holds — its largest
-  /// allocation: {"circuits","gates","and_gates","label_slots" (sum of
-  /// the walked views' num_wires),"netlist_bytes" (gate lists plus
-  /// interface vectors)}. The front block sizes one inference's
-  /// layer-0 front: {"products","ots","bytes" (both directions),
-  /// "share_bits" (each party's share-circuit inputs)}, so comm per
-  /// inference reads as tables + label OT + arithmetic OT + labels.
+  ///  "ot":{...},"front":{...},"metrics":{counters,gauges,hists}}. The
+  /// chain block, fixed at construction, sizes the one netlist the
+  /// server holds (every stage's chain) — its largest allocation:
+  /// {"circuits","gates","and_gates","label_slots" (sum of the walked
+  /// views' num_wires),"netlist_bytes" (gate lists plus interface
+  /// vectors)}. The front block sums one inference's fronts:
+  /// {"stages","products","ots" (product OTs),"b2a_ots" (the hidden
+  /// stages' conversions),"bytes" (every arithmetic batch, both
+  /// directions),"share_bits" (each party's share-circuit inputs)}, so
+  /// comm per inference reads as tables + label OT + arithmetic OT +
+  /// labels.
   /// The accounting block sums the
   /// non-overlapping per-phase histograms (handshake, recv_wait,
   /// infer_*, prefetch_push, parked, dispatch) against session_wall, so
@@ -201,7 +204,7 @@ class InferenceServer {
   // material is still in flight on the wire.
   struct SessionState {
     std::mutex mu;
-    std::unordered_map<uint64_t, EvalMaterial> store;
+    std::unordered_map<uint64_t, std::vector<EvalMaterial>> store;
     uint64_t reserved_bytes = 0;
     size_t pending_pushes = 0;
     bool closed = false;         // primary session torn down
@@ -211,21 +214,22 @@ class InferenceServer {
   // --- protocol steps the reactor drives -----------------------------
   /// Handshake validation; nullptr = accept, else the kError reason.
   const char* validate_hello(const Hello& hello) const;
-  /// The layer-0 front of one inference: the share circuit's
-  /// evaluator-input bits.
-  BitVec run_front(EvaluatorSession& session);
+  /// Stage `s`'s front of one inference: B2A of `e`, the server's XOR
+  /// shares of the previous stage's outputs (none for stage 0), then
+  /// the products. Returns the share circuit's evaluator-input bits.
+  BitVec run_front(EvaluatorSession& session, size_t s, const BitVec& e);
   /// One kInfer frame (on-demand or pooled). Returns false when the
   /// connection must close (kError already sent).
   bool handle_infer_frame(const Frame& f, BufferedChannel& ch,
                           EvaluatorSession& session, SessionState& state);
   /// One kPrefetch push into `state` (primary connection or lane):
-  /// quota + global-budget reservation, artifact receive + size checks,
-  /// evaluator-label OT + relabel, store. Returns false when the
+  /// quota + global-budget reservation, artifact receive + per-stage
+  /// size checks, store. Returns false when the
   /// carrying connection must close (every rejection sent a kError);
   /// on failure the reservation is released immediately — never parked
   /// until teardown.
   bool handle_prefetch_push(const Frame& f, BufferedChannel& ch,
-                            EvaluatorSession& session, SessionState& state);
+                            SessionState& state);
   /// Issue + register a fresh unguessable lane token for `state`.
   uint64_t register_lane_token(const std::shared_ptr<SessionState>& state);
   void unregister_lane_token(uint64_t token);
@@ -239,17 +243,22 @@ class InferenceServer {
   /// and knows not to settle again.
   void settle_session_state(SessionState& state);
 
-  synth::FrontPlan front_;
-  std::vector<Circuit> chain_;          // served chain, walked
-  std::vector<int64_t> front_weights_;  // layer-0 weights (the front's)
-  BitVec chain_weights_;                // circuits 1..n's evaluator inputs
+  // One per served stage. A well-formed pooled artifact's tables for
+  // the stage are exactly table_bytes (consts + half-gate tables per
+  // circuit): prefetches that disagree are rejected at push time, not
+  // at kInfer time.
+  struct Stage {
+    synth::FrontPlan front;
+    std::vector<Circuit> chain;    // walked
+    std::vector<int64_t> weights;  // the linear layer's, for the front
+    uint64_t table_bytes = 0;
+  };
+  std::vector<Stage> stages_;
   ServerConfig cfg_;
   uint64_t fingerprint_ = 0;
   std::string chain_json_;  // stats_json's "chain" block, fixed at set-up
-  // Exact size of a well-formed artifact's table stream for chain_
-  // (consts + half-gate tables per circuit): prefetches that disagree
-  // are rejected at push time, not at kInfer time.
-  uint64_t expected_table_bytes_ = 0;
+  std::string front_json_;  // stats_json's "front" block, fixed at set-up
+  uint64_t expected_table_bytes_ = 0;  // every stage's, the budget unit
 
   TcpListener listener_;
   TcpListener lane_listener_;
@@ -299,7 +308,6 @@ class InferenceServer {
   obs::Histogram& h_session_wall_ = metrics_.histogram("phase.session_wall");
   obs::Histogram& h_lane_wall_ = metrics_.histogram("phase.lane_wall");
   // Sub-phases nested inside the above (informational, not summed).
-  obs::Histogram& h_ot_offline_ = metrics_.histogram("subphase.ot_offline");
   obs::Histogram& h_ot_online_ = metrics_.histogram("subphase.ot_online");
   obs::Histogram& h_front_ = metrics_.histogram("subphase.front");
   obs::Histogram& h_eval_ = metrics_.histogram("subphase.eval");

@@ -223,33 +223,42 @@ Circuit compile_model(const ModelSpec& spec) {
   return b.build();
 }
 
-std::vector<Circuit> compile_model_layers(const ModelSpec& spec,
-                                          size_t first) {
+namespace {
+
+// Layer `idx` on input shape `shape`. Activations arrive as
+// garbler-class inputs; the protocol driver binds them to carried
+// labels (except for the very first layer, where they are the client's
+// actual data bits).
+Circuit compile_layer_at(const ModelSpec& spec, const Shape3& shape,
+                         size_t idx) {
+  Builder b(spec.name + ".layer" + std::to_string(idx));
+  Compiler c{b, spec.fmt};
+  std::vector<Bus> x(shape.flat());
+  for (auto& bus : x) bus = input_bus(b, Party::kGarbler, spec.fmt.total_bits);
+  for (const Bus& bus : c.apply(shape, std::move(x), spec.layers[idx]))
+    b.outputs(bus);
+  return b.build();
+}
+
+}  // namespace
+
+std::vector<Circuit> compile_model_layers(const ModelSpec& spec) {
   std::vector<Circuit> out;
   Shape3 shape = spec.input;
-  size_t idx = 0;
-  for (const auto& layer : spec.layers) {
-    if (idx < first) {
-      shape = layer_output_shape(shape, layer);
-      ++idx;
-      continue;
-    }
-    Builder b(spec.name + ".layer" + std::to_string(idx++));
-    Compiler c{b, spec.fmt};
-    // Activations arrive as garbler-class inputs; the protocol driver
-    // binds them to carried labels (except for the very first layer,
-    // where they are the client's actual data bits).
-    std::vector<Bus> x(shape.flat());
-    const bool is_argmax = std::holds_alternative<ArgmaxLayer>(layer);
-    const size_t bus_width = spec.fmt.total_bits;
-    for (auto& bus : x) bus = input_bus(b, Party::kGarbler, bus_width);
-    auto y = c.apply(shape, std::move(x), layer);
-    for (const Bus& bus : y) b.outputs(bus);
-    (void)is_argmax;
-    out.push_back(b.build());
-    shape = layer_output_shape(shape, layer);
+  for (size_t idx = 0; idx < spec.layers.size(); ++idx) {
+    out.push_back(compile_layer_at(spec, shape, idx));
+    shape = layer_output_shape(shape, spec.layers[idx]);
   }
   return out;
+}
+
+Circuit compile_layer(const ModelSpec& spec, size_t index) {
+  if (index >= spec.layers.size())
+    throw std::out_of_range("compile_layer: no such layer");
+  Shape3 shape = spec.input;
+  for (size_t i = 0; i < index; ++i)
+    shape = layer_output_shape(shape, spec.layers[i]);
+  return compile_layer_at(spec, shape, index);
 }
 
 }  // namespace deepsecure::synth

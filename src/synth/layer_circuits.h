@@ -83,10 +83,12 @@ Circuit compile_model(const ModelSpec& spec);
 
 /// Compile one netlist per layer for chained (layer-pipelined) GC
 /// execution; layer i's garbler inputs are bound to layer i-1's output
-/// labels by the protocol driver. Layers before `first` are skipped
-/// without building them (the served chain, synth/served.h, starts at
-/// layer 1).
-std::vector<Circuit> compile_model_layers(const ModelSpec& spec,
-                                          size_t first = 0);
+/// labels by the protocol driver.
+std::vector<Circuit> compile_model_layers(const ModelSpec& spec);
+
+/// Layer `index` of `spec` alone, exactly as compile_model_layers
+/// builds it (the served chain, synth/served.h, compiles its non-linear
+/// layers one by one and never builds a linear layer's multipliers).
+Circuit compile_layer(const ModelSpec& spec, size_t index);
 
 }  // namespace deepsecure::synth

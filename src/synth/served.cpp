@@ -87,7 +87,7 @@ FrontPlan front_plan(const Shape3& in, const LayerSpec& layer,
                                   : FrontPlan::kNoBias);
         }
   } else {
-    throw std::invalid_argument("front_plan: layer 0 must be FC or conv");
+    throw std::invalid_argument("front_plan: layer must be FC or conv");
   }
   return plan;
 }
@@ -122,10 +122,24 @@ ServedModel compile_served(const ModelSpec& spec) {
   if (spec.layers.empty())
     throw std::invalid_argument("compile_served: empty model");
   ServedModel m;
-  m.front = front_plan(spec.input, spec.layers.front(), spec.fmt);
-  m.chain.push_back(share_circuit(m.front, spec.name + ".front"));
-  for (Circuit& c : compile_model_layers(spec, 1))
-    m.chain.push_back(std::move(c));
+  Shape3 shape = spec.input;
+  for (size_t i = 0; i < spec.layers.size(); ++i) {
+    const LayerSpec& layer = spec.layers[i];
+    if (std::holds_alternative<FcLayer>(layer) ||
+        std::holds_alternative<ConvLayer>(layer)) {
+      ServedStage stage;
+      stage.front = front_plan(shape, layer, spec.fmt);
+      stage.chain.push_back(share_circuit(
+          stage.front, spec.name + ".layer" + std::to_string(i) + ".front"));
+      m.stages.push_back(std::move(stage));
+    } else if (m.stages.empty()) {
+      throw std::invalid_argument(
+          "compile_served: layer 0 must be FC or conv");
+    } else {
+      m.stages.back().chain.push_back(compile_layer(spec, i));
+    }
+    shape = layer_output_shape(shape, layer);
+  }
   return m;
 }
 

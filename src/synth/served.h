@@ -1,24 +1,30 @@
-// The served chain: what the runtime garbles for a model whose first
+// The served model: what the runtime garbles for a model whose first
 // layer is linear (FC or conv).
 //
-// Layer 0 multiplies the client's data x by the server's weights w,
-// both plaintext to one party. The runtime does not garble those
-// products: Gilboa OT multiplication (runtime/front.h) gives the
-// parties additive shares c + s = x*w mod 2^(n+f) per product, and
-// Fixed::operator* keeps bits [f, f+n) of it:
+// Every linear layer multiplies its inputs x by the server's weights w.
+// The runtime does not garble those products: Gilboa OT multiplication
+// (runtime/front.h) gives the parties additive shares c + s = x*w mod
+// 2^(n+f) per product, and Fixed::operator* keeps bits [f, f+n) of it:
 //
 //   trunc(x*w) = (c >> f) + (s >> f) + [c_lo + s_lo >= 2^f]  (mod 2^n)
 //
 // with c_lo, s_lo the low f bits. Each party sums its high parts per
 // neuron in plaintext (the server adds the bias to its own), so the
-// garbled layer 0 shrinks to the share circuit: one f-bit carry per
+// garbled layer shrinks to the share circuit: one f-bit carry per
 // product, a popcount of the carries per neuron, and C_j + S_j + K_j.
 //
-// compile_served returns the plan of those products and the served
-// chain: chain[0] is the share circuit, chain[1..] are layers 1..n as
-// compile_model_layers builds them. compile_model_layers stays the
-// plaintext reference: chain[0]'s outputs equal its layer 0's outputs
-// for every x, w and every pair of shares.
+// compile_served cuts the model into stages, one per linear layer:
+//
+//   stage = front (the layer's products, shared by OT)
+//         + chain: the share circuit, then the non-linear layers up to
+//           the next linear layer, each compiled alone
+//
+// Layer 0's x is the client's data. A hidden layer's x comes out of
+// the previous stage's chain as XOR shares (the permute bits of its
+// output labels), which the front turns into additive shares first
+// (B2A, runtime/front.h). No multiplier is ever built.
+// compile_model_layers stays the plaintext reference: each stage's
+// chain equals its layers there for every x, w and pair of shares.
 #pragma once
 
 #include <cstdint>
@@ -28,22 +34,22 @@
 
 namespace deepsecure::synth {
 
-/// One product of layer 0: x[input] * w[weight], both indices into the
-/// layer's own input scalars and weight scalars (reference order, see
-/// layer_circuits.h).
+/// One product of a linear layer: x[input] * w[weight], both indices
+/// into the layer's own input scalars and weight scalars (reference
+/// order, see layer_circuits.h).
 struct FrontProduct {
   uint32_t input = 0;
   uint32_t weight = 0;
 };
 
-/// The products of a linear layer 0, grouped by output neuron in the
+/// The products of a linear layer, grouped by output neuron in the
 /// order the reference layer sums them.
 struct FrontPlan {
   static constexpr uint32_t kNoBias = ~uint32_t{0};
 
   FixedFormat fmt;
-  size_t inputs = 0;   // layer-0 input scalars (the client's data)
-  size_t weights = 0;  // layer-0 weight scalars, biases included
+  size_t inputs = 0;   // the layer's input scalars
+  size_t weights = 0;  // the layer's weight scalars, biases included
   std::vector<FrontProduct> products;
   /// Neuron j owns products [first[j], first[j+1]); neurons() + 1 entries.
   std::vector<uint32_t> first;
@@ -51,13 +57,16 @@ struct FrontPlan {
   std::vector<uint32_t> bias;
 
   size_t neurons() const { return bias.size(); }
-  /// Arithmetic OTs per inference: one per weight bit of every product.
+  /// Arithmetic OTs of the products: one per weight bit of each.
   size_t ots() const { return products.size() * fmt.total_bits; }
   /// Bits each party feeds the share circuit: f low share bits per
   /// product, then n bits of its per-neuron sum.
   size_t share_bits() const {
     return products.size() * fmt.frac_bits + neurons() * fmt.total_bits;
   }
+  /// Arithmetic OTs of the B2A that feeds a hidden layer: one per bit
+  /// of each input scalar.
+  size_t b2a_ots() const { return inputs * fmt.total_bits; }
 };
 
 /// Plan of a linear `layer` on input shape `in`; throws
@@ -72,13 +81,20 @@ FrontPlan front_plan(const Shape3& in, const LayerSpec& layer,
 /// C_j + S_j + K_j mod 2^n.
 Circuit share_circuit(const FrontPlan& plan, const std::string& name);
 
-struct ServedModel {
+/// One linear layer and the non-linear layers after it. chain[0] is
+/// share_circuit(front); its evaluator inputs are the only ones in the
+/// chain. A stage's outputs stay XOR-shared unless it is the last.
+struct ServedStage {
   FrontPlan front;
   std::vector<Circuit> chain;
 };
 
-/// Compile the served chain of `spec`, whose first layer must be FC or
-/// conv. Layer 0's multipliers are never built.
+struct ServedModel {
+  std::vector<ServedStage> stages;
+};
+
+/// Compile the served stages of `spec`, whose first layer must be FC or
+/// conv: one stage per FC/conv layer, in layer order.
 ServedModel compile_served(const ModelSpec& spec);
 
 }  // namespace deepsecure::synth

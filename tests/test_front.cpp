@@ -1,14 +1,20 @@
-// Layer 0 by OT multiplication (synth/served.h, runtime/front.h): the
-// share circuit over Gilboa shares computes exactly what the reference
-// layer 0 computes, product by product and neuron by neuron.
+// Linear layers by OT multiplication (synth/served.h, runtime/front.h):
+// B2A turns XOR shares into additive ones exactly, and each served
+// stage (front + share circuit + the non-linear layers after it)
+// computes exactly what the reference layers compute, product by
+// product and neuron by neuron.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 
 #include "core/benchmark_zoo.h"
 #include "net/party.h"
+#include "net/tcp_channel.h"
+#include "runtime/client.h"
 #include "runtime/frame.h"
 #include "runtime/front.h"
+#include "runtime/server.h"
 #include "support/rng.h"
 #include "synth/served.h"
 
@@ -24,19 +30,18 @@ struct Shares {
   BitVec client, server;
 };
 
-// The front with the OTs simulated in place: random pads, the receiver
-// gets pad + b*delta (what gc/ot.h's arithmetic OT delivers).
-Shares share_locally(const synth::FrontPlan& plan,
-                     const std::vector<int64_t>& x,
-                     const std::vector<int64_t>& w, Rng& rng) {
-  const std::vector<uint32_t> d = front_correlations(plan, x);
-  const BitVec b = front_choices(plan, w);
-  std::vector<uint32_t> pads(d.size()), got(d.size());
-  for (size_t j = 0; j < d.size(); ++j) {
+using Words = std::vector<uint32_t>;
+
+// What gc/ot.h's arithmetic OT delivers, simulated in place: random
+// pads for the sender, pad + b*delta for the receiver.
+std::pair<Words, Words> simulate_ots(const Words& delta, const BitVec& b,
+                                     Rng& rng) {
+  Words pads(delta.size()), got(delta.size());
+  for (size_t j = 0; j < delta.size(); ++j) {
     pads[j] = static_cast<uint32_t>(rng.next_u64());
-    got[j] = pads[j] + (b[j] ? d[j] : 0u);
+    got[j] = pads[j] + (b[j] ? delta[j] : 0u);
   }
-  return {client_share_bits(plan, pads), server_share_bits(plan, got, w)};
+  return {pads, got};
 }
 
 BitVec pack(const std::vector<int64_t>& v, FixedFormat fmt) {
@@ -48,6 +53,35 @@ BitVec pack(const std::vector<int64_t>& v, FixedFormat fmt) {
   return bits;
 }
 
+// x as a stage's chain leaves it, XOR-shared: random client bits g
+// (the permute bits of its zero labels), server bits e = x ^ g. Then
+// B2A with the OTs simulated: returns {x_c, x_s}.
+std::pair<Words, Words> b2a_locally(const std::vector<int64_t>& x,
+                                    FixedFormat fmt, Rng& rng) {
+  const BitVec bits = pack(x, fmt);
+  BitVec g(bits.size()), e(bits.size());
+  for (size_t i = 0; i < bits.size(); ++i) {
+    g[i] = static_cast<uint8_t>(rng.next_u64() & 1u);
+    e[i] = bits[i] ^ g[i];
+  }
+  const auto [pads, got] =
+      simulate_ots(runtime::b2a_correlations(g, fmt), e, rng);
+  return {runtime::b2a_client(g, pads, fmt), runtime::b2a_server(e, got, fmt)};
+}
+
+// A front with the OTs simulated. Layer 0 (`hidden` false): the client
+// holds x, the server nothing. A hidden layer: x arrives XOR-shared and
+// goes through B2A first.
+Shares share_locally(const synth::FrontPlan& plan,
+                     const std::vector<int64_t>& x,
+                     const std::vector<int64_t>& w, Rng& rng, bool hidden) {
+  Words xc(x.begin(), x.end()), xs(x.size(), 0);
+  if (hidden) std::tie(xc, xs) = b2a_locally(x, plan.fmt, rng);
+  const auto [pads, got] =
+      simulate_ots(front_correlations(plan, xc), front_choices(plan, w), rng);
+  return {client_share_bits(plan, pads), server_share_bits(plan, got, w, xs)};
+}
+
 std::vector<int64_t> random_raw(Rng& rng, size_t n, FixedFormat fmt) {
   const int64_t half = int64_t{1} << (fmt.total_bits - 1);
   std::vector<int64_t> v(n);
@@ -56,16 +90,32 @@ std::vector<int64_t> random_raw(Rng& rng, size_t n, FixedFormat fmt) {
   return v;
 }
 
+// Every 16-bit x, each split into XOR shares by random label lsbs: the
+// B2A shares add up to x (sign-extended) mod 2^32, so mod 2^(n+f) too.
+TEST(B2a, ExhaustiveSharesAddUpToX) {
+  const FixedFormat fmt = kDefaultFormat;
+  std::vector<int64_t> xs;
+  for (int64_t x = -32768; x < 32768; ++x) xs.push_back(x);
+  Rng rng(2);
+  const auto [xc, xsrv] = b2a_locally(xs, fmt, rng);
+  ASSERT_EQ(xc.size(), xs.size());
+  size_t bad = 0;
+  for (size_t i = 0; i < xs.size(); ++i)
+    if (xc[i] + xsrv[i] != static_cast<uint32_t>(xs[i])) ++bad;
+  EXPECT_EQ(bad, 0u);
+}
+
 // Every 16-bit weight against x in {0, +-1, INT16_MIN, INT16_MAX} and a
-// few random x, each on fresh random shares: the shares add up to x*w
-// mod 2^28, and the share circuit's truncation equals Fixed::operator*.
-TEST(FrontShares, ExhaustiveTruncationMatchesFixedMultiply) {
+// few random x, each on fresh random shares, for layer 0 and for a
+// hidden layer (x XOR-shared, then B2A): the shares add up to x*w mod
+// 2^28, and the share circuit's truncation equals Fixed::operator*.
+void expect_exhaustive_truncation(bool hidden) {
   const FixedFormat fmt = kDefaultFormat;
   const synth::FrontPlan plan = synth::front_plan(
       synth::Shape3{1, 1, 1}, synth::FcLayer{1, {}, false}, fmt);
   ASSERT_EQ(plan.products.size(), 1u);
   const Circuit c = synth::share_circuit(plan, "one_product");
-  Rng rng(1);
+  Rng rng(hidden ? 3 : 1);
   std::vector<int64_t> xs = {0, 1, -1, -32768, 32767};
   for (const int64_t x : random_raw(rng, 3, fmt)) xs.push_back(x);
   const uint32_t mask = (uint32_t{1} << 28) - 1;
@@ -73,7 +123,7 @@ TEST(FrontShares, ExhaustiveTruncationMatchesFixedMultiply) {
   std::string first;
   for (const int64_t x : xs) {
     for (int64_t w = -32768; w < 32768; ++w) {
-      const Shares s = share_locally(plan, {x}, {w}, rng);
+      const Shares s = share_locally(plan, {x}, {w}, rng, hidden);
       // One product: 12 low bits, then the 16 high bits of each share.
       const auto share = [](const BitVec& bits) {
         uint32_t v = 0;
@@ -95,30 +145,12 @@ TEST(FrontShares, ExhaustiveTruncationMatchesFixedMultiply) {
   EXPECT_EQ(bad_trunc, 0u) << "first mismatch: " << first;
 }
 
-// The share circuit equals the reference layer 0 (Circuit::eval over
-// compile_model_layers) on `spec`'s first layer.
-void expect_matches_reference_layer(const synth::ModelSpec& spec,
-                                    size_t trials) {
-  synth::ModelSpec first = spec;
-  first.layers.resize(1);
-  const Circuit ref = synth::compile_model_layers(first).front();
-  const synth::FrontPlan plan =
-      synth::front_plan(spec.input, spec.layers.front(), spec.fmt);
-  const Circuit c = synth::share_circuit(plan, spec.name + ".front");
-  ASSERT_EQ(c.outputs.size(), ref.outputs.size()) << spec.name;
-  Rng rng(7);
-  for (size_t t = 0; t < trials; ++t) {
-    std::vector<int64_t> x = random_raw(rng, plan.inputs, spec.fmt);
-    std::vector<int64_t> w = random_raw(rng, plan.weights, spec.fmt);
-    if (t == 0) {  // the corners of the ring
-      for (size_t i = 0; i < x.size(); ++i) x[i] = i % 2 ? 32767 : -32768;
-      for (size_t i = 0; i < w.size(); ++i) w[i] = i % 3 ? -32768 : 32767;
-    }
-    const Shares s = share_locally(plan, x, w, rng);
-    EXPECT_EQ(c.eval(s.client, s.server),
-              ref.eval(pack(x, spec.fmt), pack(w, spec.fmt)))
-        << spec.name << " trial " << t;
-  }
+TEST(FrontShares, ExhaustiveTruncationMatchesFixedMultiply) {
+  expect_exhaustive_truncation(/*hidden=*/false);
+}
+
+TEST(FrontShares, HiddenFrontOnB2aSharesMatchesFixedMultiply) {
+  expect_exhaustive_truncation(/*hidden=*/true);
 }
 
 synth::ModelSpec mlp_spec() {
@@ -139,11 +171,65 @@ const synth::ModelSpec& zoo_compact(const std::string& name) {
   throw std::runtime_error("no zoo model " + name);
 }
 
-TEST(ShareCircuit, MatchesReferenceLayer0Mlp) {
-  expect_matches_reference_layer(mlp_spec(), 200);
+// Index of each stage's linear layer in spec.layers.
+std::vector<size_t> stage_layers(const synth::ModelSpec& spec) {
+  std::vector<size_t> at;
+  for (size_t i = 0; i < spec.layers.size(); ++i)
+    if (std::holds_alternative<synth::FcLayer>(spec.layers[i]) ||
+        std::holds_alternative<synth::ConvLayer>(spec.layers[i]))
+      at.push_back(i);
+  return at;
 }
 
-TEST(ShareCircuit, MatchesReferenceLayer0MaskedFcWithoutBias) {
+// Every served stage equals its reference layers (Circuit::eval over
+// compile_model_layers): the share circuit on simulated shares (hidden
+// stages through B2A of XOR shares), then the stage's non-linear
+// layers, against the linear layer and the same layers in the
+// reference chain.
+void expect_stages_match_reference(const synth::ModelSpec& spec,
+                                   size_t trials) {
+  const synth::ServedModel served = synth::compile_served(spec);
+  const std::vector<Circuit> ref = synth::compile_model_layers(spec);
+  const std::vector<size_t> at = stage_layers(spec);
+  ASSERT_EQ(served.stages.size(), at.size()) << spec.name;
+  Rng rng(7);
+  for (size_t s = 0; s < served.stages.size(); ++s) {
+    const synth::ServedStage& stage = served.stages[s];
+    const synth::FrontPlan& plan = stage.front;
+    for (size_t t = 0; t < trials; ++t) {
+      std::vector<int64_t> x = random_raw(rng, plan.inputs, spec.fmt);
+      std::vector<int64_t> w = random_raw(rng, plan.weights, spec.fmt);
+      if (t == 0) {  // the corners of the ring
+        for (size_t i = 0; i < x.size(); ++i) x[i] = i % 2 ? 32767 : -32768;
+        for (size_t i = 0; i < w.size(); ++i) w[i] = i % 3 ? -32768 : 32767;
+      }
+      const Shares sh = share_locally(plan, x, w, rng, /*hidden=*/s > 0);
+      BitVec got = stage.chain[0].eval(sh.client, sh.server);
+      BitVec want = ref[at[s]].eval(pack(x, spec.fmt), pack(w, spec.fmt));
+      for (size_t k = 1; k < stage.chain.size(); ++k) {
+        got = stage.chain[k].eval(got, {});
+        want = ref[at[s] + k].eval(want, {});
+      }
+      EXPECT_EQ(got, want) << spec.name << " stage " << s << " trial " << t;
+    }
+  }
+}
+
+TEST(ServedStages, MatchReferenceLayersMlp) {
+  expect_stages_match_reference(mlp_spec(), 100);
+}
+
+TEST(ServedStages, MatchReferenceLayersB1pp) {
+  expect_stages_match_reference(zoo_compact("b1_pp"), 2);
+}
+
+TEST(ServedStages, MatchReferenceLayersB3pp) {
+  expect_stages_match_reference(zoo_compact("b3_pp"), 2);
+}
+
+// The share circuit equals the reference layer on a masked FC without
+// bias whose neuron 1 has no terms at all.
+TEST(ShareCircuit, MatchesReferenceMaskedFcWithoutBias) {
   synth::ModelSpec spec;
   spec.name = "masked";
   spec.input = synth::Shape3{1, 1, 6};
@@ -151,81 +237,101 @@ TEST(ShareCircuit, MatchesReferenceLayer0MaskedFcWithoutBias) {
   for (size_t i = 0; i < 6; ++i) fc.mask[6 + i] = 0;  // neuron 1: no terms
   fc.mask[0] = fc.mask[13] = fc.mask[23] = 0;
   spec.layers.push_back(fc);
-  expect_matches_reference_layer(spec, 50);
+  expect_stages_match_reference(spec, 50);
 }
 
-TEST(ShareCircuit, MatchesReferenceLayer0ConvB1pp) {
-  expect_matches_reference_layer(zoo_compact("b1_pp"), 3);
-}
-
-TEST(ShareCircuit, MatchesReferenceLayer0B3pp) {
-  expect_matches_reference_layer(zoo_compact("b3_pp"), 2);
-}
-
-// b2_pp's and b4_pp's reference layer 0 netlists (about 27 M and 130 M
-// gates) are too big to compile in a unit test. Their first layers are
-// plain masked FCs, so they are checked against the fixed-point
-// arithmetic the reference layer computes (x*w truncated, summed and
-// biased mod 2^16; test_layer_circuits holds the reference circuit to
-// the same arithmetic).
+// b2_pp's and b4_pp's reference FC netlists (up to about 130 M gates)
+// are too big to compile in a unit test. Their linear layers are plain
+// masked FCs, so every stage's share circuit is checked against the
+// fixed-point arithmetic the reference layer computes (x*w truncated,
+// summed and biased mod 2^16; test_layer_circuits holds the reference
+// circuit to the same arithmetic), the hidden ones on B2A shares.
 TEST(ShareCircuit, MatchesFixedArithmeticB2ppAndB4pp) {
   for (const char* name : {"b2_pp", "b4_pp"}) {
     const synth::ModelSpec& spec = zoo_compact(name);
-    const synth::FrontPlan plan =
-        synth::front_plan(spec.input, spec.layers.front(), spec.fmt);
-    const Circuit c = synth::share_circuit(plan, spec.name + ".front");
+    synth::Shape3 shape = spec.input;
     Rng rng(11);
-    const std::vector<int64_t> x = random_raw(rng, plan.inputs, spec.fmt);
-    const std::vector<int64_t> w = random_raw(rng, plan.weights, spec.fmt);
-    const Shares s = share_locally(plan, x, w, rng);
-    std::vector<int64_t> want;
-    for (size_t j = 0; j < plan.neurons(); ++j) {
-      Fixed acc(0, spec.fmt);
-      for (size_t p = plan.first[j]; p < plan.first[j + 1]; ++p)
-        acc = acc + Fixed(x[plan.products[p].input], spec.fmt) *
-                        Fixed(w[plan.products[p].weight], spec.fmt);
-      if (plan.bias[j] != synth::FrontPlan::kNoBias)
-        acc = acc + Fixed(w[plan.bias[j]], spec.fmt);
-      want.push_back(acc.raw());
+    size_t stage = 0;
+    for (const synth::LayerSpec& layer : spec.layers) {
+      const synth::Shape3 in = shape;
+      shape = synth::layer_output_shape(shape, layer);
+      if (!std::holds_alternative<synth::FcLayer>(layer)) continue;
+      const synth::FrontPlan plan = synth::front_plan(in, layer, spec.fmt);
+      const Circuit c = synth::share_circuit(plan, spec.name + ".front");
+      const std::vector<int64_t> x = random_raw(rng, plan.inputs, spec.fmt);
+      const std::vector<int64_t> w = random_raw(rng, plan.weights, spec.fmt);
+      const Shares s = share_locally(plan, x, w, rng, stage++ > 0);
+      std::vector<int64_t> want;
+      for (size_t j = 0; j < plan.neurons(); ++j) {
+        Fixed acc(0, spec.fmt);
+        for (size_t p = plan.first[j]; p < plan.first[j + 1]; ++p)
+          acc = acc + Fixed(x[plan.products[p].input], spec.fmt) *
+                          Fixed(w[plan.products[p].weight], spec.fmt);
+        if (plan.bias[j] != synth::FrontPlan::kNoBias)
+          acc = acc + Fixed(w[plan.bias[j]], spec.fmt);
+        want.push_back(acc.raw());
+      }
+      EXPECT_EQ(c.eval(s.client, s.server), pack(want, spec.fmt))
+          << name << " stage " << stage - 1;
     }
-    EXPECT_EQ(c.eval(s.client, s.server), pack(want, spec.fmt)) << name;
+    EXPECT_EQ(stage, 3u) << name;
   }
 }
 
-// The served chain of b3_pp: the share circuit's size, and layers 1..n
-// exactly as compile_model_layers builds them.
-TEST(CompileServed, B3ppShareCircuitAndTail) {
+// b3_pp's served stages: layer 0's and layer 2's fronts, their share
+// circuits, and the non-linear layers exactly as compile_model_layers
+// builds them. No served chain garbles a multiplier.
+TEST(CompileServed, B3ppStages) {
   const synth::ModelSpec& spec = zoo_compact("b3_pp");
   const synth::ServedModel m = synth::compile_served(spec);
-  ASSERT_EQ(m.chain.size(), spec.layers.size());
-  EXPECT_EQ(m.front.products.size(), 5082u);
-  EXPECT_EQ(m.front.ots(), 81312u);
-  EXPECT_EQ(m.front.share_bits(), 61784u);
-  const Circuit& c = m.chain.front();
+  ASSERT_EQ(m.stages.size(), 2u);
+  const synth::ServedStage& s0 = m.stages[0];
+  EXPECT_EQ(s0.front.products.size(), 5082u);
+  EXPECT_EQ(s0.front.ots(), 81312u);
+  EXPECT_EQ(s0.front.share_bits(), 61784u);
+  ASSERT_EQ(s0.chain.size(), 2u);  // share circuit, tanh
+  const Circuit& c = s0.chain.front();
   EXPECT_EQ(c.garbler_inputs.size(), 61784u);
   EXPECT_EQ(c.evaluator_inputs.size(), 61784u);
   EXPECT_EQ(c.outputs.size(), 50u * 16);
   // One 12-AND carry per product dominates; the popcounts and the
   // per-neuron adders add about one AND per product more.
   EXPECT_LT(c.stats().num_and, 5082u * 14);
-  const std::vector<Circuit> tail = synth::compile_model_layers(spec, 1);
-  ASSERT_EQ(tail.size() + 1, m.chain.size());
-  for (size_t k = 0; k < tail.size(); ++k)
-    EXPECT_EQ(chain_fingerprint({tail[k]}), chain_fingerprint({m.chain[k + 1]}))
-        << "layer " << k + 1;
+  const synth::ServedStage& s1 = m.stages[1];
+  EXPECT_EQ(s1.front.inputs, 50u);
+  EXPECT_EQ(s1.front.ots(), 6864u);
+  EXPECT_EQ(s1.front.b2a_ots(), 800u);
+  ASSERT_EQ(s1.chain.size(), 2u);  // share circuit, argmax
+  EXPECT_EQ(s1.chain[0].outputs.size(), 26u * 16);
+  EXPECT_EQ(chain_fingerprint({synth::compile_layer(spec, 1)}),
+            chain_fingerprint({s0.chain[1]}));
+  EXPECT_EQ(chain_fingerprint({synth::compile_layer(spec, 3)}),
+            chain_fingerprint({s1.chain[1]}));
 }
 
-// Pinned hello fingerprints (v8) of two served models: the scheduled
-// served chain mixed with the front plan. Any change to the share
-// circuit, layers 1..n, the scheduling pass or the plan's product order
-// moves them, and with them the wire bytes of every inference. (The
-// reference chains' own pins live in test_circuit.)
+// Two adjacent linear layers give a stage of the share circuit alone.
+TEST(CompileServed, AdjacentLinearLayersGiveAShareCircuitStage) {
+  synth::ModelSpec two = mlp_spec();
+  two.layers = {synth::FcLayer{6, {}, true}, synth::FcLayer{3, {}, true},
+                synth::ArgmaxLayer{}};
+  const synth::ServedModel m = synth::compile_served(two);
+  ASSERT_EQ(m.stages.size(), 2u);
+  EXPECT_EQ(m.stages[0].chain.size(), 1u);
+  EXPECT_EQ(m.stages[1].chain.size(), 2u);
+  expect_stages_match_reference(two, 50);
+}
+
+// Pinned hello fingerprints (v9) of two served models: every stage's
+// scheduled chain mixed with its front plan. Any change to the share
+// circuit, the non-linear layers, the scheduling pass or a plan's
+// product order moves them, and with them the wire bytes of every
+// inference. (The reference chains' own pins live in test_circuit.)
 TEST(CompileServed, PinnedServedFingerprints) {
   EXPECT_EQ(runtime::served_fingerprint(synth::compile_served(mlp_spec())),
-            0xfbec2de3fe9d493eull);
+            0x5117ce0c6b368b3dull);
   EXPECT_EQ(
       runtime::served_fingerprint(synth::compile_served(zoo_compact("b3_pp"))),
-      0xf9488a5ed2262021ull);
+      0x90ba156d7025d947ull);
 }
 
 TEST(CompileServed, RejectsNonLinearFirstLayer) {
@@ -236,34 +342,96 @@ TEST(CompileServed, RejectsNonLinearFirstLayer) {
   EXPECT_THROW(synth::compile_served(spec), std::invalid_argument);
 }
 
-// The exchange on real sessions: one round trip of arithmetic OTs on a
-// fresh OT setup, then the share circuit on the two parties' bits
-// equals the reference layer.
+// The exchanges on real sessions: a layer-0 front, then a hidden front
+// (B2A of XOR shares, then the products), each one round trip of
+// arithmetic OTs on the session's OT setup; the share circuit on the
+// two parties' bits equals the reference layer both times.
 TEST(FrontExchange, SessionsShareTheProducts) {
   const synth::ModelSpec spec = mlp_spec();
-  const synth::FrontPlan plan =
-      synth::front_plan(spec.input, spec.layers.front(), spec.fmt);
-  synth::ModelSpec first = spec;
-  first.layers.resize(1);
-  const Circuit ref = synth::compile_model_layers(first).front();
-  const Circuit c = synth::share_circuit(plan, "mlp.front");
+  const synth::ServedModel served = synth::compile_served(spec);
+  const std::vector<Circuit> ref = synth::compile_model_layers(spec);
+  const synth::FrontPlan& p0 = served.stages[0].front;
+  const synth::FrontPlan& p1 = served.stages[1].front;
   Rng rng(5);
-  const std::vector<int64_t> x = random_raw(rng, plan.inputs, spec.fmt);
-  const std::vector<int64_t> w = random_raw(rng, plan.weights, spec.fmt);
-  BitVec client, server;
+  const std::vector<int64_t> x0 = random_raw(rng, p0.inputs, spec.fmt);
+  const std::vector<int64_t> w0 = random_raw(rng, p0.weights, spec.fmt);
+  const std::vector<int64_t> x1 = random_raw(rng, p1.inputs, spec.fmt);
+  const std::vector<int64_t> w1 = random_raw(rng, p1.weights, spec.fmt);
+  // x1 XOR-shared, as stage 0's chain would leave it.
+  const BitVec x1_bits = pack(x1, spec.fmt);
+  BitVec g(x1_bits.size()), e(x1_bits.size());
+  for (size_t i = 0; i < g.size(); ++i) {
+    g[i] = static_cast<uint8_t>(rng.next_u64() & 1u);
+    e[i] = x1_bits[i] ^ g[i];
+  }
+  BitVec c0, s0, c1, s1;
   double front_s = -1;
   run_two_party(
       [&](Channel& ch) {
         GarblerSession session(ch, Block{3, 4});
-        client = runtime::front_send(session, plan, pack(x, spec.fmt));
+        c0 = runtime::front_send(session, p0,
+                                 runtime::data_shares(p0, pack(x0, spec.fmt)));
+        c1 = runtime::front_send(session, p1,
+                                 runtime::b2a_send(session, g, spec.fmt));
         front_s = session.trace().front_s;
       },
       [&](Channel& ch) {
         EvaluatorSession session(ch);
-        server = runtime::front_recv(session, plan, w);
+        s0 = runtime::front_recv(session, p0, w0, Words(p0.inputs, 0));
+        s1 = runtime::front_recv(session, p1, w1,
+                                 runtime::b2a_recv(session, e, spec.fmt));
       });
-  EXPECT_EQ(c.eval(client, server), ref.eval(pack(x, spec.fmt), pack(w, spec.fmt)));
+  EXPECT_EQ(served.stages[0].chain[0].eval(c0, s0),
+            ref[0].eval(pack(x0, spec.fmt), pack(w0, spec.fmt)));
+  EXPECT_EQ(served.stages[1].chain[0].eval(c1, s1),
+            ref[2].eval(x1_bits, pack(w1, spec.fmt)));
   EXPECT_GT(front_s, 0.0);
+}
+
+// A pooled artifact opens only its last stage: a push whose non-final
+// stage carries decode bits (the client's XOR shares) is refused, so
+// the artifacts a real client pushes, which the server stores, carry
+// empty decode bits on every non-final stage.
+TEST(PooledArtifact, NonFinalStagesCarryNoDecodeBits) {
+  const synth::ModelSpec spec = mlp_spec();
+  const synth::ServedModel served = synth::compile_served(spec);
+  ASSERT_EQ(served.stages.size(), 2u);
+  Rng rng(13);
+  BitVec weights;
+  for (int64_t v :
+       random_raw(rng, synth::model_weight_count(spec), spec.fmt)) {
+    const BitVec b = Fixed::from_raw(v, spec.fmt).to_bits();
+    weights.insert(weights.end(), b.begin(), b.end());
+  }
+  runtime::InferenceServer server(spec, weights);
+  server.start();
+  {
+    TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
+    raw.set_recv_timeout_ms(5000);
+    runtime::Hello hello;
+    hello.fingerprint = runtime::served_fingerprint(served);
+    runtime::send_hello(raw, hello);
+    ASSERT_EQ(runtime::recv_frame(raw).type, runtime::FrameType::kHelloAck);
+    runtime::send_id_frame(raw, runtime::FrameType::kPrefetch, 1);
+    // Stage 0 carrying decode bits, one per output: refused as soon as
+    // their count arrives.
+    raw.send_bits(BitVec(served.stages[0].chain.back().outputs.size(), 0));
+    EXPECT_THROW(
+        try { runtime::recv_frame(raw); } catch (const std::exception& e) {
+          EXPECT_NE(std::string(e.what()).find("oversized"), std::string::npos)
+              << e.what();
+          throw;
+        },
+        std::runtime_error);
+  }
+  runtime::ClientConfig cfg;
+  cfg.pool_target = 1;
+  cfg.auto_top_up = false;
+  runtime::InferenceClient client("127.0.0.1", server.port(), spec, cfg);
+  EXPECT_EQ(client.prefetch(1), 1u);
+  client.close();
+  server.stop();
+  EXPECT_EQ(server.materials_prefetched(), 1u);
 }
 
 }  // namespace

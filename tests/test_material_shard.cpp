@@ -88,11 +88,11 @@ TEST(MaterialShard, PoolShardThreadsProduceIdenticalArtifactSequence) {
   runtime::MaterialPoolConfig sharded = base;
   sharded.shard_threads = 3;
 
-  runtime::MaterialPool plain(chain, GcOptions{}, base);
-  runtime::MaterialPool fast(chain, GcOptions{}, sharded);
+  runtime::MaterialPool plain({chain}, GcOptions{}, base);
+  runtime::MaterialPool fast({chain}, GcOptions{}, sharded);
   for (int i = 0; i < 2; ++i) {
-    const GarbledMaterial a = plain.acquire();
-    const GarbledMaterial b = fast.acquire();
+    const GarbledMaterial a = plain.acquire().front();
+    const GarbledMaterial b = fast.acquire().front();
     expect_identical(a, b, i == 0 ? "artifact 0" : "artifact 1");
   }
 }
@@ -106,10 +106,10 @@ TEST(MaterialShard, ShardedPoolRefillsAfterDrain) {
   cfg.producer_threads = 2;
   cfg.shard_threads = 2;
   cfg.seed = Block{5, 55};
-  runtime::MaterialPool pool(chain, GcOptions{}, cfg);
+  runtime::MaterialPool pool({chain}, GcOptions{}, cfg);
 
-  const GarbledMaterial a = pool.acquire();
-  const GarbledMaterial b = pool.acquire();
+  const GarbledMaterial a = pool.acquire().front();
+  const GarbledMaterial b = pool.acquire().front();
   EXPECT_FALSE(a.delta == b.delta);  // distinct artifacts
   Stopwatch sw;
   while (pool.ready() < 2 && sw.seconds() < 30.0) std::this_thread::yield();

@@ -15,12 +15,15 @@
 #include <thread>
 #include <vector>
 
+#include "circuit/schedule.h"
 #include "core/deepsecure.h"
 #include "net/fault_channel.h"
+#include "net/party.h"
 #include "net/tcp_channel.h"
 #include "nn/network.h"
 #include "runtime/client.h"
 #include "runtime/frame.h"
+#include "runtime/front.h"
 #include "runtime/server.h"
 #include "support/rng.h"
 #include "test_util.h"
@@ -467,9 +470,23 @@ TEST(ServerResilience, ClientRecoversAcrossServerRestartWithFreshMaterial) {
 }
 
 // ---------------------------------------------------------------------
-// Faults inside the layer-0 front (runtime/front.h): the arithmetic-OT
-// round trip every kInfer opens with.
+// Faults inside the fronts (runtime/front.h): the arithmetic-OT round
+// trips every served stage opens with.
 // ---------------------------------------------------------------------
+
+// An inference ends with the client sharing the result bits back, and
+// the client does not wait for them to land: stop() right after
+// close() would shut the server's transport down under its last read
+// (through a relay, often). Wait until the server has counted `n`,
+// bounded, then stop.
+void stop_after_served(runtime::InferenceServer& server, uint64_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.inferences_served() < n &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  server.stop();
+}
 
 // A peer that stops halfway through its front reply and hangs up its
 // sending side gets a coded kError naming the failure, not a silent
@@ -481,7 +498,7 @@ TEST(ServerResilience, TruncatedFrontReplyEndsInCodedError) {
   runtime::InferenceServer server(spec, weights);
   server.start();
   const synth::ServedModel served = synth::compile_served(spec);
-  const size_t m = served.front.ots();
+  const size_t m = served.stages[0].front.ots();
 
   {
     TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
@@ -518,7 +535,65 @@ TEST(ServerResilience, TruncatedFrontReplyEndsInCodedError) {
   EXPECT_EQ(from_bits(client.infer_bits(data)),
             plaintext_label(spec, weights, data));
   client.close();
-  server.stop();
+  stop_after_served(server, 1);
+  EXPECT_EQ(server.inferences_served(), 1u);
+}
+
+// The same for a hidden front: the peer runs stage 0 in full (layer-0
+// front and its garbled segment, which ends in XOR shares), then stops
+// halfway through its reply to the next stage's B2A and hangs up its
+// sending side. The server answers with a coded kError and keeps
+// serving.
+TEST(ServerResilience, TruncatedHiddenFrontReplyEndsInCodedError) {
+  const synth::ModelSpec spec = small_spec();
+  Rng rng(97);
+  const BitVec weights = random_weights(spec, rng);
+  runtime::InferenceServer server(spec, weights);
+  server.start();
+  synth::ServedModel served = synth::compile_served(spec);
+  ASSERT_EQ(served.stages.size(), 2u);
+  const synth::FrontPlan& p0 = served.stages[0].front;
+  const size_t m = served.stages[1].front.b2a_ots();
+  const BitVec data = random_sample(rng);
+
+  {
+    TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
+    raw.set_recv_timeout_ms(5000);
+    runtime::Hello hello;
+    hello.fingerprint = runtime::served_fingerprint(served);
+    runtime::send_hello(raw, hello);
+    ASSERT_EQ(runtime::recv_frame(raw).type, runtime::FrameType::kHelloAck);
+    runtime::send_frame(raw, runtime::FrameType::kInfer);
+    GcOptions opt;
+    opt.framed_tables = true;
+    GarblerSession session(raw, Block{97, 1}, opt);
+    const BitVec share =
+        runtime::front_send(session, p0, runtime::data_shares(p0, data));
+    (void)session.run_stage(walk_chain(std::move(served.stages[0].chain)),
+                            share);
+    // The server's B2A batch: size and u columns.
+    ASSERT_EQ(raw.recv_u64(), m);
+    std::vector<uint8_t> columns(kOtExtKappa * ((m + 7) / 8));
+    raw.recv_bytes(columns.data(), columns.size());
+    const std::vector<uint8_t> half(2 * m, 0x5a);
+    raw.send_bytes(half.data(), half.size());
+    ASSERT_EQ(::shutdown(raw.fd(), SHUT_WR), 0);
+    uint8_t type = 0;
+    uint32_t len = 0;
+    raw.recv_bytes(&type, 1);
+    raw.recv_bytes(&len, 4);
+    ASSERT_EQ(type, static_cast<uint8_t>(runtime::FrameType::kError));
+    ASSERT_GT(len, 1u);
+    std::vector<uint8_t> payload(len);
+    raw.recv_bytes(payload.data(), len);
+    EXPECT_EQ(payload[0], static_cast<uint8_t>(runtime::ErrorCode::kMalformed));
+  }
+
+  runtime::InferenceClient client("127.0.0.1", server.port(), spec);
+  EXPECT_EQ(from_bits(client.infer_bits(data)),
+            plaintext_label(spec, weights, data));
+  client.close();
+  stop_after_served(server, 1);
   EXPECT_EQ(server.inferences_served(), 1u);
 }
 
@@ -617,7 +692,7 @@ TEST(ServerResilience, ClientRecoversFromConnectionLossMidFront) {
   const BitVec weights = random_weights(spec, rng);
   runtime::InferenceServer server(spec, weights);
   server.start();
-  const size_t m = synth::compile_served(spec).front.ots();
+  const size_t m = synth::compile_served(spec).stages[0].front.ots();
   FrontCutRelay relay(server.port(), /*cut_after=*/2 * m);  // half of 4m B
 
   runtime::ClientConfig ccfg;
@@ -632,7 +707,66 @@ TEST(ServerResilience, ClientRecoversFromConnectionLossMidFront) {
   EXPECT_EQ(client.sessions_recovered(), 1u);
   EXPECT_GE(client.retries(), 1u);
   client.close();
-  server.stop();
+  stop_after_served(server, 1);
+  EXPECT_EQ(server.inferences_served(), 1u);
+}
+
+// Client -> server bytes of an on-demand inference's stage 0 on a fresh
+// session: the base OTs, the layer-0 front's reply, and the stage's
+// garbling (label OT replies, share-bit labels, framed tables).
+uint64_t stage0_client_bytes(const synth::ModelSpec& spec,
+                             const BitVec& weights, const BitVec& data) {
+  const synth::ServedModel served = synth::compile_served(spec);
+  const synth::ServedStage& stage = served.stages[0];
+  const std::vector<Circuit> chain = walk_chain(stage.chain);
+  GcOptions opt;
+  opt.framed_tables = true;
+  uint64_t sent = 0;
+  run_two_party(
+      [&](Channel& ch) {
+        GarblerSession session(ch, Block{1, 2}, opt);
+        const std::vector<uint32_t> x = runtime::data_shares(stage.front, data);
+        (void)session.run_stage(chain,
+                                runtime::front_send(session, stage.front, x));
+        sent = ch.bytes_sent();
+      },
+      [&](Channel& ch) {
+        EvaluatorSession session(ch, opt);
+        const std::vector<int64_t> w = runtime::decode_fixed(
+            weights, stage.front.weights, spec.fmt);
+        const std::vector<uint32_t> x(stage.front.inputs, 0);
+        (void)session.run_stage(
+            chain, runtime::front_recv(session, stage.front, w, x));
+      });
+  return sent;
+}
+
+// The connection dies between stages, halfway through the client's
+// reply to stage 1's B2A: stage 0 ran in full and its outputs sit in
+// XOR shares on both sides. The client rebuilds its session and the
+// retried inference answers correctly.
+TEST(ServerResilience, ClientRecoversFromConnectionLossMidB2a) {
+  const synth::ModelSpec spec = small_spec();
+  Rng rng(101);
+  const BitVec weights = random_weights(spec, rng);
+  const BitVec data = random_sample(rng);
+  runtime::InferenceServer server(spec, weights);
+  server.start();
+  const size_t m = synth::compile_served(spec).stages[1].front.b2a_ots();
+  FrontCutRelay relay(server.port(), stage0_client_bytes(spec, weights, data) +
+                                         2 * m);  // half of 4m B
+
+  runtime::ClientConfig ccfg;
+  ccfg.seed = Block{10101, 5};
+  ccfg.max_retries = 5;
+  ccfg.backoff_base_ms = 1;
+  runtime::InferenceClient client("127.0.0.1", relay.port(), spec, ccfg);
+  EXPECT_EQ(from_bits(client.infer_bits(data)),
+            plaintext_label(spec, weights, data));
+  EXPECT_TRUE(relay.cut());
+  EXPECT_EQ(client.sessions_recovered(), 1u);
+  client.close();
+  stop_after_served(server, 1);
   EXPECT_EQ(server.inferences_served(), 1u);
 }
 

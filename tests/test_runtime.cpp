@@ -435,7 +435,8 @@ TEST(Material, EvaluateMaterialMatchesPlaintextChain) {
   for (size_t i = 0; i < mat.data_zeros.size(); ++i)
     g_labels[i] = data[i] ? (mat.data_zeros[i] ^ mat.delta) : mat.data_zeros[i];
 
-  EXPECT_EQ(evaluate_material(chain, em, g_labels), expect);
+  EXPECT_EQ(decode_labels(evaluate_material(chain, em, g_labels), em.decode_bits),
+            expect);
 }
 
 // A compiled MLP chain garbles its weight-bit ANDs as one-row gates:
@@ -488,22 +489,25 @@ TEST(Material, OneRowArtifactIsStreamSizedAndDecodes) {
   Labels g_labels(mat.data_zeros.size());
   for (size_t i = 0; i < mat.data_zeros.size(); ++i)
     g_labels[i] = data[i] ? (mat.data_zeros[i] ^ mat.delta) : mat.data_zeros[i];
-  EXPECT_EQ(evaluate_material(chain, em, g_labels), expect);
+  EXPECT_EQ(decode_labels(evaluate_material(chain, em, g_labels), em.decode_bits),
+            expect);
   ThreadPool pool(3);
   GcOptions sharded;
   sharded.pool = &pool;
   sharded.min_shard_gates = 2;
-  EXPECT_EQ(evaluate_material(chain, em, g_labels, sharded), expect);
+  EXPECT_EQ(decode_labels(evaluate_material(chain, em, g_labels, sharded),
+                          em.decode_bits),
+            expect);
 }
 
 TEST(MaterialPool, KeepsTargetInstancesReadyAndRefills) {
   std::vector<Circuit> chain{bench_circuits::wide_chain_layer(256)};
-  runtime::MaterialPool pool(chain, GcOptions{},
+  runtime::MaterialPool pool({chain}, GcOptions{},
                              {.target = 2, .producer_threads = 2,
                               .seed = Block{7, 7}});
 
-  const GarbledMaterial a = pool.acquire();
-  const GarbledMaterial b = pool.acquire();
+  const GarbledMaterial a = pool.acquire().front();
+  const GarbledMaterial b = pool.acquire().front();
   EXPECT_EQ(a.fingerprint, chain_fingerprint(chain));
   // Distinct artifacts: labels must never repeat across instances.
   EXPECT_FALSE(a.delta == b.delta);
@@ -521,12 +525,12 @@ TEST(MaterialPool, ConcurrentAcquiresAtZeroTarget) {
   // target 0 plans no inventory; every blocked acquire must still get
   // its own ad-hoc production (two waiters once deadlocked on one).
   std::vector<Circuit> chain{bench_circuits::wide_chain_layer(128)};
-  runtime::MaterialPool pool(chain, GcOptions{},
+  runtime::MaterialPool pool({chain}, GcOptions{},
                              {.target = 0, .producer_threads = 2,
                               .seed = Block{9, 9}});
   GarbledMaterial a, b;
-  std::thread t1([&] { a = pool.acquire(); });
-  std::thread t2([&] { b = pool.acquire(); });
+  std::thread t1([&] { a = pool.acquire().front(); });
+  std::thread t2([&] { b = pool.acquire().front(); });
   t1.join();
   t2.join();
   EXPECT_FALSE(a.delta == b.delta);
@@ -535,12 +539,12 @@ TEST(MaterialPool, ConcurrentAcquiresAtZeroTarget) {
 
 TEST(MaterialPool, TryAcquireReportsDrain) {
   std::vector<Circuit> chain{bench_circuits::wide_chain_layer(4096)};
-  runtime::MaterialPool pool(chain, GcOptions{},
+  runtime::MaterialPool pool({chain}, GcOptions{},
                              {.target = 1, .seed = Block{8, 8}});
   // Drain it, then keep asking: misses are counted, production catches
   // up eventually.
   (void)pool.acquire();
-  std::optional<GarbledMaterial> got;
+  std::optional<runtime::Artifact> got;
   Stopwatch sw;
   while (!(got = pool.try_acquire()) && sw.seconds() < 10.0)
     std::this_thread::yield();
@@ -556,7 +560,7 @@ TEST(MaterialPool, RefillsToTargetAfterAcquiresRacingThePublish) {
   // next artifact the moment it is published, and require a full
   // refill.
   std::vector<Circuit> chain{bench_circuits::wide_chain_layer(16)};
-  runtime::MaterialPool pool(chain, GcOptions{},
+  runtime::MaterialPool pool({chain}, GcOptions{},
                              {.target = 2, .seed = Block{6, 6}});
   for (int round = 0; round < 200; ++round) {
     for (int taken = 0; taken < 3; ++taken) {
@@ -573,7 +577,7 @@ TEST(MaterialPool, RefillsToTargetAfterAcquiresRacingThePublish) {
 // instead of reporting a drain.
 TEST(MaterialPool, ReadyCountsInventory) {
   std::vector<Circuit> chain{bench_circuits::wide_chain_layer(128)};
-  runtime::MaterialPool pool(chain, GcOptions{},
+  runtime::MaterialPool pool({chain}, GcOptions{},
                              {.target = 2, .seed = Block{1, 2}});
   (void)pool.acquire();
   Stopwatch sw;
@@ -592,7 +596,7 @@ TEST(RuntimeFrame, RoundTripAndErrorPropagation) {
   runtime::send_hello(*pair.a, h);
   const runtime::Hello back = runtime::parse_hello(runtime::recv_frame(*pair.b));
   EXPECT_EQ(back.magic, runtime::kProtocolMagic);
-  EXPECT_EQ(back.version, 8u);  // v8: layer 0 by OT multiplication
+  EXPECT_EQ(back.version, 9u);  // v9: every linear layer by OT multiplication
   EXPECT_EQ(back.fingerprint, h.fingerprint);
   EXPECT_TRUE(back.flags.framed_tables);
 

@@ -1,8 +1,9 @@
-// Served differential: answers of the runtime (front + served chain,
-// on demand and pooled) against the plaintext reference chain
-// (Circuit::eval over compile_model_layers), on a small MLP and on the
-// paper's pre-processed Benchmark 3; and the exact wire bytes of one
-// b3_pp on-demand inference.
+// Served differential: answers of the runtime (per stage a front and a
+// garbled segment, on demand and pooled) against the plaintext
+// reference chain (Circuit::eval over compile_model_layers), on a small
+// MLP and on the paper's pre-processed Benchmarks 1 and 3; the exact
+// wire bytes of one on-demand inference; and that no served chain takes
+// a weight bit.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -32,9 +33,9 @@ synth::ModelSpec mlp_spec() {
   return spec;
 }
 
-const synth::ModelSpec& b3pp_spec() {
-  static const synth::ModelSpec spec = core::paper_zoo()[2].compact;
-  return spec;
+const synth::ModelSpec& zoo_compact(size_t i) {
+  static const std::vector<core::ZooEntry> zoo = core::paper_zoo();
+  return zoo[i].compact;
 }
 
 struct Model {
@@ -81,7 +82,12 @@ Model make_model(const synth::ModelSpec& spec, size_t samples, uint64_t seed) {
 }
 
 const Model& b3pp_model() {
-  static const Model m = make_model(b3pp_spec(), 3, 301);
+  static const Model m = make_model(zoo_compact(2), 3, 301);
+  return m;
+}
+
+const Model& mlp_model() {
+  static const Model m = make_model(mlp_spec(), 6, 17);
   return m;
 }
 
@@ -118,21 +124,37 @@ void expect_served_answers_match(const Model& m) {
 }
 
 TEST(ServedDifferential, MlpOnDemandAndPooledMatchReferenceChain) {
-  expect_served_answers_match(make_model(mlp_spec(), 6, 17));
+  expect_served_answers_match(mlp_model());
+}
+
+// A conv front and two hidden FC fronts.
+TEST(ServedDifferential, B1ppOnDemandAndPooledMatchReferenceChain) {
+  expect_served_answers_match(make_model(zoo_compact(0), 2, 101));
 }
 
 TEST(ServedDifferential, B3ppOnDemandAndPooledMatchReferenceChain) {
   expect_served_answers_match(b3pp_model());
 }
 
-// Wire bytes of one b3_pp on-demand inference, both directions: the
-// front's arithmetic OTs (81,312 x 20 B + 8 B), the label OTs of 61,784
-// share bits and 1,326 static weights' bits (32 B each + headers), the
-// client's 61,784 share-bit labels, the share circuit's and layers 1-2's
-// tables, and the frames. A return to the garbled Booth layer 0 (58 MB)
-// fails here.
-TEST(ServedBytes, B3ppOnDemandInferencePinned) {
-  const Model& m = b3pp_model();
+// Every served zoo chain takes share bits as its only evaluator inputs:
+// no weight bit enters a garbled circuit, so nothing garbles a
+// multiplier or runs a weight-bit label OT.
+TEST(ServedChains, EvaluatorInputsAreShareBitsOnly) {
+  std::vector<synth::ModelSpec> specs = {mlp_spec()};
+  for (size_t i = 0; i < 4; ++i) specs.push_back(zoo_compact(i));
+  for (const synth::ModelSpec& spec : specs) {
+    size_t inputs = 0, share_bits = 0;
+    for (const synth::ServedStage& stage : synth::compile_served(spec).stages) {
+      for (const Circuit& c : stage.chain) inputs += c.evaluator_inputs.size();
+      share_bits += stage.front.share_bits();
+    }
+    EXPECT_EQ(inputs, share_bits) << spec.name;
+  }
+}
+
+// Wire bytes of one on-demand inference, both directions, as the
+// difference of two settled sessions.
+uint64_t ondemand_bytes_per_inference(const Model& m) {
   obs::Counter& out = obs::Registry::global().counter("net.tcp.bytes_out");
   // Whole sessions (handshake, OT setup, n inferences, goodbye) on a
   // server stopped before the count is read, so every send is counted;
@@ -149,7 +171,21 @@ TEST(ServedBytes, B3ppOnDemandInferencePinned) {
     return out.value() - before;
   };
   const uint64_t one = session_bytes(1);
-  EXPECT_EQ(session_bytes(2) - one, 15446990u);
+  return session_bytes(2) - one;
+}
+
+// b3_pp, per inference: the two fronts' arithmetic OTs (81,312 and
+// 6,864 products' OTs, 800 B2A OTs; 20 B each + headers), the label
+// OTs of 61,784 + 5,564 share bits (32 B each + headers), the client's
+// share-bit labels, the two share circuits', tanh's and argmax's
+// tables, and the frames. A garbled hidden FC (15.45 MB) or layer 0
+// (58 MB) fails here.
+TEST(ServedBytes, B3ppOnDemandInferencePinned) {
+  EXPECT_EQ(ondemand_bytes_per_inference(b3pp_model()), 11885350u);
+}
+
+TEST(ServedBytes, MlpOnDemandInferencePinned) {
+  EXPECT_EQ(ondemand_bytes_per_inference(mlp_model()), 107674u);
 }
 
 }  // namespace

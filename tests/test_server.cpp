@@ -160,8 +160,10 @@ TEST(InferenceServerTest, StatsJsonSizesTheWalkedChain) {
   ASSERT_NE(close, std::string::npos) << js;
   const std::string block = js.substr(at, close - at + 1);
 
-  const std::vector<Circuit> walked =
-      walk_chain(synth::compile_served(spec).chain);
+  std::vector<Circuit> walked;
+  for (synth::ServedStage& stage : synth::compile_served(spec).stages)
+    for (Circuit& c : walk_chain(std::move(stage.chain)))
+      walked.push_back(std::move(c));
   long long gates = 0, and_gates = 0, slots = 0;
   for (const Circuit& c : walked) {
     gates += static_cast<long long>(c.gates.size());
@@ -244,33 +246,45 @@ TEST(InferenceServerTest, RejectsFingerprintMismatch) {
 }
 
 // Two FC masks with the same number of terms per neuron compile to the
-// same served chain (the share circuit sees only the counts) but share
-// different products: the front plan in the fingerprint tells them
-// apart, so the handshake fails instead of the answers.
+// same served chains (the share circuit sees only the counts) but share
+// different products: the front plans in the fingerprint tell them
+// apart, so the handshake fails instead of the answers. Masks on layer
+// 0 and on the hidden layer 2 alike.
 TEST(InferenceServerTest, RejectsFrontPlanMismatch) {
-  auto masked = [](size_t shift) {
+  // Each of the layer's `out` neurons reads `terms` of its `in` inputs,
+  // starting at `shift`.
+  auto masked = [](size_t layer, size_t in, size_t out, size_t terms,
+                   size_t shift) {
     synth::ModelSpec spec = small_spec();
-    synth::FcLayer fc{4, std::vector<uint8_t>(20, 0), true};
-    for (size_t o = 0; o < 4; ++o)
-      for (size_t i = 0; i < 3; ++i) fc.mask[o * 5 + (i + shift) % 5] = 1;
-    spec.layers[0] = fc;
+    synth::FcLayer fc{out, std::vector<uint8_t>(in * out, 0), true};
+    for (size_t o = 0; o < out; ++o)
+      for (size_t i = 0; i < terms; ++i)
+        fc.mask[o * in + (i + shift) % in] = 1;
+    spec.layers[layer] = fc;
     return spec;
   };
-  const synth::ModelSpec a = masked(0), b = masked(1);
-  const synth::ServedModel sa = synth::compile_served(a);
-  const synth::ServedModel sb = synth::compile_served(b);
-  ASSERT_EQ(runtime::chain_fingerprint(sa.chain),
-            runtime::chain_fingerprint(sb.chain));
-  ASSERT_NE(runtime::served_fingerprint(sa), runtime::served_fingerprint(sb));
+  const std::pair<synth::ModelSpec, synth::ModelSpec> cases[] = {
+      {masked(0, 5, 4, 3, 0), masked(0, 5, 4, 3, 1)},
+      {masked(2, 4, 3, 2, 0), masked(2, 4, 3, 2, 1)},
+  };
+  for (const auto& [a, b] : cases) {
+    const synth::ServedModel sa = synth::compile_served(a);
+    const synth::ServedModel sb = synth::compile_served(b);
+    ASSERT_EQ(sa.stages.size(), sb.stages.size());
+    for (size_t s = 0; s < sa.stages.size(); ++s)
+      ASSERT_EQ(runtime::chain_fingerprint(sa.stages[s].chain),
+                runtime::chain_fingerprint(sb.stages[s].chain));
+    ASSERT_NE(runtime::served_fingerprint(sa), runtime::served_fingerprint(sb));
 
-  Rng rng(33);
-  runtime::InferenceServer server(a, random_weights(a, rng));
-  server.start();
-  EXPECT_THROW(
-      { runtime::InferenceClient client("127.0.0.1", server.port(), b); },
-      std::runtime_error);
-  server.stop();
-  EXPECT_EQ(server.sessions_rejected(), 1u);
+    Rng rng(33);
+    runtime::InferenceServer server(a, random_weights(a, rng));
+    server.start();
+    EXPECT_THROW(
+        { runtime::InferenceClient client("127.0.0.1", server.port(), b); },
+        std::runtime_error);
+    server.stop();
+    EXPECT_EQ(server.sessions_rejected(), 1u);
+  }
 }
 
 // Global prefetch byte budget (shared across sessions): with room for
@@ -282,13 +296,13 @@ TEST(InferenceServerTest, GlobalPrefetchByteBudgetSharedAcrossSessions) {
   Rng rng(67);
   const BitVec weights = random_weights(spec, rng);
 
-  // One artifact's table stream: constants + half-gate tables per
-  // circuit of the served chain (same arithmetic as the server's
+  // One artifact's table streams: constants + half-gate tables per
+  // circuit of every served stage (same arithmetic as the server's
   // push-time size check).
-  const auto chain = synth::compile_served(spec).chain;
   uint64_t artifact_bytes = 0;
-  for (const Circuit& c : chain)
-    artifact_bytes += 2 * sizeof(Block) + c.stats().table_bytes();
+  for (const synth::ServedStage& stage : synth::compile_served(spec).stages)
+    for (const Circuit& c : stage.chain)
+      artifact_bytes += 2 * sizeof(Block) + c.stats().table_bytes();
 
   runtime::ServerConfig scfg;
   scfg.max_prefetch = 4;  // per-session quota is NOT the limiter here
@@ -364,10 +378,10 @@ TEST(InferenceServerTest, EvaluatorThreadsServeCorrectInferences) {
 }
 
 // The "ot" block accounts for the OTs of an on-demand inference: one
-// label OT per evaluator input of the served chain (share bits and
-// static weight bits) and one arithmetic OT per weight bit of every
-// layer-0 product, and exactly the batches' wire bytes. The "front"
-// block sizes the arithmetic part.
+// label OT per evaluator input of the served chains (share bits only),
+// one arithmetic OT per weight bit of every product and per input bit
+// of every hidden front's B2A, and exactly the batches' wire bytes. The
+// "front" block sizes the arithmetic part, summed over the stages.
 TEST(InferenceServerTest, StatsJsonCountsLabelAndFrontOts) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(29);
@@ -387,25 +401,37 @@ TEST(InferenceServerTest, StatsJsonCountsLabelAndFrontOts) {
   const std::string after = server.stats_json();
 
   const synth::ServedModel served = synth::compile_served(spec);
-  long long transfers = 0, bytes = 0;
-  for (const Circuit& c : served.chain) {
-    const auto n = static_cast<long long>(c.evaluator_inputs.size());
-    if (n > 0) bytes += 8 + 128 * ((n + 7) / 8) + 16 * n;
-    transfers += n;
+  ASSERT_EQ(served.stages.size(), 2u);
+  long long transfers = 0, bytes = 0, share_bits = 0;
+  for (const synth::ServedStage& stage : served.stages) {
+    for (const Circuit& c : stage.chain) {
+      const auto n = static_cast<long long>(c.evaluator_inputs.size());
+      if (n > 0) bytes += 8 + 128 * ((n + 7) / 8) + 16 * n;
+      transfers += n;
+    }
+    share_bits += static_cast<long long>(stage.front.share_bits());
   }
-  const auto m = static_cast<long long>(served.front.ots());
-  ASSERT_EQ(m, 4 * 5 * 16);  // 20 products, 16 weight bits each
-  const long long front_bytes = 8 + 128 * ((m + 7) / 8) + 4 * m;
+  const auto arith = [](long long m) {
+    return 8 + 128 * ((m + 7) / 8) + 4 * m;
+  };
+  const auto m0 = static_cast<long long>(served.stages[0].front.ots());
+  const auto m1 = static_cast<long long>(served.stages[1].front.ots());
+  const auto b2a = static_cast<long long>(served.stages[1].front.b2a_ots());
+  ASSERT_EQ(m0, 4 * 5 * 16);  // 20 products, 16 weight bits each
+  ASSERT_EQ(m1, 3 * 4 * 16);  // 12 products
+  ASSERT_EQ(b2a, 4 * 16);     // 4 hidden inputs, 16 bits each
+  const long long front_bytes = arith(m0) + arith(m1) + arith(b2a);
   EXPECT_EQ(json_int(after, "gc.ot.transfers") -
                 json_int(before, "gc.ot.transfers"),
-            transfers + m);
+            transfers + m0 + m1 + b2a);
   EXPECT_EQ(json_int(after, "gc.ot.bytes") - json_int(before, "gc.ot.bytes"),
             bytes + front_bytes);
-  EXPECT_EQ(json_int(after, "products"), 20);
-  EXPECT_EQ(json_int(after, "ots"), m);
+  EXPECT_EQ(json_int(after, "stages"), 2);
+  EXPECT_EQ(json_int(after, "products"), 32);
+  EXPECT_EQ(json_int(after, "ots"), m0 + m1);
+  EXPECT_EQ(json_int(after, "b2a_ots"), b2a);
   EXPECT_EQ(json_int(after, "bytes"), front_bytes);
-  EXPECT_EQ(json_int(after, "share_bits"),
-            static_cast<long long>(served.front.share_bits()));
+  EXPECT_EQ(json_int(after, "share_bits"), share_bits);
 }
 
 // A peer that would stream unframed tables (hello flag bit 0 clear) is
@@ -433,9 +459,10 @@ TEST(InferenceServerTest, RejectsFramingMismatch) {
   EXPECT_EQ(server.sessions_rejected(), 1u);
 }
 
-// A v7 peer (garbled layer 0, no front) is refused at the handshake with
-// a coded kHandshake error naming the version, before any OT byte moves.
-TEST(InferenceServerTest, RejectsProtocolV7Peer) {
+// A v8 peer (garbled hidden layers, a front for layer 0 only) is
+// refused at the handshake with a coded kHandshake error naming the
+// version, before any OT byte moves.
+TEST(InferenceServerTest, RejectsProtocolV8Peer) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(38);
   runtime::InferenceServer server(spec, random_weights(spec, rng));
@@ -443,7 +470,7 @@ TEST(InferenceServerTest, RejectsProtocolV7Peer) {
 
   TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
   runtime::Hello hello;
-  hello.version = 7;
+  hello.version = 8;
   hello.fingerprint = runtime::served_fingerprint(synth::compile_served(spec));
   runtime::send_hello(raw, hello);
   uint8_t type = 0;
@@ -492,8 +519,10 @@ TEST(InferenceServerTest, OnDemandInferenceCopiesNoTableBytes) {
 // on-demand, on the same sample — identical outputs, both correct.
 TEST(InferenceServerTest, PooledAndOnDemandProduceIdenticalOutputs) {
   const synth::ModelSpec spec = small_spec();
-  // The served chain garbles its weight-bit ANDs as one-row gates.
-  ASSERT_GT(synth::compile_model(spec).stats().num_and_known, 0u);
+  // The share circuits garble the ANDs that read a server share bit as
+  // one-row gates.
+  for (const synth::ServedStage& stage : synth::compile_served(spec).stages)
+    ASSERT_GT(stage.chain.front().stats().num_and_known, 0u);
   Rng rng(41);
   const BitVec weights = random_weights(spec, rng);
 
@@ -821,9 +850,9 @@ TEST(InferenceServerTest, SessionDeathMidPushReleasesBudget) {
     runtime::send_hello(raw, hello);
     (void)runtime::recv_frame(raw);  // ack
     runtime::send_id_frame(raw, runtime::FrameType::kPrefetch, 1);
-    raw.send_bits(BitVec(served.chain.back().outputs.size(), 0));
-    // Declare the right table size but hang up before sending it: the
-    // server is now mid recv_material with the reservation held.
+    raw.send_bits({});  // stage 0 is not opened: no decode bits
+    // Hang up before its table size: the server is now mid
+    // recv_material with the reservation held.
   }  // socket closes here
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
