@@ -261,15 +261,6 @@ std::vector<uint32_t> EvaluatorSession::recv_arith(const BitVec& choices) {
   return out;
 }
 
-BitVec GarblerSession::run_online(const GarbledMaterial& mat,
-                                  const BitVec& data_bits) {
-  Stopwatch total;
-  send_online_labels(mat.delta, mat.data_zeros, data_bits);
-  const BitVec out = recv_result();
-  trace_.total_s += total.seconds();
-  return out;
-}
-
 Labels EvaluatorSession::recv_fixed_labels(const BitVec& choices) {
   ensure_ot();
   Labels labels = ot_.recv_correlated(choices);  // L0 ^ b*delta
@@ -307,11 +298,6 @@ BitVec EvaluatorSession::open_online(const Labels& active,
   const BitVec out = decode_labels(active, decode_bits);
   ch_.send_bits(out);
   return out;
-}
-
-BitVec EvaluatorSession::run_online(const std::vector<Circuit>& chain,
-                                    const EvalMaterial& mat) {
-  return open_online(evaluate_online(chain, mat), mat.decode_bits);
 }
 
 }  // namespace deepsecure

@@ -28,10 +28,10 @@
 // permute bits of the garbler's zero labels and of the evaluator's
 // active labels. Without the decoding information those bits tell the
 // evaluator nothing (garbled-circuit obliviousness). open / open_online
-// reveal a stage's outputs; run_chain / run_online are a stage and its
-// opening. The runtime (runtime/front.h) feeds a stage's shares to the
-// next one through arithmetic OTs (send_arith/recv_arith, gc/ot.h) on
-// the session's OT setup, and opens only the last.
+// reveal a stage's outputs; run_chain is a stage and its opening. The
+// runtime (runtime/front.h) feeds a stage's shares to the next one
+// through arithmetic OTs (send_arith/recv_arith, gc/ot.h) on the
+// session's OT setup, and opens only the last.
 //
 // Phase timings are recorded per step for the Figure 5 reproduction.
 #pragma once
@@ -122,10 +122,6 @@ class GarblerSession {
   /// shares the plaintext back).
   BitVec recv_result();
 
-  /// One full online inference against a single-stage `mat`: its
-  /// labels out, then the result.
-  BitVec run_online(const GarbledMaterial& mat, const BitVec& data_bits);
-
   /// One batch of arithmetic OTs as sender (see OtExtSender::send_arith):
   /// returns the pads. Timed into trace().front_s.
   std::vector<uint32_t> send_arith(const std::vector<uint32_t>& delta);
@@ -183,10 +179,6 @@ class EvaluatorSession {
   /// Online: open a stage with the material's decode bits and share
   /// the plaintext result back. Returns the decoded output bits.
   BitVec open_online(const Labels& active, const BitVec& decode_bits);
-
-  /// evaluate_online, then open_online with `mat.decode_bits`.
-  BitVec run_online(const std::vector<Circuit>& chain,
-                    const EvalMaterial& mat);
 
   /// Counterpart of send_arith: pad + choice*delta per OT.
   std::vector<uint32_t> recv_arith(const BitVec& choices);

@@ -204,7 +204,15 @@ bool InferenceServer::handle_infer_frame(const Frame& f, BufferedChannel& ch,
     BitVec e;  // the server's XOR shares of the previous stage's outputs
     for (size_t s = 0; s <= last; ++s) {
       const Labels out = session.run_stage(stages_[s].chain, front(s, e));
-      e = s == last ? session.open(out) : output_shares(out);
+      if (s < last) {
+        e = output_shares(out);
+        continue;
+      }
+      // Counted before the result goes out: the opening ends with a
+      // read of the bits the client shares back, which a client that
+      // already holds its answer need not wait for.
+      c_inferences_served_.add();
+      (void)session.open(out);
     }
     h_infer_ondemand_.observe(obs::now_ns() - t0);
   } else {
@@ -237,8 +245,12 @@ bool InferenceServer::handle_infer_frame(const Frame& f, BufferedChannel& ch,
       mat[s].eval_labels = session.recv_fixed_labels(share);
       label_ot_ns += obs::now_ns() - l0;
       const Labels out = session.evaluate_online(stages_[s].chain, mat[s]);
-      e = s == last ? session.open_online(out, mat[s].decode_bits)
-                    : output_shares(out);
+      if (s < last) {
+        e = output_shares(out);
+        continue;
+      }
+      c_inferences_served_.add();
+      (void)session.open_online(out, mat[s].decode_bits);
     }
     h_infer_online_.observe(obs::now_ns() - t0);
     c_inferences_pooled_.add();
@@ -248,7 +260,6 @@ bool InferenceServer::handle_infer_frame(const Frame& f, BufferedChannel& ch,
   h_ot_online_.observe(
       seconds_to_ns(trace_ot_seconds(session.trace()) - ot0) + label_ot_ns);
   ch.flush();
-  c_inferences_served_.add();
   return true;
 }
 

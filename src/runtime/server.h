@@ -143,6 +143,9 @@ class InferenceServer {
   // atomics.
   uint64_t sessions_accepted() const { return c_sessions_accepted_.value(); }
   uint64_t sessions_active() const { return sessions_active_.load(); }
+  /// Inferences whose last stage the server evaluated; each is counted
+  /// before its result goes out, so a client holding an answer always
+  /// finds it counted.
   uint64_t inferences_served() const { return c_inferences_served_.value(); }
   uint64_t sessions_rejected() const { return c_sessions_rejected_.value(); }
   /// Of inferences_served, how many ran the online phase against

@@ -216,11 +216,11 @@ void expect_stages_match_reference(const synth::ModelSpec& spec,
 }
 
 TEST(ServedStages, MatchReferenceLayersMlp) {
-  expect_stages_match_reference(mlp_spec(), 100);
+  expect_stages_match_reference(mlp_spec(), 200);
 }
 
 TEST(ServedStages, MatchReferenceLayersB1pp) {
-  expect_stages_match_reference(zoo_compact("b1_pp"), 2);
+  expect_stages_match_reference(zoo_compact("b1_pp"), 3);
 }
 
 TEST(ServedStages, MatchReferenceLayersB3pp) {

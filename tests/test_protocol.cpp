@@ -160,7 +160,8 @@ TEST(Protocol, OfflineOnlineSplitMatchesOnDemand) {
         send_material(ch, std::move(mat));
         session.send_fixed_labels(mat.eval_zeros, mat.delta);
         // Online: active data labels out, result bits back.
-        online_g = session.run_online(mat, data);
+        session.send_online_labels(mat.delta, mat.data_zeros, data);
+        online_g = session.recv_result();
         // The same session still supports on-demand runs afterwards.
         ondemand_g = session.run_chain(chain, data);
       },
@@ -168,7 +169,8 @@ TEST(Protocol, OfflineOnlineSplitMatchesOnDemand) {
         EvaluatorSession session(ch);
         EvalMaterial mat = recv_material(ch);
         mat.eval_labels = session.recv_fixed_labels(weights);
-        online_e = session.run_online(chain, mat);
+        online_e = session.open_online(session.evaluate_online(chain, mat),
+                                       mat.decode_bits);
         session.run_chain(chain, weights);
       });
 

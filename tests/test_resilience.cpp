@@ -474,20 +474,6 @@ TEST(ServerResilience, ClientRecoversAcrossServerRestartWithFreshMaterial) {
 // trips every served stage opens with.
 // ---------------------------------------------------------------------
 
-// An inference ends with the client sharing the result bits back, and
-// the client does not wait for them to land: stop() right after
-// close() would shut the server's transport down under its last read
-// (through a relay, often). Wait until the server has counted `n`,
-// bounded, then stop.
-void stop_after_served(runtime::InferenceServer& server, uint64_t n) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (server.inferences_served() < n &&
-         std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  server.stop();
-}
-
 // A peer that stops halfway through its front reply and hangs up its
 // sending side gets a coded kError naming the failure, not a silent
 // drop; the server keeps serving.
@@ -535,7 +521,7 @@ TEST(ServerResilience, TruncatedFrontReplyEndsInCodedError) {
   EXPECT_EQ(from_bits(client.infer_bits(data)),
             plaintext_label(spec, weights, data));
   client.close();
-  stop_after_served(server, 1);
+  server.stop();
   EXPECT_EQ(server.inferences_served(), 1u);
 }
 
@@ -593,7 +579,7 @@ TEST(ServerResilience, TruncatedHiddenFrontReplyEndsInCodedError) {
   EXPECT_EQ(from_bits(client.infer_bits(data)),
             plaintext_label(spec, weights, data));
   client.close();
-  stop_after_served(server, 1);
+  server.stop();
   EXPECT_EQ(server.inferences_served(), 1u);
 }
 
@@ -707,7 +693,7 @@ TEST(ServerResilience, ClientRecoversFromConnectionLossMidFront) {
   EXPECT_EQ(client.sessions_recovered(), 1u);
   EXPECT_GE(client.retries(), 1u);
   client.close();
-  stop_after_served(server, 1);
+  server.stop();
   EXPECT_EQ(server.inferences_served(), 1u);
 }
 
@@ -766,7 +752,7 @@ TEST(ServerResilience, ClientRecoversFromConnectionLossMidB2a) {
   EXPECT_TRUE(relay.cut());
   EXPECT_EQ(client.sessions_recovered(), 1u);
   client.close();
-  stop_after_served(server, 1);
+  server.stop();
   EXPECT_EQ(server.inferences_served(), 1u);
 }
 
