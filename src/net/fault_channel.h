@@ -73,9 +73,9 @@ inline obs::Counter& corruptions() {
 }
 }  // namespace faultstat
 
-/// Chaos parameters, carried by ClientConfig/ServerConfig and loadgen
-/// `--chaos SEED:RATE`. rate == 0 (the default) means the decorator is
-/// never even constructed — the healthy path stays untouched.
+/// Chaos parameters, carried by ClientConfig/ServerConfig. rate == 0
+/// (the default) means the decorator is never even constructed — the
+/// healthy path stays untouched.
 struct FaultConfig {
   /// Root seed of the fault plan. Every connection derives its own PRG
   /// stream from (seed, plan_index), so one seed reproduces the whole

@@ -165,7 +165,7 @@ TcpChannel TcpChannel::connect(const std::string& host, uint16_t port) {
     throw std::runtime_error("tcp: bad address " + host);
 
   // Retry for up to ~6 s so both parties can start concurrently (and a
-  // thundering herd of loadgen sessions can outwait a full backlog).
+  // thundering herd of client sessions can outwait a full backlog).
   for (int attempt = 0;; ++attempt) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) die("socket");

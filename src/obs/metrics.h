@@ -26,7 +26,7 @@
 // triple is not a consistent cut (count may be a hair ahead of the
 // bucket sums). That is the documented trade for a zero-cost write
 // path; consumers that need exactness snapshot quiescent registries
-// (e.g. loadgen after joining its clients).
+// (e.g. a test after joining its clients).
 //
 // Registries are instantiable: the InferenceServer owns one per
 // instance (tests assert exact per-server counts; serial bench runs

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <vector>
 
 #include "support/spsc_ring.h"
@@ -146,17 +145,6 @@ std::string chrome_trace_json() {
                     t.dropped.load(std::memory_order_relaxed)));
   out += buf;
   return out;
-}
-
-void write_chrome_trace(const std::string& path) {
-  const std::string json = chrome_trace_json();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr)
-    throw std::runtime_error("obs: cannot open trace file " + path);
-  const size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (n != json.size())
-    throw std::runtime_error("obs: short write to trace file " + path);
 }
 
 }  // namespace deepsecure::obs

@@ -22,11 +22,11 @@
 // Span names must be string literals (or otherwise outlive the
 // tracer): events store the pointer, not a copy.
 //
-// Typical wiring (see bench/loadgen_inference.cpp --trace):
+// Typical wiring (see perfbench/deepsecure_bench.cpp --trace 1):
 //
 //   obs::set_trace_enabled(true);
 //   ... run the workload; hot paths construct obs::Span("phase") ...
-//   obs::write_chrome_trace("trace.json");   // drains + serializes
+//   const std::string json = obs::chrome_trace_json();  // drains + serializes
 #pragma once
 
 #include <cstdint>
@@ -93,7 +93,7 @@ inline void trace_interval(const char* name, uint64_t start_ns,
 }
 
 /// Move every ring's pending events into the exporter buffer. Called
-/// automatically by write_chrome_trace; call it mid-run to bound ring
+/// automatically by chrome_trace_json; call it mid-run to bound ring
 /// occupancy during long workloads.
 void trace_drain();
 
@@ -111,9 +111,5 @@ void trace_reset();
 /// JSON: {"traceEvents":[{"name","ph":"X","pid","tid","ts","dur"},...]}
 /// with ts/dur in microseconds.
 std::string chrome_trace_json();
-
-/// chrome_trace_json() to a file. Throws std::runtime_error on I/O
-/// failure.
-void write_chrome_trace(const std::string& path);
 
 }  // namespace deepsecure::obs

@@ -16,9 +16,9 @@ namespace deepsecure::runtime {
 namespace {
 
 // Process-wide self-healing aggregates (Registry::global()): surfaced
-// by the server's stats_json "resilience" block and every loadgen BENCH
-// row. The per-client exact counters (retries()/sessions_recovered())
-// remain the source of truth for assertions.
+// by the server's stats_json "resilience" block. The per-client exact
+// counters (retries()/sessions_recovered()) remain the source of truth
+// for assertions.
 obs::Counter& retries_counter() {
   static obs::Counter& c = obs::Registry::global().counter("client.retries");
   return c;

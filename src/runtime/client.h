@@ -106,7 +106,7 @@ struct ClientConfig {
   bool auto_top_up = true;
   /// Deterministic fault injection on the client side of the wire
   /// (net/fault_channel.h): wraps the primary and lane transports.
-  /// Tests and loadgen --chaos; off (rate 0) in production.
+  /// Tests only; off (rate 0) in production.
   FaultConfig chaos;
   /// Self-healing budget: how many times a failed session may be
   /// rebuilt (reconnect + full re-handshake + lane re-attach) before

@@ -15,6 +15,10 @@ namespace deepsecure::runtime {
 
 namespace {
 
+// Listen backlog for both listeners. A full server parks excess clients
+// here until a session slot frees.
+constexpr int kListenBacklog = 64;
+
 // OT/label-transfer seconds accumulated in a session's trace — the gc
 // layer already samples per-phase times; the server lifts the deltas
 // into its histograms instead of re-timing inside the protocol.
@@ -96,11 +100,11 @@ std::string front_json(const synth::ServedModel& served) {
 InferenceServer::InferenceServer(const synth::ModelSpec& spec, BitVec weights,
                                  ServerConfig cfg)
     : cfg_(cfg),
-      listener_(cfg.port, cfg.backlog),
+      listener_(cfg.port, kListenBacklog),
       // The lane listener is always ephemeral: its port travels in the
       // hello ack, so clients never configure it and it cannot collide
       // with a pinned primary port.
-      lane_listener_(0, cfg.backlog) {
+      lane_listener_(0, kListenBacklog) {
   const size_t n = spec.fmt.total_bits;
   if (weights.size() != synth::model_weight_count(spec) * n)
     throw std::invalid_argument("InferenceServer: weight bit count mismatch");

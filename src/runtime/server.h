@@ -104,9 +104,6 @@ struct ServerConfig {
   /// minimum 2 so a session and its prefetch lane can always progress
   /// concurrently).
   size_t workers = 0;
-  /// Listen backlog for both listeners. A full server parks excess
-  /// clients here, so size it for the expected connection burst.
-  int backlog = 64;
   StreamConfig stream;
 };
 

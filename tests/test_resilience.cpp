@@ -198,54 +198,80 @@ TEST(FaultPlan, ShortWriteSplitsPreserveByteStream) {
 // channels, a generous retry budget, and every answer checked against
 // the plaintext reference. Whatever the dice injected, completion must
 // be 100% byte-correct and the prefetch budget must settle to zero.
-TEST(ServerResilience, ChaosRunCompletesByteCorrectWithZeroBudgetLeak) {
+// Two inputs: one session at a low rate, and four concurrent sessions
+// at a high one, where recoveries race each other's pool refills.
+struct ChaosCase {
+  uint64_t seed;
+  double rate;
+  size_t sessions;
+  size_t requests;
+};
+
+void run_chaos(const ChaosCase& cc) {
+  SCOPED_TRACE(::testing::Message() << "seed " << cc.seed << " rate "
+                                    << cc.rate << ", " << cc.sessions
+                                    << " sessions x " << cc.requests);
   const synth::ModelSpec spec = small_spec();
   Rng rng(61);
   const BitVec weights = random_weights(spec, rng);
 
   runtime::ServerConfig cfg;
-  cfg.chaos.seed = 0xc4a05eed;
-  cfg.chaos.rate = 0.01;
+  cfg.chaos.seed = cc.seed;
+  cfg.chaos.rate = cc.rate;
   runtime::InferenceServer server(spec, weights, cfg);
   server.start();
 
   const uint64_t injected_before = faultstat::injected().value();
 
-  runtime::ClientConfig ccfg;
-  ccfg.seed = Block{4242, 99};
-  ccfg.stream.garble_threads = 2;
-  ccfg.pool_target = 2;
-  ccfg.chaos.seed = 0xc4a05eed ^ 0xc11e47ull;
-  ccfg.chaos.rate = 0.01;
-  ccfg.max_retries = 30;
-  ccfg.backoff_base_ms = 1;
-  ccfg.backoff_cap_ms = 30;
-  runtime::InferenceClient client("127.0.0.1", server.port(), spec, ccfg);
-
-  for (size_t r = 0; r < 6; ++r) {
-    const BitVec data = random_sample(rng);
-    EXPECT_EQ(from_bits(client.infer_bits(data)),
-              plaintext_label(spec, weights, data))
-        << "request " << r << " after " << client.retries() << " retries";
-  }
-  const uint64_t retries = client.retries();
-  const uint64_t recovered = client.sessions_recovered();
-  const uint64_t poisoned = client.poisoned();
-  try {
-    client.close();
-  } catch (const std::exception&) {
-    // a chaos fault on the goodbye path is fine — work already checked
-  }
+  std::vector<std::string> errors(cc.sessions);
+  std::vector<std::thread> clients;
+  for (size_t s = 0; s < cc.sessions; ++s)
+    clients.emplace_back([&, s] {
+      Rng drng(500 + s);
+      try {
+        runtime::ClientConfig ccfg;
+        ccfg.seed = Block{4242 + s, 99};
+        ccfg.stream.garble_threads = 2;
+        ccfg.pool_target = 2;
+        // Distinct plan seeds per endpoint: the two fault sequences stay
+        // decorrelated but both reproducible.
+        ccfg.chaos.seed = cc.seed ^ 0xc11e47ull;
+        ccfg.chaos.rate = cc.rate;
+        ccfg.max_retries = 30;
+        ccfg.backoff_base_ms = 1;
+        ccfg.backoff_cap_ms = 30;
+        runtime::InferenceClient client("127.0.0.1", server.port(), spec,
+                                        ccfg);
+        for (size_t r = 0; r < cc.requests; ++r) {
+          const BitVec data = random_sample(drng);
+          EXPECT_EQ(from_bits(client.infer_bits(data)),
+                    plaintext_label(spec, weights, data))
+              << "session " << s << " request " << r << " after "
+              << client.retries() << " retries";
+        }
+        // Recovery bookkeeping is internally consistent whatever fired.
+        EXPECT_GE(client.retries(), client.sessions_recovered());
+        if (client.sessions_recovered() == 0) {
+          EXPECT_EQ(client.poisoned(), 0u);
+        }
+        try {
+          client.close();
+        } catch (const std::exception&) {
+          // a chaos fault on the goodbye path is fine — work already
+          // checked
+        }
+      } catch (const std::exception& e) {
+        errors[s] = e.what();
+      }
+    });
+  for (auto& t : clients) t.join();
   server.stop();
 
+  for (size_t s = 0; s < cc.sessions; ++s)
+    EXPECT_EQ(errors[s], "") << "session " << s << " did not complete";
   EXPECT_GT(faultstat::injected().value(), injected_before)
-      << "rate 0.01 across a full chaos run must inject at least once";
-  // Recovery bookkeeping is internally consistent whatever fired.
-  EXPECT_GE(retries, recovered);
-  if (recovered == 0) {
-    EXPECT_EQ(poisoned, 0u);
-  }
-  // The tentpole invariant: however many sessions died mid-push, every
+      << "a full chaos run must inject at least once";
+  // The budget invariant: however many sessions died mid-push, every
   // prefetch reservation was settled exactly once.
   EXPECT_EQ(server.prefetch_bytes(), 0u);
 
@@ -253,6 +279,11 @@ TEST(ServerResilience, ChaosRunCompletesByteCorrectWithZeroBudgetLeak) {
   for (const char* key : {"\"resilience\"", "\"fault.injected\"",
                           "\"client.retries\"", "\"pool.poisoned\""})
     EXPECT_NE(js.find(key), std::string::npos) << key << " missing:\n" << js;
+}
+
+TEST(ServerResilience, ChaosRunCompletesByteCorrectWithZeroBudgetLeak) {
+  run_chaos({0xc4a05eed, 0.01, 1, 6});
+  run_chaos({3735928559, 0.05, 4, 3});
 }
 
 // Saturated server + shed_on_overload: the second client is told kBusy

@@ -126,7 +126,8 @@ TEST(InferenceServerTest, StatsJsonExplainsServedSession) {
        {"\"accounting\"", "\"accounted_fraction\"", "\"phase_total_s\"",
         "\"session_wall_s\"", "\"metrics\"",
         "\"server.sessions_accepted\"", "\"phase.handshake\"",
-        "\"phase.session_wall\"", "\"subphase.eval\""})
+        "\"phase.session_wall\"", "\"subphase.eval\"", "\"hash_backend\"",
+        "\"cpu_features\"", "\"buckets\":["})
     EXPECT_NE(js.find(key), std::string::npos) << key << " missing:\n" << js;
 
   // After stop() every teardown has observed session_wall, so the
@@ -757,6 +758,61 @@ TEST(InferenceServerTest, AsyncPrefetchLaneRefillsUnderBurst) {
   EXPECT_EQ(server.inferences_served(), kBurst);
   EXPECT_EQ(server.lanes_attached(), 1u);
   // Everything the burst left behind was settled on teardown.
+  EXPECT_EQ(server.prefetch_bytes(), 0u);
+}
+
+// The whole concurrency surface at once: four pooled sessions whose
+// pools shard each garbling across threads and refill the server
+// through their async lanes, served by sharded evaluators. Every
+// request hits warm material.
+TEST(InferenceServerTest, ConcurrentPooledSessionsOverAsyncLanes) {
+  const synth::ModelSpec spec = small_spec();
+  Rng rng(83);
+  const BitVec weights = random_weights(spec, rng);
+
+  runtime::ServerConfig scfg;
+  scfg.stream.eval_threads = 2;
+  runtime::InferenceServer server(spec, weights, scfg);
+  server.start();
+
+  constexpr size_t kSessions = 4;
+  constexpr size_t kRequests = 2;
+  std::vector<std::vector<BitVec>> datas(kSessions);
+  std::vector<std::vector<size_t>> got(kSessions), want(kSessions);
+  Rng drng(606);
+  for (size_t s = 0; s < kSessions; ++s)
+    for (size_t r = 0; r < kRequests; ++r) {
+      std::vector<Fixed> x;
+      for (size_t i = 0; i < 5; ++i)
+        x.push_back(random_fixed(drng, kDefaultFormat, 0.2));
+      datas[s].push_back(pack_fixed(x));
+      want[s].push_back(plaintext_label(spec, weights, datas[s].back()));
+    }
+
+  std::vector<std::thread> clients;
+  for (size_t s = 0; s < kSessions; ++s)
+    clients.emplace_back([&, s] {
+      runtime::ClientConfig ccfg;
+      ccfg.seed = Block{700 + s, 800 + s};
+      ccfg.pool_target = kRequests;
+      ccfg.pool_producers = 2;
+      ccfg.pool_shard_threads = 2;
+      ccfg.async_prefetch = true;
+      ccfg.auto_top_up = false;
+      runtime::InferenceClient client("127.0.0.1", server.port(), spec, ccfg);
+      client.prefetch(kRequests);
+      for (size_t r = 0; r < kRequests; ++r)
+        got[s].push_back(from_bits(client.infer_bits(datas[s][r])));
+      client.close();
+    });
+  for (auto& t : clients) t.join();
+  server.stop();
+
+  for (size_t s = 0; s < kSessions; ++s)
+    EXPECT_EQ(got[s], want[s]) << "session " << s;
+  EXPECT_EQ(server.inferences_pooled(), kSessions * kRequests);
+  EXPECT_EQ(server.inferences_served(), kSessions * kRequests);
+  EXPECT_EQ(server.lanes_attached(), kSessions);
   EXPECT_EQ(server.prefetch_bytes(), 0u);
 }
 
