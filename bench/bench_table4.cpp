@@ -4,9 +4,11 @@
 // 3.4 GHz, 81.8 MB/s effective bandwidth).
 //
 // Additionally executes benchmark 3 (the smallest) through the REAL
-// two-party GC protocol end-to-end — garbling, OT-extension weight
-// transfer, evaluation, decoding — and reports measured bytes/time so
-// the analytic rows can be sanity-checked against a live run.
+// two-party protocol end-to-end — the served stages of secure_infer:
+// OT multiplication of the weights, garbling of the share circuits and
+// non-linear layers, evaluation, decoding — and reports measured
+// bytes/time beside the analytic rows. The live run garbles no
+// multiplier, so its gate count is far below the row's.
 // (Set DEEPSECURE_SKIP_LIVE=1 to skip the live run.)
 #include <cstdio>
 #include <cstdlib>
@@ -77,7 +79,7 @@ int main() {
   std::printf("  label %zu (fixed-point model: %zu, float model: %zu, true: %zu)\n",
               res.label, nn::fixed_predict(model, ds.x[0], opt.fmt),
               model.predict(ds.x[0]), ds.y[0]);
-  std::printf("  non-XOR gates       : %.3e\n",
+  std::printf("  non-XOR gates served: %.3e\n",
               static_cast<double>(res.gates.num_non_xor));
   std::printf("  client->server      : %.1f MB (tables+labels)\n",
               static_cast<double>(res.client_to_server_bytes) / 1e6);

@@ -33,7 +33,7 @@ int main() {
 
   // --- Client side: classify a private sample via Yao's GC. -----------
   const nn::VecF& sample = split.test.x[0];
-  SecureInferenceOptions opt;  // CORDIC Tanh, Q(16,12), per-layer netlists
+  SecureInferenceOptions opt;  // CORDIC Tanh, Q(16,12)
   const SecureInferenceResult res = secure_infer(model, sample, opt);
 
   std::printf("\nsecure inference:\n");

@@ -2,8 +2,9 @@
 
 #include <stdexcept>
 
-#include "circuit/schedule.h"
+#include "gc/outsourcing.h"
 #include "net/party.h"
+#include "runtime/front.h"
 
 namespace deepsecure {
 namespace {
@@ -95,24 +96,37 @@ BitVec weight_bits(const nn::Network& net, FixedFormat fmt) {
 
 namespace {
 
-SecureInferenceResult run_protocol(const std::vector<Circuit>& chain,
-                                   const BitVec& data,
-                                   const BitVec& weights, Block seed) {
+// One inference over the runtime's served stages (runtime/front.h),
+// both parties in-process over run_two_party. `client_x` / `server_x`
+// give each party its additive shares of stage 0's inputs.
+template <typename ClientX, typename ServerX>
+SecureInferenceResult run_served(const nn::Network& model,
+                                 const SecureInferenceOptions& opt,
+                                 ClientX client_x, ServerX server_x) {
+  const synth::ServedModel served =
+      runtime::walked_served(model_spec_from_network(model, opt));
+  const auto weights =
+      runtime::front_weights(served, weight_bits(model, opt.fmt));
+  const synth::FrontPlan& plan0 = served.stages.front().front;
+  const Block seed = effective_seed(opt);
+
   SecureInferenceResult res;
-  for (const Circuit& c : chain) res.gates += synth::count_circuit(c);
+  for (const synth::ServedStage& stage : served.stages)
+    for (const Circuit& c : stage.chain) res.gates += synth::count_circuit(c);
 
   BitVec client_out, server_out;
-  SessionTrace g_trace, e_trace;
   const auto stats = run_two_party(
       [&](Channel& ch) {
         GarblerSession session(ch, seed);
-        client_out = session.run_chain(chain, data);
-        g_trace = session.trace();
+        client_out = session.open(runtime::garble_stages(
+            session, served.stages, client_x(session, plan0)));
+        res.garbler_trace = session.trace();
       },
       [&](Channel& ch) {
         EvaluatorSession session(ch);
-        server_out = session.run_chain(chain, weights);
-        e_trace = session.trace();
+        server_out = session.open(runtime::evaluate_stages(
+            session, served.stages, weights, server_x(session, plan0)));
+        res.evaluator_trace = session.trace();
       });
   if (client_out != server_out)
     throw std::logic_error("secure_infer: party outputs diverged");
@@ -121,8 +135,8 @@ SecureInferenceResult run_protocol(const std::vector<Circuit>& chain,
   res.client_to_server_bytes = stats.a_to_b_bytes;
   res.server_to_client_bytes = stats.b_to_a_bytes;
   res.wall_seconds = stats.wall_seconds;
-  res.garbler_trace = std::move(g_trace);
-  res.evaluator_trace = std::move(e_trace);
+  res.garbler_trace.total_s = stats.a_seconds;
+  res.evaluator_trace.total_s = stats.b_seconds;
   return res;
 }
 
@@ -131,34 +145,33 @@ SecureInferenceResult run_protocol(const std::vector<Circuit>& chain,
 SecureInferenceResult secure_infer(const nn::Network& model,
                                    const nn::VecF& sample,
                                    const SecureInferenceOptions& opt) {
-  const synth::ModelSpec spec = model_spec_from_network(model, opt);
-  // Both in-process parties garble the walked views; the compiled
-  // netlist is freed layer by layer as it is walked.
-  const std::vector<Circuit> chain = walk_chain(
-      opt.per_layer ? synth::compile_model_layers(spec)
-                    : std::vector<Circuit>{synth::compile_model(spec)});
-  return run_protocol(chain, sample_bits(sample, opt.fmt),
-                      weight_bits(model, opt.fmt), effective_seed(opt));
+  const BitVec data = sample_bits(sample, opt.fmt);
+  return run_served(
+      model, opt,
+      [&](GarblerSession&, const synth::FrontPlan& plan) {
+        return runtime::data_shares(plan, data);
+      },
+      [](EvaluatorSession&, const synth::FrontPlan& plan) {
+        return std::vector<uint32_t>(plan.inputs, 0);
+      });
 }
 
 SecureInferenceResult secure_infer_outsourced(
     const nn::Network& model, const nn::VecF& sample,
     const SecureInferenceOptions& opt) {
-  const synth::ModelSpec spec = model_spec_from_network(model, opt);
-  // Outsourcing wraps the whole model in one netlist with the XOR-share
-  // reconstruction layer in front.
-  const Circuit c = add_xor_sharing_layer(synth::compile_model(spec));
-
   // The (constrained) client only pads its input — Algorithm "client
-  // side" of Figure 4.
+  // side" of Figure 4. B2A turns the proxy's and the server's XOR
+  // shares into additive shares of layer 0's inputs.
   Prg pad = Prg::from_os_entropy();
   const XorShares shares = xor_share(sample_bits(sample, opt.fmt), pad);
-
-  BitVec eval_in = shares.share_b;
-  const BitVec wb = weight_bits(model, opt.fmt);
-  eval_in.insert(eval_in.end(), wb.begin(), wb.end());
-
-  return run_protocol({c}, shares.share_a, eval_in, effective_seed(opt));
+  return run_served(
+      model, opt,
+      [&](GarblerSession& session, const synth::FrontPlan& plan) {
+        return runtime::b2a_send(session, shares.share_a, plan.fmt);
+      },
+      [&](EvaluatorSession& session, const synth::FrontPlan& plan) {
+        return runtime::b2a_recv(session, shares.share_b, plan.fmt);
+      });
 }
 
 PreprocessOutcome preprocess_pipeline(const nn::Dataset& train,

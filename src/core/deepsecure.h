@@ -8,14 +8,15 @@
 //   r.label  -> the private inference result
 //
 // secure_infer runs both roles in-process over the in-memory channel
-// (one thread per party) with the real protocol stack: label transfer,
-// base OT + IKNP extension for the server's weights, free-XOR/half-gates
-// garbling, label-carried layer chaining, output decoding at the client.
+// (one thread per party) with the runtime's protocol (runtime/front.h):
+// per FC/conv layer, OT multiplication of the server's weights into
+// additive shares, then a garbled share circuit and the non-linear
+// layers up to the next linear one (free-XOR/half-gates), B2A between
+// stages, output decoding at the client.
 #pragma once
 
 #include "baseline/cryptonets.h"
 #include "cost/cost_model.h"
-#include "gc/outsourcing.h"
 #include "gc/protocol.h"
 #include "nn/quantize.h"
 #include "preprocess/projection.h"
@@ -30,9 +31,6 @@ struct SecureInferenceOptions {
   /// Section 4.5; swap for LUT/Seg/PL to trade speed vs accuracy).
   synth::ActKind tanh_variant = synth::ActKind::kTanhCORDIC;
   synth::ActKind sigmoid_variant = synth::ActKind::kSigmoidCORDIC;
-  /// Chain per-layer netlists (memory ~ largest layer) instead of one
-  /// monolithic netlist.
-  bool per_layer = true;
   /// Label-PRG seed; zero draws from OS entropy.
   Block seed{};
 };
@@ -61,14 +59,17 @@ BitVec sample_bits(const nn::VecF& sample, FixedFormat fmt);
 BitVec weight_bits(const nn::Network& net, FixedFormat fmt);
 
 /// Run the full two-party protocol in-process; client = garbler (owns
-/// `sample`), server = evaluator (owns `model`).
+/// `sample`), server = evaluator (owns `model`). `gates` counts the
+/// served stages' chains. Throws std::invalid_argument for a model
+/// whose first layer is not FC or conv (synth::compile_served).
 SecureInferenceResult secure_infer(const nn::Network& model,
                                    const nn::VecF& sample,
                                    const SecureInferenceOptions& opt = {});
 
 /// Secure outsourcing mode (Section 3.3): the client only XOR-shares its
-/// input; the proxy (garbler) and main server (evaluator) run the GC
-/// protocol on the share-reconstructing circuit.
+/// input (gc/outsourcing.h); the proxy (garbler) and main server
+/// (evaluator) turn their shares additive by B2A, one arithmetic OT per
+/// input bit, and run secure_infer's protocol on them.
 SecureInferenceResult secure_infer_outsourced(
     const nn::Network& model, const nn::VecF& sample,
     const SecureInferenceOptions& opt = {});

@@ -13,37 +13,4 @@ XorShares xor_share(const BitVec& bits, Prg& prg) {
   return sh;
 }
 
-Circuit add_xor_sharing_layer(const Circuit& c) {
-  Circuit out = c;
-  const size_t n = c.garbler_inputs.size();
-
-  // Fresh wires for the two shares.
-  std::vector<Wire> share_a(n), share_b(n);
-  for (size_t i = 0; i < n; ++i) share_a[i] = out.num_wires++;
-  for (size_t i = 0; i < n; ++i) share_b[i] = out.num_wires++;
-
-  // The reconstruction XOR layer must precede every original gate; the
-  // old garbler-input wires become its outputs.
-  std::vector<Gate> gates;
-  gates.reserve(out.gates.size() + n);
-  for (size_t i = 0; i < n; ++i)
-    gates.push_back(Gate{share_a[i], share_b[i], c.garbler_inputs[i],
-                         GateOp::kXor});
-  gates.insert(gates.end(), out.gates.begin(), out.gates.end());
-  out.gates = std::move(gates);
-  if (!out.gate_lanes.empty()) {
-    // Keep lane tags aligned: the reconstruction layer is lane 0.
-    out.gate_lanes.insert(out.gate_lanes.begin(), n, 0u);
-  }
-
-  out.garbler_inputs = share_a;
-  std::vector<Wire> eval_in = share_b;
-  eval_in.insert(eval_in.end(), c.evaluator_inputs.begin(),
-                 c.evaluator_inputs.end());
-  out.evaluator_inputs = std::move(eval_in);
-  out.name = c.name.empty() ? "outsourced" : c.name + ".outsourced";
-  out.validate();
-  return out;
-}
-
 }  // namespace deepsecure

@@ -1,13 +1,13 @@
 // Secure outsourcing for constrained clients (Section 3.3):
 // the client XOR-shares its input x into (s, x ^ s); a proxy server
-// garbles with share s as its input, the main server evaluates with
-// share x ^ s as an extra private input (via OT), and one layer of free
-// XOR gates reconstructs x inside the circuit. Neither server learns x
-// unless they collude (Proposition 3.2).
+// takes share s and the main server share x ^ s, B2A (runtime/front.h)
+// turns the two into additive shares of x, and the pair runs the served
+// stages on them (secure_infer_outsourced, core/deepsecure.h). Neither
+// server learns x unless they collude (Proposition 3.2).
 #pragma once
 
-#include "circuit/circuit.h"
 #include "crypto/prg.h"
+#include "support/bits.h"
 
 namespace deepsecure {
 
@@ -17,12 +17,5 @@ struct XorShares {
   BitVec share_b;  // x ^ s                     -> main server input
 };
 XorShares xor_share(const BitVec& bits, Prg& prg);
-
-/// Transform a circuit for outsourced execution: the original garbler
-/// inputs become internal wires driven by an XOR layer whose operands
-/// are a fresh garbler input vector (share s) and a fresh evaluator
-/// input vector (share x^s, prepended before the original evaluator
-/// inputs). Gate cost: +n XOR, +0 non-XOR (free).
-Circuit add_xor_sharing_layer(const Circuit& c);
 
 }  // namespace deepsecure

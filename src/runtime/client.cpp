@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "circuit/schedule.h"
 #include "crypto/prg.h"
 #include "obs/trace.h"
 #include "runtime/front.h"
@@ -43,9 +42,7 @@ InferenceClient::InferenceClient(const std::string& host, uint16_t port,
                                  const synth::ModelSpec& spec,
                                  ClientConfig cfg)
     : fmt_(spec.fmt), cfg_(cfg), host_(host), port_(port) {
-  synth::ServedModel served = synth::compile_served(spec);
-  for (synth::ServedStage& stage : served.stages)
-    stage.chain = walk_chain(std::move(stage.chain));
+  synth::ServedModel served = walked_served(spec);
   fingerprint_ = served_fingerprint(served);
   stages_ = std::move(served.stages);
   backoff_rng_ ^= cfg_.chaos.seed;  // deterministic jitter under chaos
@@ -470,19 +467,14 @@ void InferenceClient::top_up() {
   }
 }
 
-BitVec InferenceClient::stage_front(size_t s, const BitVec& bits) {
-  GarblerSession& session = garbler_->session();
-  const synth::FrontPlan& plan = stages_[s].front;
-  return front_send(session, plan,
-                    s == 0 ? data_shares(plan, bits)
-                           : b2a_send(session, bits, plan.fmt));
-}
-
 void InferenceClient::send_pooled_stage(const PrefetchedMaterial& mat,
                                         size_t s, const BitVec& bits) {
   GarblerSession& session = garbler_->session();
   const PrefetchedStage& stage = mat.stages[s];
-  const BitVec share = stage_front(s, bits);
+  const synth::FrontPlan& plan = stages_[s].front;
+  const BitVec share = front_send(session, plan,
+                                  s == 0 ? data_shares(plan, bits)
+                                         : b2a_send(session, bits, plan.fmt));
   // The server's share bits' labels under the stage's delta, then the
   // active labels of the client's own share bits.
   session.send_fixed_labels(stage.front_zeros, stage.delta);
@@ -581,18 +573,12 @@ BitVec InferenceClient::infer_bits_once(const BitVec& data_bits) {
     begin_infer_bits(data_bits);
     return finish_infer();
   }
-  // Pool drained (or pooling off): per stage the front, then garble on
-  // the request path with the share bits as chain[0]'s inputs; only the
-  // last stage is opened.
+  // Pool drained (or pooling off): garble every stage on the request
+  // path (garble_stages, runtime/front.h) and open the last.
   send_frame(garbler_->channel(), FrameType::kInfer);
   GarblerSession& session = garbler_->session();
-  const size_t last = stages_.size() - 1;
-  BitVec bits = data_bits;  // the data, then the client's XOR shares
-  for (size_t s = 0; s <= last; ++s) {
-    const Labels out =
-        session.run_stage(stages_[s].chain, stage_front(s, bits));
-    bits = s == last ? session.open(out) : output_shares(out);
-  }
+  const BitVec bits = session.open(garble_stages(
+      session, stages_, data_shares(stages_.front().front, data_bits)));
   garbler_->channel().flush();
   ++ondemand_inferences_;
   if (cfg_.auto_top_up) top_up();

@@ -238,11 +238,10 @@ class InferenceClient {
   /// each stage's decode bits and tables, ack.
   PrefetchedMaterial push_material_over(BufferedChannel& ch, Artifact&& art,
                                         uint64_t id);
-  /// Client half of stage `s`'s front: `bits` are the data for stage 0
-  /// and the client's XOR shares of the previous stage's outputs after.
-  BitVec stage_front(size_t s, const BitVec& bits);
   /// Stage `s` of a pooled inference, through the client's last send:
   /// front, the server's share-bit labels, the client's active labels.
+  /// `bits` are the data for stage 0 and the client's XOR shares of the
+  /// previous stage's outputs after.
   void send_pooled_stage(const PrefetchedMaterial& mat, size_t s,
                          const BitVec& bits);
   /// The later stages of the oldest begun inference, then its result.

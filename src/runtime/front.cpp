@@ -2,6 +2,9 @@
 
 #include <stdexcept>
 
+#include "circuit/schedule.h"
+#include "obs/trace.h"
+
 namespace deepsecure::runtime {
 namespace {
 
@@ -196,6 +199,63 @@ BitVec front_recv(EvaluatorSession& session, const synth::FrontPlan& plan,
                   const std::vector<uint32_t>& x) {
   return server_share_bits(plan, session.recv_arith(front_choices(plan, w)),
                            w, x);
+}
+
+synth::ServedModel walked_served(const synth::ModelSpec& spec) {
+  synth::ServedModel served = synth::compile_served(spec);
+  for (synth::ServedStage& stage : served.stages)
+    stage.chain = walk_chain(std::move(stage.chain));
+  return served;
+}
+
+std::vector<std::vector<int64_t>> front_weights(
+    const synth::ServedModel& served, const BitVec& weight_bits) {
+  size_t count = 0;
+  for (const synth::ServedStage& stage : served.stages)
+    count += stage.front.weights;
+  const FixedFormat fmt = served.stages.front().front.fmt;
+  if (weight_bits.size() != count * fmt.total_bits)
+    throw std::invalid_argument("front: weight bit count mismatch");
+  const std::vector<int64_t> w = decode_fixed(weight_bits, count, fmt);
+  std::vector<std::vector<int64_t>> out;
+  auto next = w.begin();
+  for (const synth::ServedStage& stage : served.stages) {
+    const auto end = next + static_cast<ptrdiff_t>(stage.front.weights);
+    out.emplace_back(next, end);
+    next = end;
+  }
+  return out;
+}
+
+Labels garble_stages(GarblerSession& session,
+                     const std::vector<synth::ServedStage>& stages,
+                     const std::vector<uint32_t>& x) {
+  Labels out;
+  for (size_t s = 0; s < stages.size(); ++s) {
+    const synth::FrontPlan& plan = stages[s].front;
+    const BitVec share = front_send(
+        session, plan,
+        s == 0 ? x : b2a_send(session, output_shares(out), plan.fmt));
+    out = session.run_stage(stages[s].chain, share);
+  }
+  return out;
+}
+
+Labels evaluate_stages(EvaluatorSession& session,
+                       const std::vector<synth::ServedStage>& stages,
+                       const std::vector<std::vector<int64_t>>& weights,
+                       const std::vector<uint32_t>& x) {
+  Labels out;
+  for (size_t s = 0; s < stages.size(); ++s) {
+    const synth::FrontPlan& plan = stages[s].front;
+    obs::Span span("server.front");
+    const BitVec share = front_recv(
+        session, plan, weights[s],
+        s == 0 ? x : b2a_recv(session, output_shares(out), plan.fmt));
+    span.end();
+    out = session.run_stage(stages[s].chain, share);
+  }
+  return out;
 }
 
 }  // namespace deepsecure::runtime

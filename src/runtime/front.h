@@ -107,4 +107,37 @@ BitVec front_recv(EvaluatorSession& session, const synth::FrontPlan& plan,
                   const std::vector<int64_t>& w,
                   const std::vector<uint32_t>& x);
 
+// ---------------------------------------------------------------------
+// One on-demand inference over the served stages: the protocol of the
+// runtime (client and server) and of secure_infer. Per stage each party
+// runs the front (for stages > 0 on B2A of its XOR shares of the
+// previous stage's outputs), then run_stage with the share bits as
+// chain[0]'s inputs. Both return the last stage's output labels; the
+// caller opens them (GarblerSession::open / EvaluatorSession::open).
+
+/// compile_served(spec) with every stage's chain walked (walk_chain):
+/// the only netlist a party serving `spec` keeps.
+synth::ServedModel walked_served(const synth::ModelSpec& spec);
+
+/// The server's weights, `weight_bits` in the reference weight order
+/// (model_weight_count words), split per stage front in layer order;
+/// non-linear layers have none. Throws std::invalid_argument on a bit
+/// count that does not match the fronts.
+std::vector<std::vector<int64_t>> front_weights(
+    const synth::ServedModel& served, const BitVec& weight_bits);
+
+/// Client half: `x` are stage 0's input shares (data_shares in direct
+/// mode). Returns the last stage's output zero labels.
+Labels garble_stages(GarblerSession& session,
+                     const std::vector<synth::ServedStage>& stages,
+                     const std::vector<uint32_t>& x);
+
+/// Server half: `weights` as front_weights gives them, `x` its shares
+/// of stage 0's inputs (zeros in direct mode). Returns the last
+/// stage's active output labels.
+Labels evaluate_stages(EvaluatorSession& session,
+                       const std::vector<synth::ServedStage>& stages,
+                       const std::vector<std::vector<int64_t>>& weights,
+                       const std::vector<uint32_t>& x);
+
 }  // namespace deepsecure::runtime

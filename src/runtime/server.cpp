@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "circuit/schedule.h"
 #include "crypto/hash_backend.h"
 #include "obs/trace.h"
 #include "runtime/frame.h"
@@ -105,34 +104,20 @@ InferenceServer::InferenceServer(const synth::ModelSpec& spec, BitVec weights,
       // hello ack, so clients never configure it and it cannot collide
       // with a pinned primary port.
       lane_listener_(0, kListenBacklog) {
-  const size_t n = spec.fmt.total_bits;
-  if (weights.size() != synth::model_weight_count(spec) * n)
-    throw std::invalid_argument("InferenceServer: weight bit count mismatch");
   // The walked views of the served stages are the only netlist the
   // server keeps: sessions garble and evaluate them, and the
   // fingerprint hashes them with the front plans.
-  synth::ServedModel served = synth::compile_served(spec);
-  for (synth::ServedStage& stage : served.stages)
-    stage.chain = walk_chain(std::move(stage.chain));
+  synth::ServedModel served = walked_served(spec);
+  weights_ = front_weights(served, weights);
   fingerprint_ = served_fingerprint(served);
   chain_json_ = chain_json(served);
   front_json_ = front_json(served);
-  // The weights split per front, in layer order (non-linear layers
-  // have none).
-  const std::vector<int64_t> w =
-      decode_fixed(weights, synth::model_weight_count(spec), spec.fmt);
-  auto next = w.begin();
-  for (synth::ServedStage& served_stage : served.stages) {
-    Stage stage;
-    stage.front = std::move(served_stage.front);
-    stage.chain = std::move(served_stage.chain);
-    const auto end = next + static_cast<ptrdiff_t>(stage.front.weights);
-    stage.weights.assign(next, end);
-    next = end;
-    stage.table_bytes = material_stream_bytes(stage.chain);
-    expected_table_bytes_ += stage.table_bytes;
-    stages_.push_back(std::move(stage));
+  for (const synth::ServedStage& stage : served.stages) {
+    table_bytes_.push_back(material_stream_bytes(stage.chain));
+    expected_table_bytes_ += table_bytes_.back();
   }
+  stages_ = std::move(served.stages);
+  zero_shares_.assign(stages_.front().front.inputs, 0);
 }
 
 InferenceServer::~InferenceServer() { stop(); }
@@ -173,11 +158,11 @@ const char* InferenceServer::validate_hello(const Hello& hello) const {
 BitVec InferenceServer::run_front(EvaluatorSession& session, size_t s,
                                   const BitVec& e) {
   obs::Span span("server.front");
-  const Stage& stage = stages_[s];
+  const synth::FrontPlan& plan = stages_[s].front;
   const std::vector<uint32_t> x =
-      s == 0 ? std::vector<uint32_t>(stage.front.inputs, 0)
-             : b2a_recv(session, e, stage.front.fmt);
-  return front_recv(session, stage.front, stage.weights, x);
+      s == 0 ? std::vector<uint32_t>(plan.inputs, 0)
+             : b2a_recv(session, e, plan.fmt);
+  return front_recv(session, plan, weights_[s], x);
 }
 
 // One kInfer (on-demand byte stream, or the online phase against a
@@ -190,34 +175,19 @@ bool InferenceServer::handle_infer_frame(const Frame& f, BufferedChannel& ch,
   const uint64_t t0 = obs::now_ns();
   const double eval0 = session.trace().sum_eval();
   const double ot0 = trace_ot_seconds(session.trace());
+  const double front0 = session.trace().front_s;
   uint64_t label_ot_ns = 0;  // pooled share-bit labels (not in the trace)
-  uint64_t front_ns = 0;
-  // Stage s's front, timed: B2A of `e` (hidden stages) and the products.
-  const auto front = [&](size_t s, const BitVec& e) {
-    const uint64_t f0 = obs::now_ns();
-    BitVec bits = run_front(session, s, e);
-    front_ns += obs::now_ns() - f0;
-    return bits;
-  };
-  const size_t last = stages_.size() - 1;
   if (f.payload.empty()) {
-    // On-demand: per stage the front, then the client garbles on the
-    // request path; chain[0]'s evaluator inputs are the stage's share
-    // bits. Stages end in XOR shares; only the last is opened.
+    // On-demand: the client garbles every stage on the request path
+    // (evaluate_stages, runtime/front.h); only the last is opened.
     obs::Span span("server.infer_ondemand");
-    BitVec e;  // the server's XOR shares of the previous stage's outputs
-    for (size_t s = 0; s <= last; ++s) {
-      const Labels out = session.run_stage(stages_[s].chain, front(s, e));
-      if (s < last) {
-        e = output_shares(out);
-        continue;
-      }
-      // Counted before the result goes out: the opening ends with a
-      // read of the bits the client shares back, which a client that
-      // already holds its answer need not wait for.
-      c_inferences_served_.add();
-      (void)session.open(out);
-    }
+    const Labels out =
+        evaluate_stages(session, stages_, weights_, zero_shares_);
+    // Counted before the result goes out: the opening ends with a read
+    // of the bits the client shares back, which a client that already
+    // holds its answer need not wait for.
+    c_inferences_served_.add();
+    (void)session.open(out);
     h_infer_ondemand_.observe(obs::now_ns() - t0);
   } else {
     const uint64_t id = parse_id(f);
@@ -242,9 +212,10 @@ bool InferenceServer::handle_infer_frame(const Frame& f, BufferedChannel& ch,
     obs::Span span("server.infer_online");
     // Per stage the front, then the share bits' labels under the
     // stage's delta, then its evaluation from the artifact.
+    const size_t last = stages_.size() - 1;
     BitVec e;
     for (size_t s = 0; s <= last; ++s) {
-      const BitVec share = front(s, e);
+      const BitVec share = run_front(session, s, e);
       const uint64_t l0 = obs::now_ns();
       mat[s].eval_labels = session.recv_fixed_labels(share);
       label_ot_ns += obs::now_ns() - l0;
@@ -259,7 +230,7 @@ bool InferenceServer::handle_infer_frame(const Frame& f, BufferedChannel& ch,
     h_infer_online_.observe(obs::now_ns() - t0);
     c_inferences_pooled_.add();
   }
-  h_front_.observe(front_ns);
+  h_front_.observe(seconds_to_ns(session.trace().front_s - front0));
   h_eval_.observe(seconds_to_ns(session.trace().sum_eval() - eval0));
   h_ot_online_.observe(
       seconds_to_ns(trace_ot_seconds(session.trace()) - ot0) + label_ot_ns);
@@ -390,15 +361,15 @@ bool InferenceServer::handle_prefetch_push(const Frame& f, BufferedChannel& ch,
   const char* reject = nullptr;
   try {
     for (size_t s = 0; s < stages_.size() && reject == nullptr; ++s) {
-      const Stage& stage = stages_[s];
       const size_t decode =
-          s + 1 == stages_.size() ? stage.chain.back().outputs.size() : 0;
-      mat.push_back(recv_material(ch, stage.table_bytes, decode));
+          s + 1 == stages_.size() ? stages_[s].chain.back().outputs.size()
+                                  : 0;
+      mat.push_back(recv_material(ch, table_bytes_[s], decode));
       // Both sizes are exactly determined by the chain this server
       // compiled; a disagreeing artifact could never evaluate, so
       // reject it now instead of storing garbage and failing the kInfer
       // that draws it.
-      if (mat.back().tables.size() != stage.table_bytes ||
+      if (mat.back().tables.size() != table_bytes_[s] ||
           mat.back().decode_bits.size() != decode)
         reject = "prefetched material does not match model chain";
     }

@@ -214,9 +214,10 @@ class InferenceServer {
   // --- protocol steps the reactor drives -----------------------------
   /// Handshake validation; nullptr = accept, else the kError reason.
   const char* validate_hello(const Hello& hello) const;
-  /// Stage `s`'s front of one inference: B2A of `e`, the server's XOR
-  /// shares of the previous stage's outputs (none for stage 0), then
-  /// the products. Returns the share circuit's evaluator-input bits.
+  /// Stage `s`'s front of one pooled inference: B2A of `e`, the
+  /// server's XOR shares of the previous stage's outputs (none for
+  /// stage 0), then the products. Returns the share circuit's
+  /// evaluator-input bits. (On demand, evaluate_stages runs the fronts.)
   BitVec run_front(EvaluatorSession& session, size_t s, const BitVec& e);
   /// One kInfer frame (on-demand or pooled). Returns false when the
   /// connection must close (kError already sent).
@@ -243,17 +244,17 @@ class InferenceServer {
   /// and knows not to settle again.
   void settle_session_state(SessionState& state);
 
-  // One per served stage. A well-formed pooled artifact's tables for
-  // the stage are exactly table_bytes (consts + half-gate tables per
-  // circuit): prefetches that disagree are rejected at push time, not
-  // at kInfer time.
-  struct Stage {
-    synth::FrontPlan front;
-    std::vector<Circuit> chain;    // walked
-    std::vector<int64_t> weights;  // the linear layer's, for the front
-    uint64_t table_bytes = 0;
-  };
-  std::vector<Stage> stages_;
+  std::vector<synth::ServedStage> stages_;     // chains walked
+  std::vector<std::vector<int64_t>> weights_;  // per front (front_weights)
+  // Per stage, the exact table bytes of a well-formed pooled artifact
+  // (consts + half-gate tables per circuit): prefetches that disagree
+  // are rejected at push time, not at kInfer time.
+  std::vector<uint64_t> table_bytes_;
+  // The server's shares of stage 0's inputs, all zero (the client
+  // holds the data), allocated once: a per-inference copy that lives
+  // through every stage leaves more of the worker threads' malloc
+  // arenas resident (mlp-open peak RSS ~8% higher).
+  std::vector<uint32_t> zero_shares_;
   ServerConfig cfg_;
   uint64_t fingerprint_ = 0;
   std::string chain_json_;  // stats_json's "chain" block, fixed at set-up

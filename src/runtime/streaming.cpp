@@ -22,13 +22,6 @@ BitVec StreamingGarbler::run_chain(const std::vector<Circuit>& chain,
   return out;
 }
 
-BitVec StreamingGarbler::run_sequential(const Circuit& step, size_t cycles,
-                                        const BitVec& data_bits) {
-  const BitVec out = session_->run_sequential(step, cycles, data_bits);
-  ch_.flush();
-  return out;
-}
-
 StreamingEvaluator::StreamingEvaluator(Channel& transport,
                                        const StreamConfig& cfg)
     : pool_(cfg.eval_threads > 0
@@ -41,13 +34,6 @@ StreamingEvaluator::StreamingEvaluator(Channel& transport,
 BitVec StreamingEvaluator::run_chain(const std::vector<Circuit>& chain,
                                      const BitVec& weight_bits) {
   const BitVec out = session_->run_chain(chain, weight_bits);
-  ch_.flush();
-  return out;
-}
-
-BitVec StreamingEvaluator::run_sequential(const Circuit& step, size_t cycles,
-                                          const BitVec& weight_bits) {
-  const BitVec out = session_->run_sequential(step, cycles, weight_bits);
   ch_.flush();
   return out;
 }

@@ -14,8 +14,8 @@
 //               └─ ThreadPool: batch windows are sharded across
 //                  cores on either side (byte-identical)
 //
-// This header is the composition layer the multi-session server, the
-// client driver, and the load-generator all build on.
+// This header is the composition layer the multi-session server and
+// the client driver build on.
 #pragma once
 
 #include <memory>
@@ -61,13 +61,13 @@ class StreamingGarbler {
   StreamingGarbler(Channel& transport, Block seed, const StreamConfig& cfg);
 
   BitVec run_chain(const std::vector<Circuit>& chain, const BitVec& data_bits);
-  BitVec run_sequential(const Circuit& step, size_t cycles,
-                        const BitVec& data_bits);
 
   const SessionTrace& trace() const { return session_->trace(); }
   BufferedChannel& channel() { return ch_; }
-  /// Direct session access for the offline/online split (pooled label
-  /// OTs, material push, begin/finish_online) — see gc/protocol.h.
+  /// Direct session access for the served stages: fronts, run_stage
+  /// and open on demand, and the pooled online phase
+  /// (send_fixed_labels, send_online_labels, recv_result) — see
+  /// gc/protocol.h and runtime/front.h.
   GarblerSession& session() { return *session_; }
 
  private:
@@ -88,8 +88,6 @@ class StreamingEvaluator {
 
   BitVec run_chain(const std::vector<Circuit>& chain,
                    const BitVec& weight_bits);
-  BitVec run_sequential(const Circuit& step, size_t cycles,
-                        const BitVec& weight_bits);
 
   const SessionTrace& trace() const { return session_->trace(); }
   BufferedChannel& channel() { return ch_; }

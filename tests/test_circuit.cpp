@@ -6,7 +6,6 @@
 #include "circuit/builder.h"
 #include "circuit/netlist_io.h"
 #include "circuit/schedule.h"
-#include "circuit/sequential.h"
 #include "core/benchmark_zoo.h"
 #include "gc/material.h"
 #include "support/rng.h"

@@ -2,6 +2,7 @@
 
 #include "core/deepsecure.h"
 #include "data/synthetic.h"
+#include "synth/served.h"
 
 namespace deepsecure {
 namespace {
@@ -78,19 +79,6 @@ TEST(SecureInfer, TanhCordicPathAgreesWithFloatModel) {
   EXPECT_GE(agree, n - 1);
 }
 
-TEST(SecureInfer, MonolithicAndPerLayerAgree) {
-  const nn::Dataset ds = toy_data(44);
-  nn::Network net = trained_toy_net(ds, nn::Act::kReLU, 4, 4);
-  SecureInferenceOptions layered;
-  layered.seed = Block{1, 1};
-  SecureInferenceOptions mono = layered;
-  mono.per_layer = false;
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(secure_infer(net, ds.x[i], layered).label,
-              secure_infer(net, ds.x[i], mono).label);
-  }
-}
-
 TEST(SecureInfer, PrunedModelRunsAndShrinksTraffic) {
   const nn::Dataset ds = toy_data(45);
   nn::Network net = trained_toy_net(ds, nn::Act::kReLU, 8, 5);
@@ -118,8 +106,52 @@ TEST(SecureInferOutsourced, AgreesWithDirectMode) {
   for (int i = 0; i < 3; ++i) {
     const auto direct = secure_infer(net, ds.x[i], opt);
     const auto outsourced = secure_infer_outsourced(net, ds.x[i], opt);
-    EXPECT_EQ(direct.label, outsourced.label) << i;
+    const size_t expect = nn::fixed_predict(net, ds.x[i], opt.fmt);
+    EXPECT_EQ(direct.label, expect) << i;
+    EXPECT_EQ(outsourced.label, expect) << i;
   }
+}
+
+// The library runs the runtime's served stages: on a fixed net its
+// traffic is exact (sizes do not depend on the sample, the weights or
+// the seed) and its gate count is the served chains'. A return to
+// garbling the reference chain, multipliers included, moves all three.
+TEST(SecureInfer, ServedStagesPinBytesAndGates) {
+  Rng rng(7);
+  nn::Network net(nn::Shape{1, 1, 6});
+  net.dense(4, rng).act(nn::Act::kReLU).dense(3, rng);
+  SecureInferenceOptions opt;
+  opt.seed = Block{5, 6};
+  const nn::VecF sample{0.5f, -0.25f, 0.125f, 1.0f, -0.75f, 0.0f};
+
+  const SecureInferenceResult res = secure_infer(net, sample, opt);
+  EXPECT_EQ(res.label, nn::fixed_predict(net, sample, opt.fmt));
+  EXPECT_EQ(res.client_to_server_bytes, 52953u);
+  EXPECT_EQ(res.server_to_client_bytes, 23176u);
+  // Outsourced: the same stages after one B2A OT per input bit.
+  const SecureInferenceResult out = secure_infer_outsourced(net, sample, opt);
+  EXPECT_EQ(out.label, res.label);
+  EXPECT_EQ(out.client_to_server_bytes, 53337u);
+  EXPECT_EQ(out.server_to_client_bytes, 24720u);
+
+  synth::GateCount served;
+  for (const synth::ServedStage& stage :
+       synth::compile_served(model_spec_from_network(net, opt)).stages)
+    for (const Circuit& c : stage.chain) served += synth::count_circuit(c);
+  EXPECT_EQ(res.gates.num_xor, served.num_xor);
+  EXPECT_EQ(res.gates.num_non_xor, served.num_non_xor);
+  EXPECT_EQ(res.gates.num_one_row, served.num_one_row);
+}
+
+// Both modes serve only networks whose first layer is FC or conv
+// (synth::compile_served).
+TEST(SecureInfer, RefusesANetworkThatStartsWithAnActivation) {
+  Rng rng(8);
+  nn::Network net(nn::Shape{1, 1, 4});
+  net.act(nn::Act::kReLU).dense(2, rng);
+  const nn::VecF sample(4, 0.5f);
+  EXPECT_THROW(secure_infer(net, sample), std::invalid_argument);
+  EXPECT_THROW(secure_infer_outsourced(net, sample), std::invalid_argument);
 }
 
 TEST(PreprocessPipeline, ImprovesCostKeepsAccuracy) {

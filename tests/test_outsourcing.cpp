@@ -1,18 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "gc/outsourcing.h"
-#include "gc/protocol.h"
-#include "net/party.h"
-#include "synth/layer_circuits.h"
-#include "test_util.h"
 
 namespace deepsecure {
 namespace {
-
-using test::pack_fixed;
-using test::random_fixed;
-
-constexpr FixedFormat kFmt = kDefaultFormat;
 
 TEST(XorShare, ReconstructsAndLooksRandom) {
   Prg prg(Block{1, 2});
@@ -28,91 +19,6 @@ TEST(XorShare, ReconstructsAndLooksRandom) {
   for (uint8_t b : z.share_a) ones += b;
   EXPECT_GT(ones, 32u);
   EXPECT_LT(ones, 96u);
-}
-
-TEST(Outsourcing, TransformAddsOnlyFreeXor) {
-  Builder b;
-  const Wire x = b.input(Party::kGarbler);
-  const Wire y = b.input(Party::kGarbler);
-  const Wire w = b.input(Party::kEvaluator);
-  b.output(b.and_(b.xor_(x, y), w));
-  const Circuit c = b.build();
-  const Circuit oc = add_xor_sharing_layer(c);
-
-  EXPECT_EQ(oc.stats().num_and, c.stats().num_and);  // no extra non-XOR
-  EXPECT_EQ(oc.stats().num_xor, c.stats().num_xor + 2);
-  EXPECT_EQ(oc.garbler_inputs.size(), 2u);
-  EXPECT_EQ(oc.evaluator_inputs.size(), 3u);  // 2 shares + 1 weight
-}
-
-TEST(Outsourcing, SharedEvalEqualsDirectEval) {
-  const synth::ModelSpec spec = [] {
-    synth::ModelSpec s;
-    s.input = synth::Shape3{1, 1, 4};
-    s.layers.push_back(synth::FcLayer{3, {}, true});
-    s.layers.push_back(synth::ActLayer{synth::ActKind::kReLU});
-    s.layers.push_back(synth::ArgmaxLayer{});
-    return s;
-  }();
-  const Circuit c = synth::compile_model(spec);
-  const Circuit oc = add_xor_sharing_layer(c);
-
-  Rng rng(5);
-  Prg pad(Block{9, 9});
-  for (int trial = 0; trial < 5; ++trial) {
-    std::vector<Fixed> xs, ws;
-    for (size_t i = 0; i < 4; ++i) xs.push_back(random_fixed(rng, kFmt, 0.2));
-    for (size_t i = 0; i < synth::model_weight_count(spec); ++i)
-      ws.push_back(random_fixed(rng, kFmt, 0.2));
-    const BitVec x_bits = pack_fixed(xs);
-    const BitVec w_bits = pack_fixed(ws);
-
-    const XorShares sh = xor_share(x_bits, pad);
-    BitVec eval_in = sh.share_b;
-    eval_in.insert(eval_in.end(), w_bits.begin(), w_bits.end());
-
-    EXPECT_EQ(oc.eval(sh.share_a, eval_in), c.eval(x_bits, w_bits));
-  }
-}
-
-TEST(Outsourcing, FullProtocolBetweenTwoServers) {
-  // Proxy = garbler holding share s; main server = evaluator holding
-  // share x^s plus the model weights. The client only XORs.
-  const synth::ModelSpec spec = [] {
-    synth::ModelSpec s;
-    s.input = synth::Shape3{1, 1, 3};
-    s.layers.push_back(synth::FcLayer{2, {}, true});
-    s.layers.push_back(synth::ArgmaxLayer{});
-    return s;
-  }();
-  const Circuit c = synth::compile_model(spec);
-  const Circuit oc = add_xor_sharing_layer(c);
-
-  Rng rng(6);
-  std::vector<Fixed> xs, ws;
-  for (size_t i = 0; i < 3; ++i) xs.push_back(random_fixed(rng, kFmt, 0.3));
-  for (size_t i = 0; i < synth::model_weight_count(spec); ++i)
-    ws.push_back(random_fixed(rng, kFmt, 0.3));
-  const BitVec x_bits = pack_fixed(xs);
-  const BitVec w_bits = pack_fixed(ws);
-
-  Prg pad(Block{13, 13});
-  const XorShares sh = xor_share(x_bits, pad);
-  BitVec eval_in = sh.share_b;
-  eval_in.insert(eval_in.end(), w_bits.begin(), w_bits.end());
-
-  BitVec proxy_out, server_out;
-  run_two_party(
-      [&](Channel& ch) {
-        GarblerSession session(ch, Block{17, 17});
-        proxy_out = session.run_chain({oc}, sh.share_a);
-      },
-      [&](Channel& ch) {
-        EvaluatorSession session(ch);
-        server_out = session.run_chain({oc}, eval_in);
-      });
-  EXPECT_EQ(proxy_out, c.eval(x_bits, w_bits));
-  EXPECT_EQ(server_out, proxy_out);
 }
 
 }  // namespace
