@@ -16,24 +16,21 @@ using namespace deepsecure;
 namespace {
 
 // A step circuit heavy enough that per-cycle times are measurable:
-// `width` MACs per cycle with an accumulator register file.
+// `width` MACs per cycle with an accumulator register file (n+f bits
+// each, truncated on the way out, as make_mac_step_circuit).
 Circuit wide_mac_step(size_t width, FixedFormat fmt) {
   Builder b("fig5_step");
   using namespace synth;
-  std::vector<Bus> acc_next;
+  std::vector<Wire> state_next, outs;
   for (size_t i = 0; i < width; ++i) {
     const Bus x = input_fixed(b, Party::kGarbler, fmt);
     const Bus w = input_fixed(b, Party::kEvaluator, fmt);
-    const Bus acc = b.state_inputs(fmt.total_bits);
-    const Bus next = add(b, acc, mult_fixed(b, x, w, fmt.frac_bits));
-    acc_next.push_back(next);
+    const Bus acc = b.state_inputs(fmt.total_bits + fmt.frac_bits);
+    const Bus next = add(b, acc, mult_wide(b, x, w, fmt.frac_bits));
+    state_next.insert(state_next.end(), next.begin(), next.end());
+    const Bus out = slice(next, fmt.frac_bits, fmt.total_bits);
+    outs.insert(outs.end(), out.begin(), out.end());
   }
-  std::vector<Wire> state_next, outs;
-  for (const auto& bus : acc_next)
-    for (Wire w : bus) {
-      state_next.push_back(w);
-      outs.push_back(w);
-    }
   b.set_state_next(state_next);
   for (Wire w : outs) b.output(w);
   return b.build();

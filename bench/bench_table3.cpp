@@ -54,7 +54,9 @@ std::string pct(double v) {
 }  // namespace
 
 int main() {
-  std::printf("Table 3: GC-optimized circuit components (Q(16,12))\n");
+  std::printf(
+      "Table 3: GC-optimized circuit components (Q(16,12); matvec\n"
+      "accumulate-then-truncate)\n");
   std::printf("Paper columns are from DAC'18 Table 3; our counts come from\n");
   std::printf("the netlist generator + constant-folding/CSE synthesis.\n\n");
 
@@ -165,6 +167,9 @@ int main() {
       "  On a weight it is a radix-4 Booth multiplier (a garbled y\n"
       "  takes the 584-gate array). Its #1-row gates AND a Booth digit\n"
       "  flag, an XOR of weight bits the evaluator owns, and ship 16 B\n"
-      "  instead of 32 B (half-gates' evaluator half gate).\n");
+      "  instead of 32 B (half-gates' evaluator half gate).\n"
+      "  A1x16.B16x4 accumulates-then-truncates: it sums the full\n"
+      "  28-bit products of each column (28-bit adders) and truncates\n"
+      "  once, as every FC/conv layer does.\n");
   return 0;
 }

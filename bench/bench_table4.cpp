@@ -22,7 +22,10 @@
 using namespace deepsecure;
 
 int main() {
-  std::printf("Table 4: benchmarks without data/network pre-processing\n\n");
+  std::printf(
+      "Table 4: benchmarks without data/network pre-processing\n"
+      "(linear layers accumulate-then-truncate: full 28-bit products are\n"
+      "summed per neuron and truncated once)\n\n");
 
   TablePrinter t({"Name", "#XOR", "#non-XOR", "Comm(MB)", "Comp(s)",
                   "Exec(s)", "paper nXOR", "paper Comm", "paper Exec"});

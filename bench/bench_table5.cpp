@@ -13,7 +13,10 @@
 using namespace deepsecure;
 
 int main() {
-  std::printf("Table 5: benchmarks with data + network pre-processing\n\n");
+  std::printf(
+      "Table 5: benchmarks with data + network pre-processing\n"
+      "(linear layers accumulate-then-truncate: full 28-bit products are\n"
+      "summed per neuron and truncated once)\n\n");
 
   TablePrinter t({"Name", "Compaction", "#XOR", "#non-XOR", "Comm(MB)",
                   "Comp(s)", "Exec(s)", "Improve", "paper Impr"});

@@ -56,11 +56,13 @@ Fixed operator-(Fixed a, Fixed b) {
 
 Fixed operator*(Fixed a, Fixed b) {
   if (!(a.fmt_ == b.fmt_)) throw std::invalid_argument("format mismatch");
-  // Full product then arithmetic truncation toward -inf (shift right),
-  // mirroring the MULT circuit.
-  const int64_t prod = a.raw_ * b.raw_;
-  const int64_t shifted = prod >> a.fmt_.frac_bits;
-  return Fixed(Fixed::wrap(shifted, a.fmt_), a.fmt_);
+  return Fixed::from_product_sum(a.raw_ * b.raw_, a.fmt_);
+}
+
+Fixed Fixed::from_product_sum(int64_t sum, FixedFormat fmt) {
+  // Arithmetic truncation toward -inf (shift right), mirroring the
+  // circuits' bit window [frac, frac + n).
+  return Fixed(wrap(sum >> fmt.frac_bits, fmt), fmt);
 }
 
 double ref_tanh(double x) { return std::tanh(x); }

@@ -59,6 +59,13 @@ class Fixed {
   /// behaviour of the MULT circuit block.
   friend Fixed operator*(Fixed a, Fixed b);
 
+  /// A sum of full products a.raw() * b.raw() (2*frac_bits fractional
+  /// bits) truncated once: shifted right by frac_bits, then wrapped. A
+  /// linear layer's neuron is from_product_sum(sum of x*w) + bias
+  /// (accumulate-then-truncate); a * b == from_product_sum(a.raw() *
+  /// b.raw()).
+  static Fixed from_product_sum(int64_t sum, FixedFormat fmt = kDefaultFormat);
+
   bool operator==(const Fixed& o) const {
     return raw_ == o.raw_ && fmt_ == o.fmt_;
   }

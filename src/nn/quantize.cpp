@@ -49,12 +49,12 @@ std::vector<Fixed> fixed_forward(const Network& net, const VecF& x,
       const size_t in = d->in_dim();
       std::vector<Fixed> y(d->out_dim(), zero);
       for (size_t o = 0; o < d->out_dim(); ++o) {
-        Fixed acc = zero;
+        int64_t acc = 0;
         for (size_t i = 0; i < in; ++i) {
           if (!d->mask.empty() && !d->mask[o * in + i]) continue;
-          acc = acc + v[i] * q(d->weights()[o * in + i], fmt);
+          acc += v[i].raw() * q(d->weights()[o * in + i], fmt).raw();
         }
-        y[o] = acc + q(d->biases()[o], fmt);
+        y[o] = Fixed::from_product_sum(acc, fmt) + q(d->biases()[o], fmt);
       }
       v = std::move(y);
       shape = Shape{1, 1, d->out_dim()};
@@ -66,16 +66,18 @@ std::vector<Fixed> fixed_forward(const Network& net, const VecF& x,
       for (size_t oc = 0; oc < os.c; ++oc)
         for (size_t oy = 0; oy < os.h; ++oy)
           for (size_t ox = 0; ox < os.w; ++ox) {
-            Fixed acc = zero;
+            int64_t acc = 0;
             for (size_t ic = 0; ic < is.c; ++ic)
               for (size_t ky = 0; ky < k; ++ky)
-                for (size_t kx = 0; kx < k; ++kx)
-                  acc = acc +
-                        v[(ic * is.h + oy * stride + ky) * is.w +
-                          ox * stride + kx] *
-                            q(c->weights()[((oc * is.c + ic) * k + ky) * k + kx],
-                              fmt);
-            y[(oc * os.h + oy) * os.w + ox] = acc + q(c->biases()[oc], fmt);
+                for (size_t kx = 0; kx < k; ++kx) {
+                  const Fixed& xv = v[(ic * is.h + oy * stride + ky) * is.w +
+                                      ox * stride + kx];
+                  const Fixed wv = q(
+                      c->weights()[((oc * is.c + ic) * k + ky) * k + kx], fmt);
+                  acc += xv.raw() * wv.raw();
+                }
+            y[(oc * os.h + oy) * os.w + ox] =
+                Fixed::from_product_sum(acc, fmt) + q(c->biases()[oc], fmt);
           }
       v = std::move(y);
       shape = os;

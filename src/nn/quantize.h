@@ -14,10 +14,10 @@ namespace deepsecure::nn {
 /// network order.
 std::vector<Fixed> quantize_weights(const Network& net, FixedFormat fmt);
 
-/// Fixed-point forward pass (Q-format arithmetic with truncating
-/// multiplies — bit-exact with the circuit datapath for supported
-/// layers: dense, conv, max/mean pool, ReLU/Tanh/Sigmoid via exact LUT
-/// rounding on representable inputs).
+/// Fixed-point forward pass (Q-format arithmetic; dense and conv layers
+/// sum full products and truncate once per neuron — bit-exact with the
+/// circuit datapath for supported layers: dense, conv, max/mean pool,
+/// ReLU/Tanh/Sigmoid via exact LUT rounding on representable inputs).
 std::vector<Fixed> fixed_forward(const Network& net, const VecF& x,
                                  FixedFormat fmt);
 

@@ -8,48 +8,29 @@
 namespace deepsecure::runtime {
 namespace {
 
-uint32_t product_mask(const FixedFormat& fmt) {
-  const size_t bits = fmt.total_bits + fmt.frac_bits;
-  return bits >= 32 ? ~uint32_t{0} : (uint32_t{1} << bits) - 1;
-}
-
-// Share bits in the share circuit's input order: the low f bits of each
-// product's share, then n bits of each neuron's sum of high parts plus
-// `bias[j]`.
-BitVec share_bits(const synth::FrontPlan& plan,
-                  const std::vector<uint32_t>& shares,
-                  const std::vector<uint32_t>& bias) {
-  const size_t n = plan.fmt.total_bits;
-  const size_t f = plan.fmt.frac_bits;
-  BitVec bits(plan.share_bits());
-  size_t at = 0;
-  for (uint32_t s : shares)
-    for (size_t i = 0; i < f; ++i) bits[at++] = (s >> i) & 1u;
-  for (size_t j = 0; j < plan.neurons(); ++j) {
-    uint32_t sum = bias[j];
-    for (size_t p = plan.first[j]; p < plan.first[j + 1]; ++p)
-      sum += shares[p] >> f;
-    for (size_t i = 0; i < n; ++i) bits[at++] = (sum >> i) & 1u;
-  }
-  return bits;
-}
-
-// One share per product: the sum of its n OT values, negated for the
-// client, mod 2^(n+f).
-std::vector<uint32_t> product_shares(const synth::FrontPlan& plan,
-                                     const std::vector<uint32_t>& values,
-                                     bool negate) {
+// Per neuron, the sum of its products' n OT values each, mod 2^32.
+std::vector<uint32_t> neuron_sums(const synth::FrontPlan& plan,
+                                  const std::vector<uint32_t>& values) {
   const size_t n = plan.fmt.total_bits;
   if (values.size() != plan.ots())
     throw std::invalid_argument("front: OT value count mismatch");
-  std::vector<uint32_t> shares(plan.products.size());
-  const uint32_t mask = product_mask(plan.fmt);
-  for (size_t p = 0; p < shares.size(); ++p) {
-    uint32_t sum = 0;
-    for (size_t k = 0; k < n; ++k) sum += values[p * n + k];
-    shares[p] = (negate ? 0u - sum : sum) & mask;
-  }
-  return shares;
+  std::vector<uint32_t> sums(plan.neurons(), 0);
+  for (size_t j = 0; j < sums.size(); ++j)
+    for (size_t i = plan.first[j] * n; i < plan.first[j + 1] * n; ++i)
+      sums[j] += values[i];
+  return sums;
+}
+
+// The share circuit's input bits: n+f bits of each neuron's sum, so the
+// sums are taken mod 2^(n+f).
+BitVec share_bits(const synth::FrontPlan& plan,
+                  const std::vector<uint32_t>& sums) {
+  const size_t width = plan.fmt.total_bits + plan.fmt.frac_bits;
+  BitVec bits(plan.share_bits());
+  for (size_t j = 0; j < sums.size(); ++j)
+    for (size_t i = 0; i < width; ++i)
+      bits[j * width + i] = (sums[j] >> i) & 1u;
+  return bits;
 }
 
 // B2A coefficient of bit k of an n-bit two's-complement word, mod 2^32.
@@ -127,8 +108,9 @@ BitVec front_choices(const synth::FrontPlan& plan,
 
 BitVec client_share_bits(const synth::FrontPlan& plan,
                          const std::vector<uint32_t>& pads) {
-  return share_bits(plan, product_shares(plan, pads, /*negate=*/true),
-                    std::vector<uint32_t>(plan.neurons(), 0));
+  std::vector<uint32_t> c = neuron_sums(plan, pads);
+  for (uint32_t& v : c) v = 0u - v;
+  return share_bits(plan, c);
 }
 
 BitVec server_share_bits(const synth::FrontPlan& plan,
@@ -137,19 +119,16 @@ BitVec server_share_bits(const synth::FrontPlan& plan,
                          const std::vector<uint32_t>& x) {
   if (x.size() != plan.inputs)
     throw std::invalid_argument("front: input share count mismatch");
-  std::vector<uint32_t> shares =
-      product_shares(plan, received, /*negate=*/false);
-  const uint32_t mask = product_mask(plan.fmt);
-  for (size_t p = 0; p < shares.size(); ++p) {
-    const synth::FrontProduct& pr = plan.products[p];
-    const auto wv = static_cast<uint32_t>(w[pr.weight]);
-    shares[p] = (shares[p] + x[pr.input] * wv) & mask;
-  }
-  std::vector<uint32_t> bias(plan.neurons(), 0);
-  for (size_t j = 0; j < bias.size(); ++j)
+  std::vector<uint32_t> s = neuron_sums(plan, received);
+  for (size_t j = 0; j < s.size(); ++j) {
+    for (size_t p = plan.first[j]; p < plan.first[j + 1]; ++p) {
+      const synth::FrontProduct& pr = plan.products[p];
+      s[j] += x[pr.input] * static_cast<uint32_t>(w[pr.weight]);
+    }
     if (plan.bias[j] != synth::FrontPlan::kNoBias)
-      bias[j] = static_cast<uint32_t>(w[plan.bias[j]]);
-  return share_bits(plan, shares, bias);
+      s[j] += static_cast<uint32_t>(w[plan.bias[j]]) << plan.fmt.frac_bits;
+  }
+  return share_bits(plan, s);
 }
 
 std::vector<uint32_t> b2a_correlations(const BitVec& g, FixedFormat fmt) {

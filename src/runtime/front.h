@@ -13,10 +13,10 @@
 // The receiver learns p_k + w_k*d_k, the sender keeps p_k, so
 // s = sum_k (p_k + w_k*d_k) + x_s*w and c = -sum_k p_k add up to x*w;
 // the server adds x_s*w locally. One round trip: the server's packed u
-// columns (16 B per OT), the client's 4 B per OT. Each party then
-// derives the share circuit's inputs from its shares in plaintext: the
-// low f bits of each product's share, and per neuron the sum of the
-// high parts (the server's with the bias).
+// columns (16 B per OT), the client's 4 B per OT. Each party then sums
+// its product shares per neuron in plaintext, the server adding the
+// bias times 2^f, and feeds the share circuit the n+f low bits of each
+// sum: the layer is truncated once per neuron, not once per product.
 //
 // Layer 0 is the special case x_c = x (the client's data), x_s = 0. A
 // hidden layer's x leaves the previous stage's chain XOR-shared, bit k
@@ -61,13 +61,14 @@ std::vector<uint32_t> front_correlations(const synth::FrontPlan& plan,
 BitVec front_choices(const synth::FrontPlan& plan,
                      const std::vector<int64_t>& w);
 
-/// The client's share-circuit inputs from its OT pads (c = -sum p).
+/// The client's share-circuit inputs from its OT pads: per neuron,
+/// C_j = -sum of its products' pads, n+f bits.
 BitVec client_share_bits(const synth::FrontPlan& plan,
                          const std::vector<uint32_t>& pads);
 
 /// The server's share-circuit inputs from its OT outputs, weights and
-/// input shares `x` (x*w joins each product's share, the biases its
-/// per-neuron sums).
+/// input shares `x`: per neuron, S_j = the sum of its products' OT
+/// outputs and x*w, plus bias*2^f, n+f bits.
 BitVec server_share_bits(const synth::FrontPlan& plan,
                          const std::vector<uint32_t>& received,
                          const std::vector<int64_t>& w,

@@ -28,6 +28,8 @@ inline Bus input_fixed(Builder& b, Party p, FixedFormat fmt) {
 Bus sign_extend(const Bus& a, size_t n);
 Bus zero_extend(Builder& b, const Bus& a, size_t n);
 Bus truncate(const Bus& a, size_t n);
+/// Bits [lo, lo + n) of `a`.
+Bus slice(const Bus& a, size_t lo, size_t n);
 /// Logical shift left by constant k (low bits filled with const0).
 Bus shl_const(Builder& b, const Bus& a, size_t k);
 /// Arithmetic shift right by constant k (sign-fill), width preserved.

@@ -40,6 +40,13 @@ BlockCosts measure_blocks(FixedFormat fmt) {
     costs.add = count_built(std::move(b));
   }
   {
+    Builder b;
+    const Bus x = input_bus(b, Party::kGarbler, fmt.total_bits + fmt.frac_bits);
+    const Bus y = input_bus(b, Party::kGarbler, fmt.total_bits + fmt.frac_bits);
+    b.outputs(add(b, x, y));
+    costs.add_wide = count_built(std::move(b));
+  }
+  {
     // One MULT, and two that share x or y: the second MULT adds all but
     // the shared operand's part, which splits the three parts apart.
     const auto macs = [&](size_t xs, size_t ys) {
@@ -48,7 +55,7 @@ BlockCosts measure_blocks(FixedFormat fmt) {
       for (Bus& v : x) v = input_fixed(b, Party::kGarbler, fmt);
       for (Bus& v : y) v = input_fixed(b, Party::kEvaluator, fmt);
       for (size_t i = 0; i < std::max(xs, ys); ++i)
-        b.outputs(mult_fixed(b, x[i % xs], y[i % ys], fmt.frac_bits));
+        b.outputs(mult_wide(b, x[i % xs], y[i % ys], fmt.frac_bits));
       return count_built(std::move(b));
     };
     const GateCount one = macs(1, 1);
@@ -120,7 +127,7 @@ std::vector<GateCount> count_model_layers(const ModelSpec& spec) {
     GateCount g;
     if (const auto* fc = std::get_if<FcLayer>(&layer)) {
       const size_t in = shape.flat();
-      uint64_t macs = 0, adds = 0;
+      uint64_t macs = 0, adds = 0, biases = 0;
       // Input features with a kept weight: each pays the MULT prologue.
       std::vector<uint8_t> read(in, fc->mask.empty() && fc->out > 0);
       for (size_t o = 0; o < fc->out; ++o) {
@@ -136,12 +143,12 @@ std::vector<GateCount> count_model_layers(const ModelSpec& spec) {
         }
         macs += nnz;
         adds += nnz > 0 ? nnz - 1 : 0;
-        if (fc->has_bias) adds += 1;
+        if (fc->has_bias) biases += 1;
       }
       g += (c.mult + c.mult_weight) * macs;
       g += c.mult_prologue *
            static_cast<uint64_t>(std::count(read.begin(), read.end(), 1));
-      g += c.add * adds;
+      g += c.add_wide * adds + c.add * biases;
     } else if (const auto* conv = std::get_if<ConvLayer>(&layer)) {
       const Shape3 os = layer_output_shape(shape, layer);
       const uint64_t per_out = shape.c * conv->k * conv->k;
@@ -150,7 +157,8 @@ std::vector<GateCount> count_model_layers(const ModelSpec& spec) {
       g += c.mult_weight * (os.c * per_out);
       g += c.mult_prologue * (shape.c * covered(conv->k, conv->stride, os.h) *
                               covered(conv->k, conv->stride, os.w));
-      g += c.add * (outs * (per_out - 1 + (conv->has_bias ? 1 : 0)));
+      g += c.add_wide * (outs * (per_out - 1));
+      if (conv->has_bias) g += c.add * outs;
     } else if (const auto* pool = std::get_if<PoolLayer>(&layer)) {
       const Shape3 os = layer_output_shape(shape, layer);
       const uint64_t window = pool->k * pool->k;

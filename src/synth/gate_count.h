@@ -48,7 +48,12 @@ GateCount count_circuit(const Circuit& c);
 /// values (products, activations), so all their ANDs are two-row.
 struct BlockCosts {
   GateCount add;
-  /// One MAC's multiplier, without the parts that read one operand only.
+  /// ADD of two n+f-bit full products: a linear layer's accumulator,
+  /// which keeps every product bit and truncates once per neuron (the
+  /// bias is then one n-bit ADD).
+  GateCount add_wide;
+  /// One MAC's multiplier (full n+f-bit product), without the parts
+  /// that read one operand only.
   GateCount mult;
   /// The multiplier's x-only part (-x), which CSE emits once per x
   /// however many weights multiply it.

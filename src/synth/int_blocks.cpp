@@ -36,6 +36,12 @@ Bus truncate(const Bus& a, size_t n) {
   return Bus(a.begin(), a.begin() + static_cast<ptrdiff_t>(n));
 }
 
+Bus slice(const Bus& a, size_t lo, size_t n) {
+  if (lo + n > a.size()) throw std::invalid_argument("slice past bus end");
+  return Bus(a.begin() + static_cast<ptrdiff_t>(lo),
+             a.begin() + static_cast<ptrdiff_t>(lo + n));
+}
+
 Bus shl_const(Builder& b, const Bus& a, size_t k) {
   Bus out(a.size(), b.const_bit(false));
   for (size_t i = k; i < a.size(); ++i) out[i] = a[i - k];

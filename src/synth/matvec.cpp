@@ -22,11 +22,10 @@ Bus dot_masked(Builder& b, const std::vector<Bus>& x,
   Bus acc;
   for (size_t i = 0; i < x.size(); ++i) {
     if (!mask[i]) continue;  // pruned connection: no gates at all
-    const Bus term = mult_fixed(b, x[i], w[i], frac);
+    const Bus term = mult_wide(b, x[i], w[i], frac);
     acc = acc.empty() ? term : add(b, acc, term);
   }
-  if (acc.empty()) acc = constant_bus(b, 0, n);
-  return acc;
+  return acc.empty() ? constant_bus(b, 0, n) : slice(acc, frac, n);
 }
 
 Circuit make_matvec_circuit(size_t m, size_t n, FixedFormat fmt) {
@@ -49,11 +48,10 @@ Circuit make_mac_step_circuit(FixedFormat fmt) {
   Builder b("mac_step");
   const Bus x = input_fixed(b, Party::kGarbler, fmt);
   const Bus w = input_fixed(b, Party::kEvaluator, fmt);
-  const Bus acc = b.state_inputs(fmt.total_bits);
-  const Bus prod = mult_fixed(b, x, w, fmt.frac_bits);
-  const Bus next = add(b, acc, prod);
+  const Bus acc = b.state_inputs(fmt.total_bits + fmt.frac_bits);
+  const Bus next = add(b, acc, mult_wide(b, x, w, fmt.frac_bits));
   b.set_state_next(next);
-  b.outputs(next);
+  b.outputs(slice(next, fmt.frac_bits, fmt.total_bits));
   return b.build();
 }
 

@@ -102,16 +102,16 @@ Bus mult_booth(Builder& b, const Bus& a, const Bus& y, size_t frac) {
 
 }  // namespace
 
-Bus mult_fixed(Builder& b, const Bus& a, const Bus& y, size_t frac) {
+Bus mult_wide(Builder& b, const Bus& a, const Bus& y, size_t frac) {
   if (a.size() != y.size())
     throw std::invalid_argument("mult width mismatch");
   const bool y_known = std::all_of(y.begin(), y.end(),
                                    [&](Wire wr) { return b.known(wr); });
-  // Accumulated mod 2^(n+frac); the result window is [frac, frac + n).
-  const Bus acc =
-      y_known ? mult_booth(b, a, y, frac) : mult_array(b, a, y, frac);
-  return Bus(acc.begin() + static_cast<ptrdiff_t>(frac),
-             acc.begin() + static_cast<ptrdiff_t>(frac + a.size()));
+  return y_known ? mult_booth(b, a, y, frac) : mult_array(b, a, y, frac);
+}
+
+Bus mult_fixed(Builder& b, const Bus& a, const Bus& y, size_t frac) {
+  return slice(mult_wide(b, a, y, frac), frac, a.size());
 }
 
 Bus mult_const_fixed(Builder& b, const Bus& a, double c, FixedFormat fmt) {

@@ -2,8 +2,10 @@
 //
 // The paper's enhanced matrix-vector multiplication supports signed
 // operands (vs. TinyGarble's unsigned realization). Products are
-// accumulated modulo 2^(n+frac) and the result window [frac, frac+n) is
-// returned, which matches `Fixed::operator*` exactly. The structure is
+// accumulated modulo 2^(n+frac): mult_wide returns all n+frac bits (a
+// dot product sums these and truncates once, synth/matvec.h), and
+// mult_fixed the window [frac, frac+n), which matches `Fixed::operator*`
+// exactly. The structure is
 // chosen once, from what the evaluator knows (`Builder::known`):
 //
 //   * y known (every bit an evaluator input or an XOR of them: a
@@ -24,7 +26,11 @@
 
 namespace deepsecure::synth {
 
-/// Fixed-point multiply: n-bit a, y -> n-bit (a*y) >> frac.
+/// Full product: n-bit a, y -> a*y mod 2^(n+frac), n+frac bits.
+Bus mult_wide(Builder& b, const Bus& a, const Bus& y, size_t frac);
+
+/// Fixed-point multiply: n-bit a, y -> n-bit (a*y) >> frac, the window
+/// [frac, frac+n) of mult_wide.
 Bus mult_fixed(Builder& b, const Bus& a, const Bus& y, size_t frac);
 
 /// Integer multiply returning the low n bits (frac = 0 window).

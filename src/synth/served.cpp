@@ -5,45 +5,6 @@
 #include "synth/int_blocks.h"
 
 namespace deepsecure::synth {
-namespace {
-
-// Carry out of a + y (equal widths): the adder's carry chain alone,
-// c' = c ^ ((a ^ c) & (y ^ c)), one AND per bit. The first AND reads
-// two inputs; with y the evaluator's, it ships one row.
-Wire carry_out(Builder& b, const Bus& a, const Bus& y) {
-  Wire c = kConst0;
-  for (size_t i = 0; i < a.size(); ++i)
-    c = b.xor_(c, b.and_(b.xor_(a[i], c), b.xor_(y[i], c)));
-  return c;
-}
-
-// Number of set wires, little-endian. Per weight, full adders (one AND
-// each) take the column three wires at a time, oldest first, until at
-// most two are left; a pair takes a half adder. Carries form the next
-// weight's column.
-Bus popcount(Builder& b, Bus col) {
-  Bus out;
-  while (!col.empty()) {
-    Bus next;
-    size_t i = 0;
-    for (; col.size() - i >= 3; i += 3) {
-      const Wire x = col[i], y = col[i + 1], z = col[i + 2];
-      const Wire xz = b.xor_(x, z);
-      col.push_back(b.xor_(xz, y));
-      next.push_back(b.xor_(z, b.and_(xz, b.xor_(y, z))));
-    }
-    if (col.size() - i == 2) {
-      next.push_back(b.and_(col[i], col[i + 1]));
-      out.push_back(b.xor_(col[i], col[i + 1]));
-    } else {
-      out.push_back(col[i]);
-    }
-    col = std::move(next);
-  }
-  return out;
-}
-
-}  // namespace
 
 FrontPlan front_plan(const Shape3& in, const LayerSpec& layer,
                      FixedFormat fmt) {
@@ -98,22 +59,13 @@ Circuit share_circuit(const FrontPlan& plan, const std::string& name) {
   if (n + f > 32)
     throw std::invalid_argument("share_circuit: products exceed 32 bits");
   Builder b(name);
-  const size_t m = plan.products.size();
-  std::vector<Bus> c_lo(m), c_sum(plan.neurons());
-  std::vector<Bus> s_lo(m), s_sum(plan.neurons());
-  for (Bus& bus : c_lo) bus = input_bus(b, Party::kGarbler, f);
-  for (Bus& bus : c_sum) bus = input_bus(b, Party::kGarbler, n);
-  for (Bus& bus : s_lo) bus = input_bus(b, Party::kEvaluator, f);
-  for (Bus& bus : s_sum) bus = input_bus(b, Party::kEvaluator, n);
+  std::vector<Bus> c(plan.neurons()), s(plan.neurons());
+  for (Bus& bus : c) bus = input_bus(b, Party::kGarbler, n + f);
+  for (Bus& bus : s) bus = input_bus(b, Party::kEvaluator, n + f);
   for (size_t j = 0; j < plan.neurons(); ++j) {
     // One lane per neuron, as in the reference layer.
     b.set_lane(static_cast<uint32_t>(j));
-    Bus carries;
-    for (size_t p = plan.first[j]; p < plan.first[j + 1]; ++p)
-      carries.push_back(carry_out(b, c_lo[p], s_lo[p]));
-    Bus count = popcount(b, carries);
-    count = count.size() >= n ? truncate(count, n) : zero_extend(b, count, n);
-    b.outputs(add(b, add(b, c_sum[j], s_sum[j]), count));
+    b.outputs(slice(add(b, c[j], s[j]), f, n));
   }
   return b.build();
 }

@@ -1,17 +1,18 @@
 // The served model: what the runtime garbles for a model whose first
 // layer is linear (FC or conv).
 //
-// Every linear layer multiplies its inputs x by the server's weights w.
+// Every linear layer multiplies its inputs x by the server's weights w
+// and truncates once per neuron (synth/matvec.h):
+//
+//   y_j = floor(sum_p x_p*w_p / 2^f) + b_j  (mod 2^n)
+//
 // The runtime does not garble those products: Gilboa OT multiplication
-// (runtime/front.h) gives the parties additive shares c + s = x*w mod
-// 2^(n+f) per product, and Fixed::operator* keeps bits [f, f+n) of it:
-//
-//   trunc(x*w) = (c >> f) + (s >> f) + [c_lo + s_lo >= 2^f]  (mod 2^n)
-//
-// with c_lo, s_lo the low f bits. Each party sums its high parts per
-// neuron in plaintext (the server adds the bias to its own), so the
-// garbled layer shrinks to the share circuit: one f-bit carry per
-// product, a popcount of the carries per neuron, and C_j + S_j + K_j.
+// (runtime/front.h) gives the parties additive shares of each x*w mod
+// 2^(n+f). Each party sums its shares per neuron in plaintext, the
+// server adding b_j*2^f to its own, so C_j + S_j = sum x*w + b_j*2^f
+// (mod 2^(n+f)). Bits [f, n+f) of that sum are y_j, so the garbled
+// layer shrinks to the share circuit: one (n+f)-bit adder per neuron
+// (n+f-1 ANDs) whose outputs are those n bits.
 //
 // compile_served cuts the model into stages, one per linear layer:
 //
@@ -59,10 +60,10 @@ struct FrontPlan {
   size_t neurons() const { return bias.size(); }
   /// Arithmetic OTs of the products: one per weight bit of each.
   size_t ots() const { return products.size() * fmt.total_bits; }
-  /// Bits each party feeds the share circuit: f low share bits per
-  /// product, then n bits of its per-neuron sum.
+  /// Bits each party feeds the share circuit: its per-neuron sum, n+f
+  /// bits each.
   size_t share_bits() const {
-    return products.size() * fmt.frac_bits + neurons() * fmt.total_bits;
+    return neurons() * (fmt.total_bits + fmt.frac_bits);
   }
   /// Arithmetic OTs of the B2A that feeds a hidden layer: one per bit
   /// of each input scalar.
@@ -74,11 +75,10 @@ struct FrontPlan {
 FrontPlan front_plan(const Shape3& in, const LayerSpec& layer,
                      FixedFormat fmt);
 
-/// The share circuit of `plan`. Garbler inputs: the client's low share
-/// bits (f per product, plan order), then its per-neuron sums C_j (n
-/// bits each). Evaluator inputs: the server's low share bits, then its
-/// per-neuron sums S_j (bias included). Outputs: n bits per neuron,
-/// C_j + S_j + K_j mod 2^n.
+/// The share circuit of `plan`. Garbler inputs: the client's per-neuron
+/// sums C_j, n+f bits each. Evaluator inputs: the server's per-neuron
+/// sums S_j (bias*2^f included). Outputs: n bits per neuron, bits
+/// [f, n+f) of C_j + S_j mod 2^(n+f).
 Circuit share_circuit(const FrontPlan& plan, const std::string& name);
 
 /// One linear layer and the non-linear layers after it. chain[0] is

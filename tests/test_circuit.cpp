@@ -248,23 +248,23 @@ const std::vector<Circuit>& b3pp_chain() {
 TEST(Builder, PinnedChainFingerprintMlp) {
   const auto chain = synth::compile_model_layers(mlp_8_6_3());
   EXPECT_EQ(chain_fingerprint(chain, /*scheduled=*/true),
-            0xd1284b8ceb3aaf4eull);
+            0x02b4e7b18168e64bull);
   EXPECT_EQ(chain_fingerprint(chain, /*scheduled=*/false),
-            0xa98661850db75a39ull);
+            0xf3821f9db2890075ull);
   const auto walked = walk_chain(chain);
   EXPECT_EQ(chain_fingerprint(walked, /*scheduled=*/true),
-            0xd1284b8ceb3aaf4eull);
+            0x02b4e7b18168e64bull);
   EXPECT_EQ(chain_fingerprint(walked, /*scheduled=*/false),
-            0xd1284b8ceb3aaf4eull);
+            0x02b4e7b18168e64bull);
 }
 
 TEST(Builder, PinnedChainFingerprintB3pp) {
   EXPECT_EQ(chain_fingerprint(b3pp_chain(), /*scheduled=*/true),
-            0x162da70c1a64eaf0ull);
+            0x350c74daaaa758e8ull);
   EXPECT_EQ(chain_fingerprint(b3pp_chain(), /*scheduled=*/false),
-            0x9ec6f56c213b48f4ull);
+            0x2dfd9aff4ef52c9eull);
   EXPECT_EQ(chain_fingerprint(walk_chain(b3pp_chain())),
-            0x162da70c1a64eaf0ull);
+            0x350c74daaaa758e8ull);
 }
 
 // Label slots: the walked view of b3_pp's first FC layer (7.39 M

@@ -3,6 +3,7 @@
 #include "core/deepsecure.h"
 #include "data/synthetic.h"
 #include "synth/served.h"
+#include "test_util.h"
 
 namespace deepsecure {
 namespace {
@@ -79,12 +80,27 @@ TEST(SecureInfer, TanhCordicPathAgreesWithFloatModel) {
   EXPECT_GE(agree, n - 1);
 }
 
+// Arithmetic OTs of every served stage's front: one per weight bit of
+// each kept product.
+size_t front_ots(const nn::Network& net, const SecureInferenceOptions& opt) {
+  size_t ots = 0;
+  for (const synth::ServedStage& stage :
+       synth::compile_served(model_spec_from_network(net, opt)).stages)
+    ots += stage.front.ots();
+  return ots;
+}
+
+// Pruning removes products, which the fronts multiply by OT; the share
+// circuit costs one adder per neuron however many products feed it, so
+// an 80% prune more than halves the fronts' OTs and shrinks the
+// client's traffic, while the garbled gates stay put.
 TEST(SecureInfer, PrunedModelRunsAndShrinksTraffic) {
   const nn::Dataset ds = toy_data(45);
   nn::Network net = trained_toy_net(ds, nn::Act::kReLU, 8, 5);
   SecureInferenceOptions opt;
   opt.seed = Block{3, 3};
   const auto before = secure_infer(net, ds.x[0], opt);
+  const size_t ots_before = front_ots(net, opt);
 
   preprocess::PruneConfig pc;
   pc.prune_fraction = 0.8;
@@ -93,9 +109,47 @@ TEST(SecureInfer, PrunedModelRunsAndShrinksTraffic) {
   preprocess::prune_and_retrain(net, ds, pc);
   const auto after = secure_infer(net, ds.x[0], opt);
 
-  EXPECT_LT(after.gates.num_non_xor, before.gates.num_non_xor / 2);
-  EXPECT_LT(after.client_to_server_bytes, before.client_to_server_bytes / 2);
+  EXPECT_LT(front_ots(net, opt), ots_before / 2);
+  EXPECT_LT(after.client_to_server_bytes, before.client_to_server_bytes);
   EXPECT_EQ(after.label, nn::fixed_predict(net, ds.x[0], opt.fmt));
+}
+
+// nn::fixed_forward and the reference chain (Circuit::eval over
+// compile_model_layers) agree word for word on the logits of a conv +
+// ReLU + mean-pool + dense net, not only on its label: both sum full
+// products and truncate once per neuron.
+TEST(FixedForward, LogitsMatchReferenceChainWordForWord) {
+  Rng rng(21);
+  nn::Network net(nn::Shape{6, 6, 1});
+  net.conv(3, 1, 2, rng)
+      .act(nn::Act::kReLU)
+      .pool(nn::Pool::kMean, 2, 2)
+      .dense(5, rng)
+      .act(nn::Act::kReLU)
+      .dense(3, rng);
+  SecureInferenceOptions opt;
+  const synth::ModelSpec spec = model_spec_from_network(net, opt);
+  const std::vector<Circuit> chain = synth::compile_model_layers(spec);
+  const BitVec w = weight_bits(net, opt.fmt);
+  for (int trial = 0; trial < 5; ++trial) {
+    nn::VecF sample(36);
+    for (float& v : sample)
+      v = static_cast<float>(rng.next_uniform(-1.0, 1.0));
+    BitVec x = sample_bits(sample, opt.fmt);
+    size_t at = 0;
+    for (size_t l = 0; l + 1 < chain.size(); ++l) {  // all but argmax
+      const size_t nw = chain[l].evaluator_inputs.size();
+      x = chain[l].eval(x, BitVec(w.begin() + static_cast<ptrdiff_t>(at),
+                                  w.begin() + static_cast<ptrdiff_t>(at + nw)));
+      at += nw;
+    }
+    const std::vector<Fixed> got = test::unpack_fixed(x, opt.fmt);
+    const std::vector<Fixed> want = nn::fixed_forward(net, sample, opt.fmt);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i)
+      EXPECT_EQ(got[i].raw(), want[i].raw())
+          << "trial " << trial << " logit " << i;
+  }
 }
 
 TEST(SecureInferOutsourced, AgreesWithDirectMode) {
@@ -126,13 +180,13 @@ TEST(SecureInfer, ServedStagesPinBytesAndGates) {
 
   const SecureInferenceResult res = secure_infer(net, sample, opt);
   EXPECT_EQ(res.label, nn::fixed_predict(net, sample, opt.fmt));
-  EXPECT_EQ(res.client_to_server_bytes, 52953u);
-  EXPECT_EQ(res.server_to_client_bytes, 23176u);
+  EXPECT_EQ(res.client_to_server_bytes, 27097u);
+  EXPECT_EQ(res.server_to_client_bytes, 17672u);
   // Outsourced: the same stages after one B2A OT per input bit.
   const SecureInferenceResult out = secure_infer_outsourced(net, sample, opt);
   EXPECT_EQ(out.label, res.label);
-  EXPECT_EQ(out.client_to_server_bytes, 53337u);
-  EXPECT_EQ(out.server_to_client_bytes, 24720u);
+  EXPECT_EQ(out.client_to_server_bytes, 27481u);
+  EXPECT_EQ(out.server_to_client_bytes, 19216u);
 
   synth::GateCount served;
   for (const synth::ServedStage& stage :

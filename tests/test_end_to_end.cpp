@@ -139,14 +139,14 @@ TEST(EndToEnd, SequentialFoldedMacPipelineLong) {
   const size_t cycles = 64;
   Rng rng(65);
   BitVec data, weights;
-  Fixed acc = Fixed::from_raw(0);
+  int64_t sum = 0;  // full products, truncated once
   std::vector<Fixed> xs, ws;
   for (size_t i = 0; i < cycles; ++i) {
     const Fixed x = Fixed::from_double(rng.next_uniform(-0.3, 0.3));
     const Fixed w = Fixed::from_double(rng.next_uniform(-0.3, 0.3));
     xs.push_back(x);
     ws.push_back(w);
-    acc = acc + x * w;
+    sum += x.raw() * w.raw();
     const BitVec xb = x.to_bits(), wb = w.to_bits();
     data.insert(data.end(), xb.begin(), xb.end());
     weights.insert(weights.end(), wb.begin(), wb.end());
@@ -162,7 +162,7 @@ TEST(EndToEnd, SequentialFoldedMacPipelineLong) {
         EvaluatorSession session(ch);
         session.run_sequential(step, cycles, weights);
       });
-  EXPECT_EQ(Fixed::from_bits(got).raw(), acc.raw());
+  EXPECT_EQ(Fixed::from_bits(got).raw(), Fixed::from_product_sum(sum).raw());
 }
 
 TEST(EndToEnd, ZooSmokeBenchmark3GateCounts) {

@@ -1,8 +1,8 @@
 // Linear layers by OT multiplication (synth/served.h, runtime/front.h):
 // B2A turns XOR shares into additive ones exactly, and each served
 // stage (front + share circuit + the non-linear layers after it)
-// computes exactly what the reference layers compute, product by
-// product and neuron by neuron.
+// computes exactly what the reference layers compute, neuron by neuron:
+// floor(sum x*w / 2^f) + b mod 2^n, truncated once.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -106,13 +106,14 @@ TEST(B2a, ExhaustiveSharesAddUpToX) {
 }
 
 // Every 16-bit weight against x in {0, +-1, INT16_MIN, INT16_MAX} and a
-// few random x, each on fresh random shares, for layer 0 and for a
-// hidden layer (x XOR-shared, then B2A): the shares add up to x*w mod
-// 2^28, and the share circuit's truncation equals Fixed::operator*.
+// few random x, each with a random bias on fresh random shares, for
+// layer 0 and for a hidden layer (x XOR-shared, then B2A): the neuron's
+// shares add up to x*w + b*2^f mod 2^28, and the share circuit's output
+// is floor(x*w / 2^f) + b mod 2^16.
 void expect_exhaustive_truncation(bool hidden) {
   const FixedFormat fmt = kDefaultFormat;
   const synth::FrontPlan plan = synth::front_plan(
-      synth::Shape3{1, 1, 1}, synth::FcLayer{1, {}, false}, fmt);
+      synth::Shape3{1, 1, 1}, synth::FcLayer{1, {}, true}, fmt);
   ASSERT_EQ(plan.products.size(), 1u);
   const Circuit c = synth::share_circuit(plan, "one_product");
   Rng rng(hidden ? 3 : 1);
@@ -123,17 +124,19 @@ void expect_exhaustive_truncation(bool hidden) {
   std::string first;
   for (const int64_t x : xs) {
     for (int64_t w = -32768; w < 32768; ++w) {
-      const Shares s = share_locally(plan, {x}, {w}, rng, hidden);
-      // One product: 12 low bits, then the 16 high bits of each share.
+      const int64_t bias = random_raw(rng, 1, fmt)[0];
+      const Shares s = share_locally(plan, {x}, {w, bias}, rng, hidden);
+      // One neuron: the 28 bits of each party's sum.
       const auto share = [](const BitVec& bits) {
         uint32_t v = 0;
         for (size_t i = 0; i < 28; ++i) v |= uint32_t{bits[i]} << i;
         return v;
       };
       if (((share(s.client) + share(s.server)) & mask) !=
-          (static_cast<uint32_t>(x * w) & mask))
+          (static_cast<uint32_t>(x * w + bias * 4096) & mask))
         ++bad_sum;
-      const int64_t want = (Fixed(x, fmt) * Fixed(w, fmt)).raw();
+      const int64_t want =
+          (Fixed::from_product_sum(x * w, fmt) + Fixed(bias, fmt)).raw();
       if (from_bits(c.eval(s.client, s.server)) !=
           (static_cast<uint64_t>(want) & 0xffff)) {
         if (bad_trunc++ == 0)
@@ -145,11 +148,11 @@ void expect_exhaustive_truncation(bool hidden) {
   EXPECT_EQ(bad_trunc, 0u) << "first mismatch: " << first;
 }
 
-TEST(FrontShares, ExhaustiveTruncationMatchesFixedMultiply) {
+TEST(FrontShares, ExhaustiveNeuronMatchesTruncatedSum) {
   expect_exhaustive_truncation(/*hidden=*/false);
 }
 
-TEST(FrontShares, HiddenFrontOnB2aSharesMatchesFixedMultiply) {
+TEST(FrontShares, HiddenFrontOnB2aSharesMatchesTruncatedSum) {
   expect_exhaustive_truncation(/*hidden=*/true);
 }
 
@@ -243,9 +246,10 @@ TEST(ShareCircuit, MatchesReferenceMaskedFcWithoutBias) {
 // b2_pp's and b4_pp's reference FC netlists (up to about 130 M gates)
 // are too big to compile in a unit test. Their linear layers are plain
 // masked FCs, so every stage's share circuit is checked against the
-// fixed-point arithmetic the reference layer computes (x*w truncated,
-// summed and biased mod 2^16; test_layer_circuits holds the reference
-// circuit to the same arithmetic), the hidden ones on B2A shares.
+// fixed-point arithmetic the reference layer computes (full products
+// summed, truncated once, biased mod 2^16; test_layer_circuits holds
+// the reference circuit to the same arithmetic), the hidden ones on
+// B2A shares.
 TEST(ShareCircuit, MatchesFixedArithmeticB2ppAndB4pp) {
   for (const char* name : {"b2_pp", "b4_pp"}) {
     const synth::ModelSpec& spec = zoo_compact(name);
@@ -263,10 +267,10 @@ TEST(ShareCircuit, MatchesFixedArithmeticB2ppAndB4pp) {
       const Shares s = share_locally(plan, x, w, rng, stage++ > 0);
       std::vector<int64_t> want;
       for (size_t j = 0; j < plan.neurons(); ++j) {
-        Fixed acc(0, spec.fmt);
+        int64_t sum = 0;
         for (size_t p = plan.first[j]; p < plan.first[j + 1]; ++p)
-          acc = acc + Fixed(x[plan.products[p].input], spec.fmt) *
-                          Fixed(w[plan.products[p].weight], spec.fmt);
+          sum += x[plan.products[p].input] * w[plan.products[p].weight];
+        Fixed acc = Fixed::from_product_sum(sum, spec.fmt);
         if (plan.bias[j] != synth::FrontPlan::kNoBias)
           acc = acc + Fixed(w[plan.bias[j]], spec.fmt);
         want.push_back(acc.raw());
@@ -288,15 +292,12 @@ TEST(CompileServed, B3ppStages) {
   const synth::ServedStage& s0 = m.stages[0];
   EXPECT_EQ(s0.front.products.size(), 5082u);
   EXPECT_EQ(s0.front.ots(), 81312u);
-  EXPECT_EQ(s0.front.share_bits(), 61784u);
+  EXPECT_EQ(s0.front.share_bits(), 50u * 28);
   ASSERT_EQ(s0.chain.size(), 2u);  // share circuit, tanh
   const Circuit& c = s0.chain.front();
-  EXPECT_EQ(c.garbler_inputs.size(), 61784u);
-  EXPECT_EQ(c.evaluator_inputs.size(), 61784u);
+  EXPECT_EQ(c.garbler_inputs.size(), 50u * 28);
+  EXPECT_EQ(c.evaluator_inputs.size(), 50u * 28);
   EXPECT_EQ(c.outputs.size(), 50u * 16);
-  // One 12-AND carry per product dominates; the popcounts and the
-  // per-neuron adders add about one AND per product more.
-  EXPECT_LT(c.stats().num_and, 5082u * 14);
   const synth::ServedStage& s1 = m.stages[1];
   EXPECT_EQ(s1.front.inputs, 50u);
   EXPECT_EQ(s1.front.ots(), 6864u);
@@ -307,6 +308,27 @@ TEST(CompileServed, B3ppStages) {
             chain_fingerprint({s0.chain[1]}));
   EXPECT_EQ(chain_fingerprint({synth::compile_layer(spec, 3)}),
             chain_fingerprint({s1.chain[1]}));
+}
+
+// The share circuits of b3_pp cost one 28-bit adder per neuron, 50 +
+// 26 of them, whatever the products per neuron: 27 ANDs and 28 share
+// bits per party each. A per-product carry (12 ANDs and 12 share bits
+// per product, 5,082 + 429 products) fails here.
+TEST(ShareCircuit, B3ppOneAdderPerNeuron) {
+  const synth::ServedModel m = synth::compile_served(zoo_compact("b3_pp"));
+  size_t neurons = 0, ands = 0, bits = 0;
+  for (const synth::ServedStage& stage : m.stages) {
+    neurons += stage.front.neurons();
+    ands += stage.chain.front().stats().num_and;
+    bits += stage.front.share_bits();
+    EXPECT_EQ(stage.chain.front().garbler_inputs.size(),
+              stage.front.share_bits());
+  }
+  EXPECT_EQ(neurons, 76u);
+  EXPECT_EQ(ands, neurons * 27);
+  EXPECT_EQ(ands, 2052u);
+  EXPECT_EQ(bits, neurons * 28);
+  EXPECT_EQ(bits, 2128u);
 }
 
 // Two adjacent linear layers give a stage of the share circuit alone.
@@ -328,10 +350,10 @@ TEST(CompileServed, AdjacentLinearLayersGiveAShareCircuitStage) {
 // inference. (The reference chains' own pins live in test_circuit.)
 TEST(CompileServed, PinnedServedFingerprints) {
   EXPECT_EQ(runtime::served_fingerprint(synth::compile_served(mlp_spec())),
-            0x5117ce0c6b368b3dull);
+            0xf01dc99073177b79ull);
   EXPECT_EQ(
       runtime::served_fingerprint(synth::compile_served(zoo_compact("b3_pp"))),
-      0x90ba156d7025d947ull);
+      0x0a87169f89b4f218ull);
 }
 
 TEST(CompileServed, RejectsNonLinearFirstLayer) {

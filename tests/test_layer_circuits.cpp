@@ -12,7 +12,8 @@ using test::random_fixed;
 
 constexpr FixedFormat kFmt = kDefaultFormat;
 
-// Plaintext fixed-point forward pass mirroring the compiler's layout.
+// Plaintext fixed-point forward pass mirroring the compiler's layout:
+// FC and conv neurons sum full products and truncate once.
 std::vector<Fixed> ref_forward(const ModelSpec& spec,
                                const std::vector<Fixed>& data,
                                const std::vector<Fixed>& weights) {
@@ -42,10 +43,10 @@ std::vector<Fixed> ref_forward(const ModelSpec& spec,
         for (size_t o = 0; o < fc->out; ++o) bias[o] = next_w();
       std::vector<Fixed> y(fc->out, Fixed::from_raw(0, kFmt));
       for (size_t o = 0; o < fc->out; ++o) {
-        Fixed acc = Fixed::from_raw(0, kFmt);
+        int64_t acc = 0;
         for (size_t i = 0; i < in; ++i)
-          if (mask[o][i]) acc = acc + x[i] * w[o][i];
-        y[o] = acc + bias[o];
+          if (mask[o][i]) acc += x[i].raw() * w[o][i].raw();
+        y[o] = Fixed::from_product_sum(acc, kFmt) + bias[o];
       }
       x = y;
     } else if (const auto* act = std::get_if<ActLayer>(&layer)) {
@@ -84,17 +85,18 @@ std::vector<Fixed> ref_forward(const ModelSpec& spec,
       for (size_t oc = 0; oc < conv->out_ch; ++oc)
         for (size_t oy = 0; oy < os.h; ++oy)
           for (size_t ox = 0; ox < os.w; ++ox) {
-            Fixed acc = Fixed::from_raw(0, kFmt);
+            int64_t acc = 0;
             for (size_t ic = 0; ic < shape.c; ++ic)
               for (size_t ky = 0; ky < conv->k; ++ky)
                 for (size_t kx = 0; kx < conv->k; ++kx) {
                   const size_t iy = oy * conv->stride + ky;
                   const size_t ix = ox * conv->stride + kx;
-                  acc = acc + x[(ic * shape.h + iy) * shape.w + ix] *
-                                  w[((oc * shape.c + ic) * conv->k + ky) *
-                                        conv->k + kx];
+                  const Fixed& wv =
+                      w[((oc * shape.c + ic) * conv->k + ky) * conv->k + kx];
+                  acc += x[(ic * shape.h + iy) * shape.w + ix].raw() * wv.raw();
                 }
-            y[(oc * os.h + oy) * os.w + ox] = acc + bias[oc];
+            y[(oc * os.h + oy) * os.w + ox] =
+                Fixed::from_product_sum(acc, kFmt) + bias[oc];
           }
       x = y;
     } else if (std::holds_alternative<ArgmaxLayer>(layer)) {
@@ -172,6 +174,45 @@ TEST(LayerCircuits, SparseFcMatchesReference) {
     const auto expect = ref_forward(spec, data, weights);
     EXPECT_EQ(from_bits(out), static_cast<uint64_t>(expect[0].raw()));
   }
+}
+
+// An FC neuron rounds once: with |x|, |w|, |b| small enough that
+// nothing wraps, y - b is the exact sum of products floored to an LSB,
+// 0 <= sum x*w / 2^f - (y - b) < 1 (in LSBs), however many products
+// the neuron has. Truncating every product instead would be off by up
+// to one LSB per product.
+TEST(LayerCircuits, FcNeuronWithinOneLsbOfExactSum) {
+  const size_t in = 8, out = 4;
+  ModelSpec spec;
+  spec.name = "fc";
+  spec.input = Shape3{1, 1, in};
+  spec.layers.push_back(FcLayer{out, {}, true});
+  const Circuit c = compile_model(spec);
+  const int64_t one = int64_t{1} << kFmt.frac_bits;
+  Rng rng(19);
+  size_t checked = 0, bad = 0, below = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    std::vector<Fixed> x, w;
+    // |x*w| <= 0.64 each, so |sum| + |b| < 8 * 0.64 + 0.8 < 8: no wrap.
+    for (size_t i = 0; i < in; ++i) x.push_back(random_fixed(rng, kFmt, 0.1));
+    for (size_t i = 0; i < in * out + out; ++i)
+      w.push_back(random_fixed(rng, kFmt, 0.1));
+    const std::vector<Fixed> y =
+        test::unpack_fixed(c.eval(pack_fixed(x), pack_fixed(w)), kFmt);
+    ASSERT_EQ(y.size(), out);
+    for (size_t o = 0; o < out; ++o) {
+      int64_t sum = 0;
+      for (size_t i = 0; i < in; ++i) sum += x[i].raw() * w[o * in + i].raw();
+      // sum / 2^f - (y - b), scaled by 2^f to stay in integers.
+      const int64_t err = sum - (y[o].raw() - w[in * out + o].raw()) * one;
+      bad += err < 0 || err >= one ? 1 : 0;
+      below += err > 0 ? 1 : 0;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 400u);
+  EXPECT_EQ(bad, 0u);
+  EXPECT_GT(below, 0u);  // the sums do carry fractional bits
 }
 
 TEST(LayerCircuits, LayeredCompileMatchesMonolithic) {

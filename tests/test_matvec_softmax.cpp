@@ -22,11 +22,13 @@ TEST(MatVec, MatchesFixedReference) {
 
   const BitVec out = c.eval(pack_fixed(x), pack_fixed(w));
   for (size_t col = 0; col < n; ++col) {
-    Fixed acc = Fixed::from_raw(0, kFmt);
-    for (size_t i = 0; i < m; ++i) acc = acc + x[i] * w[col * m + i];
+    int64_t sum = 0;  // full products, truncated once
+    for (size_t i = 0; i < m; ++i) sum += x[i].raw() * w[col * m + i].raw();
     const BitVec bits(out.begin() + static_cast<ptrdiff_t>(col * 16),
                       out.begin() + static_cast<ptrdiff_t>((col + 1) * 16));
-    EXPECT_EQ(Fixed::from_bits(bits, kFmt).raw(), acc.raw()) << "col " << col;
+    EXPECT_EQ(Fixed::from_bits(bits, kFmt).raw(),
+              Fixed::from_product_sum(sum, kFmt).raw())
+        << "col " << col;
   }
 }
 
@@ -52,7 +54,8 @@ TEST(MatVec, MaskedSkipsPrunedTerms) {
   for (int i = 0; i < 4; ++i) xs.push_back(random_fixed(rng, kFmt, 0.2));
   for (int i = 0; i < 4; ++i) ws.push_back(random_fixed(rng, kFmt, 0.2));
   const BitVec out = c.eval(pack_fixed(xs), pack_fixed(ws));
-  const Fixed expect = xs[0] * ws[0] + xs[2] * ws[2];
+  const Fixed expect = Fixed::from_product_sum(
+      xs[0].raw() * ws[0].raw() + xs[2].raw() * ws[2].raw(), kFmt);
   EXPECT_EQ(Fixed::from_bits(out, kFmt).raw(), expect.raw());
 }
 
@@ -71,9 +74,11 @@ TEST(MatVec, AllPrunedIsZero) {
   EXPECT_EQ(Fixed::from_bits(out, kFmt).raw(), 0);
 }
 
+// The folded MAC keeps an n+f-bit accumulator and truncates on the way
+// out, so m cycles compute what dot computes.
 TEST(MatVec, SequentialMacStep) {
   const Circuit step = make_mac_step_circuit(kFmt);
-  EXPECT_EQ(step.state_inputs.size(), 16u);
+  EXPECT_EQ(step.state_inputs.size(), 28u);
   Rng rng(4);
   const size_t cycles = 9;
   std::vector<Fixed> x, w;
@@ -83,9 +88,10 @@ TEST(MatVec, SequentialMacStep) {
   }
   const BitVec out =
       eval_sequential(step, cycles, pack_fixed(x), pack_fixed(w));
-  Fixed acc = Fixed::from_raw(0, kFmt);
-  for (size_t i = 0; i < cycles; ++i) acc = acc + x[i] * w[i];
-  EXPECT_EQ(Fixed::from_bits(out, kFmt).raw(), acc.raw());
+  int64_t sum = 0;
+  for (size_t i = 0; i < cycles; ++i) sum += x[i].raw() * w[i].raw();
+  EXPECT_EQ(Fixed::from_bits(out, kFmt).raw(),
+            Fixed::from_product_sum(sum, kFmt).raw());
 }
 
 TEST(Argmax, FindsMaximumIndex) {

@@ -176,16 +176,17 @@ uint64_t ondemand_bytes_per_inference(const Model& m) {
 
 // b3_pp, per inference: the two fronts' arithmetic OTs (81,312 and
 // 6,864 products' OTs, 800 B2A OTs; 20 B each + headers), the label
-// OTs of 61,784 + 5,564 share bits (32 B each + headers), the client's
-// share-bit labels, the two share circuits', tanh's and argmax's
-// tables, and the frames. A garbled hidden FC (15.45 MB) or layer 0
-// (58 MB) fails here.
+// OTs of 1,400 + 728 share bits (28 per neuron; 32 B each + headers),
+// the client's share-bit labels, the two share circuits' (27 ANDs per
+// neuron), tanh's and argmax's tables, and the frames. Per-product
+// carries in the share circuit (11.89 MB), a garbled hidden FC
+// (15.45 MB) or layer 0 (58 MB) fail here.
 TEST(ServedBytes, B3ppOnDemandInferencePinned) {
-  EXPECT_EQ(ondemand_bytes_per_inference(b3pp_model()), 11885350u);
+  EXPECT_EQ(ondemand_bytes_per_inference(b3pp_model()), 6551718u);
 }
 
 TEST(ServedBytes, MlpOnDemandInferencePinned) {
-  EXPECT_EQ(ondemand_bytes_per_inference(mlp_model()), 107674u);
+  EXPECT_EQ(ondemand_bytes_per_inference(mlp_model()), 48022u);
 }
 
 }  // namespace
