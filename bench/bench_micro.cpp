@@ -275,8 +275,9 @@ BENCHMARK(BM_OtExtension)->Arg(1 << 14)->Unit(benchmark::kMillisecond)->UseRealT
 // One correlated-OT batch per iteration on a session whose base OTs ran
 // before the timed loop — the request-path cost of the evaluator's
 // input labels. The receiver runs on its own thread over an in-memory
-// channel; m = 89,392 is the weight-bit count of one b3_pp inference.
-// B_per_ot counts both directions: 8 + 128*ceil(m/8) + 16*m bytes.
+// channel; m = 2,128 is the share-bit count of one b3_pp inference (its
+// label OTs, 28 per neuron). B_per_ot counts both directions: 8 +
+// 128*ceil(m/8) + 16*m bytes.
 void BM_OtExtensionOnline(benchmark::State& state) {
   const size_t m = static_cast<size_t>(state.range(0));
   ChannelPair pair = make_channel_pair();
@@ -307,13 +308,16 @@ void BM_OtExtensionOnline(benchmark::State& state) {
   state.counters["OT/s"] = benchmark::Counter(ots, benchmark::Counter::kIsRate);
   state.counters["B_per_ot"] = static_cast<double>(bytes) / ots;
 }
-BENCHMARK(BM_OtExtensionOnline)->Arg(89392)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_OtExtensionOnline)->Arg(2128)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// The layer-0 front of one b3_pp inference (runtime/front.h): 5,082
-// products, 81,312 arithmetic OTs on sessions whose base OTs ran before
-// the timed loop, plus both parties' share derivation. The server runs
-// on its own thread over an in-memory channel. B_per_arith_ot counts
-// both directions: 8 + 128*ceil(m/8) + 4*m bytes.
+// The layer-0 front of one b3_pp inference (runtime/front.h): 4,928
+// vector OTs (one per input bit) carrying 81,312 correlations (5,082
+// products) on sessions whose OT setup ran before the timed loop, plus
+// both parties' share derivation. The server runs on its own thread
+// over an in-memory channel. B_per_product counts both directions:
+// (8 + 128*ceil(m/8) + 4*n*products) / products. hashes_per_product
+// counts both parties' fixed-key hashes: n*ceil(c_i/4) per input i of
+// c_i products for the receiver, twice that for the sender.
 void BM_LinearFront(benchmark::State& state) {
   const synth::ModelSpec spec = core::paper_zoo()[2].compact;
   const synth::FrontPlan plan =
@@ -321,33 +325,39 @@ void BM_LinearFront(benchmark::State& state) {
   Prg prg(Block{9, 10});
   std::vector<int64_t> w(plan.weights);
   for (int64_t& v : w) v = static_cast<int16_t>(prg.next_u64());
-  BitVec data(plan.inputs * spec.fmt.total_bits);
+  BitVec data(plan.ots());
   for (auto& b : data) b = static_cast<uint8_t>(prg.next_u64() & 1u);
   ChannelPair pair = make_channel_pair();
   std::thread server_thread([&] {
     EvaluatorSession session(*pair.b);
-    const std::vector<uint32_t> zeros(plan.inputs, 0);
     try {
       for (;;)
-        benchmark::DoNotOptimize(runtime::front_recv(session, plan, w, zeros));
+        benchmark::DoNotOptimize(runtime::front_recv(session, plan, w, {}));
     } catch (const ChannelClosed&) {
       // The client closed the channel after the timed loop.
     }
   });
   GarblerSession session(*pair.a, Block{11, 12});
-  const auto front = [&] {
-    return runtime::front_send(session, plan, runtime::data_shares(plan, data));
-  };
-  (void)front();  // base OTs
+  const auto front = [&] { return runtime::front_send(session, plan, data); };
+  (void)front();  // OT setup
   const uint64_t b0 = pair.a->bytes_sent() + pair.a->bytes_received();
   for (auto _ : state) benchmark::DoNotOptimize(front());
   const uint64_t bytes =
       pair.a->bytes_sent() + pair.a->bytes_received() - b0;
   pair.a->close();
   server_thread.join();
-  const double ots = static_cast<double>(plan.ots()) * state.iterations();
-  state.counters["OT/s"] = benchmark::Counter(ots, benchmark::Counter::kIsRate);
-  state.counters["B_per_arith_ot"] = static_cast<double>(bytes) / ots;
+  uint64_t hashes = 0;
+  for (size_t i = 0; i < plan.inputs; ++i)
+    hashes += (plan.use_first[i + 1] - plan.use_first[i] + 3) / 4;
+  hashes *= 3 * spec.fmt.total_bits;
+  const double products =
+      static_cast<double>(plan.products.size()) * state.iterations();
+  state.counters["OT/s"] = benchmark::Counter(
+      static_cast<double>(plan.ots()) * state.iterations(),
+      benchmark::Counter::kIsRate);
+  state.counters["B_per_product"] = static_cast<double>(bytes) / products;
+  state.counters["hashes_per_product"] =
+      static_cast<double>(hashes) / static_cast<double>(plan.products.size());
 }
 BENCHMARK(BM_LinearFront)->Unit(benchmark::kMillisecond)->UseRealTime();
 

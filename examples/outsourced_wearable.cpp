@@ -47,8 +47,11 @@ int main() {
   std::printf("outsourced mode: label %zu\n", outsourced.label);
   std::printf("  device work: generate %zu random bits + XOR (free)\n",
               reading.size() * opt.fmt.total_bits);
-  std::printf("  extra cost: %zu B2A arithmetic OTs (one per shared bit)\n",
-              reading.size() * opt.fmt.total_bits);
+  std::printf("  extra proxy<->server cost over direct mode: %lld B\n",
+              static_cast<long long>(outsourced.client_to_server_bytes +
+                                     outsourced.server_to_client_bytes) -
+                  static_cast<long long>(direct.client_to_server_bytes +
+                                         direct.server_to_client_bytes));
   std::printf("  proxy<->server traffic: %.2f MB\n",
               static_cast<double>(outsourced.client_to_server_bytes +
                                   outsourced.server_to_client_bytes) /

@@ -97,17 +97,16 @@ BitVec weight_bits(const nn::Network& net, FixedFormat fmt) {
 namespace {
 
 // One inference over the runtime's served stages (runtime/front.h),
-// both parties in-process over run_two_party. `client_x` / `server_x`
-// give each party its additive shares of stage 0's inputs.
-template <typename ClientX, typename ServerX>
+// both parties in-process over run_two_party. `g` / `e` are the
+// client's and the server's XOR shares of stage 0's input bits (e
+// empty for all zero).
 SecureInferenceResult run_served(const nn::Network& model,
                                  const SecureInferenceOptions& opt,
-                                 ClientX client_x, ServerX server_x) {
+                                 const BitVec& g, const BitVec& e) {
   const synth::ServedModel served =
       runtime::walked_served(model_spec_from_network(model, opt));
   const auto weights =
       runtime::front_weights(served, weight_bits(model, opt.fmt));
-  const synth::FrontPlan& plan0 = served.stages.front().front;
   const Block seed = effective_seed(opt);
 
   SecureInferenceResult res;
@@ -118,14 +117,14 @@ SecureInferenceResult run_served(const nn::Network& model,
   const auto stats = run_two_party(
       [&](Channel& ch) {
         GarblerSession session(ch, seed);
-        client_out = session.open(runtime::garble_stages(
-            session, served.stages, client_x(session, plan0)));
+        client_out =
+            session.open(runtime::garble_stages(session, served.stages, g));
         res.garbler_trace = session.trace();
       },
       [&](Channel& ch) {
         EvaluatorSession session(ch);
-        server_out = session.open(runtime::evaluate_stages(
-            session, served.stages, weights, server_x(session, plan0)));
+        server_out = session.open(
+            runtime::evaluate_stages(session, served.stages, weights, e));
         res.evaluator_trace = session.trace();
       });
   if (client_out != server_out)
@@ -145,33 +144,18 @@ SecureInferenceResult run_served(const nn::Network& model,
 SecureInferenceResult secure_infer(const nn::Network& model,
                                    const nn::VecF& sample,
                                    const SecureInferenceOptions& opt) {
-  const BitVec data = sample_bits(sample, opt.fmt);
-  return run_served(
-      model, opt,
-      [&](GarblerSession&, const synth::FrontPlan& plan) {
-        return runtime::data_shares(plan, data);
-      },
-      [](EvaluatorSession&, const synth::FrontPlan& plan) {
-        return std::vector<uint32_t>(plan.inputs, 0);
-      });
+  return run_served(model, opt, sample_bits(sample, opt.fmt), {});
 }
 
 SecureInferenceResult secure_infer_outsourced(
     const nn::Network& model, const nn::VecF& sample,
     const SecureInferenceOptions& opt) {
   // The (constrained) client only pads its input — Algorithm "client
-  // side" of Figure 4. B2A turns the proxy's and the server's XOR
-  // shares into additive shares of layer 0's inputs.
+  // side" of Figure 4. The proxy's and the server's XOR shares enter
+  // layer 0's front as any stage's input shares do.
   Prg pad = Prg::from_os_entropy();
   const XorShares shares = xor_share(sample_bits(sample, opt.fmt), pad);
-  return run_served(
-      model, opt,
-      [&](GarblerSession& session, const synth::FrontPlan& plan) {
-        return runtime::b2a_send(session, shares.share_a, plan.fmt);
-      },
-      [&](EvaluatorSession& session, const synth::FrontPlan& plan) {
-        return runtime::b2a_recv(session, shares.share_b, plan.fmt);
-      });
+  return run_served(model, opt, shares.share_a, shares.share_b);
 }
 
 PreprocessOutcome preprocess_pipeline(const nn::Dataset& train,

@@ -11,8 +11,8 @@
 // (one thread per party) with the runtime's protocol (runtime/front.h):
 // per FC/conv layer, OT multiplication of the server's weights into
 // additive shares, then a garbled share circuit and the non-linear
-// layers up to the next linear one (free-XOR/half-gates), B2A between
-// stages, output decoding at the client.
+// layers up to the next linear one (free-XOR/half-gates), XOR shares
+// between stages, output decoding at the client.
 #pragma once
 
 #include "baseline/cryptonets.h"
@@ -68,8 +68,8 @@ SecureInferenceResult secure_infer(const nn::Network& model,
 
 /// Secure outsourcing mode (Section 3.3): the client only XOR-shares its
 /// input (gc/outsourcing.h); the proxy (garbler) and main server
-/// (evaluator) turn their shares additive by B2A, one arithmetic OT per
-/// input bit, and run secure_infer's protocol on them.
+/// (evaluator) run secure_infer's protocol with those XOR shares as
+/// layer 0's input shares, at the same wire cost.
 SecureInferenceResult secure_infer_outsourced(
     const nn::Network& model, const nn::VecF& sample,
     const SecureInferenceOptions& opt = {});

@@ -9,11 +9,12 @@
 //   rows:     q_j = t_j ^ r_j * s
 //   sender:   L0_j = clr(H(q_j, j)), c_j = L0_j ^ H(q_j ^ s, j) ^ delta
 //   receiver: r_j ? H(t_j, j) ^ c_j : clr(H(t_j, j))
-// The arithmetic OT (Gilboa's OT multiplication) reuses the same rows
-// under its own hash domain, with 32-bit messages mod 2^32:
-//   sender:   p_j = lo32(H(q_j, j)), u_j = lo32(H(q_j ^ s, j)) - p_j - d_j
-//   receiver: r_j ? lo32(H(t_j, j)) - u_j : lo32(H(t_j, j))
-// so the receiver learns p_j + r_j * d_j.
+// The vector arithmetic OT (Gilboa's OT multiplication, one vector of
+// 32-bit correlations per OT) reuses the same rows under its own hash
+// domain. Word w of OT j is word w%4 of a hash under tweak t_{j,w/4}:
+//   sender:   p = H(q_j, t)[w%4], u = H(q_j ^ s, t)[w%4] - p - d_{j,w}
+//   receiver: r_j ? H(t_j, t)[w%4] - u : H(t_j, t)[w%4]
+// so the receiver learns p + r_j * d_{j,w} (mod 2^32).
 // Columns are ceil(m/8) packed bytes filled by the stateful AES-CTR
 // column PRGs, so repeated batches (per-layer label transfers) reuse the
 // single setup. Both sides transpose their 128 columns into m row blocks
@@ -35,6 +36,8 @@ namespace {
 // tweaks): labels of the correlated OT, pads of the arithmetic OT.
 constexpr Block kOtDomain{0x6f742d657874656eull, 0x646565707365632dull};
 constexpr Block kArithDomain{0x6f742d6172697468ull, 0x646565707365632dull};
+// Seeds of a reverse extension (setup_reverse), hashed from labels.
+constexpr Block kSeedDomain{0x6f742d7365656473ull, 0x646565707365632dull};
 
 constexpr size_t kTileOts = 128;      // one tile: 16 bytes of every column
 constexpr size_t kHashChunk = 1024;   // rows hashed per sweep
@@ -78,6 +81,56 @@ void transpose_tile(const uint8_t* cols, size_t stride, uint8_t* rows) {
   }
 }
 
+// Checks a vector batch's offsets against its word count; returns m.
+size_t vector_batch_size(const std::vector<uint32_t>& offset, size_t words) {
+  if (offset.empty() || offset.front() != 0 || offset.back() != words)
+    throw std::invalid_argument("OT ext: vector offsets do not span words");
+  for (size_t j = 1; j < offset.size(); ++j)
+    if (offset[j] < offset[j - 1])
+      throw std::invalid_argument("OT ext: vector offsets decrease");
+  return offset.size() - 1;
+}
+
+// The hashes of a vector batch, in chunks of at most kHashChunk: per
+// OT j, one hash of row j (domain-separated) per 4 of its words, each
+// under the next tweak. hash(x, tweaks, n) hashes a chunk into the
+// caller's buffer of chunk_hashes(offset) entries; take(h, word, count)
+// then consumes hash h of the chunk, which covers words [word, word +
+// count).
+size_t chunk_hashes(const std::vector<uint32_t>& offset) {
+  size_t hashes = 0;
+  for (size_t j = 0; j + 1 < offset.size() && hashes < kHashChunk; ++j)
+    hashes += (offset[j + 1] - offset[j] + 3) / 4;
+  return std::min(hashes, kHashChunk);
+}
+
+template <typename Hash, typename Take>
+void vector_hashes(std::vector<Block>& rows,
+                   const std::vector<uint32_t>& offset, uint64_t& index,
+                   Hash hash, Take take) {
+  const size_t chunk = chunk_hashes(offset);
+  std::vector<Block> x(chunk);
+  std::vector<uint64_t> tweaks(chunk);
+  std::vector<uint32_t> word(chunk), count(chunk);
+  size_t n = 0;
+  const auto sweep = [&] {
+    hash(x.data(), tweaks.data(), n);
+    for (size_t h = 0; h < n; ++h) take(h, word[h], count[h]);
+    n = 0;
+  };
+  for (size_t j = 0; j + 1 < offset.size(); ++j) {
+    rows[j] ^= kArithDomain;
+    for (uint32_t w = offset[j]; w < offset[j + 1]; w += 4) {
+      x[n] = rows[j];
+      tweaks[n] = index++;
+      word[n] = w;
+      count[n] = std::min<uint32_t>(offset[j + 1] - w, 4);
+      if (++n == chunk) sweep();
+    }
+  }
+  if (n > 0) sweep();
+}
+
 }  // namespace
 
 std::vector<Block> transpose_columns(const uint8_t* cols, size_t stride,
@@ -105,6 +158,10 @@ std::vector<Block> transpose_columns(const uint8_t* cols, size_t stride,
 void OtExtSender::setup(Prg& prg) {
   BitVec s(kOtExtKappa);
   for (auto& bit : s) bit = prg.next_u64() & 1u;
+  seed(s, base_ot_recv(ch_, s, prg));
+}
+
+void OtExtSender::seed(const BitVec& s, const std::vector<Block>& seeds) {
   s_ = kZeroBlock;
   for (size_t i = 0; i < kOtExtKappa; ++i) {
     if (!s[i]) continue;
@@ -113,7 +170,6 @@ void OtExtSender::setup(Prg& prg) {
     else
       s_.hi |= 1ull << (i - 64);
   }
-  const std::vector<Block> seeds = base_ot_recv(ch_, s, prg);
   col_prg_.clear();
   for (const Block& seed : seeds)
     col_prg_.push_back(std::make_unique<Prg>(seed));
@@ -127,13 +183,50 @@ void OtExtReceiver::setup(Prg& prg) {
     p.second = prg.next_block();
   }
   base_ot_send(ch_, seed_pairs, prg);
+  seed(seed_pairs);
+}
+
+void OtExtReceiver::seed(const std::vector<std::pair<Block, Block>>& seeds) {
   col_prg0_.clear();
   col_prg1_.clear();
-  for (const auto& p : seed_pairs) {
+  for (const auto& p : seeds) {
     col_prg0_.push_back(std::make_unique<Prg>(p.first));
     col_prg1_.push_back(std::make_unique<Prg>(p.second));
   }
   ready_ = true;
+}
+
+// A reverse extension's seeds: H(L0_i), H(L0_i ^ delta') on the side
+// that chose delta', H(L_i) = the pair's s'_i-th on the other.
+void OtExtReceiver::setup_reverse(OtExtSender& forward, Prg& prg) {
+  Block delta = prg.next_block();
+  delta.lo |= 1;
+  std::vector<Block> x = forward.send_correlated(kOtExtKappa, delta);
+  x.resize(2 * kOtExtKappa);
+  std::vector<uint64_t> tweaks(2 * kOtExtKappa);
+  for (size_t i = 0; i < kOtExtKappa; ++i) {
+    x[kOtExtKappa + i] = x[i] ^ delta ^ kSeedDomain;
+    x[i] ^= kSeedDomain;
+    tweaks[i] = tweaks[kOtExtKappa + i] = i;
+  }
+  gc_hash_batch(x.data(), tweaks.data(), x.data(), x.size());
+  std::vector<std::pair<Block, Block>> seeds(kOtExtKappa);
+  for (size_t i = 0; i < kOtExtKappa; ++i)
+    seeds[i] = {x[i], x[kOtExtKappa + i]};
+  seed(seeds);
+}
+
+void OtExtSender::setup_reverse(OtExtReceiver& forward, Prg& prg) {
+  BitVec s(kOtExtKappa);
+  for (auto& bit : s) bit = prg.next_u64() & 1u;
+  std::vector<Block> x = forward.recv_correlated(s);
+  std::vector<uint64_t> tweaks(kOtExtKappa);
+  for (size_t i = 0; i < kOtExtKappa; ++i) {
+    x[i] ^= kSeedDomain;
+    tweaks[i] = i;
+  }
+  gc_hash_batch(x.data(), tweaks.data(), x.data(), x.size());
+  seed(s, x);
 }
 
 std::vector<Block> OtExtSender::extend(size_t m) {
@@ -234,57 +327,58 @@ std::vector<Block> OtExtReceiver::recv_correlated(const BitVec& choices) {
   return labels;
 }
 
-std::vector<uint32_t> OtExtSender::send_arith(
-    const std::vector<uint32_t>& delta) {
+std::vector<uint32_t> OtExtSender::send_vector(
+    const std::vector<uint32_t>& offset, const std::vector<uint32_t>& delta) {
   if (!ready_) throw std::logic_error("OtExtSender: setup() not run");
-  const size_t m = delta.size();
+  const size_t m = vector_batch_size(offset, delta.size());
   if (m == 0) return {};
   std::vector<Block> rows = extend(m);
-  std::vector<uint32_t> pads(m), u(m);
-  uint64_t tweaks[kHashChunk];
-  std::vector<Block> h(2 * kHashChunk);
-  for (size_t j0 = 0; j0 < m; j0 += kHashChunk) {
-    const size_t n = std::min(kHashChunk, m - j0);
-    Block* x = rows.data() + j0;
-    for (size_t j = 0; j < n; ++j) {
-      x[j] ^= kArithDomain;
-      tweaks[j] = hash_index_++;
-    }
-    gc_hash_pairs(x, s_, tweaks, h.data(), n);
-    for (size_t j = 0; j < n; ++j) {
-      const auto r = static_cast<uint32_t>(h[2 * j].lo);
-      pads[j0 + j] = r;
-      u[j0 + j] = static_cast<uint32_t>(h[2 * j + 1].lo) - r - delta[j0 + j];
-    }
-  }
-  ch_.send_bytes(u.data(), m * sizeof(uint32_t));
+  std::vector<uint32_t> pads(delta.size()), u(delta.size());
+  std::vector<Block> h(2 * chunk_hashes(offset));
+  vector_hashes(
+      rows, offset, hash_index_,
+      [&](const Block* x, const uint64_t* tweaks, size_t n) {
+        gc_hash_pairs(x, s_, tweaks, h.data(), n);
+      },
+      [&](size_t i, uint32_t w, uint32_t count) {
+        uint32_t p0[4], p1[4];
+        std::memcpy(p0, &h[2 * i], sizeof(p0));
+        std::memcpy(p1, &h[2 * i + 1], sizeof(p1));
+        for (uint32_t t = 0; t < count; ++t) {
+          pads[w + t] = p0[t];
+          u[w + t] = p1[t] - p0[t] - delta[w + t];
+        }
+      });
+  ch_.send_bytes(u.data(), u.size() * sizeof(uint32_t));
   return pads;
 }
 
-std::vector<uint32_t> OtExtReceiver::recv_arith(const BitVec& choices) {
+std::vector<uint32_t> OtExtReceiver::recv_vector(
+    const BitVec& choices, const std::vector<uint32_t>& offset) {
   if (!ready_) throw std::logic_error("OtExtReceiver: setup() not run");
-  const size_t m = choices.size();
+  const size_t words = offset.empty() ? 0 : offset.back();
+  const size_t m = vector_batch_size(offset, words);
+  if (choices.size() != m)
+    throw std::invalid_argument("OT ext: one choice bit per vector OT");
   if (m == 0) return {};
   std::vector<Block> rows = extend(choices);
-  uint64_t tweaks[kHashChunk];
-  for (size_t j0 = 0; j0 < m; j0 += kHashChunk) {
-    const size_t n = std::min(kHashChunk, m - j0);
-    Block* x = rows.data() + j0;
-    for (size_t j = 0; j < n; ++j) {
-      x[j] ^= kArithDomain;
-      tweaks[j] = hash_index_++;
-    }
-    gc_hash_batch(x, tweaks, x, n);
-  }
-  std::vector<uint32_t> out(m);
-  ch_.recv_bytes(out.data(), m * sizeof(uint32_t));
-  for (size_t j = 0; j < m; ++j) {
-    const auto h = static_cast<uint32_t>(rows[j].lo);
-    out[j] = (choices[j] & 1u) ? h - out[j] : h;
-  }
+  std::vector<uint32_t> out(words);
+  std::vector<Block> h(chunk_hashes(offset));
+  vector_hashes(
+      rows, offset, hash_index_,
+      [&](const Block* x, const uint64_t* tweaks, size_t n) {
+        gc_hash_batch(x, tweaks, h.data(), n);
+      },
+      [&](size_t i, uint32_t w, uint32_t count) {
+        std::memcpy(out.data() + w, &h[i], count * sizeof(uint32_t));
+      });
+  std::vector<uint32_t> u(words);
+  ch_.recv_bytes(u.data(), u.size() * sizeof(uint32_t));
+  for (size_t j = 0; j < m; ++j)
+    if (choices[j] & 1u)
+      for (uint32_t w = offset[j]; w < offset[j + 1]; ++w) out[w] -= u[w];
   otstat::transfers().add(m);
-  otstat::bytes().add(8 + kOtExtKappa * column_stride(m) +
-                      m * sizeof(uint32_t));
+  otstat::bytes().add(vector_ot_bytes(m, words));
   return out;
 }
 

@@ -1,8 +1,8 @@
 // Secure outsourcing for constrained clients (Section 3.3):
 // the client XOR-shares its input x into (s, x ^ s); a proxy server
-// takes share s and the main server share x ^ s, B2A (runtime/front.h)
-// turns the two into additive shares of x, and the pair runs the served
-// stages on them (secure_infer_outsourced, core/deepsecure.h). Neither
+// takes share s and the main server share x ^ s, and the pair runs the
+// served stages with them as layer 0's XOR input shares
+// (secure_infer_outsourced, core/deepsecure.h; runtime/front.h). Neither
 // server learns x unless they collude (Proposition 3.2).
 #pragma once
 

@@ -21,18 +21,20 @@ BitVec output_shares(const Labels& labels) {
 }
 
 GarblerSession::GarblerSession(Channel& ch, Block seed, const GcOptions& opt)
-    : ch_(ch), garbler_(ch, seed, opt), ot_(ch), prg_(seed ^ Block{1, 0}) {}
+    : ch_(ch), garbler_(ch, seed, opt), ot_(ch), reverse_(ch),
+      prg_(seed ^ Block{1, 0}) {}
 
 EvaluatorSession::EvaluatorSession(Channel& ch, const GcOptions& opt)
-    : ch_(ch), evaluator_(ch, opt), ot_(ch),
+    : ch_(ch), evaluator_(ch, opt), ot_(ch), reverse_(ch),
       prg_(Prg::from_os_entropy().next_block()), opt_(opt) {}
 
-// One base-OT + extension setup per session, shared by the on-demand
-// and the pooled label transfers (whichever runs first pays it).
+// One base-OT setup per session for both extensions, shared by the
+// on-demand and the pooled paths (whichever runs first pays it).
 void GarblerSession::ensure_ot() {
   if (ot_ready_) return;
   Stopwatch sw;
   ot_.setup(prg_);
+  reverse_.setup_reverse(ot_, prg_);
   ot_ready_ = true;
   trace_.setup_s = sw.seconds();
 }
@@ -41,6 +43,7 @@ void EvaluatorSession::ensure_ot() {
   if (ot_ready_) return;
   Stopwatch sw;
   ot_.setup(prg_);
+  reverse_.setup_reverse(ot_, prg_);
   ot_ready_ = true;
   trace_.setup_s = sw.seconds();
 }
@@ -244,21 +247,22 @@ BitVec GarblerSession::recv_result() {
   return ch_.recv_bits_bounded(uint64_t{1} << 24);
 }
 
-std::vector<uint32_t> GarblerSession::send_arith(
-    const std::vector<uint32_t>& delta) {
+std::vector<uint32_t> GarblerSession::recv_vector(
+    const BitVec& choices, const std::vector<uint32_t>& offset) {
   ensure_ot();
   Stopwatch sw;
-  std::vector<uint32_t> pads = ot_.send_arith(delta);
-  trace_.front_s += sw.seconds();
-  return pads;
-}
-
-std::vector<uint32_t> EvaluatorSession::recv_arith(const BitVec& choices) {
-  ensure_ot();
-  Stopwatch sw;
-  std::vector<uint32_t> out = ot_.recv_arith(choices);
+  std::vector<uint32_t> out = reverse_.recv_vector(choices, offset);
   trace_.front_s += sw.seconds();
   return out;
+}
+
+std::vector<uint32_t> EvaluatorSession::send_vector(
+    const std::vector<uint32_t>& offset, const std::vector<uint32_t>& delta) {
+  ensure_ot();
+  Stopwatch sw;
+  std::vector<uint32_t> pads = reverse_.send_vector(offset, delta);
+  trace_.front_s += sw.seconds();
+  return pads;
 }
 
 Labels EvaluatorSession::recv_fixed_labels(const BitVec& choices) {

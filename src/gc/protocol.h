@@ -30,8 +30,13 @@
 // evaluator nothing (garbled-circuit obliviousness). open / open_online
 // reveal a stage's outputs; run_chain is a stage and its opening. The
 // runtime (runtime/front.h) feeds a stage's shares to the next one
-// through arithmetic OTs (send_arith/recv_arith, gc/ot.h) on the
-// session's OT setup, and opens only the last.
+// through vector arithmetic OTs (recv_vector/send_vector, gc/ot.h) on
+// the session's reverse OT extension, and opens only the last.
+//
+// Each session holds two IKNP extensions over one set of base OTs
+// (gc/ot.h): the forward one (garbler = sender) for labels, and the
+// reverse one (garbler = receiver) for the fronts, seeded by kappa
+// forward correlated OTs. Both are set up together, on first use.
 //
 // Phase timings are recorded per step for the Figure 5 reproduction.
 #pragma once
@@ -55,8 +60,8 @@ struct PhaseSample {
 struct SessionTrace {
   std::vector<PhaseSample> phases;
   double total_s = 0.0;
-  double setup_s = 0.0;  // base-OT + extension setup (once per session)
-  double front_s = 0.0;  // arithmetic OTs (fronts and B2A), either side
+  double setup_s = 0.0;  // base OTs + both extensions (once per session)
+  double front_s = 0.0;  // the fronts' vector OTs, either side
 
   double sum_garble() const {
     double t = 0;
@@ -122,9 +127,11 @@ class GarblerSession {
   /// shares the plaintext back).
   BitVec recv_result();
 
-  /// One batch of arithmetic OTs as sender (see OtExtSender::send_arith):
-  /// returns the pads. Timed into trace().front_s.
-  std::vector<uint32_t> send_arith(const std::vector<uint32_t>& delta);
+  /// One batch of vector arithmetic OTs as receiver on the reverse
+  /// extension (see OtExtReceiver::recv_vector): pad + choice*delta per
+  /// word. Timed into trace().front_s.
+  std::vector<uint32_t> recv_vector(const BitVec& choices,
+                                    const std::vector<uint32_t>& offset);
 
   const SessionTrace& trace() const { return trace_; }
 
@@ -134,6 +141,7 @@ class GarblerSession {
   Channel& ch_;
   Garbler garbler_;
   OtExtSender ot_;
+  OtExtReceiver reverse_;
   Prg prg_;
   bool ot_ready_ = false;
   SessionTrace trace_;
@@ -180,8 +188,10 @@ class EvaluatorSession {
   /// the plaintext result back. Returns the decoded output bits.
   BitVec open_online(const Labels& active, const BitVec& decode_bits);
 
-  /// Counterpart of send_arith: pad + choice*delta per OT.
-  std::vector<uint32_t> recv_arith(const BitVec& choices);
+  /// Counterpart of recv_vector: returns the pads. Timed into
+  /// trace().front_s.
+  std::vector<uint32_t> send_vector(const std::vector<uint32_t>& offset,
+                                    const std::vector<uint32_t>& delta);
 
   const SessionTrace& trace() const { return trace_; }
 
@@ -191,6 +201,7 @@ class EvaluatorSession {
   Channel& ch_;
   Evaluator evaluator_;
   OtExtReceiver ot_;
+  OtExtSender reverse_;
   Prg prg_;
   GcOptions opt_;
   bool ot_ready_ = false;

@@ -471,10 +471,7 @@ void InferenceClient::send_pooled_stage(const PrefetchedMaterial& mat,
                                         size_t s, const BitVec& bits) {
   GarblerSession& session = garbler_->session();
   const PrefetchedStage& stage = mat.stages[s];
-  const synth::FrontPlan& plan = stages_[s].front;
-  const BitVec share = front_send(session, plan,
-                                  s == 0 ? data_shares(plan, bits)
-                                         : b2a_send(session, bits, plan.fmt));
+  const BitVec share = front_send(session, stages_[s].front, bits);
   // The server's share bits' labels under the stage's delta, then the
   // active labels of the client's own share bits.
   session.send_fixed_labels(stage.front_zeros, stage.delta);
@@ -577,8 +574,8 @@ BitVec InferenceClient::infer_bits_once(const BitVec& data_bits) {
   // path (garble_stages, runtime/front.h) and open the last.
   send_frame(garbler_->channel(), FrameType::kInfer);
   GarblerSession& session = garbler_->session();
-  const BitVec bits = session.open(garble_stages(
-      session, stages_, data_shares(stages_.front().front, data_bits)));
+  const BitVec bits =
+      session.open(garble_stages(session, stages_, data_bits));
   garbler_->channel().flush();
   ++ondemand_inferences_;
   if (cfg_.auto_top_up) top_up();

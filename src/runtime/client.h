@@ -18,10 +18,10 @@
 //
 // The served model is a list of stages (synth/served.h), one per linear
 // layer: each opens with its front (runtime/front.h), which shares the
-// layer's products by arithmetic OT, and then runs its garbled chain
-// (the share circuit and the non-linear layers after it). A stage's
-// outputs stay XOR-shared; the next front converts them by B2A. Only
-// the last stage is opened.
+// layer's products by vector arithmetic OT, and then runs its garbled
+// chain (the share circuit and the non-linear layers after it). A
+// stage's outputs stay XOR-shared and feed the next front as they are.
+// Only the last stage is opened.
 //
 // Cross-request pipelining: begin_infer_bits/finish_infer expose the
 // send and receive halves of a pooled inference. begin runs stage 0

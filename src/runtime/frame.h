@@ -81,14 +81,18 @@ inline constexpr uint64_t kProtocolMagic = 0x44535255'4e313031ull;  // "DSRUN101
 // kPrefetch push is per-stage tables and decode bits (non-final stages
 // ship none) with no OT; the pooled kInfer resolves each stage's share
 // bits' labels online. The hello fingerprint hashes every stage.
-inline constexpr uint32_t kProtocolVersion = 9;
+// v10: the flipped front — the client is the OT receiver, one vector
+// OT per input bit on a reverse extension set up with the session's
+// OTs (client u columns, then the server's 4 B per product per bit),
+// on XOR input shares, so no stage opens with B2A.
+inline constexpr uint32_t kProtocolVersion = 10;
 
 enum class FrameType : uint8_t {
   kHello = 1,     // client -> server: magic, version, fingerprint, flags
   kHelloAck = 2,  // server -> client: fingerprint echo, prefetch quota,
                   // lane token, lane port (see HelloAck)
   kInfer = 3,     // client -> server: one inference, stage by stage,
-                  // each opening with its front (v9). Empty payload:
+                  // each opening with its front (v10). Empty payload:
                   // each stage's GC byte stream follows (garble on the
                   // request path). 8-byte payload: a material id — each
                   // stage's share-bit label OT and online phase against

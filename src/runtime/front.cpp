@@ -8,16 +8,30 @@
 namespace deepsecure::runtime {
 namespace {
 
-// Per neuron, the sum of its products' n OT values each, mod 2^32.
-std::vector<uint32_t> neuron_sums(const synth::FrontPlan& plan,
-                                  const std::vector<uint32_t>& values) {
+// Coefficient of bit k of an n-bit two's-complement word, mod 2^32.
+uint32_t coef(size_t k, size_t n) {
+  return k + 1 < n ? uint32_t{1} << k : 0u - (uint32_t{1} << k);
+}
+
+// Visits the front's OT words in wire order (ot_offsets): per input i,
+// per bit k, per product p of i; fn(word, i, k, p).
+template <typename Fn>
+void for_each_word(const synth::FrontPlan& plan, Fn fn) {
   const size_t n = plan.fmt.total_bits;
-  if (values.size() != plan.ots())
-    throw std::invalid_argument("front: OT value count mismatch");
+  size_t word = 0;
+  for (size_t i = 0; i < plan.inputs; ++i)
+    for (size_t k = 0; k < n; ++k)
+      for (size_t u = plan.use_first[i]; u < plan.use_first[i + 1]; ++u)
+        fn(word++, i, k, plan.uses[u]);
+}
+
+// Per neuron, the sum of its products' values, mod 2^32.
+std::vector<uint32_t> neuron_sums(const synth::FrontPlan& plan,
+                                  const std::vector<uint32_t>& product) {
   std::vector<uint32_t> sums(plan.neurons(), 0);
   for (size_t j = 0; j < sums.size(); ++j)
-    for (size_t i = plan.first[j] * n; i < plan.first[j + 1] * n; ++i)
-      sums[j] += values[i];
+    for (size_t p = plan.first[j]; p < plan.first[j + 1]; ++p)
+      sums[j] += product[p];
   return sums;
 }
 
@@ -33,23 +47,21 @@ BitVec share_bits(const synth::FrontPlan& plan,
   return bits;
 }
 
-// B2A coefficient of bit k of an n-bit two's-complement word, mod 2^32.
-uint32_t coef(size_t k, size_t n) {
-  return k + 1 < n ? uint32_t{1} << k : 0u - (uint32_t{1} << k);
+void check_words(const synth::FrontPlan& plan,
+                 const std::vector<uint32_t>& words) {
+  if (words.size() != plan.correlations())
+    throw std::invalid_argument("front: OT word count mismatch");
 }
 
-// Per n-bit word of share bits `bits`: sum_k coef_k*bits_k + sum_k
-// ot(i) over the word's bit indices i.
-template <typename OtValue>
-std::vector<uint32_t> b2a_words(const BitVec& bits, FixedFormat fmt,
-                                OtValue ot) {
-  const size_t n = fmt.total_bits;
-  if (bits.size() % n != 0)
-    throw std::invalid_argument("b2a: share bits are not whole words");
-  std::vector<uint32_t> x(bits.size() / n, 0);
-  for (size_t i = 0; i < bits.size(); ++i)
-    x[i / n] += (bits[i] ? coef(i % n, n) : 0u) + ot(i);
-  return x;
+void check_weights(const synth::FrontPlan& plan,
+                   const std::vector<int64_t>& w) {
+  if (w.size() != plan.weights)
+    throw std::invalid_argument("front: weight count mismatch");
+}
+
+void check_shares(const synth::FrontPlan& plan, const BitVec& bits) {
+  if (!bits.empty() && bits.size() != plan.ots())
+    throw std::invalid_argument("front: input share bit count mismatch");
 }
 
 }  // namespace
@@ -69,115 +81,82 @@ std::vector<int64_t> decode_fixed(const BitVec& bits, size_t count,
   return out;
 }
 
-std::vector<uint32_t> data_shares(const synth::FrontPlan& plan,
-                                  const BitVec& data_bits) {
-  if (data_bits.size() != plan.inputs * plan.fmt.total_bits)
-    throw std::invalid_argument("front: data bit count mismatch");
-  const std::vector<int64_t> x =
-      decode_fixed(data_bits, plan.inputs, plan.fmt);
-  return std::vector<uint32_t>(x.begin(), x.end());
+std::vector<uint32_t> ot_offsets(const synth::FrontPlan& plan) {
+  const size_t n = plan.fmt.total_bits;
+  std::vector<uint32_t> offset;
+  offset.reserve(plan.ots() + 1);
+  for (size_t i = 0; i < plan.inputs; ++i) {
+    const uint32_t uses = plan.use_first[i + 1] - plan.use_first[i];
+    for (size_t k = 0; k < n; ++k)
+      offset.push_back(static_cast<uint32_t>(n * plan.use_first[i] + k * uses));
+  }
+  offset.push_back(static_cast<uint32_t>(plan.correlations()));
+  return offset;
 }
 
-std::vector<uint32_t> front_correlations(const synth::FrontPlan& plan,
-                                         const std::vector<uint32_t>& x) {
+std::vector<uint32_t> product_correlations(const synth::FrontPlan& plan,
+                                           const std::vector<int64_t>& w,
+                                           const BitVec& e) {
+  check_weights(plan, w);
+  check_shares(plan, e);
   const size_t n = plan.fmt.total_bits;
-  if (x.size() != plan.inputs)
-    throw std::invalid_argument("front: input share count mismatch");
-  std::vector<uint32_t> d(plan.ots());
-  for (size_t p = 0; p < plan.products.size(); ++p) {
-    const uint32_t xv = x[plan.products[p].input];
-    uint32_t* dp = d.data() + p * n;
-    for (size_t k = 0; k + 1 < n; ++k) dp[k] = xv << k;
-    dp[n - 1] = (0u - xv) << (n - 1);
-  }
+  std::vector<uint32_t> d(plan.correlations());
+  for_each_word(plan, [&](size_t word, size_t i, size_t k, size_t p) {
+    const uint32_t v =
+        coef(k, n) * static_cast<uint32_t>(w[plan.products[p].weight]);
+    d[word] = !e.empty() && e[i * n + k] ? 0u - v : v;
+  });
   return d;
-}
-
-BitVec front_choices(const synth::FrontPlan& plan,
-                     const std::vector<int64_t>& w) {
-  const size_t n = plan.fmt.total_bits;
-  if (w.size() != plan.weights)
-    throw std::invalid_argument("front: weight count mismatch");
-  BitVec bits(plan.ots());
-  for (size_t p = 0; p < plan.products.size(); ++p) {
-    const auto wv = static_cast<uint64_t>(w[plan.products[p].weight]);
-    for (size_t k = 0; k < n; ++k) bits[p * n + k] = (wv >> k) & 1u;
-  }
-  return bits;
 }
 
 BitVec client_share_bits(const synth::FrontPlan& plan,
-                         const std::vector<uint32_t>& pads) {
-  std::vector<uint32_t> c = neuron_sums(plan, pads);
-  for (uint32_t& v : c) v = 0u - v;
-  return share_bits(plan, c);
+                         const std::vector<uint32_t>& received) {
+  check_words(plan, received);
+  std::vector<uint32_t> product(plan.products.size(), 0);
+  for_each_word(plan, [&](size_t word, size_t, size_t, size_t p) {
+    product[p] += received[word];
+  });
+  return share_bits(plan, neuron_sums(plan, product));
 }
 
 BitVec server_share_bits(const synth::FrontPlan& plan,
-                         const std::vector<uint32_t>& received,
-                         const std::vector<int64_t>& w,
-                         const std::vector<uint32_t>& x) {
-  if (x.size() != plan.inputs)
-    throw std::invalid_argument("front: input share count mismatch");
-  std::vector<uint32_t> s = neuron_sums(plan, received);
-  for (size_t j = 0; j < s.size(); ++j) {
-    for (size_t p = plan.first[j]; p < plan.first[j + 1]; ++p) {
-      const synth::FrontProduct& pr = plan.products[p];
-      s[j] += x[pr.input] * static_cast<uint32_t>(w[pr.weight]);
-    }
+                         const std::vector<uint32_t>& pads,
+                         const std::vector<int64_t>& w, const BitVec& e) {
+  check_words(plan, pads);
+  check_weights(plan, w);
+  check_shares(plan, e);
+  std::vector<uint32_t> product(plan.products.size(), 0);
+  if (!e.empty()) {
+    const std::vector<int64_t> x = decode_fixed(e, plan.inputs, plan.fmt);
+    for (size_t p = 0; p < product.size(); ++p)
+      product[p] = static_cast<uint32_t>(x[plan.products[p].input]) *
+                   static_cast<uint32_t>(w[plan.products[p].weight]);
+  }
+  for_each_word(plan, [&](size_t word, size_t, size_t, size_t p) {
+    product[p] -= pads[word];
+  });
+  std::vector<uint32_t> s = neuron_sums(plan, product);
+  for (size_t j = 0; j < s.size(); ++j)
     if (plan.bias[j] != synth::FrontPlan::kNoBias)
       s[j] += static_cast<uint32_t>(w[plan.bias[j]]) << plan.fmt.frac_bits;
-  }
   return share_bits(plan, s);
 }
 
-std::vector<uint32_t> b2a_correlations(const BitVec& g, FixedFormat fmt) {
-  const size_t n = fmt.total_bits;
-  if (g.size() % n != 0)
-    throw std::invalid_argument("b2a: share bits are not whole words");
-  std::vector<uint32_t> d(g.size());
-  for (size_t i = 0; i < g.size(); ++i)
-    d[i] = g[i] ? 0u - 2u * coef(i % n, n) : 0u;
-  return d;
-}
-
-std::vector<uint32_t> b2a_client(const BitVec& g,
-                                 const std::vector<uint32_t>& pads,
-                                 FixedFormat fmt) {
-  if (pads.size() != g.size())
-    throw std::invalid_argument("b2a: OT value count mismatch");
-  return b2a_words(g, fmt, [&](size_t i) { return 0u - pads[i]; });
-}
-
-std::vector<uint32_t> b2a_server(const BitVec& e,
-                                 const std::vector<uint32_t>& received,
-                                 FixedFormat fmt) {
-  if (received.size() != e.size())
-    throw std::invalid_argument("b2a: OT value count mismatch");
-  return b2a_words(e, fmt, [&](size_t i) { return received[i]; });
-}
-
-std::vector<uint32_t> b2a_send(GarblerSession& session, const BitVec& g,
-                               FixedFormat fmt) {
-  return b2a_client(g, session.send_arith(b2a_correlations(g, fmt)), fmt);
-}
-
-std::vector<uint32_t> b2a_recv(EvaluatorSession& session, const BitVec& e,
-                               FixedFormat fmt) {
-  return b2a_server(e, session.recv_arith(e), fmt);
+uint64_t front_bytes(const synth::FrontPlan& plan) {
+  return vector_ot_bytes(plan.ots(), plan.correlations());
 }
 
 BitVec front_send(GarblerSession& session, const synth::FrontPlan& plan,
-                  const std::vector<uint32_t>& x) {
-  return client_share_bits(
-      plan, session.send_arith(front_correlations(plan, x)));
+                  const BitVec& g) {
+  return client_share_bits(plan, session.recv_vector(g, ot_offsets(plan)));
 }
 
 BitVec front_recv(EvaluatorSession& session, const synth::FrontPlan& plan,
-                  const std::vector<int64_t>& w,
-                  const std::vector<uint32_t>& x) {
-  return server_share_bits(plan, session.recv_arith(front_choices(plan, w)),
-                           w, x);
+                  const std::vector<int64_t>& w, const BitVec& e) {
+  return server_share_bits(
+      plan,
+      session.send_vector(ot_offsets(plan), product_correlations(plan, w, e)),
+      w, e);
 }
 
 synth::ServedModel walked_served(const synth::ModelSpec& spec) {
@@ -208,13 +187,11 @@ std::vector<std::vector<int64_t>> front_weights(
 
 Labels garble_stages(GarblerSession& session,
                      const std::vector<synth::ServedStage>& stages,
-                     const std::vector<uint32_t>& x) {
+                     const BitVec& g) {
   Labels out;
   for (size_t s = 0; s < stages.size(); ++s) {
-    const synth::FrontPlan& plan = stages[s].front;
-    const BitVec share = front_send(
-        session, plan,
-        s == 0 ? x : b2a_send(session, output_shares(out), plan.fmt));
+    const BitVec share = front_send(session, stages[s].front,
+                                    s == 0 ? g : output_shares(out));
     out = session.run_stage(stages[s].chain, share);
   }
   return out;
@@ -223,14 +200,12 @@ Labels garble_stages(GarblerSession& session,
 Labels evaluate_stages(EvaluatorSession& session,
                        const std::vector<synth::ServedStage>& stages,
                        const std::vector<std::vector<int64_t>>& weights,
-                       const std::vector<uint32_t>& x) {
+                       const BitVec& e) {
   Labels out;
   for (size_t s = 0; s < stages.size(); ++s) {
-    const synth::FrontPlan& plan = stages[s].front;
     obs::Span span("server.front");
-    const BitVec share = front_recv(
-        session, plan, weights[s],
-        s == 0 ? x : b2a_recv(session, output_shares(out), plan.fmt));
+    const BitVec share = front_recv(session, stages[s].front, weights[s],
+                                    s == 0 ? e : output_shares(out));
     span.end();
     out = session.run_stage(stages[s].chain, share);
   }

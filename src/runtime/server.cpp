@@ -62,33 +62,21 @@ std::string chain_json(const synth::ServedModel& served) {
   return buf;
 }
 
-// Wire bytes of one batch of m arithmetic OTs, both directions: the
-// batch size and packed u columns, then 4 B per OT back.
-uint64_t arith_batch_bytes(uint64_t m) {
-  return m > 0 ? 8 + kOtExtKappa * ((m + 7) / 8) + 4 * m : 0;
-}
-
 // stats_json's "front" block: one inference's fronts, summed.
 std::string front_json(const synth::ServedModel& served) {
-  uint64_t products = 0, ots = 0, b2a = 0, bytes = 0, share_bits = 0;
-  for (size_t s = 0; s < served.stages.size(); ++s) {
-    const synth::FrontPlan& plan = served.stages[s].front;
-    products += plan.products.size();
-    ots += plan.ots();
-    bytes += arith_batch_bytes(plan.ots());
-    if (s > 0) {
-      b2a += plan.b2a_ots();
-      bytes += arith_batch_bytes(plan.b2a_ots());
-    }
-    share_bits += plan.share_bits();
+  uint64_t products = 0, ots = 0, bytes = 0, share_bits = 0;
+  for (const synth::ServedStage& stage : served.stages) {
+    products += stage.front.products.size();
+    ots += stage.front.ots();
+    bytes += front_bytes(stage.front);
+    share_bits += stage.front.share_bits();
   }
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "\"front\":{\"stages\":%zu,\"products\":%llu,\"ots\":%llu,"
-                "\"b2a_ots\":%llu,\"bytes\":%llu,\"share_bits\":%llu},",
+                "\"bytes\":%llu,\"share_bits\":%llu},",
                 served.stages.size(), static_cast<unsigned long long>(products),
                 static_cast<unsigned long long>(ots),
-                static_cast<unsigned long long>(b2a),
                 static_cast<unsigned long long>(bytes),
                 static_cast<unsigned long long>(share_bits));
   return buf;
@@ -117,7 +105,6 @@ InferenceServer::InferenceServer(const synth::ModelSpec& spec, BitVec weights,
     expected_table_bytes_ += table_bytes_.back();
   }
   stages_ = std::move(served.stages);
-  zero_shares_.assign(stages_.front().front.inputs, 0);
 }
 
 InferenceServer::~InferenceServer() { stop(); }
@@ -158,11 +145,7 @@ const char* InferenceServer::validate_hello(const Hello& hello) const {
 BitVec InferenceServer::run_front(EvaluatorSession& session, size_t s,
                                   const BitVec& e) {
   obs::Span span("server.front");
-  const synth::FrontPlan& plan = stages_[s].front;
-  const std::vector<uint32_t> x =
-      s == 0 ? std::vector<uint32_t>(plan.inputs, 0)
-             : b2a_recv(session, e, plan.fmt);
-  return front_recv(session, plan, weights_[s], x);
+  return front_recv(session, stages_[s].front, weights_[s], e);
 }
 
 // One kInfer (on-demand byte stream, or the online phase against a
@@ -181,8 +164,7 @@ bool InferenceServer::handle_infer_frame(const Frame& f, BufferedChannel& ch,
     // On-demand: the client garbles every stage on the request path
     // (evaluate_stages, runtime/front.h); only the last is opened.
     obs::Span span("server.infer_ondemand");
-    const Labels out =
-        evaluate_stages(session, stages_, weights_, zero_shares_);
+    const Labels out = evaluate_stages(session, stages_, weights_, {});
     // Counted before the result goes out: the opening ends with a read
     // of the bits the client shares back, which a client that already
     // holds its answer need not wait for.

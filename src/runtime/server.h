@@ -175,11 +175,10 @@ class InferenceServer {
   /// {"circuits","gates","and_gates","label_slots" (sum of the walked
   /// views' num_wires),"netlist_bytes" (gate lists plus interface
   /// vectors)}. The front block sums one inference's fronts:
-  /// {"stages","products","ots" (product OTs),"b2a_ots" (the hidden
-  /// stages' conversions),"bytes" (every arithmetic batch, both
-  /// directions),"share_bits" (each party's share-circuit inputs)}, so
-  /// comm per inference reads as tables + label OT + arithmetic OT +
-  /// labels.
+  /// {"stages","products","ots" (one per input bit),"bytes" (every
+  /// front's vector OT batch, both directions; runtime::front_bytes),
+  /// "share_bits" (each party's share-circuit inputs)}, so comm per
+  /// inference reads as tables + label OT + front OT + labels.
   /// The accounting block sums the
   /// non-overlapping per-phase histograms (handshake, recv_wait,
   /// infer_*, prefetch_push, parked, dispatch) against session_wall, so
@@ -214,10 +213,10 @@ class InferenceServer {
   // --- protocol steps the reactor drives -----------------------------
   /// Handshake validation; nullptr = accept, else the kError reason.
   const char* validate_hello(const Hello& hello) const;
-  /// Stage `s`'s front of one pooled inference: B2A of `e`, the
-  /// server's XOR shares of the previous stage's outputs (none for
-  /// stage 0), then the products. Returns the share circuit's
-  /// evaluator-input bits. (On demand, evaluate_stages runs the fronts.)
+  /// Stage `s`'s front of one pooled inference on `e`, the server's XOR
+  /// shares of the previous stage's outputs (empty for stage 0).
+  /// Returns the share circuit's evaluator-input bits. (On demand,
+  /// evaluate_stages runs the fronts.)
   BitVec run_front(EvaluatorSession& session, size_t s, const BitVec& e);
   /// One kInfer frame (on-demand or pooled). Returns false when the
   /// connection must close (kError already sent).
@@ -250,11 +249,6 @@ class InferenceServer {
   // (consts + half-gate tables per circuit): prefetches that disagree
   // are rejected at push time, not at kInfer time.
   std::vector<uint64_t> table_bytes_;
-  // The server's shares of stage 0's inputs, all zero (the client
-  // holds the data), allocated once: a per-inference copy that lives
-  // through every stage leaves more of the worker threads' malloc
-  // arenas resident (mlp-open peak RSS ~8% higher).
-  std::vector<uint32_t> zero_shares_;
   ServerConfig cfg_;
   uint64_t fingerprint_ = 0;
   std::string chain_json_;  // stats_json's "chain" block, fixed at set-up

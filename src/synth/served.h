@@ -8,11 +8,12 @@
 //
 // The runtime does not garble those products: Gilboa OT multiplication
 // (runtime/front.h) gives the parties additive shares of each x*w mod
-// 2^(n+f). Each party sums its shares per neuron in plaintext, the
-// server adding b_j*2^f to its own, so C_j + S_j = sum x*w + b_j*2^f
-// (mod 2^(n+f)). Bits [f, n+f) of that sum are y_j, so the garbled
-// layer shrinks to the share circuit: one (n+f)-bit adder per neuron
-// (n+f-1 ANDs) whose outputs are those n bits.
+// 2^(n+f), one OT per bit of x carrying a word per product that uses
+// it. Each party sums its shares per neuron in plaintext, the server
+// adding b_j*2^f to its own, so C_j + S_j = sum x*w + b_j*2^f (mod
+// 2^(n+f)). Bits [f, n+f) of that sum are y_j, so the garbled layer
+// shrinks to the share circuit: one (n+f)-bit adder per neuron (n+f-1
+// ANDs) whose outputs are those n bits.
 //
 // compile_served cuts the model into stages, one per linear layer:
 //
@@ -20,10 +21,12 @@
 //         + chain: the share circuit, then the non-linear layers up to
 //           the next linear layer, each compiled alone
 //
-// Layer 0's x is the client's data. A hidden layer's x comes out of
-// the previous stage's chain as XOR shares (the permute bits of its
-// output labels), which the front turns into additive shares first
-// (B2A, runtime/front.h). No multiplier is ever built.
+// Every front takes its x as XOR shares, bit k = g_k ^ e_k with g_k
+// the client's and e_k the server's: layer 0's from the client's data
+// (e = 0) or from an outsourcing split, a hidden layer's from the
+// previous stage's chain (the permute bits of its output labels). The
+// front folds g ^ e = g + e - 2ge into its correlations, so no stage
+// converts shares first, and no multiplier is ever built.
 // compile_model_layers stays the plaintext reference: each stage's
 // chain equals its layers there for every x, w and pair of shares.
 #pragma once
@@ -56,18 +59,22 @@ struct FrontPlan {
   std::vector<uint32_t> first;
   /// Neuron j's bias weight index, or kNoBias.
   std::vector<uint32_t> bias;
+  /// Input i's products are uses[use_first[i], use_first[i+1]), in plan
+  /// order; inputs + 1 entries.
+  std::vector<uint32_t> use_first;
+  std::vector<uint32_t> uses;
 
   size_t neurons() const { return bias.size(); }
-  /// Arithmetic OTs of the products: one per weight bit of each.
-  size_t ots() const { return products.size() * fmt.total_bits; }
+  /// OTs of the front: one per bit of each input scalar.
+  size_t ots() const { return inputs * fmt.total_bits; }
+  /// 32-bit correlations the front's OTs carry: one per product per bit
+  /// of its input.
+  size_t correlations() const { return products.size() * fmt.total_bits; }
   /// Bits each party feeds the share circuit: its per-neuron sum, n+f
   /// bits each.
   size_t share_bits() const {
     return neurons() * (fmt.total_bits + fmt.frac_bits);
   }
-  /// Arithmetic OTs of the B2A that feeds a hidden layer: one per bit
-  /// of each input scalar.
-  size_t b2a_ots() const { return inputs * fmt.total_bits; }
 };
 
 /// Plan of a linear `layer` on input shape `in`; throws

@@ -80,27 +80,29 @@ TEST(SecureInfer, TanhCordicPathAgreesWithFloatModel) {
   EXPECT_GE(agree, n - 1);
 }
 
-// Arithmetic OTs of every served stage's front: one per weight bit of
+// Correlations of every served stage's front: one per input bit of
 // each kept product.
-size_t front_ots(const nn::Network& net, const SecureInferenceOptions& opt) {
-  size_t ots = 0;
+size_t front_correlations(const nn::Network& net,
+                          const SecureInferenceOptions& opt) {
+  size_t words = 0;
   for (const synth::ServedStage& stage :
        synth::compile_served(model_spec_from_network(net, opt)).stages)
-    ots += stage.front.ots();
-  return ots;
+    words += stage.front.correlations();
+  return words;
 }
 
-// Pruning removes products, which the fronts multiply by OT; the share
-// circuit costs one adder per neuron however many products feed it, so
-// an 80% prune more than halves the fronts' OTs and shrinks the
-// client's traffic, while the garbled gates stay put.
+// Pruning removes products, whose correlations the server sends in the
+// fronts; the fronts' OTs (one per input bit) and the share circuit
+// (one adder per neuron) do not depend on them. So an 80% prune more
+// than halves the correlations and shrinks the server's traffic, and
+// the client's does not grow.
 TEST(SecureInfer, PrunedModelRunsAndShrinksTraffic) {
   const nn::Dataset ds = toy_data(45);
   nn::Network net = trained_toy_net(ds, nn::Act::kReLU, 8, 5);
   SecureInferenceOptions opt;
   opt.seed = Block{3, 3};
   const auto before = secure_infer(net, ds.x[0], opt);
-  const size_t ots_before = front_ots(net, opt);
+  const size_t words_before = front_correlations(net, opt);
 
   preprocess::PruneConfig pc;
   pc.prune_fraction = 0.8;
@@ -109,8 +111,9 @@ TEST(SecureInfer, PrunedModelRunsAndShrinksTraffic) {
   preprocess::prune_and_retrain(net, ds, pc);
   const auto after = secure_infer(net, ds.x[0], opt);
 
-  EXPECT_LT(front_ots(net, opt), ots_before / 2);
-  EXPECT_LT(after.client_to_server_bytes, before.client_to_server_bytes);
+  EXPECT_LT(front_correlations(net, opt), words_before / 2);
+  EXPECT_LT(after.server_to_client_bytes, before.server_to_client_bytes);
+  EXPECT_LE(after.client_to_server_bytes, before.client_to_server_bytes);
   EXPECT_EQ(after.label, nn::fixed_predict(net, ds.x[0], opt.fmt));
 }
 
@@ -180,13 +183,16 @@ TEST(SecureInfer, ServedStagesPinBytesAndGates) {
 
   const SecureInferenceResult res = secure_infer(net, sample, opt);
   EXPECT_EQ(res.label, nn::fixed_predict(net, sample, opt.fmt));
-  EXPECT_EQ(res.client_to_server_bytes, 27097u);
-  EXPECT_EQ(res.server_to_client_bytes, 17672u);
-  // Outsourced: the same stages after one B2A OT per input bit.
+  // One session: its OT setup (base OTs, 128 bootstrap OTs), the two
+  // fronts (96 and 64 OTs; 24 and 12 products), the stages' label OTs,
+  // labels and tables, and the opening.
+  EXPECT_EQ(res.client_to_server_bytes, 29161u);
+  EXPECT_EQ(res.server_to_client_bytes, 11768u);
+  // Outsourced: the same stages on XOR input shares, byte for byte.
   const SecureInferenceResult out = secure_infer_outsourced(net, sample, opt);
   EXPECT_EQ(out.label, res.label);
-  EXPECT_EQ(out.client_to_server_bytes, 27481u);
-  EXPECT_EQ(out.server_to_client_bytes, 19216u);
+  EXPECT_EQ(out.client_to_server_bytes, 29161u);
+  EXPECT_EQ(out.server_to_client_bytes, 11768u);
 
   synth::GateCount served;
   for (const synth::ServedStage& stage :
@@ -195,6 +201,28 @@ TEST(SecureInfer, ServedStagesPinBytesAndGates) {
   EXPECT_EQ(res.gates.num_xor, served.num_xor);
   EXPECT_EQ(res.gates.num_non_xor, served.num_non_xor);
   EXPECT_EQ(res.gates.num_one_row, served.num_one_row);
+}
+
+// The outsourced mode runs layer 0's front on the proxy's and the
+// server's XOR shares where direct mode runs it on the data and zeros:
+// the same OTs and correlations, so the same bytes each way, on every
+// sample.
+TEST(SecureInferOutsourced, SameWireBytesAsDirect) {
+  Rng rng(7);
+  nn::Network net(nn::Shape{1, 1, 6});
+  net.dense(4, rng).act(nn::Act::kReLU).dense(3, rng);
+  SecureInferenceOptions opt;
+  opt.seed = Block{5, 6};
+  for (int i = 0; i < 3; ++i) {
+    nn::VecF sample(6);
+    for (float& v : sample)
+      v = static_cast<float>(rng.next_uniform(-1.0, 1.0));
+    const SecureInferenceResult direct = secure_infer(net, sample, opt);
+    const SecureInferenceResult out = secure_infer_outsourced(net, sample, opt);
+    EXPECT_EQ(out.label, direct.label) << i;
+    EXPECT_EQ(out.client_to_server_bytes, direct.client_to_server_bytes) << i;
+    EXPECT_EQ(out.server_to_client_bytes, direct.server_to_client_bytes) << i;
+  }
 }
 
 // Both modes serve only networks whose first layer is FC or conv

@@ -1,12 +1,12 @@
 // Linear layers by OT multiplication (synth/served.h, runtime/front.h):
-// B2A turns XOR shares into additive ones exactly, and each served
-// stage (front + share circuit + the non-linear layers after it)
-// computes exactly what the reference layers compute, neuron by neuron:
-// floor(sum x*w / 2^f) + b mod 2^n, truncated once.
+// the flipped front's correlations share x*w exactly for XOR-shared x,
+// and each served stage (front + share circuit + the non-linear layers
+// after it) computes exactly what the reference layers compute, neuron
+// by neuron: floor(sum x*w / 2^f) + b mod 2^n, truncated once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
-#include <tuple>
 
 #include "core/benchmark_zoo.h"
 #include "net/party.h"
@@ -22,8 +22,7 @@ namespace deepsecure {
 namespace {
 
 using runtime::client_share_bits;
-using runtime::front_choices;
-using runtime::front_correlations;
+using runtime::product_correlations;
 using runtime::server_share_bits;
 
 struct Shares {
@@ -31,18 +30,6 @@ struct Shares {
 };
 
 using Words = std::vector<uint32_t>;
-
-// What gc/ot.h's arithmetic OT delivers, simulated in place: random
-// pads for the sender, pad + b*delta for the receiver.
-std::pair<Words, Words> simulate_ots(const Words& delta, const BitVec& b,
-                                     Rng& rng) {
-  Words pads(delta.size()), got(delta.size());
-  for (size_t j = 0; j < delta.size(); ++j) {
-    pads[j] = static_cast<uint32_t>(rng.next_u64());
-    got[j] = pads[j] + (b[j] ? delta[j] : 0u);
-  }
-  return {pads, got};
-}
 
 BitVec pack(const std::vector<int64_t>& v, FixedFormat fmt) {
   BitVec bits;
@@ -53,33 +40,39 @@ BitVec pack(const std::vector<int64_t>& v, FixedFormat fmt) {
   return bits;
 }
 
-// x as a stage's chain leaves it, XOR-shared: random client bits g
-// (the permute bits of its zero labels), server bits e = x ^ g. Then
-// B2A with the OTs simulated: returns {x_c, x_s}.
-std::pair<Words, Words> b2a_locally(const std::vector<int64_t>& x,
-                                    FixedFormat fmt, Rng& rng) {
-  const BitVec bits = pack(x, fmt);
-  BitVec g(bits.size()), e(bits.size());
-  for (size_t i = 0; i < bits.size(); ++i) {
-    g[i] = static_cast<uint8_t>(rng.next_u64() & 1u);
-    e[i] = bits[i] ^ g[i];
-  }
-  const auto [pads, got] =
-      simulate_ots(runtime::b2a_correlations(g, fmt), e, rng);
-  return {runtime::b2a_client(g, pads, fmt), runtime::b2a_server(e, got, fmt)};
-}
-
-// A front with the OTs simulated. Layer 0 (`hidden` false): the client
-// holds x, the server nothing. A hidden layer: x arrives XOR-shared and
-// goes through B2A first.
+// A front with its vector OTs simulated in place (what gc/ot.h
+// delivers): random pads for the server, pad + g_k*d for the client on
+// every word of OT (i, k). Layer 0 (`hidden` false): the client's
+// choice bits are x itself, the server's shares empty (zero). A hidden
+// layer: x XOR-shared as a stage's chain leaves it, random client bits
+// g (the permute bits of its zero labels), server bits e = x ^ g.
 Shares share_locally(const synth::FrontPlan& plan,
                      const std::vector<int64_t>& x,
                      const std::vector<int64_t>& w, Rng& rng, bool hidden) {
-  Words xc(x.begin(), x.end()), xs(x.size(), 0);
-  if (hidden) std::tie(xc, xs) = b2a_locally(x, plan.fmt, rng);
-  const auto [pads, got] =
-      simulate_ots(front_correlations(plan, xc), front_choices(plan, w), rng);
-  return {client_share_bits(plan, pads), server_share_bits(plan, got, w, xs)};
+  BitVec g = pack(x, plan.fmt), e;
+  if (hidden) {
+    e = g;
+    for (size_t i = 0; i < g.size(); ++i) {
+      g[i] = static_cast<uint8_t>(rng.next_u64() & 1u);
+      e[i] ^= g[i];
+    }
+  }
+  const Words d = product_correlations(plan, w, e);
+  const Words offset = runtime::ot_offsets(plan);
+  Words pads(d.size()), got(d.size());
+  for (size_t j = 0; j + 1 < offset.size(); ++j)
+    for (uint32_t k = offset[j]; k < offset[j + 1]; ++k) {
+      pads[k] = static_cast<uint32_t>(rng.next_u64());
+      got[k] = pads[k] + (g[j] ? d[k] : 0u);
+    }
+  return {client_share_bits(plan, got), server_share_bits(plan, pads, w, e)};
+}
+
+// One neuron's share: the 28 bits of a party's sum.
+uint32_t neuron_share(const BitVec& bits) {
+  uint32_t v = 0;
+  for (size_t i = 0; i < 28; ++i) v |= uint32_t{bits[i]} << i;
+  return v;
 }
 
 std::vector<int64_t> random_raw(Rng& rng, size_t n, FixedFormat fmt) {
@@ -90,26 +83,36 @@ std::vector<int64_t> random_raw(Rng& rng, size_t n, FixedFormat fmt) {
   return v;
 }
 
-// Every 16-bit x, each split into XOR shares by random label lsbs: the
-// B2A shares add up to x (sign-extended) mod 2^32, so mod 2^(n+f) too.
-TEST(B2a, ExhaustiveSharesAddUpToX) {
+// Every 16-bit x, each split into XOR shares by random label lsbs,
+// times the ring's corners and a random weight: the flipped front's
+// shares add up to x*w (x sign-extended) mod 2^28, with no conversion
+// of the XOR shares first.
+TEST(FrontShares, ExhaustiveXorSharedInputTimesWeight) {
   const FixedFormat fmt = kDefaultFormat;
-  std::vector<int64_t> xs;
-  for (int64_t x = -32768; x < 32768; ++x) xs.push_back(x);
+  const synth::FrontPlan plan = synth::front_plan(
+      synth::Shape3{1, 1, 1}, synth::FcLayer{1, {}, false}, fmt);
+  ASSERT_EQ(plan.ots(), 16u);
+  ASSERT_EQ(plan.correlations(), 16u);
   Rng rng(2);
-  const auto [xc, xsrv] = b2a_locally(xs, fmt, rng);
-  ASSERT_EQ(xc.size(), xs.size());
+  const uint32_t mask = (uint32_t{1} << 28) - 1;
   size_t bad = 0;
-  for (size_t i = 0; i < xs.size(); ++i)
-    if (xc[i] + xsrv[i] != static_cast<uint32_t>(xs[i])) ++bad;
+  for (const int64_t w : {int64_t{1}, int64_t{-1}, int64_t{-32768},
+                          int64_t{32767}, int64_t{12345}}) {
+    for (int64_t x = -32768; x < 32768; ++x) {
+      const Shares s = share_locally(plan, {x}, {w}, rng, /*hidden=*/true);
+      if (((neuron_share(s.client) + neuron_share(s.server)) & mask) !=
+          (static_cast<uint32_t>(x * w) & mask))
+        ++bad;
+    }
+  }
   EXPECT_EQ(bad, 0u);
 }
 
 // Every 16-bit weight against x in {0, +-1, INT16_MIN, INT16_MAX} and a
 // few random x, each with a random bias on fresh random shares, for
-// layer 0 and for a hidden layer (x XOR-shared, then B2A): the neuron's
-// shares add up to x*w + b*2^f mod 2^28, and the share circuit's output
-// is floor(x*w / 2^f) + b mod 2^16.
+// layer 0 and for a hidden layer (x XOR-shared): the neuron's shares
+// add up to x*w + b*2^f mod 2^28, and the share circuit's output is
+// floor(x*w / 2^f) + b mod 2^16.
 void expect_exhaustive_truncation(bool hidden) {
   const FixedFormat fmt = kDefaultFormat;
   const synth::FrontPlan plan = synth::front_plan(
@@ -126,13 +129,7 @@ void expect_exhaustive_truncation(bool hidden) {
     for (int64_t w = -32768; w < 32768; ++w) {
       const int64_t bias = random_raw(rng, 1, fmt)[0];
       const Shares s = share_locally(plan, {x}, {w, bias}, rng, hidden);
-      // One neuron: the 28 bits of each party's sum.
-      const auto share = [](const BitVec& bits) {
-        uint32_t v = 0;
-        for (size_t i = 0; i < 28; ++i) v |= uint32_t{bits[i]} << i;
-        return v;
-      };
-      if (((share(s.client) + share(s.server)) & mask) !=
+      if (((neuron_share(s.client) + neuron_share(s.server)) & mask) !=
           (static_cast<uint32_t>(x * w + bias * 4096) & mask))
         ++bad_sum;
       const int64_t want =
@@ -152,7 +149,7 @@ TEST(FrontShares, ExhaustiveNeuronMatchesTruncatedSum) {
   expect_exhaustive_truncation(/*hidden=*/false);
 }
 
-TEST(FrontShares, HiddenFrontOnB2aSharesMatchesTruncatedSum) {
+TEST(FrontShares, HiddenFrontOnXorSharesMatchesTruncatedSum) {
   expect_exhaustive_truncation(/*hidden=*/true);
 }
 
@@ -186,7 +183,7 @@ std::vector<size_t> stage_layers(const synth::ModelSpec& spec) {
 
 // Every served stage equals its reference layers (Circuit::eval over
 // compile_model_layers): the share circuit on simulated shares (hidden
-// stages through B2A of XOR shares), then the stage's non-linear
+// stages on XOR-shared inputs), then the stage's non-linear
 // layers, against the linear layer and the same layers in the
 // reference chain.
 void expect_stages_match_reference(const synth::ModelSpec& spec,
@@ -249,7 +246,7 @@ TEST(ShareCircuit, MatchesReferenceMaskedFcWithoutBias) {
 // fixed-point arithmetic the reference layer computes (full products
 // summed, truncated once, biased mod 2^16; test_layer_circuits holds
 // the reference circuit to the same arithmetic), the hidden ones on
-// B2A shares.
+// XOR-shared inputs.
 TEST(ShareCircuit, MatchesFixedArithmeticB2ppAndB4pp) {
   for (const char* name : {"b2_pp", "b4_pp"}) {
     const synth::ModelSpec& spec = zoo_compact(name);
@@ -291,7 +288,10 @@ TEST(CompileServed, B3ppStages) {
   ASSERT_EQ(m.stages.size(), 2u);
   const synth::ServedStage& s0 = m.stages[0];
   EXPECT_EQ(s0.front.products.size(), 5082u);
-  EXPECT_EQ(s0.front.ots(), 81312u);
+  EXPECT_EQ(s0.front.inputs, 308u);
+  EXPECT_EQ(s0.front.ots(), 308u * 16);  // one OT per input bit
+  EXPECT_EQ(s0.front.correlations(), 81312u);
+  EXPECT_EQ(runtime::front_bytes(s0.front), 404104u);
   EXPECT_EQ(s0.front.share_bits(), 50u * 28);
   ASSERT_EQ(s0.chain.size(), 2u);  // share circuit, tanh
   const Circuit& c = s0.chain.front();
@@ -300,8 +300,9 @@ TEST(CompileServed, B3ppStages) {
   EXPECT_EQ(c.outputs.size(), 50u * 16);
   const synth::ServedStage& s1 = m.stages[1];
   EXPECT_EQ(s1.front.inputs, 50u);
-  EXPECT_EQ(s1.front.ots(), 6864u);
-  EXPECT_EQ(s1.front.b2a_ots(), 800u);
+  EXPECT_EQ(s1.front.ots(), 800u);
+  EXPECT_EQ(s1.front.correlations(), 6864u);
+  EXPECT_EQ(runtime::front_bytes(s1.front), 40264u);
   ASSERT_EQ(s1.chain.size(), 2u);  // share circuit, argmax
   EXPECT_EQ(s1.chain[0].outputs.size(), 26u * 16);
   EXPECT_EQ(chain_fingerprint({synth::compile_layer(spec, 1)}),
@@ -343,7 +344,7 @@ TEST(CompileServed, AdjacentLinearLayersGiveAShareCircuitStage) {
   expect_stages_match_reference(two, 50);
 }
 
-// Pinned hello fingerprints (v9) of two served models: every stage's
+// Pinned hello fingerprints (v9 and v10) of two served models: every stage's
 // scheduled chain mixed with its front plan. Any change to the share
 // circuit, the non-linear layers, the scheduling pass or a plan's
 // product order moves them, and with them the wire bytes of every
@@ -364,10 +365,11 @@ TEST(CompileServed, RejectsNonLinearFirstLayer) {
   EXPECT_THROW(synth::compile_served(spec), std::invalid_argument);
 }
 
-// The exchanges on real sessions: a layer-0 front, then a hidden front
-// (B2A of XOR shares, then the products), each one round trip of
-// arithmetic OTs on the session's OT setup; the share circuit on the
-// two parties' bits equals the reference layer both times.
+// The exchanges on real sessions: a layer-0 front on the client's data,
+// then a hidden front on XOR shares, each one round trip of vector OTs
+// on the session's reverse extension and exactly front_bytes(plan) on
+// the wire; the share circuit on the two parties' bits equals the
+// reference layer both times.
 TEST(FrontExchange, SessionsShareTheProducts) {
   const synth::ModelSpec spec = mlp_spec();
   const synth::ServedModel served = synth::compile_served(spec);
@@ -388,26 +390,60 @@ TEST(FrontExchange, SessionsShareTheProducts) {
   }
   BitVec c0, s0, c1, s1;
   double front_s = -1;
+  uint64_t bytes0 = 0, bytes1 = 0;
   run_two_party(
       [&](Channel& ch) {
         GarblerSession session(ch, Block{3, 4});
-        c0 = runtime::front_send(session, p0,
-                                 runtime::data_shares(p0, pack(x0, spec.fmt)));
-        c1 = runtime::front_send(session, p1,
-                                 runtime::b2a_send(session, g, spec.fmt));
+        session.send_fixed_labels({}, Block{0, 1});  // the OT setup
+        const auto wire = [&] { return ch.bytes_sent() + ch.bytes_received(); };
+        uint64_t b = wire();
+        c0 = runtime::front_send(session, p0, pack(x0, spec.fmt));
+        bytes0 = wire() - b;
+        b = wire();
+        c1 = runtime::front_send(session, p1, g);
+        bytes1 = wire() - b;
         front_s = session.trace().front_s;
       },
       [&](Channel& ch) {
         EvaluatorSession session(ch);
-        s0 = runtime::front_recv(session, p0, w0, Words(p0.inputs, 0));
-        s1 = runtime::front_recv(session, p1, w1,
-                                 runtime::b2a_recv(session, e, spec.fmt));
+        session.recv_fixed_labels({});
+        s0 = runtime::front_recv(session, p0, w0, {});
+        s1 = runtime::front_recv(session, p1, w1, e);
       });
   EXPECT_EQ(served.stages[0].chain[0].eval(c0, s0),
             ref[0].eval(pack(x0, spec.fmt), pack(w0, spec.fmt)));
   EXPECT_EQ(served.stages[1].chain[0].eval(c1, s1),
             ref[2].eval(x1_bits, pack(w1, spec.fmt)));
   EXPECT_GT(front_s, 0.0);
+  EXPECT_EQ(bytes0, runtime::front_bytes(p0));
+  EXPECT_EQ(bytes1, runtime::front_bytes(p1));
+  EXPECT_EQ(bytes0, 8 + 128 * 16 + 4 * 48 * 16u);  // 128 OTs, 48 products
+  EXPECT_EQ(bytes1, 8 + 128 * 12 + 4 * 18 * 16u);  // 96 OTs, 18 products
+}
+
+// The per-input product index of a conv front (b1_pp) and of an FC
+// front with pruned products (b3_pp): every product listed once, under
+// its own input, in plan order.
+TEST(FrontPlan, PerInputIndexListsEveryProductOnce) {
+  for (const char* name : {"b1_pp", "b3_pp"}) {
+    const synth::ServedModel served = synth::compile_served(zoo_compact(name));
+    const synth::FrontPlan& plan = served.stages[0].front;
+    ASSERT_EQ(plan.use_first.size(), plan.inputs + 1) << name;
+    ASSERT_EQ(plan.use_first.back(), plan.products.size()) << name;
+    std::vector<uint8_t> seen(plan.products.size(), 0);
+    for (size_t i = 0; i < plan.inputs; ++i)
+      for (size_t u = plan.use_first[i]; u < plan.use_first[i + 1]; ++u) {
+        const uint32_t p = plan.uses[u];
+        EXPECT_EQ(plan.products[p].input, i) << name;
+        if (u > plan.use_first[i]) {
+          EXPECT_LT(plan.uses[u - 1], p) << name;
+        }
+        ++seen[p];
+      }
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+              static_cast<ptrdiff_t>(plan.products.size()))
+        << name;
+  }
 }
 
 // A pooled artifact opens only its last stage: a push whose non-final

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "gc/ot.h"
 #include "gc/protocol.h"
 #include "net/party.h"
@@ -151,36 +153,68 @@ TEST(OtExtension, UnreadyThrows) {
   auto pair = make_channel_pair();
   OtExtSender sender(*pair.a);
   EXPECT_THROW(sender.send_correlated(1, Block{0, 1}), std::logic_error);
-  EXPECT_THROW(sender.send_arith({1}), std::logic_error);
+  EXPECT_THROW(sender.send_vector({0, 1}, {1}), std::logic_error);
   OtExtReceiver receiver(*pair.b);
   EXPECT_THROW(receiver.recv_correlated({1}), std::logic_error);
-  EXPECT_THROW(receiver.recv_arith({1}), std::logic_error);
+  EXPECT_THROW(receiver.recv_vector({1}, {0, 1}), std::logic_error);
 }
 
 // ---------------------------------------------------------------------
-// Arithmetic OT (Gilboa's OT multiplication): the receiver learns
-// pad + b*delta mod 2^32. Several batches on one setup, interleaved with
+// Vector arithmetic OT (Gilboa's OT multiplication, one vector of
+// correlations per OT): the receiver learns pad + b_j*delta mod 2^32 on
+// every word of OT j. Several batches on one setup, interleaved with
 // label batches, so both kinds share the column PRGs and tweak counter.
 
-TEST(OtArith, PadPlusChoiceTimesDeltaInterleavedWithLabels) {
+// Offsets of OTs with the given word counts.
+std::vector<uint32_t> offsets_of(const std::vector<uint32_t>& widths) {
+  std::vector<uint32_t> offset = {0};
+  for (const uint32_t w : widths) offset.push_back(offset.back() + w);
+  return offset;
+}
+
+struct VectorBatch {
+  std::vector<uint32_t> offset, delta;
+  BitVec choices;
+};
+
+// m OTs of 0 to 9 words each (empty OTs, one hash and a partial one).
+VectorBatch random_batch(size_t m, Rng& rng) {
+  std::vector<uint32_t> widths(m);
+  for (uint32_t& w : widths) w = static_cast<uint32_t>(rng.next_below(10));
+  VectorBatch b;
+  b.offset = offsets_of(widths);
+  b.delta.resize(b.offset.back());
+  for (uint32_t& d : b.delta) d = static_cast<uint32_t>(rng.next_u64());
+  b.choices.resize(m);
+  for (auto& c : b.choices) c = rng.next_bool() ? 1 : 0;
+  return b;
+}
+
+void expect_pad_plus_choice(const VectorBatch& b,
+                            const std::vector<uint32_t>& pads,
+                            const std::vector<uint32_t>& got,
+                            const std::string& what) {
+  ASSERT_EQ(pads.size(), b.delta.size()) << what;
+  ASSERT_EQ(got.size(), b.delta.size()) << what;
+  for (size_t j = 0; j + 1 < b.offset.size(); ++j)
+    for (uint32_t w = b.offset[j]; w < b.offset[j + 1]; ++w)
+      EXPECT_EQ(got[w], pads[w] + (b.choices[j] ? b.delta[w] : 0u))
+          << what << " j=" << j << " word " << w;
+}
+
+TEST(OtVector, PadPlusChoiceTimesDeltaInterleavedWithLabels) {
   Rng rng(7);
   Block label_delta{rng.next_u64(), rng.next_u64()};
   label_delta.lo |= 1;
-  const std::vector<size_t> sizes = {1, 16, 1000, 129, 4096};
-  std::vector<std::vector<uint32_t>> deltas;
-  std::vector<BitVec> choices;
-  for (const size_t m : sizes) {
-    deltas.emplace_back(m);
-    choices.emplace_back(m);
-    for (size_t j = 0; j < m; ++j) {
-      deltas.back()[j] = static_cast<uint32_t>(rng.next_u64());
-      choices.back()[j] = rng.next_bool() ? 1 : 0;
-    }
-  }
-  // Edge correlations: 0, 1, and the top of the ring.
-  deltas[1][0] = 0;
-  deltas[1][1] = 1;
-  deltas[1][2] = ~uint32_t{0};
+  std::vector<VectorBatch> batches;
+  for (const size_t m : {1, 16, 1000, 129, 4096})
+    batches.push_back(random_batch(m, rng));
+  // Edge correlations: 0, 1, and the top of the ring, on one OT of 3.
+  batches[1].offset = offsets_of(std::vector<uint32_t>(16, 3));
+  batches[1].delta.assign(48, 5);
+  batches[1].delta[0] = 0;
+  batches[1].delta[1] = 1;
+  batches[1].delta[2] = ~uint32_t{0};
 
   std::vector<std::vector<uint32_t>> pads, got;
   std::vector<Block> zeros, labels;
@@ -190,8 +224,9 @@ TEST(OtArith, PadPlusChoiceTimesDeltaInterleavedWithLabels) {
         Prg prg(Block{77, 0});
         OtExtSender sender(ch);
         sender.setup(prg);
-        for (size_t b = 0; b < sizes.size(); ++b) {
-          pads.push_back(sender.send_arith(deltas[b]));
+        for (size_t b = 0; b < batches.size(); ++b) {
+          pads.push_back(
+              sender.send_vector(batches[b].offset, batches[b].delta));
           if (b == 2) zeros = sender.send_correlated(5, label_delta);
         }
       },
@@ -199,33 +234,33 @@ TEST(OtArith, PadPlusChoiceTimesDeltaInterleavedWithLabels) {
         Prg prg(Block{88, 0});
         OtExtReceiver receiver(ch);
         receiver.setup(prg);
-        for (size_t b = 0; b < sizes.size(); ++b) {
-          got.push_back(receiver.recv_arith(choices[b]));
+        for (size_t b = 0; b < batches.size(); ++b) {
+          got.push_back(
+              receiver.recv_vector(batches[b].choices, batches[b].offset));
           if (b == 2) labels = receiver.recv_correlated(label_choices);
         }
       });
 
-  ASSERT_EQ(got.size(), sizes.size());
-  for (size_t b = 0; b < sizes.size(); ++b) {
-    ASSERT_EQ(pads[b].size(), sizes[b]);
-    ASSERT_EQ(got[b].size(), sizes[b]);
-    for (size_t j = 0; j < sizes[b]; ++j)
-      EXPECT_EQ(got[b][j],
-                pads[b][j] + (choices[b][j] ? deltas[b][j] : 0u))
-          << "batch " << b << " j=" << j;
-  }
+  ASSERT_EQ(got.size(), batches.size());
+  for (size_t b = 0; b < batches.size(); ++b)
+    expect_pad_plus_choice(batches[b], pads[b], got[b],
+                           "batch " + std::to_string(b));
   for (size_t j = 0; j < label_choices.size(); ++j)
     EXPECT_EQ(labels[j], label_choices[j] ? zeros[j] ^ label_delta : zeros[j]);
-  // Fresh pads per OT and per batch.
-  EXPECT_NE(pads[2][0], pads[2][1]);
-  EXPECT_NE(pads[2][0], pads[3][0]);
+  // Fresh pads per word, per OT and per batch.
+  EXPECT_NE(pads[1][0], pads[1][1]);
+  EXPECT_NE(pads[1][0], pads[1][3]);
+  EXPECT_NE(pads[1][0], pads[3][0]);
 }
 
-// Exact wire cost of one arithmetic batch: the receiver's batch size and
-// packed columns as for labels, then 4 B per OT from the sender. The
-// receiver counts the batch in gc.ot.transfers / gc.ot.bytes.
-TEST(OtArith, ExactWireBytesPerBatch) {
-  for (const size_t m : {size_t{1}, size_t{16}, size_t{129}, size_t{81312}}) {
+// Exact wire cost of one vector batch: the receiver's batch size and
+// packed columns as for labels, then 4 B per word from the sender. The
+// receiver counts the batch once in gc.ot.transfers / gc.ot.bytes.
+TEST(OtVector, ExactWireBytesPerBatch) {
+  Rng rng(8);
+  for (const size_t m : {size_t{1}, size_t{16}, size_t{129}, size_t{4928}}) {
+    const VectorBatch batch = random_batch(m, rng);
+    const uint64_t words = batch.delta.size();
     uint64_t sender_bytes = 0, receiver_bytes = 0, transfers = 0, bytes = 0;
     run_two_party(
         [&](Channel& ch) {
@@ -233,7 +268,7 @@ TEST(OtArith, ExactWireBytesPerBatch) {
           OtExtSender sender(ch);
           sender.setup(prg);
           const uint64_t b0 = ch.bytes_sent();
-          sender.send_arith(std::vector<uint32_t>(m, 3));
+          sender.send_vector(batch.offset, batch.delta);
           sender_bytes = ch.bytes_sent() - b0;
         },
         [&](Channel& ch) {
@@ -243,16 +278,88 @@ TEST(OtArith, ExactWireBytesPerBatch) {
           const uint64_t b0 = ch.bytes_sent();
           const uint64_t t0 = otstat::transfers().value();
           const uint64_t c0 = otstat::bytes().value();
-          receiver.recv_arith(BitVec(m, 1));
+          receiver.recv_vector(batch.choices, batch.offset);
           receiver_bytes = ch.bytes_sent() - b0;
           transfers = otstat::transfers().value() - t0;
           bytes = otstat::bytes().value() - c0;
         });
     EXPECT_EQ(receiver_bytes, 8 + kOtExtKappa * ((m + 7) / 8)) << "m=" << m;
-    EXPECT_EQ(sender_bytes, 4 * m) << "m=" << m;
+    EXPECT_EQ(sender_bytes, 4 * words) << "m=" << m;
     EXPECT_EQ(transfers, m);
     EXPECT_EQ(bytes, receiver_bytes + sender_bytes);
+    EXPECT_EQ(bytes, vector_ot_bytes(m, words));
   }
+}
+
+// A receiver whose batch has another OT count than the sender's is
+// refused by the batch-size guard, before the sender reads a column.
+TEST(OtVector, BatchSizeMismatchRejected) {
+  std::string sender_error;
+  EXPECT_THROW(
+      run_two_party(
+          [&](Channel& ch) {
+            Prg prg(Block{1, 1});
+            OtExtSender sender(ch);
+            sender.setup(prg);
+            try {
+              sender.send_vector({0, 1, 2}, {7, 7});
+            } catch (const std::runtime_error& e) {
+              sender_error = e.what();
+              throw;
+            }
+          },
+          [&](Channel& ch) {
+            Prg prg(Block{2, 2});
+            OtExtReceiver receiver(ch);
+            receiver.setup(prg);
+            receiver.recv_vector(BitVec(3, 1), {0, 1, 2, 3});
+          }),
+      std::exception);
+  EXPECT_NE(sender_error.find("batch size mismatch"), std::string::npos)
+      << sender_error;
+}
+
+// The reverse extension (the forward receiver sends): set up from 128
+// forward correlated OTs with no base OT, 4,104 bytes, then correct
+// labels and vector OTs the other way. Its seeds are not the forward
+// extension's: the two extensions' pads differ for the same batch.
+TEST(OtReverse, SetupFromForwardCorrelatedOts) {
+  Rng rng(9);
+  const VectorBatch batch = random_batch(300, rng);
+  Block delta{rng.next_u64(), rng.next_u64()};
+  delta.lo |= 1;
+  const BitVec label_choices = {0, 1, 1};
+  std::vector<uint32_t> pads, got, forward_pads;
+  std::vector<Block> zeros, labels;
+  uint64_t setup_bytes = 0;
+  run_two_party(
+      [&](Channel& ch) {  // forward sender = reverse receiver
+        Prg prg(Block{10, 0});
+        OtExtSender forward(ch);
+        forward.setup(prg);
+        OtExtReceiver reverse(ch);
+        const uint64_t b0 = ch.bytes_sent() + ch.bytes_received();
+        reverse.setup_reverse(forward, prg);
+        setup_bytes = ch.bytes_sent() + ch.bytes_received() - b0;
+        got = reverse.recv_vector(batch.choices, batch.offset);
+        labels = reverse.recv_correlated(label_choices);
+        forward_pads = forward.send_vector(batch.offset, batch.delta);
+      },
+      [&](Channel& ch) {  // forward receiver = reverse sender
+        Prg prg(Block{20, 0});
+        OtExtReceiver forward(ch);
+        forward.setup(prg);
+        OtExtSender reverse(ch);
+        reverse.setup_reverse(forward, prg);
+        pads = reverse.send_vector(batch.offset, batch.delta);
+        zeros = reverse.send_correlated(label_choices.size(), delta);
+        forward.recv_vector(batch.choices, batch.offset);
+      });
+  EXPECT_EQ(setup_bytes, 8 + kOtExtKappa * 16 + kOtExtKappa * 16);
+  expect_pad_plus_choice(batch, pads, got, "reverse");
+  for (size_t j = 0; j < label_choices.size(); ++j)
+    EXPECT_EQ(labels[j], label_choices[j] ? zeros[j] ^ delta : zeros[j]);
+  EXPECT_NE(pads, forward_pads);
 }
 
 // ---------------------------------------------------------------------

@@ -501,53 +501,53 @@ TEST(ServerResilience, ClientRecoversAcrossServerRestartWithFreshMaterial) {
 }
 
 // ---------------------------------------------------------------------
-// Faults inside the fronts (runtime/front.h): the arithmetic-OT round
-// trips every served stage opens with.
+// Faults inside the fronts (runtime/front.h): the vector-OT round trips
+// every served stage opens with, the client's batch first.
 // ---------------------------------------------------------------------
 
-// A peer that stops halfway through its front reply and hangs up its
-// sending side gets a coded kError naming the failure, not a silent
-// drop; the server keeps serving.
-TEST(ServerResilience, TruncatedFrontReplyEndsInCodedError) {
-  const synth::ModelSpec spec = small_spec();
-  Rng rng(79);
-  const BitVec weights = random_weights(spec, rng);
-  runtime::InferenceServer server(spec, weights);
-  server.start();
-  const synth::ServedModel served = synth::compile_served(spec);
-  const size_t m = served.stages[0].front.ots();
+// Reads one frame header and payload off `raw` and expects a coded
+// kMalformed kError; returns its reason.
+std::string expect_malformed_error(TcpChannel& raw) {
+  uint8_t type = 0;
+  uint32_t len = 0;
+  raw.recv_bytes(&type, 1);
+  raw.recv_bytes(&len, 4);
+  EXPECT_EQ(type, static_cast<uint8_t>(runtime::FrameType::kError));
+  if (type != static_cast<uint8_t>(runtime::FrameType::kError) || len < 2)
+    return {};
+  std::vector<uint8_t> payload(len);
+  raw.recv_bytes(payload.data(), len);
+  EXPECT_EQ(payload[0], static_cast<uint8_t>(runtime::ErrorCode::kMalformed));
+  return std::string(payload.begin() + 1, payload.end());
+}
 
-  {
-    TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
-    raw.set_recv_timeout_ms(5000);
-    runtime::Hello hello;
-    hello.fingerprint = runtime::served_fingerprint(served);
-    runtime::send_hello(raw, hello);
-    ASSERT_EQ(runtime::recv_frame(raw).type, runtime::FrameType::kHelloAck);
-    runtime::send_frame(raw, runtime::FrameType::kInfer);
-    // The session's base OTs (an empty label batch runs only the
-    // setup), then the server's front: batch size and u columns.
-    GarblerSession session(raw, Block{79, 1});
-    session.send_fixed_labels({}, Block{0, 1});
-    ASSERT_EQ(raw.recv_u64(), m);
-    std::vector<uint8_t> columns(kOtExtKappa * ((m + 7) / 8));
-    raw.recv_bytes(columns.data(), columns.size());
-    // Half of the 4 B-per-OT reply, then EOF on the server's read.
-    const std::vector<uint8_t> half(2 * m, 0x5a);
-    raw.send_bytes(half.data(), half.size());
-    ASSERT_EQ(::shutdown(raw.fd(), SHUT_WR), 0);
-    uint8_t type = 0;
-    uint32_t len = 0;
-    raw.recv_bytes(&type, 1);
-    raw.recv_bytes(&len, 4);
-    ASSERT_EQ(type, static_cast<uint8_t>(runtime::FrameType::kError));
-    ASSERT_GT(len, 1u);
-    std::vector<uint8_t> payload(len);
-    raw.recv_bytes(payload.data(), len);
-    EXPECT_EQ(payload[0], static_cast<uint8_t>(runtime::ErrorCode::kMalformed));
-  }
+// A raw peer's hello and on-demand kInfer frame.
+TcpChannel raw_infer(const runtime::InferenceServer& server,
+                     const synth::ServedModel& served) {
+  TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
+  raw.set_recv_timeout_ms(5000);
+  runtime::Hello hello;
+  hello.fingerprint = runtime::served_fingerprint(served);
+  runtime::send_hello(raw, hello);
+  EXPECT_EQ(runtime::recv_frame(raw).type, runtime::FrameType::kHelloAck);
+  runtime::send_frame(raw, runtime::FrameType::kInfer);
+  return raw;
+}
 
-  const BitVec data = random_sample(rng);
+// Sends the first half of a front batch of m OTs (the batch size and
+// half of the packed u columns), then hangs up the sending side.
+void send_half_front_batch(TcpChannel& raw, size_t m) {
+  raw.send_u64(m);
+  const std::vector<uint8_t> half(kOtExtKappa * ((m + 7) / 8) / 2, 0x5a);
+  raw.send_bytes(half.data(), half.size());
+  ASSERT_EQ(::shutdown(raw.fd(), SHUT_WR), 0);
+}
+
+// After a raw peer's fault: a real client still gets the right answer,
+// and the server counts only that inference.
+void expect_server_keeps_serving(runtime::InferenceServer& server,
+                                 const synth::ModelSpec& spec,
+                                 const BitVec& weights, const BitVec& data) {
   runtime::InferenceClient client("127.0.0.1", server.port(), spec);
   EXPECT_EQ(from_bits(client.infer_bits(data)),
             plaintext_label(spec, weights, data));
@@ -556,9 +556,31 @@ TEST(ServerResilience, TruncatedFrontReplyEndsInCodedError) {
   EXPECT_EQ(server.inferences_served(), 1u);
 }
 
+// A peer that stops halfway through its layer-0 front batch and hangs
+// up its sending side gets a coded kError naming the failure, not a
+// silent drop; the server keeps serving.
+TEST(ServerResilience, TruncatedFrontReplyEndsInCodedError) {
+  const synth::ModelSpec spec = small_spec();
+  Rng rng(79);
+  const BitVec weights = random_weights(spec, rng);
+  runtime::InferenceServer server(spec, weights);
+  server.start();
+  const synth::ServedModel served = synth::compile_served(spec);
+  {
+    TcpChannel raw = raw_infer(server, served);
+    // The session's OT setup (an empty label batch runs only that),
+    // then half of the front's batch.
+    GarblerSession session(raw, Block{79, 1});
+    session.send_fixed_labels({}, Block{0, 1});
+    send_half_front_batch(raw, served.stages[0].front.ots());
+    EXPECT_FALSE(expect_malformed_error(raw).empty());
+  }
+  expect_server_keeps_serving(server, spec, weights, random_sample(rng));
+}
+
 // The same for a hidden front: the peer runs stage 0 in full (layer-0
 // front and its garbled segment, which ends in XOR shares), then stops
-// halfway through its reply to the next stage's B2A and hangs up its
+// halfway through its batch for the next stage's front and hangs up its
 // sending side. The server answers with a coded kError and keeps
 // serving.
 TEST(ServerResilience, TruncatedHiddenFrontReplyEndsInCodedError) {
@@ -569,49 +591,44 @@ TEST(ServerResilience, TruncatedHiddenFrontReplyEndsInCodedError) {
   server.start();
   synth::ServedModel served = synth::compile_served(spec);
   ASSERT_EQ(served.stages.size(), 2u);
-  const synth::FrontPlan& p0 = served.stages[0].front;
-  const size_t m = served.stages[1].front.b2a_ots();
   const BitVec data = random_sample(rng);
-
   {
-    TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
-    raw.set_recv_timeout_ms(5000);
-    runtime::Hello hello;
-    hello.fingerprint = runtime::served_fingerprint(served);
-    runtime::send_hello(raw, hello);
-    ASSERT_EQ(runtime::recv_frame(raw).type, runtime::FrameType::kHelloAck);
-    runtime::send_frame(raw, runtime::FrameType::kInfer);
+    TcpChannel raw = raw_infer(server, served);
     GcOptions opt;
     opt.framed_tables = true;
     GarblerSession session(raw, Block{97, 1}, opt);
     const BitVec share =
-        runtime::front_send(session, p0, runtime::data_shares(p0, data));
+        runtime::front_send(session, served.stages[0].front, data);
     (void)session.run_stage(walk_chain(std::move(served.stages[0].chain)),
                             share);
-    // The server's B2A batch: size and u columns.
-    ASSERT_EQ(raw.recv_u64(), m);
-    std::vector<uint8_t> columns(kOtExtKappa * ((m + 7) / 8));
-    raw.recv_bytes(columns.data(), columns.size());
-    const std::vector<uint8_t> half(2 * m, 0x5a);
-    raw.send_bytes(half.data(), half.size());
-    ASSERT_EQ(::shutdown(raw.fd(), SHUT_WR), 0);
-    uint8_t type = 0;
-    uint32_t len = 0;
-    raw.recv_bytes(&type, 1);
-    raw.recv_bytes(&len, 4);
-    ASSERT_EQ(type, static_cast<uint8_t>(runtime::FrameType::kError));
-    ASSERT_GT(len, 1u);
-    std::vector<uint8_t> payload(len);
-    raw.recv_bytes(payload.data(), len);
-    EXPECT_EQ(payload[0], static_cast<uint8_t>(runtime::ErrorCode::kMalformed));
+    send_half_front_batch(raw, served.stages[1].front.ots());
+    EXPECT_FALSE(expect_malformed_error(raw).empty());
   }
+  expect_server_keeps_serving(server, spec, weights, data);
+}
 
-  runtime::InferenceClient client("127.0.0.1", server.port(), spec);
-  EXPECT_EQ(from_bits(client.infer_bits(data)),
-            plaintext_label(spec, weights, data));
-  client.close();
-  server.stop();
-  EXPECT_EQ(server.inferences_served(), 1u);
+// A front batch whose OT count is not the layer's inputs x n is refused
+// as soon as the count arrives: the server sizes nothing from it (a
+// count of 2^40 would otherwise ask for 2^44 column bytes) and answers
+// with a coded kError naming the mismatch; it keeps serving.
+TEST(ServerResilience, FrontBatchOfWrongSizeEndsInCodedError) {
+  const synth::ModelSpec spec = small_spec();
+  Rng rng(103);
+  const BitVec weights = random_weights(spec, rng);
+  runtime::InferenceServer server(spec, weights);
+  server.start();
+  const synth::ServedModel served = synth::compile_served(spec);
+  const size_t m = served.stages[0].front.ots();
+  for (const uint64_t count : {uint64_t{m + 8}, uint64_t{1} << 40}) {
+    TcpChannel raw = raw_infer(server, served);
+    GarblerSession session(raw, Block{103, count});
+    session.send_fixed_labels({}, Block{0, 1});
+    raw.send_u64(count);
+    const std::string reason = expect_malformed_error(raw);
+    EXPECT_NE(reason.find("batch size mismatch"), std::string::npos)
+        << "count " << count << ": " << reason;
+  }
+  expect_server_keeps_serving(server, spec, weights, random_sample(rng));
 }
 
 // Loopback relay between a client and the server. Connection 0 is cut
@@ -700,6 +717,29 @@ class FrontCutRelay {
   std::thread accept_;
 };
 
+// Client -> server bytes of a fresh session's OT setup: the base OTs
+// and the reverse extension's bootstrap batch.
+uint64_t setup_client_bytes() {
+  uint64_t sent = 0;
+  run_two_party(
+      [&](Channel& ch) {
+        GarblerSession session(ch, Block{1, 2});
+        session.send_fixed_labels({}, Block{0, 1});
+        sent = ch.bytes_sent();
+      },
+      [&](Channel& ch) {
+        EvaluatorSession session(ch);
+        session.recv_fixed_labels({});
+      });
+  return sent;
+}
+
+// Client -> server bytes of a front batch's size and the first half of
+// its u columns.
+uint64_t half_front_batch(const synth::FrontPlan& plan) {
+  return 8 + kOtExtKappa * ((plan.ots() + 7) / 8) / 2;
+}
+
 // The connection dies in the middle of the front: both parties see it,
 // the client rebuilds its session (reconnect, handshake, fresh OT
 // setup) and the retried inference answers correctly.
@@ -709,8 +749,10 @@ TEST(ServerResilience, ClientRecoversFromConnectionLossMidFront) {
   const BitVec weights = random_weights(spec, rng);
   runtime::InferenceServer server(spec, weights);
   server.start();
-  const size_t m = synth::compile_served(spec).stages[0].front.ots();
-  FrontCutRelay relay(server.port(), /*cut_after=*/2 * m);  // half of 4m B
+  const synth::ServedModel served = synth::compile_served(spec);
+  FrontCutRelay relay(server.port(),
+                      setup_client_bytes() +
+                          half_front_batch(served.stages[0].front));
 
   runtime::ClientConfig ccfg;
   ccfg.seed = Block{8383, 5};
@@ -729,7 +771,7 @@ TEST(ServerResilience, ClientRecoversFromConnectionLossMidFront) {
 }
 
 // Client -> server bytes of an on-demand inference's stage 0 on a fresh
-// session: the base OTs, the layer-0 front's reply, and the stage's
+// session: the OT setup, the layer-0 front's batch, and the stage's
 // garbling (label OT replies, share-bit labels, framed tables).
 uint64_t stage0_client_bytes(const synth::ModelSpec& spec,
                              const BitVec& weights, const BitVec& data) {
@@ -742,36 +784,35 @@ uint64_t stage0_client_bytes(const synth::ModelSpec& spec,
   run_two_party(
       [&](Channel& ch) {
         GarblerSession session(ch, Block{1, 2}, opt);
-        const std::vector<uint32_t> x = runtime::data_shares(stage.front, data);
-        (void)session.run_stage(chain,
-                                runtime::front_send(session, stage.front, x));
+        (void)session.run_stage(
+            chain, runtime::front_send(session, stage.front, data));
         sent = ch.bytes_sent();
       },
       [&](Channel& ch) {
         EvaluatorSession session(ch, opt);
         const std::vector<int64_t> w = runtime::decode_fixed(
             weights, stage.front.weights, spec.fmt);
-        const std::vector<uint32_t> x(stage.front.inputs, 0);
         (void)session.run_stage(
-            chain, runtime::front_recv(session, stage.front, w, x));
+            chain, runtime::front_recv(session, stage.front, w, {}));
       });
   return sent;
 }
 
 // The connection dies between stages, halfway through the client's
-// reply to stage 1's B2A: stage 0 ran in full and its outputs sit in
-// XOR shares on both sides. The client rebuilds its session and the
+// batch for stage 1's front: stage 0 ran in full and its outputs sit
+// in XOR shares on both sides. The client rebuilds its session and the
 // retried inference answers correctly.
-TEST(ServerResilience, ClientRecoversFromConnectionLossMidB2a) {
+TEST(ServerResilience, ClientRecoversFromConnectionLossMidHiddenFront) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(101);
   const BitVec weights = random_weights(spec, rng);
   const BitVec data = random_sample(rng);
   runtime::InferenceServer server(spec, weights);
   server.start();
-  const size_t m = synth::compile_served(spec).stages[1].front.b2a_ots();
-  FrontCutRelay relay(server.port(), stage0_client_bytes(spec, weights, data) +
-                                         2 * m);  // half of 4m B
+  const synth::ServedModel served = synth::compile_served(spec);
+  FrontCutRelay relay(server.port(),
+                      stage0_client_bytes(spec, weights, data) +
+                          half_front_batch(served.stages[1].front));
 
   runtime::ClientConfig ccfg;
   ccfg.seed = Block{10101, 5};

@@ -596,7 +596,7 @@ TEST(RuntimeFrame, RoundTripAndErrorPropagation) {
   runtime::send_hello(*pair.a, h);
   const runtime::Hello back = runtime::parse_hello(runtime::recv_frame(*pair.b));
   EXPECT_EQ(back.magic, runtime::kProtocolMagic);
-  EXPECT_EQ(back.version, 9u);  // v9: every linear layer by OT multiplication
+  EXPECT_EQ(back.version, 10u);  // v10: the flipped front, no B2A
   EXPECT_EQ(back.fingerprint, h.fingerprint);
   EXPECT_TRUE(back.flags.framed_tables);
 

@@ -174,19 +174,23 @@ uint64_t ondemand_bytes_per_inference(const Model& m) {
   return session_bytes(2) - one;
 }
 
-// b3_pp, per inference: the two fronts' arithmetic OTs (81,312 and
-// 6,864 products' OTs, 800 B2A OTs; 20 B each + headers), the label
-// OTs of 1,400 + 728 share bits (28 per neuron; 32 B each + headers),
-// the client's share-bit labels, the two share circuits' (27 ANDs per
-// neuron), tanh's and argmax's tables, and the frames. Per-product
-// carries in the share circuit (11.89 MB), a garbled hidden FC
-// (15.45 MB) or layer 0 (58 MB) fail here.
+// b3_pp, per inference: the two fronts' vector OTs (4,928 and 800
+// input-bit OTs at 16 B + 8 B per batch, 81,312 and 6,864 correlations
+// at 4 B: 404,104 + 40,264 B), the label OTs of 1,400 + 728 share bits
+// (28 per neuron; 32 B each + headers), the client's share-bit labels,
+// the two share circuits' (27 ANDs per neuron), tanh's and argmax's
+// tables, and the frames. The server as the weight-bit OT receiver
+// with B2A before the hidden front (6.55 MB), per-product carries in
+// the share circuit (11.89 MB), a garbled hidden FC (15.45 MB) or
+// layer 0 (58 MB) fail here.
 TEST(ServedBytes, B3ppOnDemandInferencePinned) {
-  EXPECT_EQ(ondemand_bytes_per_inference(b3pp_model()), 6551718u);
+  EXPECT_EQ(ondemand_bytes_per_inference(b3pp_model()), 5216542u);
 }
 
+// mlp: fronts of 128 and 96 OTs carrying 768 and 288 correlations
+// (5,128 + 2,696 B).
 TEST(ServedBytes, MlpOnDemandInferencePinned) {
-  EXPECT_EQ(ondemand_bytes_per_inference(mlp_model()), 48022u);
+  EXPECT_EQ(ondemand_bytes_per_inference(mlp_model()), 32782u);
 }
 
 }  // namespace

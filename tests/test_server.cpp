@@ -18,6 +18,7 @@
 #include "nn/network.h"
 #include "runtime/client.h"
 #include "runtime/frame.h"
+#include "runtime/front.h"
 #include "runtime/server.h"
 #include "support/rng.h"
 #include "test_util.h"
@@ -127,7 +128,7 @@ TEST(InferenceServerTest, StatsJsonExplainsServedSession) {
         "\"session_wall_s\"", "\"metrics\"",
         "\"server.sessions_accepted\"", "\"phase.handshake\"",
         "\"phase.session_wall\"", "\"subphase.eval\"", "\"hash_backend\"",
-        "\"cpu_features\"", "\"buckets\":["})
+        "\"cpu_features\"", "\"front\"", "\"buckets\":["})
     EXPECT_NE(js.find(key), std::string::npos) << key << " missing:\n" << js;
 
   // After stop() every teardown has observed session_wall, so the
@@ -380,9 +381,11 @@ TEST(InferenceServerTest, EvaluatorThreadsServeCorrectInferences) {
 
 // The "ot" block accounts for the OTs of an on-demand inference: one
 // label OT per evaluator input of the served chains (share bits only),
-// one arithmetic OT per weight bit of every product and per input bit
-// of every hidden front's B2A, and exactly the batches' wire bytes. The
-// "front" block sizes the arithmetic part, summed over the stages.
+// one vector OT per input bit of every front, and exactly the batches'
+// wire bytes; the session's 128 bootstrap OTs (the reverse extension's
+// seeds, gc/ot.h) count once. The "front" block sizes the fronts,
+// summed over the stages, with the byte formula the server uses
+// (runtime::front_bytes).
 TEST(InferenceServerTest, StatsJsonCountsLabelAndFrontOts) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(29);
@@ -403,34 +406,38 @@ TEST(InferenceServerTest, StatsJsonCountsLabelAndFrontOts) {
 
   const synth::ServedModel served = synth::compile_served(spec);
   ASSERT_EQ(served.stages.size(), 2u);
-  long long transfers = 0, bytes = 0, share_bits = 0;
+  const auto label_bytes = [](long long n) {
+    return n > 0 ? 8 + 128 * ((n + 7) / 8) + 16 * n : 0;
+  };
+  long long transfers = 128, bytes = label_bytes(128), share_bits = 0;
   for (const synth::ServedStage& stage : served.stages) {
     for (const Circuit& c : stage.chain) {
       const auto n = static_cast<long long>(c.evaluator_inputs.size());
-      if (n > 0) bytes += 8 + 128 * ((n + 7) / 8) + 16 * n;
+      bytes += label_bytes(n);
       transfers += n;
     }
     share_bits += static_cast<long long>(stage.front.share_bits());
   }
-  const auto arith = [](long long m) {
-    return 8 + 128 * ((m + 7) / 8) + 4 * m;
-  };
-  const auto m0 = static_cast<long long>(served.stages[0].front.ots());
-  const auto m1 = static_cast<long long>(served.stages[1].front.ots());
-  const auto b2a = static_cast<long long>(served.stages[1].front.b2a_ots());
-  ASSERT_EQ(m0, 4 * 5 * 16);  // 20 products, 16 weight bits each
-  ASSERT_EQ(m1, 3 * 4 * 16);  // 12 products
-  ASSERT_EQ(b2a, 4 * 16);     // 4 hidden inputs, 16 bits each
-  const long long front_bytes = arith(m0) + arith(m1) + arith(b2a);
+  const synth::FrontPlan& p0 = served.stages[0].front;
+  const synth::FrontPlan& p1 = served.stages[1].front;
+  const auto m0 = static_cast<long long>(p0.ots());
+  const auto m1 = static_cast<long long>(p1.ots());
+  ASSERT_EQ(m0, 5 * 16);  // 5 inputs, 16 bits each
+  ASSERT_EQ(m1, 4 * 16);  // 4 hidden inputs
+  ASSERT_EQ(p0.correlations(), 20u * 16);  // 20 products
+  ASSERT_EQ(p1.correlations(), 12u * 16);  // 12 products
+  const auto front_bytes = static_cast<long long>(
+      runtime::front_bytes(p0) + runtime::front_bytes(p1));
+  EXPECT_EQ(front_bytes, (8 + 128 * 10 + 4 * 320) + (8 + 128 * 8 + 4 * 192));
   EXPECT_EQ(json_int(after, "gc.ot.transfers") -
                 json_int(before, "gc.ot.transfers"),
-            transfers + m0 + m1 + b2a);
+            transfers + m0 + m1);
   EXPECT_EQ(json_int(after, "gc.ot.bytes") - json_int(before, "gc.ot.bytes"),
             bytes + front_bytes);
   EXPECT_EQ(json_int(after, "stages"), 2);
   EXPECT_EQ(json_int(after, "products"), 32);
   EXPECT_EQ(json_int(after, "ots"), m0 + m1);
-  EXPECT_EQ(json_int(after, "b2a_ots"), b2a);
+  EXPECT_EQ(after.find("b2a_ots"), std::string::npos);
   EXPECT_EQ(json_int(after, "bytes"), front_bytes);
   EXPECT_EQ(json_int(after, "share_bits"), share_bits);
 }
@@ -460,10 +467,10 @@ TEST(InferenceServerTest, RejectsFramingMismatch) {
   EXPECT_EQ(server.sessions_rejected(), 1u);
 }
 
-// A v8 peer (garbled hidden layers, a front for layer 0 only) is
-// refused at the handshake with a coded kHandshake error naming the
-// version, before any OT byte moves.
-TEST(InferenceServerTest, RejectsProtocolV8Peer) {
+// A v9 peer (the server receiving the fronts' OTs, B2A before every
+// hidden front) is refused at the handshake with a coded kHandshake
+// error naming the version, before any OT byte moves.
+TEST(InferenceServerTest, RejectsProtocolV9Peer) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(38);
   runtime::InferenceServer server(spec, random_weights(spec, rng));
@@ -471,7 +478,7 @@ TEST(InferenceServerTest, RejectsProtocolV8Peer) {
 
   TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
   runtime::Hello hello;
-  hello.version = 8;
+  hello.version = 9;
   hello.fingerprint = runtime::served_fingerprint(synth::compile_served(spec));
   runtime::send_hello(raw, hello);
   uint8_t type = 0;
