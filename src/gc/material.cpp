@@ -184,10 +184,9 @@ void send_material(Channel& ch, GarbledMaterial&& mat) {
   ch.send_u64(mat.tables.size());
   if (mat.tables.empty()) return;
   // Donate the table stream: the bytes move into a refcounted holder
-  // and ship as ONE borrowed slice — over an asynchronous channel
-  // (RingChannel) the push returns without copying the multi-MB
-  // payload, and the holder frees when the kernel send completes. Wire
-  // bytes are those of a plain send_bytes.
+  // and ship as ONE borrowed slice — a scatter-gather transport sends
+  // the multi-MB payload without copying it, and the holder frees when
+  // the send completes. Wire bytes are those of a plain send_bytes.
   IoSlice slice;
   slice.ref = BufferRef::adopt(std::move(mat.tables));
   slice.data = slice.ref.data();

@@ -277,16 +277,17 @@ std::vector<Block> OtExtSender::send_correlated(size_t m, Block delta) {
   // rows[j] = q_j; each hashed window is overwritten with its c_j.
   std::vector<Block> rows = extend(m);
   std::vector<Block> zeros(m);
-  uint64_t tweaks[kHashChunk];
-  std::vector<Block> h(2 * kHashChunk);
-  for (size_t j0 = 0; j0 < m; j0 += kHashChunk) {
-    const size_t n = std::min(kHashChunk, m - j0);
+  const size_t chunk = std::min(m, kHashChunk);
+  std::vector<uint64_t> tweaks(chunk);
+  std::vector<Block> h(2 * chunk);
+  for (size_t j0 = 0; j0 < m; j0 += chunk) {
+    const size_t n = std::min(chunk, m - j0);
     Block* x = rows.data() + j0;
     for (size_t j = 0; j < n; ++j) {
       x[j] ^= kOtDomain;
       tweaks[j] = hash_index_++;
     }
-    gc_hash_pairs(x, s_, tweaks, h.data(), n);
+    gc_hash_pairs(x, s_, tweaks.data(), h.data(), n);
     for (size_t j = 0; j < n; ++j) {
       Block l0 = h[2 * j];
       l0.lo &= ~uint64_t{1};
@@ -304,15 +305,16 @@ std::vector<Block> OtExtReceiver::recv_correlated(const BitVec& choices) {
   if (m == 0) return {};
   // labels[j] = H(t_j) until the sender's c_j arrive.
   std::vector<Block> labels = extend(choices);
-  uint64_t tweaks[kHashChunk];
-  for (size_t j0 = 0; j0 < m; j0 += kHashChunk) {
-    const size_t n = std::min(kHashChunk, m - j0);
+  const size_t chunk = std::min(m, kHashChunk);
+  std::vector<uint64_t> tweaks(chunk);
+  for (size_t j0 = 0; j0 < m; j0 += chunk) {
+    const size_t n = std::min(chunk, m - j0);
     Block* x = labels.data() + j0;
     for (size_t j = 0; j < n; ++j) {
       x[j] ^= kOtDomain;
       tweaks[j] = hash_index_++;
     }
-    gc_hash_batch(x, tweaks, x, n);
+    gc_hash_batch(x, tweaks.data(), x, n);
   }
   std::vector<Block> c(m);
   ch_.recv_bytes(c.data(), m * sizeof(Block));

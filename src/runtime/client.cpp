@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -50,14 +51,6 @@ InferenceClient::InferenceClient(const std::string& host, uint16_t port,
   open_ = true;
 
   if (cfg_.pool_target > 0) {
-    // The prefetch handoff rings (see the header): capacity covers the
-    // full quota, and the credit ring starts with every slot's token in
-    // circulation — the server's store is empty at handshake time.
-    const size_t cap = std::max<size_t>(2, server_prefetch_quota_);
-    prefetched_ = std::make_unique<SpscRing<PrefetchedMaterial>>(cap);
-    credits_ = std::make_unique<SpscRing<uint64_t>>(cap);
-    for (uint64_t i = 0; i < server_prefetch_quota_; ++i)
-      credits_->try_push(i + 1);
     // Pool seeds derive from the session seed but never collide with
     // the on-demand garbler's label PRG (distinct derivation tweak).
     MaterialPoolConfig pcfg;
@@ -151,16 +144,6 @@ void InferenceClient::connect_and_handshake() {
       backoff_sleep(attempt);
     }
   }
-  // Fresh session, empty server-side store: every quota slot's credit
-  // goes back into circulation. (First bring-up: the rings don't exist
-  // yet — the constructor seeds them once the quota is known.)
-  if (credits_ != nullptr) {
-    uint64_t token;
-    while (credits_->try_pop(token)) {
-    }
-    for (uint64_t i = 0; i < server_prefetch_quota_; ++i)
-      credits_->try_push(i + 1);
-  }
 }
 
 void InferenceClient::backoff_sleep(size_t attempt, uint64_t floor_ms) {
@@ -196,18 +179,17 @@ void InferenceClient::recover_session() {
     lane_error_ = nullptr;
   }
   lane_ch_.reset();
-  lane_ring_.reset();
   lane_fault_.reset();
   lane_transport_.reset();
   // One-shot invariant: drop every artifact whose transfer or OT
   // touched the dead session. The local pool survives untouched — its
   // artifacts never hit the wire.
-  uint64_t dropped = in_flight();
-  begun_.clear();
-  results_.clear();
-  if (prefetched_ != nullptr) {
-    PrefetchedMaterial pm;
-    while (prefetched_->try_pop(pm)) ++dropped;
+  uint64_t dropped;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    dropped = prefetched_.size() + (pooled_in_flight_ ? 1 : 0);
+    prefetched_.clear();
+    pooled_in_flight_ = false;
   }
   if (dropped > 0) {
     poisoned_ += dropped;
@@ -247,44 +229,20 @@ size_t InferenceClient::infer(const std::vector<float>& sample) {
   return from_bits(infer_bits(bits));
 }
 
-void InferenceClient::push_material(Artifact&& art) {
-  if (in_flight() > 0)
-    throw std::logic_error(
-        "client: cannot prefetch with inferences in flight");
-  // Sync mode: this thread is both ring roles. A credit is popped
-  // before anything hits the wire — mirroring the server's quota check
-  // exactly, since a server-side rejection kills the connection (see
-  // push_material_over). Callers guard on prefetched() < quota, so a
-  // missing token is a bookkeeping bug, not a race.
-  uint64_t credit;
-  if (credits_ == nullptr || !credits_->try_pop(credit))
-    throw std::logic_error("client: prefetch quota exhausted (no credit)");
-  uint64_t id;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    id = next_material_id_++;
-  }
-  // A throw below burns the credit with the artifact: the connection is
-  // unrecoverable at that point anyway.
-  PrefetchedMaterial pm =
-      push_material_over(garbler_->channel(), std::move(art), id);
-  if (!prefetched_->try_push(std::move(pm)))
-    throw std::logic_error("client: prefetched ring overflow");
-}
-
 // Offline push of one artifact over `ch` (the primary session's
 // connection or the prefetch lane): id frame, then per stage its decode
 // bits and tables. A stage that is not opened ships no decode bits:
 // they are the client's XOR shares of its outputs. Everything here is
 // input-independent, and no OT runs: every evaluator input of a served
-// chain is a share bit of a front that has not run yet. Returns the
+// chain is a share bit of a front that has not run yet. Files the
 // client-side remainder the online phase needs.
 //
 // The caller-side quota guard must mirror the server's exactly: a
 // server-side rejection kills the connection, and with it every
-// artifact parked on it.
-InferenceClient::PrefetchedMaterial InferenceClient::push_material_over(
-    BufferedChannel& ch, Artifact&& art, uint64_t id) {
+// artifact parked on it. A throw here burns the artifact: the
+// connection is unrecoverable at that point anyway.
+void InferenceClient::push_material(BufferedChannel& ch, Artifact&& art) {
+  const uint64_t id = next_material_id_++;
   send_id_frame(ch, FrameType::kPrefetch, id);
   PrefetchedMaterial pm;
   pm.id = id;
@@ -302,7 +260,11 @@ InferenceClient::PrefetchedMaterial InferenceClient::push_material_over(
   const Frame ack = recv_frame(ch);
   if (ack.type != FrameType::kPrefetchAck || parse_id(ack) != id)
     throw std::runtime_error("client: bad prefetch ack");
-  return pm;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    prefetched_.push_back(std::move(pm));
+  }
+  caught_up_.notify_all();
 }
 
 // Refill ceiling for the background lane (and the clamp for prefetch):
@@ -324,15 +286,9 @@ void InferenceClient::start_lane(uint16_t lane_port, uint64_t lane_token) {
         [t = lane_transport_.get()] { t->shutdown(); });
     lane_wire = lane_fault_.get();
   }
-  // Async frame writer: artifact bytes land in the RingChannel's SPSC
-  // ring and ship from its writer thread, so the lane overlaps the
-  // next artifact's serialization with the previous one's kernel
-  // sends. Receives drain the ring first, so the acks stay correctly
-  // ordered. The lane garbles nothing (artifacts come from the pool)
-  // and runs no OT, so it needs no session.
-  lane_ring_ = std::make_unique<RingChannel>(*lane_wire);
-  lane_ch_ = std::make_unique<BufferedChannel>(*lane_ring_,
-                                               cfg_.stream.channel_buffer);
+  // The lane garbles nothing (artifacts come from the pool) and runs no
+  // OT, so it needs no session: a buffered channel over the transport.
+  lane_ch_ = std::make_unique<BufferedChannel>(*lane_wire);
   lane_thread_ = std::thread([this, lane_token] { lane_loop(lane_token); });
 }
 
@@ -357,15 +313,16 @@ void InferenceClient::lane_loop(uint64_t lane_token) {
     for (;;) {
       {
         std::unique_lock<std::mutex> lock(mu_);
-        // Refill wanted AND a slot credit available (see credits_ in
-        // the header): without the credit check a push racing an
-        // unprocessed kInfer on the primary connection would trip the
-        // server's quota. The lane is the only credit consumer,
-        // so a token seen here cannot vanish before the pop below.
+        // Refill wanted AND room under the server's quota (see the file
+        // header): without the in-flight term a push racing an
+        // unprocessed kInfer on the primary connection would trip it.
+        // The lane is the only pusher, so the room seen here cannot
+        // shrink before its push lands.
         lane_cv_.wait(lock, [this] {
           return lane_stop_ ||
-                 (prefetched_->size() < lane_target() &&
-                  !credits_->empty());
+                 (prefetched_.size() < lane_target() &&
+                  prefetched_.size() + pooled_in_flight_ <
+                      server_prefetch_quota_);
         });
         if (lane_stop_) break;
       }
@@ -379,30 +336,10 @@ void InferenceClient::lane_loop(uint64_t lane_token) {
         lane_cv_.wait_for(lock, std::chrono::milliseconds(1));
         continue;
       }
-      // Claim the slot credit only once an artifact is in hand (credits
-      // flow one way per thread: pushing a token back from here would
-      // make two producers).
-      uint64_t credit;
-      if (!credits_->try_pop(credit)) continue;  // unreachable; re-check
-      uint64_t id;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        id = next_material_id_++;
-      }
       // The push itself runs unlocked: it is pure lane-connection
       // traffic, concurrent with whatever the primary session is doing.
-      // A throw burns the credit with the artifact — the lane is dead.
-      {
-        obs::Span push_span("client.lane_push");
-        PrefetchedMaterial pm =
-            push_material_over(*lane_ch_, std::move(*mat), id);
-        if (!prefetched_->try_push(std::move(pm)))
-          throw std::logic_error("client: prefetched ring overflow");
-      }
-      // Empty critical section: order the ring push before the notify
-      // so a prefetch() predicate under mu_ cannot miss it.
-      { std::lock_guard<std::mutex> lock(mu_); }
-      caught_up_.notify_all();
+      obs::Span push_span("client.lane_push");
+      push_material(ch, std::move(*mat));
     }
     // Orderly goodbye so the server's lane handler exits cleanly.
     send_frame(ch, FrameType::kBye);
@@ -424,13 +361,6 @@ size_t InferenceClient::prefetch(size_t n) {
   if (!open_) throw std::logic_error("client: session closed");
   if (pool_ == nullptr)
     throw std::logic_error("client: pooling disabled (pool_target = 0)");
-  // Both modes: no inferences may be in flight. Sync mode would drop an
-  // acquired artifact; async mode would deadlock — in-flight artifacts
-  // hold their slot credits until finish_infer, which only THIS thread
-  // can call, so the lane could never push this wait to completion.
-  if (in_flight() > 0)
-    throw std::logic_error(
-        "client: cannot prefetch with inferences in flight");
   if (lane_thread_.joinable()) {
     // Async mode: the lane owns all pushes — wake it and wait until the
     // store is warm (or the lane parked a failure).
@@ -438,32 +368,31 @@ size_t InferenceClient::prefetch(size_t n) {
     std::unique_lock<std::mutex> lock(mu_);
     lane_cv_.notify_all();
     caught_up_.wait(lock, [&] {
-      return lane_error_ != nullptr || prefetched_->size() >= want;
+      return lane_error_ != nullptr || prefetched_.size() >= want;
     });
     if (lane_error_) std::rethrow_exception(lane_error_);
-    return prefetched_->size();
+    return prefetched_.size();
   }
   // Clamp to the quota the hello ack advertised: exceeding it on the
   // wire would be answered with a session-killing kError, and "push up
   // to n" is the contract — the return value reports what's warm.
   for (size_t i = 0; i < n && prefetched() < server_prefetch_quota_; ++i)
-    push_material(pool_->acquire());
+    push_material(garbler_->channel(), pool_->acquire());
   return prefetched();
 }
 
 void InferenceClient::top_up() {
-  if (pool_ == nullptr || !open_ || closing_) return;
+  if (pool_ == nullptr || !open_) return;
   if (lane_thread_.joinable()) {
     // Async mode: refilling is the lane's job — just make sure it's
     // awake. Nothing here blocks the caller.
     lane_cv_.notify_all();
     return;
   }
-  if (in_flight() > 0) return;
   while (prefetched() < lane_target()) {
     auto mat = pool_->try_acquire();
     if (!mat) break;  // producer still garbling: don't block the caller
-    push_material(std::move(*mat));
+    push_material(garbler_->channel(), std::move(*mat));
   }
 }
 
@@ -479,69 +408,8 @@ void InferenceClient::send_pooled_stage(const PrefetchedMaterial& mat,
   garbler_->channel().flush();
 }
 
-BitVec InferenceClient::complete_oldest() {
-  // Popped only once the result is in: a transport failure leaves the
-  // inference counted in flight, so recovery poisons it.
-  const PrefetchedMaterial& mat = begun_.front();
-  for (size_t s = 1; s < mat.stages.size(); ++s)
-    send_pooled_stage(mat, s, mat.stages[s - 1].shares);
-  BitVec out = garbler_->session().recv_result();
-  begun_.pop_front();
-  return out;
-}
-
-void InferenceClient::begin_infer_bits(const BitVec& data_bits) {
-  if (!open_) throw std::logic_error("client: session closed");
-  // This thread is the ring's only consumer, so the peek/pop pair is
-  // race-free without a lock.
-  if (prefetched_ == nullptr || prefetched_->front() == nullptr)
-    throw std::logic_error("client: no prefetched material to pipeline on");
-  // Validate before consuming anything: after the id frame is on the
-  // wire the artifact is burned and the server is committed to the
-  // front, so a size error must fire while the call is still a no-op
-  // (a ring pop is destructive).
-  if (data_bits.size() != input_bits())
-    throw std::invalid_argument("client: data bit count mismatch");
-  // The server serves kInfer frames in order: the inferences in flight
-  // run their later stages, and their results are read, before this
-  // request's front.
-  while (!begun_.empty()) results_.push_back(complete_oldest());
-  PrefetchedMaterial mat;
-  prefetched_->try_pop(mat);
-  { std::lock_guard<std::mutex> lock(mu_); }  // order pop before notify
-  lane_cv_.notify_all();  // room freed: the lane may refill
-  send_id_frame(garbler_->channel(), FrameType::kInfer, mat.id);
-  send_pooled_stage(mat, 0, data_bits);
-  begun_.push_back(std::move(mat));
-}
-
-BitVec InferenceClient::finish_infer() {
-  if (in_flight() == 0)
-    throw std::logic_error("client: no inference in flight");
-  BitVec out;
-  if (results_.empty()) {
-    out = complete_oldest();
-  } else {
-    out = std::move(results_.front());
-    results_.pop_front();
-  }
-  ++pooled_inferences_;
-  // Credit return: the server consumed this inference's artifact before
-  // evaluating, so its store slot is provably free now. Every finished
-  // pooled inference corresponds to exactly one popped token, so the
-  // push cannot overflow the ring.
-  if (credits_) credits_->try_push(uint64_t{1});
-  { std::lock_guard<std::mutex> lock(mu_); }  // order push before notify
-  lane_cv_.notify_all();
-  if (in_flight() == 0 && cfg_.auto_top_up) top_up();
-  return out;
-}
-
 BitVec InferenceClient::infer_bits(const BitVec& data_bits) {
   if (!open_) throw std::logic_error("client: session closed");
-  if (in_flight() > 0)
-    throw std::logic_error(
-        "client: finish in-flight inferences before a synchronous infer");
   if (data_bits.size() != input_bits())
     throw std::invalid_argument("client: data bit count mismatch");
   for (size_t attempt = 0;; ++attempt) {
@@ -563,12 +431,35 @@ BitVec InferenceClient::infer_bits(const BitVec& data_bits) {
 }
 
 BitVec InferenceClient::infer_bits_once(const BitVec& data_bits) {
-  const bool warm = prefetched() > 0;
-  if (warm) {
-    // Online phase only: active data labels out, result bits back.
-    // (Only this thread consumes prefetched_, so warm cannot go stale.)
-    begin_infer_bits(data_bits);
-    return finish_infer();
+  std::optional<PrefetchedMaterial> mat;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!prefetched_.empty()) {
+      mat = std::move(prefetched_.front());
+      prefetched_.pop_front();
+      pooled_in_flight_ = true;
+    }
+  }
+  if (mat) {
+    lane_cv_.notify_all();  // room freed: the lane may refill
+    // Online phase only: per stage the front and the active labels out,
+    // then the result bits back. The flag stays set if this throws, so
+    // recovery poisons the artifact.
+    send_id_frame(garbler_->channel(), FrameType::kInfer, mat->id);
+    for (size_t s = 0; s < mat->stages.size(); ++s)
+      send_pooled_stage(*mat, s,
+                        s == 0 ? data_bits : mat->stages[s - 1].shares);
+    BitVec out = garbler_->session().recv_result();
+    {
+      // The server consumed the artifact before evaluating, so its
+      // store slot is provably free now.
+      std::lock_guard<std::mutex> lock(mu_);
+      pooled_in_flight_ = false;
+    }
+    lane_cv_.notify_all();
+    ++pooled_inferences_;
+    if (cfg_.auto_top_up) top_up();
+    return out;
   }
   // Pool drained (or pooling off): garble every stage on the request
   // path (garble_stages, runtime/front.h) and open the last.
@@ -584,11 +475,6 @@ BitVec InferenceClient::infer_bits_once(const BitVec& data_bits) {
 
 std::string InferenceClient::server_stats() {
   if (!open_) throw std::logic_error("client: session closed");
-  // A kStatsReply arriving between a kInfer and its result frames would
-  // desynchronize finish_infer; the primary connection must be quiet.
-  if (in_flight() > 0)
-    throw std::logic_error(
-        "client: finish in-flight inferences before requesting stats");
   Channel& ch = garbler_->channel();
   send_frame(ch, FrameType::kStats);
   garbler_->channel().flush();
@@ -600,12 +486,11 @@ std::string InferenceClient::server_stats() {
 
 void InferenceClient::close() {
   if (!open_) return;
-  closing_ = true;  // don't upload fresh artifacts just to discard them
-  // Stop the lane FIRST, and unconditionally: if draining the in-flight
-  // inferences below throws (dead transport), a still-running lane
-  // thread would reach the destructor joinable — std::terminate. This
-  // ordering also precedes the primary kBye, so a lane push can never
-  // race the server-side session teardown.
+  // Stop the lane FIRST, and unconditionally: if the goodbye below
+  // throws (dead transport), a still-running lane thread would reach
+  // the destructor joinable — std::terminate. This ordering also
+  // precedes the primary kBye, so a lane push can never race the
+  // server-side session teardown.
   std::exception_ptr lane_err;
   if (lane_thread_.joinable()) {
     {
@@ -617,17 +502,10 @@ void InferenceClient::close() {
     std::lock_guard<std::mutex> lock(mu_);
     lane_err = lane_error_;
   }
-  std::exception_ptr drain_err;
-  try {
-    while (in_flight() > 0) (void)finish_infer();
-    Channel& ch = garbler_->channel();
-    send_frame(ch, FrameType::kBye);
-    garbler_->channel().flush();
-  } catch (...) {
-    drain_err = std::current_exception();
-  }
   open_ = false;  // closed either way; a retry cannot succeed
-  if (drain_err) std::rethrow_exception(drain_err);
+  Channel& ch = garbler_->channel();
+  send_frame(ch, FrameType::kBye);
+  garbler_->channel().flush();
   // A lane that died mid-session must not fail silently — surface it
   // once the session itself is cleanly down.
   if (lane_err) std::rethrow_exception(lane_err);

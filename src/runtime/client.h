@@ -23,37 +23,22 @@
 // stage's outputs stay XOR-shared and feed the next front as they are.
 // Only the last stage is opened.
 //
-// Cross-request pipelining: begin_infer_bits/finish_infer expose the
-// send and receive halves of a pooled inference. begin runs stage 0
-// through the client's last send; the server evaluates it while the
-// caller goes on. The later stages run, in FIFO order, in finish_infer
-// or in a later begin, which completes every earlier in-flight
-// inference (its results wait in a FIFO for finish_infer) before its
-// own front.
-//
 // Async prefetch lane (protocol v4): with ClientConfig::async_prefetch
 // the client opens a SECOND connection to the server's lane listener
 // (port + single-use token from the hello ack) and a background lane
 // thread refills the server-side store through it — pool artifacts are
-// pushed concurrently with in-flight kInfer traffic on the primary
-// connection, so a drain-heavy burst no longer stalls its inference
-// pipeline to re-prefetch. The lane thread is the only writer of the
-// lane connection; the primary connection stays single-threaded.
+// pushed concurrently with kInfer traffic on the primary connection,
+// so a drain-heavy burst no longer stalls its inference to
+// re-prefetch. The lane thread is the only writer of the lane
+// connection; the primary connection stays single-threaded.
 //
-// Hot handoffs ride lock-free SPSC rings (support/spsc_ring.h):
-//   * credits_ — the per-session prefetch quota as explicit ring slots.
-//     The ring is seeded with `quota` tokens; the lane (or a sync push)
-//     pops one per artifact shipped, and finish_infer pushes it back
-//     once the server has provably consumed the artifact. The server
-//     never sends credit frames — the pooled-inference RESULT is the
-//     credit return — so an empty ring is exactly "store + pending
-//     occupancy at quota" and the lane parks instead of tripping a
-//     session-killing kError.
-//   * prefetched_ — client-side remainders of pushed artifacts, lane
-//     thread → caller.
-//   * the lane's wire bytes go through a RingChannel (net/
-//     ring_channel.h), so artifact serialization overlaps the kernel
-//     sends instead of serializing with them.
+// The lane's inventory is a deque of pushed artifacts' client-side
+// remainders plus one flag for the pooled inference in flight, both
+// under one mutex. The server counts an artifact against its quota
+// until the kInfer that consumes it is served, and sends no credit
+// frames: the pooled-inference RESULT frees the slot. So the lane
+// pushes only while prefetched + in flight is under the quota, and
+// parks instead of tripping a session-killing kError.
 #pragma once
 
 #include <condition_variable>
@@ -65,12 +50,10 @@
 
 #include "fixed/fixed_point.h"
 #include "net/fault_channel.h"
-#include "net/ring_channel.h"
 #include "net/tcp_channel.h"
 #include "runtime/frame.h"
 #include "runtime/material_pool.h"
 #include "runtime/streaming.h"
-#include "support/spsc_ring.h"
 #include "synth/served.h"
 
 namespace deepsecure::runtime {
@@ -150,42 +133,25 @@ class InferenceClient {
   /// quota (and, on the async lane, to pool_target — the lane's refill
   /// ceiling). Synchronous mode pushes here (blocking on pool
   /// production); async mode wakes the lane and waits for it to catch
-  /// up. Returns how many are now prefetched. Requires pooling enabled
-  /// and no inference in flight (in async mode an in-flight inference
-  /// pins a slot credit only finish_infer can return — waiting here
-  /// would deadlock).
+  /// up. Returns how many are now prefetched. Requires pooling enabled.
   size_t prefetch(size_t n);
-
-  /// Pipelined pooled inference, send half: completes the inferences
-  /// already in flight, then consumes one prefetched artifact and runs
-  /// the request's stage 0 without waiting for its result. Throws if
-  /// nothing is prefetched — callers race ahead only against warm
-  /// material. Pair FIFO with finish_infer.
-  void begin_infer_bits(const BitVec& data_bits);
-
-  /// Pipelined pooled inference, receive half: result of the oldest
-  /// in-flight request (its later stages run here if still pending).
-  BitVec finish_infer();
 
   /// Push ready pool artifacts until prefetched() reaches
   /// min(pool_target, server quota). Synchronous mode pushes inline
-  /// without blocking on production (no-op while inferences are in
-  /// flight); async mode just nudges the lane thread and returns
-  /// immediately. Runs automatically after each inference under
-  /// auto_top_up. No-op when pooling is disabled.
+  /// without blocking on production; async mode just nudges the lane
+  /// thread and returns immediately. Runs automatically after each
+  /// inference under auto_top_up. No-op when pooling is disabled.
   void top_up();
 
-  /// Artifacts pushed to the server and not yet consumed. Lock-free
-  /// (ring cursor read); at most one handoff stale under a racing lane.
+  /// Artifacts pushed to the server and not yet consumed.
   size_t prefetched() const {
-    return prefetched_ ? prefetched_->size() : 0;
+    std::lock_guard<std::mutex> lock(mu_);
+    return prefetched_.size();
   }
   /// Artifacts garbled and waiting in the local pool (0 when pooling is
   /// off). Lets a latency-sensitive caller wait for background refill
   /// garbling to quiesce before a measured window.
   size_t pool_ready() const { return pool_ ? pool_->ready() : 0; }
-  /// begin_infer_bits calls not yet finished.
-  size_t in_flight() const { return begun_.size() + results_.size(); }
   uint64_t pooled_inferences() const { return pooled_inferences_; }
   uint64_t ondemand_inferences() const { return ondemand_inferences_; }
   /// Self-healing audit trail (this client; the process-wide aggregates
@@ -202,18 +168,16 @@ class InferenceClient {
 
   /// Ask the server for its runtime counters (protocol v5 kStats): one
   /// round trip on the primary connection returning the server's
-  /// stats_json() document verbatim. Requires an open session with no
-  /// inference in flight (the reply would interleave with result
-  /// frames).
+  /// stats_json() document verbatim. Requires an open session.
   std::string server_stats();
 
   /// Phase timings accumulated across all inferences on this session.
   const SessionTrace& trace() const { return garbler_->trace(); }
 
-  /// Orderly goodbye; further infer calls are invalid. Drains any
-  /// in-flight pipelined inferences, stops the lane thread (rethrowing
-  /// a parked lane failure), and says kBye on both connections. Also
-  /// run by the destructor if still open (which swallows the rethrow).
+  /// Orderly goodbye; further infer calls are invalid. Stops the lane
+  /// thread (rethrowing a parked lane failure) and says kBye on both
+  /// connections. Also run by the destructor if still open (which
+  /// swallows the rethrow).
   void close();
 
   size_t input_bits() const;
@@ -233,25 +197,22 @@ class InferenceClient {
     std::vector<PrefetchedStage> stages;
   };
 
-  void push_material(Artifact&& art);
   /// The push protocol over one connection (primary or lane): id frame,
-  /// each stage's decode bits and tables, ack.
-  PrefetchedMaterial push_material_over(BufferedChannel& ch, Artifact&& art,
-                                        uint64_t id);
+  /// each stage's decode bits and tables, ack; then files the artifact's
+  /// client-side remainder in prefetched_.
+  void push_material(BufferedChannel& ch, Artifact&& art);
   /// Stage `s` of a pooled inference, through the client's last send:
   /// front, the server's share-bit labels, the client's active labels.
   /// `bits` are the data for stage 0 and the client's XOR shares of the
   /// previous stage's outputs after.
   void send_pooled_stage(const PrefetchedMaterial& mat, size_t s,
                          const BitVec& bits);
-  /// The later stages of the oldest begun inference, then its result.
-  BitVec complete_oldest();
   void start_lane(uint16_t lane_port, uint64_t lane_token);
   void lane_loop(uint64_t lane_token);
   size_t lane_target() const;  // min(pool_target, server quota)
   /// Connect + handshake the primary session (kBusy answered with a
   /// backoff-and-retry loop bounded by max_retries). Fills transport_/
-  /// garbler_, the quota, and the lane attach info; reseeds credits_.
+  /// garbler_, the quota, and the lane attach info.
   void connect_and_handshake();
   /// Rebuild a failed session: stop the lane, poison in-flight and
   /// server-parked material, reconnect + re-handshake, re-attach the
@@ -277,47 +238,34 @@ class InferenceClient {
   std::unique_ptr<StreamingGarbler> garbler_;
   std::unique_ptr<MaterialPool> pool_;
 
-  // Shared between the caller thread and the lane thread. The mutex
-  // guards only the flags and the CV predicates; the artifact and
-  // credit handoffs themselves are the lock-free rings below. Ring ops
-  // pair with an empty mu_ critical section before each notify so a
-  // predicate evaluated under the lock can never miss a push.
+  // Shared between the caller thread and the lane thread, all under
+  // mu_ (see the file header).
   mutable std::mutex mu_;
   std::condition_variable lane_cv_;    // wakes the lane: refill wanted
   std::condition_variable caught_up_;  // wakes prefetch(): lane pushed
-  /// Lane → caller: remainders of pushed artifacts (see file header).
-  /// In sync mode the caller plays both ring roles. Sized to the quota.
-  std::unique_ptr<SpscRing<PrefetchedMaterial>> prefetched_;
-  /// The prefetch quota as explicit credit slots (see file header):
-  /// seeded with `quota` tokens; pop-to-push an artifact, finish_infer
-  /// returns the token. Producer = the caller (finish_infer), consumer
-  /// = whichever side ships artifacts (the lane in async mode, the
-  /// caller in sync mode) — exactly one each way. Total tokens in
-  /// circulation never exceeds the quota, so the ring cannot overflow.
-  std::unique_ptr<SpscRing<uint64_t>> credits_;
+  /// Remainders of pushed artifacts, oldest first. The lane (or, in
+  /// sync mode, the caller) appends; the caller consumes.
+  std::deque<PrefetchedMaterial> prefetched_;
+  /// A pooled inference has consumed its artifact and not yet read its
+  /// result: the server may still count that artifact's store slot.
+  bool pooled_in_flight_ = false;
+  /// Pushed artifacts' ids. Only the pushing thread touches it: the
+  /// lane in async mode, the caller in sync mode.
   uint64_t next_material_id_ = 1;
   bool lane_stop_ = false;
   bool lane_up_ = false;  // attached and serving
   std::exception_ptr lane_error_;
 
   // Lane connection: owned here, written only by lane_thread_. The
-  // RingChannel decouples the lane's frame production from the kernel
-  // sends; declaration order = teardown order (the buffered channel
-  // flushes through the ring, the ring drains into the transport, then
-  // the socket closes).
+  // buffered channel is destroyed before the transports under it.
   std::unique_ptr<TcpChannel> lane_transport_;
   std::unique_ptr<FaultChannel> lane_fault_;
-  std::unique_ptr<RingChannel> lane_ring_;
   std::unique_ptr<BufferedChannel> lane_ch_;
   std::thread lane_thread_;
 
   uint64_t server_prefetch_quota_ = 0;  // advertised in the hello ack
   uint16_t lane_port_ = 0;    // lane attach info from the latest ack
   uint64_t lane_token_ = 0;   // (single-use: refreshed per handshake)
-  // Pooled inferences in flight: begun ones whose later stages and
-  // result are pending, and results read ahead (both oldest first).
-  std::deque<PrefetchedMaterial> begun_;
-  std::deque<BitVec> results_;
   uint64_t pooled_inferences_ = 0;
   uint64_t ondemand_inferences_ = 0;
   // Self-healing state: the epoch salts the garbler seed so a rebuilt
@@ -331,7 +279,6 @@ class InferenceClient {
   uint64_t recovered_ = 0;
   uint64_t poisoned_ = 0;
   bool open_ = false;
-  bool closing_ = false;  // suppresses top_up while close() drains
 };
 
 }  // namespace deepsecure::runtime

@@ -72,11 +72,11 @@ void EventCore::start() {
   }
   epoch_ = std::chrono::steady_clock::now();
 
-  size_t n = srv_.cfg_.workers;
-  if (n == 0) {
-    const unsigned hc = std::thread::hardware_concurrency();
-    n = std::max<size_t>(2, 2 * static_cast<size_t>(hc == 0 ? 1 : hc));
-  }
+  // 2 × hardware_concurrency workers, minimum 2 so a session and its
+  // prefetch lane can always progress concurrently.
+  const unsigned hc = std::thread::hardware_concurrency();
+  const size_t n =
+      std::max<size_t>(2, 2 * static_cast<size_t>(hc == 0 ? 1 : hc));
   started_ = true;
   stopping_ = false;
   workers_stop_ = false;
@@ -211,8 +211,7 @@ void EventCore::accept_drain(bool lane) {
           [t = c->transport.get()] { t->shutdown(); });
     Channel& wire = c->fault != nullptr ? static_cast<Channel&>(*c->fault)
                                         : static_cast<Channel&>(*c->transport);
-    c->ch = std::make_unique<BufferedChannel>(wire,
-                                              srv_.cfg_.stream.channel_buffer);
+    c->ch = std::make_unique<BufferedChannel>(wire);
     c->accept_ns = obs::now_ns();
     if (!lane) {
       srv_.c_sessions_accepted_.add();

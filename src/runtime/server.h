@@ -100,10 +100,6 @@ struct ServerConfig {
   /// FaultChannel. Used by robustness tests; rate 0 (default) leaves
   /// the healthy path untouched.
   FaultConfig chaos;
-  /// Reactor worker threads; 0 = auto (2 × hardware_concurrency,
-  /// minimum 2 so a session and its prefetch lane can always progress
-  /// concurrently).
-  size_t workers = 0;
   StreamConfig stream;
 };
 

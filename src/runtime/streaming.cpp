@@ -11,7 +11,7 @@ StreamingGarbler::StreamingGarbler(Channel& transport, Block seed,
                 : nullptr),
       table_pool_(std::make_unique<BufferPool>(
           GarbleWindowLine::bytes_for(kGcMaxBatchWindow))),
-      ch_(transport, cfg.channel_buffer),
+      ch_(transport),
       session_(std::make_unique<GarblerSession>(
           ch_, seed, cfg.gc_options(pool_.get(), table_pool_.get()))) {}
 
@@ -27,7 +27,7 @@ StreamingEvaluator::StreamingEvaluator(Channel& transport,
     : pool_(cfg.eval_threads > 0
                 ? std::make_unique<ThreadPool>(cfg.eval_threads)
                 : nullptr),
-      ch_(transport, cfg.channel_buffer),
+      ch_(transport),
       session_(std::make_unique<EvaluatorSession>(
           ch_, cfg.gc_options(pool_.get()))) {}
 

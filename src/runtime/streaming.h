@@ -38,8 +38,6 @@ struct StreamConfig {
   /// per-shard tweak/table-order invariant as the garbler's pool); 0 =
   /// evaluate on the session thread only.
   size_t eval_threads = 0;
-  /// BufferedChannel staging size for small protocol messages.
-  size_t channel_buffer = 1 << 16;
 
   /// Framed tables over the walked view; `table_pool` (garbler only)
   /// backs the zero-copy table plane.

@@ -4,9 +4,8 @@
 // the window's table rows are born in wire-shippable memory: the
 // garbler hands the channel a borrowed slice plus a BufferRef instead
 // of copying the rows into a frame buffer, and the slab flows back to
-// the pool when the LAST reference drops — which for an asynchronous
-// transport (net/ring_channel.h) is after the kernel send completed,
-// not when the frame was enqueued.
+// the pool when the LAST reference drops — once the transport's send_iov
+// has shipped the bytes and returned.
 //
 // Ownership model:
 //   * BufferPool::acquire() returns a BufferRef with refcount 1 on a

@@ -1,6 +1,6 @@
-// Lock-free single-producer/single-consumer ring buffer for the
-// server's hot intra-host handoffs (MaterialPool -> lane writer,
-// garbler output -> frame writer, lane credits-as-slots). The design
+// Lock-free single-producer/single-consumer ring buffer: the per-thread
+// span event rings of the tracer (obs/trace.cpp) hand events to the
+// exporter through it without blocking the traced thread. The design
 // follows firedancer's fd_mcache fragment rings: power-of-two slot
 // count, every slot stamped with the sequence number of the value it
 // holds, and the producer/consumer cursors on their own cache lines so
@@ -108,9 +108,7 @@ class SpscRing {
   bool empty() const { return size() == 0; }
   bool full() const { return size() >= capacity(); }
 
-  /// Total values ever pushed / popped (monotonic cursors). The atomics
-  /// are exposed so callers can park on them with std::atomic::wait /
-  /// notify instead of spinning — see net/ring_channel.h.
+  /// Total values ever pushed / popped (monotonic cursors).
   std::atomic<uint64_t>& head() { return head_; }
   std::atomic<uint64_t>& tail() { return tail_; }
   const std::atomic<uint64_t>& head() const { return head_; }

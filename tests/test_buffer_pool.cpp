@@ -1,10 +1,10 @@
 // BufferPool / BufferRef lifecycle regressions: refcount semantics,
-// slab recycling (including recycle-after-async-send through a
-// RingChannel), adopted-vector ownership, and the teardown-with-
-// inflight-refs contract — the pool object may die while the transport
-// still holds slab references, and the last release must neither crash
-// nor leak. The concurrency cases are the TSan targets (.github CI runs
-// this binary under -fsanitize=thread).
+// slab recycling (including recycle once a borrowed send returns),
+// adopted-vector ownership, and the teardown-with-inflight-refs
+// contract — the pool object may die while references are still out,
+// and the last release must neither crash nor leak. The concurrency
+// case is a TSan target (.github CI runs this binary under
+// -fsanitize=thread).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "net/channel.h"
-#include "net/ring_channel.h"
 #include "support/buffer_pool.h"
 
 namespace deepsecure {
@@ -88,31 +87,25 @@ TEST(BufferPool, AdoptedVectorKeepsBytesUntilLastRelease) {
   b.reset();  // frees the holder (leak-checked under the sanitizers)
 }
 
-// Recycle-after-send: a slab borrowed into a RingChannel send must stay
-// pinned until the writer thread has truly shipped the bytes, and only
-// then return to the freelist — NOT at enqueue time.
+// Recycle-after-send: a slab borrowed into a send_iov stays pinned
+// until the transport has shipped its bytes, and is back on the
+// freelist once send_iov returns (the transport drops the ref it took).
 TEST(BufferPool, SlabRecyclesAfterAsyncSendCompletes) {
   SinkChannel sink;
   BufferPool pool(256);
-  {
-    RingChannel ring(sink);
-    BufferRef ref = pool.acquire();
-    for (size_t i = 0; i < ref.size(); ++i)
-      ref.data()[i] = static_cast<uint8_t>(i * 7);
-    IoSlice slice;
-    slice.data = ref.data();
-    slice.len = ref.size();
-    slice.ref = std::move(ref);
-    ring.send_iov(&slice, 1);
-    ring.drain();  // waits until the writer shipped the enqueued bytes
-    EXPECT_EQ(sink.bytes.size(), 256u);
-    for (size_t i = 0; i < sink.bytes.size(); ++i)
-      ASSERT_EQ(sink.bytes[i], static_cast<uint8_t>(i * 7));
-  }
-  // Writer done + our ref moved out: the slab must be back on the
-  // freelist by now (flush() returning means the writer dropped its
-  // reference).
+  BufferRef ref = pool.acquire();
+  for (size_t i = 0; i < ref.size(); ++i)
+    ref.data()[i] = static_cast<uint8_t>(i * 7);
+  IoSlice slice;
+  slice.data = ref.data();
+  slice.len = ref.size();
+  slice.ref = std::move(ref);
+  sink.send_iov(&slice, 1);
+  EXPECT_FALSE(slice.ref);
   EXPECT_EQ(pool.free_slabs(), 1u);
+  ASSERT_EQ(sink.bytes.size(), 256u);
+  for (size_t i = 0; i < sink.bytes.size(); ++i)
+    ASSERT_EQ(sink.bytes[i], static_cast<uint8_t>(i * 7));
 }
 
 // Teardown-with-inflight-refs: destroying the pool while a reference is
@@ -130,26 +123,6 @@ TEST(BufferPool, PoolMayDieBeforeInflightRefs) {
   copy.reset();
   EXPECT_EQ(held.use_count(), 1u);
   held.reset();  // last release frees via the orphaned core
-}
-
-// Teardown racing an asynchronous sender: the RingChannel writer still
-// holds slab refs when the pool dies.
-TEST(BufferPool, PoolMayDieWithRefsInsideRingChannel) {
-  SinkChannel sink;
-  RingChannel ring(sink);
-  auto pool = std::make_unique<BufferPool>(4096);
-  for (int i = 0; i < 8; ++i) {
-    BufferRef ref = pool->acquire();
-    std::memset(ref.data(), i, ref.size());
-    IoSlice slice;
-    slice.data = ref.data();
-    slice.len = ref.size();
-    slice.ref = std::move(ref);
-    ring.send_iov(&slice, 1);
-  }
-  pool.reset();  // sends may still be in flight on the writer thread
-  ring.drain();
-  EXPECT_EQ(sink.bytes.size(), 8u * 4096u);
 }
 
 // Concurrency smoke (the TSan target): many threads churning acquire /

@@ -80,7 +80,7 @@ TEST(OtExtension, CorrelatedLabelsAcrossBatches) {
   Rng rng(3);
   Block delta{rng.next_u64(), rng.next_u64()};
   delta.lo |= 1;
-  const std::vector<size_t> sizes = {1, 129, 1000, 37, 4096};
+  const std::vector<size_t> sizes = {1, 129, 1000, 37, 4096, 1023, 1024, 1025};
   std::vector<BitVec> choices;
   for (const size_t m : sizes) {
     choices.emplace_back(m);
