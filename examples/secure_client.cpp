@@ -2,8 +2,8 @@
 // private inferences on locally-owned samples. The server never sees the
 // sample; the client never sees the weights.
 //
-//   ./example_secure_client [host] [port] [n_requests] [garble_threads]
-//                           [prefetch] [shard_threads] [async] [--stats]
+//   ./example_secure_client [host] [port] [n_requests] [prefetch] [async]
+//                           [--stats]
 //
 // --stats asks the server for its runtime counters (protocol v5 kStats
 // round trip) after the requests finish and prints the JSON document —
@@ -12,10 +12,9 @@
 // With prefetch > 0 the client garbles instances in the background and
 // pushes them to the server ahead of requests (the offline/online
 // split): each request then ships only the active input labels, so the
-// per-request latency drops to transfer + evaluation. shard_threads > 0
-// fans each background garbling's batch windows across that many extra
-// workers (faster first warm artifact); async = 1 refills the server
-// through the dedicated v4 prefetch lane concurrently with requests.
+// per-request latency drops to transfer + evaluation. async = 1 refills
+// the server through the dedicated v4 prefetch lane concurrently with
+// requests.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -44,12 +43,9 @@ int main(int argc, char** argv) {
   const size_t n = argc > 3 ? static_cast<size_t>(std::atoi(argv[3])) : 4;
 
   runtime::ClientConfig cfg;
-  if (argc > 4) cfg.stream.garble_threads = static_cast<size_t>(std::atoi(argv[4]));
-  const size_t prefetch = argc > 5 ? static_cast<size_t>(std::atoi(argv[5])) : 0;
+  const size_t prefetch = argc > 4 ? static_cast<size_t>(std::atoi(argv[4])) : 0;
   cfg.pool_target = prefetch;
-  if (argc > 6)
-    cfg.pool_shard_threads = static_cast<size_t>(std::atoi(argv[6]));
-  cfg.async_prefetch = argc > 7 && std::atoi(argv[7]) != 0;
+  cfg.async_prefetch = argc > 5 && std::atoi(argv[5]) != 0;
   // Refill between requests via an explicit top_up() call below (a
   // no-op nudge under the async lane), so the printed per-request
   // latency is the online phase alone (synchronous auto_top_up would

@@ -10,9 +10,8 @@ namespace {
 // Round-robin interleave of one level's AND gates across lane tags,
 // in place over a gate_map slice: lane-major runs (all of column 0,
 // then all of column 1, ...) become alternating picks, so
-// capacity-split windows and their thread-pool shards mix lanes
-// evenly — the layout NUMA shard affinity will want. Single-lane
-// slices keep original order.
+// capacity-split windows mix lanes evenly. Single-lane slices keep
+// original order.
 void interleave_by_lane(uint32_t* begin, uint32_t* end,
                         const std::vector<uint32_t>& lanes) {
   const size_t n = static_cast<size_t>(end - begin);

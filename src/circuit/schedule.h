@@ -48,8 +48,7 @@
 //   * a slot is freed right after its occupant's last reader;
 //   * an XOR output nobody reads goes straight back to the free list;
 //   * an AND output nobody reads keeps a slot of its own (its late
-//     write must not land on a slot someone else holds by then, and
-//     sharded flushes would race on a shared one);
+//     write must not land on a slot someone else holds by then);
 //   * constants, inputs, outputs and state_next wires are never freed.
 // A pending AND's output is only read after a dependency flush, so no
 // two pending ANDs share an output slot and the view's flush points

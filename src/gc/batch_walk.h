@@ -52,10 +52,10 @@ inline WindowLineMem window_line_alloc(size_t bytes) {
 /// a one-row AND (kAndKnown) one row over b0. Per row: the zero-label the
 /// row hashes, its tweak, its two hashes (gc_hash_pairs output) and the
 /// row itself; per gate: its first row `rows[i]` (`rows[size]` = rows
-/// staged so far, so a shard's rows are a prefix-sum lookup) and its
-/// output wire. Segment order puts the 16-byte Block segments first, so
-/// every segment is cache-line aligned for any power-of-two capacity
-/// >= 4.
+/// staged so far, so a mixed one-row/two-row window finds a gate's rows
+/// by lookup) and its output wire. Segment order puts the 16-byte Block
+/// segments first, so every segment is cache-line aligned for any
+/// power-of-two capacity >= 4.
 struct GarbleWindowLine {
   /// Bytes one line of `cap` gates occupies — the slab size a zero-copy
   /// BufferPool must be built with.

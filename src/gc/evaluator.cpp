@@ -6,7 +6,6 @@
 #include "crypto/hash_backend.h"
 #include "gc/batch_walk.h"
 #include "gc/block_io.h"
-#include "support/thread_pool.h"
 
 namespace deepsecure {
 
@@ -94,12 +93,6 @@ void Evaluator::evaluate_gates_scalar(const Circuit& c, Labels& w,
 // in gate order regardless of flush timing. A one-row AND's row is
 // folded at enqueue into what its hash is XORed with: T ^ A when
 // lsb(B) = 1, zero otherwise.
-//
-// With a ThreadPool, a draining window splits into contiguous per-shard
-// slices exactly like the garbler's: tweaks were assigned and table
-// rows consumed at enqueue time on this thread, so shards only hash
-// their rows and combine into disjoint output wires — no channel
-// access, and the evaluation result is identical to single-threaded.
 void Evaluator::evaluate_gates_batched(const Circuit& c, Labels& w,
                                        BlockReader& tables) {
   const HashBackend& be =
@@ -111,28 +104,20 @@ void Evaluator::evaluate_gates_batched(const Circuit& c, Labels& w,
     // flush reason is irrelevant here — only the drain schedule matters.
     const size_t n = line.size;
     if (n == 0) return;
-    auto shard = [&](size_t lo, size_t hi) {
-      const uint32_t r_lo = line.rows[lo];
-      gc_hash_batch(be, line.ins + r_lo, line.tweaks + r_lo,
-                    line.hashes + r_lo, line.rows[hi] - r_lo);
-      for (size_t i = lo; i < hi; ++i) {
-        const uint32_t r = line.rows[i];
-        if (line.rows[i + 1] - r == 1) {
-          w[line.outs[i]] = line.hashes[r] ^ line.tabs[r];
-          continue;
-        }
-        const Block wa = line.ins[r];
-        Block wgc = line.hashes[r];
-        if (wa.lsb()) wgc ^= line.tabs[r];
-        Block wec = line.hashes[r + 1];
-        if (line.ins[r + 1].lsb()) wec ^= line.tabs[r + 1] ^ wa;
-        w[line.outs[i]] = wgc ^ wec;  // disjoint wires across shards
+    gc_hash_batch(be, line.ins, line.tweaks, line.hashes, line.rows[n]);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t r = line.rows[i];
+      if (line.rows[i + 1] - r == 1) {
+        w[line.outs[i]] = line.hashes[r] ^ line.tabs[r];
+        continue;
       }
-    };
-    if (opt_.pool != nullptr)
-      opt_.pool->parallel_shards(n, opt_.min_shard_gates, shard);
-    else
-      shard(0, n);
+      const Block wa = line.ins[r];
+      Block wgc = line.hashes[r];
+      if (wa.lsb()) wgc ^= line.tabs[r];
+      Block wec = line.hashes[r + 1];
+      if (line.ins[r + 1].lsb()) wec ^= line.tabs[r + 1] ^ wa;
+      w[line.outs[i]] = wgc ^ wec;
+    }
     line.size = 0;
   };
 

@@ -24,7 +24,6 @@ namespace deepsecure {
 class BlockWriter;
 class BlockReader;
 class BufferPool;
-class ThreadPool;
 struct HashBackend;
 
 /// Wire labels, indexed like the corresponding input/output vectors.
@@ -60,16 +59,6 @@ struct GcOptions {
   /// block_io.h) — the streaming runtime's wire format. The framed
   /// payload is byte-identical to the monolithic stream.
   bool framed_tables = false;
-  /// Shard pool for either endpoint: each batch window is split into
-  /// contiguous per-thread shards (independent sub-windows), hashed
-  /// concurrently, and emitted/consumed in gate order. Tweaks are
-  /// assigned and table rows moved at enqueue time on the walking
-  /// thread, so sharding is byte-identical to single-threaded execution
-  /// on both sides. nullptr = single-threaded. Not owned.
-  ThreadPool* pool = nullptr;
-  /// Windows smaller than this are not worth sharding (pool dispatch
-  /// overhead exceeds the hash work).
-  size_t min_shard_gates = 128;
   /// Zero-copy table plane (garbler + batched pipeline only): stage
   /// each batch window in a slab from this pool (slab size >=
   /// GarbleWindowLine::bytes_for(kGcMaxBatchWindow)) and hand the table

@@ -6,7 +6,6 @@
 #include "crypto/hash_backend.h"
 #include "gc/batch_walk.h"
 #include "gc/block_io.h"
-#include "support/thread_pool.h"
 
 namespace deepsecure {
 
@@ -143,14 +142,6 @@ void Garbler::garble_gates_scalar(const Circuit& c, Labels& w,
 // are emitted in enqueue (= gate) order, so the byte stream is
 // identical to the scalar schedule.
 //
-// With a ThreadPool, a draining window is split into contiguous
-// per-thread shards — independent sub-windows of the same flush
-// schedule, since every gate in the window reads only non-pending wires.
-// A shard finds its rows through the line's per-gate prefix sum and
-// runs its own gc_hash_pairs sweep over them into disjoint slices of the
-// scratch buffers; table rows still stream out serially in enqueue
-// order afterwards, so the transcript stays byte-identical to
-// single-threaded garbling.
 void Garbler::garble_gates_batched(const Circuit& c, Labels& w,
                                    BlockWriter& tables) {
   const HashBackend& be =
@@ -176,41 +167,33 @@ void Garbler::garble_gates_batched(const Circuit& c, Labels& w,
       if (level_boundary) tables.mark_window(true);
       return;
     }
-    auto shard = [&](size_t lo, size_t hi) {
-      const uint32_t r_lo = line.rows[lo];
-      gc_hash_pairs(be, line.x0 + r_lo, delta_, line.tweaks + r_lo,
-                    line.hashes + 2 * r_lo, line.rows[hi] - r_lo);
-      for (size_t i = lo; i < hi; ++i) {
-        const uint32_t r = line.rows[i];
-        const Block* h = line.hashes + 2 * r;
-        if (line.rows[i + 1] - r == 1) {
-          // One-row AND: the row was staged holding a0.
-          line.tabs[r] ^= h[0] ^ h[1];
-          w[line.outs[i]] = h[0];  // disjoint wires across shards
-          continue;
-        }
-        const Block a0 = line.x0[r];
-        const bool pb = line.x0[r + 1].lsb();
-
-        Block tg = h[0] ^ h[1];
-        if (pb) tg ^= delta_;
-        Block wg = h[0];
-        if (a0.lsb()) wg ^= tg;
-
-        const Block te = h[2] ^ h[3] ^ a0;
-        Block we = h[2];
-        if (pb) we ^= te ^ a0;
-
-        line.tabs[r] = tg;
-        line.tabs[r + 1] = te;
-        w[line.outs[i]] = wg ^ we;  // disjoint wires across shards
-      }
-    };
-    if (opt_.pool != nullptr)
-      opt_.pool->parallel_shards(n, opt_.min_shard_gates, shard);
-    else
-      shard(0, n);
     const size_t rows = line.rows[n];
+    gc_hash_pairs(be, line.x0, delta_, line.tweaks, line.hashes, rows);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t r = line.rows[i];
+      const Block* h = line.hashes + 2 * r;
+      if (line.rows[i + 1] - r == 1) {
+        // One-row AND: the row was staged holding a0.
+        line.tabs[r] ^= h[0] ^ h[1];
+        w[line.outs[i]] = h[0];
+        continue;
+      }
+      const Block a0 = line.x0[r];
+      const bool pb = line.x0[r + 1].lsb();
+
+      Block tg = h[0] ^ h[1];
+      if (pb) tg ^= delta_;
+      Block wg = h[0];
+      if (a0.lsb()) wg ^= tg;
+
+      const Block te = h[2] ^ h[3] ^ a0;
+      Block we = h[2];
+      if (pb) we ^= te ^ a0;
+
+      line.tabs[r] = tg;
+      line.tabs[r + 1] = te;
+      w[line.outs[i]] = wg ^ we;
+    }
     if (zero_copy) {
       tables.put_borrowed(line.tabs, rows, line.slab());
       line = GarbleWindowLine(kGcMaxBatchWindow, *opt_.table_pool);

@@ -147,8 +147,6 @@ Labels evaluate_material(const std::vector<Circuit>& chain,
 
   GcOptions local = opt;
   local.framed_tables = false;
-  // opt.pool applies: shards only hash — the ByteSource reads happen at
-  // enqueue time on this thread, so the replay stream stays in order.
 
   ByteSource source(mat.tables);
   Evaluator evaluator(source, local);

@@ -72,20 +72,9 @@ struct GarbledMaterial {
 };
 
 /// Offline stage: garble `chain` into a self-contained artifact. Pure
-/// local computation — no channel, no peer. `opt.pipeline`,
-/// `opt.schedule` and `opt.pool` apply as in streaming garbling;
-/// `opt.framed_tables` and `opt.table_pool` are ignored (see
-/// GarbledMaterial::tables).
-///
-/// Intra-artifact sharding: with `opt.pool` set, ONE artifact's batch
-/// windows fan out across the pool's workers exactly like streaming
-/// garbling does — tweaks are assigned and table rows placed at enqueue
-/// time on the walking thread, so the artifact (table stream, labels,
-/// decode bits, fingerprint) is byte-identical to the sequential path
-/// at any thread count. This is what cuts the time-to-first-warm-
-/// artifact after a model (re)load: the first artifact completes in
-/// ~1/shards of a single-threaded garble instead of having to wait for
-/// one core to finish it (runtime::MaterialPool::shard_threads).
+/// local computation — no channel, no peer. `opt.pipeline` and
+/// `opt.schedule` apply as in streaming garbling; `opt.framed_tables`
+/// and `opt.table_pool` are ignored (see GarbledMaterial::tables).
 GarbledMaterial garble_offline(const std::vector<Circuit>& chain, Block seed,
                                const GcOptions& opt = {});
 

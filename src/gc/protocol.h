@@ -84,8 +84,8 @@ BitVec output_shares(const Labels& labels);
 class GarblerSession {
  public:
   /// `seed` feeds the label PRG (use Prg::from_os_entropy().next_block()
-  /// outside tests). `opt` selects pipeline, table framing, and the
-  /// garbling shard pool (see GcOptions); framing must match the peer.
+  /// outside tests). `opt` selects pipeline and table framing (see
+  /// GcOptions); framing must match the peer.
   GarblerSession(Channel& ch, Block seed, const GcOptions& opt = {});
 
   /// Run a chain of circuits as one stage. `data_bits` feed circuit 0's

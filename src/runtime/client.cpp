@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -55,15 +54,13 @@ InferenceClient::InferenceClient(const std::string& host, uint16_t port,
     // the on-demand garbler's label PRG (distinct derivation tweak).
     MaterialPoolConfig pcfg;
     pcfg.target = cfg_.pool_target;
-    pcfg.producer_threads = cfg_.pool_producers;
-    pcfg.shard_threads = cfg_.pool_shard_threads;
     pcfg.seed =
         cfg_.seed == Block{} ? Block{} : (cfg_.seed ^ Block{0, 0x9e3779b9});
     StageChains chains;
     for (const synth::ServedStage& stage : stages_)
       chains.push_back(std::cref(stage.chain));
     pool_ = std::make_unique<MaterialPool>(
-        std::move(chains), cfg_.stream.gc_options(nullptr), pcfg);
+        std::move(chains), served_gc_options(), pcfg);
     if (cfg_.async_prefetch) start_lane(lane_port_, lane_token_);
   }
 }
@@ -93,8 +90,7 @@ void InferenceClient::connect_and_handshake() {
             : (session_epoch_ == 0
                    ? cfg_.seed
                    : (cfg_.seed ^ Block{session_epoch_, 0xd1f457ull}));
-    garbler_ =
-        std::make_unique<StreamingGarbler>(*wire, seed, cfg_.stream);
+    garbler_ = std::make_unique<StreamingGarbler>(*wire, seed);
 
     Hello hello;
     // Fingerprint over the walked view this session garbles and the
@@ -122,7 +118,8 @@ void InferenceClient::connect_and_handshake() {
     }
     const HelloAck ack = parse_hello_ack(first);
     if (ack.fingerprint != hello.fingerprint)
-      throw std::runtime_error("client: server echoed a different model chain");
+      throw SessionError(ErrorCode::kHandshake,
+                         "client: server echoed a different model chain");
     server_prefetch_quota_ = ack.prefetch_quota;
     lane_port_ = ack.lane_port;
     lane_token_ = ack.lane_token;  // single-use: fresh every handshake
@@ -131,13 +128,15 @@ void InferenceClient::connect_and_handshake() {
     } catch (const std::exception& e) {
       // A transport fault mid-handshake (injected or real) is as
       // retryable as a kBusy — nothing one-shot has been consumed yet.
-      // A fingerprint mismatch is a configuration error: retrying the
-      // same handshake can only fail the same way.
+      // A handshake rejected with kHandshake (by the server, or by this
+      // side on a mismatched echo) is a configuration error: retrying
+      // the same handshake can only fail the same way.
       garbler_.reset();
       fault_.reset();
       transport_.reset();
+      const auto* coded = dynamic_cast<const SessionError*>(&e);
       if (attempt >= cfg_.max_retries ||
-          std::strstr(e.what(), "different model chain") != nullptr)
+          (coded != nullptr && coded->code() == ErrorCode::kHandshake))
         throw;
       ++retries_;
       retries_counter().add();

@@ -59,19 +59,11 @@
 namespace deepsecure::runtime {
 
 struct ClientConfig {
-  StreamConfig stream;
   /// Label-PRG seed; zero draws from OS entropy (per-session seeds).
   Block seed{};
   /// Offline pool: number of garbled instances to keep ready; 0
   /// disables pooling entirely (every infer is on-demand).
   size_t pool_target = 0;
-  /// Background producer threads for the pool.
-  size_t pool_producers = 1;
-  /// Window-shard threads per pool garbling: one artifact's batch
-  /// windows fan out across this many extra workers (byte-identical
-  /// artifact), cutting the time-to-first-warm-artifact after a cold
-  /// start or model reload. 0 = each artifact garbles single-threaded.
-  size_t pool_shard_threads = 0;
   /// Refill the server-side store through a dedicated second connection
   /// (the v4 prefetch lane) driven by a background thread, instead of
   /// synchronous pushes on the session. Pushes then overlap in-flight

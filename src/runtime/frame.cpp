@@ -54,12 +54,13 @@ Frame recv_frame(Channel& ch) {
   f.payload.resize(len);
   if (len > 0) ch.recv_bytes(f.payload.data(), len);
   if (f.type == FrameType::kError) {
-    // v6 payload is [u8 ErrorCode][utf-8 reason]; strip the code byte
-    // so the thrown message stays "runtime: peer error: <reason>".
-    const size_t skip = f.payload.empty() ? 0 : 1;
-    throw std::runtime_error(
+    // v6 payload is [u8 ErrorCode][utf-8 reason]; the code travels on
+    // the exception, the message stays "runtime: peer error: <reason>".
+    const bool coded = !f.payload.empty();
+    throw SessionError(
+        coded ? static_cast<ErrorCode>(f.payload[0]) : ErrorCode::kUnspecified,
         "runtime: peer error: " +
-        std::string(f.payload.begin() + skip, f.payload.end()));
+            std::string(f.payload.begin() + (coded ? 1 : 0), f.payload.end()));
   }
   return f;
 }

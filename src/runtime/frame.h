@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -100,9 +101,11 @@ enum class FrameType : uint8_t {
   kBye = 4,       // client -> server: orderly session/lane end
   kError = 5,     // either way: utf-8 reason, then close
   kPrefetch = 6,  // client -> server: 8-byte material id, then the
-                  // offline artifact (decode bits + tables) and the
-                  // label OT + relabel exchange (v7). Valid on
-                  // the primary connection and on an attached lane.
+                  // offline artifact (each stage's tables, the last
+                  // stage's decode bits). No OT runs at push time
+                  // (v10): the pooled kInfer resolves the labels.
+                  // Valid on the primary connection and on an
+                  // attached lane.
   kPrefetchAck = 7,  // server -> client: material id echo, stored
   kAttachLane = 8,   // client -> server, first frame on a lane
                      // connection: 8-byte session token from the hello
@@ -131,6 +134,20 @@ enum class ErrorCode : uint8_t {
   kMaterial = 4,     // unknown/duplicate/mismatched material id
   kLane = 5,         // bad lane token / duplicate lane attach
   kInternal = 6,     // server-side failure while serving the request
+};
+
+/// A session failure that carries its ErrorCode. recv_frame throws one
+/// for every kError frame, with the message "runtime: peer error:
+/// <reason>", so a caller can decide by the code: the client never
+/// retries a kHandshake rejection.
+class SessionError : public std::runtime_error {
+ public:
+  SessionError(ErrorCode code, const std::string& what)
+      : std::runtime_error(what), code_(code) {}
+  ErrorCode code() const { return code_; }
+
+ private:
+  ErrorCode code_;
 };
 
 struct Frame {
@@ -187,8 +204,8 @@ HelloAck parse_hello_ack(const Frame& f);
 
 /// Raise a std::runtime_error carrying `reason` on the peer and locally.
 /// The coded overload prefixes the v6 ErrorCode byte; the legacy
-/// overload sends ErrorCode::kUnspecified. recv_frame strips the code
-/// and throws "runtime: peer error: <reason>" either way.
+/// overload sends ErrorCode::kUnspecified. The peer's recv_frame throws
+/// a SessionError with that code and "runtime: peer error: <reason>".
 void send_error(Channel& ch, ErrorCode code, const std::string& reason);
 void send_error(Channel& ch, const std::string& reason);
 

@@ -13,17 +13,8 @@ MaterialPool::MaterialPool(StageChains stages, const GcOptions& opt,
       target_(cfg.target),
       seed_prg_(cfg.seed == Block{} ? Prg::from_os_entropy().next_block()
                                     : cfg.seed),
-      shard_workers_(cfg.shard_threads > 0
-                         ? std::make_unique<ThreadPool>(cfg.shard_threads)
-                         : nullptr),
-      workers_(std::make_unique<ThreadPool>(
-          cfg.producer_threads > 0 ? cfg.producer_threads : 1)) {
-  // One producer task per artifact. With shard_threads the task fans
-  // its batch windows out across the shared shard pool (byte-identical
-  // artifact — gc/material.h), cutting the time-to-first-warm-artifact;
-  // without it, each artifact garbles single-threaded so producers
-  // alone carry the cross-artifact parallelism.
-  opt_.pool = shard_workers_.get();
+      producer_(std::make_unique<ThreadPool>()) {
+  // One producer task per artifact, garbled on the one worker.
   std::lock_guard<std::mutex> lock(mu_);
   schedule_refill_locked();
 }
@@ -33,7 +24,7 @@ MaterialPool::~MaterialPool() {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;  // queued producer tasks become no-ops
   }
-  workers_.reset();  // drains the task queue, joins the workers
+  producer_.reset();  // drains the task queue, joins the workers
   // Unconsumed inventory dies with the pool: settle the process-wide
   // occupancy gauge so short-lived pools don't leave it elevated.
   g_ready_.sub(static_cast<int64_t>(ready_.size()));
@@ -47,7 +38,7 @@ void MaterialPool::schedule_refill_locked() {
   const size_t want = std::max(target_, waiting_);
   while (!stopping_ && ready_.size() + in_flight_ < want) {
     ++in_flight_;
-    workers_->submit([this] { produce_one(); });
+    producer_->submit([this] { produce_one(); });
   }
 }
 
@@ -71,8 +62,7 @@ void MaterialPool::produce_one() {
   const uint64_t t0 = obs::now_ns();
   {
     // Named for the merged two-party timeline: this is the client
-    // (garbler) side's offline work, regardless of which pool thread
-    // runs it.
+    // (garbler) side's offline work, run on the pool's worker.
     obs::Span span("client.garble_offline");
     try {
       for (size_t s = 0; s < stages_.size(); ++s)
@@ -129,7 +119,7 @@ std::optional<Artifact> MaterialPool::try_acquire() {
     // the standing refill plan is empty.
     if (!stopping_ && in_flight_ == 0) {
       ++in_flight_;
-      workers_->submit([this] { produce_one(); });
+      producer_->submit([this] { produce_one(); });
     }
     return std::nullopt;
   }

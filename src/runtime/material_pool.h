@@ -1,8 +1,9 @@
 // Background producer of offline garbling artifacts — the client-side
 // half of the offline/online split. A MaterialPool keeps up to `target`
 // artifacts for one staged chain (synth/served.h) ready at all times:
-// producer tasks run on a support/thread_pool, each garbling every
-// stage of one instance from fresh PRG seeds (one GarbledMaterial per
+// producer tasks run one at a time on a one-worker support/thread_pool,
+// each garbling every stage of one instance, single-threaded, from
+// fresh PRG seeds (one GarbledMaterial per
 // stage: stages meet in arithmetic shares, not labels, so each has its
 // own delta), and every acquire() triggers a refill so the pool
 // converges back to `target` while the session is busy with the online
@@ -15,19 +16,6 @@
 // streaming garbling (try_acquire returns nullopt instead of blocking).
 // Finished artifacts wait in one mutex-guarded deque: each takes a
 // whole garbling to make, so the handoff lock is never the bottleneck.
-//
-// Two orthogonal parallelism axes:
-//   * producer_threads — artifacts in flight concurrently (throughput:
-//     keeps a busy pool full; each artifact still takes one full
-//     garble).
-//   * shard_threads — window sharding INSIDE each garbling
-//     (latency: the first artifact after a cold start / model reload
-//     lands in ~1/shards of a single-threaded garble; the sharded
-//     artifact is byte-identical — see garble_offline in gc/material.h).
-// For a latency-sensitive cold start prefer shard_threads ≈ cores with
-// one producer; for steady-state inventory prefer producers. The shard
-// pool is shared across producers, so the two compose without
-// oversubscribing: total workers = producer_threads + shard_threads.
 #pragma once
 
 #include <condition_variable>
@@ -66,11 +54,6 @@ using StageChains =
 struct MaterialPoolConfig {
   /// Artifacts to keep ready at all times.
   size_t target = 1;
-  /// Background producer workers (artifacts garbled concurrently).
-  size_t producer_threads = 1;
-  /// Window-shard workers per garbling (0 = each artifact garbles
-  /// single-threaded). See the two-axes note in the file header.
-  size_t shard_threads = 0;
   /// Drives the per-artifact label seeds (zero = OS entropy); pass a
   /// constant only in tests.
   Block seed{};
@@ -100,7 +83,7 @@ class MaterialPool {
   /// Artifacts currently ready.
   size_t ready() const;
 
-  // Stats getters lock: producer threads update the counters under mu_.
+  // Stats getters lock: the producer updates the counters under mu_.
   uint64_t produced() const {
     std::lock_guard<std::mutex> lock(mu_);
     return produced_;
@@ -149,12 +132,10 @@ class MaterialPool {
       obs::Registry::global().histogram("pool.refill_ns");
   obs::Gauge& g_ready_ = obs::Registry::global().gauge("pool.ready");
 
-  // Window-shard pool shared by all producers (see file header); must
-  // outlive workers_, whose draining tasks garble through it.
-  std::unique_ptr<ThreadPool> shard_workers_;
-  // Destroyed first (declared last): its destructor drains queued
-  // producer tasks, which touch the members above.
-  std::unique_ptr<ThreadPool> workers_;
+  // The one producer worker. Destroyed first (declared last): its
+  // destructor drains queued producer tasks, which touch the members
+  // above.
+  std::unique_ptr<ThreadPool> producer_;
 };
 
 }  // namespace deepsecure::runtime

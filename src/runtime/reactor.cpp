@@ -511,10 +511,7 @@ bool EventCore::do_handshake(Conn& c) {
   c.ch->flush();
   // One EvaluatorSession (one OT setup) serves every inference of the
   // session — the streaming amortization the paper's Figure 6 assumes.
-  if (srv_.cfg_.stream.eval_threads > 0)
-    c.eval_pool = std::make_unique<ThreadPool>(srv_.cfg_.stream.eval_threads);
-  c.session = std::make_unique<EvaluatorSession>(
-      *c.ch, srv_.cfg_.stream.gc_options(c.eval_pool.get()));
+  c.session = std::make_unique<EvaluatorSession>(*c.ch, served_gc_options());
   c.stage = Stage::kOpen;
   srv_.h_handshake_.observe(obs::now_ns() - t0);
   return true;

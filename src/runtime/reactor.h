@@ -94,7 +94,6 @@ class EventCore {
     std::shared_ptr<InferenceServer::SessionState> state;
     uint64_t lane_token = 0;
     bool token_registered = false;
-    std::unique_ptr<ThreadPool> eval_pool;
     std::unique_ptr<EvaluatorSession> session;  // references *ch
     bool registered = false;  // fd has been EPOLL_CTL_ADDed
     bool parked = false;      // armed in the epoll set

@@ -100,7 +100,6 @@ struct ServerConfig {
   /// FaultChannel. Used by robustness tests; rate 0 (default) leaves
   /// the healthy path untouched.
   FaultConfig chaos;
-  StreamConfig stream;
 };
 
 class InferenceServer {

@@ -5,15 +5,12 @@
 namespace deepsecure::runtime {
 
 StreamingGarbler::StreamingGarbler(Channel& transport, Block seed,
-                                   const StreamConfig& cfg)
-    : pool_(cfg.garble_threads > 0
-                ? std::make_unique<ThreadPool>(cfg.garble_threads)
-                : nullptr),
-      table_pool_(std::make_unique<BufferPool>(
+                                   const StreamConfig& /*cfg*/)
+    : table_pool_(std::make_unique<BufferPool>(
           GarbleWindowLine::bytes_for(kGcMaxBatchWindow))),
       ch_(transport),
       session_(std::make_unique<GarblerSession>(
-          ch_, seed, cfg.gc_options(pool_.get(), table_pool_.get()))) {}
+          ch_, seed, served_gc_options(table_pool_.get()))) {}
 
 BitVec StreamingGarbler::run_chain(const std::vector<Circuit>& chain,
                                    const BitVec& data_bits) {
@@ -23,13 +20,9 @@ BitVec StreamingGarbler::run_chain(const std::vector<Circuit>& chain,
 }
 
 StreamingEvaluator::StreamingEvaluator(Channel& transport,
-                                       const StreamConfig& cfg)
-    : pool_(cfg.eval_threads > 0
-                ? std::make_unique<ThreadPool>(cfg.eval_threads)
-                : nullptr),
-      ch_(transport),
-      session_(std::make_unique<EvaluatorSession>(
-          ch_, cfg.gc_options(pool_.get()))) {}
+                                       const StreamConfig& /*cfg*/)
+    : ch_(transport),
+      session_(std::make_unique<EvaluatorSession>(ch_, served_gc_options())) {}
 
 BitVec StreamingEvaluator::run_chain(const std::vector<Circuit>& chain,
                                      const BitVec& weight_bits) {

@@ -1,15 +1,8 @@
 #include "support/thread_pool.h"
 
-#include <algorithm>
-#include <exception>
-
 namespace deepsecure {
 
-ThreadPool::ThreadPool(size_t threads) {
-  workers_.reserve(threads);
-  for (size_t i = 0; i < threads; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
-}
+ThreadPool::ThreadPool() : worker_([this] { worker_loop(); }) {}
 
 ThreadPool::~ThreadPool() {
   {
@@ -17,7 +10,7 @@ ThreadPool::~ThreadPool() {
     stop_ = true;
   }
   cv_.notify_all();
-  for (auto& w : workers_) w.join();
+  worker_.join();
 }
 
 void ThreadPool::submit(std::function<void()> task) {
@@ -40,68 +33,6 @@ void ThreadPool::worker_loop() {
     }
     task();
   }
-}
-
-void ThreadPool::parallel_shards(size_t n_items, size_t min_per_shard,
-                                 const std::function<void(size_t, size_t)>& fn) {
-  if (n_items == 0) return;
-  min_per_shard = std::max<size_t>(1, min_per_shard);
-  const size_t max_shards = size() + 1;  // workers + calling thread
-  const size_t n_shards =
-      std::min(max_shards, (n_items + min_per_shard - 1) / min_per_shard);
-  if (n_shards <= 1) {
-    fn(0, n_items);
-    return;
-  }
-
-  // Even split; the first `rem` shards carry one extra item.
-  const size_t base = n_items / n_shards;
-  const size_t rem = n_items % n_shards;
-
-  struct Join {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t pending;
-    std::exception_ptr error;
-  } join{.mu = {}, .cv = {}, .pending = n_shards - 1, .error = nullptr};
-
-  size_t begin = 0;
-  std::vector<std::pair<size_t, size_t>> ranges(n_shards);
-  for (size_t s = 0; s < n_shards; ++s) {
-    const size_t len = base + (s < rem ? 1 : 0);
-    ranges[s] = {begin, begin + len};
-    begin += len;
-  }
-
-  for (size_t s = 1; s < n_shards; ++s) {
-    submit([&, s] {
-      std::exception_ptr err;
-      try {
-        fn(ranges[s].first, ranges[s].second);
-      } catch (...) {
-        err = std::current_exception();
-      }
-      // Notify while holding the mutex: the caller may destroy `join`
-      // the moment it observes pending == 0, so the signal must complete
-      // before this worker releases the lock.
-      std::lock_guard<std::mutex> lock(join.mu);
-      if (err && !join.error) join.error = err;
-      --join.pending;
-      join.cv.notify_one();
-    });
-  }
-
-  std::exception_ptr local_error;
-  try {
-    fn(ranges[0].first, ranges[0].second);
-  } catch (...) {
-    local_error = std::current_exception();
-  }
-
-  std::unique_lock<std::mutex> lock(join.mu);
-  join.cv.wait(lock, [&] { return join.pending == 0; });
-  if (local_error) std::rethrow_exception(local_error);
-  if (join.error) std::rethrow_exception(join.error);
 }
 
 }  // namespace deepsecure

@@ -1,56 +1,40 @@
-// Small fixed-size worker pool that shards garbling batch windows
-// across cores (GcOptions::pool, gc/garbler.cpp; owned per-endpoint by
-// runtime::StreamingGarbler). Deliberately minimal — a mutex-protected
-// task queue, no work stealing — because shard counts are tiny
-// (≤ cores) and tasks are coarse (thousands of AES calls each).
+// One background worker draining a FIFO task queue: the MaterialPool
+// producer (runtime/material_pool.h) garbles its artifacts on it, one
+// at a time. Deliberately minimal — a mutex-protected queue — because
+// each task is a whole garbling.
 #pragma once
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 namespace deepsecure {
 
 class ThreadPool {
  public:
-  /// `threads` worker threads (0 is allowed: every parallel_shards call
-  /// then runs inline on the caller).
-  explicit ThreadPool(size_t threads);
+  ThreadPool();
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  size_t size() const { return workers_.size(); }
-
-  /// Partition [0, n_items) into contiguous shards of at least
-  /// `min_per_shard` items, run `fn(begin, end)` on each shard — workers
-  /// plus the calling thread — and wait for all shards to finish. The
-  /// first exception thrown by any shard is rethrown on the caller.
-  /// Shards are independent: `fn` must not touch another shard's range.
-  void parallel_shards(size_t n_items, size_t min_per_shard,
-                       const std::function<void(size_t, size_t)>& fn);
-
-  /// Fire-and-forget task submission (the MaterialPool producer rides
-  /// on this). The destructor drains the queue — every submitted task
-  /// still runs before join — so tasks must stay valid until the pool
-  /// is gone and should check a stop flag if their work can be moot.
-  /// Tasks must not throw: an escaping exception would terminate the
-  /// worker thread (parallel_shards wraps its own).
+  /// Fire-and-forget task submission; tasks run in submission order.
+  /// The destructor drains the queue — every submitted task still runs
+  /// before join — so tasks must stay valid until the pool is gone and
+  /// should check a stop flag if their work can be moot. Tasks must not
+  /// throw: an escaping exception would terminate the worker thread.
   void submit(std::function<void()> task);
 
  private:
   void worker_loop();
 
-  std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   bool stop_ = false;
+  std::thread worker_;  // last: starts after the members it reads
 };
 
 }  // namespace deepsecure

@@ -13,7 +13,6 @@
 #include "gc/garble.h"
 #include "net/party.h"
 #include "support/rng.h"
-#include "support/thread_pool.h"
 #include "synth/mult.h"
 
 namespace deepsecure {
@@ -170,7 +169,7 @@ TEST(GarbleBatch, CrossPipelineTwoPartyAgreesWithPlaintext) {
 // Random DAG over garbler, evaluator and state inputs with lane tags,
 // so windows mix one-row ANDs (an evaluator-known operand) with
 // two-row ones, followed by one wide level that alternates the two
-// kinds gate by gate: wherever a shard cut falls in it, it falls
+// kinds gate by gate: wherever a capacity drain falls in it, it falls
 // between a one-row and a two-row gate.
 Circuit mixed_row_circuit(Rng& rng, int n_gates) {
   Builder b;
@@ -206,12 +205,11 @@ Circuit mixed_row_circuit(Rng& rng, int n_gates) {
   return b.build();
 }
 
-// Shards write a variable number of rows per gate into one staging
-// line: 1- and 3-thread garbling must emit the same bytes as the scalar
-// reference, and a sharded pair of endpoints must decode to plaintext.
-TEST(GarbleBatch, ShardedMixedWindowsByteIdenticalAndCorrect) {
+// Windows stage a variable number of rows per gate into one line:
+// batched garbling must emit the same bytes as the scalar reference,
+// and a pair of batched endpoints must decode to plaintext.
+TEST(GarbleBatch, MixedRowWindowsByteIdenticalAndCorrect) {
   Rng rng(1919);
-  ThreadPool gpool(3), epool(3);
   for (int trial = 0; trial < 4; ++trial) {
     const Circuit c = mixed_row_circuit(rng, 300);
     const CircuitStats st = c.stats();
@@ -219,18 +217,13 @@ TEST(GarbleBatch, ShardedMixedWindowsByteIdenticalAndCorrect) {
     ASSERT_GT(st.num_and - st.num_and_known, kGcMaxBatchWindow / 2) << trial;
 
     const Block seed{rng.next_u64(), rng.next_u64()};
-    GcOptions sharded;
-    sharded.pool = &gpool;
-    sharded.min_shard_gates = 2;
     const GarbleTrace scalar =
         garble_trace(c, seed, {.pipeline = GcPipeline::kScalar});
-    const GarbleTrace single = garble_trace(c, seed, {});
-    const GarbleTrace multi = garble_trace(c, seed, sharded);
-    EXPECT_EQ(scalar.stream, single.stream) << trial;
-    EXPECT_EQ(single.stream, multi.stream) << trial;
-    EXPECT_EQ(single.outputs, multi.outputs) << trial;
-    EXPECT_EQ(single.state_next, multi.state_next) << trial;
-    EXPECT_EQ(single.stream.size(), 2 * sizeof(Block) + st.table_bytes());
+    const GarbleTrace batched = garble_trace(c, seed, {});
+    EXPECT_EQ(scalar.stream, batched.stream) << trial;
+    EXPECT_EQ(scalar.outputs, batched.outputs) << trial;
+    EXPECT_EQ(scalar.state_next, batched.state_next) << trial;
+    EXPECT_EQ(batched.stream.size(), 2 * sizeof(Block) + st.table_bytes());
 
     BitVec g_bits(c.garbler_inputs.size()), e_bits(c.evaluator_inputs.size()),
         s_bits(c.state_inputs.size());
@@ -238,13 +231,10 @@ TEST(GarbleBatch, ShardedMixedWindowsByteIdenticalAndCorrect) {
       for (auto& bit : *v) bit = rng.next_bool();
     BitVec state = s_bits;
     const BitVec expect = c.eval(g_bits, e_bits, &state);
-    GcOptions eopt;
-    eopt.pool = &epool;
-    eopt.min_shard_gates = 2;
     BitVec decoded, decoded_state;
     run_two_party(
         [&](Channel& ch) {
-          Garbler g(ch, seed, sharded);
+          Garbler g(ch, seed);
           const Labels gz = g.fresh_zeros(g_bits.size());
           const Labels ez = g.fresh_known_zeros(e_bits.size());
           const Labels sz = g.fresh_zeros(s_bits.size());
@@ -257,7 +247,7 @@ TEST(GarbleBatch, ShardedMixedWindowsByteIdenticalAndCorrect) {
           decoded_state = g.decode_outputs(next);
         },
         [&](Channel& ch) {
-          Evaluator e(ch, eopt);
+          Evaluator e(ch, GcOptions{});
           const Labels gl = e.recv_active(g_bits.size());
           const Labels el = e.recv_active(e_bits.size());
           const Labels sl = e.recv_active(s_bits.size());
@@ -272,9 +262,9 @@ TEST(GarbleBatch, ShardedMixedWindowsByteIdenticalAndCorrect) {
 
 // A 64-lane layer of garbled x times weight: Booth multipliers whose
 // digit flags are XORs of the evaluator's weight bits, so windows mix
-// one-row ANDs (on a flag) with two-row adder ANDs. Scalar, batched and
-// 3-thread sharded garbling ship identical bytes, and the two-party run
-// decodes to the plaintext fixed-point products.
+// one-row ANDs (on a flag) with two-row adder ANDs. Scalar and batched
+// garbling ship identical bytes, and the two-party run decodes to the
+// plaintext fixed-point products.
 TEST(GarbleBatch, BoothWeightLayerByteIdenticalAndDecodes) {
   constexpr size_t kLanes = 64;
   const FixedFormat fmt = kDefaultFormat;
@@ -291,19 +281,12 @@ TEST(GarbleBatch, BoothWeightLayerByteIdenticalAndDecodes) {
   ASSERT_EQ(st.num_and_known, kLanes * 275);
 
   const Block seed{0xb007b007u, 0x5eed};
-  ThreadPool gpool(3), epool(3);
-  GcOptions sharded;
-  sharded.pool = &gpool;
-  sharded.min_shard_gates = 2;
   const GarbleTrace scalar =
       garble_trace(c, seed, {.pipeline = GcPipeline::kScalar});
-  const GarbleTrace single = garble_trace(c, seed, {});
-  const GarbleTrace multi = garble_trace(c, seed, sharded);
-  EXPECT_EQ(scalar.stream, single.stream);
-  EXPECT_EQ(single.stream, multi.stream);
-  EXPECT_EQ(scalar.outputs, single.outputs);
-  EXPECT_EQ(single.outputs, multi.outputs);
-  EXPECT_EQ(single.stream.size(), 2 * sizeof(Block) + st.table_bytes());
+  const GarbleTrace batched = garble_trace(c, seed, {});
+  EXPECT_EQ(scalar.stream, batched.stream);
+  EXPECT_EQ(scalar.outputs, batched.outputs);
+  EXPECT_EQ(batched.stream.size(), 2 * sizeof(Block) + st.table_bytes());
 
   Rng rng(2020);
   const int64_t edges[] = {0, 1, -1, INT16_MIN, INT16_MAX};
@@ -321,13 +304,10 @@ TEST(GarbleBatch, BoothWeightLayerByteIdenticalAndDecodes) {
     g_bits.insert(g_bits.end(), xb.begin(), xb.end());
     e_bits.insert(e_bits.end(), wb.begin(), wb.end());
   }
-  GcOptions eopt;
-  eopt.pool = &epool;
-  eopt.min_shard_gates = 2;
   BitVec decoded;
   run_two_party(
       [&](Channel& ch) {
-        Garbler g(ch, seed, sharded);
+        Garbler g(ch, seed);
         const Labels gz = g.fresh_zeros(g_bits.size());
         const Labels ez = g.fresh_known_zeros(e_bits.size());
         g.send_active(g_bits, gz);
@@ -335,7 +315,7 @@ TEST(GarbleBatch, BoothWeightLayerByteIdenticalAndDecodes) {
         decoded = g.decode_outputs(g.garble(c, gz, ez, {}));
       },
       [&](Channel& ch) {
-        Evaluator e(ch, eopt);
+        Evaluator e(ch, GcOptions{});
         const Labels gl = e.recv_active(g_bits.size());
         const Labels el = e.recv_active(e_bits.size());
         e.send_outputs(e.evaluate(c, gl, el, {}));

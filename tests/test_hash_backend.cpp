@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "circuit/bench_circuits.h"
 #include "circuit/builder.h"
 #include "crypto/aes128.h"
 #include "crypto/hash_backend.h"
@@ -195,25 +196,32 @@ TEST(HashBackend, GarbledTablesByteIdenticalAcrossBackends) {
   }
 }
 
+// A random mixed chain, and a wide one whose window spills past
+// capacity so a mid-level drain is exercised.
 TEST(HashBackend, MaterialArtifactsByteIdenticalAcrossBackends) {
   Rng rng(5050);
-  std::vector<Circuit> chain;
-  chain.push_back(random_mixed_circuit(rng, 300));
+  const std::vector<Circuit> chains[] = {
+      {random_mixed_circuit(rng, 300)},
+      {bench_circuits::wide_chain_layer(kGcMaxBatchWindow + 33)},
+  };
   const Block seed{77, 88};
   GcOptions scalar_opt;
   scalar_opt.pipeline = GcPipeline::kScalar;
-  const GarbledMaterial oracle = garble_offline(chain, seed, scalar_opt);
-  for (const HashBackend* be : compiled_hash_backends()) {
-    if (!be->available()) continue;
-    SCOPED_TRACE(be->name);
-    GcOptions opt;
-    opt.hash_backend = be;
-    const GarbledMaterial got = garble_offline(chain, seed, opt);
-    EXPECT_EQ(oracle.tables, got.tables);
-    EXPECT_EQ(oracle.fingerprint, got.fingerprint);
-    EXPECT_EQ(oracle.data_zeros, got.data_zeros);
-    EXPECT_EQ(oracle.eval_zeros, got.eval_zeros);
-    EXPECT_EQ(oracle.decode_bits, got.decode_bits);
+  for (const std::vector<Circuit>& chain : chains) {
+    const GarbledMaterial oracle = garble_offline(chain, seed, scalar_opt);
+    for (const HashBackend* be : compiled_hash_backends()) {
+      if (!be->available()) continue;
+      SCOPED_TRACE(be->name);
+      GcOptions opt;
+      opt.hash_backend = be;
+      const GarbledMaterial got = garble_offline(chain, seed, opt);
+      EXPECT_EQ(oracle.tables, got.tables);
+      EXPECT_EQ(oracle.fingerprint, got.fingerprint);
+      EXPECT_TRUE(oracle.delta == got.delta);
+      EXPECT_EQ(oracle.data_zeros, got.data_zeros);
+      EXPECT_EQ(oracle.eval_zeros, got.eval_zeros);
+      EXPECT_EQ(oracle.decode_bits, got.decode_bits);
+    }
   }
 }
 

@@ -231,7 +231,6 @@ void run_chaos(const ChaosCase& cc) {
       try {
         runtime::ClientConfig ccfg;
         ccfg.seed = Block{4242 + s, 99};
-        ccfg.stream.garble_threads = 2;
         ccfg.pool_target = 2;
         // Distinct plan seeds per endpoint: the two fault sequences stay
         // decorrelated but both reproducible.
@@ -417,7 +416,6 @@ TEST(ServerResilience, FrameParserSurvivesGarbageTruncationAndOversize) {
   const BitVec data = random_sample(rng);
   runtime::ClientConfig ccfg;
   ccfg.seed = Block{8088, 3};
-  ccfg.stream.garble_threads = 2;
   runtime::InferenceClient client("127.0.0.1", server.port(), spec, ccfg);
   EXPECT_EQ(from_bits(client.infer_bits(data)),
             plaintext_label(spec, weights, data));
@@ -444,7 +442,6 @@ TEST(ServerResilience, ClientRecoversAcrossServerRestartWithFreshMaterial) {
 
   runtime::ClientConfig ccfg;
   ccfg.seed = Block{9099, 4};
-  ccfg.stream.garble_threads = 2;
   ccfg.pool_target = 2;
   ccfg.max_retries = 40;
   ccfg.backoff_base_ms = 1;

@@ -1,11 +1,8 @@
 // Streaming runtime regressions: the framed garbled-table stream must
-// reassemble to the exact monolithic byte stream, thread-pool-sharded
-// garbling must be byte-identical to single-threaded garbling (the
-// tweak/table-order invariant), and the streaming sessions must agree
-// with plaintext evaluation end to end.
+// reassemble to the exact monolithic byte stream, and the streaming
+// sessions must agree with plaintext evaluation end to end.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
@@ -102,43 +99,15 @@ Circuit random_mixed_circuit(Rng& rng, int n_gates) {
 // ---------------------------------------------------------------------
 // ThreadPool
 
-TEST(ThreadPool, ShardsCoverRangeExactlyOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_shards(1000, 1, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, SmallRangesRunInline) {
-  ThreadPool pool(4);
-  std::atomic<int> calls{0};
-  pool.parallel_shards(10, 128, [&](size_t lo, size_t hi) {
-    EXPECT_EQ(lo, 0u);
-    EXPECT_EQ(hi, 10u);
-    calls.fetch_add(1);
-  });
-  EXPECT_EQ(calls.load(), 1);
-}
-
-TEST(ThreadPool, PropagatesShardExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_shards(100, 1,
-                                    [&](size_t lo, size_t) {
-                                      if (lo == 0)
-                                        throw std::runtime_error("boom");
-                                    }),
-               std::runtime_error);
-}
-
-TEST(ThreadPool, ZeroWorkersRunsInline) {
-  ThreadPool pool(0);
-  int sum = 0;
-  pool.parallel_shards(7, 1, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) sum += static_cast<int>(i);
-  });
-  EXPECT_EQ(sum, 21);
+TEST(ThreadPool, RunsTasksInOrderAndDrainsOnDestruction) {
+  std::vector<int> order;
+  {
+    ThreadPool pool;
+    for (int i = 0; i < 100; ++i)
+      pool.submit([&order, i] { order.push_back(i); });
+  }
+  ASSERT_EQ(order.size(), 100u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
 }
 
 // ---------------------------------------------------------------------
@@ -226,36 +195,17 @@ TEST(RuntimeStream, ExactMultipleLevelStillCutsFrameAtBoundary) {
   EXPECT_EQ(deframe(stream), garble_stream(c, Block{6, 6}, GcOptions{}));
 }
 
-TEST(RuntimeStream, FramesReassembleByteIdenticalMultiThread) {
-  ThreadPool pool(3);
+TEST(RuntimeStream, FramesReassembleByteIdenticalOnRandomCircuits) {
   GcOptions mono;
-  GcOptions framed_mt;
-  framed_mt.framed_tables = true;
-  framed_mt.pool = &pool;
-  framed_mt.min_shard_gates = 8;  // force real sharding on small windows
+  GcOptions framed;
+  framed.framed_tables = true;
   Rng rng(515);
   for (int trial = 0; trial < 5; ++trial) {
     const Circuit c = random_mixed_circuit(rng, 600);
     const Block seed{rng.next_u64(), rng.next_u64()};
-    EXPECT_EQ(deframe(garble_stream(c, seed, framed_mt)),
+    EXPECT_EQ(deframe(garble_stream(c, seed, framed)),
               garble_stream(c, seed, mono))
         << "trial " << trial;
-  }
-}
-
-TEST(RuntimeStream, ThreadPoolGarblingByteIdenticalToSequential) {
-  // The retained sequential path vs 1-worker and 3-worker pools, on a
-  // circuit wide enough for multiple capacity windows.
-  const Circuit c = bench_circuits::wide_and(2 * kGcMaxBatchWindow + 311);
-  GcOptions seq;
-  const auto reference = garble_stream(c, Block{21, 42}, seq);
-  for (const size_t workers : {1u, 3u}) {
-    ThreadPool pool(workers);
-    GcOptions mt;
-    mt.pool = &pool;
-    mt.min_shard_gates = 16;
-    EXPECT_EQ(garble_stream(c, Block{21, 42}, mt), reference)
-        << workers << " workers";
   }
 }
 
@@ -325,7 +275,7 @@ TEST(RuntimeStream, XorOnlyCircuitProducesNoFrames) {
 }
 
 // ---------------------------------------------------------------------
-// Streaming sessions end to end (framed + sharded vs plaintext)
+// Streaming sessions end to end (framed vs plaintext)
 
 TEST(RuntimeStream, StreamingSessionsMatchPlaintextChain) {
   std::vector<Circuit> chain;
@@ -350,17 +300,14 @@ TEST(RuntimeStream, StreamingSessionsMatchPlaintextChain) {
     expect = c.eval(expect, w);
   }
 
-  runtime::StreamConfig cfg;
-  cfg.garble_threads = 2;
-
   ChannelPair pair = make_channel_pair();
   BitVec got_g, got_e;
   std::thread server([&] {
-    runtime::StreamingEvaluator eval(*pair.b, cfg);
+    runtime::StreamingEvaluator eval(*pair.b);
     got_e = eval.run_chain(chain, weights);
   });
   {
-    runtime::StreamingGarbler garbler(*pair.a, Block{31, 62}, cfg);
+    runtime::StreamingGarbler garbler(*pair.a, Block{31, 62});
     got_g = garbler.run_chain(chain, data);
   }
   server.join();
@@ -441,8 +388,7 @@ TEST(Material, EvaluateMaterialMatchesPlaintextChain) {
 
 // A compiled MLP chain garbles its weight-bit ANDs as one-row gates:
 // the offline artifact is still exactly material_stream_bytes long (one
-// row per such gate) and evaluates, single-threaded and sharded, to the
-// plaintext chain.
+// row per such gate) and evaluates to the plaintext chain.
 TEST(Material, OneRowArtifactIsStreamSizedAndDecodes) {
   synth::ModelSpec spec;
   spec.input = synth::Shape3{1, 1, 6};
@@ -491,20 +437,12 @@ TEST(Material, OneRowArtifactIsStreamSizedAndDecodes) {
     g_labels[i] = data[i] ? (mat.data_zeros[i] ^ mat.delta) : mat.data_zeros[i];
   EXPECT_EQ(decode_labels(evaluate_material(chain, em, g_labels), em.decode_bits),
             expect);
-  ThreadPool pool(3);
-  GcOptions sharded;
-  sharded.pool = &pool;
-  sharded.min_shard_gates = 2;
-  EXPECT_EQ(decode_labels(evaluate_material(chain, em, g_labels, sharded),
-                          em.decode_bits),
-            expect);
 }
 
 TEST(MaterialPool, KeepsTargetInstancesReadyAndRefills) {
   std::vector<Circuit> chain{bench_circuits::wide_chain_layer(256)};
   runtime::MaterialPool pool({chain}, GcOptions{},
-                             {.target = 2, .producer_threads = 2,
-                              .seed = Block{7, 7}});
+                             {.target = 2, .seed = Block{7, 7}});
 
   const GarbledMaterial a = pool.acquire().front();
   const GarbledMaterial b = pool.acquire().front();
@@ -526,8 +464,7 @@ TEST(MaterialPool, ConcurrentAcquiresAtZeroTarget) {
   // its own ad-hoc production (two waiters once deadlocked on one).
   std::vector<Circuit> chain{bench_circuits::wide_chain_layer(128)};
   runtime::MaterialPool pool({chain}, GcOptions{},
-                             {.target = 0, .producer_threads = 2,
-                              .seed = Block{9, 9}});
+                             {.target = 0, .seed = Block{9, 9}});
   GarbledMaterial a, b;
   std::thread t1([&] { a = pool.acquire().front(); });
   std::thread t2([&] { b = pool.acquire().front(); });
@@ -602,6 +539,16 @@ TEST(RuntimeFrame, RoundTripAndErrorPropagation) {
 
   runtime::send_error(*pair.b, "nope");
   EXPECT_THROW(runtime::recv_frame(*pair.a), std::runtime_error);
+
+  // A coded kError keeps its code on the exception.
+  runtime::send_error(*pair.b, runtime::ErrorCode::kHandshake, "mismatch");
+  try {
+    (void)runtime::recv_frame(*pair.a);
+    ADD_FAILURE() << "kError did not throw";
+  } catch (const runtime::SessionError& e) {
+    EXPECT_EQ(e.code(), runtime::ErrorCode::kHandshake);
+    EXPECT_STREQ(e.what(), "runtime: peer error: mismatch");
+  }
 }
 
 TEST(RuntimeFrame, FingerprintSeparatesChains) {

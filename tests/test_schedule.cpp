@@ -25,7 +25,6 @@
 #include "gc/protocol.h"
 #include "net/party.h"
 #include "support/rng.h"
-#include "support/thread_pool.h"
 #include "synth/layer_circuits.h"
 #include "synth/matvec.h"
 
@@ -213,13 +212,14 @@ TEST(Schedule, ScalarAndBatchedByteIdenticalOnScheduledOrder) {
 
 // Full GC protocol equality over MemChannel: scheduled and unscheduled
 // executions decode to the same plaintext result on random DAGs and on
-// a real matvec netlist.
+// two real matvec netlists.
 TEST(Schedule, TwoPartyScheduledMatchesPlaintextAndOracle) {
   Rng rng(777);
   std::vector<Circuit> circuits;
   for (int t = 0; t < 3; ++t)
     circuits.push_back(random_dag(rng, 350, /*with_lanes=*/t == 0));
   circuits.push_back(synth::make_matvec_circuit(4, 3, kDefaultFormat));
+  circuits.push_back(synth::make_matvec_circuit(12, 6, kDefaultFormat));
 
   for (const Circuit& c : circuits) {
     BitVec g_bits(c.garbler_inputs.size()), e_bits(c.evaluator_inputs.size());
@@ -252,45 +252,6 @@ TEST(Schedule, TwoPartyScheduledMatchesPlaintextAndOracle) {
           });
       EXPECT_EQ(decoded, expect) << c.name << " schedule=" << sched;
     }
-  }
-}
-
-// Evaluator-side window sharding: a pooled evaluator must produce the
-// same decoded outputs as a single-threaded one (the shards reuse the
-// garbler's per-shard tweak/table-order invariant).
-TEST(Schedule, EvaluatorShardPoolMatchesSingleThreaded) {
-  const Circuit c = synth::make_matvec_circuit(12, 6, kDefaultFormat);
-  Rng rng(4242);
-  BitVec g_bits(c.garbler_inputs.size()), e_bits(c.evaluator_inputs.size());
-  for (auto& v : g_bits) v = rng.next_bool();
-  for (auto& v : e_bits) v = rng.next_bool();
-  const BitVec expect = c.eval(g_bits, e_bits);
-
-  ThreadPool pool(3);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    GcOptions eopt;
-    eopt.pool = p;
-    eopt.min_shard_gates = 8;  // tiny windows still shard in this test
-    BitVec decoded;
-    run_two_party(
-        [&](Channel& ch) {
-          Garbler g(ch, Block{7, 9});
-          const Labels gz = g.fresh_zeros(g_bits.size());
-          const Labels ez = g.fresh_known_zeros(e_bits.size());
-          g.send_active(g_bits, gz);
-          std::vector<Block> active(e_bits.size());
-          for (size_t i = 0; i < e_bits.size(); ++i)
-            active[i] = e_bits[i] ? (ez[i] ^ g.delta()) : ez[i];
-          ch.send_bytes(active.data(), active.size() * sizeof(Block));
-          decoded = g.decode_outputs(g.garble(c, gz, ez, {}));
-        },
-        [&](Channel& ch) {
-          Evaluator e(ch, eopt);
-          const Labels gl = e.recv_active(g_bits.size());
-          const Labels el = e.recv_active(e_bits.size());
-          e.send_outputs(e.evaluate(c, gl, el, {}));
-        });
-    EXPECT_EQ(decoded, expect) << "eval pool=" << (p != nullptr);
   }
 }
 
@@ -494,36 +455,29 @@ TEST(WalkView, RawDagsCoverDeadOutputsAndAliasedOperands) {
 }
 
 // Garbling the slotted view gives the stream bytes, output labels and
-// state labels of garbling the SSA order: scalar, batched, and batched
-// with a sharding pool.
+// state labels of garbling the SSA order, scalar and batched.
 TEST(WalkView, GarbleByteIdenticalToSsaOrder) {
-  ThreadPool pool(3);
   for (const Circuit& c : slot_circuits()) {
     const Circuit ssa = schedule_circuit(c).circuit;
-    for (int mode = 0; mode < 3; ++mode) {
+    for (const GcPipeline pipeline :
+         {GcPipeline::kScalar, GcPipeline::kBatched}) {
       GcOptions walked, oracle;
-      walked.pipeline = oracle.pipeline =
-          mode == 0 ? GcPipeline::kScalar : GcPipeline::kBatched;
-      if (mode == 2) {
-        walked.pool = oracle.pool = &pool;
-        walked.min_shard_gates = oracle.min_shard_gates = 2;
-      }
+      walked.pipeline = oracle.pipeline = pipeline;
       walked.schedule = true;
       oracle.schedule = false;
       const GarbleRecord a = garble_with_state(c, walked);
       const GarbleRecord b = garble_with_state(ssa, oracle);
-      EXPECT_EQ(a.stream, b.stream) << c.name << " mode " << mode;
-      EXPECT_EQ(a.outputs, b.outputs) << c.name << " mode " << mode;
-      EXPECT_EQ(a.state_next, b.state_next) << c.name << " mode " << mode;
+      const bool scalar = pipeline == GcPipeline::kScalar;
+      EXPECT_EQ(a.stream, b.stream) << c.name << " scalar=" << scalar;
+      EXPECT_EQ(a.outputs, b.outputs) << c.name << " scalar=" << scalar;
+      EXPECT_EQ(a.state_next, b.state_next) << c.name << " scalar=" << scalar;
     }
   }
 }
 
 // Two-party evaluation over the slotted view decodes outputs and the
-// next state to Circuit::eval, single-threaded and with a sharding
-// pool on both sides.
+// next state to Circuit::eval.
 TEST(WalkView, TwoPartyDecodesToPlaintext) {
-  ThreadPool gpool(3), epool(3);
   Rng rng(2718);
   for (const Circuit& c : slot_circuits()) {
     const BitVec g_bits = random_bits(rng, c.garbler_inputs.size());
@@ -532,40 +486,32 @@ TEST(WalkView, TwoPartyDecodesToPlaintext) {
     const BitVec s_bits = state;
     const BitVec expect = c.eval(g_bits, e_bits, &state);
 
-    for (const bool pooled : {false, true}) {
-      GcOptions gopt, eopt;
-      if (pooled) {
-        gopt.pool = &gpool;
-        eopt.pool = &epool;
-        gopt.min_shard_gates = eopt.min_shard_gates = 2;
-      }
-      BitVec decoded, decoded_state;
-      run_two_party(
-          [&](Channel& ch) {
-            Garbler g(ch, Block{8, 9}, gopt);
-            const Labels gz = g.fresh_zeros(g_bits.size());
-            const Labels ez = g.fresh_known_zeros(e_bits.size());
-            const Labels sz = g.fresh_zeros(s_bits.size());
-            g.send_active(g_bits, gz);
-            g.send_active(e_bits, ez);  // stands in for OT here
-            g.send_active(s_bits, sz);
-            Labels next_zeros;
-            const Labels out = g.garble(c, gz, ez, sz, &next_zeros);
-            decoded = g.decode_outputs(out);
-            decoded_state = g.decode_outputs(next_zeros);
-          },
-          [&](Channel& ch) {
-            Evaluator e(ch, eopt);
-            const Labels gl = e.recv_active(g_bits.size());
-            const Labels el = e.recv_active(e_bits.size());
-            const Labels sl = e.recv_active(s_bits.size());
-            Labels next;
-            e.send_outputs(e.evaluate(c, gl, el, sl, &next));
-            e.send_outputs(next);
-          });
-      EXPECT_EQ(decoded, expect) << c.name << " pooled=" << pooled;
-      EXPECT_EQ(decoded_state, state) << c.name << " pooled=" << pooled;
-    }
+    BitVec decoded, decoded_state;
+    run_two_party(
+        [&](Channel& ch) {
+          Garbler g(ch, Block{8, 9});
+          const Labels gz = g.fresh_zeros(g_bits.size());
+          const Labels ez = g.fresh_known_zeros(e_bits.size());
+          const Labels sz = g.fresh_zeros(s_bits.size());
+          g.send_active(g_bits, gz);
+          g.send_active(e_bits, ez);  // stands in for OT here
+          g.send_active(s_bits, sz);
+          Labels next_zeros;
+          const Labels out = g.garble(c, gz, ez, sz, &next_zeros);
+          decoded = g.decode_outputs(out);
+          decoded_state = g.decode_outputs(next_zeros);
+        },
+        [&](Channel& ch) {
+          Evaluator e(ch, GcOptions{});
+          const Labels gl = e.recv_active(g_bits.size());
+          const Labels el = e.recv_active(e_bits.size());
+          const Labels sl = e.recv_active(s_bits.size());
+          Labels next;
+          e.send_outputs(e.evaluate(c, gl, el, sl, &next));
+          e.send_outputs(next);
+        });
+    EXPECT_EQ(decoded, expect) << c.name;
+    EXPECT_EQ(decoded_state, state) << c.name;
   }
 }
 
@@ -784,8 +730,8 @@ ChainRecord record_chain(const std::vector<Circuit>& chain,
 }
 
 // What the runtime serves (the walked chain, default options) puts the
-// bytes of the construction-order chain on the wire: scalar, and
-// batched with sharding pools.
+// bytes of the construction-order chain on the wire, scalar and
+// batched.
 TEST(WalkChain, GarbleByteIdenticalToConstructionChain) {
   const std::vector<Circuit> chain = synth::compile_model_layers(mlp_spec());
   const std::vector<Circuit> walked = walk_chain(chain);
@@ -803,27 +749,21 @@ TEST(WalkChain, GarbleByteIdenticalToConstructionChain) {
     used += n;
   }
 
-  ThreadPool gpool(3), epool(3);
-  for (const bool pooled : {false, true}) {
-    GcOptions gopt, eopt;
-    if (pooled) {
-      gopt.pool = &gpool;
-      eopt.pool = &epool;
-    } else {
-      gopt.pipeline = eopt.pipeline = GcPipeline::kScalar;
-    }
-    const ChainRecord a = record_chain(chain, data, weights, gopt, eopt);
-    const ChainRecord b = record_chain(walked, data, weights, gopt, eopt);
-    EXPECT_EQ(a.stream, b.stream) << "pooled=" << pooled;
-    EXPECT_EQ(a.decoded, expect) << "pooled=" << pooled;
-    EXPECT_EQ(b.decoded, expect) << "pooled=" << pooled;
-    EXPECT_EQ(a.mat.fingerprint, b.mat.fingerprint) << "pooled=" << pooled;
+  for (const bool scalar : {true, false}) {
+    GcOptions opt;
+    if (scalar) opt.pipeline = GcPipeline::kScalar;
+    const ChainRecord a = record_chain(chain, data, weights, opt, opt);
+    const ChainRecord b = record_chain(walked, data, weights, opt, opt);
+    EXPECT_EQ(a.stream, b.stream) << "scalar=" << scalar;
+    EXPECT_EQ(a.decoded, expect) << "scalar=" << scalar;
+    EXPECT_EQ(b.decoded, expect) << "scalar=" << scalar;
+    EXPECT_EQ(a.mat.fingerprint, b.mat.fingerprint) << "scalar=" << scalar;
     EXPECT_EQ(b.mat.fingerprint, chain_fingerprint(chain));
-    EXPECT_EQ(a.mat.delta, b.mat.delta) << "pooled=" << pooled;
-    EXPECT_EQ(a.mat.data_zeros, b.mat.data_zeros) << "pooled=" << pooled;
-    EXPECT_EQ(a.mat.eval_zeros, b.mat.eval_zeros) << "pooled=" << pooled;
-    EXPECT_EQ(a.mat.decode_bits, b.mat.decode_bits) << "pooled=" << pooled;
-    EXPECT_EQ(a.mat.tables, b.mat.tables) << "pooled=" << pooled;
+    EXPECT_EQ(a.mat.delta, b.mat.delta) << "scalar=" << scalar;
+    EXPECT_EQ(a.mat.data_zeros, b.mat.data_zeros) << "scalar=" << scalar;
+    EXPECT_EQ(a.mat.eval_zeros, b.mat.eval_zeros) << "scalar=" << scalar;
+    EXPECT_EQ(a.mat.decode_bits, b.mat.decode_bits) << "scalar=" << scalar;
+    EXPECT_EQ(a.mat.tables, b.mat.tables) << "scalar=" << scalar;
   }
 
   // The schedule = false seam walks a walked chain as given: the same

@@ -84,7 +84,6 @@ TEST(InferenceServerTest, EndToEndSecureInferOverTcpLoopback) {
 
   runtime::ClientConfig ccfg;
   ccfg.seed = Block{2024, 610};
-  ccfg.stream.garble_threads = 2;
   runtime::InferenceClient client("127.0.0.1", server.port(), spec, ccfg);
   const BitVec out = client.infer_bits(data);
   EXPECT_EQ(from_bits(out), plaintext_label(spec, weights, data));
@@ -109,7 +108,6 @@ TEST(InferenceServerTest, StatsJsonExplainsServedSession) {
 
   runtime::ClientConfig ccfg;
   ccfg.seed = Block{2025, 808};
-  ccfg.stream.garble_threads = 2;
   runtime::InferenceClient client("127.0.0.1", server.port(), spec, ccfg);
   (void)client.infer_bits(data);
   client.close();
@@ -238,9 +236,15 @@ TEST(InferenceServerTest, RejectsFingerprintMismatch) {
   synth::ModelSpec other = spec;  // different architecture, same inputs
   other.layers.insert(other.layers.begin() + 1,
                       synth::ActLayer{synth::ActKind::kReLU});
+  // A rejected handshake is a configuration error: a retrying client
+  // gives up after the first rejection instead of spending its budget.
+  runtime::ClientConfig ccfg;
+  ccfg.max_retries = 3;
+  ccfg.backoff_base_ms = 1;
   EXPECT_THROW(
       {
-        runtime::InferenceClient client("127.0.0.1", server.port(), other);
+        runtime::InferenceClient client("127.0.0.1", server.port(), other,
+                                        ccfg);
       },
       std::runtime_error);
   server.stop();
@@ -353,16 +357,14 @@ TEST(InferenceServerTest, GlobalPrefetchByteBudgetSharedAcrossSessions) {
   server.stop();
 }
 
-// Evaluator-side window sharding in the server: sessions evaluate with
-// a shard pool and still agree with plaintext.
-TEST(InferenceServerTest, EvaluatorThreadsServeCorrectInferences) {
+// One on-demand inference against a server with default settings
+// agrees with plaintext.
+TEST(InferenceServerTest, OnDemandInferenceMatchesPlaintext) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(71);
   const BitVec weights = random_weights(spec, rng);
 
-  runtime::ServerConfig scfg;
-  scfg.stream.eval_threads = 2;
-  runtime::InferenceServer server(spec, weights, scfg);
+  runtime::InferenceServer server(spec, weights);
   server.start();
 
   std::vector<Fixed> x;
@@ -694,7 +696,6 @@ TEST(InferenceServerTest, AsyncPrefetchLaneRefillsUnderBurst) {
     runtime::ClientConfig ccfg;
     ccfg.seed = Block{2026, 0xA51};
     ccfg.pool_target = 2;
-    ccfg.pool_producers = 2;
     ccfg.async_prefetch = true;
     runtime::InferenceClient client("127.0.0.1", server.port(), spec, ccfg);
     EXPECT_EQ(client.prefetch(2), 2u);
@@ -734,17 +735,15 @@ TEST(InferenceServerTest, AsyncPrefetchLaneRefillsUnderBurst) {
 }
 
 // The whole concurrency surface at once: four pooled sessions whose
-// pools shard each garbling across threads and refill the server
-// through their async lanes, served by sharded evaluators. Every
-// request hits warm material.
+// pools garble on their producer threads and refill the server through
+// their async lanes, served concurrently by the reactor's workers.
+// Every request hits warm material.
 TEST(InferenceServerTest, ConcurrentPooledSessionsOverAsyncLanes) {
   const synth::ModelSpec spec = small_spec();
   Rng rng(83);
   const BitVec weights = random_weights(spec, rng);
 
-  runtime::ServerConfig scfg;
-  scfg.stream.eval_threads = 2;
-  runtime::InferenceServer server(spec, weights, scfg);
+  runtime::InferenceServer server(spec, weights);
   server.start();
 
   constexpr size_t kSessions = 4;
@@ -767,8 +766,6 @@ TEST(InferenceServerTest, ConcurrentPooledSessionsOverAsyncLanes) {
       runtime::ClientConfig ccfg;
       ccfg.seed = Block{700 + s, 800 + s};
       ccfg.pool_target = kRequests;
-      ccfg.pool_producers = 2;
-      ccfg.pool_shard_threads = 2;
       ccfg.async_prefetch = true;
       ccfg.auto_top_up = false;
       runtime::InferenceClient client("127.0.0.1", server.port(), spec, ccfg);
