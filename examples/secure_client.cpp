@@ -7,7 +7,7 @@
 //
 // --stats asks the server for its runtime counters (protocol v5 kStats
 // round trip) after the requests finish and prints the JSON document —
-// pool slab traffic, vectored sends, copied bytes, io backend.
+// session and phase counters, and the resilience block.
 //
 // With prefetch > 0 the client garbles instances in the background and
 // pushes them to the server ahead of requests (the offline/online

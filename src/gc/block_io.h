@@ -30,7 +30,10 @@
 // tests/test_runtime.cpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -47,10 +50,14 @@ class BlockWriter {
  public:
   explicit BlockWriter(Channel& ch, size_t capacity = 1 << 15,
                        bool framed = false)
-      : ch_(ch), framed_(framed) {
-    buf_.reserve(capacity);
-    capacity_ = capacity;
-  }
+      : ch_(ch),
+        header_(framed ? sizeof(uint32_t) : 0),
+        // Default-initialized: pages are touched only as blocks land, so
+        // a writer that ships a few frames does not fault in the whole
+        // buffer.
+        buf_(new uint8_t[header_ + capacity * sizeof(Block)]),
+        capacity_(capacity),
+        framed_(framed) {}
   // Destruction during stack unwind (garbling aborted by a transport
   // failure) must not throw a second exception out of flush() — that
   // would turn a recoverable connection reset into std::terminate.
@@ -62,38 +69,20 @@ class BlockWriter {
     }
   }
 
-  void put(Block b) {
-    buf_.push_back(b);
-    if (pending_blocks() >= capacity_) flush();
-  }
+  void put(Block b) { put(&b, 1); }
 
-  /// Zero-copy enqueue: stage `n` blocks living in refcounted memory
-  /// (a pool slab or adopted buffer — support/buffer_pool.h) WITHOUT
-  /// copying them into the local buffer. The blocks ship as borrowed
-  /// iovec slices on the next flush, with `ref` pinning the backing
-  /// memory until the transport is done with it; the caller must not
-  /// mutate the blocks after handing them over.
-  ///
-  /// Byte-identity with the copy path is preserved by construction: a
-  /// borrowed run splits at exactly the capacity boundaries where the
-  /// equivalent put() loop would have flushed, so frame cuts — and
-  /// therefore the framed wire stream — match the copy path bit for bit
-  /// (asserted in tests/test_runtime.cpp).
-  void put_borrowed(const Block* data, size_t n, BufferRef ref) {
-    if (!buf_.empty()) {
-      // Copied blocks are already queued ahead of us (put()
-      // interleaving); degrade to copy so wire order follows call order
-      // — flush() emits borrowed slices before the copied tail.
-      for (size_t i = 0; i < n; ++i) put(data[i]);
-      return;
-    }
+  /// Append `n` blocks, one bulk copy per capacity chunk. The buffer
+  /// flushes at exactly the capacity boundaries `n` put(Block) calls
+  /// would hit, so frame cuts do not depend on how rows are handed over.
+  void put(const Block* data, size_t n) {
     while (n > 0) {
-      const size_t take = std::min(n, capacity_ - pending_blocks());
-      slices_.push_back(Borrowed{data, take, ref});
-      borrowed_blocks_ += take;
+      const size_t take = std::min(n, capacity_ - pending_);
+      std::memcpy(buf_.get() + header_ + pending_ * sizeof(Block), data,
+                  take * sizeof(Block));
+      pending_ += take;
       data += take;
       n -= take;
-      if (pending_blocks() >= capacity_) flush();
+      if (pending_ == capacity_) flush();
     }
   }
 
@@ -105,64 +94,30 @@ class BlockWriter {
   /// one frame (see file header). No-op in monolithic mode (the capacity
   /// policy alone governs chunking).
   void mark_window(bool level_boundary = true) {
-    if (framed_ && level_boundary && pending_blocks() >= kGcMinFrameBlocks)
-      flush();
+    if (framed_ && level_boundary && pending_ >= kGcMinFrameBlocks) flush();
   }
 
+  /// Ship the pending blocks: one send_bytes carrying the u32 frame
+  /// header (framed mode) and the rows behind it.
   void flush() {
-    const size_t blocks = pending_blocks();
-    if (blocks == 0) return;
-    // Every block that went through buf_ was memcpy'd once by put() —
-    // the staging copy the borrowed path exists to avoid. Counted here
-    // (not per put()) to keep the hot loop tight.
-    if (!buf_.empty())
-      netstat::bytes_copied().add(buf_.size() * sizeof(Block));
-    if (slices_.empty()) {
-      // Pure copy path: unchanged wire behavior (and still one
-      // contiguous send, which BufferedChannel may coalesce further).
-      if (framed_) {
-        const uint32_t len = static_cast<uint32_t>(blocks * sizeof(Block));
-        ch_.send_bytes(&len, sizeof(len));
-      }
-      ch_.send_bytes(buf_.data(), buf_.size() * sizeof(Block));
-      buf_.clear();
-      return;
+    if (pending_ == 0) return;
+    const size_t bytes = pending_ * sizeof(Block);
+    if (framed_) {
+      const uint32_t len = static_cast<uint32_t>(bytes);
+      std::memcpy(buf_.get(), &len, sizeof(len));
     }
-    // Vectored path: one send_iov carrying [u32 header][borrowed
-    // slices...][copied tail]. The header and buf_ slices are ref-less
-    // (consumed before send_iov returns, per the IoSlice contract);
-    // borrowed slices move their refs into the transport, which
-    // releases each slab only when its bytes are truly shipped.
-    iov_.clear();
-    const uint32_t len = static_cast<uint32_t>(blocks * sizeof(Block));
-    if (framed_) iov_.push_back(IoSlice{&len, sizeof(len), BufferRef{}});
-    for (Borrowed& s : slices_)
-      iov_.push_back(
-          IoSlice{s.data, s.blocks * sizeof(Block), std::move(s.ref)});
-    if (!buf_.empty())
-      iov_.push_back(
-          IoSlice{buf_.data(), buf_.size() * sizeof(Block), BufferRef{}});
-    ch_.send_iov(iov_.data(), iov_.size());
-    iov_.clear();
-    slices_.clear();
-    borrowed_blocks_ = 0;
-    buf_.clear();
+    // The staging copy: every table byte passes through this buffer
+    // once. Counted here, not per put(), to keep the hot loop tight.
+    netstat::bytes_copied().add(bytes);
+    ch_.send_bytes(buf_.get(), header_ + bytes);
+    pending_ = 0;
   }
 
  private:
-  struct Borrowed {
-    const Block* data;
-    size_t blocks;
-    BufferRef ref;
-  };
-
-  size_t pending_blocks() const { return buf_.size() + borrowed_blocks_; }
-
   Channel& ch_;
-  std::vector<Block> buf_;
-  std::vector<Borrowed> slices_;
-  std::vector<IoSlice> iov_;
-  size_t borrowed_blocks_ = 0;
+  size_t header_;                   // frame header bytes: 4 framed, else 0
+  std::unique_ptr<uint8_t[]> buf_;  // [header][rows]
+  size_t pending_ = 0;
   size_t capacity_;
   bool framed_;
 };

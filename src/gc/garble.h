@@ -23,7 +23,6 @@ namespace deepsecure {
 
 class BlockWriter;
 class BlockReader;
-class BufferPool;
 struct HashBackend;
 
 /// Wire labels, indexed like the corresponding input/output vectors.
@@ -59,16 +58,6 @@ struct GcOptions {
   /// block_io.h) — the streaming runtime's wire format. The framed
   /// payload is byte-identical to the monolithic stream.
   bool framed_tables = false;
-  /// Zero-copy table plane (garbler + batched pipeline only): stage
-  /// each batch window in a slab from this pool (slab size >=
-  /// GarbleWindowLine::bytes_for(kGcMaxBatchWindow)) and hand the table
-  /// rows to the channel as borrowed refcounted slices instead of
-  /// copying them into the frame buffer; the runtime garbler always
-  /// sets it. The wire stream is byte-identical either way (asserted in
-  /// tests/test_runtime.cpp). Not owned; must outlive the last
-  /// in-flight send. nullptr = copy path (offline artifacts, library
-  /// callers).
-  BufferPool* table_pool = nullptr;
   /// Batch AES kernel for this endpoint's window sweeps. nullptr = the
   /// process-wide selection (crypto/hash_backend.h: CPUID
   /// auto-dispatch). Every backend produces byte-identical tables, so

@@ -94,9 +94,6 @@ GarbledMaterial garble_offline(const std::vector<Circuit>& chain, Block seed,
     throw std::invalid_argument("garble_offline: empty circuit chain");
   GcOptions local = opt;
   local.framed_tables = false;
-  // The sink records bytes — borrowed slices would be copied right back
-  // into it, so the zero-copy plane buys nothing here.
-  local.table_pool = nullptr;
 
   ByteSink sink;
   // Exact size up front: doubling growth would copy ~1.2x the artifact
@@ -181,15 +178,9 @@ void send_material(Channel& ch, GarbledMaterial&& mat) {
   ch.send_bits(mat.decode_bits);
   ch.send_u64(mat.tables.size());
   if (mat.tables.empty()) return;
-  // Donate the table stream: the bytes move into a refcounted holder
-  // and ship as ONE borrowed slice — a scatter-gather transport sends
-  // the multi-MB payload without copying it, and the holder frees when
-  // the send completes. Wire bytes are those of a plain send_bytes.
-  IoSlice slice;
-  slice.ref = BufferRef::adopt(std::move(mat.tables));
-  slice.data = slice.ref.data();
-  slice.len = slice.ref.size();
-  ch.send_iov(&slice, 1);
+  // The table stream ships in one send and is freed on return.
+  const std::vector<uint8_t> tables = std::move(mat.tables);
+  ch.send_bytes(tables.data(), tables.size());
 }
 
 EvalMaterial recv_material(Channel& ch, uint64_t max_table_bytes,

@@ -74,7 +74,7 @@ struct GarbledMaterial {
 /// Offline stage: garble `chain` into a self-contained artifact. Pure
 /// local computation — no channel, no peer. `opt.pipeline` and
 /// `opt.schedule` apply as in streaming garbling; `opt.framed_tables`
-/// and `opt.table_pool` are ignored (see GarbledMaterial::tables).
+/// is ignored (see GarbledMaterial::tables).
 GarbledMaterial garble_offline(const std::vector<Circuit>& chain, Block seed,
                                const GcOptions& opt = {});
 
@@ -102,10 +102,9 @@ BitVec decode_labels(const Labels& active, const BitVec& decode_bits);
 /// Ship the input-independent bytes of an artifact (decode bits +
 /// tables) to the peer. The evaluator-input labels travel separately
 /// (GarblerSession::send_fixed_labels). Consumes `mat.tables` only,
-/// shipping it as one borrowed refcounted slice
-/// (support/buffer_pool.h), so an asynchronous channel forwards the
-/// multi-MB table stream without copying it; the rest of `mat` stays
-/// valid for the OT exchange.
+/// shipping it in one send_bytes (a BufferedChannel passes it straight
+/// through, uncopied) and freeing it; the rest of `mat` stays valid for
+/// the OT exchange.
 void send_material(Channel& ch, GarbledMaterial&& mat);
 
 /// Counterpart of send_material: returns an EvalMaterial with

@@ -10,28 +10,18 @@
 
 #include "crypto/block.h"
 #include "obs/metrics.h"
-#include "support/buffer_pool.h"
 
 namespace deepsecure {
 
 namespace netstat {
 // Process-wide data-plane instruments (Registry::global()), shared by
 // every channel implementation. Resolved once per process.
-//   net.bytes_copied   — payload bytes memcpy'd somewhere in the send
-//                        path instead of shipped as a borrowed slice
-//                        (the copy-elimination headline metric).
-//   net.sends_vectored — send_iov calls that reached a true
-//                        scatter-gather transport (sendmsg) instead of
-//                        the copy fallback.
-//   net.syscalls_send  — kernel send syscalls (one per sendmsg call).
+//   net.bytes_copied   — table bytes staged by BlockWriter (gc/block_io.h)
+//                        before they ship: one copy per table byte.
+//   net.syscalls_send  — kernel send syscalls (one per send call).
 inline obs::Counter& bytes_copied() {
   static obs::Counter& c =
       obs::Registry::global().counter("net.bytes_copied");
-  return c;
-}
-inline obs::Counter& sends_vectored() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("net.sends_vectored");
   return c;
 }
 inline obs::Counter& syscalls_send() {
@@ -41,45 +31,12 @@ inline obs::Counter& syscalls_send() {
 }
 }  // namespace netstat
 
-/// One element of a vectored send: a borrowed byte range, optionally
-/// pinned by a BufferRef.
-///
-/// Lifetime contract (the iovec divergence documented in
-/// src/net/README.md): a slice WITHOUT a ref is only guaranteed valid
-/// during the send_iov call — transports that ship asynchronously must
-/// copy it before returning. A slice WITH a ref may be shipped after
-/// send_iov returns: the transport takes (moves) the ref and holds it
-/// until the kernel send of those bytes has completed, which is what
-/// lets a pool slab recycle exactly when its payload is on the wire.
-struct IoSlice {
-  const void* data = nullptr;
-  size_t len = 0;
-  BufferRef ref;
-};
-
 class Channel {
  public:
   virtual ~Channel() = default;
 
   virtual void send_bytes(const void* data, size_t n) = 0;
   virtual void recv_bytes(void* data, size_t n) = 0;
-
-  /// Vectored send: ship the slices back-to-back, exactly as if each
-  /// had gone through send_bytes in order. The default is that copy
-  /// fallback (one send_bytes per slice, every byte counted in
-  /// net.bytes_copied); scatter-gather transports override it. The
-  /// slice array is consumed — an implementation may move refs out of
-  /// it (see IoSlice), so callers must treat it as spent on return.
-  virtual void send_iov(IoSlice* slices, size_t n) {
-    uint64_t total = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (slices[i].len == 0) continue;
-      send_bytes(slices[i].data, slices[i].len);
-      total += slices[i].len;
-      slices[i].ref.reset();
-    }
-    if (total > 0) netstat::bytes_copied().add(total);
-  }
 
   /// Receive at least `min_n` and at most `max_n` bytes, returning how
   /// many arrived. Transports that can see "what is already available"

@@ -2,12 +2,10 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
-#include <limits.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -16,7 +14,6 @@
 #include <cstring>
 #include <stdexcept>
 #include <thread>
-#include <vector>
 
 #include "obs/metrics.h"
 
@@ -257,13 +254,14 @@ void TcpChannel::wait_ready(short events) {
   }
 }
 
-void TcpChannel::sendmsg_all(iovec* iov, size_t n) {
-  size_t at = 0;
-  while (at < n) {
-    msghdr m{};
-    m.msg_iov = iov + at;
-    m.msg_iovlen = std::min(n - at, size_t{IOV_MAX});
-    const ssize_t w = ::sendmsg(fd_, &m, MSG_NOSIGNAL);
+// The one send loop: resumes short writes at the exact byte offset
+// until all `n` bytes are shipped. Retries EINTR, waits out EAGAIN in
+// nonblocking mode, and maps a gone peer to "peer closed connection".
+void TcpChannel::send_bytes(const void* data, size_t n) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  size_t done = 0;
+  while (done < n) {
+    const ssize_t w = ::send(fd_, p + done, n - done, MSG_NOSIGNAL);
     netstat::syscalls_send().add();
     if (w < 0) {
       if (errno == EINTR) continue;
@@ -273,26 +271,10 @@ void TcpChannel::sendmsg_all(iovec* iov, size_t n) {
         continue;
       }
       if (peer_gone(errno)) throw_peer_closed();
-      die("sendmsg");
+      die("send");
     }
-    size_t adv = static_cast<size_t>(w);
-    while (adv > 0) {
-      if (adv >= iov[at].iov_len) {
-        adv -= iov[at].iov_len;
-        ++at;
-      } else {
-        iov[at].iov_base = static_cast<uint8_t*>(iov[at].iov_base) + adv;
-        iov[at].iov_len -= adv;
-        adv = 0;
-      }
-    }
+    done += static_cast<size_t>(w);
   }
-}
-
-void TcpChannel::send_bytes(const void* data, size_t n) {
-  if (n == 0) return;
-  iovec iov{const_cast<void*>(data), n};
-  sendmsg_all(&iov, 1);
   sent_ += n;
   tcp_bytes_out().add(n);
 }
@@ -318,26 +300,6 @@ void TcpChannel::recv_bytes(void* data, size_t n) {
   }
   received_ += n;
   tcp_bytes_in().add(n);
-}
-
-void TcpChannel::send_iov(IoSlice* slices, size_t n) {
-  std::vector<iovec> iov;
-  iov.reserve(n);
-  size_t total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (slices[i].len == 0) continue;
-    iov.push_back(iovec{const_cast<void*>(slices[i].data), slices[i].len});
-    total += slices[i].len;
-  }
-  if (!iov.empty()) {
-    netstat::sends_vectored().add();
-    sendmsg_all(iov.data(), iov.size());
-    sent_ += total;
-    tcp_bytes_out().add(total);
-  }
-  // Slices fully on the wire (kernel-buffered) — borrowed slabs can
-  // recycle now.
-  for (size_t i = 0; i < n; ++i) slices[i].ref.reset();
 }
 
 size_t TcpChannel::recv_some(void* data, size_t min_n, size_t max_n) {

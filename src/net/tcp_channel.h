@@ -26,8 +26,6 @@
 // its fd, a nonblocking mode, and try_accept() (drain-until-EAGAIN).
 #pragma once
 
-#include <sys/uio.h>
-
 #include <atomic>
 #include <cstdint>
 #include <optional>
@@ -55,12 +53,6 @@ class TcpChannel final : public Channel {
   void send_bytes(const void* data, size_t n) override;
   void recv_bytes(void* data, size_t n) override;
   size_t recv_some(void* data, size_t min_n, size_t max_n) override;
-
-  /// True scatter-gather send: one sendmsg per <= IOV_MAX slices
-  /// instead of one syscall per slice, resuming short writes mid-iovec.
-  /// Slices are fully shipped before return, so borrowed refs release
-  /// here.
-  void send_iov(IoSlice* slices, size_t n) override;
 
   /// Shut both directions down without closing the fd. A thread blocked
   /// in recv on this channel wakes with a "peer closed" error — how the
@@ -99,13 +91,6 @@ class TcpChannel final : public Channel {
   /// recv deadline bounds both directions) or poll failure. Used to
   /// resume nonblocking I/O.
   void wait_ready(short events);
-
-  /// The one send loop behind send_bytes and send_iov: sendmsg over
-  /// <= IOV_MAX non-empty iovecs per call, resuming short writes
-  /// mid-iovec (advancing `iov` in place) until all `n` are shipped.
-  /// Retries EINTR, waits out EAGAIN in nonblocking mode, and maps a
-  /// gone peer to "peer closed connection".
-  void sendmsg_all(iovec* iov, size_t n);
 
   int fd_ = -1;
   bool nonblocking_ = false;

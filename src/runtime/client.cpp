@@ -250,8 +250,7 @@ void InferenceClient::push_material(BufferedChannel& ch, Artifact&& art) {
     PrefetchedStage stage{mat.delta, std::move(mat.data_zeros),
                           std::move(mat.eval_zeros), {}};
     if (s + 1 < art.size()) stage.shares.swap(mat.decode_bits);
-    // Only the tables and what is left of the decode bits ship (the
-    // tables borrowed by the transport until the kernel send completes).
+    // Only the tables and what is left of the decode bits ship.
     send_material(ch, std::move(mat));
     pm.stages.push_back(std::move(stage));
   }

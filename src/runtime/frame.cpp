@@ -127,10 +127,6 @@ void send_error(Channel& ch, ErrorCode code, const std::string& reason) {
   send_frame(ch, FrameType::kError, p.data(), p.size());
 }
 
-void send_error(Channel& ch, const std::string& reason) {
-  send_error(ch, ErrorCode::kUnspecified, reason);
-}
-
 void send_busy(Channel& ch, uint32_t retry_after_ms) {
   send_frame(ch, FrameType::kBusy, &retry_after_ms, sizeof(retry_after_ms));
 }

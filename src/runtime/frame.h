@@ -126,8 +126,7 @@ enum class FrameType : uint8_t {
 /// Machine-readable kError reason codes (v6): the first payload byte,
 /// followed by the human-readable utf-8 reason. Values are wire-stable.
 enum class ErrorCode : uint8_t {
-  kUnspecified = 0,  // legacy/unclassified (the pre-v6 payload shape
-                     // maps here via send_error(ch, reason))
+  kUnspecified = 0,  // unclassified
   kHandshake = 1,    // magic/version/fingerprint/flags mismatch
   kMalformed = 2,    // unparseable or unexpected frame for this state
   kQuota = 3,        // prefetch quota or global byte budget exhausted
@@ -202,12 +201,10 @@ Hello parse_hello(const Frame& f);
 void send_hello_ack(Channel& ch, const HelloAck& a);
 HelloAck parse_hello_ack(const Frame& f);
 
-/// Raise a std::runtime_error carrying `reason` on the peer and locally.
-/// The coded overload prefixes the v6 ErrorCode byte; the legacy
-/// overload sends ErrorCode::kUnspecified. The peer's recv_frame throws
-/// a SessionError with that code and "runtime: peer error: <reason>".
+/// Send a kError frame: the ErrorCode byte, then `reason`. The peer's
+/// recv_frame throws a SessionError with that code and "runtime: peer
+/// error: <reason>".
 void send_error(Channel& ch, ErrorCode code, const std::string& reason);
-void send_error(Channel& ch, const std::string& reason);
 
 /// Admission shed (v6): kBusy carrying a retry-after hint. The server
 /// closes the connection after sending; parse_busy reads the hint back.

@@ -1,16 +1,12 @@
 #include "runtime/streaming.h"
 
-#include "gc/batch_walk.h"
-
 namespace deepsecure::runtime {
 
 StreamingGarbler::StreamingGarbler(Channel& transport, Block seed,
                                    const StreamConfig& /*cfg*/)
-    : table_pool_(std::make_unique<BufferPool>(
-          GarbleWindowLine::bytes_for(kGcMaxBatchWindow))),
-      ch_(transport),
-      session_(std::make_unique<GarblerSession>(
-          ch_, seed, served_gc_options(table_pool_.get()))) {}
+    : ch_(transport),
+      session_(std::make_unique<GarblerSession>(ch_, seed,
+                                                served_gc_options())) {}
 
 BitVec StreamingGarbler::run_chain(const std::vector<Circuit>& chain,
                                    const BitVec& data_bits) {

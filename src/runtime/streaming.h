@@ -7,10 +7,10 @@
 //     └─ BufferedChannel        small control messages coalesce
 //          └─ GarblerSession / EvaluatorSession (walked view)
 //               └─ framed table stream: the garbler ships each
-//                  completed batch window as a length-prefixed frame
-//                  from pooled slabs (zero-copy), and the evaluator
-//                  consumes frame by frame — garbling, transfer, and
-//                  evaluation of one circuit overlap in time
+//                  completed batch window as a length-prefixed frame,
+//                  and the evaluator consumes frame by frame —
+//                  garbling, transfer, and evaluation of one circuit
+//                  overlap in time
 //
 // One session garbles or evaluates on one thread; a server gets its
 // parallelism from running many sessions at once.
@@ -23,18 +23,15 @@
 
 #include "gc/protocol.h"
 #include "net/buffered_channel.h"
-#include "support/buffer_pool.h"
 
 namespace deepsecure::runtime {
 
 /// The served GC configuration, fixed and so never negotiated: framed
-/// tables over the walked view; `table_pool` (garbler only) backs the
-/// zero-copy table plane. The byte-identical oracles are GcOptions test
-/// seams.
-inline GcOptions served_gc_options(BufferPool* table_pool = nullptr) {
+/// tables over the walked view. The byte-identical oracles are
+/// GcOptions test seams.
+inline GcOptions served_gc_options() {
   GcOptions o;
   o.framed_tables = true;
-  o.table_pool = table_pool;
   return o;
 }
 
@@ -44,8 +41,8 @@ inline GcOptions served_gc_options(BufferPool* table_pool = nullptr) {
 /// `run_chain` deletes it.
 struct StreamConfig {};
 
-/// Client-side engine: owns the table slab pool and the buffered
-/// channel, and drives a GarblerSession over them. The underlying
+/// Client-side engine: owns the buffered channel and drives a
+/// GarblerSession over it. The underlying
 /// transport must outlive this object.
 class StreamingGarbler {
  public:
@@ -63,11 +60,6 @@ class StreamingGarbler {
   GarblerSession& session() { return *session_; }
 
  private:
-  // Slab pool backing the zero-copy table plane. May die with sends
-  // still in flight — the refcounted core outlives it
-  // (support/buffer_pool.h teardown contract), so destruction order
-  // vs. an async transport is a non-issue.
-  std::unique_ptr<BufferPool> table_pool_;
   BufferedChannel ch_;
   std::unique_ptr<GarblerSession> session_;
 };

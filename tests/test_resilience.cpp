@@ -139,8 +139,8 @@ TEST(FaultPlan, RateZeroNeverInjects) {
   for (const auto& [injected, threw] : t) EXPECT_FALSE(threw);
 }
 
-// Split faults (short writes, vectored straddles) must preserve the
-// byte stream exactly — chaos reorders operations, never payloads.
+// Split faults (short writes) must preserve the byte stream exactly —
+// chaos reorders operations, never payloads.
 class CaptureChannel final : public Channel {
  public:
   void send_bytes(const void* data, size_t n) override {
@@ -164,27 +164,18 @@ TEST(FaultPlan, ShortWriteSplitsPreserveByteStream) {
   std::vector<uint8_t> expected;
   Rng rng(31337);
   for (size_t op = 0; op < 120; ++op) {
-    // Three buffers sent as one vectored call on odd ops, a flat
-    // send on even ops; straddle splits copy BufferRefs, so back the
-    // slices with stable storage for the duration of the call.
+    // One buffer on even ops, three back-to-back sends on odd ops.
     std::vector<uint8_t> a(17 + op % 64), b(5), c(41);
     for (auto* v : {&a, &b, &c})
       for (auto& byte : *v) byte = static_cast<uint8_t>(rng.next_u64());
     try {
-      if (op % 2 == 0) {
-        ch.send_bytes(a.data(), a.size());
-        expected.insert(expected.end(), a.begin(), a.end());
-      } else {
-        IoSlice sl[3] = {{a.data(), a.size(), {}},
-                         {b.data(), b.size(), {}},
-                         {c.data(), c.size(), {}}};
-        ch.send_iov(sl, 3);
-        for (auto* v : {&a, &b, &c})
-          expected.insert(expected.end(), v->begin(), v->end());
+      for (auto* v : op % 2 == 0 ? std::vector{&a} : std::vector{&a, &b, &c}) {
+        ch.send_bytes(v->data(), v->size());
+        expected.insert(expected.end(), v->begin(), v->end());
       }
     } catch (const std::exception&) {
       // Injected reset: thrown BEFORE any inner write, so the capture
-      // must not contain a torn prefix of this op's payload.
+      // must not contain a torn prefix of this send's payload.
     }
   }
   EXPECT_EQ(inner.got, expected);
