@@ -168,6 +168,11 @@ int main() {
       "  takes the 584-gate array). Its #1-row gates AND a Booth digit\n"
       "  flag, an XOR of weight bits the evaluator owns, and ship 16 B\n"
       "  instead of 32 B (half-gates' evaluator half gate).\n"
+      "  The CORDIC rows end in one division whose operands satisfy\n"
+      "  0 < num <= den < 2^14, taken by a 14-step unsigned\n"
+      "  non-restoring divider (div_fraction) instead of the signed\n"
+      "  29-bit DIV: the same outputs on every input, at 1225 / 1150\n"
+      "  non-XOR instead of 2860 / 2752.\n"
       "  A1x16.B16x4 accumulates-then-truncates: it sums the full\n"
       "  28-bit products of each column (28-bit adders) and truncates\n"
       "  once, as every FC/conv layer does.\n");

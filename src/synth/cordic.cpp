@@ -73,13 +73,15 @@ Bus cordic_exp_neg(Builder& b, const Bus& a_in, size_t a_frac, double max_a,
   const double gain = schedule_gain(schedule);
   Bus u = constant_fixed(b, 1.0 / gain, wf);
 
-  for (const ScheduleEntry& it : schedule) {
+  for (size_t i = 0; i < schedule.size(); ++i) {
+    const ScheduleEntry& it = schedule[i];
     // d = +1 iff z >= 0. u <- u + d*(u >> i); z <- z - d*atanh(e).
     const Wire d_neg = sign_bit(z);
     const Bus t = sar_const(u, it.shift);
     Bus t_cond(w);
     for (size_t j = 0; j < w; ++j) t_cond[j] = b.xor_(t[j], d_neg);
     u = add_full(b, u, t_cond, d_neg);
+    if (i + 1 == schedule.size()) break;  // the last z is never read
 
     const Wire d_pos = b.not_(d_neg);
     const int64_t c = Fixed::from_double(it.atanh_e, wf).raw();
@@ -119,14 +121,19 @@ Bus tanh_cordic(Builder& b, const Bus& x, FixedFormat fmt,
   a2 = shl_const(b, a2, 1);
   const Bus u = cordic_exp_neg(b, a2, fmt.frac_bits, 2.0 * clamp_at, p);
 
-  // tanh = (1 - u) / (1 + u) computed in Q(2.13) at 16 bits.
+  // tanh = (1 - u) / (1 + u) computed in Q(2.13) at 16 bits. u16 stays
+  // in [0, 8190] on every input, so 0 < num <= den < 2^14 meets
+  // div_fraction's precondition and the quotient, at most 1.0 = 2^13,
+  // fits 14 bits: the same floor((num << 13) / den) as the signed
+  // div_fixed at 29 bits (test_activations pins the outputs).
   const size_t div_frac = 13;
   const size_t wd = 16;
   const Bus u16 = to_div_format(u, p.internal_frac, div_frac, wd);
   const Bus one = constant_bus(b, 1ull << div_frac, wd);
   const Bus num = sub(b, one, u16);
   const Bus den = add(b, one, u16);
-  Bus q = div_fixed(b, num, den, div_frac);
+  const Bus q =
+      zero_extend(b, div_fraction(b, num, den, div_frac, div_frac + 1), wd);
 
   // Q(2.13) -> output format with round-to-nearest.
   Bus y =
@@ -144,13 +151,14 @@ Bus sigmoid_cordic(Builder& b, const Bus& x, FixedFormat fmt,
 
   const Bus u = cordic_exp_neg(b, a, fmt.frac_bits, max_abs, p);
 
-  // sigmoid(|x|) = 1 / (1 + e^(-|x|)) in Q(2.13).
+  // sigmoid(|x|) = 1 / (1 + e^(-|x|)) in Q(2.13), divided as in tanh.
   const size_t div_frac = 13;
   const size_t wd = 16;
   const Bus u16 = to_div_format(u, p.internal_frac, div_frac, wd);
   const Bus one = constant_bus(b, 1ull << div_frac, wd);
   const Bus den = add(b, one, u16);
-  Bus q = div_fixed(b, one, den, div_frac);
+  const Bus q =
+      zero_extend(b, div_fraction(b, one, den, div_frac, div_frac + 1), wd);
 
   Bus y =
       add(b, q, constant_bus(b, 1ull << (div_frac - fmt.frac_bits - 1), wd));

@@ -18,6 +18,12 @@
 //
 //   tanh(x)    = (1 - e^(-2|x|)) / (1 + e^(-2|x|)), sign-reflected
 //   sigmoid(x) = 1 / (1 + e^(-|x|)),                reflected as 1 - y
+//
+// Both quotients are taken in Q(2.13) at 16 bits. Their operands obey
+// 0 < num <= den < 2^14, so the unsigned non-restoring div_fraction
+// computes them exactly in 14 quotient bits (1,225 / 1,150 non-XOR per
+// activation). The generic signed div_fixed would spend ~1.8k non-XOR
+// on the same quotient at 29 bits.
 #pragma once
 
 #include "synth/int_blocks.h"

@@ -47,4 +47,35 @@ Bus div_fixed(Builder& b, const Bus& a, const Bus& y, size_t frac) {
   return truncate(q, n);
 }
 
+Bus div_fraction(Builder& b, const Bus& num, const Bus& den, size_t frac,
+                 size_t qbits) {
+  if (num.size() != den.size())
+    throw std::invalid_argument("div width mismatch");
+  if (qbits <= frac) throw std::invalid_argument("div_fraction: qbits <= frac");
+  const size_t w = den.size();
+
+  // Long division of D = num << frac into qbits quotient bits: the
+  // partial remainder starts at D >> qbits and takes one dividend bit
+  // per step. Non-restoring: R stays in [-den, den), so it fits w signed
+  // bits, and a negative R adds den back on the next step instead of
+  // being restored by a mux.
+  const size_t lead = qbits - frac;
+  Bus r(w, b.const_bit(false));
+  for (size_t i = 0; i + lead < w; ++i) r[i] = num[i + lead];
+  Bus q(qbits);
+  for (size_t step = 0; step < qbits; ++step) {
+    const size_t bit = qbits - 1 - step;
+    const Wire s = b.not_(sign_bit(r));  // 1: subtract den, 0: add it
+    Bus shifted(w);
+    shifted[0] = bit >= frac && bit - frac < w ? num[bit - frac]
+                                              : b.const_bit(false);
+    for (size_t i = 1; i < w; ++i) shifted[i] = r[i - 1];
+    Bus den_s(w);
+    for (size_t i = 0; i < w; ++i) den_s[i] = b.xor_(den[i], s);
+    r = add_full(b, shifted, den_s, s);
+    q[bit] = b.not_(sign_bit(r));
+  }
+  return q;
+}
+
 }  // namespace deepsecure::synth

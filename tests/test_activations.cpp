@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "synth/activation.h"
 #include "synth/cordic.h"
@@ -92,6 +94,58 @@ TEST(Activation, GateCostOrdering) {
   EXPECT_LT(pl, 2000u);
   const auto plan = build_activation(ActKind::kSigmoidPLAN).stats().num_and;
   EXPECT_LT(plan, 400u);  // shifts only
+}
+
+// Circuit::eval on 64 inputs at once: bit k of every word is lane k.
+std::vector<uint64_t> eval_lanes(const Circuit& c,
+                                 const std::vector<uint64_t>& inputs) {
+  std::vector<uint64_t> w(c.num_wires, 0);
+  w[kConst1] = ~uint64_t{0};
+  for (size_t i = 0; i < c.garbler_inputs.size(); ++i)
+    w[c.garbler_inputs[i]] = inputs[i];
+  for (const Gate& g : c.gates)
+    w[g.out] = g.op == GateOp::kXor ? w[g.a] ^ w[g.b] : w[g.a] & w[g.b];
+  std::vector<uint64_t> out(c.outputs.size());
+  for (size_t i = 0; i < out.size(); ++i) out[i] = w[c.outputs[i]];
+  return out;
+}
+
+// FNV-1a 64 over the 16-bit outputs (little-endian) of every input
+// 0..65535 in order; every 4,099th input is also checked against eval.
+uint64_t output_digest(const Circuit& c) {
+  uint64_t h = 14695981039346656037ull;
+  for (uint32_t base = 0; base < 65536; base += 64) {
+    std::vector<uint64_t> in(16, 0);
+    for (uint32_t k = 0; k < 64; ++k)
+      for (size_t i = 0; i < 16; ++i)
+        in[i] |= uint64_t{((base + k) >> i) & 1u} << k;
+    const std::vector<uint64_t> out = eval_lanes(c, in);
+    for (uint32_t k = 0; k < 64; ++k) {
+      uint64_t v = 0;
+      for (size_t i = 0; i < 16; ++i) v |= ((out[i] >> k) & 1u) << i;
+      if ((base + k) % 4099 == 0) {
+        EXPECT_EQ(v, from_bits(c.eval(to_bits(base + k, 16), {})))
+            << base + k;
+      }
+      for (const uint64_t byte : {v & 0xff, v >> 8}) {
+        h ^= byte;
+        h *= 1099511628211ull;
+      }
+    }
+  }
+  return h;
+}
+
+// The range-exact divider reproduces the generic signed divider's
+// outputs bit for bit on every input (digests of the circuits built
+// with div_fixed), at under half its AND gates.
+TEST(Cordic, OutputsPinnedOnAllInputs) {
+  const Circuit tanh_c = build_activation(ActKind::kTanhCORDIC);
+  const Circuit sig_c = build_activation(ActKind::kSigmoidCORDIC);
+  EXPECT_EQ(output_digest(tanh_c), 0x96bf163e5bcc59bfull);
+  EXPECT_EQ(output_digest(sig_c), 0xaa93ce333654b073ull);
+  EXPECT_LE(tanh_c.stats().num_and, 1225u);
+  EXPECT_LE(sig_c.stats().num_and, 1150u);
 }
 
 TEST(Lut, GenericTableSelect) {

@@ -260,11 +260,11 @@ TEST(Builder, PinnedChainFingerprintMlp) {
 
 TEST(Builder, PinnedChainFingerprintB3pp) {
   EXPECT_EQ(chain_fingerprint(b3pp_chain(), /*scheduled=*/true),
-            0x350c74daaaa758e8ull);
+            0x72e093253ba35c39ull);
   EXPECT_EQ(chain_fingerprint(b3pp_chain(), /*scheduled=*/false),
-            0x2dfd9aff4ef52c9eull);
+            0x430ca728988cfa60ull);
   EXPECT_EQ(chain_fingerprint(walk_chain(b3pp_chain())),
-            0x350c74daaaa758e8ull);
+            0x72e093253ba35c39ull);
 }
 
 // Label slots: the walked view of b3_pp's first FC layer (7.39 M

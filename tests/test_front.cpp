@@ -354,7 +354,7 @@ TEST(CompileServed, PinnedServedFingerprints) {
             0xf01dc99073177b79ull);
   EXPECT_EQ(
       runtime::served_fingerprint(synth::compile_served(zoo_compact("b3_pp"))),
-      0x0a87169f89b4f218ull);
+      0x0cdf9cb7b2530d72ull);
 }
 
 TEST(CompileServed, RejectsNonLinearFirstLayer) {

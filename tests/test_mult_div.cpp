@@ -2,6 +2,8 @@
 
 #include <climits>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "synth/divider.h"
 #include "synth/mult.h"
@@ -224,6 +226,54 @@ TEST(Div, UnsignedCore) {
     for (uint64_t b : {1ull, 2ull, 3ull, 100ull, 255ull}) {
       const BitVec out = c.eval(to_bits(a, 8), to_bits(b, 8));
       EXPECT_EQ(from_bits(out), a / b) << a << "/" << b;
+    }
+  }
+}
+
+// num / den circuit at `width` bits, num owned by the garbler.
+Circuit fraction_circuit(size_t width, size_t frac, size_t qbits) {
+  Builder bld;
+  const Bus num = input_bus(bld, Party::kGarbler, width);
+  const Bus den = input_bus(bld, Party::kEvaluator, width);
+  bld.outputs(div_fraction(bld, num, den, frac, qbits));
+  return bld.build();
+}
+
+// Exhaustive over the precondition 0 <= num <= den, den > 0 at 6 bits,
+// for a quotient with and without leading dividend bits.
+TEST(Div, FractionExhaustiveSmall) {
+  const size_t width = 6;
+  for (const auto& [frac, qbits] :
+       std::vector<std::pair<size_t, size_t>>{{4, 5}, {3, 6}, {0, 1}}) {
+    const Circuit c = fraction_circuit(width, frac, qbits);
+    for (uint64_t den = 1; den < 32; ++den)
+      for (uint64_t num = 0; num <= den; ++num) {
+        const BitVec out = c.eval(to_bits(num, width), to_bits(den, width));
+        EXPECT_EQ(from_bits(out), (num << frac) / den)
+            << num << "/" << den << " frac " << frac << " qbits " << qbits;
+      }
+  }
+}
+
+// CORDIC's operands in Q(2.13) for every u16 in [0, 8190], tanh's
+// 1 - u and sigmoid's 1 over 1 + u: the range-exact divider and the
+// signed div_fixed agree.
+TEST(Div, FractionMatchesFixedOnCordicRange) {
+  const FixedFormat fmt{16, 13};
+  const Circuit fraction = fraction_circuit(16, 13, 14);
+  Builder bld;
+  const Bus num = input_fixed(bld, Party::kGarbler, fmt);
+  const Bus den = input_fixed(bld, Party::kEvaluator, fmt);
+  bld.outputs(div_fixed(bld, num, den, fmt.frac_bits));
+  const Circuit fixed = bld.build();
+  // One 16-bit adder (15 ANDs) per quotient bit.
+  EXPECT_LE(fraction.stats().num_and, 14u * 15u);
+  for (uint64_t u = 0; u <= 8190; ++u) {
+    const BitVec d = to_bits((1u << 13) + u, 16);
+    for (const uint64_t num : {(1u << 13) - u, uint64_t{1} << 13}) {
+      const BitVec n = to_bits(num, 16);
+      ASSERT_EQ(from_bits(fraction.eval(n, d)), from_bits(fixed.eval(n, d)))
+          << num << " / " << (1u << 13) + u;
     }
   }
 }

@@ -1,9 +1,9 @@
 // Served differential: answers of the runtime (per stage a front and a
 // garbled segment, on demand and pooled) against the plaintext
 // reference chain (Circuit::eval over compile_model_layers), on a small
-// MLP and on the paper's pre-processed Benchmarks 1 and 3; the exact
-// wire bytes of one on-demand inference; and that no served chain takes
-// a weight bit.
+// MLP (with ReLU and with a CORDIC sigmoid) and on the paper's
+// pre-processed Benchmarks 1 and 3; the exact wire bytes of one
+// on-demand inference; and that no served chain takes a weight bit.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -30,6 +30,14 @@ synth::ModelSpec mlp_spec() {
   spec.layers.push_back(synth::ActLayer{synth::ActKind::kReLU});
   spec.layers.push_back(synth::FcLayer{3, {}, true});
   spec.layers.push_back(synth::ArgmaxLayer{});
+  return spec;
+}
+
+// The same MLP with a CORDIC sigmoid: the zoo serves tanh only.
+synth::ModelSpec sigmoid_mlp_spec() {
+  synth::ModelSpec spec = mlp_spec();
+  spec.name = "mlp_sigmoid";
+  spec.layers[1] = synth::ActLayer{synth::ActKind::kSigmoidCORDIC};
   return spec;
 }
 
@@ -126,6 +134,10 @@ TEST(ServedDifferential, MlpOnDemandAndPooledMatchReferenceChain) {
   expect_served_answers_match(mlp_model());
 }
 
+TEST(ServedDifferential, SigmoidMlpOnDemandAndPooledMatchReferenceChain) {
+  expect_served_answers_match(make_model(sigmoid_mlp_spec(), 6, 19));
+}
+
 // A conv front and two hidden FC fronts.
 TEST(ServedDifferential, B1ppOnDemandAndPooledMatchReferenceChain) {
   expect_served_answers_match(make_model(zoo_compact(0), 2, 101));
@@ -177,13 +189,14 @@ uint64_t ondemand_bytes_per_inference(const Model& m) {
 // input-bit OTs at 16 B + 8 B per batch, 81,312 and 6,864 correlations
 // at 4 B: 404,104 + 40,264 B), the label OTs of 1,400 + 728 share bits
 // (28 per neuron; 32 B each + headers), the client's share-bit labels,
-// the two share circuits' (27 ANDs per neuron), tanh's and argmax's
-// tables, and the frames. The server as the weight-bit OT receiver
-// with B2A before the hidden front (6.55 MB), per-product carries in
-// the share circuit (11.89 MB), a garbled hidden FC (15.45 MB) or
-// layer 0 (58 MB) fail here.
+// the two share circuits' (27 ANDs per neuron), tanh's (1,225 ANDs per
+// neuron) and argmax's tables, and the frames. CORDIC's generic signed
+// divider (5.22 MB), the server as the weight-bit OT receiver with B2A
+// before the hidden front (6.55 MB), per-product carries in the share
+// circuit (11.89 MB), a garbled hidden FC (15.45 MB) or layer 0 (58 MB)
+// fail here.
 TEST(ServedBytes, B3ppOnDemandInferencePinned) {
-  EXPECT_EQ(ondemand_bytes_per_inference(b3pp_model()), 5216542u);
+  EXPECT_EQ(ondemand_bytes_per_inference(b3pp_model()), 2600222u);
 }
 
 // mlp: fronts of 128 and 96 OTs carrying 768 and 288 correlations
